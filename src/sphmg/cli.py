@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import ContractError, ExternalBid, GameParams
 from .kernels import KernelParams, extract_stationary, iterate_kernels
-from .simulator import run_experiment
+from .simulator import RunObservables, run_experiment
 from .theory import Phase, alpha_c1, alpha_c2, classify_phase, stationary_solution
 
 SWEEPABLE = ("alpha", "kappa", "A_tilde")
@@ -244,34 +244,22 @@ def _game_params(pt: dict, spec: SweepSpec, seed: int) -> GameParams:
     )
 
 
-def _sim_task(args):
-    pt, spec, seed = args
-    obs = run_experiment(_game_params(pt, spec, seed))
-    return (
-        obs.c0_hat,
-        obs.sigma,
-        obs.sigma_fl,
-        obs.lambda_mean,
-        obs.lambda_slope,
-        obs.bid_mean,
-        obs.bid_staggered,
-        obs.frozen_flag,
-    )
-
-
-def _sim_cells(results: list[tuple]) -> dict:
-    arr = np.array([r[:7] for r in results], dtype=np.float64)
-    mean = arr.mean(axis=0)
-    err = arr.std(axis=0, ddof=1) / np.sqrt(arr.shape[0]) if arr.shape[0] > 1 else np.zeros(7)
+def _sim_cells(results: list[RunObservables]) -> dict:
+    """Seed means of the observables, with standard errors for c0 and sigma."""
+    names = ("c0_hat", "sigma", "lambda_mean", "lambda_slope", "bid_mean", "bid_staggered")
+    arr = np.array([[getattr(r, f) for f in names] for r in results], dtype=np.float64)
+    n = arr.shape[0]
+    mean = dict(zip(names, arr.mean(axis=0)))
+    err = dict(zip(names, arr.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(names))))
     return {
-        "c0_sim": float(mean[0]),
-        "c0_sim_err": float(err[0]),
-        "sigma_sim": float(mean[1]),
-        "sigma_sim_err": float(err[1]),
-        "lambda_sim": float(mean[3]),
-        "Lambda_sim": float(mean[4]),
-        "bid_mean_sim": float(mean[5]),
-        "bid_staggered_sim": float(mean[6]),
+        "c0_sim": float(mean["c0_hat"]),
+        "c0_sim_err": float(err["c0_hat"]),
+        "sigma_sim": float(mean["sigma"]),
+        "sigma_sim_err": float(err["sigma"]),
+        "lambda_sim": float(mean["lambda_mean"]),
+        "Lambda_sim": float(mean["lambda_slope"]),
+        "bid_mean_sim": float(mean["bid_mean"]),
+        "bid_staggered_sim": float(mean["bid_staggered"]),
     }
 
 
@@ -359,12 +347,12 @@ def run_sweep(spec: SweepSpec) -> tuple[list[ResultRow], list[dict], int]:
     return rows, kernel_extra, failures
 
 
-def _sim_task_safe(task):
+def _sim_task_safe(task) -> RunObservables | None:
+    pt, spec, seed = task
     try:
-        return _sim_task(task)
+        return run_experiment(_game_params(pt, spec, seed))
     except Exception as exc:
-        pt = task[0]
-        print(f"[simulate] point {pt} seed {task[2]} failed: {exc}", file=sys.stderr)
+        print(f"[simulate] point {pt} seed {seed} failed: {exc}", file=sys.stderr)
         return None
 
 
@@ -373,13 +361,17 @@ def _apply(row: ResultRow, cells: dict) -> None:
         setattr(row, k, v)
 
 
+# A reference value at or below this magnitude counts as zero in the summary.
+ZERO_REFERENCE = 1e-12
+
+
 def compare_summary(rows: list[ResultRow], kernel_extra: list[dict]) -> list[str]:
-    """Max relative deviation per observable between engines on F/O points."""
+    """Max deviation per observable between engines on F/O points.
 
-    def reldev(pairs):
-        devs = [abs(a - b) / max(abs(b), 1e-12) for a, b in pairs if a is not None and b is not None]
-        return max(devs) if devs else None
-
+    The deviation is relative to the reference, except where the reference
+    is zero (e.g. Lambda at alpha_c2): those points get their own line with
+    the absolute deviation.
+    """
     active = [r for r in rows if r.phase in ("F", "O")]
     checks = [
         ("c0: sim vs theory", [(r.c0_sim, r.c0_theory) for r in active]),
@@ -412,9 +404,13 @@ def compare_summary(rows: list[ResultRow], kernel_extra: list[dict]) -> list[str
     ]
     lines = []
     for label, pairs in checks:
-        dev = reldev(pairs)
-        if dev is not None:
-            lines.append(f"{label}: max rel deviation {dev:.3e}")
+        pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
+        rel_devs = [abs(a - b) / abs(b) for a, b in pairs if abs(b) > ZERO_REFERENCE]
+        abs_devs = [abs(a - b) for a, b in pairs if abs(b) <= ZERO_REFERENCE]
+        if rel_devs:
+            lines.append(f"{label}: max rel deviation {max(rel_devs):.3e}")
+        if abs_devs:
+            lines.append(f"{label}: max abs deviation {max(abs_devs):.3e} (reference 0)")
     return lines
 
 

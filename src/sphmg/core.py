@@ -153,12 +153,16 @@ class DisorderSample:
 
 @dataclass(frozen=True)
 class Couplings:
-    """Dense coupling tables compiled from one DisorderSample (float64)."""
+    """Dense coupling tables compiled from one DisorderSample (float64).
+
+    Omega is the sample's pattern bias, kept for the bid moments.
+    """
 
     J: np.ndarray
     h: np.ndarray
     b: np.ndarray
     d: np.ndarray
+    Omega: np.ndarray
 
     @property
     def n_agents(self) -> int:
@@ -208,4 +212,4 @@ def precompute_couplings(sample: DisorderSample) -> Couplings:
     b = (2.0 / np.sqrt(n)) * xd.sum(axis=1)
     d = (2.0 / n) * np.abs(sample.xi).sum(axis=1, dtype=np.int64).astype(np.float64)
     _freeze(J, h, b, d)
-    return Couplings(J=J, h=h, b=b, d=d)
+    return Couplings(J=J, h=h, b=b, d=d, Omega=sample.Omega)

@@ -11,10 +11,12 @@ phi = q / lambda.  This is the exact regrouping of the per-pattern form
     A^mu(t)  = A_e(t) + Omega_mu + N^(-1/2) sum_j phi_j(t) xi_j^mu
 
 so the coupling route and the per-pattern route agree to accumulation noise.
-run_experiment integrates an equilibration window followed by a measurement
-window in which every pattern bid A^mu(t) is recorded exactly, and reduces the
-history to the stationary observables (c0, sigma, sigma_fl, lambda statistics,
-bid averages, frozen flag).
+run_experiment takes the coupling route when N <= p and the per-pattern route
+otherwise, so each step streams the smaller of J and xi.  It integrates an
+equilibration window followed by a measurement window, in which each step
+also yields the exact bid moments sum_mu A^mu(t) and sum_mu A^mu(t)^2, and
+reduces the history to the stationary observables (c0, sigma, sigma_fl,
+lambda statistics, bid averages, frozen flag).
 """
 
 from __future__ import annotations
@@ -99,93 +101,71 @@ def _renormalize(q: np.ndarray, t: int) -> AgentState:
     return AgentState(q=q, lam=lam, phi=q / lam, t=t)
 
 
+def _use_couplings(n_agents: int, n_patterns: int) -> bool:
+    """Coupling route iff J (8N^2 bytes) is no larger than the per-pattern
+    route's two float32 passes over xi (8Np bytes)."""
+    return n_agents <= n_patterns
+
+
+@dataclass(frozen=True)
+class _Patterns:
+    """What the per-pattern route reads: xi in float32 (exact for entries in
+    {-1, 0, 1}), the self-couplings d and the pattern bias Omega."""
+
+    xi32: np.ndarray
+    d: np.ndarray
+    Omega: np.ndarray
+
+
+def _route(sample: DisorderSample) -> Couplings | _Patterns:
+    if _use_couplings(sample.n_agents, sample.n_patterns):
+        return precompute_couplings(sample)
+    d = (2.0 / sample.n_agents) * np.abs(sample.xi).sum(axis=1, dtype=np.int64).astype(np.float64)
+    return _Patterns(xi32=sample.xi.astype(np.float32), d=d, Omega=sample.Omega)
+
+
+def _step(
+    route: Couplings | _Patterns, state: AgentState, params: GameParams
+) -> tuple[AgentState, float, float]:
+    """One batch step: the renormalized next state and the moments
+    (sum_mu A^mu, sum_mu (A^mu)^2) of the bids at time state.t.
+
+    The coupling route takes the moments from J phi through O(N) dot
+    products; the per-pattern route sums the explicit bids, whose pattern
+    products run in float32 (exact to ~1e-7, far below measurement noise).
+    """
+    a_e = params.external.value_at(state.t)
+    phi, Omega = state.phi, route.Omega
+    if isinstance(route, Couplings):
+        j_phi = route.J @ phi
+        q = state.q - route.b * a_e - route.h - j_phi + params.kappa * (route.d * phi)
+        p, sum_omega, b_phi = Omega.size, float(Omega.sum()), float(route.b @ phi)
+        sum_a = p * a_e + sum_omega + 0.5 * b_phi
+        sum_a2 = (
+            p * a_e**2
+            + float(Omega @ Omega)
+            + 2.0 * a_e * sum_omega
+            + a_e * b_phi
+            + float(route.h @ phi)
+            + 0.5 * float(phi @ j_phi)
+        )
+    else:
+        sqrt_n = np.sqrt(phi.shape[0])
+        bids = a_e + Omega + (phi.astype(np.float32) @ route.xi32).astype(np.float64) / sqrt_n
+        q = (
+            state.q
+            - (2.0 / sqrt_n) * (route.xi32 @ bids.astype(np.float32)).astype(np.float64)
+            + params.kappa * (route.d * phi)
+        )
+        sum_a, sum_a2 = float(bids.sum()), float(bids @ bids)
+    return _renormalize(q, state.t + 1), sum_a, sum_a2
+
+
 def batch_step(state: AgentState, couplings: Couplings, params: GameParams) -> AgentState:
     """One coupling-based batch step followed by the spherical renormalization."""
     if couplings.n_agents != state.q.shape[0]:
         raise ContractError("state and couplings disagree on the number of agents")
-    a_e = params.external.value_at(state.t)
-    q = (
-        state.q
-        - couplings.b * a_e
-        - couplings.h
-        - couplings.J @ state.phi
-        + params.kappa * (couplings.d * state.phi)
-    )
-    return _renormalize(q, state.t + 1)
-
-
-def _run_loop(params: GameParams, sample: DisorderSample, couplings: Couplings | None):
-    """Integrate the full protocol and collect the raw measurement history.
-
-    Equilibration uses the compiled couplings when available.  During the
-    measurement window each step evaluates the per-pattern bids (needed for
-    the volatility anyway) and completes the identical update from them; the
-    pattern products run in float32 (exact to ~1e-7, far below measurement
-    noise) to keep large N affordable.
-    """
-    n, p = sample.n_agents, sample.n_patterns
-    sqrt_n = np.sqrt(n)
-    xi32 = sample.xi.astype(np.float32)
-    d = (2.0 / n) * np.abs(sample.xi).sum(axis=1, dtype=np.int64).astype(np.float64)
-
-    state = init_state(params)
-    q, phi, t = state.q, state.phi, 0
-    lam = state.lam
-
-    if couplings is not None:
-        for t in range(params.t_equilibrate):
-            a_e = params.external.value_at(t)
-            q = q - couplings.b * a_e - couplings.h - couplings.J @ phi + params.kappa * (d * phi)
-            lam = float(np.sqrt(np.mean(q * q)))
-            if lam == 0.0:
-                raise DegenerateStateError(f"all valuations vanished at t={t + 1}")
-            phi = q / lam
-    else:
-        for t in range(params.t_equilibrate):
-            a_e = params.external.value_at(t)
-            bids = a_e + sample.Omega + (phi.astype(np.float32) @ xi32).astype(np.float64) / sqrt_n
-            q = (
-                q
-                - (2.0 / sqrt_n) * (xi32 @ bids.astype(np.float32)).astype(np.float64)
-                + params.kappa * (d * phi)
-            )
-            lam = float(np.sqrt(np.mean(q * q)))
-            if lam == 0.0:
-                raise DegenerateStateError(f"all valuations vanished at t={t + 1}")
-            phi = q / lam
-
-    tau = params.t_measure
-    n_snap = min(C0_SNAPSHOTS, tau)
-    phi_ring = np.empty((n_snap, n), dtype=np.float64)
-    lam_hist = np.empty(tau)
-    abar_hist = np.empty(tau)
-    t_abs = np.arange(params.t_equilibrate, params.t_equilibrate + tau)
-    sum_a = 0.0
-    sum_a2 = 0.0
-
-    for k in range(tau):
-        t = params.t_equilibrate + k
-        a_e = params.external.value_at(t)
-        bids = a_e + sample.Omega + (phi.astype(np.float32) @ xi32).astype(np.float64) / sqrt_n
-        sum_a += bids.sum()
-        sum_a2 += float(bids @ bids)
-        abar_hist[k] = bids.mean()
-        lam_hist[k] = lam  # lambda(t) entering this step's positions
-        q = (
-            q
-            - (2.0 / sqrt_n) * (xi32 @ bids.astype(np.float32)).astype(np.float64)
-            + params.kappa * (d * phi)
-        )
-        lam = float(np.sqrt(np.mean(q * q)))
-        if lam == 0.0:
-            raise DegenerateStateError(f"all valuations vanished at t={t + 1}")
-        phi = q / lam
-        phi_ring[k % n_snap] = phi
-
-    # unroll the ring so rows are the last n_snap snapshots in time order
-    order = np.arange(tau - n_snap, tau) % n_snap
-    phi_hist = phi_ring[order]
-    return phi_hist, lam_hist, abar_hist, t_abs, sum_a, sum_a2, p
+    return _step(couplings, state, params)[0]
 
 
 def measure_c0(phi_history: np.ndarray) -> float:
@@ -201,19 +181,14 @@ def measure_c0(phi_history: np.ndarray) -> float:
     return persistent_correlation(lag_correlations(phi))
 
 
-def run_experiment(
-    params: GameParams,
-    sample: DisorderSample | None = None,
-    streaming: bool = False,
-) -> RunObservables:
+def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> RunObservables:
     """Equilibrate, measure, and reduce one quenched run to its observables.
 
     sigma^2 is the time-pattern variance of the recorded bids A^mu(t); the
     staggered bid mean is (1/tau) sum_t (-1)^t Abar(t) with Abar the pattern
     average and t the absolute batch time; sigma_fl^2 subtracts the squared
-    staggered mean from sigma^2 (the plain mean is already removed).  With
-    streaming=True no N x N coupling matrix is built and every step runs in
-    the per-pattern form (for N where J does not fit comfortably).
+    staggered mean from sigma^2 (the plain mean is already removed).  The
+    N x N couplings are built only when N <= p.
     """
     if params.t_measure < MIN_MEASURE_STEPS:
         raise ContractError(f"t_measure must be >= {MIN_MEASURE_STEPS} for stable estimates")
@@ -221,11 +196,30 @@ def run_experiment(
         sample = generate_disorder(params)
     if sample.n_agents != params.n_agents:
         raise ContractError("sample size does not match params.n_agents")
-    couplings = None if streaming else precompute_couplings(sample)
+    route = _route(sample)
 
-    phi_hist, lam_hist, abar_hist, t_abs, sum_a, sum_a2, p = _run_loop(params, sample, couplings)
+    state = init_state(params)
+    for _ in range(params.t_equilibrate):
+        state = _step(route, state, params)[0]
 
-    tau = params.t_measure
+    tau, p = params.t_measure, sample.n_patterns
+    n_snap = min(C0_SNAPSHOTS, tau)
+    phi_ring = np.empty((n_snap, sample.n_agents), dtype=np.float64)
+    lam_hist = np.empty(tau)
+    abar_hist = np.empty(tau)
+    t_abs = np.arange(params.t_equilibrate, params.t_equilibrate + tau)
+    sum_a = 0.0
+    sum_a2 = 0.0
+    for k in range(tau):
+        lam_hist[k] = state.lam  # lambda(t) entering this step's positions
+        state, step_a, step_a2 = _step(route, state, params)
+        sum_a += step_a
+        sum_a2 += step_a2
+        abar_hist[k] = step_a / p
+        phi_ring[k % n_snap] = state.phi
+    # unroll the ring so rows are the last n_snap snapshots in time order
+    phi_hist = phi_ring[np.arange(tau - n_snap, tau) % n_snap]
+
     mean_a = sum_a / (tau * p)
     sigma2 = sum_a2 / (tau * p) - mean_a**2
     sigma = float(np.sqrt(max(sigma2, 0.0)))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,26 @@ def test_compare_theory_kernels_amplitude_invariance(capsys):
     assert float(rows[0]["c0_kernel"]) == pytest.approx(float(rows[0]["c0_theory"]), rel=0.02)
     # simulation columns stay empty when the engine is not selected
     assert rows[0]["c0_sim"] == "" and rows[0]["n_agents"] == ""
+
+
+def test_compare_summary_absolute_deviation_at_zero_reference(capsys):
+    # alpha = 2 = alpha_c2 is in phase F with Lambda_theory exactly 0
+    code, out, err = run_cli(
+        capsys, "compare", "--engines", "theory,simulate", "--sweep", "alpha:1.5:2:2",
+        "--agents", "300", "--t-eq", "200", "--t-meas", "400", "--n-seeds", "2",
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r["phase"] for r in rows] == ["F", "F"] and rows[1]["Lambda_theory"] == "0"
+    label = "Lambda: sim vs theory (F phase): "
+    lines = [l[len(label):] for l in err.splitlines() if l.startswith(label)]
+    assert len(lines) == 2
+    rel = re.fullmatch(r"max rel deviation (\S+)", lines[0])
+    dev = re.fullmatch(r"max abs deviation (\S+) \(reference 0\)", lines[1])
+    assert rel and dev
+    expected_rel = abs(float(rows[0]["Lambda_sim"]) / float(rows[0]["Lambda_theory"]) - 1.0)
+    assert float(rel.group(1)) == pytest.approx(expected_rel, rel=1e-3)
+    assert float(dev.group(1)) == pytest.approx(abs(float(rows[1]["Lambda_sim"])), rel=1e-3)
 
 
 def test_simulate_row_small(capsys):

@@ -18,6 +18,7 @@ from sphmg import (
     run_experiment,
     stationary_solution,
 )
+from sphmg import simulator
 from sphmg.simulator import AgentState
 from oracles import (
     brute_force_bids,
@@ -232,12 +233,49 @@ def test_run_oscillating_point_small():
     assert abs(obs.lambda_slope) < 5e-4
 
 
-def test_streaming_mode_matches_theory_too():
+def test_streaming_mode_matches_theory_too(monkeypatch):
+    # N <= p here, so the per-pattern route has to be forced
+    monkeypatch.setattr(simulator, "_use_couplings", lambda n_agents, n_patterns: False)
     p = GameParams(n_agents=300, alpha=4.0, seed=1, t_equilibrate=300, t_measure=600)
-    obs = run_experiment(p, streaming=True)
+    obs = run_experiment(p)
     th = stationary_solution(4.0, 0.0, 0.0, 0)
     assert obs.c0_hat == pytest.approx(th.c0, abs=0.07)
     assert obs.sigma == pytest.approx(th.sigma, rel=0.10)
+
+
+def test_run_experiment_builds_couplings_only_when_n_at_most_p(monkeypatch):
+    def refuse(sample):
+        raise AssertionError(f"J built at N={sample.n_agents}, p={sample.n_patterns}")
+
+    monkeypatch.setattr(simulator, "precompute_couplings", refuse)
+    obs = run_experiment(GameParams(n_agents=200, alpha=0.5, seed=2, t_equilibrate=50, t_measure=64))
+    assert math.isfinite(obs.sigma) and math.isfinite(obs.c0_hat)
+    with pytest.raises(AssertionError, match="N=100, p=100"):
+        run_experiment(GameParams(n_agents=100, alpha=1.0, seed=2, t_equilibrate=50, t_measure=64))
+
+
+@pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 0.5)])
+def test_coupling_and_per_pattern_routes_agree(n_agents, alpha, monkeypatch):
+    # float32 pattern products: 1e-5 is ~100 float32 epsilons
+    p = GameParams(n_agents=n_agents, alpha=alpha, kappa=0.25,
+                   external=ExternalBid(zeta=1, amplitude=1.0), seed=3)
+    sample = generate_disorder(p)
+    coup = precompute_couplings(sample)
+    monkeypatch.setattr(simulator, "_use_couplings", lambda n_agents, n_patterns: False)
+    patterns = simulator._route(sample)
+    assert isinstance(patterns, simulator._Patterns)
+    a = b = init_state(p)
+    for _ in range(20):
+        bids = market_bids(a, sample, p.external.value_at(a.t))
+        a, sum_a, sum_a2 = simulator._step(coup, a, p)
+        b, sum_b, sum_b2 = simulator._step(patterns, b, p)
+        # coupling-route moments are exact: compare with the float64 bids
+        scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
+        assert sum_a == pytest.approx(bids.sum(), abs=1e-12 * scale)
+        assert sum_a2 == pytest.approx(bids @ bids, rel=1e-12)
+        assert np.allclose(b.q, a.q, rtol=0.0, atol=1e-5 * np.abs(a.q).max())
+        assert sum_b == pytest.approx(sum_a, abs=1e-5 * scale)
+        assert sum_b2 == pytest.approx(sum_a2, rel=1e-5)
 
 
 def test_sigma_never_below_fluctuation_part():
