@@ -153,16 +153,12 @@ class DisorderSample:
 
 @dataclass(frozen=True)
 class Couplings:
-    """Dense coupling tables compiled from one DisorderSample (float64).
-
-    Omega is the sample's pattern bias, kept for the bid moments.
-    """
+    """Dense coupling tables compiled from one DisorderSample (float64)."""
 
     J: np.ndarray
     h: np.ndarray
     b: np.ndarray
     d: np.ndarray
-    Omega: np.ndarray
 
     @property
     def n_agents(self) -> int:
@@ -197,6 +193,11 @@ def generate_disorder(params: GameParams, max_entries: int = MAX_TABLE_ENTRIES) 
     return DisorderSample(xi=xi, omega=omega, Omega=Omega)
 
 
+def self_couplings(xi: np.ndarray) -> np.ndarray:
+    """Diagonal d_i = (2/N) sum_mu |xi_i^mu| that the kappa term feeds back."""
+    return (2.0 / xi.shape[0]) * np.abs(xi).sum(axis=1, dtype=np.int64).astype(np.float64)
+
+
 def precompute_couplings(sample: DisorderSample) -> Couplings:
     """Compile (J, h, b, d) so that one batch step is an O(N^2) product.
 
@@ -210,6 +211,6 @@ def precompute_couplings(sample: DisorderSample) -> Couplings:
     xd = sample.xi.astype(np.float64)
     h = (2.0 / np.sqrt(n)) * (xd @ sample.Omega)
     b = (2.0 / np.sqrt(n)) * xd.sum(axis=1)
-    d = (2.0 / n) * np.abs(sample.xi).sum(axis=1, dtype=np.int64).astype(np.float64)
+    d = self_couplings(sample.xi)
     _freeze(J, h, b, d)
-    return Couplings(J=J, h=h, b=b, d=d, Omega=sample.Omega)
+    return Couplings(J=J, h=h, b=b, d=d)

@@ -11,12 +11,9 @@ phi = q / lambda.  This is the exact regrouping of the per-pattern form
     A^mu(t)  = A_e(t) + Omega_mu + N^(-1/2) sum_j phi_j(t) xi_j^mu
 
 so the coupling route and the per-pattern route agree to accumulation noise.
-run_experiment takes the coupling route when N <= p and the per-pattern route
-otherwise, so each step streams the smaller of J and xi.  It integrates an
-equilibration window followed by a measurement window, in which each step
-also yields the exact bid moments sum_mu A^mu(t) and sum_mu A^mu(t)^2, and
-reduces the history to the stationary observables (c0, sigma, sigma_fl,
-lambda statistics, bid averages, frozen flag).
+run_experiment integrates an equilibration and a measurement window on one
+route, each measured step also yielding the bid moments sum_mu A^mu(t) and
+sum_mu A^mu(t)^2, and reduces the history to the stationary observables.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ from .core import (
     generate_disorder,
     precompute_couplings,
     rng_stream,
+    self_couplings,
 )
 from .estimators import fit_line, lag_correlations, persistent_correlation
 
@@ -102,9 +100,20 @@ def _renormalize(q: np.ndarray, t: int) -> AgentState:
 
 
 def _use_couplings(n_agents: int, n_patterns: int) -> bool:
-    """Coupling route iff J (8N^2 bytes) is no larger than the per-pattern
-    route's two float32 passes over xi (8Np bytes)."""
-    return n_agents <= n_patterns
+    """Coupling route from p = 1.2 N on: the measured break-even of the two
+    routes (README, Notes on numerics)."""
+    return n_patterns >= 1.2 * n_agents
+
+
+@dataclass(frozen=True)
+class _Coupled:
+    """What the coupling route reads: the compiled couplings and the pattern-
+    bias sums p, sum_mu Omega_mu and sum_mu Omega_mu^2 of the bid moments."""
+
+    c: Couplings
+    n_patterns: int
+    sum_omega: float
+    omega_sq: float
 
 
 @dataclass(frozen=True)
@@ -117,15 +126,16 @@ class _Patterns:
     Omega: np.ndarray
 
 
-def _route(sample: DisorderSample) -> Couplings | _Patterns:
+def _route(sample: DisorderSample) -> _Coupled | _Patterns:
+    Omega = sample.Omega
     if _use_couplings(sample.n_agents, sample.n_patterns):
-        return precompute_couplings(sample)
-    d = (2.0 / sample.n_agents) * np.abs(sample.xi).sum(axis=1, dtype=np.int64).astype(np.float64)
-    return _Patterns(xi32=sample.xi.astype(np.float32), d=d, Omega=sample.Omega)
+        c = precompute_couplings(sample)
+        return _Coupled(c, Omega.size, float(Omega.sum()), float(Omega @ Omega))
+    return _Patterns(sample.xi.astype(np.float32), self_couplings(sample.xi), Omega)
 
 
 def _step(
-    route: Couplings | _Patterns, state: AgentState, params: GameParams
+    route: _Coupled | _Patterns, state: AgentState, params: GameParams
 ) -> tuple[AgentState, float, float]:
     """One batch step: the renormalized next state and the moments
     (sum_mu A^mu, sum_mu (A^mu)^2) of the bids at time state.t.
@@ -135,28 +145,20 @@ def _step(
     products run in float32 (exact to ~1e-7, far below measurement noise).
     """
     a_e = params.external.value_at(state.t)
-    phi, Omega = state.phi, route.Omega
-    if isinstance(route, Couplings):
-        j_phi = route.J @ phi
-        q = state.q - route.b * a_e - route.h - j_phi + params.kappa * (route.d * phi)
-        p, sum_omega, b_phi = Omega.size, float(Omega.sum()), float(route.b @ phi)
-        sum_a = p * a_e + sum_omega + 0.5 * b_phi
-        sum_a2 = (
-            p * a_e**2
-            + float(Omega @ Omega)
-            + 2.0 * a_e * sum_omega
-            + a_e * b_phi
-            + float(route.h @ phi)
-            + 0.5 * float(phi @ j_phi)
-        )
+    phi = state.phi
+    if isinstance(route, _Coupled):
+        c = route.c
+        j_phi = c.J @ phi
+        q = state.q - c.b * a_e - c.h - j_phi + params.kappa * (c.d * phi)
+        p, b_phi = route.n_patterns, float(c.b @ phi)
+        sum_a = p * a_e + route.sum_omega + 0.5 * b_phi
+        sum_a2 = (p * a_e**2 + route.omega_sq + 2.0 * a_e * route.sum_omega
+                  + a_e * b_phi + float(c.h @ phi) + 0.5 * float(phi @ j_phi))
     else:
         sqrt_n = np.sqrt(phi.shape[0])
-        bids = a_e + Omega + (phi.astype(np.float32) @ route.xi32).astype(np.float64) / sqrt_n
-        q = (
-            state.q
-            - (2.0 / sqrt_n) * (route.xi32 @ bids.astype(np.float32)).astype(np.float64)
-            + params.kappa * (route.d * phi)
-        )
+        bids = a_e + route.Omega + (phi.astype(np.float32) @ route.xi32).astype(np.float64) / sqrt_n
+        back = (route.xi32 @ bids.astype(np.float32)).astype(np.float64)
+        q = state.q - (2.0 / sqrt_n) * back + params.kappa * (route.d * phi)
         sum_a, sum_a2 = float(bids.sum()), float(bids @ bids)
     return _renormalize(q, state.t + 1), sum_a, sum_a2
 
@@ -165,7 +167,8 @@ def batch_step(state: AgentState, couplings: Couplings, params: GameParams) -> A
     """One coupling-based batch step followed by the spherical renormalization."""
     if couplings.n_agents != state.q.shape[0]:
         raise ContractError("state and couplings disagree on the number of agents")
-    return _step(couplings, state, params)[0]
+    # no sample here and the moments are discarded, so the bias sums stay 0
+    return _step(_Coupled(couplings, 0, 0.0, 0.0), state, params)[0]
 
 
 def measure_c0(phi_history: np.ndarray) -> float:
@@ -188,7 +191,7 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
     staggered bid mean is (1/tau) sum_t (-1)^t Abar(t) with Abar the pattern
     average and t the absolute batch time; sigma_fl^2 subtracts the squared
     staggered mean from sigma^2 (the plain mean is already removed).  The
-    N x N couplings are built only when N <= p.
+    N x N couplings are built only when p >= 1.2 N.
     """
     if params.t_measure < MIN_MEASURE_STEPS:
         raise ContractError(f"t_measure must be >= {MIN_MEASURE_STEPS} for stable estimates")
@@ -208,8 +211,7 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
     lam_hist = np.empty(tau)
     abar_hist = np.empty(tau)
     t_abs = np.arange(params.t_equilibrate, params.t_equilibrate + tau)
-    sum_a = 0.0
-    sum_a2 = 0.0
+    sum_a = sum_a2 = 0.0
     for k in range(tau):
         lam_hist[k] = state.lam  # lambda(t) entering this step's positions
         state, step_a, step_a2 = _step(route, state, params)

@@ -234,7 +234,7 @@ def test_run_oscillating_point_small():
 
 
 def test_streaming_mode_matches_theory_too(monkeypatch):
-    # N <= p here, so the per-pattern route has to be forced
+    # p >= 1.2 N here, so the per-pattern route has to be forced
     monkeypatch.setattr(simulator, "_use_couplings", lambda n_agents, n_patterns: False)
     p = GameParams(n_agents=300, alpha=4.0, seed=1, t_equilibrate=300, t_measure=600)
     obs = run_experiment(p)
@@ -243,15 +243,17 @@ def test_streaming_mode_matches_theory_too(monkeypatch):
     assert obs.sigma == pytest.approx(th.sigma, rel=0.10)
 
 
-def test_run_experiment_builds_couplings_only_when_n_at_most_p(monkeypatch):
+def test_run_experiment_builds_couplings_only_from_p_of_1_2_n(monkeypatch):
     def refuse(sample):
         raise AssertionError(f"J built at N={sample.n_agents}, p={sample.n_patterns}")
 
     monkeypatch.setattr(simulator, "precompute_couplings", refuse)
-    obs = run_experiment(GameParams(n_agents=200, alpha=0.5, seed=2, t_equilibrate=50, t_measure=64))
-    assert math.isfinite(obs.sigma) and math.isfinite(obs.c0_hat)
-    with pytest.raises(AssertionError, match="N=100, p=100"):
-        run_experiment(GameParams(n_agents=100, alpha=1.0, seed=2, t_equilibrate=50, t_measure=64))
+    for n_agents, alpha in [(200, 0.5), (100, 1.0), (100, 1.19)]:
+        obs = run_experiment(GameParams(n_agents=n_agents, alpha=alpha, seed=2,
+                                        t_equilibrate=50, t_measure=64))
+        assert math.isfinite(obs.sigma) and math.isfinite(obs.c0_hat)
+    with pytest.raises(AssertionError, match="N=100, p=120"):
+        run_experiment(GameParams(n_agents=100, alpha=1.2, seed=2, t_equilibrate=50, t_measure=64))
 
 
 @pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 0.5)])
@@ -260,10 +262,11 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha, monkeypatch):
     p = GameParams(n_agents=n_agents, alpha=alpha, kappa=0.25,
                    external=ExternalBid(zeta=1, amplitude=1.0), seed=3)
     sample = generate_disorder(p)
-    coup = precompute_couplings(sample)
+    monkeypatch.setattr(simulator, "_use_couplings", lambda n_agents, n_patterns: True)
+    coup = simulator._route(sample)
     monkeypatch.setattr(simulator, "_use_couplings", lambda n_agents, n_patterns: False)
     patterns = simulator._route(sample)
-    assert isinstance(patterns, simulator._Patterns)
+    assert isinstance(coup, simulator._Coupled) and isinstance(patterns, simulator._Patterns)
     a = b = init_state(p)
     for _ in range(20):
         bids = market_bids(a, sample, p.external.value_at(a.t))
