@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -282,6 +284,32 @@ def _kernel_cells(pt: dict, spec: SweepSpec) -> dict:
     }
 
 
+# Pool workers are one process per core; a multithreaded BLAS in each of them
+# would oversubscribe the cores.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pool_map(fn, items: list, workers: int) -> list:
+    """fn over items in a spawn-context pool whose workers run single-threaded BLAS.
+
+    BLAS reads its thread count when a worker first imports numpy, so the
+    variables are set in this process's environment while the workers start
+    (they inherit it) and restored afterwards.
+    """
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 def run_sweep(spec: SweepSpec) -> tuple[list[ResultRow], list[dict], int]:
     """Run the engines on every grid point: (rows, kernel tail extras, n_failed).
 
@@ -296,8 +324,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[ResultRow], list[dict], int]:
     if "simulate" in spec.engines:
         tasks = [(i, (pt, spec, seed)) for i, pt in enumerate(points) for seed in spec.seeds]
         if spec.workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                outcomes = list(pool.map(_sim_task_safe, [t for _, t in tasks]))
+            outcomes = _pool_map(_sim_task_safe, [t for _, t in tasks], spec.workers)
         else:
             outcomes = [_sim_task_safe(t) for _, t in tasks]
         for (i, _), out in zip(tasks, outcomes):

@@ -3,24 +3,29 @@
 The effective single-agent process behind the batch spherical game is linear,
 
     q(t+1) = q(t) - alpha sum_{t'<=t} M_tt' q(t')/lambda(t') + sqrt(alpha) eta(t)
-    M      = (1 + G)^(-1) - kappa 1            (restricted to the causal triangle)
-    <eta(t) eta(t')> = Sigma_tt' = [(1+G)^(-1) D (1+G^T)^(-1)]_tt'
+    M      = W - kappa 1,   W = (1 + G)^(-1)   (restricted to the causal triangle)
+    <eta(t) eta(t')> = Sigma_tt' = [W D W^T]_tt'
     D_tt'  = 1 + C_tt' + 2 A_e(t) A_e(t')
 
 so every second moment obeys a closed causal recursion and no sampling is
-needed.  With K_tt' = <q(t) q(t')> and L_tt' = <eta(t) q(t')> one step grows
-the triangle by one row:
+needed.  The response is carried unnormalized, G_ts = g_ts / lambda(t), with
 
-    L_{t,s+1}  = L_{t,s} - alpha sum_{t'<=s} M_st' L_{t,t'}/lambda(t') + sqrt(alpha) Sigma_ts
+    g_{t+1,s} = g_{t,s} + delta_ts - alpha sum_{t'<=t} M_tt' g_{t',s}/lambda(t'),
+
+so q(s) = (its value without noise) + sqrt(alpha) sum_u g_su eta(u).  The
+start is independent of the Gaussian noise, so the cross moments follow from
+the identity
+
+    L_ts = <eta(t) q(s)> = sqrt(alpha) sum_{u<s} Sigma_tu g_su = sqrt(alpha) (Sigma g^T)_ts.
+
+With K_tt' = <q(t) q(t')> one step grows the triangle by one row:
+
     K_{t+1,s}  = K_{t,s} - alpha sum_{t'<=t} M_tt' K_{t',s}/lambda(t') + sqrt(alpha) L_{t,s}
     K_{t+1,t+1} follows by applying the same update to the second factor,
     lambda(t+1) = sqrt(K_{t+1,t+1}),   C_{t+1,s} = K_{t+1,s} / (lambda(t+1) lambda(s))
 
-and the response is carried unnormalized, G_ts = g_ts / lambda(t), with
-
-    g_{t+1,s} = g_{t,s} + delta_ts - alpha sum_{t'<=t} M_tt' g_{t',s}/lambda(t').
-
-(1+G) is unit lower triangular, so its inverse is obtained exactly by forward
+which needs only the row L[t, :t+2], available once g has grown to row t+1.
+(1+G) is unit lower triangular, so W is obtained exactly by forward
 substitution on the grown triangle.  Note that L is a full matrix: eta is
 correlated across all time pairs, so <eta(t) q(s)> != 0 even for s <= t.
 """
@@ -30,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import ContractError, ExternalBid
 from .estimators import fit_line, persistent_correlation
@@ -65,9 +69,10 @@ class KernelParams:
 class KernelState:
     """Two-time kernels on the grid {0..T}^2.
 
-    C is symmetric with unit diagonal, G strictly lower triangular, K the
-    unnormalized moments <q q>, L the noise-trajectory cross moments
-    <eta(t) q(t')>, Sigma the effective noise covariance and D its source.
+    C is symmetric with unit diagonal, G strictly lower triangular, Sigma the
+    effective noise covariance and W = (1+G)^(-1).  The unnormalized moments
+    K, the noise source D and the cross moments L are derived from these on
+    each access.
     """
 
     params: KernelParams
@@ -75,10 +80,25 @@ class KernelState:
     C: np.ndarray
     G: np.ndarray
     lambda_traj: np.ndarray
-    K: np.ndarray
-    L: np.ndarray
     Sigma: np.ndarray
-    D: np.ndarray
+    W: np.ndarray
+
+    @property
+    def K(self) -> np.ndarray:
+        """<q(t) q(t')> = C_tt' lambda(t) lambda(t')."""
+        return self.C * np.outer(self.lambda_traj, self.lambda_traj)
+
+    @property
+    def D(self) -> np.ndarray:
+        """Noise source 1 + C_tt' + 2 A_e(t) A_e(t')."""
+        a_e = self.params.external.series(self.T + 1)
+        return 1.0 + self.C + 2.0 * np.outer(a_e, a_e)
+
+    @property
+    def L(self) -> np.ndarray:
+        """<eta(t) q(t')> = sqrt(alpha) (Sigma g^T)_tt' with g = G lambda."""
+        g = self.G * self.lambda_traj[:, np.newaxis]
+        return np.sqrt(self.params.alpha) * (self.Sigma @ g.T)
 
 
 @dataclass(frozen=True)
@@ -91,26 +111,12 @@ class KernelTail:
     sigma_fl: float
 
 
-def causal_inverse(G: np.ndarray) -> np.ndarray:
-    """(1 + G)^(-1) for a strictly lower triangular response matrix."""
-    n = G.shape[0]
-    return solve_triangular(np.eye(n) + G, np.eye(n), lower=True, unit_diagonal=True)
-
-
-def memory_rows(G: np.ndarray, kappa: float, lam: np.ndarray) -> np.ndarray:
-    """Rows of [(1+G)^(-1) - kappa 1] with columns pre-divided by lambda(t')."""
-    ml = causal_inverse(G)
-    ml[np.diag_indices_from(ml)] -= kappa
-    ml /= lam[np.newaxis, :]
-    return ml
-
-
 def iterate_kernels(params: KernelParams) -> KernelState:
     """Grow the C, G, lambda trajectory step by step up to horizon T.
 
     Each entry of the kernels is computed exactly once and never revisited;
-    rows of the triangular inverse, the noise covariance, and the cross
-    moments are refreshed as the triangle grows.  Raises
+    rows of W and Sigma are completed as the triangle grows, and the cross
+    moments come from the Gaussian identity one row per step.  Raises
     KernelInstabilityError if the diagonal moment closure fails.
     """
     n = params.T + 1
@@ -120,13 +126,11 @@ def iterate_kernels(params: KernelParams) -> KernelState:
 
     C = np.zeros((n, n))
     G = np.zeros((n, n))
-    K = np.zeros((n, n))
-    L = np.zeros((n, n))
     Sig = np.zeros((n, n))
-    D = np.zeros((n, n))
     W = np.zeros((n, n))  # (1+G)^(-1), grown by forward substitution
+    K = np.zeros((n, n))  # K, D and g are working arrays, not kept in the state
+    D = np.zeros((n, n))
     g = np.zeros((n, n))  # response to a valuation kick, G = g / lambda
-    Ml = np.zeros((n, n))  # memory rows divided by lambda(t')
     lam = np.zeros(n)
 
     lam[0] = params.lambda0
@@ -134,8 +138,7 @@ def iterate_kernels(params: KernelParams) -> KernelState:
     C[0, 0] = 1.0
     W[0, 0] = 1.0
 
-    def refresh_rows(t: int) -> None:
-        """Row t of W, D, Sigma, Ml and the cross-moment row L[t, :t+2]."""
+    for t in range(n):
         if t > 0:
             W[t, :t] = -(G[t, :t] @ W[:t, :t])
             W[t, t] = 1.0
@@ -143,23 +146,20 @@ def iterate_kernels(params: KernelParams) -> KernelState:
         D[: t + 1, t] = D[t, : t + 1]
         Sig[t, : t + 1] = (W[t, : t + 1] @ D[: t + 1, : t + 1]) @ W[: t + 1, : t + 1].T
         Sig[: t + 1, t] = Sig[t, : t + 1]
-        Ml[t, : t + 1] = W[t, : t + 1]
-        Ml[t, t] -= kappa
-        Ml[t, : t + 1] /= lam[: t + 1]
-        for u in range(min(t + 1, n - 1)):
-            L[t, u + 1] = (
-                L[t, u] - alpha * (Ml[u, : u + 1] @ L[t, : u + 1]) + sqrt_a * Sig[t, u]
-            )
+        if t == params.T:
+            break
 
-    for t in range(params.T):
-        refresh_rows(t)
+        ml = W[t, : t + 1].copy()  # memory row M_t. / lambda
+        ml[t] -= kappa
+        ml /= lam[: t + 1]
+        g[t + 1, : t + 1] = g[t, : t + 1] - alpha * (ml @ g[: t + 1, : t + 1])
+        g[t + 1, t] += 1.0
+        L_t = sqrt_a * (g[: t + 2, : t + 1] @ Sig[t, : t + 1])
 
         K[t + 1, : t + 1] = (
-            K[t, : t + 1] - alpha * (Ml[t, : t + 1] @ K[: t + 1, : t + 1]) + sqrt_a * L[t, : t + 1]
+            K[t, : t + 1] - alpha * (ml @ K[: t + 1, : t + 1]) + sqrt_a * L_t[: t + 1]
         )
-        K[t + 1, t + 1] = (
-            K[t + 1, t] - alpha * (Ml[t, : t + 1] @ K[t + 1, : t + 1]) + sqrt_a * L[t, t + 1]
-        )
+        K[t + 1, t + 1] = K[t + 1, t] - alpha * (ml @ K[t + 1, : t + 1]) + sqrt_a * L_t[t + 1]
         if not K[t + 1, t + 1] > 0.0:
             raise KernelInstabilityError(
                 f"<q^2> closure failed at t={t + 1}: K={K[t + 1, t + 1]:.3e}, "
@@ -169,23 +169,9 @@ def iterate_kernels(params: KernelParams) -> KernelState:
         lam[t + 1] = np.sqrt(K[t + 1, t + 1])
         C[t + 1, : t + 2] = K[t + 1, : t + 2] / (lam[t + 1] * lam[: t + 2])
         C[: t + 2, t + 1] = C[t + 1, : t + 2]
-
-        g[t + 1, : t + 1] = g[t, : t + 1] - alpha * (Ml[t, : t + 1] @ g[: t + 1, : t + 1])
-        g[t + 1, t] += 1.0
         G[t + 1, : t + 1] = g[t + 1, : t + 1] / lam[t + 1]
 
-    refresh_rows(params.T)  # complete the last rows of W, D, Sigma, L
-    # The in-loop fill of L[t, :] stops at the superdiagonal entry, which is
-    # all the K closure consumes.  Extend every row to the full horizon (the
-    # noise influences all later times) now that Sigma and Ml are final.
-    for t in range(n):
-        for u in range(t + 1, n - 1):
-            L[t, u + 1] = (
-                L[t, u] - alpha * (Ml[u, : u + 1] @ L[t, : u + 1]) + sqrt_a * Sig[t, u]
-            )
-    return KernelState(
-        params=params, T=params.T, C=C, G=G, lambda_traj=lam, K=K, L=L, Sigma=Sig, D=D
-    )
+    return KernelState(params=params, T=params.T, C=C, G=G, lambda_traj=lam, Sigma=Sig, W=W)
 
 
 def bid_mean_trajectory(state: KernelState, a_e: np.ndarray) -> np.ndarray:
@@ -197,7 +183,7 @@ def bid_mean_trajectory(state: KernelState, a_e: np.ndarray) -> np.ndarray:
     a_e = np.asarray(a_e, dtype=np.float64)
     if a_e.shape != (state.T + 1,):
         raise ContractError(f"a_e must have length T+1 = {state.T + 1}")
-    return causal_inverse(state.G) @ a_e
+    return state.W @ a_e
 
 
 def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> KernelTail:
@@ -222,10 +208,8 @@ def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> Kerne
     lam_tail = state.lambda_traj[idx]
     fit = fit_line(idx.astype(np.float64), lam_tail)
 
-    W = causal_inverse(state.G)
-    d0 = 1.0 + state.C
-    wt = W[idx, :]
-    diag_tail = np.einsum("ij,jk,ik->i", wt, d0, wt)
+    wt = state.W[idx, :]
+    diag_tail = ((wt @ (1.0 + state.C)) * wt).sum(axis=1)
     sigma_fl = float(np.sqrt(max(np.mean(diag_tail) / 2.0, 0.0)))
 
     return KernelTail(

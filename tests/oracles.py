@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from sphmg.core import DisorderSample
-from sphmg.kernels import KernelState, memory_rows
+from sphmg.kernels import KernelState
 
 
 def sample_from_tables(r1, r2) -> DisorderSample:
@@ -73,6 +74,38 @@ def brute_force_trajectory(q0, sample: DisorderSample, a_e_of_t, kappa: float, n
         q, lam, phi = brute_force_step(q, phi, sample, a_e_of_t(t), kappa)
         qs.append(list(q))
     return qs
+
+
+def causal_inverse(G: np.ndarray) -> np.ndarray:
+    """(1 + G)^(-1) for a strictly lower triangular response matrix."""
+    n = G.shape[0]
+    return solve_triangular(np.eye(n) + G, np.eye(n), lower=True, unit_diagonal=True)
+
+
+def memory_rows(G: np.ndarray, kappa: float, lam: np.ndarray) -> np.ndarray:
+    """Rows of [(1+G)^(-1) - kappa 1] with columns pre-divided by lambda(t')."""
+    ml = causal_inverse(G)
+    ml[np.diag_indices_from(ml)] -= kappa
+    ml /= lam[np.newaxis, :]
+    return ml
+
+
+def cross_moments_by_recursion(state: KernelState) -> np.ndarray:
+    """<eta(t) q(s)> integrated column by column along the valuation recursion.
+
+    The start is independent of the noise, so L[t, 0] = 0, and multiplying
+    the update of q(u+1) by eta(t) gives
+    L[t, u+1] = L[t, u] - alpha sum_{t'<=u} M_ut' L[t, t']/lambda(t') + sqrt(alpha) Sigma_tu.
+    """
+    p = state.params
+    n = state.T + 1
+    ml = memory_rows(state.G, p.kappa, state.lambda_traj)
+    sqrt_a = math.sqrt(p.alpha)
+    L = np.zeros((n, n))
+    for u in range(n - 1):
+        memory = L[:, : u + 1] @ ml[u, : u + 1]
+        L[:, u + 1] = L[:, u] - p.alpha * memory + sqrt_a * state.Sigma[:, u]
+    return L
 
 
 def sample_effective_process(state: KernelState, n_paths: int, rng: np.random.Generator):

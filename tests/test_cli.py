@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sphmg.cli import RESULT_COLUMNS, main
+import sphmg
+from sphmg.cli import RESULT_COLUMNS, _pool_map, main
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +201,26 @@ def test_workers_do_not_change_results(capsys):
     _, out2, _ = run_cli(capsys, *base, "--workers", "2")
     strip = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
     assert strip(out1) == strip(out2)
+
+
+def test_pool_workers_run_single_threaded_blas(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert _pool_map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2, 2) == ["1", "1"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_import_loads_no_scipy():
+    # only the tests use scipy; keeping it out of the package keeps start-up cheap
+    env = {**os.environ, "PYTHONPATH": str(Path(sphmg.__file__).resolve().parents[1])}
+    code = (
+        "import sphmg, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_file_precedence(tmp_path, capsys):

@@ -13,8 +13,12 @@ from sphmg import (
     iterate_kernels,
     stationary_solution,
 )
-from sphmg.kernels import causal_inverse
-from oracles import sample_effective_process
+from oracles import (
+    causal_inverse,
+    cross_moments_by_recursion,
+    memory_rows,
+    sample_effective_process,
+)
 
 
 def _params(alpha, kappa=0.0, A=0.0, zeta=0, T=200, lambda0=1.0):
@@ -46,20 +50,43 @@ def test_structure_invariants():
     # D carries the drive: D = 1 + C + 2 a_e(t) a_e(t')
     a_e = ExternalBid(zeta=1, amplitude=1.0).series(n)
     assert np.allclose(state.D, 1.0 + state.C + 2.0 * np.outer(a_e, a_e), atol=1e-12)
-    # Sigma = W D W^T with W the causal inverse
+    # W, grown by forward substitution, is the causal inverse; Sigma = W D W^T
     W = causal_inverse(state.G)
+    assert np.abs(state.W - W).max() < 1e-12
     assert np.allclose(state.Sigma, W @ state.D @ W.T, atol=1e-10)
 
 
+def test_state_stores_only_underived_kernels():
+    state = iterate_kernels(_params(2.5, kappa=0.2, A=1.0, zeta=1, T=40))
+    stored = {k for k, v in vars(state).items() if isinstance(v, np.ndarray)}
+    assert stored == {"C", "G", "lambda_traj", "Sigma", "W"}
+    lam = state.lambda_traj
+    a_e = ExternalBid(zeta=1, amplitude=1.0).series(state.T + 1)
+    g = state.G * lam[:, np.newaxis]
+    derived = [
+        (state.K, state.C * np.outer(lam, lam)),
+        (state.D, 1.0 + state.C + 2.0 * np.outer(a_e, a_e)),
+        (state.L, math.sqrt(2.5) * (state.Sigma @ g.T)),
+    ]
+    for got, want in derived:
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_cross_moments_satisfy_gaussian_identity():
-    # For the linear process, <eta(t) q(s)> = sqrt(alpha) (Sigma g^T)_ts with
-    # g the unnormalized response; exact, so tight tolerance.
+    # state.L is <eta(t) q(s)> = sqrt(alpha) (Sigma g^T)_ts, the Gaussian
+    # identity for the linear process; the oracle integrates the recursion of
+    # q instead.  K must obey that recursion with the oracle's L at every
+    # (t, s), which checks the cross moments the iteration consumed.  Exact,
+    # so tight tolerance.
     for alpha, kappa, A, zeta in [(2.0, 0.0, 0.0, 0), (4.0, 0.3, 1.0, 1), (1.5, 0.0, 2.0, 0)]:
         state = iterate_kernels(_params(alpha, kappa, A, zeta, T=40))
-        g = state.G * state.lambda_traj[:, np.newaxis]
-        expected = math.sqrt(alpha) * (state.Sigma @ g.T)
+        expected = cross_moments_by_recursion(state)
         scale = max(1.0, np.abs(expected).max())
         assert np.abs(state.L - expected).max() / scale < 1e-12
+        K = state.K
+        ml = memory_rows(state.G, kappa, state.lambda_traj)
+        K_next = K[:-1] - alpha * (ml[:-1] @ K) + math.sqrt(alpha) * expected[:-1]
+        assert np.abs(K[1:] - K_next).max() / np.abs(K).max() < 1e-12
 
 
 def test_monte_carlo_reproduces_the_correlation_matrix():
