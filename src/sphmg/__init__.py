@@ -37,7 +37,6 @@ from .simulator import (
     RunObservables,
     batch_step,
     init_state,
-    market_bids,
     measure_c0,
     run_experiment,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "generate_disorder",
     "init_state",
     "iterate_kernels",
-    "market_bids",
     "measure_c0",
     "precompute_couplings",
     "run_experiment",

@@ -24,6 +24,9 @@ import numpy as np
 # Budget for one quenched sample: N*p int8 entries per table.
 MAX_TABLE_ENTRIES = 2**28
 
+# Entries of xi cast to float at a time where a product runs over row blocks.
+BLOCK_ENTRIES = 2**18
+
 # Sub-stream indices derived from GameParams.seed, so that strategy draws and
 # initial-condition draws come from independent generators.
 _STREAM_DISORDER = 0
@@ -182,12 +185,12 @@ def generate_disorder(params: GameParams, max_entries: int = MAX_TABLE_ENTRIES) 
             f"disorder sample needs {n * p} entries/table, budget is {max_entries}"
         )
     rng = rng_stream(params.seed, _STREAM_DISORDER)
+    # with the tables 2 r - 1 for draws r in {0, 1}: xi = r1 - r2, omega = r1 + r2 - 1
     r1 = rng.integers(0, 2, size=(n, p), dtype=np.int8)
     r2 = rng.integers(0, 2, size=(n, p), dtype=np.int8)
-    r1 = (2 * r1 - 1).astype(np.int8)
-    r2 = (2 * r2 - 1).astype(np.int8)
-    xi = ((r1 - r2) // 2).astype(np.int8)
-    omega = ((r1 + r2) // 2).astype(np.int8)
+    omega = r1 + r2
+    omega -= 1
+    xi = np.subtract(r1, r2, out=r1)
     Omega = omega.sum(axis=0, dtype=np.int64) / np.sqrt(n)
     _freeze(xi, omega, Omega)
     return DisorderSample(xi=xi, omega=omega, Omega=Omega)
@@ -198,19 +201,35 @@ def self_couplings(xi: np.ndarray) -> np.ndarray:
     return (2.0 / xi.shape[0]) * np.abs(xi).sum(axis=1, dtype=np.int64).astype(np.float64)
 
 
+def row_blocks(xi: np.ndarray) -> list[slice]:
+    """Row slices of xi of about BLOCK_ENTRIES entries each.
+
+    Blocks of more than 8 rows hold whole groups of 8, so that a matrix-vector
+    product over the blocks gives each row the same BLAS kernel path, and the
+    same bits, as one product over the whole matrix.
+    """
+    n, p = xi.shape
+    rows = max(1, BLOCK_ENTRIES // p)
+    if rows > 8:
+        rows -= rows % 8
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
 def precompute_couplings(sample: DisorderSample) -> Couplings:
     """Compile (J, h, b, d) so that one batch step is an O(N^2) product.
 
     The xi self-product is taken in float32: all partial sums are integers
     bounded by p < 2^24, so the accumulation is exact and the float64 result
-    is the exact integer matrix scaled by 2/N.
+    is the exact integer matrix scaled by 2/N.  h is taken over row blocks of
+    xi, one float64 dot product per agent, and b from exact integer row sums.
     """
-    n = sample.n_agents
-    xf = sample.xi.astype(np.float32)
+    n, xi = sample.n_agents, sample.xi
+    xf = xi.astype(np.float32)
     J = (xf @ xf.T).astype(np.float64) * (2.0 / n)
-    xd = sample.xi.astype(np.float64)
-    h = (2.0 / np.sqrt(n)) * (xd @ sample.Omega)
-    b = (2.0 / np.sqrt(n)) * xd.sum(axis=1)
-    d = self_couplings(sample.xi)
+    h = np.empty(n)
+    for rows in row_blocks(xi):
+        h[rows] = (2.0 / np.sqrt(n)) * (xi[rows].astype(np.float64) @ sample.Omega)
+    b = (2.0 / np.sqrt(n)) * xi.sum(axis=1, dtype=np.int64)
+    d = self_couplings(xi)
     _freeze(J, h, b, d)
     return Couplings(J=J, h=h, b=b, d=d)

@@ -11,6 +11,9 @@ phi = q / lambda.  This is the exact regrouping of the per-pattern form
     A^mu(t)  = A_e(t) + Omega_mu + N^(-1/2) sum_j phi_j(t) xi_j^mu
 
 so the coupling route and the per-pattern route agree to accumulation noise.
+At kappa = 0 every update is q(t+1) = q(t) - (2/sqrt(N)) xi A(t), so q(t)
+stays in q(0) + span(xi): the Gram route carries q(t) = q(0) + xi y(t) with a
+p-vector y and takes a step through the exact p x p Gram matrix xi^T xi.
 run_experiment integrates an equilibration and a measurement window on one
 route, each measured step also yielding the bid moments sum_mu A^mu(t) and
 sum_mu A^mu(t)^2, and reduces the history to the stationary observables.
@@ -18,6 +21,7 @@ sum_mu A^mu(t)^2, and reduces the history to the stationary observables.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,7 @@ from .core import (
     generate_disorder,
     precompute_couplings,
     rng_stream,
+    row_blocks,
     self_couplings,
 )
 from .estimators import fit_line, lag_correlations, persistent_correlation
@@ -81,17 +86,6 @@ def init_state(params: GameParams) -> AgentState:
     return AgentState(q=q, lam=params.init_scale, phi=signs.copy(), t=0)
 
 
-def market_bids(state: AgentState, sample: DisorderSample, a_e: float) -> np.ndarray:
-    """Total bid per pattern: A^mu = a_e + Omega_mu + N^(-1/2) sum_j phi_j xi_j^mu."""
-    n = sample.n_agents
-    if state.phi.shape[0] != n:
-        raise ContractError(
-            f"state has {state.phi.shape[0]} agents, sample has {n}"
-        )
-    internal = (state.phi @ sample.xi.astype(np.float64)) / np.sqrt(n)
-    return a_e + sample.Omega + internal
-
-
 def _renormalize(q: np.ndarray, t: int) -> AgentState:
     lam = float(np.sqrt(np.mean(q * q)))
     if lam == 0.0:
@@ -99,14 +93,34 @@ def _renormalize(q: np.ndarray, t: int) -> AgentState:
     return AgentState(q=q, lam=lam, phi=q / lam, t=t)
 
 
-def _use_couplings(n_agents: int, n_patterns: int) -> bool:
-    """Coupling route from p = 1.2 N on: the measured break-even of the two
-    routes (README, Notes on numerics)."""
-    return n_patterns >= 1.2 * n_agents
+def _route_kind(n_agents: int, n_patterns: int, kappa: float) -> type:
+    """The route of a run, from (N, p, kappa) alone: couplings from p = 1.2 N
+    on, the Gram route at kappa = 0 below p = 0.75 N, per-pattern passes
+    otherwise.  Both thresholds are measured break-evens (README, Notes on
+    numerics)."""
+    if n_patterns >= 1.2 * n_agents:
+        return _Coupled
+    if kappa == 0.0 and n_patterns < 0.75 * n_agents:
+        return _Gram
+    return _Patterns
+
+
+def _route(sample: DisorderSample, kappa: float) -> _Coupled | _Patterns | _Gram:
+    return _route_kind(sample.n_agents, sample.n_patterns, kappa).build(sample)
+
+
+class _Direct:
+    """A route whose state is the AgentState itself."""
+
+    def start(self, state: AgentState) -> AgentState:
+        return state
+
+    def positions(self, states: list[AgentState]) -> np.ndarray:
+        return np.array([s.phi for s in states])
 
 
 @dataclass(frozen=True)
-class _Coupled:
+class _Coupled(_Direct):
     """What the coupling route reads: the compiled couplings and the pattern-
     bias sums p, sum_mu Omega_mu and sum_mu Omega_mu^2 of the bid moments."""
 
@@ -115,9 +129,29 @@ class _Coupled:
     sum_omega: float
     omega_sq: float
 
+    @classmethod
+    def build(cls, sample: DisorderSample) -> _Coupled:
+        Omega = sample.Omega
+        return cls(precompute_couplings(sample), Omega.size, float(Omega.sum()),
+                   float(Omega @ Omega))
+
+    def step(self, state: AgentState, params: GameParams) -> tuple[AgentState, float, float]:
+        """One batch step: the renormalized next state and the moments
+        (sum_mu A^mu, sum_mu (A^mu)^2) of the bids at time state.t, taken
+        from J phi through O(N) dot products."""
+        a_e = params.external.value_at(state.t)
+        phi, c = state.phi, self.c
+        j_phi = c.J @ phi
+        q = state.q - c.b * a_e - c.h - j_phi + params.kappa * (c.d * phi)
+        p, b_phi = self.n_patterns, float(c.b @ phi)
+        sum_a = p * a_e + self.sum_omega + 0.5 * b_phi
+        sum_a2 = (p * a_e**2 + self.omega_sq + 2.0 * a_e * self.sum_omega
+                  + a_e * b_phi + float(c.h @ phi) + 0.5 * float(phi @ j_phi))
+        return _renormalize(q, state.t + 1), sum_a, sum_a2
+
 
 @dataclass(frozen=True)
-class _Patterns:
+class _Patterns(_Direct):
     """What the per-pattern route reads: xi in float32 (exact for entries in
     {-1, 0, 1}), the self-couplings d and the pattern bias Omega."""
 
@@ -125,42 +159,94 @@ class _Patterns:
     d: np.ndarray
     Omega: np.ndarray
 
+    @classmethod
+    def build(cls, sample: DisorderSample) -> _Patterns:
+        return cls(sample.xi.astype(np.float32), self_couplings(sample.xi), sample.Omega)
 
-def _route(sample: DisorderSample) -> _Coupled | _Patterns:
-    Omega = sample.Omega
-    if _use_couplings(sample.n_agents, sample.n_patterns):
-        c = precompute_couplings(sample)
-        return _Coupled(c, Omega.size, float(Omega.sum()), float(Omega @ Omega))
-    return _Patterns(sample.xi.astype(np.float32), self_couplings(sample.xi), Omega)
-
-
-def _step(
-    route: _Coupled | _Patterns, state: AgentState, params: GameParams
-) -> tuple[AgentState, float, float]:
-    """One batch step: the renormalized next state and the moments
-    (sum_mu A^mu, sum_mu (A^mu)^2) of the bids at time state.t.
-
-    The coupling route takes the moments from J phi through O(N) dot
-    products; the per-pattern route sums the explicit bids, whose pattern
-    products run in float32 (exact to ~1e-7, far below measurement noise).
-    """
-    a_e = params.external.value_at(state.t)
-    phi = state.phi
-    if isinstance(route, _Coupled):
-        c = route.c
-        j_phi = c.J @ phi
-        q = state.q - c.b * a_e - c.h - j_phi + params.kappa * (c.d * phi)
-        p, b_phi = route.n_patterns, float(c.b @ phi)
-        sum_a = p * a_e + route.sum_omega + 0.5 * b_phi
-        sum_a2 = (p * a_e**2 + route.omega_sq + 2.0 * a_e * route.sum_omega
-                  + a_e * b_phi + float(c.h @ phi) + 0.5 * float(phi @ j_phi))
-    else:
+    def step(self, state: AgentState, params: GameParams) -> tuple[AgentState, float, float]:
+        """One batch step from the explicit bids, whose pattern products run
+        in float32 (exact to ~1e-7, far below measurement noise)."""
+        a_e = params.external.value_at(state.t)
+        phi = state.phi
         sqrt_n = np.sqrt(phi.shape[0])
-        bids = a_e + route.Omega + (phi.astype(np.float32) @ route.xi32).astype(np.float64) / sqrt_n
-        back = (route.xi32 @ bids.astype(np.float32)).astype(np.float64)
-        q = state.q - (2.0 / sqrt_n) * back + params.kappa * (route.d * phi)
-        sum_a, sum_a2 = float(bids.sum()), float(bids @ bids)
-    return _renormalize(q, state.t + 1), sum_a, sum_a2
+        bids = a_e + self.Omega + (phi.astype(np.float32) @ self.xi32).astype(np.float64) / sqrt_n
+        back = (self.xi32 @ bids.astype(np.float32)).astype(np.float64)
+        q = state.q - (2.0 / sqrt_n) * back + params.kappa * (self.d * phi)
+        return _renormalize(q, state.t + 1), float(bids.sum()), float(bids @ bids)
+
+
+@dataclass(frozen=True)
+class _GramState:
+    """q(t) = q0 + xi y(t), carried as y and G y, with the run's constants
+    q0, u = xi^T q0 and |q0|^2."""
+
+    q0: np.ndarray
+    u: np.ndarray
+    q0_sq: float
+    y: np.ndarray
+    gy: np.ndarray
+    lam: float
+    t: int
+
+
+@dataclass(frozen=True)
+class _Gram:
+    """What the Gram route reads at kappa = 0: xi (int8), the pattern bias
+    Omega and the Gram matrix G = xi^T xi, an exact integer matrix in
+    float64."""
+
+    xi: np.ndarray
+    Omega: np.ndarray
+    G: np.ndarray
+
+    @classmethod
+    def build(cls, sample: DisorderSample) -> _Gram:
+        # float32 products and sums of integers bounded by N are exact below 2^24
+        xi, (n, p) = sample.xi, sample.xi.shape
+        G = np.zeros((p, p), dtype=np.float32 if n < 2**24 else np.float64)
+        for rows in row_blocks(xi):
+            block = xi[rows].astype(np.float32)
+            G += block.T @ block
+        return cls(xi, sample.Omega, G.astype(np.float64, copy=False))
+
+    def start(self, state: AgentState) -> _GramState:
+        p = self.G.shape[0]
+        u = np.zeros(p)
+        for rows in row_blocks(self.xi):
+            u += state.q[rows] @ self.xi[rows].astype(np.float64)
+        return _GramState(q0=state.q, u=u, q0_sq=float(state.q @ state.q), y=np.zeros(p),
+                          gy=np.zeros(p), lam=state.lam, t=state.t)
+
+    def step(self, state: _GramState, params: GameParams) -> tuple[_GramState, float, float]:
+        """One batch step in pattern space: the bids are
+        A = a_e + Omega + (u + G y) / (sqrt(N) lambda), y moves by
+        -(2/sqrt(N)) A, and N lambda^2 = |q0|^2 + 2 u.y + y.G y reuses G y,
+        the one p x p product of the step."""
+        a_e = params.external.value_at(state.t)
+        n = self.xi.shape[0]
+        sqrt_n = np.sqrt(n)
+        bids = a_e + self.Omega + (state.u + state.gy) / (sqrt_n * state.lam)
+        y = state.y - (2.0 / sqrt_n) * bids
+        gy = self.G @ y
+        lam_sq = (state.q0_sq + 2.0 * float(state.u @ y) + float(y @ gy)) / n
+        if not lam_sq > 0.0:
+            raise DegenerateStateError(f"all valuations vanished at t={state.t + 1}")
+        nxt = _GramState(state.q0, state.u, state.q0_sq, y, gy, float(np.sqrt(lam_sq)), state.t + 1)
+        return nxt, float(bids.sum()), float(bids @ bids)
+
+    def valuations(self, states: list[_GramState]) -> np.ndarray:
+        """Rows q = q0 + xi y of the given states, taken over row blocks of xi."""
+        ys = np.array([s.y for s in states])
+        q = np.empty((len(states), self.xi.shape[0]))
+        for rows in row_blocks(self.xi):
+            q[:, rows] = ys @ self.xi[rows].astype(np.float64).T
+        q += states[0].q0
+        return q
+
+    def positions(self, states: list[_GramState]) -> np.ndarray:
+        phi = self.valuations(states)
+        phi /= np.array([[s.lam] for s in states])
+        return phi
 
 
 def batch_step(state: AgentState, couplings: Couplings, params: GameParams) -> AgentState:
@@ -168,7 +254,7 @@ def batch_step(state: AgentState, couplings: Couplings, params: GameParams) -> A
     if couplings.n_agents != state.q.shape[0]:
         raise ContractError("state and couplings disagree on the number of agents")
     # no sample here and the moments are discarded, so the bias sums stay 0
-    return _step(_Coupled(couplings, 0, 0.0, 0.0), state, params)[0]
+    return _Coupled(couplings, 0, 0.0, 0.0).step(state, params)[0]
 
 
 def measure_c0(phi_history: np.ndarray) -> float:
@@ -191,7 +277,8 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
     staggered bid mean is (1/tau) sum_t (-1)^t Abar(t) with Abar the pattern
     average and t the absolute batch time; sigma_fl^2 subtracts the squared
     staggered mean from sigma^2 (the plain mean is already removed).  The
-    N x N couplings are built only when p >= 1.2 N.
+    N x N couplings are built only when p >= 1.2 N; the positions of the c0
+    snapshots are rebuilt from the route's state at the end.
     """
     if params.t_measure < MIN_MEASURE_STEPS:
         raise ContractError(f"t_measure must be >= {MIN_MEASURE_STEPS} for stable estimates")
@@ -199,28 +286,26 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
         sample = generate_disorder(params)
     if sample.n_agents != params.n_agents:
         raise ContractError("sample size does not match params.n_agents")
-    route = _route(sample)
+    route = _route(sample, params.kappa)
 
-    state = init_state(params)
+    state = route.start(init_state(params))
     for _ in range(params.t_equilibrate):
-        state = _step(route, state, params)[0]
+        state = route.step(state, params)[0]
 
     tau, p = params.t_measure, sample.n_patterns
-    n_snap = min(C0_SNAPSHOTS, tau)
-    phi_ring = np.empty((n_snap, sample.n_agents), dtype=np.float64)
+    snapshots = deque(maxlen=min(C0_SNAPSHOTS, tau))
     lam_hist = np.empty(tau)
     abar_hist = np.empty(tau)
     t_abs = np.arange(params.t_equilibrate, params.t_equilibrate + tau)
     sum_a = sum_a2 = 0.0
     for k in range(tau):
         lam_hist[k] = state.lam  # lambda(t) entering this step's positions
-        state, step_a, step_a2 = _step(route, state, params)
+        state, step_a, step_a2 = route.step(state, params)
         sum_a += step_a
         sum_a2 += step_a2
         abar_hist[k] = step_a / p
-        phi_ring[k % n_snap] = state.phi
-    # unroll the ring so rows are the last n_snap snapshots in time order
-    phi_hist = phi_ring[np.arange(tau - n_snap, tau) % n_snap]
+        snapshots.append(state)
+    phi_hist = route.positions(list(snapshots))
 
     mean_a = sum_a / (tau * p)
     sigma2 = sum_a2 / (tau * p) - mean_a**2

@@ -12,8 +12,9 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from sphmg.core import DisorderSample
+from sphmg.core import _STREAM_DISORDER, ContractError, DisorderSample, GameParams, rng_stream
 from sphmg.kernels import KernelState
+from sphmg.simulator import AgentState
 
 
 def sample_from_tables(r1, r2) -> DisorderSample:
@@ -25,6 +26,30 @@ def sample_from_tables(r1, r2) -> DisorderSample:
     omega = ((r1 + r2) // 2).astype(np.int8)
     Omega = omega.sum(axis=0) / math.sqrt(r1.shape[0])
     return DisorderSample(xi=xi, omega=omega, Omega=Omega)
+
+
+def disorder_from_pm_tables(params: GameParams) -> DisorderSample:
+    """The disorder draw written out: the same two {0, 1} draws mapped to +-1
+    tables, then halved into xi and omega."""
+    n, p = params.n_agents, params.n_patterns
+    rng = rng_stream(params.seed, _STREAM_DISORDER)
+    r1 = rng.integers(0, 2, size=(n, p), dtype=np.int8)
+    r2 = rng.integers(0, 2, size=(n, p), dtype=np.int8)
+    r1 = (2 * r1 - 1).astype(np.int8)
+    r2 = (2 * r2 - 1).astype(np.int8)
+    xi = ((r1 - r2) // 2).astype(np.int8)
+    omega = ((r1 + r2) // 2).astype(np.int8)
+    Omega = omega.sum(axis=0, dtype=np.int64) / np.sqrt(n)
+    return DisorderSample(xi=xi, omega=omega, Omega=Omega)
+
+
+def market_bids(state: AgentState, sample: DisorderSample, a_e: float) -> np.ndarray:
+    """Total bid per pattern in float64: A^mu = a_e + Omega_mu + N^(-1/2) sum_j phi_j xi_j^mu."""
+    n = sample.n_agents
+    if state.phi.shape[0] != n:
+        raise ContractError(f"state has {state.phi.shape[0]} agents, sample has {n}")
+    internal = (state.phi @ sample.xi.astype(np.float64)) / np.sqrt(n)
+    return a_e + sample.Omega + internal
 
 
 def mirrored_sample(sample: DisorderSample) -> DisorderSample:

@@ -9,7 +9,8 @@ from sphmg import (
     generate_disorder,
     precompute_couplings,
 )
-from oracles import sample_from_tables
+from sphmg import core
+from oracles import disorder_from_pm_tables, sample_from_tables
 
 
 def test_external_bid_values():
@@ -92,6 +93,16 @@ def test_seed_determinism_and_independence():
     assert not np.array_equal(s1.xi, s3.xi)
 
 
+@pytest.mark.parametrize("n_agents, alpha, seed", [(1, 1.0, 0), (7, 0.5, 1), (64, 2.0, 123),
+                                                  (300, 0.3, 7919), (129, 3.1, 2**63)])
+def test_disorder_draw_matches_pm_table_oracle(n_agents, alpha, seed):
+    params = GameParams(n_agents=n_agents, alpha=alpha, seed=seed)
+    sample, ref = generate_disorder(params), disorder_from_pm_tables(params)
+    for name in ("xi", "omega", "Omega"):
+        got, want = getattr(sample, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def test_sign_frequencies():
     # P(xi = +1) = P(R1=+1, R2=-1) = 1/4, within sampling noise
     sample = generate_disorder(GameParams(n_agents=100, alpha=1.0, seed=7))
@@ -124,6 +135,19 @@ def test_coupling_matrix_matches_definition():
             assert coup.J[i, j] == pytest.approx(jij, abs=1e-12)
         hi = 2.0 / np.sqrt(n) * sum(float(sample.xi[i, mu]) * sample.Omega[mu] for mu in range(p))
         assert coup.h[i] == pytest.approx(hi, abs=1e-12)
+
+
+def test_field_and_drive_response_over_row_blocks(monkeypatch):
+    # blocks of a few rows, the last one short: h and b still match the
+    # whole-matrix float64 products
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 50)
+    sample = generate_disorder(GameParams(n_agents=41, alpha=0.5, seed=6))
+    assert len(core.row_blocks(sample.xi)) == 21
+    coup = precompute_couplings(sample)
+    xd = sample.xi.astype(np.float64)
+    scale = 2.0 / np.sqrt(sample.n_agents)
+    assert np.allclose(coup.h, scale * (xd @ sample.Omega), rtol=0.0, atol=1e-12)
+    assert np.array_equal(coup.b, scale * xd.sum(axis=1))
 
 
 def test_resource_budget():

@@ -12,18 +12,18 @@ from sphmg import (
     frozen_solution,
     generate_disorder,
     init_state,
-    market_bids,
     measure_c0,
     precompute_couplings,
     run_experiment,
     stationary_solution,
 )
-from sphmg import simulator
+from sphmg import core, simulator
 from sphmg.simulator import AgentState
 from oracles import (
     brute_force_bids,
     brute_force_step,
     brute_force_trajectory,
+    market_bids,
     mirrored_sample,
     sample_from_tables,
 )
@@ -235,7 +235,8 @@ def test_run_oscillating_point_small():
 
 def test_streaming_mode_matches_theory_too(monkeypatch):
     # p >= 1.2 N here, so the per-pattern route has to be forced
-    monkeypatch.setattr(simulator, "_use_couplings", lambda n_agents, n_patterns: False)
+    monkeypatch.setattr(simulator, "_route_kind",
+                        lambda n_agents, n_patterns, kappa: simulator._Patterns)
     p = GameParams(n_agents=300, alpha=4.0, seed=1, t_equilibrate=300, t_measure=600)
     obs = run_experiment(p)
     th = stationary_solution(4.0, 0.0, 0.0, 0)
@@ -256,22 +257,27 @@ def test_run_experiment_builds_couplings_only_from_p_of_1_2_n(monkeypatch):
         run_experiment(GameParams(n_agents=100, alpha=1.2, seed=2, t_equilibrate=50, t_measure=64))
 
 
+def _forced_route(monkeypatch, kind, sample, kappa):
+    """The route of the given kind, built through _route."""
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "_route_kind", lambda n_agents, n_patterns, kappa: kind)
+        return simulator._route(sample, kappa)
+
+
 @pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 0.5)])
 def test_coupling_and_per_pattern_routes_agree(n_agents, alpha, monkeypatch):
     # float32 pattern products: 1e-5 is ~100 float32 epsilons
     p = GameParams(n_agents=n_agents, alpha=alpha, kappa=0.25,
                    external=ExternalBid(zeta=1, amplitude=1.0), seed=3)
     sample = generate_disorder(p)
-    monkeypatch.setattr(simulator, "_use_couplings", lambda n_agents, n_patterns: True)
-    coup = simulator._route(sample)
-    monkeypatch.setattr(simulator, "_use_couplings", lambda n_agents, n_patterns: False)
-    patterns = simulator._route(sample)
+    coup = _forced_route(monkeypatch, simulator._Coupled, sample, p.kappa)
+    patterns = _forced_route(monkeypatch, simulator._Patterns, sample, p.kappa)
     assert isinstance(coup, simulator._Coupled) and isinstance(patterns, simulator._Patterns)
     a = b = init_state(p)
     for _ in range(20):
         bids = market_bids(a, sample, p.external.value_at(a.t))
-        a, sum_a, sum_a2 = simulator._step(coup, a, p)
-        b, sum_b, sum_b2 = simulator._step(patterns, b, p)
+        a, sum_a, sum_a2 = coup.step(a, p)
+        b, sum_b, sum_b2 = patterns.step(b, p)
         # coupling-route moments are exact: compare with the float64 bids
         scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_a == pytest.approx(bids.sum(), abs=1e-12 * scale)
@@ -279,6 +285,81 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha, monkeypatch):
         assert np.allclose(b.q, a.q, rtol=0.0, atol=1e-5 * np.abs(a.q).max())
         assert sum_b == pytest.approx(sum_a, abs=1e-5 * scale)
         assert sum_b2 == pytest.approx(sum_a2, rel=1e-5)
+
+
+@pytest.mark.parametrize("n_agents, alpha, block_entries", [(80, 0.5, 200), (400, 0.3, 2**20),
+                                                          (150, 0.7, 2**20)])
+@pytest.mark.parametrize("zeta", [0, 1])
+@pytest.mark.parametrize("init_scale", [1.0, 1e-4])
+def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, init_scale,
+                                        monkeypatch):
+    # both routes are float64; the Gram route reorders the sums, nothing else
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", block_entries)
+    p = GameParams(n_agents=n_agents, alpha=alpha, external=ExternalBid(zeta, 1.0),
+                   init_scale=init_scale, seed=12)
+    sample = generate_disorder(p)
+    coup = _forced_route(monkeypatch, simulator._Coupled, sample, 0.0)
+    gram = simulator._route(sample, 0.0)
+    assert isinstance(gram, simulator._Gram)
+    a = init_state(p)
+    g = gram.start(a)
+    for _ in range(120):
+        a, sum_a, sum_a2 = coup.step(a, p)
+        g, sum_g, sum_g2 = gram.step(g, p)
+        assert g.t == a.t
+        assert g.lam == pytest.approx(a.lam, rel=1e-12)
+        q = gram.valuations([g])[0]
+        assert np.allclose(q, a.q, rtol=0.0, atol=1e-12 * np.abs(a.q).max())
+        scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
+        assert sum_g == pytest.approx(sum_a, abs=1e-12 * scale)
+        assert sum_g2 == pytest.approx(sum_a2, rel=1e-12)
+    assert np.allclose(gram.positions([g])[0], a.phi, rtol=0.0, atol=1e-12 * np.abs(a.phi).max())
+
+
+def test_gram_route_run_matches_coupling_route(monkeypatch):
+    p = GameParams(n_agents=300, alpha=0.4, external=ExternalBid(1, 0.5), seed=8,
+                   t_equilibrate=100, t_measure=200)
+    gram = run_experiment(p)
+    monkeypatch.setattr(simulator, "_route_kind",
+                        lambda n_agents, n_patterns, kappa: simulator._Coupled)
+    coup = run_experiment(p)
+    assert gram.frozen_flag == coup.frozen_flag
+    for name in ("c0_hat", "sigma", "sigma_fl", "lambda_mean", "lambda_slope",
+                 "bid_mean", "bid_staggered"):
+        assert getattr(gram, name) == pytest.approx(getattr(coup, name), rel=1e-10, abs=1e-13)
+
+
+def test_route_rule():
+    kind = simulator._route_kind
+    assert kind(1000, 1, 0.0) is simulator._Gram
+    assert kind(1000, 749, 0.0) is simulator._Gram
+    assert kind(1000, 750, 0.0) is simulator._Patterns
+    assert kind(1000, 1199, 0.0) is simulator._Patterns
+    for kappa in (1e-9, 0.25, 1.0):
+        for n_patterns in (1, 300, 749, 1199):
+            assert kind(1000, n_patterns, kappa) is simulator._Patterns
+    for kappa in (0.0, 0.25):
+        assert kind(1000, 1200, kappa) is simulator._Coupled
+
+
+def test_run_experiment_takes_gram_route_only_at_kappa_zero(monkeypatch):
+    def refuse(kind):
+        def build(sample):
+            raise AssertionError(f"{kind} route at N={sample.n_agents}, p={sample.n_patterns}")
+        return build
+
+    def run(kappa, alpha):
+        return run_experiment(GameParams(n_agents=100, alpha=alpha, kappa=kappa, seed=2,
+                                         t_equilibrate=20, t_measure=32))
+
+    monkeypatch.setattr(simulator._Patterns, "build", refuse("per-pattern"))
+    assert math.isfinite(run(0.0, 0.5).sigma)
+    with pytest.raises(AssertionError, match="per-pattern route at N=100, p=50"):
+        run(0.25, 0.5)
+    monkeypatch.undo()
+    monkeypatch.setattr(simulator._Gram, "build", refuse("Gram"))
+    assert math.isfinite(run(0.25, 0.5).sigma)
+    assert math.isfinite(run(0.0, 1.0).sigma)
 
 
 def test_sigma_never_below_fluctuation_part():
