@@ -313,23 +313,25 @@ def _pool_map(fn, items: list, workers: int) -> list:
 def run_sweep(spec: SweepSpec) -> tuple[list[ResultRow], list[dict], int]:
     """Run the engines on every grid point: (rows, kernel tail extras, n_failed).
 
-    Simulation seeds fan out over a process pool when workers > 1; rows are
-    assembled in grid order regardless of completion order.  A failing engine
-    at a point leaves its cells empty and the sweep continues.
+    Simulation seeds and kernel points form one task list, which fans out
+    over a process pool when workers > 1; rows are assembled in grid order
+    regardless of completion order.  A failing engine at a point leaves its
+    cells empty and the sweep continues.
     """
     points = spec.grid()
-    sim_results: dict[int, list] = {}
+    n_seeds = len(spec.seeds)
+    sim_tasks = [(_sim_task_safe, (pt, spec, seed)) for pt in points for seed in spec.seeds
+                 if "simulate" in spec.engines]
+    kernel_tasks = [(_kernel_task_safe, (pt, spec)) for pt in points
+                    if "kernels" in spec.engines]
+    tasks = sim_tasks + kernel_tasks
+    if spec.workers > 1 and len(tasks) > 1:
+        outcomes = _pool_map(_run_task, tasks, spec.workers)
+    else:
+        outcomes = [_run_task(t) for t in tasks]
+    sim_outcomes, kernel_outcomes = outcomes[:len(sim_tasks)], outcomes[len(sim_tasks):]
+
     failures = 0
-
-    if "simulate" in spec.engines:
-        tasks = [(i, (pt, spec, seed)) for i, pt in enumerate(points) for seed in spec.seeds]
-        if spec.workers > 1 and len(tasks) > 1:
-            outcomes = _pool_map(_sim_task_safe, [t for _, t in tasks], spec.workers)
-        else:
-            outcomes = [_sim_task_safe(t) for _, t in tasks]
-        for (i, _), out in zip(tasks, outcomes):
-            sim_results.setdefault(i, []).append(out)
-
     rows: list[ResultRow] = []
     kernel_extra: list[dict] = []
     for i, pt in enumerate(points):
@@ -354,24 +356,29 @@ def run_sweep(spec: SweepSpec) -> tuple[list[ResultRow], list[dict], int]:
                 failures += 1
                 print(f"[theory] point {pt} failed: {exc}", file=sys.stderr)
         if "simulate" in spec.engines:
-            outs = [o for o in sim_results.get(i, []) if o is not None]
-            if len(outs) < len(spec.seeds):
+            outs = [o for o in sim_outcomes[i * n_seeds:(i + 1) * n_seeds] if o is not None]
+            if len(outs) < n_seeds:
                 failures += 1
-                print(f"[simulate] {len(spec.seeds) - len(outs)} seed(s) failed at {pt}", file=sys.stderr)
+                print(f"[simulate] {n_seeds - len(outs)} seed(s) failed at {pt}", file=sys.stderr)
             if outs:
                 _apply(row, _sim_cells(outs))
         if "kernels" in spec.engines:
-            try:
-                cells = _kernel_cells(pt, spec)
+            cells = kernel_outcomes[i]
+            if isinstance(cells, str):
+                failures += 1
+                print(f"[kernels] point {pt} failed: {cells}", file=sys.stderr)
+            else:
                 extra = {k: v for k, v in cells.items() if k.startswith("_")}
                 _apply(row, {k: v for k, v in cells.items() if not k.startswith("_")})
-            except Exception as exc:
-                failures += 1
-                print(f"[kernels] point {pt} failed: {exc}", file=sys.stderr)
         rows.append(row)
         kernel_extra.append(extra)
 
     return rows, kernel_extra, failures
+
+
+def _run_task(task):
+    fn, args = task
+    return fn(args)
 
 
 def _sim_task_safe(task) -> RunObservables | None:
@@ -381,6 +388,15 @@ def _sim_task_safe(task) -> RunObservables | None:
     except Exception as exc:
         print(f"[simulate] point {pt} seed {seed} failed: {exc}", file=sys.stderr)
         return None
+
+
+def _kernel_task_safe(task) -> dict | str:
+    """The kernel cells of one point, or the failure message."""
+    pt, spec = task
+    try:
+        return _kernel_cells(pt, spec)
+    except Exception as exc:
+        return str(exc)
 
 
 def _apply(row: ResultRow, cells: dict) -> None:

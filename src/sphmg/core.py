@@ -27,6 +27,14 @@ MAX_TABLE_ENTRIES = 2**28
 # Entries of xi cast to float at a time where a product runs over row blocks.
 BLOCK_ENTRIES = 2**18
 
+# Entries of xi cast to float at a time for the self-product xi xi^T, which
+# runs over column blocks.
+COLUMN_BLOCK_ENTRIES = 2**21
+
+# float32 holds every integer of magnitude up to 2^24 exactly, so sums of
+# products of entries in {-1, 0, 1} stay exact in float32 below this many terms.
+FLOAT32_EXACT_TERMS = 2**24
+
 # Sub-stream indices derived from GameParams.seed, so that strategy draws and
 # initial-condition draws come from independent generators.
 _STREAM_DISORDER = 0
@@ -215,21 +223,41 @@ def row_blocks(xi: np.ndarray) -> list[slice]:
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
-def precompute_couplings(sample: DisorderSample) -> Couplings:
-    """Compile (J, h, b, d) so that one batch step is an O(N^2) product.
+def _integer_couplings(sample: DisorderSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact integer matrix X = xi xi^T, with h and b of the couplings.
 
-    The xi self-product is taken in float32: all partial sums are integers
-    bounded by p < 2^24, so the accumulation is exact and the float64 result
-    is the exact integer matrix scaled by 2/N.  h is taken over row blocks of
-    xi, one float64 dot product per agent, and b from exact integer row sums.
+    X is accumulated over column blocks of xi, so no full float copy of xi is
+    held.  Every partial sum is an integer bounded by p, exact in float32 for
+    p < FLOAT32_EXACT_TERMS; from there on X is accumulated in float64.  h is
+    taken over row blocks of xi, one float64 dot product per agent, and b from
+    exact integer row sums.
     """
     n, xi = sample.n_agents, sample.xi
-    xf = xi.astype(np.float32)
-    J = (xf @ xf.T).astype(np.float64) * (2.0 / n)
+    p = xi.shape[1]
+    dtype = np.float32 if p < FLOAT32_EXACT_TERMS else np.float64
+    width = max(1, COLUMN_BLOCK_ENTRIES // n)
+    X = tmp = None
+    for start in range(0, p, width):
+        block = xi[:, start:start + width].astype(dtype)
+        if X is None:
+            X = block @ block.T
+        else:
+            tmp = np.matmul(block, block.T, out=tmp)
+            X += tmp
     h = np.empty(n)
     for rows in row_blocks(xi):
         h[rows] = (2.0 / np.sqrt(n)) * (xi[rows].astype(np.float64) @ sample.Omega)
     b = (2.0 / np.sqrt(n)) * xi.sum(axis=1, dtype=np.int64)
-    d = self_couplings(xi)
+    return X, h, b
+
+
+def precompute_couplings(sample: DisorderSample) -> Couplings:
+    """Compile (J, h, b, d) in float64 so that one batch step is an O(N^2)
+    product: J = (2/N) X with the exact integer X = xi xi^T, and d its
+    diagonal."""
+    X, h, b = _integer_couplings(sample)
+    J = X.astype(np.float64)
+    J *= 2.0 / sample.n_agents
+    d = J.diagonal().copy()
     _freeze(J, h, b, d)
     return Couplings(J=J, h=h, b=b, d=d)

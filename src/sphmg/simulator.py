@@ -28,13 +28,14 @@ import numpy as np
 
 from .core import (
     _STREAM_INIT,
+    FLOAT32_EXACT_TERMS,
     ContractError,
     Couplings,
     DegenerateStateError,
     DisorderSample,
     GameParams,
+    _integer_couplings,
     generate_disorder,
-    precompute_couplings,
     rng_stream,
     row_blocks,
     self_couplings,
@@ -87,22 +88,20 @@ def init_state(params: GameParams) -> AgentState:
 
 
 def _renormalize(q: np.ndarray, t: int) -> AgentState:
-    lam = float(np.sqrt(np.mean(q * q)))
+    lam = float(np.sqrt(q @ q / q.shape[0]))
     if lam == 0.0:
         raise DegenerateStateError(f"all valuations vanished at t={t}")
     return AgentState(q=q, lam=lam, phi=q / lam, t=t)
 
 
 def _route_kind(n_agents: int, n_patterns: int, kappa: float) -> type:
-    """The route of a run, from (N, p, kappa) alone: couplings from p = 1.2 N
-    on, the Gram route at kappa = 0 below p = 0.75 N, per-pattern passes
-    otherwise.  Both thresholds are measured break-evens (README, Notes on
-    numerics)."""
-    if n_patterns >= 1.2 * n_agents:
+    """The route of a run, from (N, p, kappa) alone: couplings from p = 0.7 N
+    on; below it the Gram route at kappa = 0 and per-pattern passes
+    otherwise.  The threshold is a measured break-even against both other
+    routes (README, Notes on numerics)."""
+    if n_patterns >= 0.7 * n_agents:
         return _Coupled
-    if kappa == 0.0 and n_patterns < 0.75 * n_agents:
-        return _Gram
-    return _Patterns
+    return _Gram if kappa == 0.0 else _Patterns
 
 
 def _route(sample: DisorderSample, kappa: float) -> _Coupled | _Patterns | _Gram:
@@ -121,33 +120,65 @@ class _Direct:
 
 @dataclass(frozen=True)
 class _Coupled(_Direct):
-    """What the coupling route reads: the compiled couplings and the pattern-
-    bias sums p, sum_mu Omega_mu and sum_mu Omega_mu^2 of the bid moments."""
+    """What the coupling route reads: the couplings J = scale M + diag(d),
+    split into a matrix M with zero diagonal and the self-couplings d, the
+    fields h and b, and the pattern-bias sums p, sum_mu Omega_mu and
+    sum_mu Omega_mu^2 of the bid moments.
 
-    c: Couplings
-    n_patterns: int
-    sum_omega: float
-    omega_sq: float
+    run_experiment's route holds M as the exact integer matrix xi xi^T off its
+    diagonal, in float32 (4N^2 bytes per step), with scale 2/N; batch_step
+    holds the float64 J of Couplings off its diagonal, with scale 1.  The
+    self-coupling stays in float64, so the kappa = 1 self-impact cancels
+    exactly on both.
+    """
+
+    M: np.ndarray
+    scale: float
+    d: np.ndarray
+    h: np.ndarray
+    b: np.ndarray
+    n_patterns: int = 0
+    sum_omega: float = 0.0
+    omega_sq: float = 0.0
 
     @classmethod
     def build(cls, sample: DisorderSample) -> _Coupled:
-        Omega = sample.Omega
-        return cls(precompute_couplings(sample), Omega.size, float(Omega.sum()),
-                   float(Omega @ Omega))
+        X, h, b = _integer_couplings(sample)
+        scale = 2.0 / sample.n_agents
+        d = scale * X.diagonal().astype(np.float64)
+        np.fill_diagonal(X, 0.0)
+        return cls(X, scale, d, h, b, *_bias_sums(sample))
+
+    @classmethod
+    def from_couplings(cls, c: Couplings, sample: DisorderSample | None = None) -> _Coupled:
+        """The float64 step over compiled couplings, with the bias sums of
+        sample when the moments are wanted."""
+        M = c.J.copy()
+        np.fill_diagonal(M, 0.0)
+        return cls(M, 1.0, c.d, c.h, c.b, *(_bias_sums(sample) if sample is not None else ()))
 
     def step(self, state: AgentState, params: GameParams) -> tuple[AgentState, float, float]:
         """One batch step: the renormalized next state and the moments
         (sum_mu A^mu, sum_mu (A^mu)^2) of the bids at time state.t, taken
         from J phi through O(N) dot products."""
         a_e = params.external.value_at(state.t)
-        phi, c = state.phi, self.c
-        j_phi = c.J @ phi
-        q = state.q - c.b * a_e - c.h - j_phi + params.kappa * (c.d * phi)
-        p, b_phi = self.n_patterns, float(c.b @ phi)
+        phi = state.phi
+        off_phi = np.multiply(self.M @ phi.astype(self.M.dtype, copy=False), self.scale,
+                              dtype=np.float64)
+        d_phi = self.d * phi
+        q = state.q - self.b * a_e - self.h if a_e else state.q - self.h
+        q -= off_phi
+        q -= d_phi if params.kappa == 0.0 else (1.0 - params.kappa) * d_phi
+        p, b_phi = self.n_patterns, float(self.b @ phi)
         sum_a = p * a_e + self.sum_omega + 0.5 * b_phi
-        sum_a2 = (p * a_e**2 + self.omega_sq + 2.0 * a_e * self.sum_omega
-                  + a_e * b_phi + float(c.h @ phi) + 0.5 * float(phi @ j_phi))
+        sum_a2 = (p * a_e**2 + self.omega_sq + 2.0 * a_e * self.sum_omega + a_e * b_phi
+                  + float(self.h @ phi) + 0.5 * (float(phi @ off_phi) + float(phi @ d_phi)))
         return _renormalize(q, state.t + 1), sum_a, sum_a2
+
+
+def _bias_sums(sample: DisorderSample) -> tuple[int, float, float]:
+    Omega = sample.Omega
+    return Omega.size, float(Omega.sum()), float(Omega @ Omega)
 
 
 @dataclass(frozen=True)
@@ -203,7 +234,7 @@ class _Gram:
     def build(cls, sample: DisorderSample) -> _Gram:
         # float32 products and sums of integers bounded by N are exact below 2^24
         xi, (n, p) = sample.xi, sample.xi.shape
-        G = np.zeros((p, p), dtype=np.float32 if n < 2**24 else np.float64)
+        G = np.zeros((p, p), dtype=np.float32 if n < FLOAT32_EXACT_TERMS else np.float64)
         for rows in row_blocks(xi):
             block = xi[rows].astype(np.float32)
             G += block.T @ block
@@ -253,8 +284,7 @@ def batch_step(state: AgentState, couplings: Couplings, params: GameParams) -> A
     """One coupling-based batch step followed by the spherical renormalization."""
     if couplings.n_agents != state.q.shape[0]:
         raise ContractError("state and couplings disagree on the number of agents")
-    # no sample here and the moments are discarded, so the bias sums stay 0
-    return _Coupled(couplings, 0, 0.0, 0.0).step(state, params)[0]
+    return _Coupled.from_couplings(couplings).step(state, params)[0]
 
 
 def measure_c0(phi_history: np.ndarray) -> float:
@@ -277,7 +307,7 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
     staggered bid mean is (1/tau) sum_t (-1)^t Abar(t) with Abar the pattern
     average and t the absolute batch time; sigma_fl^2 subtracts the squared
     staggered mean from sigma^2 (the plain mean is already removed).  The
-    N x N couplings are built only when p >= 1.2 N; the positions of the c0
+    N x N couplings are built only when p >= 0.7 N; the positions of the c0
     snapshots are rebuilt from the route's state at the end.
     """
     if params.t_measure < MIN_MEASURE_STEPS:

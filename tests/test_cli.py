@@ -201,6 +201,16 @@ def test_workers_do_not_change_results(capsys):
     _, out2, _ = run_cli(capsys, *base, "--workers", "2")
     strip = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
     assert strip(out1) == strip(out2)
+    # all three engines: simulation seeds and kernel points share the task list
+    base = [
+        "compare", "--engines", "theory,simulate,kernels", "--sweep", "alpha:0.5:4:3",
+        "--agents", "64", "--t-eq", "30", "--t-meas", "32", "--seeds", "1,2", "--T", "60",
+    ]
+    code1, out1, err1 = run_cli(capsys, *base, "--workers", "1")
+    code2, out2, err2 = run_cli(capsys, *base, "--workers", "2")
+    assert code1 == code2 == 0
+    assert strip(out1) == strip(out2) and len(strip(out1)) == 4
+    assert err1 == err2 and "kernels vs theory" in err1
 
 
 def test_pool_workers_run_single_threaded_blas(monkeypatch):
@@ -242,6 +252,19 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text("agentz = 10\n")
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--alpha", "1")
     assert code == 1 and "agentz" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_kernel_failure_exit_two_for_any_worker_count(workers, capsys):
+    # a horizon too short for the tail window fails every kernel point; the
+    # parent reports each one in grid order and keeps the rows
+    code, out, err = run_cli(capsys, "kernels", "--sweep", "alpha:1:2:2", "--T", "4",
+                             "--workers", workers)
+    assert code == 2
+    failed = [l for l in err.splitlines() if l.startswith("[kernels]")]
+    assert len(failed) == 2 and "'alpha': 1.0" in failed[0] and "tail window" in failed[0]
+    _, rows = parse_csv(out)
+    assert [r["c0_kernel"] for r in rows] == ["", ""]
 
 
 def test_argument_errors_exit_one(capsys):

@@ -150,6 +150,38 @@ def test_field_and_drive_response_over_row_blocks(monkeypatch):
     assert np.array_equal(coup.b, scale * xd.sum(axis=1))
 
 
+@pytest.mark.parametrize("block_entries", [41, 400, 2**24])
+def test_self_product_over_column_blocks_is_exact(block_entries, monkeypatch):
+    # blocks of one column, of a few columns with a short last one, and one block
+    monkeypatch.setattr(core, "COLUMN_BLOCK_ENTRIES", block_entries)
+    sample = generate_disorder(GameParams(n_agents=41, alpha=1.5, seed=7))
+    X, h, b = core._integer_couplings(sample)
+    xi = sample.xi.astype(np.int64)
+    assert X.dtype == np.float32
+    assert np.array_equal(X, xi @ xi.T)
+    coup = precompute_couplings(sample)
+    assert coup.J.dtype == np.float64
+    assert np.array_equal(coup.J, (xi @ xi.T).astype(np.float64) * (2.0 / sample.n_agents))
+    assert np.array_equal(coup.h, h) and np.array_equal(coup.b, b)
+
+
+@pytest.mark.parametrize("offset, dtype", [(1, np.float32), (0, np.float64), (-1, np.float64)])
+def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dtype, monkeypatch):
+    # float32 sums of p terms in {-1, 0, 1} are exact only below p = 2^24; the
+    # limit is lowered here because a sample at the real one needs ~1 GB
+    sample = generate_disorder(GameParams(n_agents=20, alpha=3.0, seed=3))
+    p = sample.n_patterns
+    monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", p + offset)
+    monkeypatch.setattr(core, "COLUMN_BLOCK_ENTRIES", 200)
+    X, _, _ = core._integer_couplings(sample)
+    assert X.dtype == dtype
+    xi = sample.xi.astype(np.int64)
+    assert np.array_equal(X, xi @ xi.T)
+    coup = precompute_couplings(sample)
+    assert np.array_equal(np.diagonal(coup.J), coup.d)
+    assert np.array_equal(coup.d, core.self_couplings(sample.xi))
+
+
 def test_resource_budget():
     p = GameParams(n_agents=100, alpha=1.0)
     with pytest.raises(ResourceBudgetError):

@@ -114,6 +114,17 @@ def test_full_impact_correction_cancels_self_coupling():
     assert new.q[0] == pytest.approx(0.7, abs=1e-15)
 
 
+def test_coupling_route_cancels_self_coupling_at_full_impact():
+    # the float32 route keeps d in float64: at kappa = 1 only the drive acts
+    sample = sample_from_tables([[1, 1, -1]], [[-1, -1, 1]])
+    route = simulator._route(sample, 1.0)
+    assert isinstance(route, simulator._Coupled)
+    assert route.d[0] == 6.0 and route.h[0] == 0.0
+    p = GameParams(n_agents=1, alpha=3.0, kappa=1.0, seed=0)
+    new, _, _ = route.step(_state_from_q([0.7]), p)
+    assert new.q[0] == 0.7
+
+
 def test_batch_step_trajectory_matches_per_pattern_oracle():
     p = GameParams(n_agents=4, alpha=0.5, kappa=0.3,
                    external=ExternalBid(zeta=1, amplitude=0.8), seed=21)
@@ -234,7 +245,7 @@ def test_run_oscillating_point_small():
 
 
 def test_streaming_mode_matches_theory_too(monkeypatch):
-    # p >= 1.2 N here, so the per-pattern route has to be forced
+    # p >= 0.7 N here, so the per-pattern route has to be forced
     monkeypatch.setattr(simulator, "_route_kind",
                         lambda n_agents, n_patterns, kappa: simulator._Patterns)
     p = GameParams(n_agents=300, alpha=4.0, seed=1, t_equilibrate=300, t_measure=600)
@@ -244,17 +255,19 @@ def test_streaming_mode_matches_theory_too(monkeypatch):
     assert obs.sigma == pytest.approx(th.sigma, rel=0.10)
 
 
-def test_run_experiment_builds_couplings_only_from_p_of_1_2_n(monkeypatch):
+def test_run_experiment_builds_couplings_only_from_p_of_0_7_n(monkeypatch):
     def refuse(sample):
         raise AssertionError(f"J built at N={sample.n_agents}, p={sample.n_patterns}")
 
-    monkeypatch.setattr(simulator, "precompute_couplings", refuse)
-    for n_agents, alpha in [(200, 0.5), (100, 1.0), (100, 1.19)]:
-        obs = run_experiment(GameParams(n_agents=n_agents, alpha=alpha, seed=2,
+    monkeypatch.setattr(simulator._Coupled, "build", refuse)
+    for n_agents, alpha, kappa in [(200, 0.5, 0.0), (100, 0.69, 0.0), (100, 0.69, 0.25)]:
+        obs = run_experiment(GameParams(n_agents=n_agents, alpha=alpha, kappa=kappa, seed=2,
                                         t_equilibrate=50, t_measure=64))
         assert math.isfinite(obs.sigma) and math.isfinite(obs.c0_hat)
-    with pytest.raises(AssertionError, match="N=100, p=120"):
-        run_experiment(GameParams(n_agents=100, alpha=1.2, seed=2, t_equilibrate=50, t_measure=64))
+    for kappa in (0.0, 0.25):
+        with pytest.raises(AssertionError, match="N=100, p=70"):
+            run_experiment(GameParams(n_agents=100, alpha=0.7, kappa=kappa, seed=2,
+                                      t_equilibrate=50, t_measure=64))
 
 
 def _forced_route(monkeypatch, kind, sample, kappa):
@@ -264,13 +277,19 @@ def _forced_route(monkeypatch, kind, sample, kappa):
         return simulator._route(sample, kappa)
 
 
+def _float64_coupled(sample, kappa=None):
+    """The float64 coupling step over precompute_couplings, with the bias
+    sums of the sample (kappa is unused: the signature of _route)."""
+    return simulator._Coupled.from_couplings(precompute_couplings(sample), sample)
+
+
 @pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 0.5)])
 def test_coupling_and_per_pattern_routes_agree(n_agents, alpha, monkeypatch):
     # float32 pattern products: 1e-5 is ~100 float32 epsilons
     p = GameParams(n_agents=n_agents, alpha=alpha, kappa=0.25,
                    external=ExternalBid(zeta=1, amplitude=1.0), seed=3)
     sample = generate_disorder(p)
-    coup = _forced_route(monkeypatch, simulator._Coupled, sample, p.kappa)
+    coup = _float64_coupled(sample)
     patterns = _forced_route(monkeypatch, simulator._Patterns, sample, p.kappa)
     assert isinstance(coup, simulator._Coupled) and isinstance(patterns, simulator._Patterns)
     a = b = init_state(p)
@@ -298,8 +317,8 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
     p = GameParams(n_agents=n_agents, alpha=alpha, external=ExternalBid(zeta, 1.0),
                    init_scale=init_scale, seed=12)
     sample = generate_disorder(p)
-    coup = _forced_route(monkeypatch, simulator._Coupled, sample, 0.0)
-    gram = simulator._route(sample, 0.0)
+    coup = _float64_coupled(sample)
+    gram = _forced_route(monkeypatch, simulator._Gram, sample, 0.0)  # p = 0.7 N takes couplings
     assert isinstance(gram, simulator._Gram)
     a = init_state(p)
     g = gram.start(a)
@@ -320,8 +339,7 @@ def test_gram_route_run_matches_coupling_route(monkeypatch):
     p = GameParams(n_agents=300, alpha=0.4, external=ExternalBid(1, 0.5), seed=8,
                    t_equilibrate=100, t_measure=200)
     gram = run_experiment(p)
-    monkeypatch.setattr(simulator, "_route_kind",
-                        lambda n_agents, n_patterns, kappa: simulator._Coupled)
+    monkeypatch.setattr(simulator, "_route", _float64_coupled)
     coup = run_experiment(p)
     assert gram.frozen_flag == coup.frozen_flag
     for name in ("c0_hat", "sigma", "sigma_fl", "lambda_mean", "lambda_slope",
@@ -329,17 +347,69 @@ def test_gram_route_run_matches_coupling_route(monkeypatch):
         assert getattr(gram, name) == pytest.approx(getattr(coup, name), rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 4.0)])
+@pytest.mark.parametrize("kappa", [0.0, 0.25])
+@pytest.mark.parametrize("zeta", [0, 1])
+@pytest.mark.parametrize("init_scale", [1.0, 1e-4])
+def test_float32_coupling_route_matches_float64_step(n_agents, alpha, kappa, zeta, init_scale):
+    # the route takes J phi from the integer xi xi^T and phi in float32:
+    # 1e-5 is ~100 float32 epsilons
+    p = GameParams(n_agents=n_agents, alpha=alpha, kappa=kappa, external=ExternalBid(zeta, 1.0),
+                   init_scale=init_scale, seed=3)
+    sample = generate_disorder(p)
+    route = simulator._route(sample, kappa)
+    assert isinstance(route, simulator._Coupled) and route.M.dtype == np.float32
+    xi = sample.xi.astype(np.int64)
+    X = xi @ xi.T
+    assert np.array_equal(route.M + np.diag(np.diagonal(X)), X)
+    exact = _float64_coupled(sample)
+    a = b = init_state(p)
+    for _ in range(120):
+        a, sum_a, sum_a2 = exact.step(a, p)
+        b, sum_b, sum_b2 = route.step(b, p)
+        assert b.t == a.t
+        assert np.allclose(b.q, a.q, rtol=0.0, atol=1e-5 * np.abs(a.q).max())
+        assert b.lam == pytest.approx(a.lam, rel=1e-5)
+        scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
+        assert sum_b == pytest.approx(sum_a, abs=1e-5 * scale)
+        assert sum_b2 == pytest.approx(sum_a2, rel=1e-5)
+
+
+@pytest.mark.parametrize("kappa, zeta, alpha", [(0.25, 1, 2.0), (0.0, 0, 4.0), (0.0, 1, 1.2)])
+def test_float32_coupling_run_matches_float64_run(kappa, zeta, alpha, monkeypatch):
+    p = GameParams(n_agents=200, alpha=alpha, kappa=kappa, external=ExternalBid(zeta, 1.0),
+                   seed=4, t_equilibrate=100, t_measure=200)
+    obs = run_experiment(p)
+    monkeypatch.setattr(simulator, "_route", _float64_coupled)
+    exact = run_experiment(p)
+    assert obs.frozen_flag == exact.frozen_flag
+    for name in ("c0_hat", "sigma", "sigma_fl", "lambda_mean", "lambda_slope",
+                 "bid_mean", "bid_staggered"):
+        assert getattr(obs, name) == pytest.approx(getattr(exact, name), rel=1e-6, abs=1e-9)
+
+
+def test_coupling_route_holds_no_float64_square_matrix():
+    sample = generate_disorder(GameParams(n_agents=50, alpha=3.0, seed=1))
+    route = simulator._route(sample, 0.25)
+    assert isinstance(route, simulator._Coupled)
+    for value in vars(route).values():
+        if isinstance(value, np.ndarray):
+            assert value.ndim == 1 or value.dtype == np.float32
+    # the diagonal of J is d, kept in float64
+    assert np.all(np.diagonal(route.M) == 0.0)
+    assert np.array_equal(route.d, precompute_couplings(sample).d)
+
+
 def test_route_rule():
     kind = simulator._route_kind
     assert kind(1000, 1, 0.0) is simulator._Gram
-    assert kind(1000, 749, 0.0) is simulator._Gram
-    assert kind(1000, 750, 0.0) is simulator._Patterns
-    assert kind(1000, 1199, 0.0) is simulator._Patterns
+    assert kind(1000, 699, 0.0) is simulator._Gram
     for kappa in (1e-9, 0.25, 1.0):
-        for n_patterns in (1, 300, 749, 1199):
+        for n_patterns in (1, 300, 699):
             assert kind(1000, n_patterns, kappa) is simulator._Patterns
     for kappa in (0.0, 0.25):
-        assert kind(1000, 1200, kappa) is simulator._Coupled
+        for n_patterns in (700, 749, 1199, 1200):
+            assert kind(1000, n_patterns, kappa) is simulator._Coupled
 
 
 def test_run_experiment_takes_gram_route_only_at_kappa_zero(monkeypatch):
