@@ -18,6 +18,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import multiprocessing
@@ -37,22 +38,31 @@ from .theory import Phase, alpha_c1, alpha_c2, classify_phase, stationary_soluti
 SWEEPABLE = ("alpha", "kappa", "A_tilde")
 ENGINES = ("theory", "simulate", "kernels")
 
-DEFAULTS = {
-    "agents": 1000,
-    "t_eq": 1000,
-    "t_meas": 2000,
-    "n_seeds": 5,
-    "seed": 0,
-    "kappa": 0.0,
-    "A": 0.0,
-    "zeta": 0,
-    "init_scale": 1.0,
-    "T": 400,
-    "lambda0": 1.0,
-    "tail": 0.25,
-    "workers": 1,
-    "format": "csv",
-}
+# Every settable value once: (name, type, default, choices, help).  The flag
+# is "--" + name with "_" written "-", the config key is the name; --engines
+# is a flag of compare only.
+_OPTIONS = (
+    ("alpha", float, None, None, "pattern-to-agent ratio"),
+    ("kappa", float, 0.0, None, "self-impact correction in [0,1]"),
+    ("A", float, 0.0, None, "external bid amplitude"),
+    ("zeta", int, 0, (0, 1), "0 static, 1 oscillating drive"),
+    ("agents", int, 1000, None, "number of agents N"),
+    ("seed", int, 0, None, "base seed (seeds are seed..seed+n-1)"),
+    ("seeds", str, None, None, "explicit comma-separated seed list"),
+    ("n_seeds", int, 5, None, "number of derived seeds"),
+    ("t_eq", int, 1000, None, "equilibration batch steps"),
+    ("t_meas", int, 2000, None, "measurement batch steps"),
+    ("init_scale", float, 1.0, None, "initial |q| magnitude"),
+    ("T", int, 400, None, "kernel iteration horizon"),
+    ("lambda0", float, 1.0, None, "kernel initial constraint force"),
+    ("tail", float, 0.25, None, "kernel tail fraction for estimates"),
+    ("out", str, None, None, "output path ('-' for stdout)"),
+    ("format", str, "csv", ("csv", "json"), "output format"),
+    ("workers", int, 1, None, "process pool size for simulations"),
+    ("sweep", str, None, None, "axis spec name:min:max:count[:log]"),
+    ("sweep2", str, None, None, "second axis spec"),
+    ("engines", str, ",".join(ENGINES), None, "comma list from theory,simulate,kernels"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,22 +114,9 @@ class SweepSpec:
 
     def grid(self) -> list[dict]:
         base = {k: self.fixed[k] for k in ("alpha", "kappa", "A_tilde", "zeta")}
-        if len(self.axes) == 0:
-            return [dict(base)]
-        points = []
-        if len(self.axes) == 1:
-            for v in self.axes[0].values():
-                pt = dict(base)
-                pt[self.axes[0].name] = float(v)
-                points.append(pt)
-        else:
-            for v1 in self.axes[0].values():
-                for v2 in self.axes[1].values():
-                    pt = dict(base)
-                    pt[self.axes[0].name] = float(v1)
-                    pt[self.axes[1].name] = float(v2)
-                    points.append(pt)
-        return points
+        names = [a.name for a in self.axes]
+        return [{**base, **dict(zip(names, map(float, values)))}
+                for values in itertools.product(*(a.values() for a in self.axes))]
 
 
 @dataclass
@@ -500,88 +497,55 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, help="pattern-to-agent ratio")
-    p.add_argument("--kappa", type=float, help="self-impact correction in [0,1]")
-    p.add_argument("--A", type=float, help="external bid amplitude")
-    p.add_argument("--zeta", type=int, choices=(0, 1), help="0 static, 1 oscillating drive")
-    p.add_argument("--agents", type=int, help="number of agents N")
-    p.add_argument("--seed", type=int, help="base seed (seeds are seed..seed+n-1)")
-    p.add_argument("--seeds", type=str, help="explicit comma-separated seed list")
-    p.add_argument("--n-seeds", type=int, dest="n_seeds", help="number of derived seeds")
-    p.add_argument("--t-eq", type=int, dest="t_eq", help="equilibration batch steps")
-    p.add_argument("--t-meas", type=int, dest="t_meas", help="measurement batch steps")
-    p.add_argument("--init-scale", type=float, dest="init_scale", help="initial |q| magnitude")
-    p.add_argument("--T", type=int, help="kernel iteration horizon")
-    p.add_argument("--lambda0", type=float, help="kernel initial constraint force")
-    p.add_argument("--tail", type=float, help="kernel tail fraction for estimates")
-    p.add_argument("--out", type=str, help="output path ('-' for stdout)")
-    p.add_argument("--format", type=str, choices=("csv", "json"), help="output format")
-    p.add_argument("--config", type=str, help="key-value config file")
-    p.add_argument("--workers", type=int, help="process pool size for simulations")
-    p.add_argument("--sweep", type=str, help="axis spec name:min:max:count[:log]")
-    p.add_argument("--sweep2", type=str, help="second axis spec")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="sphmg", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
+    for command, helptext in (
         ("theory", "stationary solution at one point"),
         ("phase-diagram", "transition lines along one axis"),
         ("simulate", "agent-level simulation rows"),
         ("kernels", "two-time kernel iteration rows"),
         ("compare", "multi-engine comparison rows"),
     ):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        if name == "compare":
-            p.add_argument("--engines", type=str, help="comma list from theory,simulate,kernels")
+        p = sub.add_parser(command, help=helptext)
+        for name, kind, _, choices, text in _OPTIONS:
+            if name != "engines" or command == "compare":
+                p.add_argument("--" + name.replace("_", "-"), type=kind, choices=choices, help=text)
+        p.add_argument("--config", type=str, help="key-value config file")
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags."""
-    merged = dict(DEFAULTS)
+    """Defaults < config file < explicit flags, typed and checked by _OPTIONS."""
+    merged = {name: default for name, _, default, _, _ in _OPTIONS}
     if args.config:
         cfg = load_config(args.config)
-        unknown = set(cfg) - set(DEFAULTS) - {"alpha", "seeds", "engines", "sweep", "sweep2", "out"}
+        unknown = set(cfg) - set(merged)
         if unknown:
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
         merged.update(cfg)
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            merged[key] = val
-    # normalize types for values that may arrive as config strings
-    for key in ("agents", "t_eq", "t_meas", "n_seeds", "seed", "zeta", "T", "workers"):
-        if key in merged and merged[key] is not None:
-            merged[key] = int(merged[key])
-    for key in ("kappa", "A", "init_scale", "lambda0", "tail"):
-        if key in merged and merged[key] is not None:
-            merged[key] = float(merged[key])
-    if merged.get("alpha") is not None:
-        merged["alpha"] = float(merged["alpha"])
+    merged.update((k, v) for k, v in vars(args).items() if k in merged and v is not None)
+    for name, kind, _, choices, _ in _OPTIONS:
+        if merged[name] is not None:
+            merged[name] = kind(merged[name])
+            if choices and merged[name] not in choices:
+                raise ContractError(f"{name} must be one of {choices}, got {merged[name]!r}")
     return merged
 
 
 def _spec_from(merged: dict, engines: tuple[str, ...]) -> SweepSpec:
-    axes = []
-    for key in ("sweep", "sweep2"):
-        if merged.get(key):
-            axes.append(_parse_axis(str(merged[key])))
-    if len(axes) > 2:
-        raise ContractError("at most 2 sweep axes")
-    if merged.get("seeds"):
-        seeds = tuple(int(s) for s in str(merged["seeds"]).split(",") if s.strip())
+    axes = tuple(_parse_axis(merged[key]) for key in ("sweep", "sweep2") if merged[key])
+    if len(axes) == 2 and axes[0].name == axes[1].name:
+        raise ContractError(f"--sweep and --sweep2 both sweep {axes[0].name}")
+    if merged["seeds"]:
+        seeds = tuple(int(s) for s in merged["seeds"].split(",") if s.strip())
     else:
         seeds = tuple(merged["seed"] + i for i in range(merged["n_seeds"]))
     if not seeds:
         raise ContractError("need at least one seed")
     swept = {a.name for a in axes}
     fixed = {
-        "alpha": merged.get("alpha"),
+        "alpha": merged["alpha"],
         "kappa": merged["kappa"],
         "A_tilde": merged["A"],
         "zeta": merged["zeta"],
@@ -591,7 +555,7 @@ def _spec_from(merged: dict, engines: tuple[str, ...]) -> SweepSpec:
     if fixed["alpha"] is None:
         fixed["alpha"] = 1.0  # placeholder, replaced by the axis value
     return SweepSpec(
-        axes=tuple(axes),
+        axes=axes,
         fixed=fixed,
         engines=engines,
         seeds=seeds,
@@ -609,15 +573,14 @@ def _spec_from(merged: dict, engines: tuple[str, ...]) -> SweepSpec:
 def _rows_out(rows: list[ResultRow], merged: dict) -> None:
     dicts = [{c: getattr(r, c) for c in RESULT_COLUMNS} for r in rows]
     if merged["format"] == "json":
-        write_json(merged.get("out"), dicts)
+        write_json(merged["out"], dicts)
     else:
-        write_csv(merged.get("out"), RESULT_COLUMNS, dicts)
+        write_csv(merged["out"], RESULT_COLUMNS, dicts)
 
 
 def cmd_theory(merged: dict) -> int:
-    for key in ("alpha",):
-        if merged.get(key) is None:
-            raise ContractError("theory requires --alpha")
+    if merged["alpha"] is None:
+        raise ContractError("theory requires --alpha")
     a, k, A, z = merged["alpha"], merged["kappa"], merged["A"], merged["zeta"]
     sol = stationary_solution(a, k, A, z)
     payload = {
@@ -643,33 +606,29 @@ def cmd_theory(merged: dict) -> int:
         "bid_staggered": sol.bid_staggered,
     }
     if merged["format"] == "json":
-        write_json(merged.get("out"), {k: _json_safe(v) for k, v in payload.items()})
+        write_json(merged["out"], {k: _json_safe(v) for k, v in payload.items()})
     else:
         width = max(len(k) for k in payload)
         lines = []
         for key, val in payload.items():
             if val is None:
                 shown = "n/a"
-            elif isinstance(val, str):
-                shown = val
-            elif isinstance(val, float) and math.isinf(val):
-                shown = "inf"
             elif isinstance(val, float):
                 shown = format(val, ".8g")
             else:
                 shown = str(val)
             lines.append(f"{key:<{width}}  {shown}")
-        _emit(merged.get("out"), "\n".join(lines) + "\n")
+        _emit(merged["out"], "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_phase_diagram(merged: dict) -> int:
-    if not merged.get("sweep"):
+    if not merged["sweep"]:
         raise ContractError("phase-diagram requires --sweep over kappa or A_tilde")
-    axis = _parse_axis(str(merged["sweep"]))
+    axis = _parse_axis(merged["sweep"])
     if axis.name not in ("kappa", "A_tilde"):
         raise ContractError("phase-diagram sweeps kappa or A_tilde")
-    if merged.get("sweep2"):
+    if merged["sweep2"]:
         raise ContractError("phase-diagram takes a single sweep axis")
     z = merged["zeta"]
     rows = []
@@ -686,14 +645,9 @@ def cmd_phase_diagram(merged: dict) -> int:
         )
     columns = [axis.name, "alpha_c1", "alpha_c2"]
     if merged["format"] == "json":
-        write_json(merged.get("out"), [{k: _json_safe(v) for k, v in r.items()} for r in rows])
+        write_json(merged["out"], [{k: _json_safe(v) for k, v in r.items()} for r in rows])
     else:
-        # the +inf boundary marker at kappa=1 is deliberate in this command
-        out_rows = [
-            {k: ("inf" if isinstance(v, float) and math.isinf(v) else v) for k, v in r.items()}
-            for r in rows
-        ]
-        write_csv(merged.get("out"), columns, out_rows)
+        write_csv(merged["out"], columns, rows)  # alpha_c2 = inf at kappa = 1 prints "inf"
     return 0
 
 
@@ -721,7 +675,7 @@ def main(argv=None) -> int:
         if args.command == "kernels":
             return _cmd_rows(merged, ("kernels",))
         if args.command == "compare":
-            engines = tuple(str(merged.get("engines") or "theory,simulate,kernels").split(","))
+            engines = tuple(merged["engines"].split(","))
             bad = set(engines) - set(ENGINES)
             if bad:
                 raise ContractError(f"unknown engines: {sorted(bad)}")

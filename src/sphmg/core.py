@@ -143,14 +143,12 @@ class GameParams:
 class DisorderSample:
     """One quenched strategy realization.
 
-    xi and omega are (N, p) int8 matrices with entries in {-1, 0, +1}; for
-    every (i, mu) exactly one of xi_i^mu, omega_i^mu is nonzero because they
-    are the half-difference and half-sum of two +-1 tables.  Omega is the
-    length-p float vector N^(-1/2) sum_i omega_i^mu.
+    xi is the (N, p) int8 half-difference of two +-1 tables, with entries in
+    {-1, 0, +1}.  Their half-sum omega enters only through the length-p float
+    vector Omega = N^(-1/2) sum_i omega_i^mu, so omega itself is not kept.
     """
 
     xi: np.ndarray
-    omega: np.ndarray
     Omega: np.ndarray
 
     @property
@@ -182,7 +180,7 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 
 def generate_disorder(params: GameParams, max_entries: int = MAX_TABLE_ENTRIES) -> DisorderSample:
-    """Draw the two +-1 look-up tables and reduce them to (xi, omega, Omega).
+    """Draw the two +-1 look-up tables and reduce them to (xi, Omega).
 
     Every table entry is an independent fair coin.  The draw is a pure
     function of params.seed: identical seeds give bit-identical samples.
@@ -193,15 +191,14 @@ def generate_disorder(params: GameParams, max_entries: int = MAX_TABLE_ENTRIES) 
             f"disorder sample needs {n * p} entries/table, budget is {max_entries}"
         )
     rng = rng_stream(params.seed, _STREAM_DISORDER)
-    # with the tables 2 r - 1 for draws r in {0, 1}: xi = r1 - r2, omega = r1 + r2 - 1
+    # with the tables 2 r - 1 for draws r in {0, 1}: xi = r1 - r2, omega = r1 + r2 - 1,
+    # so the column sums of omega are exact integer sums of the draws
     r1 = rng.integers(0, 2, size=(n, p), dtype=np.int8)
     r2 = rng.integers(0, 2, size=(n, p), dtype=np.int8)
-    omega = r1 + r2
-    omega -= 1
+    Omega = (r1.sum(axis=0, dtype=np.int64) + r2.sum(axis=0, dtype=np.int64) - n) / np.sqrt(n)
     xi = np.subtract(r1, r2, out=r1)
-    Omega = omega.sum(axis=0, dtype=np.int64) / np.sqrt(n)
-    _freeze(xi, omega, Omega)
-    return DisorderSample(xi=xi, omega=omega, Omega=Omega)
+    _freeze(xi, Omega)
+    return DisorderSample(xi=xi, Omega=Omega)
 
 
 def self_couplings(xi: np.ndarray) -> np.ndarray:

