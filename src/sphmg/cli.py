@@ -679,6 +679,8 @@ def main(argv=None) -> int:
             bad = set(engines) - set(ENGINES)
             if bad:
                 raise ContractError(f"unknown engines: {sorted(bad)}")
+            if len(set(engines)) < len(engines):
+                raise ContractError(f"repeated engines: {merged['engines']}")
             if len(engines) < 2:
                 raise ContractError("compare needs at least two engines")
             return _cmd_rows(merged, engines)

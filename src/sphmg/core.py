@@ -28,7 +28,7 @@ MAX_TABLE_ENTRIES = 2**28
 BLOCK_ENTRIES = 2**18
 
 # Entries of xi cast to float at a time for the self-product xi xi^T, which
-# runs over column blocks.
+# runs over column blocks of at least N columns.
 COLUMN_BLOCK_ENTRIES = 2**21
 
 # float32 holds every integer of magnitude up to 2^24 exactly, so sums of
@@ -179,6 +179,21 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+def _coin_table(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
+    """The (n, p) int8 table of rng.integers(0, 2, size=(n, p), dtype=np.int8),
+    taken from the raw stream.
+
+    That draw reads consecutive uint32 outputs byte by byte, low byte first,
+    and keeps the top bit of each byte; the bytes left over in the last
+    output are dropped.  So the table is the bytes of ceil(n p / 4) raw
+    outputs shifted right by 7, in place.
+    """
+    raw = rng.integers(0, 2**32, size=-(-n * p // 4), dtype=np.uint32).astype("<u4", copy=False)
+    table = raw.view(np.uint8)
+    np.right_shift(table, 7, out=table)
+    return table[:n * p].view(np.int8).reshape(n, p)
+
+
 def generate_disorder(params: GameParams, max_entries: int = MAX_TABLE_ENTRIES) -> DisorderSample:
     """Draw the two +-1 look-up tables and reduce them to (xi, Omega).
 
@@ -193,9 +208,9 @@ def generate_disorder(params: GameParams, max_entries: int = MAX_TABLE_ENTRIES) 
     rng = rng_stream(params.seed, _STREAM_DISORDER)
     # with the tables 2 r - 1 for draws r in {0, 1}: xi = r1 - r2, omega = r1 + r2 - 1,
     # so the column sums of omega are exact integer sums of the draws
-    r1 = rng.integers(0, 2, size=(n, p), dtype=np.int8)
-    r2 = rng.integers(0, 2, size=(n, p), dtype=np.int8)
-    Omega = (r1.sum(axis=0, dtype=np.int64) + r2.sum(axis=0, dtype=np.int64) - n) / np.sqrt(n)
+    r1 = _coin_table(rng, n, p)
+    r2 = _coin_table(rng, n, p)
+    Omega = (r1.sum(axis=0, dtype=np.int32) + r2.sum(axis=0, dtype=np.int32) - n) / np.sqrt(n)
     xi = np.subtract(r1, r2, out=r1)
     _freeze(xi, Omega)
     return DisorderSample(xi=xi, Omega=Omega)
@@ -206,15 +221,15 @@ def self_couplings(xi: np.ndarray) -> np.ndarray:
     return (2.0 / xi.shape[0]) * np.abs(xi).sum(axis=1, dtype=np.int64).astype(np.float64)
 
 
-def row_blocks(xi: np.ndarray) -> list[slice]:
-    """Row slices of xi of about BLOCK_ENTRIES entries each.
+def row_blocks(xi: np.ndarray, entries: int | None = None) -> list[slice]:
+    """Row slices of xi of about entries (default BLOCK_ENTRIES) entries each.
 
     Blocks of more than 8 rows hold whole groups of 8, so that a matrix-vector
     product over the blocks gives each row the same BLAS kernel path, and the
     same bits, as one product over the whole matrix.
     """
     n, p = xi.shape
-    rows = max(1, BLOCK_ENTRIES // p)
+    rows = max(1, (BLOCK_ENTRIES if entries is None else entries) // p)
     if rows > 8:
         rows -= rows % 8
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
@@ -223,8 +238,10 @@ def row_blocks(xi: np.ndarray) -> list[slice]:
 def _integer_couplings(sample: DisorderSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exact integer matrix X = xi xi^T, with h and b of the couplings.
 
-    X is accumulated over column blocks of xi, so no full float copy of xi is
-    held.  Every partial sum is an integer bounded by p, exact in float32 for
+    X is accumulated over column blocks of xi, cast into one reused buffer,
+    so no full float copy of xi is held.  A block is at least N columns wide:
+    OpenBLAS's syrk, which numpy takes for block @ block.T, is slow on narrow
+    blocks.  Every partial sum is an integer bounded by p, exact in float32 for
     p < FLOAT32_EXACT_TERMS; from there on X is accumulated in float64.  h is
     taken over row blocks of xi, one float64 dot product per agent, and b from
     exact integer row sums.
@@ -232,10 +249,12 @@ def _integer_couplings(sample: DisorderSample) -> tuple[np.ndarray, np.ndarray, 
     n, xi = sample.n_agents, sample.xi
     p = xi.shape[1]
     dtype = np.float32 if p < FLOAT32_EXACT_TERMS else np.float64
-    width = max(1, COLUMN_BLOCK_ENTRIES // n)
+    width = min(max(COLUMN_BLOCK_ENTRIES // n, n), p)
+    buf = np.empty((n, width), dtype=dtype)
     X = tmp = None
     for start in range(0, p, width):
-        block = xi[:, start:start + width].astype(dtype)
+        block = buf[:, :min(width, p - start)]
+        np.copyto(block, xi[:, start:start + width])
         if X is None:
             X = block @ block.T
         else:

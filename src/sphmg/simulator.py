@@ -21,6 +21,7 @@ sum_mu A^mu(t)^2, and reduces the history to the stationary observables.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -52,6 +53,10 @@ FROZEN_SLOPE_SIGMAS = 5.0
 FROZEN_GROWTH_FACTOR = 2.0
 
 MIN_MEASURE_STEPS = 16
+
+# Entries of xi cast to float at a time for the Gram matrix xi^T xi, which
+# runs over row blocks.
+GRAM_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -157,10 +162,11 @@ class _Coupled(_Direct):
         np.fill_diagonal(M, 0.0)
         return cls(M, 1.0, c.d, c.h, c.b, *(_bias_sums(sample) if sample is not None else ()))
 
-    def step(self, state: AgentState, params: GameParams) -> tuple[AgentState, float, float]:
+    def step(self, state: AgentState, params: GameParams,
+             moments: bool = True) -> tuple[AgentState, float, float]:
         """One batch step: the renormalized next state and the moments
         (sum_mu A^mu, sum_mu (A^mu)^2) of the bids at time state.t, taken
-        from J phi through O(N) dot products."""
+        from J phi through O(N) dot products (NaN unless moments)."""
         a_e = params.external.value_at(state.t)
         phi = state.phi
         off_phi = np.multiply(self.M @ phi.astype(self.M.dtype, copy=False), self.scale,
@@ -169,11 +175,21 @@ class _Coupled(_Direct):
         q = state.q - self.b * a_e - self.h if a_e else state.q - self.h
         q -= off_phi
         q -= d_phi if params.kappa == 0.0 else (1.0 - params.kappa) * d_phi
+        nxt = _renormalize(q, state.t + 1)
+        if not moments:
+            return nxt, math.nan, math.nan
         p, b_phi = self.n_patterns, float(self.b @ phi)
         sum_a = p * a_e + self.sum_omega + 0.5 * b_phi
         sum_a2 = (p * a_e**2 + self.omega_sq + 2.0 * a_e * self.sum_omega + a_e * b_phi
                   + float(self.h @ phi) + 0.5 * (float(phi @ off_phi) + float(phi @ d_phi)))
-        return _renormalize(q, state.t + 1), sum_a, sum_a2
+        return nxt, sum_a, sum_a2
+
+
+def _moments_of(bids: np.ndarray, moments: bool) -> tuple[float, float]:
+    """(sum_mu A^mu, sum_mu (A^mu)^2), or NaN for both unless moments."""
+    if not moments:
+        return math.nan, math.nan
+    return float(bids.sum()), float(bids @ bids)
 
 
 def _bias_sums(sample: DisorderSample) -> tuple[int, float, float]:
@@ -194,16 +210,18 @@ class _Patterns(_Direct):
     def build(cls, sample: DisorderSample) -> _Patterns:
         return cls(sample.xi.astype(np.float32), self_couplings(sample.xi), sample.Omega)
 
-    def step(self, state: AgentState, params: GameParams) -> tuple[AgentState, float, float]:
+    def step(self, state: AgentState, params: GameParams,
+             moments: bool = True) -> tuple[AgentState, float, float]:
         """One batch step from the explicit bids, whose pattern products run
-        in float32 (exact to ~1e-7, far below measurement noise)."""
+        in float32 (exact to ~1e-7, far below measurement noise), and their
+        moments (NaN unless moments)."""
         a_e = params.external.value_at(state.t)
         phi = state.phi
         sqrt_n = np.sqrt(phi.shape[0])
         bids = a_e + self.Omega + (phi.astype(np.float32) @ self.xi32).astype(np.float64) / sqrt_n
         back = (self.xi32 @ bids.astype(np.float32)).astype(np.float64)
         q = state.q - (2.0 / sqrt_n) * back + params.kappa * (self.d * phi)
-        return _renormalize(q, state.t + 1), float(bids.sum()), float(bids @ bids)
+        return _renormalize(q, state.t + 1), *_moments_of(bids, moments)
 
 
 @dataclass(frozen=True)
@@ -232,12 +250,21 @@ class _Gram:
 
     @classmethod
     def build(cls, sample: DisorderSample) -> _Gram:
-        # float32 products and sums of integers bounded by N are exact below 2^24
+        # float32 products and sums of integers bounded by N are exact below
+        # 2^24, so G has the same bits for any row blocks; one block buffer
+        # and one product buffer are reused, and both are freed before the
+        # float64 copy
         xi, (n, p) = sample.xi, sample.xi.shape
+        blocks = row_blocks(xi, GRAM_BLOCK_ENTRIES)
+        buf = np.empty((blocks[0].stop, p), dtype=np.float32)
         G = np.zeros((p, p), dtype=np.float32 if n < FLOAT32_EXACT_TERMS else np.float64)
-        for rows in row_blocks(xi):
-            block = xi[rows].astype(np.float32)
-            G += block.T @ block
+        tmp = None
+        for rows in blocks:
+            block = buf[:rows.stop - rows.start]
+            np.copyto(block, xi[rows])
+            tmp = np.matmul(block.T, block, out=tmp)
+            G += tmp
+        del buf, tmp
         return cls(xi, sample.Omega, G.astype(np.float64, copy=False))
 
     def start(self, state: AgentState) -> _GramState:
@@ -248,11 +275,13 @@ class _Gram:
         return _GramState(q0=state.q, u=u, q0_sq=float(state.q @ state.q), y=np.zeros(p),
                           gy=np.zeros(p), lam=state.lam, t=state.t)
 
-    def step(self, state: _GramState, params: GameParams) -> tuple[_GramState, float, float]:
+    def step(self, state: _GramState, params: GameParams,
+             moments: bool = True) -> tuple[_GramState, float, float]:
         """One batch step in pattern space: the bids are
         A = a_e + Omega + (u + G y) / (sqrt(N) lambda), y moves by
         -(2/sqrt(N)) A, and N lambda^2 = |q0|^2 + 2 u.y + y.G y reuses G y,
-        the one p x p product of the step."""
+        the one p x p product of the step.  The bid moments are NaN unless
+        moments."""
         a_e = params.external.value_at(state.t)
         n = self.xi.shape[0]
         sqrt_n = np.sqrt(n)
@@ -263,7 +292,7 @@ class _Gram:
         if not lam_sq > 0.0:
             raise DegenerateStateError(f"all valuations vanished at t={state.t + 1}")
         nxt = _GramState(state.q0, state.u, state.q0_sq, y, gy, float(np.sqrt(lam_sq)), state.t + 1)
-        return nxt, float(bids.sum()), float(bids @ bids)
+        return nxt, *_moments_of(bids, moments)
 
     def valuations(self, states: list[_GramState]) -> np.ndarray:
         """Rows q = q0 + xi y of the given states, taken over row blocks of xi."""
@@ -319,8 +348,8 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
     route = _route(sample, params.kappa)
 
     state = route.start(init_state(params))
-    for _ in range(params.t_equilibrate):
-        state = route.step(state, params)[0]
+    for _ in range(params.t_equilibrate):  # the window reads no bid moments
+        state = route.step(state, params, moments=False)[0]
 
     tau, p = params.t_measure, sample.n_patterns
     snapshots = deque(maxlen=min(C0_SNAPSHOTS, tau))

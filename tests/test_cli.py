@@ -114,6 +114,12 @@ def test_compare_theory_only_rejected(capsys):
     assert code == 1 and "two engines" in err
 
 
+@pytest.mark.parametrize("engines", ["theory,theory", "theory,simulate,theory"])
+def test_compare_repeated_engine_rejected(engines, capsys):
+    code, out, err = run_cli(capsys, "compare", "--alpha", "1", "--engines", engines)
+    assert code == 1 and out == "" and "repeated engines" in err
+
+
 def test_compare_theory_kernels_amplitude_invariance(capsys):
     code, out, _ = run_cli(
         capsys, "compare", "--engines", "theory,kernels", "--sweep", "A_tilde:0:2:2",
@@ -217,6 +223,30 @@ def test_pool_workers_run_single_threaded_blas(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert _pool_map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2, 2) == ["1", "1"]
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_rows_identical_for_any_worker_count_at_one_blas_thread():
+    # at N = 1500 the float32 coupling product gives other bits on 1 and 2
+    # BLAS threads; pool workers run one thread, an inline --workers 1 run
+    # inherits the process's thread count
+    argv = ["simulate", "--sweep", "alpha:2:2.5:2", "--kappa", "0.25", "--A", "1", "--zeta", "1",
+            "--agents", "1500", "--t-eq", "30", "--t-meas", "32", "--seeds", "1,2"]
+    src = str(Path(sphmg.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+
+    def rows(workers, **extra):
+        out = subprocess.run(
+            [sys.executable, "-m", "sphmg.cli", *argv, "--workers", str(workers)],
+            env={**env, **extra}, capture_output=True, text=True, timeout=120, check=True,
+        )
+        lines = [l for l in out.stdout.splitlines() if not l.startswith("#")]
+        assert len(lines) == 3
+        return lines
+
+    assert rows(1, OPENBLAS_NUM_THREADS="1") == rows(2, OPENBLAS_NUM_THREADS="1")
+    assert rows(2) == rows(3)
 
 
 def test_import_loads_no_scipy():

@@ -95,8 +95,12 @@ def test_seed_determinism_and_independence():
 
 
 @pytest.mark.parametrize("n_agents, alpha, seed", [(1, 1.0, 0), (7, 0.5, 1), (64, 2.0, 123),
-                                                  (300, 0.3, 7919), (129, 3.1, 2**63)])
+                                                  (300, 0.3, 7919), (129, 3.1, 2**63),
+                                                  (125, 0.2, 2), (30, 0.5, 3), (45, 1 / 3, 4),
+                                                  (1999, 1.5, 5)])
 def test_disorder_draw_matches_pm_table_oracle(n_agents, alpha, seed):
+    # N p = 1, 2 and 3 mod 4 leave 3, 2 and 1 bytes of the last raw draw
+    # unused; the last case is a 6 MB table
     params = GameParams(n_agents=n_agents, alpha=alpha, seed=seed)
     sample, ref = generate_disorder(params), disorder_from_pm_tables(params)
     for name in ("xi", "Omega"):
@@ -151,9 +155,10 @@ def test_field_and_drive_response_over_row_blocks(monkeypatch):
     assert np.array_equal(coup.b, scale * xd.sum(axis=1))
 
 
-@pytest.mark.parametrize("block_entries", [41, 400, 2**24])
+@pytest.mark.parametrize("block_entries", [41, 400, 2050, 2**24])
 def test_self_product_over_column_blocks_is_exact(block_entries, monkeypatch):
-    # blocks of one column, of a few columns with a short last one, and one block
+    # blocks of N = 41 columns (the floor, for the first two budgets) and of
+    # 50 columns, each with a short last one, and one block
     monkeypatch.setattr(core, "COLUMN_BLOCK_ENTRIES", block_entries)
     sample = generate_disorder(GameParams(n_agents=41, alpha=1.5, seed=7))
     X, h, b = core._integer_couplings(sample)

@@ -347,6 +347,40 @@ def test_gram_route_run_matches_coupling_route(monkeypatch):
         assert getattr(gram, name) == pytest.approx(getattr(coup, name), rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize("kind, alpha, kappa", [(simulator._Coupled, 2.0, 0.25),
+                                                (simulator._Coupled, 1.0, 0.0),
+                                                (simulator._Patterns, 0.5, 0.25),
+                                                (simulator._Gram, 0.5, 0.0)])
+@pytest.mark.parametrize("zeta", [0, 1])
+def test_stepping_without_moments_keeps_the_trajectory(kind, alpha, kappa, zeta, monkeypatch):
+    # equilibration skips the bid moments; the states must not move by a bit
+    p = GameParams(n_agents=90, alpha=alpha, kappa=kappa, external=ExternalBid(zeta, 1.0), seed=6)
+    route = _forced_route(monkeypatch, kind, generate_disorder(p), kappa)
+    assert isinstance(route, kind)
+    a = b = route.start(init_state(p))
+    for _ in range(60):
+        a, sum_a, sum_a2 = route.step(a, p)
+        b, sum_b, sum_b2 = route.step(b, p, moments=False)
+        assert math.isfinite(sum_a) and math.isfinite(sum_a2)
+        assert math.isnan(sum_b) and math.isnan(sum_b2)
+        assert (b.t, b.lam) == (a.t, a.lam)
+    assert np.array_equal(route.positions([b]), route.positions([a]))
+    for name in ("q", "y", "gy"):
+        if hasattr(a, name):
+            assert np.array_equal(getattr(b, name), getattr(a, name)), name
+
+
+def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
+    sample = generate_disorder(GameParams(n_agents=203, alpha=0.4, seed=9))
+    xi = sample.xi.astype(np.int64)
+    exact = (xi.T @ xi).astype(np.float64)
+    for entries in (2**20, 5 * sample.n_patterns):  # one block; blocks of 5 rows, the last short
+        monkeypatch.setattr(simulator, "GRAM_BLOCK_ENTRIES", entries)
+        G = simulator._Gram.build(sample).G
+        assert G.dtype == np.float64 and np.array_equal(G, exact), entries
+    assert len(core.row_blocks(sample.xi, 5 * sample.n_patterns)) == 41
+
+
 @pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 4.0)])
 @pytest.mark.parametrize("kappa", [0.0, 0.25])
 @pytest.mark.parametrize("zeta", [0, 1])
