@@ -21,10 +21,8 @@ import argparse
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
@@ -291,8 +289,12 @@ def _pool_map(fn, items: list, workers: int) -> list:
 
     BLAS reads its thread count when a worker first imports numpy, so the
     variables are set in this process's environment while the workers start
-    (they inherit it) and restored afterwards.
+    (they inherit it) and restored afterwards.  The pool modules are imported
+    here, so a run that never fans out does not load them.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

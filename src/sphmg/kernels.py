@@ -69,10 +69,10 @@ class KernelParams:
 class KernelState:
     """Two-time kernels on the grid {0..T}^2.
 
-    C is symmetric with unit diagonal, G strictly lower triangular, Sigma the
-    effective noise covariance and W = (1+G)^(-1).  The unnormalized moments
-    K, the noise source D and the cross moments L are derived from these on
-    each access.
+    C is symmetric with unit diagonal, G strictly lower triangular and
+    W = (1+G)^(-1).  The unnormalized moments K, the noise source D, the
+    effective noise covariance Sigma and the cross moments L are derived from
+    these on each access.
     """
 
     params: KernelParams
@@ -80,7 +80,6 @@ class KernelState:
     C: np.ndarray
     G: np.ndarray
     lambda_traj: np.ndarray
-    Sigma: np.ndarray
     W: np.ndarray
 
     @property
@@ -93,6 +92,11 @@ class KernelState:
         """Noise source 1 + C_tt' + 2 A_e(t) A_e(t')."""
         a_e = self.params.external.series(self.T + 1)
         return 1.0 + self.C + 2.0 * np.outer(a_e, a_e)
+
+    @property
+    def Sigma(self) -> np.ndarray:
+        """Effective noise covariance <eta(t) eta(t')> = W D W^T."""
+        return self.W @ self.D @ self.W.T
 
     @property
     def L(self) -> np.ndarray:
@@ -114,64 +118,61 @@ class KernelTail:
 def iterate_kernels(params: KernelParams) -> KernelState:
     """Grow the C, G, lambda trajectory step by step up to horizon T.
 
-    Each entry of the kernels is computed exactly once and never revisited;
-    rows of W and Sigma are completed as the triangle grows, and the cross
-    moments come from the Gaussian identity one row per step.  Raises
-    KernelInstabilityError if the diagonal moment closure fails.
+    Each entry of the kernels is computed exactly once and never revisited.
+    Only C, G and W are held, with the O(T) vectors r1 = W 1, ra = W a_e and
+    the current row of g = lambda G.  Row t of Sigma is
+    r1_t r1 + W (C W_t^T) + 2 ra_t ra, and C W_t^T also gives the memory term
+    of the K update, so a step makes five passes: G_t W, C W_t^T, W (C W_t^T),
+    W_t G and G Sigma_t.  Raises KernelInstabilityError if the diagonal moment
+    closure fails.
     """
     n = params.T + 1
     alpha, kappa = params.alpha, params.kappa
-    sqrt_a = np.sqrt(alpha)
     a_e = params.external.series(n)
 
     C = np.zeros((n, n))
     G = np.zeros((n, n))
-    Sig = np.zeros((n, n))
     W = np.zeros((n, n))  # (1+G)^(-1), grown by forward substitution
-    K = np.zeros((n, n))  # K, D and g are working arrays, not kept in the state
-    D = np.zeros((n, n))
-    g = np.zeros((n, n))  # response to a valuation kick, G = g / lambda
     lam = np.zeros(n)
+    r1 = np.zeros(n)  # W 1
+    ra = np.zeros(n)  # W a_e
+    g = np.zeros(n)  # row t of the response to a valuation kick, G = g / lambda
 
     lam[0] = params.lambda0
-    K[0, 0] = params.lambda0**2
     C[0, 0] = 1.0
-    W[0, 0] = 1.0
 
     for t in range(n):
-        if t > 0:
-            W[t, :t] = -(G[t, :t] @ W[:t, :t])
-            W[t, t] = 1.0
-        D[t, : t + 1] = 1.0 + C[t, : t + 1] + 2.0 * a_e[t] * a_e[: t + 1]
-        D[: t + 1, t] = D[t, : t + 1]
-        Sig[t, : t + 1] = (W[t, : t + 1] @ D[: t + 1, : t + 1]) @ W[: t + 1, : t + 1].T
-        Sig[: t + 1, t] = Sig[t, : t + 1]
+        W[t, :t] = -(G[t, :t] @ W[:t, :t])
+        W[t, t] = 1.0
         if t == params.T:
             break
+        w = W[t, : t + 1]
+        r1[t] = w.sum()
+        ra[t] = w @ a_e[: t + 1]
+        c_t = C[t, : t + 1]
+        v = C[: t + 1, : t + 1] @ w
+        sigma = W[: t + 1, : t + 1] @ v
+        sigma += r1[t] * r1[: t + 1] + (2.0 * ra[t]) * ra[: t + 1]
 
-        ml = W[t, : t + 1].copy()  # memory row M_t. / lambda
-        ml[t] -= kappa
-        ml /= lam[: t + 1]
-        g[t + 1, : t + 1] = g[t, : t + 1] - alpha * (ml @ g[: t + 1, : t + 1])
-        g[t + 1, t] += 1.0
-        L_t = sqrt_a * (g[: t + 2, : t + 1] @ Sig[t, : t + 1])
-
-        K[t + 1, : t + 1] = (
-            K[t, : t + 1] - alpha * (ml @ K[: t + 1, : t + 1]) + sqrt_a * L_t[: t + 1]
-        )
-        K[t + 1, t + 1] = K[t + 1, t] - alpha * (ml @ K[t + 1, : t + 1]) + sqrt_a * L_t[t + 1]
-        if not K[t + 1, t + 1] > 0.0:
+        g[: t + 1] -= alpha * (w @ G[: t + 1, : t + 1] - kappa * G[t, : t + 1])
+        g[t] += 1.0
+        # K_{t+1,s} = lambda(s) x_s: the memory term is lambda(s) (v - kappa C_t)_s
+        # and the cross moments sqrt(alpha) L_ts are alpha lambda(s) (G Sigma_t)_s
+        x = lam[t] * c_t - alpha * (v - kappa * c_t) + alpha * (G[: t + 1, : t + 1] @ sigma)
+        k_next = (lam[t] * x[t] - alpha * (w @ x - kappa * x[t])
+                  + alpha * (g[: t + 1] @ sigma))
+        if not k_next > 0.0:
             raise KernelInstabilityError(
-                f"<q^2> closure failed at t={t + 1}: K={K[t + 1, t + 1]:.3e}, "
+                f"<q^2> closure failed at t={t + 1}: K={k_next:.3e}, "
                 f"lambda tail {lam[max(0, t - 3) : t + 1]}"
             )
-        K[: t + 1, t + 1] = K[t + 1, : t + 1]
-        lam[t + 1] = np.sqrt(K[t + 1, t + 1])
-        C[t + 1, : t + 2] = K[t + 1, : t + 2] / (lam[t + 1] * lam[: t + 2])
-        C[: t + 2, t + 1] = C[t + 1, : t + 2]
-        G[t + 1, : t + 1] = g[t + 1, : t + 1] / lam[t + 1]
+        lam[t + 1] = np.sqrt(k_next)
+        C[t + 1, : t + 1] = x / lam[t + 1]
+        C[: t + 1, t + 1] = C[t + 1, : t + 1]
+        C[t + 1, t + 1] = 1.0
+        G[t + 1, : t + 1] = g[: t + 1] / lam[t + 1]
 
-    return KernelState(params=params, T=params.T, C=C, G=G, lambda_traj=lam, Sigma=Sig, W=W)
+    return KernelState(params=params, T=params.T, C=C, G=G, lambda_traj=lam, W=W)
 
 
 def bid_mean_trajectory(state: KernelState, a_e: np.ndarray) -> np.ndarray:
@@ -208,8 +209,8 @@ def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> Kerne
     lam_tail = state.lambda_traj[idx]
     fit = fit_line(idx.astype(np.float64), lam_tail)
 
-    wt = state.W[idx, :]
-    diag_tail = ((wt @ (1.0 + state.C)) * wt).sum(axis=1)
+    wt = state.W[n - n_tail :]  # diag[W (1 + C) W^T] with no (T+1)^2 temporary
+    diag_tail = ((wt @ state.C) * wt).sum(axis=1) + wt.sum(axis=1) ** 2
     sigma_fl = float(np.sqrt(max(np.mean(diag_tail) / 2.0, 0.0)))
 
     return KernelTail(

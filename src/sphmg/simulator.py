@@ -15,14 +15,15 @@ At kappa = 0 every update is q(t+1) = q(t) - (2/sqrt(N)) xi A(t), so q(t)
 stays in q(0) + span(xi): the Gram route carries q(t) = q(0) + xi y(t) with a
 p-vector y and takes a step through the exact p x p Gram matrix xi^T xi.
 run_experiment integrates an equilibration and a measurement window on one
-route, each measured step also yielding the bid moments sum_mu A^mu(t) and
-sum_mu A^mu(t)^2, and reduces the history to the stationary observables.
+route, each a loop that updates the run's state in place.  The measurement
+window also records lambda(t), the bid moments sum_mu A^mu(t) and
+sum_mu A^mu(t)^2 and the last positions, which reduce to the stationary
+observables.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +93,6 @@ def init_state(params: GameParams) -> AgentState:
     return AgentState(q=q, lam=params.init_scale, phi=signs.copy(), t=0)
 
 
-def _renormalize(q: np.ndarray, t: int) -> AgentState:
-    lam = float(np.sqrt(q @ q / q.shape[0]))
-    if lam == 0.0:
-        raise DegenerateStateError(f"all valuations vanished at t={t}")
-    return AgentState(q=q, lam=lam, phi=q / lam, t=t)
-
-
 def _route_kind(n_agents: int, n_patterns: int, kappa: float) -> type:
     """The route of a run, from (N, p, kappa) alone: couplings from p = 0.7 N
     on; below it the Gram route at kappa = 0 and per-pattern passes
@@ -113,18 +107,44 @@ def _route(sample: DisorderSample, kappa: float) -> _Coupled | _Patterns | _Gram
     return _route_kind(sample.n_agents, sample.n_patterns, kappa).build(sample)
 
 
-class _Direct:
-    """A route whose state is the AgentState itself."""
+@dataclass(eq=False)
+class _Run:
+    """One run's state, advanced in place by a route's windows: q and
+    phi = q / lam (y and G y on the Gram route), lam, t, and the route's
+    constants and scratch buffers, allocated once per run."""
 
-    def start(self, state: AgentState) -> AgentState:
-        return state
+    q: np.ndarray
+    phi: np.ndarray
+    lam: float
+    t: int
+    work: tuple
 
-    def positions(self, states: list[AgentState]) -> np.ndarray:
-        return np.array([s.phi for s in states])
+
+class _Record:
+    """What a recorded window writes at its step k: lam(t) entering the step,
+    the bid moments sum_mu A^mu(t) and sum_mu A^mu(t)^2, and over the last
+    C0_SNAPSHOTS steps the positions (y on the Gram route) and lam after it."""
+
+    def __init__(self, steps: int, width: int) -> None:
+        self.lam, self.sum_a, self.sum_a2 = np.empty((3, steps))
+        self.snaps = np.empty((min(C0_SNAPSHOTS, steps), width))
+        self.snap_lam = np.empty(self.snaps.shape[0])
+
+    def put(self, k: int, lam: float, sum_a: float, sum_a2: float, vec: np.ndarray,
+            lam_next: float) -> None:
+        self.lam[k], self.sum_a[k], self.sum_a2[k] = lam, sum_a, sum_a2
+        j = k - self.lam.shape[0] + self.snaps.shape[0]
+        if j >= 0:
+            self.snaps[j], self.snap_lam[j] = vec, lam_next
+
+
+def _bias_sums(sample: DisorderSample) -> tuple[int, float, float]:
+    Omega = sample.Omega
+    return Omega.size, float(Omega.sum()), float(Omega @ Omega)
 
 
 @dataclass(frozen=True)
-class _Coupled(_Direct):
+class _Coupled:
     """What the coupling route reads: the couplings J = scale M + diag(d),
     split into a matrix M with zero diagonal and the self-couplings d, the
     fields h and b, and the pattern-bias sums p, sum_mu Omega_mu and
@@ -162,43 +182,51 @@ class _Coupled(_Direct):
         np.fill_diagonal(M, 0.0)
         return cls(M, 1.0, c.d, c.h, c.b, *(_bias_sums(sample) if sample is not None else ()))
 
-    def step(self, state: AgentState, params: GameParams,
-             moments: bool = True) -> tuple[AgentState, float, float]:
-        """One batch step: the renormalized next state and the moments
-        (sum_mu A^mu, sum_mu (A^mu)^2) of the bids at time state.t, taken
-        from J phi through O(N) dot products (NaN unless moments)."""
-        a_e = params.external.value_at(state.t)
-        phi = state.phi
-        off_phi = np.multiply(self.M @ phi.astype(self.M.dtype, copy=False), self.scale,
-                              dtype=np.float64)
-        d_phi = self.d * phi
-        q = state.q - self.b * a_e - self.h if a_e else state.q - self.h
-        q -= off_phi
-        q -= d_phi if params.kappa == 0.0 else (1.0 - params.kappa) * d_phi
-        nxt = _renormalize(q, state.t + 1)
-        if not moments:
-            return nxt, math.nan, math.nan
-        p, b_phi = self.n_patterns, float(self.b @ phi)
-        sum_a = p * a_e + self.sum_omega + 0.5 * b_phi
-        sum_a2 = (p * a_e**2 + self.omega_sq + 2.0 * a_e * self.sum_omega + a_e * b_phi
-                  + float(self.h @ phi) + 0.5 * (float(phi @ off_phi) + float(phi @ d_phi)))
-        return nxt, sum_a, sum_a2
+    def start(self, state: AgentState) -> _Run:
+        n, dtype = state.q.shape[0], self.M.dtype
+        return _Run(state.q.astype(np.float64), state.phi.astype(np.float64), state.lam, state.t,
+                    (np.empty(n, dtype), np.empty(n, dtype), *np.empty((3, n))))
 
+    def window(self, run: _Run, params: GameParams, steps: int, record: bool = False):
+        """steps batch steps in place, each q <- q - b a_e - h - scale M phi
+        - (1 - kappa) d phi and phi = q / lam; the recorded bid moments come
+        exactly from J phi through O(N) dot products."""
+        q, phi, lam, t = run.q, run.phi, run.lam, run.t
+        phi_in, mv, off_phi, d_phi, tmp = run.work
+        M, scale, d, h, b, p = self.M, self.scale, self.d, self.h, self.b, self.n_patterns
+        n, kappa, value_at = q.shape[0], params.kappa, params.external.value_at
+        rec = _Record(steps, n) if record else None
+        for k in range(steps):
+            a_e = value_at(t)
+            np.copyto(phi_in, phi)
+            np.multiply(np.matmul(M, phi_in, out=mv), scale, out=off_phi, dtype=np.float64)
+            np.multiply(d, phi, out=d_phi)
+            if a_e:
+                q -= np.multiply(b, a_e, out=tmp)
+            q -= h
+            q -= off_phi
+            q -= d_phi if kappa == 0.0 else np.multiply(d_phi, 1.0 - kappa, out=tmp)
+            if rec is not None:  # the bids at t read phi(t)
+                b_phi = float(b @ phi)
+                sum_a = p * a_e + self.sum_omega + 0.5 * b_phi
+                sum_a2 = (p * a_e**2 + self.omega_sq + 2.0 * a_e * self.sum_omega + a_e * b_phi
+                          + float(h @ phi) + 0.5 * (float(phi @ off_phi) + float(phi @ d_phi)))
+            lam_next = math.sqrt(float(q @ q) / n)
+            if lam_next == 0.0:
+                raise DegenerateStateError(f"all valuations vanished at t={t + 1}")
+            np.divide(q, lam_next, out=phi)
+            if rec is not None:
+                rec.put(k, lam, sum_a, sum_a2, phi, lam_next)
+            lam, t = lam_next, t + 1
+        run.lam, run.t = lam, t
+        return rec
 
-def _moments_of(bids: np.ndarray, moments: bool) -> tuple[float, float]:
-    """(sum_mu A^mu, sum_mu (A^mu)^2), or NaN for both unless moments."""
-    if not moments:
-        return math.nan, math.nan
-    return float(bids.sum()), float(bids @ bids)
-
-
-def _bias_sums(sample: DisorderSample) -> tuple[int, float, float]:
-    Omega = sample.Omega
-    return Omega.size, float(Omega.sum()), float(Omega @ Omega)
+    def positions(self, run: _Run, rec: _Record) -> np.ndarray:
+        return rec.snaps
 
 
 @dataclass(frozen=True)
-class _Patterns(_Direct):
+class _Patterns:
     """What the per-pattern route reads: xi in float32 (exact for entries in
     {-1, 0, 1}), the self-couplings d and the pattern bias Omega."""
 
@@ -210,32 +238,42 @@ class _Patterns(_Direct):
     def build(cls, sample: DisorderSample) -> _Patterns:
         return cls(sample.xi.astype(np.float32), self_couplings(sample.xi), sample.Omega)
 
-    def step(self, state: AgentState, params: GameParams,
-             moments: bool = True) -> tuple[AgentState, float, float]:
-        """One batch step from the explicit bids, whose pattern products run
-        in float32 (exact to ~1e-7, far below measurement noise), and their
-        moments (NaN unless moments)."""
-        a_e = params.external.value_at(state.t)
-        phi = state.phi
-        sqrt_n = np.sqrt(phi.shape[0])
-        bids = a_e + self.Omega + (phi.astype(np.float32) @ self.xi32).astype(np.float64) / sqrt_n
-        back = (self.xi32 @ bids.astype(np.float32)).astype(np.float64)
-        q = state.q - (2.0 / sqrt_n) * back + params.kappa * (self.d * phi)
-        return _renormalize(q, state.t + 1), *_moments_of(bids, moments)
+    def start(self, state: AgentState) -> _Run:
+        (n, p), f32 = self.xi32.shape, np.float32
+        return _Run(state.q.astype(np.float64), state.phi.astype(np.float64), state.lam, state.t,
+                    (np.empty(n, f32), np.empty(p, f32), *np.empty((2, p)), np.empty(p, f32),
+                     np.empty(n, f32), *np.empty((2, n))))
 
+    def window(self, run: _Run, params: GameParams, steps: int, record: bool = False):
+        """steps batch steps in place from the explicit bids, whose pattern
+        products run in float32 (exact to ~1e-7, far below measurement
+        noise)."""
+        q, phi, lam, t = run.q, run.phi, run.lam, run.t
+        phi32, inner32, inner, bids, bids32, back32, back, kick = run.work
+        n, kappa, value_at = q.shape[0], params.kappa, params.external.value_at
+        xi32, d, Omega, sqrt_n = self.xi32, self.d, self.Omega, math.sqrt(n)
+        rec = _Record(steps, n) if record else None
+        for k in range(steps):
+            np.copyto(phi32, phi)
+            np.divide(np.matmul(phi32, xi32, out=inner32), sqrt_n, out=inner, dtype=np.float64)
+            np.add(Omega, value_at(t), out=bids)
+            bids += inner
+            np.copyto(bids32, bids)
+            q -= np.multiply(np.matmul(xi32, bids32, out=back32), 2.0 / sqrt_n, out=back,
+                             dtype=np.float64)
+            q += np.multiply(np.multiply(d, phi, out=kick), kappa, out=kick)
+            lam_next = math.sqrt(float(q @ q) / n)
+            if lam_next == 0.0:
+                raise DegenerateStateError(f"all valuations vanished at t={t + 1}")
+            np.divide(q, lam_next, out=phi)
+            if rec is not None:
+                rec.put(k, lam, float(bids.sum()), float(bids @ bids), phi, lam_next)
+            lam, t = lam_next, t + 1
+        run.lam, run.t = lam, t
+        return rec
 
-@dataclass(frozen=True)
-class _GramState:
-    """q(t) = q0 + xi y(t), carried as y and G y, with the run's constants
-    q0, u = xi^T q0 and |q0|^2."""
-
-    q0: np.ndarray
-    u: np.ndarray
-    q0_sq: float
-    y: np.ndarray
-    gy: np.ndarray
-    lam: float
-    t: int
+    def positions(self, run: _Run, rec: _Record) -> np.ndarray:
+        return rec.snaps
 
 
 @dataclass(frozen=True)
@@ -267,45 +305,47 @@ class _Gram:
         del buf, tmp
         return cls(xi, sample.Omega, G.astype(np.float64, copy=False))
 
-    def start(self, state: AgentState) -> _GramState:
+    def start(self, state: AgentState) -> _Run:
+        """A run at y = 0 with the constants q0 and u = xi^T q0."""
         p = self.G.shape[0]
         u = np.zeros(p)
         for rows in row_blocks(self.xi):
             u += state.q[rows] @ self.xi[rows].astype(np.float64)
-        return _GramState(q0=state.q, u=u, q0_sq=float(state.q @ state.q), y=np.zeros(p),
-                          gy=np.zeros(p), lam=state.lam, t=state.t)
+        return _Run(np.zeros(p), np.zeros(p), state.lam, state.t, (state.q, u, *np.empty((2, p))))
 
-    def step(self, state: _GramState, params: GameParams,
-             moments: bool = True) -> tuple[_GramState, float, float]:
-        """One batch step in pattern space: the bids are
+    def window(self, run: _Run, params: GameParams, steps: int, record: bool = False):
+        """steps batch steps in pattern space, in place: the bids are
         A = a_e + Omega + (u + G y) / (sqrt(N) lambda), y moves by
         -(2/sqrt(N)) A, and N lambda^2 = |q0|^2 + 2 u.y + y.G y reuses G y,
-        the one p x p product of the step.  The bid moments are NaN unless
-        moments."""
-        a_e = params.external.value_at(state.t)
-        n = self.xi.shape[0]
-        sqrt_n = np.sqrt(n)
-        bids = a_e + self.Omega + (state.u + state.gy) / (sqrt_n * state.lam)
-        y = state.y - (2.0 / sqrt_n) * bids
-        gy = self.G @ y
-        lam_sq = (state.q0_sq + 2.0 * float(state.u @ y) + float(y @ gy)) / n
-        if not lam_sq > 0.0:
-            raise DegenerateStateError(f"all valuations vanished at t={state.t + 1}")
-        nxt = _GramState(state.q0, state.u, state.q0_sq, y, gy, float(np.sqrt(lam_sq)), state.t + 1)
-        return nxt, *_moments_of(bids, moments)
+        the one p x p product of the step."""
+        y, gy, lam, t, (q0, u, field, bids) = run.q, run.phi, run.lam, run.t, run.work
+        G, Omega, n, value_at = self.G, self.Omega, self.xi.shape[0], params.external.value_at
+        sqrt_n, q0_sq = math.sqrt(n), float(q0 @ q0)
+        rec = _Record(steps, y.shape[0]) if record else None
+        for k in range(steps):
+            np.add(u, gy, out=field)
+            field /= sqrt_n * lam
+            np.add(Omega, value_at(t), out=bids)
+            bids += field
+            y -= np.multiply(bids, 2.0 / sqrt_n, out=field)
+            np.matmul(G, y, out=gy)
+            lam_sq = (q0_sq + 2.0 * float(u @ y) + float(y @ gy)) / n
+            if not lam_sq > 0.0:
+                raise DegenerateStateError(f"all valuations vanished at t={t + 1}")
+            lam_next = math.sqrt(lam_sq)
+            if rec is not None:
+                rec.put(k, lam, float(bids.sum()), float(bids @ bids), y, lam_next)
+            lam, t = lam_next, t + 1
+        run.lam, run.t = lam, t
+        return rec
 
-    def valuations(self, states: list[_GramState]) -> np.ndarray:
-        """Rows q = q0 + xi y of the given states, taken over row blocks of xi."""
-        ys = np.array([s.y for s in states])
-        q = np.empty((len(states), self.xi.shape[0]))
+    def positions(self, run: _Run, rec: _Record) -> np.ndarray:
+        """The recorded positions (q0 + xi y) / lam, over row blocks of xi."""
+        phi = np.empty((rec.snaps.shape[0], self.xi.shape[0]))
         for rows in row_blocks(self.xi):
-            q[:, rows] = ys @ self.xi[rows].astype(np.float64).T
-        q += states[0].q0
-        return q
-
-    def positions(self, states: list[_GramState]) -> np.ndarray:
-        phi = self.valuations(states)
-        phi /= np.array([[s.lam] for s in states])
+            phi[:, rows] = rec.snaps @ self.xi[rows].astype(np.float64).T
+        phi += run.work[0]
+        phi /= rec.snap_lam[:, np.newaxis]
         return phi
 
 
@@ -313,7 +353,10 @@ def batch_step(state: AgentState, couplings: Couplings, params: GameParams) -> A
     """One coupling-based batch step followed by the spherical renormalization."""
     if couplings.n_agents != state.q.shape[0]:
         raise ContractError("state and couplings disagree on the number of agents")
-    return _Coupled.from_couplings(couplings).step(state, params)[0]
+    route = _Coupled.from_couplings(couplings)
+    run = route.start(state)
+    route.window(run, params, 1)
+    return AgentState(q=run.q, lam=run.lam, phi=run.phi, t=run.t)
 
 
 def measure_c0(phi_history: np.ndarray) -> float:
@@ -346,31 +389,22 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
     if sample.n_agents != params.n_agents:
         raise ContractError("sample size does not match params.n_agents")
     route = _route(sample, params.kappa)
-
-    state = route.start(init_state(params))
-    for _ in range(params.t_equilibrate):  # the window reads no bid moments
-        state = route.step(state, params, moments=False)[0]
-
+    run = route.start(init_state(params))
+    route.window(run, params, params.t_equilibrate)
     tau, p = params.t_measure, sample.n_patterns
-    snapshots = deque(maxlen=min(C0_SNAPSHOTS, tau))
-    lam_hist = np.empty(tau)
-    abar_hist = np.empty(tau)
+    rec = route.window(run, params, tau, record=True)
+    lam_hist = rec.lam  # lambda(t) entering each step's positions
     t_abs = np.arange(params.t_equilibrate, params.t_equilibrate + tau)
     sum_a = sum_a2 = 0.0
-    for k in range(tau):
-        lam_hist[k] = state.lam  # lambda(t) entering this step's positions
-        state, step_a, step_a2 = route.step(state, params)
+    for step_a, step_a2 in zip(rec.sum_a.tolist(), rec.sum_a2.tolist()):  # in time order
         sum_a += step_a
         sum_a2 += step_a2
-        abar_hist[k] = step_a / p
-        snapshots.append(state)
-    phi_hist = route.positions(list(snapshots))
 
     mean_a = sum_a / (tau * p)
     sigma2 = sum_a2 / (tau * p) - mean_a**2
     sigma = float(np.sqrt(max(sigma2, 0.0)))
     signs = np.where(t_abs % 2 == 0, 1.0, -1.0)
-    bid_staggered = float(np.mean(signs * abar_hist))
+    bid_staggered = float(np.mean(signs * (rec.sum_a / p)))
     sigma_fl = float(np.sqrt(max(sigma2 - bid_staggered**2, 0.0)))
 
     fit = fit_line(t_abs.astype(np.float64), lam_hist)
@@ -379,7 +413,7 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
         and lam_hist[-1] > FROZEN_GROWTH_FACTOR * lam_hist[0]
     )
     return RunObservables(
-        c0_hat=measure_c0(phi_hist),
+        c0_hat=measure_c0(route.positions(run, rec)),
         sigma=sigma,
         sigma_fl=sigma_fl,
         lambda_mean=float(lam_hist.mean()),

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from sphmg.core import _STREAM_DISORDER, ContractError, DisorderSample, GameParams, rng_stream
-from sphmg.kernels import KernelState
+from sphmg.kernels import KernelParams, KernelState
 from sphmg.simulator import AgentState
 
 
@@ -116,6 +116,52 @@ def memory_rows(G: np.ndarray, kappa: float, lam: np.ndarray) -> np.ndarray:
     ml[np.diag_indices_from(ml)] -= kappa
     ml /= lam[np.newaxis, :]
     return ml
+
+
+def reference_kernels(params: KernelParams) -> tuple[np.ndarray, ...]:
+    """C, G, lambda, Sigma and W by the seven-array recursion of the moments.
+
+    Every two-time array is held in full: K = <q q>, the noise source
+    D = 1 + C + 2 a_e a_e^T, Sigma = W D W^T, the unnormalized response g
+    and the cross moments L_t = sqrt(alpha) g Sigma_t, each row taken from
+    its defining product.
+    """
+    n = params.T + 1
+    alpha, kappa = params.alpha, params.kappa
+    sqrt_a = math.sqrt(alpha)
+    a_e = params.external.series(n)
+    C, G, Sig, W, K, D, g = (np.zeros((n, n)) for _ in range(7))
+    lam = np.zeros(n)
+    lam[0] = params.lambda0
+    K[0, 0] = params.lambda0**2
+    C[0, 0] = 1.0
+    W[0, 0] = 1.0
+    for t in range(n):
+        if t > 0:
+            W[t, :t] = -(G[t, :t] @ W[:t, :t])
+            W[t, t] = 1.0
+        D[t, : t + 1] = 1.0 + C[t, : t + 1] + 2.0 * a_e[t] * a_e[: t + 1]
+        D[: t + 1, t] = D[t, : t + 1]
+        Sig[t, : t + 1] = (W[t, : t + 1] @ D[: t + 1, : t + 1]) @ W[: t + 1, : t + 1].T
+        Sig[: t + 1, t] = Sig[t, : t + 1]
+        if t == params.T:
+            break
+        ml = W[t, : t + 1].copy()  # memory row M_t. / lambda
+        ml[t] -= kappa
+        ml /= lam[: t + 1]
+        g[t + 1, : t + 1] = g[t, : t + 1] - alpha * (ml @ g[: t + 1, : t + 1])
+        g[t + 1, t] += 1.0
+        L_t = sqrt_a * (g[: t + 2, : t + 1] @ Sig[t, : t + 1])
+        K[t + 1, : t + 1] = (
+            K[t, : t + 1] - alpha * (ml @ K[: t + 1, : t + 1]) + sqrt_a * L_t[: t + 1]
+        )
+        K[t + 1, t + 1] = K[t + 1, t] - alpha * (ml @ K[t + 1, : t + 1]) + sqrt_a * L_t[t + 1]
+        K[: t + 1, t + 1] = K[t + 1, : t + 1]
+        lam[t + 1] = math.sqrt(K[t + 1, t + 1])
+        C[t + 1, : t + 2] = K[t + 1, : t + 2] / (lam[t + 1] * lam[: t + 2])
+        C[: t + 2, t + 1] = C[t + 1, : t + 2]
+        G[t + 1, : t + 1] = g[t + 1, : t + 1] / lam[t + 1]
+    return C, G, lam, Sig, W
 
 
 def cross_moments_by_recursion(state: KernelState) -> np.ndarray:

@@ -263,6 +263,20 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_pool_modules():
+    # the pool is imported when a run fans out, so --workers 1 never pays for it
+    env = {**os.environ, "PYTHONPATH": str(Path(sphmg.__file__).resolve().parents[1])}
+    code = (
+        "import sphmg.cli, sys; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("agents = 64\nt-eq = 30\nt-meas: 32\nn_seeds 1\nalpha = 1.0\n# comment\n")

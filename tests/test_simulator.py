@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,8 +122,9 @@ def test_coupling_route_cancels_self_coupling_at_full_impact():
     assert isinstance(route, simulator._Coupled)
     assert route.d[0] == 6.0 and route.h[0] == 0.0
     p = GameParams(n_agents=1, alpha=3.0, kappa=1.0, seed=0)
-    new, _, _ = route.step(_state_from_q([0.7]), p)
-    assert new.q[0] == 0.7
+    run = route.start(_state_from_q([0.7]))
+    route.window(run, p, 1)
+    assert run.q[0] == 0.7
 
 
 def test_batch_step_trajectory_matches_per_pattern_oracle():
@@ -277,6 +279,12 @@ def _forced_route(monkeypatch, kind, sample, kappa):
         return simulator._route(sample, kappa)
 
 
+def _recorded_step(route, run, params):
+    """One recorded one-step window: its record and the step's bid moments."""
+    rec = route.window(run, params, 1, record=True)
+    return rec, rec.sum_a[0], rec.sum_a2[0]
+
+
 def _float64_coupled(sample, kappa=None):
     """The float64 coupling step over precompute_couplings, with the bias
     sums of the sample (kappa is unused: the signature of _route)."""
@@ -292,11 +300,11 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha, monkeypatch):
     coup = _float64_coupled(sample)
     patterns = _forced_route(monkeypatch, simulator._Patterns, sample, p.kappa)
     assert isinstance(coup, simulator._Coupled) and isinstance(patterns, simulator._Patterns)
-    a = b = init_state(p)
+    a, b = coup.start(init_state(p)), patterns.start(init_state(p))
     for _ in range(20):
         bids = market_bids(a, sample, p.external.value_at(a.t))
-        a, sum_a, sum_a2 = coup.step(a, p)
-        b, sum_b, sum_b2 = patterns.step(b, p)
+        _, sum_a, sum_a2 = _recorded_step(coup, a, p)
+        _, sum_b, sum_b2 = _recorded_step(patterns, b, p)
         # coupling-route moments are exact: compare with the float64 bids
         scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_a == pytest.approx(bids.sum(), abs=1e-12 * scale)
@@ -320,19 +328,20 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
     coup = _float64_coupled(sample)
     gram = _forced_route(monkeypatch, simulator._Gram, sample, 0.0)  # p = 0.7 N takes couplings
     assert isinstance(gram, simulator._Gram)
-    a = init_state(p)
-    g = gram.start(a)
+    q0 = init_state(p).q
+    a, g = coup.start(init_state(p)), gram.start(init_state(p))
     for _ in range(120):
-        a, sum_a, sum_a2 = coup.step(a, p)
-        g, sum_g, sum_g2 = gram.step(g, p)
+        _, sum_a, sum_a2 = _recorded_step(coup, a, p)
+        rec, sum_g, sum_g2 = _recorded_step(gram, g, p)
         assert g.t == a.t
         assert g.lam == pytest.approx(a.lam, rel=1e-12)
-        q = gram.valuations([g])[0]
+        q = q0 + sample.xi.astype(np.float64) @ g.q  # the run carries y as g.q
         assert np.allclose(q, a.q, rtol=0.0, atol=1e-12 * np.abs(a.q).max())
         scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_g == pytest.approx(sum_a, abs=1e-12 * scale)
         assert sum_g2 == pytest.approx(sum_a2, rel=1e-12)
-    assert np.allclose(gram.positions([g])[0], a.phi, rtol=0.0, atol=1e-12 * np.abs(a.phi).max())
+    assert np.allclose(gram.positions(g, rec)[0], a.phi, rtol=0.0,
+                       atol=1e-12 * np.abs(a.phi).max())
 
 
 def test_gram_route_run_matches_coupling_route(monkeypatch):
@@ -352,22 +361,34 @@ def test_gram_route_run_matches_coupling_route(monkeypatch):
                                                 (simulator._Patterns, 0.5, 0.25),
                                                 (simulator._Gram, 0.5, 0.0)])
 @pytest.mark.parametrize("zeta", [0, 1])
-def test_stepping_without_moments_keeps_the_trajectory(kind, alpha, kappa, zeta, monkeypatch):
-    # equilibration skips the bid moments; the states must not move by a bit
+def test_window_equals_one_step_windows(kind, alpha, kappa, zeta, monkeypatch):
+    # a window keeps its state in locals and scratch buffers between steps;
+    # stepping one window at a time, recorded or not, must not move a bit
     p = GameParams(n_agents=90, alpha=alpha, kappa=kappa, external=ExternalBid(zeta, 1.0), seed=6)
     route = _forced_route(monkeypatch, kind, generate_disorder(p), kappa)
     assert isinstance(route, kind)
-    a = b = route.start(init_state(p))
-    for _ in range(60):
-        a, sum_a, sum_a2 = route.step(a, p)
-        b, sum_b, sum_b2 = route.step(b, p, moments=False)
-        assert math.isfinite(sum_a) and math.isfinite(sum_a2)
-        assert math.isnan(sum_b) and math.isnan(sum_b2)
-        assert (b.t, b.lam) == (a.t, a.lam)
-    assert np.array_equal(route.positions([b]), route.positions([a]))
-    for name in ("q", "y", "gy"):
-        if hasattr(a, name):
-            assert np.array_equal(getattr(b, name), getattr(a, name)), name
+    whole, single, unrecorded = (route.start(init_state(p)) for _ in range(3))
+    rec = route.window(whole, p, 60, record=True)
+    route.window(unrecorded, p, 60)
+    steps = [route.window(single, p, 1, record=True) for _ in range(60)]
+    assert rec.snaps.shape[0] == 60
+    for name in ("lam", "sum_a", "sum_a2", "snaps", "snap_lam"):
+        stepped = np.concatenate([getattr(s, name) for s in steps])
+        assert np.array_equal(getattr(rec, name), stepped), name
+    for run in (single, unrecorded):
+        assert (run.t, run.lam) == (whole.t, whole.lam) == (60, rec.snap_lam[-1])
+        for name in ("q", "phi"):  # y and G y on the Gram route
+            assert np.array_equal(getattr(run, name), getattr(whole, name)), name
+
+
+def test_observables_are_plain_python_values():
+    for n_agents, alpha, kappa in [(60, 2.0, 0.25), (100, 0.5, 0.0), (100, 0.5, 0.25)]:
+        obs = run_experiment(GameParams(n_agents=n_agents, alpha=alpha, kappa=kappa, seed=3,
+                                        external=ExternalBid(1, 0.5), t_equilibrate=20,
+                                        t_measure=32))
+        for field in dataclasses.fields(obs):
+            want = bool if field.name == "frozen_flag" else float
+            assert type(getattr(obs, field.name)) is want, field.name
 
 
 def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
@@ -397,10 +418,10 @@ def test_float32_coupling_route_matches_float64_step(n_agents, alpha, kappa, zet
     X = xi @ xi.T
     assert np.array_equal(route.M + np.diag(np.diagonal(X)), X)
     exact = _float64_coupled(sample)
-    a = b = init_state(p)
+    a, b = exact.start(init_state(p)), route.start(init_state(p))
     for _ in range(120):
-        a, sum_a, sum_a2 = exact.step(a, p)
-        b, sum_b, sum_b2 = route.step(b, p)
+        _, sum_a, sum_a2 = _recorded_step(exact, a, p)
+        _, sum_b, sum_b2 = _recorded_step(route, b, p)
         assert b.t == a.t
         assert np.allclose(b.q, a.q, rtol=0.0, atol=1e-5 * np.abs(a.q).max())
         assert b.lam == pytest.approx(a.lam, rel=1e-5)
