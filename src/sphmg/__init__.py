@@ -33,11 +33,9 @@ from .kernels import (
     iterate_kernels,
 )
 from .simulator import (
-    AgentState,
     RunObservables,
     batch_step,
     init_state,
-    measure_c0,
     run_experiment,
 )
 from .theory import (
@@ -56,7 +54,6 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "ContractError",
     "Couplings",
     "DegenerateStateError",
@@ -83,7 +80,6 @@ __all__ = [
     "generate_disorder",
     "init_state",
     "iterate_kernels",
-    "measure_c0",
     "precompute_couplings",
     "run_experiment",
     "stationary_residuals",

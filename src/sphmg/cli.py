@@ -29,9 +29,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .core import ContractError, ExternalBid, GameParams
-from .kernels import KernelParams, extract_stationary, iterate_kernels
+from .kernels import KernelParams, KernelTail, extract_stationary, iterate_kernels
 from .simulator import RunObservables, run_experiment
-from .theory import Phase, alpha_c1, alpha_c2, classify_phase, stationary_solution
+from .theory import alpha_c1, alpha_c2, classify_phase, stationary_solution
 
 SWEEPABLE = ("alpha", "kappa", "A_tilde")
 ENGINES = ("theory", "simulate", "kernels")
@@ -69,52 +69,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(self.prog + ": error: " + message) from None
-
-
-@dataclass(frozen=True)
-class SweepAxis:
-    name: str
-    lo: float
-    hi: float
-    count: int
-    log: bool = False
-
-    def values(self) -> np.ndarray:
-        if self.count < 1:
-            raise ContractError("axis count must be >= 1")
-        if self.lo > self.hi:
-            raise ContractError(f"axis {self.name}: min {self.lo} > max {self.hi}")
-        if self.count == 1:
-            return np.array([self.lo])
-        if self.log:
-            if self.lo <= 0:
-                raise ContractError("log axis needs a positive minimum")
-            return np.geomspace(self.lo, self.hi, self.count)
-        return np.linspace(self.lo, self.hi, self.count)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid definition plus everything needed to run each engine on it."""
-
-    axes: tuple[SweepAxis, ...]
-    fixed: dict
-    engines: tuple[str, ...]
-    seeds: tuple[int, ...]
-    n_agents: int
-    t_equilibrate: int
-    t_measure: int
-    init_scale: float
-    kernel_T: int
-    lambda0: float
-    tail_fraction: float
-    workers: int
-
-    def grid(self) -> list[dict]:
-        base = {k: self.fixed[k] for k in ("alpha", "kappa", "A_tilde", "zeta")}
-        names = [a.name for a in self.axes]
-        return [{**base, **dict(zip(names, map(float, values)))}
-                for values in itertools.product(*(a.values() for a in self.axes))]
 
 
 @dataclass
@@ -174,22 +128,14 @@ def _fmt_cell(x) -> str:
     return format(float(x), ".12g")
 
 
-def write_csv(path, columns, rows, timestamp=True) -> str:
-    lines = []
-    if timestamp:
-        lines.append("# generated " + datetime.now(timezone.utc).isoformat())
-    lines.append(",".join(columns))
-    for r in rows:
-        lines.append(",".join(_fmt_cell(r[c]) for c in columns))
-    text = "\n".join(lines) + "\n"
-    _emit(path, text)
-    return text
+def write_csv(path, columns, rows) -> None:
+    lines = ["# generated " + datetime.now(timezone.utc).isoformat(), ",".join(columns)]
+    lines += [",".join(_fmt_cell(r[c]) for c in columns) for r in rows]
+    _emit(path, "\n".join(lines) + "\n")
 
 
-def write_json(path, rows) -> str:
-    text = json.dumps(rows, indent=1, allow_nan=False) + "\n"
-    _emit(path, text)
-    return text
+def write_json(path, rows) -> None:
+    _emit(path, json.dumps(rows, indent=1, allow_nan=False) + "\n")
 
 
 def _emit(path, text) -> None:
@@ -214,7 +160,6 @@ def _json_safe(x):
 def _theory_cells(pt: dict) -> dict:
     sol = stationary_solution(pt["alpha"], pt["kappa"], pt["A_tilde"], pt["zeta"])
     return {
-        "phase": str(sol.phase),
         "c0_theory": _finite_or_none(sol.c0),
         "sigma_theory": _finite_or_none(sol.sigma),
         "sigma_fl_theory": _finite_or_none(sol.sigma_fl),
@@ -228,15 +173,15 @@ def _theory_cells(pt: dict) -> dict:
     }
 
 
-def _game_params(pt: dict, spec: SweepSpec, seed: int) -> GameParams:
+def _game_params(pt: dict, opts: dict, seed: int) -> GameParams:
     return GameParams(
-        n_agents=spec.n_agents,
+        n_agents=opts["agents"],
         alpha=pt["alpha"],
         kappa=pt["kappa"],
         external=ExternalBid(zeta=pt["zeta"], amplitude=pt["A_tilde"]),
-        init_scale=spec.init_scale,
-        t_equilibrate=spec.t_equilibrate,
-        t_measure=spec.t_measure,
+        init_scale=opts["init_scale"],
+        t_equilibrate=opts["t_eq"],
+        t_measure=opts["t_meas"],
         seed=seed,
     )
 
@@ -257,25 +202,6 @@ def _sim_cells(results: list[RunObservables]) -> dict:
         "Lambda_sim": float(mean["lambda_slope"]),
         "bid_mean_sim": float(mean["bid_mean"]),
         "bid_staggered_sim": float(mean["bid_staggered"]),
-    }
-
-
-def _kernel_cells(pt: dict, spec: SweepSpec) -> dict:
-    state = iterate_kernels(
-        KernelParams(
-            alpha=pt["alpha"],
-            kappa=pt["kappa"],
-            external=ExternalBid(zeta=pt["zeta"], amplitude=pt["A_tilde"]),
-            lambda0=spec.lambda0,
-            T=spec.kernel_T,
-        )
-    )
-    tail = extract_stationary(state, spec.tail_fraction)
-    return {
-        "c0_kernel": tail.c0,
-        "_kernel_lam": tail.lam,
-        "_kernel_Lambda": tail.Lambda,
-        "_kernel_sigma_fl": tail.sigma_fl,
     }
 
 
@@ -309,70 +235,74 @@ def _pool_map(fn, items: list, workers: int) -> list:
                 os.environ[k] = v
 
 
-def run_sweep(spec: SweepSpec) -> tuple[list[ResultRow], list[dict], int]:
-    """Run the engines on every grid point: (rows, kernel tail extras, n_failed).
+def _row(pt: dict, opts: dict, seed_count: int | None) -> ResultRow:
+    """The row of one grid point before any engine runs; raises on a bad point.
 
+    seed_count is None when the simulator does not run.
+    """
+    phase = str(classify_phase(pt["alpha"], pt["kappa"], pt["A_tilde"], pt["zeta"]))
+    sim = seed_count is not None
+    return ResultRow(
+        alpha=pt["alpha"],
+        kappa=pt["kappa"],
+        A_tilde=pt["A_tilde"],
+        zeta=int(pt["zeta"]),
+        realized_alpha=GameParams(n_agents=opts["agents"], alpha=pt["alpha"]).realized_alpha,
+        phase=phase,
+        n_agents=opts["agents"] if sim else None,
+        t_equilibrate=opts["t_eq"] if sim else None,
+        t_measure=opts["t_meas"] if sim else None,
+        seed_count=seed_count,
+    )
+
+
+def run_sweep(
+    opts: dict, engines: tuple[str, ...]
+) -> tuple[list[ResultRow], list[KernelTail | None], int]:
+    """Run the engines on every grid point: (rows, kernel tail or None per row, n_failed).
+
+    Every row is built, and so every point checked, before any task starts.
     Simulation seeds and kernel points form one task list, which fans out
     over a process pool when workers > 1; rows are assembled in grid order
     regardless of completion order.  A failing engine at a point leaves its
     cells empty and the sweep continues.
     """
-    points = spec.grid()
-    n_seeds = len(spec.seeds)
-    sim_tasks = [(_sim_task_safe, (pt, spec, seed)) for pt in points for seed in spec.seeds
-                 if "simulate" in spec.engines]
-    kernel_tasks = [(_kernel_task_safe, (pt, spec)) for pt in points
-                    if "kernels" in spec.engines]
+    points = _grid(opts)
+    seeds = _seeds(opts)
+    sim = "simulate" in engines
+    rows = [_row(pt, opts, len(seeds) if sim else None) for pt in points]
+    sim_tasks = [(_sim_task, (pt, opts, seed)) for pt in points for seed in seeds if sim]
+    kernel_tasks = [(_kernel_task, (pt, opts)) for pt in points if "kernels" in engines]
     tasks = sim_tasks + kernel_tasks
-    if spec.workers > 1 and len(tasks) > 1:
-        outcomes = _pool_map(_run_task, tasks, spec.workers)
+    if opts["workers"] > 1 and len(tasks) > 1:
+        outcomes = _pool_map(_run_task, tasks, opts["workers"])
     else:
         outcomes = [_run_task(t) for t in tasks]
-    sim_outcomes, kernel_outcomes = outcomes[:len(sim_tasks)], outcomes[len(sim_tasks):]
+    runs, tails = outcomes[:len(sim_tasks)], outcomes[len(sim_tasks):] or [None] * len(points)
 
     failures = 0
-    rows: list[ResultRow] = []
-    kernel_extra: list[dict] = []
-    for i, pt in enumerate(points):
-        row = ResultRow(
-            alpha=pt["alpha"],
-            kappa=pt["kappa"],
-            A_tilde=pt["A_tilde"],
-            zeta=int(pt["zeta"]),
-            realized_alpha=max(1, round(pt["alpha"] * spec.n_agents)) / spec.n_agents,
-            phase=None,
-            n_agents=spec.n_agents if "simulate" in spec.engines else None,
-            t_equilibrate=spec.t_equilibrate if "simulate" in spec.engines else None,
-            t_measure=spec.t_measure if "simulate" in spec.engines else None,
-            seed_count=len(spec.seeds) if "simulate" in spec.engines else None,
-        )
-        row.phase = str(classify_phase(pt["alpha"], pt["kappa"], pt["A_tilde"], pt["zeta"]))
-        extra = {}
-        if "theory" in spec.engines:
+    n = len(seeds)
+    for i, (pt, row) in enumerate(zip(points, rows)):
+        if "theory" in engines:
             try:
                 _apply(row, _theory_cells(pt))
             except Exception as exc:  # keep sweeping, mark the point
                 failures += 1
                 print(f"[theory] point {pt} failed: {exc}", file=sys.stderr)
-        if "simulate" in spec.engines:
-            outs = [o for o in sim_outcomes[i * n_seeds:(i + 1) * n_seeds] if o is not None]
-            if len(outs) < n_seeds:
+        if sim:
+            outs = [o for o in runs[i * n:(i + 1) * n] if o is not None]
+            if len(outs) < n:
                 failures += 1
-                print(f"[simulate] {n_seeds - len(outs)} seed(s) failed at {pt}", file=sys.stderr)
+                print(f"[simulate] {n - len(outs)} seed(s) failed at {pt}", file=sys.stderr)
             if outs:
                 _apply(row, _sim_cells(outs))
-        if "kernels" in spec.engines:
-            cells = kernel_outcomes[i]
-            if isinstance(cells, str):
-                failures += 1
-                print(f"[kernels] point {pt} failed: {cells}", file=sys.stderr)
-            else:
-                extra = {k: v for k, v in cells.items() if k.startswith("_")}
-                _apply(row, {k: v for k, v in cells.items() if not k.startswith("_")})
-        rows.append(row)
-        kernel_extra.append(extra)
-
-    return rows, kernel_extra, failures
+        if isinstance(tails[i], str):
+            failures += 1
+            print(f"[kernels] point {pt} failed: {tails[i]}", file=sys.stderr)
+            tails[i] = None
+        elif tails[i] is not None:
+            row.c0_kernel = tails[i].c0
+    return rows, tails, failures
 
 
 def _run_task(task):
@@ -380,20 +310,29 @@ def _run_task(task):
     return fn(args)
 
 
-def _sim_task_safe(task) -> RunObservables | None:
-    pt, spec, seed = task
+def _sim_task(task) -> RunObservables | None:
+    pt, opts, seed = task
     try:
-        return run_experiment(_game_params(pt, spec, seed))
+        return run_experiment(_game_params(pt, opts, seed))
     except Exception as exc:
         print(f"[simulate] point {pt} seed {seed} failed: {exc}", file=sys.stderr)
         return None
 
 
-def _kernel_task_safe(task) -> dict | str:
-    """The kernel cells of one point, or the failure message."""
-    pt, spec = task
+def _kernel_task(task) -> KernelTail | str:
+    """The tail estimates of one point, or the failure message."""
+    pt, opts = task
     try:
-        return _kernel_cells(pt, spec)
+        state = iterate_kernels(
+            KernelParams(
+                alpha=pt["alpha"],
+                kappa=pt["kappa"],
+                external=ExternalBid(zeta=pt["zeta"], amplitude=pt["A_tilde"]),
+                lambda0=opts["lambda0"],
+                T=opts["T"],
+            )
+        )
+        return extract_stationary(state, opts["tail"])
     except Exception as exc:
         return str(exc)
 
@@ -407,7 +346,7 @@ def _apply(row: ResultRow, cells: dict) -> None:
 ZERO_REFERENCE = 1e-12
 
 
-def compare_summary(rows: list[ResultRow], kernel_extra: list[dict]) -> list[str]:
+def compare_summary(rows: list[ResultRow], tails: list[KernelTail | None]) -> list[str]:
     """Max deviation per observable between engines on F/O points.
 
     The deviation is relative to the reference, except where the reference
@@ -415,6 +354,7 @@ def compare_summary(rows: list[ResultRow], kernel_extra: list[dict]) -> list[str
     the absolute deviation.
     """
     active = [r for r in rows if r.phase in ("F", "O")]
+    kernel = [(r, t) for r, t in zip(rows, tails) if t is not None and r.phase in ("F", "O")]
     checks = [
         ("c0: sim vs theory", [(r.c0_sim, r.c0_theory) for r in active]),
         ("c0: kernels vs theory", [(r.c0_kernel, r.c0_theory) for r in active]),
@@ -427,21 +367,10 @@ def compare_summary(rows: list[ResultRow], kernel_extra: list[dict]) -> list[str
             "Lambda: sim vs theory (F phase)",
             [(r.Lambda_sim, r.Lambda_theory) for r in active if r.phase == "F"],
         ),
-        (
-            "sigma_fl: kernels vs theory",
-            [
-                (x.get("_kernel_sigma_fl"), r.sigma_fl_theory)
-                for r, x in zip(rows, kernel_extra)
-                if r.phase in ("F", "O")
-            ],
-        ),
+        ("sigma_fl: kernels vs theory", [(t.sigma_fl, r.sigma_fl_theory) for r, t in kernel]),
         (
             "lambda: kernels vs theory (O phase)",
-            [
-                (x.get("_kernel_lam"), r.lambda_theory)
-                for r, x in zip(rows, kernel_extra)
-                if r.phase == "O"
-            ],
+            [(t.lam, r.lambda_theory) for r, t in kernel if r.phase == "O"],
         ),
     ]
     lines = []
@@ -461,19 +390,52 @@ def compare_summary(rows: list[ResultRow], kernel_extra: list[dict]) -> list[str
 # ----------------------------------------------------------------------------
 
 
-def _parse_axis(text: str) -> SweepAxis:
+def _parse_axis(text: str) -> tuple[str, np.ndarray]:
+    """(name, values) of an axis spec name:min:max:count[:lin|log]."""
     parts = text.split(":")
     if len(parts) not in (4, 5):
         raise ContractError(f"axis spec must be name:min:max:count[:log], got {text!r}")
     name = parts[0]
     if name not in SWEEPABLE:
         raise ContractError(f"sweep axis must be one of {SWEEPABLE}, got {name!r}")
-    log = False
-    if len(parts) == 5:
-        if parts[4] not in ("log", "lin"):
-            raise ContractError(f"axis spacing must be 'lin' or 'log', got {parts[4]!r}")
-        log = parts[4] == "log"
-    return SweepAxis(name=name, lo=float(parts[1]), hi=float(parts[2]), count=int(parts[3]), log=log)
+    if parts[4:] not in ([], ["lin"], ["log"]):
+        raise ContractError(f"axis spacing must be 'lin' or 'log', got {parts[4]!r}")
+    lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+    if count < 1:
+        raise ContractError("axis count must be >= 1")
+    if lo > hi:
+        raise ContractError(f"axis {name}: min {lo} > max {hi}")
+    if count == 1:
+        return name, np.array([lo])
+    if parts[4:] == ["log"]:
+        if lo <= 0:
+            raise ContractError("log axis needs a positive minimum")
+        return name, np.geomspace(lo, hi, count)
+    return name, np.linspace(lo, hi, count)
+
+
+def _grid(opts: dict) -> list[dict]:
+    """The grid points, the swept axes overriding the fixed values."""
+    axes = [_parse_axis(opts[key]) for key in ("sweep", "sweep2") if opts[key]]
+    names = [name for name, _ in axes]
+    if len(names) == 2 and names[0] == names[1]:
+        raise ContractError(f"--sweep and --sweep2 both sweep {names[0]}")
+    if opts["alpha"] is None and "alpha" not in names:
+        raise ContractError("--alpha is required unless alpha is a sweep axis")
+    base = {"alpha": opts["alpha"], "kappa": opts["kappa"], "A_tilde": opts["A"],
+            "zeta": opts["zeta"]}
+    return [{**base, **dict(zip(names, map(float, values)))}
+            for values in itertools.product(*(values for _, values in axes))]
+
+
+def _seeds(opts: dict) -> list[int]:
+    if opts["seeds"]:
+        seeds = [int(s) for s in opts["seeds"].split(",") if s.strip()]
+    else:
+        seeds = [opts["seed"] + i for i in range(opts["n_seeds"])]
+    if not seeds:
+        raise ContractError("need at least one seed")
+    return seeds
 
 
 def load_config(path: str) -> dict:
@@ -535,43 +497,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _spec_from(merged: dict, engines: tuple[str, ...]) -> SweepSpec:
-    axes = tuple(_parse_axis(merged[key]) for key in ("sweep", "sweep2") if merged[key])
-    if len(axes) == 2 and axes[0].name == axes[1].name:
-        raise ContractError(f"--sweep and --sweep2 both sweep {axes[0].name}")
-    if merged["seeds"]:
-        seeds = tuple(int(s) for s in merged["seeds"].split(",") if s.strip())
-    else:
-        seeds = tuple(merged["seed"] + i for i in range(merged["n_seeds"]))
-    if not seeds:
-        raise ContractError("need at least one seed")
-    swept = {a.name for a in axes}
-    fixed = {
-        "alpha": merged["alpha"],
-        "kappa": merged["kappa"],
-        "A_tilde": merged["A"],
-        "zeta": merged["zeta"],
-    }
-    if "alpha" not in swept and fixed["alpha"] is None:
-        raise ContractError("--alpha is required unless alpha is a sweep axis")
-    if fixed["alpha"] is None:
-        fixed["alpha"] = 1.0  # placeholder, replaced by the axis value
-    return SweepSpec(
-        axes=axes,
-        fixed=fixed,
-        engines=engines,
-        seeds=seeds,
-        n_agents=merged["agents"],
-        t_equilibrate=merged["t_eq"],
-        t_measure=merged["t_meas"],
-        init_scale=merged["init_scale"],
-        kernel_T=merged["T"],
-        lambda0=merged["lambda0"],
-        tail_fraction=merged["tail"],
-        workers=merged["workers"],
-    )
-
-
 def _rows_out(rows: list[ResultRow], merged: dict) -> None:
     dicts = [{c: getattr(r, c) for c in RESULT_COLUMNS} for r in rows]
     if merged["format"] == "json":
@@ -585,28 +510,11 @@ def cmd_theory(merged: dict) -> int:
         raise ContractError("theory requires --alpha")
     a, k, A, z = merged["alpha"], merged["kappa"], merged["A"], merged["zeta"]
     sol = stationary_solution(a, k, A, z)
-    payload = {
-        "alpha": a,
-        "kappa": k,
-        "A_tilde": A,
-        "zeta": z,
-        "alpha_c1": alpha_c1(A, z),
-        "alpha_c2": alpha_c2(A, k, z),
-        "phase": str(sol.phase),
-        "chi": sol.chi,
-        "chi_hat": sol.chi_hat,
-        "chi_hat_minus": sol.chi_hat_minus,
-        "c0": sol.c0,
-        "lambda": sol.lam,
-        "Lambda": sol.Lambda,
-        "gamma": sol.gamma,
-        "psi0": sol.psi0,
-        "psi1": sol.psi1,
-        "sigma_fl": sol.sigma_fl,
-        "sigma": sol.sigma,
-        "bid_mean": sol.bid_mean,
-        "bid_staggered": sol.bid_staggered,
-    }
+    payload = {"alpha": a, "kappa": k, "A_tilde": A, "zeta": z,
+               "alpha_c1": alpha_c1(A, z), "alpha_c2": alpha_c2(A, k, z)}
+    for f in fields(sol):
+        payload["lambda" if f.name == "lam" else f.name] = getattr(sol, f.name)
+    payload["phase"] = str(sol.phase)
     if merged["format"] == "json":
         write_json(merged["out"], {k: _json_safe(v) for k, v in payload.items()})
     else:
@@ -627,38 +535,30 @@ def cmd_theory(merged: dict) -> int:
 def cmd_phase_diagram(merged: dict) -> int:
     if not merged["sweep"]:
         raise ContractError("phase-diagram requires --sweep over kappa or A_tilde")
-    axis = _parse_axis(merged["sweep"])
-    if axis.name not in ("kappa", "A_tilde"):
+    name, values = _parse_axis(merged["sweep"])
+    if name not in ("kappa", "A_tilde"):
         raise ContractError("phase-diagram sweeps kappa or A_tilde")
     if merged["sweep2"]:
         raise ContractError("phase-diagram takes a single sweep axis")
     z = merged["zeta"]
     rows = []
-    for v in axis.values():
-        kappa = float(v) if axis.name == "kappa" else merged["kappa"]
-        A = float(v) if axis.name == "A_tilde" else merged["A"]
-        a2 = alpha_c2(A, kappa, z)
-        rows.append(
-            {
-                axis.name: float(v),
-                "alpha_c1": alpha_c1(A, z),
-                "alpha_c2": a2 if math.isfinite(a2) else math.inf,
-            }
-        )
-    columns = [axis.name, "alpha_c1", "alpha_c2"]
+    for v in map(float, values):
+        kappa = v if name == "kappa" else merged["kappa"]
+        A = v if name == "A_tilde" else merged["A"]
+        rows.append({name: v, "alpha_c1": alpha_c1(A, z), "alpha_c2": alpha_c2(A, kappa, z)})
     if merged["format"] == "json":
         write_json(merged["out"], [{k: _json_safe(v) for k, v in r.items()} for r in rows])
     else:
-        write_csv(merged["out"], columns, rows)  # alpha_c2 = inf at kappa = 1 prints "inf"
+        # alpha_c2 = inf at kappa = 1 prints "inf"
+        write_csv(merged["out"], [name, "alpha_c1", "alpha_c2"], rows)
     return 0
 
 
 def _cmd_rows(merged: dict, engines: tuple[str, ...]) -> int:
-    spec = _spec_from(merged, engines)
-    rows, kernel_extra, failures = run_sweep(spec)
+    rows, tails, failures = run_sweep(merged, engines)
     _rows_out(rows, merged)
     if len(engines) > 1:
-        for line in compare_summary(rows, kernel_extra):
+        for line in compare_summary(rows, tails):
             print(line, file=sys.stderr)
     return 2 if failures else 0
 

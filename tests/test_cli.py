@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sphmg
+from sphmg import cli
 from sphmg.cli import _OPTIONS, RESULT_COLUMNS, _pool_map, _resolve, build_parser, main
 
 
@@ -65,6 +66,21 @@ def test_theory_oscillating_point_json(capsys):
     assert payload["phase"] == "O"
     assert payload["c0"] == pytest.approx(1 / 3, abs=1e-5)
     assert payload["chi_hat_minus"] == pytest.approx(1.0)
+
+
+THEORY_KEYS = [
+    "alpha", "kappa", "A_tilde", "zeta", "alpha_c1", "alpha_c2", "phase", "chi", "chi_hat",
+    "chi_hat_minus", "c0", "lambda", "Lambda", "gamma", "psi0", "psi1", "sigma_fl", "sigma",
+    "bid_mean", "bid_staggered",
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_theory_key_order(fmt, capsys):
+    code, out, _ = run_cli(capsys, "theory", "--alpha", "1", "--format", fmt)
+    assert code == 0
+    keys = list(json.loads(out)) if fmt == "json" else [l.split()[0] for l in out.splitlines()]
+    assert keys == THEORY_KEYS
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +359,35 @@ def test_argument_errors_exit_one(capsys):
     assert run_cli(capsys, "simulate", "--zeta", "3", "--alpha", "1")[0] == 1
     assert run_cli(capsys, "compare", "--alpha", "1", "--engines", "theory,banana")[0] == 1
     assert run_cli(capsys, "simulate")[0] == 1  # alpha missing
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "1", "--agents", "0"], ["--alpha", "inf"]],
+                         ids=["no-agents", "infinite-alpha"])
+def test_bad_point_exits_one_without_traceback(argv, capsys):
+    code, out, err = run_cli(capsys, "kernels", *argv, "--T", "60")
+    assert code == 1 and out == "" and err.startswith("sphmg: error: ")
+
+
+def test_every_point_checked_before_any_task(monkeypatch, capsys):
+    def task_ran(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(cli, "run_experiment", task_ran)
+    monkeypatch.setattr(cli, "iterate_kernels", task_ran)
+    code, out, err = run_cli(capsys, "compare", "--sweep", "alpha:0:4:3", "--agents", "200",
+                             "--n-seeds", "2", "--T", "100")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sphmg: error: alpha must be finite and > 0, got 0.0"]
+
+
+def test_compare_keeps_rows_when_every_kernel_point_fails(capsys):
+    code, out, err = run_cli(capsys, "compare", "--engines", "theory,kernels",
+                             "--sweep", "alpha:2.5:3:2", "--T", "4")
+    assert code == 2
+    _, rows = parse_csv(out)
+    assert [r["alpha"] for r in rows] == ["2.5", "3"]
+    assert [r["c0_kernel"] for r in rows] == ["", ""] and rows[0]["c0_theory"] != ""
+    assert not [l for l in err.splitlines() if "kernels vs theory" in l]
 
 
 def test_partial_failure_exit_two(capsys):

@@ -13,13 +13,12 @@ from sphmg import (
     frozen_solution,
     generate_disorder,
     init_state,
-    measure_c0,
     precompute_couplings,
     run_experiment,
     stationary_solution,
 )
 from sphmg import core, simulator
-from sphmg.simulator import AgentState
+from sphmg.simulator import AgentState, measure_c0
 from oracles import (
     brute_force_bids,
     brute_force_step,
