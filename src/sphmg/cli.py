@@ -187,17 +187,19 @@ def _game_params(pt: dict, opts: dict, seed: int) -> GameParams:
 
 
 def _sim_cells(results: list[RunObservables]) -> dict:
-    """Seed means of the observables, with standard errors for c0 and sigma."""
+    """Seed means of the observables, with standard errors for c0 and sigma;
+    one seed leaves the errors unknown (None), not 0."""
     names = ("c0_hat", "sigma", "lambda_mean", "lambda_slope", "bid_mean", "bid_staggered")
     arr = np.array([[getattr(r, f) for f in names] for r in results], dtype=np.float64)
     n = arr.shape[0]
     mean = dict(zip(names, arr.mean(axis=0)))
-    err = dict(zip(names, arr.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(names))))
+    se = (arr.std(axis=0, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [None] * len(names)
+    err = dict(zip(names, se))
     return {
         "c0_sim": float(mean["c0_hat"]),
-        "c0_sim_err": float(err["c0_hat"]),
+        "c0_sim_err": err["c0_hat"],
         "sigma_sim": float(mean["sigma"]),
-        "sigma_sim_err": float(err["sigma"]),
+        "sigma_sim_err": err["sigma"],
         "lambda_sim": float(mean["lambda_mean"]),
         "Lambda_sim": float(mean["lambda_slope"]),
         "bid_mean_sim": float(mean["bid_mean"]),

@@ -4,8 +4,9 @@ One batch step maps the valuation vector q(t) through
 
     q_i(t+1) = q_i(t) - b_i A_e(t) - h_i - sum_j J_ij phi_j(t) + kappa d_i phi_i(t)
 
-followed by the spherical renormalization lambda(t+1) = sqrt(mean q^2) and
-phi = q / lambda.  This is the exact regrouping of the per-pattern form
+with phi = q / lambda, followed by the spherical renormalization
+lambda(t+1) = sqrt(mean q(t+1)^2); batch_step is this formula in float64 over
+the compiled Couplings.  It is the exact regrouping of the per-pattern form
 
     q_i(t+1) = q_i(t) - (2/sqrt(N)) sum_mu xi_i^mu [A^mu(t) - (kappa/sqrt(N)) phi_i(t) xi_i^mu]
     A^mu(t)  = A_e(t) + Omega_mu + N^(-1/2) sum_j phi_j(t) xi_j^mu
@@ -14,11 +15,11 @@ so the coupling route and the per-pattern route agree to accumulation noise.
 At kappa = 0 every update is q(t+1) = q(t) - (2/sqrt(N)) xi A(t), so q(t)
 stays in q(0) + span(xi): the Gram route carries q(t) = q(0) + xi y(t) with a
 p-vector y and takes a step through the exact p x p Gram matrix xi^T xi.
-run_experiment integrates an equilibration and a measurement window on one
-route, each a loop that updates the run's state in place.  The measurement
-window also records lambda(t), the bid moments sum_mu A^mu(t) and
-sum_mu A^mu(t)^2 and the last positions, which reduce to the stationary
-observables.
+run_experiment runs an equilibration and a measurement window of the one step
+loop, _window, on one of the three routes; a route holds only the arithmetic
+of its step, which updates the run in place.  The measurement window also
+records lambda(t), the bid moments sum_mu A^mu(t) and sum_mu A^mu(t)^2 and the
+last valuations, whose positions reduce to the stationary observables.
 """
 
 from __future__ import annotations
@@ -109,12 +110,11 @@ def _route(sample: DisorderSample, kappa: float) -> _Coupled | _Patterns | _Gram
 
 @dataclass(eq=False)
 class _Run:
-    """One run's state, advanced in place by a route's windows: q and
-    phi = q / lam (y and G y on the Gram route), lam, t, and the route's
-    constants and scratch buffers, allocated once per run."""
+    """One run's state, advanced in place by _window: q (y on the Gram
+    route), lam, t, and the route's constants and scratch buffers,
+    allocated once per run."""
 
     q: np.ndarray
-    phi: np.ndarray
     lam: float
     t: int
     work: tuple
@@ -123,106 +123,97 @@ class _Run:
 class _Record:
     """What a recorded window writes at its step k: lam(t) entering the step,
     the bid moments sum_mu A^mu(t) and sum_mu A^mu(t)^2, and over the last
-    C0_SNAPSHOTS steps the positions (y on the Gram route) and lam after it."""
+    C0_SNAPSHOTS steps the run's q (y on the Gram route) and lam after it."""
 
     def __init__(self, steps: int, width: int) -> None:
         self.lam, self.sum_a, self.sum_a2 = np.empty((3, steps))
         self.snaps = np.empty((min(C0_SNAPSHOTS, steps), width))
         self.snap_lam = np.empty(self.snaps.shape[0])
 
-    def put(self, k: int, lam: float, sum_a: float, sum_a2: float, vec: np.ndarray,
-            lam_next: float) -> None:
-        self.lam[k], self.sum_a[k], self.sum_a2[k] = lam, sum_a, sum_a2
-        j = k - self.lam.shape[0] + self.snaps.shape[0]
-        if j >= 0:
-            self.snaps[j], self.snap_lam[j] = vec, lam_next
+
+def _renormalized(lam_sq: float, t: int) -> float:
+    """lambda(t) from lambda(t)^2 = mean_i q_i(t)^2."""
+    if not lam_sq > 0.0:
+        raise DegenerateStateError(f"all valuations vanished at t={t}")
+    return math.sqrt(lam_sq)
 
 
-def _bias_sums(sample: DisorderSample) -> tuple[int, float, float]:
-    Omega = sample.Omega
-    return Omega.size, float(Omega.sum()), float(Omega @ Omega)
+def _window(route: _Coupled | _Patterns | _Gram, run: _Run, params: GameParams, steps: int,
+            record: bool = False) -> _Record | None:
+    """steps batch steps of route, in place on run; with record, the _Record
+    of the window."""
+    lam, t, kappa, value_at = run.lam, run.t, params.kappa, params.external.value_at
+    rec = _Record(steps, run.q.shape[0]) if record else None
+    for k in range(steps):
+        lam_sq, sum_a, sum_a2 = route.step(run, lam, value_at(t), kappa, record)
+        lam_next = _renormalized(lam_sq, t + 1)
+        if rec is not None:
+            rec.lam[k], rec.sum_a[k], rec.sum_a2[k] = lam, sum_a, sum_a2
+            j = k - steps + rec.snaps.shape[0]
+            if j >= 0:
+                rec.snaps[j], rec.snap_lam[j] = run.q, lam_next
+        lam, t = lam_next, t + 1
+    run.lam, run.t = lam, t
+    return rec
+
+
+def _positions(route: _Coupled | _Patterns | _Gram, run: _Run, rec: _Record) -> np.ndarray:
+    """The recorded positions phi = q / lam, divided in place; q = q0 + xi y on the Gram route."""
+    q = route.lift(run, rec.snaps) if isinstance(route, _Gram) else rec.snaps
+    return np.divide(q, rec.snap_lam[:, np.newaxis], out=q)
 
 
 @dataclass(frozen=True)
 class _Coupled:
-    """What the coupling route reads: the couplings J = scale M + diag(d),
-    split into a matrix M with zero diagonal and the self-couplings d, the
-    fields h and b, and the pattern-bias sums p, sum_mu Omega_mu and
-    sum_mu Omega_mu^2 of the bid moments.
-
-    run_experiment's route holds M as the exact integer matrix xi xi^T off its
-    diagonal, in float32 (4N^2 bytes per step), with scale 2/N; batch_step
-    holds the float64 J of Couplings off its diagonal, with scale 1.  The
-    self-coupling stays in float64, so the kappa = 1 self-impact cancels
-    exactly on both.
-    """
+    """What the coupling route reads: J = (2/N) M + diag(d) split into the
+    exact integer matrix M = xi xi^T off its diagonal, in float32 (4N^2 bytes
+    per step), and the float64 self-couplings d, so the kappa = 1 self-impact
+    cancels exactly; the fields h and b; and the pattern-bias sums p,
+    sum_mu Omega_mu and sum_mu Omega_mu^2 of the bid moments."""
 
     M: np.ndarray
-    scale: float
     d: np.ndarray
     h: np.ndarray
     b: np.ndarray
-    n_patterns: int = 0
-    sum_omega: float = 0.0
-    omega_sq: float = 0.0
+    n_patterns: int
+    sum_omega: float
+    omega_sq: float
 
     @classmethod
     def build(cls, sample: DisorderSample) -> _Coupled:
         X, h, b = _integer_couplings(sample)
-        scale = 2.0 / sample.n_agents
-        d = scale * X.diagonal().astype(np.float64)
+        d = (2.0 / sample.n_agents) * X.diagonal().astype(np.float64)
         np.fill_diagonal(X, 0.0)
-        return cls(X, scale, d, h, b, *_bias_sums(sample))
-
-    @classmethod
-    def from_couplings(cls, c: Couplings, sample: DisorderSample | None = None) -> _Coupled:
-        """The float64 step over compiled couplings, with the bias sums of
-        sample when the moments are wanted."""
-        M = c.J.copy()
-        np.fill_diagonal(M, 0.0)
-        return cls(M, 1.0, c.d, c.h, c.b, *(_bias_sums(sample) if sample is not None else ()))
+        Omega = sample.Omega
+        return cls(X, d, h, b, Omega.size, float(Omega.sum()), float(Omega @ Omega))
 
     def start(self, state: AgentState) -> _Run:
         n, dtype = state.q.shape[0], self.M.dtype
-        return _Run(state.q.astype(np.float64), state.phi.astype(np.float64), state.lam, state.t,
-                    (np.empty(n, dtype), np.empty(n, dtype), *np.empty((3, n))))
+        return _Run(state.q.astype(np.float64), state.lam, state.t,
+                    (np.empty(n), np.empty(n, dtype), np.empty(n, dtype), *np.empty((3, n))))
 
-    def window(self, run: _Run, params: GameParams, steps: int, record: bool = False):
-        """steps batch steps in place, each q <- q - b a_e - h - scale M phi
-        - (1 - kappa) d phi and phi = q / lam; the recorded bid moments come
-        exactly from J phi through O(N) dot products."""
-        q, phi, lam, t = run.q, run.phi, run.lam, run.t
-        phi_in, mv, off_phi, d_phi, tmp = run.work
-        M, scale, d, h, b, p = self.M, self.scale, self.d, self.h, self.b, self.n_patterns
-        n, kappa, value_at = q.shape[0], params.kappa, params.external.value_at
-        rec = _Record(steps, n) if record else None
-        for k in range(steps):
-            a_e = value_at(t)
-            np.copyto(phi_in, phi)
-            np.multiply(np.matmul(M, phi_in, out=mv), scale, out=off_phi, dtype=np.float64)
-            np.multiply(d, phi, out=d_phi)
-            if a_e:
-                q -= np.multiply(b, a_e, out=tmp)
-            q -= h
-            q -= off_phi
-            q -= d_phi if kappa == 0.0 else np.multiply(d_phi, 1.0 - kappa, out=tmp)
-            if rec is not None:  # the bids at t read phi(t)
-                b_phi = float(b @ phi)
-                sum_a = p * a_e + self.sum_omega + 0.5 * b_phi
-                sum_a2 = (p * a_e**2 + self.omega_sq + 2.0 * a_e * self.sum_omega + a_e * b_phi
-                          + float(h @ phi) + 0.5 * (float(phi @ off_phi) + float(phi @ d_phi)))
-            lam_next = math.sqrt(float(q @ q) / n)
-            if lam_next == 0.0:
-                raise DegenerateStateError(f"all valuations vanished at t={t + 1}")
-            np.divide(q, lam_next, out=phi)
-            if rec is not None:
-                rec.put(k, lam, sum_a, sum_a2, phi, lam_next)
-            lam, t = lam_next, t + 1
-        run.lam, run.t = lam, t
-        return rec
-
-    def positions(self, run: _Run, rec: _Record) -> np.ndarray:
-        return rec.snaps
+    def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
+        """One batch step in place, q <- q - b a_e - h - (2/N) M phi
+        - (1 - kappa) d phi with phi = q / lam; the bid moments come exactly
+        from J phi through O(N) dot products."""
+        q, (phi, phi_in, mv, off_phi, d_phi, tmp) = run.q, run.work
+        n, b, h = q.shape[0], self.b, self.h
+        np.divide(q, lam, out=phi)
+        np.copyto(phi_in, phi)
+        np.multiply(np.matmul(self.M, phi_in, out=mv), 2.0 / n, out=off_phi, dtype=np.float64)
+        np.multiply(self.d, phi, out=d_phi)
+        if a_e:
+            q -= np.multiply(b, a_e, out=tmp)
+        q -= h
+        q -= off_phi
+        q -= d_phi if kappa == 0.0 else np.multiply(d_phi, 1.0 - kappa, out=tmp)
+        lam_sq = float(q @ q) / n
+        if not moments:
+            return lam_sq, math.nan, math.nan
+        p, sum_omega, b_phi = self.n_patterns, self.sum_omega, float(b @ phi)
+        return (lam_sq, p * a_e + sum_omega + 0.5 * b_phi,
+                p * a_e**2 + self.omega_sq + 2.0 * a_e * sum_omega + a_e * b_phi
+                + float(h @ phi) + 0.5 * (float(phi @ off_phi) + float(phi @ d_phi)))
 
 
 @dataclass(frozen=True)
@@ -240,40 +231,29 @@ class _Patterns:
 
     def start(self, state: AgentState) -> _Run:
         (n, p), f32 = self.xi32.shape, np.float32
-        return _Run(state.q.astype(np.float64), state.phi.astype(np.float64), state.lam, state.t,
-                    (np.empty(n, f32), np.empty(p, f32), *np.empty((2, p)), np.empty(p, f32),
-                     np.empty(n, f32), *np.empty((2, n))))
+        return _Run(state.q.astype(np.float64), state.lam, state.t,
+                    (np.empty(n), np.empty(n, f32), np.empty(p, f32), *np.empty((2, p)),
+                     np.empty(p, f32), np.empty(n, f32), *np.empty((2, n))))
 
-    def window(self, run: _Run, params: GameParams, steps: int, record: bool = False):
-        """steps batch steps in place from the explicit bids, whose pattern
+    def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
+        """One batch step in place from the explicit bids, whose pattern
         products run in float32 (exact to ~1e-7, far below measurement
         noise)."""
-        q, phi, lam, t = run.q, run.phi, run.lam, run.t
-        phi32, inner32, inner, bids, bids32, back32, back, kick = run.work
-        n, kappa, value_at = q.shape[0], params.kappa, params.external.value_at
-        xi32, d, Omega, sqrt_n = self.xi32, self.d, self.Omega, math.sqrt(n)
-        rec = _Record(steps, n) if record else None
-        for k in range(steps):
-            np.copyto(phi32, phi)
-            np.divide(np.matmul(phi32, xi32, out=inner32), sqrt_n, out=inner, dtype=np.float64)
-            np.add(Omega, value_at(t), out=bids)
-            bids += inner
-            np.copyto(bids32, bids)
-            q -= np.multiply(np.matmul(xi32, bids32, out=back32), 2.0 / sqrt_n, out=back,
-                             dtype=np.float64)
-            q += np.multiply(np.multiply(d, phi, out=kick), kappa, out=kick)
-            lam_next = math.sqrt(float(q @ q) / n)
-            if lam_next == 0.0:
-                raise DegenerateStateError(f"all valuations vanished at t={t + 1}")
-            np.divide(q, lam_next, out=phi)
-            if rec is not None:
-                rec.put(k, lam, float(bids.sum()), float(bids @ bids), phi, lam_next)
-            lam, t = lam_next, t + 1
-        run.lam, run.t = lam, t
-        return rec
-
-    def positions(self, run: _Run, rec: _Record) -> np.ndarray:
-        return rec.snaps
+        q, (phi, phi32, inner32, inner, bids, bids32, back32, back, kick) = run.q, run.work
+        xi32, n, sqrt_n = self.xi32, q.shape[0], math.sqrt(q.shape[0])
+        np.divide(q, lam, out=phi)
+        np.copyto(phi32, phi)
+        np.divide(np.matmul(phi32, xi32, out=inner32), sqrt_n, out=inner, dtype=np.float64)
+        np.add(self.Omega, a_e, out=bids)
+        bids += inner
+        np.copyto(bids32, bids)
+        q -= np.multiply(np.matmul(xi32, bids32, out=back32), 2.0 / sqrt_n, out=back,
+                         dtype=np.float64)
+        q += np.multiply(np.multiply(self.d, phi, out=kick), kappa, out=kick)
+        lam_sq = float(q @ q) / n
+        if not moments:
+            return lam_sq, math.nan, math.nan
+        return lam_sq, float(bids.sum()), float(bids @ bids)
 
 
 @dataclass(frozen=True)
@@ -306,57 +286,51 @@ class _Gram:
         return cls(xi, sample.Omega, G.astype(np.float64, copy=False))
 
     def start(self, state: AgentState) -> _Run:
-        """A run at y = 0 with the constants q0 and u = xi^T q0."""
+        """A run at y = 0 with G y = 0 and the constants q0, u = xi^T q0 and |q0|^2."""
         p = self.G.shape[0]
         u = np.zeros(p)
         for rows in row_blocks(self.xi):
             u += state.q[rows] @ self.xi[rows].astype(np.float64)
-        return _Run(np.zeros(p), np.zeros(p), state.lam, state.t, (state.q, u, *np.empty((2, p))))
+        return _Run(np.zeros(p), state.lam, state.t,
+                    (state.q, u, float(state.q @ state.q), *np.zeros((3, p))))
 
-    def window(self, run: _Run, params: GameParams, steps: int, record: bool = False):
-        """steps batch steps in pattern space, in place: the bids are
+    def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
+        """One batch step in pattern space, in place: the bids are
         A = a_e + Omega + (u + G y) / (sqrt(N) lambda), y moves by
         -(2/sqrt(N)) A, and N lambda^2 = |q0|^2 + 2 u.y + y.G y reuses G y,
         the one p x p product of the step."""
-        y, gy, lam, t, (q0, u, field, bids) = run.q, run.phi, run.lam, run.t, run.work
-        G, Omega, n, value_at = self.G, self.Omega, self.xi.shape[0], params.external.value_at
-        sqrt_n, q0_sq = math.sqrt(n), float(q0 @ q0)
-        rec = _Record(steps, y.shape[0]) if record else None
-        for k in range(steps):
-            np.add(u, gy, out=field)
-            field /= sqrt_n * lam
-            np.add(Omega, value_at(t), out=bids)
-            bids += field
-            y -= np.multiply(bids, 2.0 / sqrt_n, out=field)
-            np.matmul(G, y, out=gy)
-            lam_sq = (q0_sq + 2.0 * float(u @ y) + float(y @ gy)) / n
-            if not lam_sq > 0.0:
-                raise DegenerateStateError(f"all valuations vanished at t={t + 1}")
-            lam_next = math.sqrt(lam_sq)
-            if rec is not None:
-                rec.put(k, lam, float(bids.sum()), float(bids @ bids), y, lam_next)
-            lam, t = lam_next, t + 1
-        run.lam, run.t = lam, t
-        return rec
+        y, (_, u, q0_sq, gy, field, bids) = run.q, run.work
+        n, sqrt_n = self.xi.shape[0], math.sqrt(self.xi.shape[0])
+        np.add(u, gy, out=field)
+        field /= sqrt_n * lam
+        np.add(self.Omega, a_e, out=bids)
+        bids += field
+        y -= np.multiply(bids, 2.0 / sqrt_n, out=field)
+        np.matmul(self.G, y, out=gy)
+        lam_sq = (q0_sq + 2.0 * float(u @ y) + float(y @ gy)) / n
+        if not moments:
+            return lam_sq, math.nan, math.nan
+        return lam_sq, float(bids.sum()), float(bids @ bids)
 
-    def positions(self, run: _Run, rec: _Record) -> np.ndarray:
-        """The recorded positions (q0 + xi y) / lam, over row blocks of xi."""
-        phi = np.empty((rec.snaps.shape[0], self.xi.shape[0]))
+    def lift(self, run: _Run, ys: np.ndarray) -> np.ndarray:
+        """The valuations q0 + xi y of the rows y of ys, over row blocks of xi."""
+        q = np.empty((ys.shape[0], self.xi.shape[0]))
         for rows in row_blocks(self.xi):
-            phi[:, rows] = rec.snaps @ self.xi[rows].astype(np.float64).T
-        phi += run.work[0]
-        phi /= rec.snap_lam[:, np.newaxis]
-        return phi
+            q[:, rows] = ys @ self.xi[rows].astype(np.float64).T
+        q += run.work[0]
+        return q
 
 
 def batch_step(state: AgentState, couplings: Couplings, params: GameParams) -> AgentState:
-    """One coupling-based batch step followed by the spherical renormalization."""
+    """One coupling-based batch step in float64, q - b a_e - h - J phi
+    + kappa d phi, followed by the spherical renormalization."""
     if couplings.n_agents != state.q.shape[0]:
         raise ContractError("state and couplings disagree on the number of agents")
-    route = _Coupled.from_couplings(couplings)
-    run = route.start(state)
-    route.window(run, params, 1)
-    return AgentState(q=run.q, lam=run.lam, phi=run.phi, t=run.t)
+    c, phi, t = couplings, state.phi, state.t + 1
+    q = (state.q - params.external.value_at(state.t) * c.b - c.h - c.J @ phi
+         + params.kappa * c.d * phi)
+    lam = _renormalized(float(q @ q) / q.shape[0], t)
+    return AgentState(q=q, lam=lam, phi=q / lam, t=t)
 
 
 def measure_c0(phi_history: np.ndarray) -> float:
@@ -390,9 +364,9 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
         raise ContractError("sample size does not match params.n_agents")
     route = _route(sample, params.kappa)
     run = route.start(init_state(params))
-    route.window(run, params, params.t_equilibrate)
+    _window(route, run, params, params.t_equilibrate)
     tau, p = params.t_measure, sample.n_patterns
-    rec = route.window(run, params, tau, record=True)
+    rec = _window(route, run, params, tau, record=True)
     lam_hist = rec.lam  # lambda(t) entering each step's positions
     t_abs = np.arange(params.t_equilibrate, params.t_equilibrate + tau)
     sum_a = sum_a2 = 0.0
@@ -413,7 +387,7 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
         and lam_hist[-1] > FROZEN_GROWTH_FACTOR * lam_hist[0]
     )
     return RunObservables(
-        c0_hat=measure_c0(route.positions(run, rec)),
+        c0_hat=measure_c0(_positions(route, run, rec)),
         sigma=sigma,
         sigma_fl=sigma_fl,
         lambda_mean=float(lam_hist.mean()),

@@ -252,8 +252,7 @@ def ergodic_solution(alpha: float, kappa: float, A_tilde: float, zeta: int) -> S
     if classify_phase(alpha, kappa, A_tilde, zeta) is not Phase.OSCILLATING:
         raise ContractError(f"alpha={alpha} is not above the frozen-to-oscillating line")
 
-    chi = _chi_minus(alpha, kappa)
-    c0 = chi * (1.0 + 2.0 * a2) / (1.0 - kappa * (1.0 + chi) ** 2)
+    chi, c0 = _chi_minus(alpha, kappa), _finite_force_c0(alpha, kappa, a2)
     if not 0.0 <= c0 < 1.0:
         raise ContractError(f"persistent correlation c0={c0} outside [0, 1)")
 

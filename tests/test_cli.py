@@ -185,6 +185,20 @@ def test_simulate_row_small(capsys):
     assert float(row["realized_alpha"]) == 4.0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_seed_standard_errors_are_unknown(fmt, capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--sweep", "A_tilde:0:1:2", "--alpha", "1.5", "--agents", "64",
+        "--t-eq", "30", "--t-meas", "32", "--seeds", "1", "--kappa", "0.5", "--format", fmt,
+    )
+    assert code == 0
+    rows = json.loads(out) if fmt == "json" else parse_csv(out)[1]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["c0_sim"] not in ("", None) and row["sigma_sim"] not in ("", None)
+        assert row["c0_sim_err"] == row["sigma_sim_err"] == ("" if fmt == "csv" else None)
+
+
 def test_outputs_are_deterministic_and_json_round_trips(tmp_path, capsys):
     args = [
         "compare", "--engines", "theory,simulate", "--alpha", "1.2", "--agents", "64",
@@ -200,7 +214,7 @@ def test_outputs_are_deterministic_and_json_round_trips(tmp_path, capsys):
     code3, _, _ = run_cli(capsys, *args, "--format", "json", "--out", str(jpath))
     assert code3 == 0
     rows = json.loads(jpath.read_text())
-    assert [set(r.keys()) == set(RESULT_COLUMNS) for r in rows]
+    assert all(set(r.keys()) == set(RESULT_COLUMNS) for r in rows)
     # lossless round trip
     assert json.loads(json.dumps(rows)) == rows
     # csv and json agree cell by cell

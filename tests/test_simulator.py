@@ -122,7 +122,7 @@ def test_coupling_route_cancels_self_coupling_at_full_impact():
     assert route.d[0] == 6.0 and route.h[0] == 0.0
     p = GameParams(n_agents=1, alpha=3.0, kappa=1.0, seed=0)
     run = route.start(_state_from_q([0.7]))
-    route.window(run, p, 1)
+    simulator._window(route, run, p, 1)
     assert run.q[0] == 0.7
 
 
@@ -176,6 +176,17 @@ def test_degenerate_state_raises():
     p = GameParams(n_agents=1, alpha=1.0, kappa=0.0, seed=0)
     with pytest.raises(DegenerateStateError):
         batch_step(_state_from_q([2.0]), coup, p)
+
+
+@pytest.mark.parametrize("kind", [simulator._Coupled, simulator._Patterns, simulator._Gram])
+def test_degenerate_state_raises_on_every_route(kind):
+    # the same one-agent game on each route: q = 2, lambda = 2 steps to q = 0
+    route = kind.build(sample_from_tables([[1]], [[-1]]))
+    run = route.start(_state_from_q([2.0]))
+    assert run.lam == 2.0
+    p = GameParams(n_agents=1, alpha=1.0, kappa=0.0, seed=0)
+    with pytest.raises(DegenerateStateError, match="t=1$"):
+        simulator._window(route, run, p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +291,15 @@ def _forced_route(monkeypatch, kind, sample, kappa):
 
 def _recorded_step(route, run, params):
     """One recorded one-step window: its record and the step's bid moments."""
-    rec = route.window(run, params, 1, record=True)
+    rec = simulator._window(route, run, params, 1, record=True)
     return rec, rec.sum_a[0], rec.sum_a2[0]
 
 
 def _float64_coupled(sample, kappa=None):
-    """The float64 coupling step over precompute_couplings, with the bias
-    sums of the sample (kappa is unused: the signature of _route)."""
-    return simulator._Coupled.from_couplings(precompute_couplings(sample), sample)
+    """The coupling route with its matrix in float64 (kappa is unused: the
+    signature of _route)."""
+    route = simulator._Coupled.build(sample)
+    return dataclasses.replace(route, M=route.M.astype(np.float64))
 
 
 @pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 0.5)])
@@ -301,7 +313,8 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha, monkeypatch):
     assert isinstance(coup, simulator._Coupled) and isinstance(patterns, simulator._Patterns)
     a, b = coup.start(init_state(p)), patterns.start(init_state(p))
     for _ in range(20):
-        bids = market_bids(a, sample, p.external.value_at(a.t))
+        bids = market_bids(AgentState(a.q, a.lam, a.q / a.lam, a.t), sample,
+                           p.external.value_at(a.t))
         _, sum_a, sum_a2 = _recorded_step(coup, a, p)
         _, sum_b, sum_b2 = _recorded_step(patterns, b, p)
         # coupling-route moments are exact: compare with the float64 bids
@@ -339,8 +352,9 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
         scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_g == pytest.approx(sum_a, abs=1e-12 * scale)
         assert sum_g2 == pytest.approx(sum_a2, rel=1e-12)
-    assert np.allclose(gram.positions(g, rec)[0], a.phi, rtol=0.0,
-                       atol=1e-12 * np.abs(a.phi).max())
+    phi = a.q / a.lam
+    assert np.allclose(simulator._positions(gram, g, rec)[0], phi, rtol=0.0,
+                       atol=1e-12 * np.abs(phi).max())
 
 
 def test_gram_route_run_matches_coupling_route(monkeypatch):
@@ -367,17 +381,17 @@ def test_window_equals_one_step_windows(kind, alpha, kappa, zeta, monkeypatch):
     route = _forced_route(monkeypatch, kind, generate_disorder(p), kappa)
     assert isinstance(route, kind)
     whole, single, unrecorded = (route.start(init_state(p)) for _ in range(3))
-    rec = route.window(whole, p, 60, record=True)
-    route.window(unrecorded, p, 60)
-    steps = [route.window(single, p, 1, record=True) for _ in range(60)]
+    rec = simulator._window(route, whole, p, 60, record=True)
+    simulator._window(route, unrecorded, p, 60)
+    steps = [simulator._window(route, single, p, 1, record=True) for _ in range(60)]
     assert rec.snaps.shape[0] == 60
     for name in ("lam", "sum_a", "sum_a2", "snaps", "snap_lam"):
         stepped = np.concatenate([getattr(s, name) for s in steps])
         assert np.array_equal(getattr(rec, name), stepped), name
     for run in (single, unrecorded):
         assert (run.t, run.lam) == (whole.t, whole.lam) == (60, rec.snap_lam[-1])
-        for name in ("q", "phi"):  # y and G y on the Gram route
-            assert np.array_equal(getattr(run, name), getattr(whole, name)), name
+        assert np.array_equal(run.q, whole.q)  # y on the Gram route
+        assert np.array_equal(run.q / run.lam, whole.q / whole.lam)
 
 
 def test_observables_are_plain_python_values():
