@@ -27,10 +27,6 @@ MAX_TABLE_ENTRIES = 2**28
 # Entries of xi cast to float at a time where a product runs over row blocks.
 BLOCK_ENTRIES = 2**18
 
-# Entries of xi cast to float at a time for the self-product xi xi^T, which
-# runs over column blocks of at least N columns.
-COLUMN_BLOCK_ENTRIES = 2**21
-
 # float32 holds every integer of magnitude up to 2^24 exactly, so sums of
 # products of entries in {-1, 0, 1} stay exact in float32 below this many terms.
 FLOAT32_EXACT_TERMS = 2**24
@@ -81,12 +77,11 @@ class ExternalBid:
             return -self.amplitude
         return self.amplitude
 
-    def series(self, n_steps: int, t0: int = 0) -> np.ndarray:
-        """Values at times t0, t0+1, ..., t0+n_steps-1."""
+    def series(self, n_steps: int) -> np.ndarray:
+        """Values at times 0, 1, ..., n_steps-1."""
         out = np.full(n_steps, self.amplitude, dtype=np.float64)
         if self.zeta == 1:
-            start = (1 - t0 % 2) % 2  # first odd time in the window
-            out[start::2] *= -1.0
+            out[1::2] *= -1.0
         return out
 
 
@@ -98,8 +93,7 @@ class GameParams:
     realized_alpha = p/N is what theory comparisons should use.  kappa in
     [0, 1] is the degree of self-impact correction.  init_scale is the
     magnitude of the initial valuations (1 = biased start, 1e-4 = unbiased
-    start); sign_bias shifts the probability of positive initial signs to
-    (1 + sign_bias)/2.
+    start), whose signs are fair coins.
     """
 
     n_agents: int
@@ -110,7 +104,6 @@ class GameParams:
     t_equilibrate: int = 1000
     t_measure: int = 2000
     seed: int = 0
-    sign_bias: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_agents < 1:
@@ -127,8 +120,6 @@ class GameParams:
             raise ContractError("t_measure must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ContractError("seed must be a 64-bit unsigned integer")
-        if not -1.0 <= self.sign_bias <= 1.0:
-            raise ContractError("sign_bias must lie in [-1, 1]")
 
     @property
     def n_patterns(self) -> int:
@@ -194,16 +185,16 @@ def _coin_table(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     return table[:n * p].view(np.int8).reshape(n, p)
 
 
-def generate_disorder(params: GameParams, max_entries: int = MAX_TABLE_ENTRIES) -> DisorderSample:
+def generate_disorder(params: GameParams) -> DisorderSample:
     """Draw the two +-1 look-up tables and reduce them to (xi, Omega).
 
     Every table entry is an independent fair coin.  The draw is a pure
     function of params.seed: identical seeds give bit-identical samples.
     """
     n, p = params.n_agents, params.n_patterns
-    if n * p > max_entries:
+    if n * p > MAX_TABLE_ENTRIES:
         raise ResourceBudgetError(
-            f"disorder sample needs {n * p} entries/table, budget is {max_entries}"
+            f"disorder sample needs {n * p} entries/table, budget is {MAX_TABLE_ENTRIES}"
         )
     rng = rng_stream(params.seed, _STREAM_DISORDER)
     # with the tables 2 r - 1 for draws r in {0, 1}: xi = r1 - r2, omega = r1 + r2 - 1,
@@ -238,27 +229,28 @@ def row_blocks(xi: np.ndarray, entries: int | None = None) -> list[slice]:
 def _integer_couplings(sample: DisorderSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exact integer matrix X = xi xi^T, with h and b of the couplings.
 
-    X is accumulated over column blocks of xi, cast into one reused buffer,
-    so no full float copy of xi is held.  A block is at least N columns wide:
-    OpenBLAS's syrk, which numpy takes for block @ block.T, is slow on narrow
-    blocks.  Every partial sum is an integer bounded by p, exact in float32 for
-    p < FLOAT32_EXACT_TERMS; from there on X is accumulated in float64.  h is
-    taken over row blocks of xi, one float64 dot product per agent, and b from
-    exact integer row sums.
+    X is accumulated over column blocks of xi min(N, p) wide, cast into one
+    reused float32 buffer, so no full float copy of xi is held and the
+    scratch is bounded by N^2 entries; narrower blocks make OpenBLAS's syrk,
+    which numpy takes for block @ block.T, slow.  A block's products sum at
+    most min(N, p) terms in {-1, 0, 1}, exact in float32 under the table
+    budget; the sum over blocks is an integer bounded by p, accumulated in
+    float32 for p < FLOAT32_EXACT_TERMS and in float64 from there on.  h is
+    taken over row blocks of xi, one float64 dot product per agent, and b
+    from exact integer row sums.
     """
     n, xi = sample.n_agents, sample.xi
     p = xi.shape[1]
-    dtype = np.float32 if p < FLOAT32_EXACT_TERMS else np.float64
-    width = min(max(COLUMN_BLOCK_ENTRIES // n, n), p)
-    buf = np.empty((n, width), dtype=dtype)
+    width, acc = min(n, p), np.float32 if p < FLOAT32_EXACT_TERMS else np.float64
+    buf = np.empty((n, width), dtype=np.float32)
     X = tmp = None
     for start in range(0, p, width):
         block = buf[:, :min(width, p - start)]
         np.copyto(block, xi[:, start:start + width])
-        if X is None:
-            X = block @ block.T
+        tmp = np.matmul(block, block.T, out=tmp)
+        if X is None:  # the first product becomes X, cast only for a float64 sum
+            X, tmp = tmp.astype(acc, copy=False), None
         else:
-            tmp = np.matmul(block, block.T, out=tmp)
             X += tmp
     h = np.empty(n)
     for rows in row_blocks(xi):

@@ -9,6 +9,11 @@ import numpy as np
 from .core import ContractError
 
 
+def diagonal_means(square: np.ndarray) -> np.ndarray:
+    """Mean of each upper diagonal of a square matrix, at offsets 0..n-1."""
+    return np.array([np.mean(np.diagonal(square, offset=tau)) for tau in range(square.shape[0])])
+
+
 def lag_correlations(phi_history: np.ndarray) -> np.ndarray:
     """Average N^(-1) phi(t).phi(t+tau) over start times, for tau = 0..n-1.
 
@@ -17,9 +22,7 @@ def lag_correlations(phi_history: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi_history, dtype=np.float64)
     if phi.ndim != 2:
         raise ContractError("phi_history must be a (snapshots, N) matrix")
-    n_snap, n = phi.shape
-    gram = (phi @ phi.T) / n
-    return np.array([np.mean(np.diagonal(gram, offset=tau)) for tau in range(n_snap)])
+    return diagonal_means((phi @ phi.T) / phi.shape[1])
 
 
 def persistent_correlation(c_lag: np.ndarray) -> float:

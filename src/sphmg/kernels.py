@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ContractError, ExternalBid
-from .estimators import fit_line, persistent_correlation
+from .estimators import diagonal_means, fit_line, persistent_correlation
 
 
 class KernelInstabilityError(RuntimeError):
@@ -202,9 +202,7 @@ def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> Kerne
         raise ContractError(f"tail window has {n_tail} points, need >= 8")
     idx = np.arange(n - n_tail, n)
 
-    block = state.C[np.ix_(idx, idx)]
-    c_lag = np.array([np.mean(np.diagonal(block, offset=tau)) for tau in range(n_tail)])
-    c0 = persistent_correlation(c_lag)
+    c0 = persistent_correlation(diagonal_means(state.C[np.ix_(idx, idx)]))
 
     lam_tail = state.lambda_traj[idx]
     fit = fit_line(idx.astype(np.float64), lam_tail)

@@ -88,24 +88,19 @@ class RunObservables:
 def init_state(params: GameParams) -> AgentState:
     """Random +-init_scale valuations; lambda(0) = init_scale exactly."""
     rng = rng_stream(params.seed, _STREAM_INIT)
-    p_plus = 0.5 * (1.0 + params.sign_bias)
-    signs = np.where(rng.random(params.n_agents) < p_plus, 1.0, -1.0)
+    signs = np.where(rng.random(params.n_agents) < 0.5, 1.0, -1.0)
     q = params.init_scale * signs
     return AgentState(q=q, lam=params.init_scale, phi=signs.copy(), t=0)
 
 
-def _route_kind(n_agents: int, n_patterns: int, kappa: float) -> type:
-    """The route of a run, from (N, p, kappa) alone: couplings from p = 0.7 N
-    on; below it the Gram route at kappa = 0 and per-pattern passes
+def _route(sample: DisorderSample, kappa: float) -> _Coupled | _Patterns | _Gram:
+    """The route of a run, chosen from (N, p, kappa) alone: couplings from
+    p = 0.7 N on; below it the Gram route at kappa = 0 and per-pattern passes
     otherwise.  The threshold is a measured break-even against both other
     routes (README, Notes on numerics)."""
-    if n_patterns >= 0.7 * n_agents:
-        return _Coupled
-    return _Gram if kappa == 0.0 else _Patterns
-
-
-def _route(sample: DisorderSample, kappa: float) -> _Coupled | _Patterns | _Gram:
-    return _route_kind(sample.n_agents, sample.n_patterns, kappa).build(sample)
+    if sample.n_patterns >= 0.7 * sample.n_agents:
+        return _Coupled.build(sample)
+    return (_Gram if kappa == 0.0 else _Patterns).build(sample)
 
 
 @dataclass(eq=False)
@@ -346,7 +341,7 @@ def measure_c0(phi_history: np.ndarray) -> float:
     return persistent_correlation(lag_correlations(phi))
 
 
-def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> RunObservables:
+def run_experiment(params: GameParams) -> RunObservables:
     """Equilibrate, measure, and reduce one quenched run to its observables.
 
     sigma^2 is the time-pattern variance of the recorded bids A^mu(t); the
@@ -358,10 +353,7 @@ def run_experiment(params: GameParams, sample: DisorderSample | None = None) -> 
     """
     if params.t_measure < MIN_MEASURE_STEPS:
         raise ContractError(f"t_measure must be >= {MIN_MEASURE_STEPS} for stable estimates")
-    if sample is None:
-        sample = generate_disorder(params)
-    if sample.n_agents != params.n_agents:
-        raise ContractError("sample size does not match params.n_agents")
+    sample = generate_disorder(params)
     route = _route(sample, params.kappa)
     run = route.start(init_state(params))
     _window(route, run, params, params.t_equilibrate)

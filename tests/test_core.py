@@ -19,7 +19,6 @@ def test_external_bid_values():
     osc = ExternalBid(zeta=1, amplitude=2.0)
     assert [osc.value_at(t) for t in range(4)] == [2.0, -2.0, 2.0, -2.0]
     assert np.array_equal(osc.series(5), [2.0, -2.0, 2.0, -2.0, 2.0])
-    assert np.array_equal(osc.series(3, t0=1), [-2.0, 2.0, -2.0])
     off = ExternalBid(zeta=1, amplitude=0.0)
     assert off.series(6).tolist() == [0.0] * 6
 
@@ -155,12 +154,12 @@ def test_field_and_drive_response_over_row_blocks(monkeypatch):
     assert np.array_equal(coup.b, scale * xd.sum(axis=1))
 
 
-@pytest.mark.parametrize("block_entries", [41, 400, 2050, 2**24])
-def test_self_product_over_column_blocks_is_exact(block_entries, monkeypatch):
-    # blocks of N = 41 columns (the floor, for the first two budgets) and of
-    # 50 columns, each with a short last one, and one block
-    monkeypatch.setattr(core, "COLUMN_BLOCK_ENTRIES", block_entries)
-    sample = generate_disorder(GameParams(n_agents=41, alpha=1.5, seed=7))
+@pytest.mark.parametrize("n_agents, alpha", [(41, 1.5), (10, 4.55), (20, 3.0), (41, 0.5)])
+def test_self_product_over_column_blocks_is_exact(n_agents, alpha):
+    # blocks of min(N, p) columns: N-wide ones with a short last one
+    # (p = 62 over 41 + 21, p = 46 over 4 x 10 + 6), three of exactly N = 20,
+    # and one block of p = 20 < N
+    sample = generate_disorder(GameParams(n_agents=n_agents, alpha=alpha, seed=7))
     X, h, b = core._integer_couplings(sample)
     xi = sample.xi.astype(np.int64)
     assert X.dtype == np.float32
@@ -174,11 +173,11 @@ def test_self_product_over_column_blocks_is_exact(block_entries, monkeypatch):
 @pytest.mark.parametrize("offset, dtype", [(1, np.float32), (0, np.float64), (-1, np.float64)])
 def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dtype, monkeypatch):
     # float32 sums of p terms in {-1, 0, 1} are exact only below p = 2^24; the
-    # limit is lowered here because a sample at the real one needs ~1 GB
+    # limit is lowered here because a sample at the real one needs ~1 GB.
+    # p = 60 runs over three 20-column blocks
     sample = generate_disorder(GameParams(n_agents=20, alpha=3.0, seed=3))
     p = sample.n_patterns
     monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", p + offset)
-    monkeypatch.setattr(core, "COLUMN_BLOCK_ENTRIES", 200)
     X, _, _ = core._integer_couplings(sample)
     assert X.dtype == dtype
     xi = sample.xi.astype(np.int64)
@@ -188,10 +187,11 @@ def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dt
     assert np.array_equal(coup.d, core.self_couplings(sample.xi))
 
 
-def test_resource_budget():
+def test_resource_budget(monkeypatch):
     p = GameParams(n_agents=100, alpha=1.0)
+    monkeypatch.setattr(core, "MAX_TABLE_ENTRIES", 100)
     with pytest.raises(ResourceBudgetError):
-        generate_disorder(p, max_entries=100)
+        generate_disorder(p)
 
 
 def test_arrays_are_locked():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,11 +41,14 @@ def _state_from_q(q):
 # ---------------------------------------------------------------------------
 
 
-def test_init_state_all_plus():
-    p = GameParams(n_agents=8, alpha=1.0, sign_bias=1.0, init_scale=1.0, seed=0)
+def test_init_state_signs_are_fair_coins_of_the_init_stream():
+    p = GameParams(n_agents=64, alpha=1.0, init_scale=0.25, seed=5)
     st = init_state(p)
-    assert st.lam == 1.0
-    assert np.all(st.phi == 1.0) and np.all(st.q == 1.0)
+    plus = core.rng_stream(p.seed, core._STREAM_INIT).random(p.n_agents) < 0.5
+    assert st.lam == 0.25
+    assert np.array_equal(st.q, np.where(plus, 0.25, -0.25))
+    assert np.array_equal(st.phi, np.where(plus, 1.0, -1.0))
+    assert 0 < plus.sum() < p.n_agents
 
 
 def test_init_state_unbiased_scale():
@@ -258,8 +262,8 @@ def test_run_oscillating_point_small():
 
 def test_streaming_mode_matches_theory_too(monkeypatch):
     # p >= 0.7 N here, so the per-pattern route has to be forced
-    monkeypatch.setattr(simulator, "_route_kind",
-                        lambda n_agents, n_patterns, kappa: simulator._Patterns)
+    monkeypatch.setattr(simulator, "_route",
+                        lambda sample, kappa: simulator._Patterns.build(sample))
     p = GameParams(n_agents=300, alpha=4.0, seed=1, t_equilibrate=300, t_measure=600)
     obs = run_experiment(p)
     th = stationary_solution(4.0, 0.0, 0.0, 0)
@@ -282,13 +286,6 @@ def test_run_experiment_builds_couplings_only_from_p_of_0_7_n(monkeypatch):
                                       t_equilibrate=50, t_measure=64))
 
 
-def _forced_route(monkeypatch, kind, sample, kappa):
-    """The route of the given kind, built through _route."""
-    with monkeypatch.context() as m:
-        m.setattr(simulator, "_route_kind", lambda n_agents, n_patterns, kappa: kind)
-        return simulator._route(sample, kappa)
-
-
 def _recorded_step(route, run, params):
     """One recorded one-step window: its record and the step's bid moments."""
     rec = simulator._window(route, run, params, 1, record=True)
@@ -303,14 +300,13 @@ def _float64_coupled(sample, kappa=None):
 
 
 @pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 0.5)])
-def test_coupling_and_per_pattern_routes_agree(n_agents, alpha, monkeypatch):
+def test_coupling_and_per_pattern_routes_agree(n_agents, alpha):
     # float32 pattern products: 1e-5 is ~100 float32 epsilons
     p = GameParams(n_agents=n_agents, alpha=alpha, kappa=0.25,
                    external=ExternalBid(zeta=1, amplitude=1.0), seed=3)
     sample = generate_disorder(p)
     coup = _float64_coupled(sample)
-    patterns = _forced_route(monkeypatch, simulator._Patterns, sample, p.kappa)
-    assert isinstance(coup, simulator._Coupled) and isinstance(patterns, simulator._Patterns)
+    patterns = simulator._Patterns.build(sample)
     a, b = coup.start(init_state(p)), patterns.start(init_state(p))
     for _ in range(20):
         bids = market_bids(AgentState(a.q, a.lam, a.q / a.lam, a.t), sample,
@@ -338,8 +334,7 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
                    init_scale=init_scale, seed=12)
     sample = generate_disorder(p)
     coup = _float64_coupled(sample)
-    gram = _forced_route(monkeypatch, simulator._Gram, sample, 0.0)  # p = 0.7 N takes couplings
-    assert isinstance(gram, simulator._Gram)
+    gram = simulator._Gram.build(sample)  # _route would take couplings at p = 0.7 N
     q0 = init_state(p).q
     a, g = coup.start(init_state(p)), gram.start(init_state(p))
     for _ in range(120):
@@ -374,12 +369,11 @@ def test_gram_route_run_matches_coupling_route(monkeypatch):
                                                 (simulator._Patterns, 0.5, 0.25),
                                                 (simulator._Gram, 0.5, 0.0)])
 @pytest.mark.parametrize("zeta", [0, 1])
-def test_window_equals_one_step_windows(kind, alpha, kappa, zeta, monkeypatch):
+def test_window_equals_one_step_windows(kind, alpha, kappa, zeta):
     # a window keeps its state in locals and scratch buffers between steps;
     # stepping one window at a time, recorded or not, must not move a bit
     p = GameParams(n_agents=90, alpha=alpha, kappa=kappa, external=ExternalBid(zeta, 1.0), seed=6)
-    route = _forced_route(monkeypatch, kind, generate_disorder(p), kappa)
-    assert isinstance(route, kind)
+    route = kind.build(generate_disorder(p))
     whole, single, unrecorded = (route.start(init_state(p)) for _ in range(3))
     rec = simulator._window(route, whole, p, 60, record=True)
     simulator._window(route, unrecorded, p, 60)
@@ -468,8 +462,14 @@ def test_coupling_route_holds_no_float64_square_matrix():
     assert np.array_equal(route.d, precompute_couplings(sample).d)
 
 
-def test_route_rule():
-    kind = simulator._route_kind
+def test_route_rule(monkeypatch):
+    # each build returns its class, so the rule is read without building
+    for cls in (simulator._Coupled, simulator._Patterns, simulator._Gram):
+        monkeypatch.setattr(cls, "build", lambda sample, cls=cls: cls)
+
+    def kind(n_agents, n_patterns, kappa):
+        return simulator._route(SimpleNamespace(n_agents=n_agents, n_patterns=n_patterns), kappa)
+
     assert kind(1000, 1, 0.0) is simulator._Gram
     assert kind(1000, 699, 0.0) is simulator._Gram
     for kappa in (1e-9, 0.25, 1.0):
