@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -71,42 +71,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(self.prog + ": error: " + message) from None
 
 
-@dataclass
-class ResultRow:
-    """One grid point in the stable output schema; None marks unavailable."""
-
-    alpha: float
-    kappa: float
-    A_tilde: float
-    zeta: int
-    realized_alpha: float | None
-    phase: str | None
-    c0_theory: float | None = None
-    c0_sim: float | None = None
-    c0_sim_err: float | None = None
-    c0_kernel: float | None = None
-    sigma_theory: float | None = None
-    sigma_sim: float | None = None
-    sigma_sim_err: float | None = None
-    sigma_fl_theory: float | None = None
-    lambda_theory: float | None = None
-    lambda_sim: float | None = None
-    Lambda_theory: float | None = None
-    Lambda_sim: float | None = None
-    chi: float | None = None
-    chi_hat_plus: float | None = None
-    chi_hat_minus: float | None = None
-    bid_mean_theory: float | None = None
-    bid_mean_sim: float | None = None
-    bid_staggered_theory: float | None = None
-    bid_staggered_sim: float | None = None
-    n_agents: int | None = None
-    t_equilibrate: int | None = None
-    t_measure: int | None = None
-    seed_count: int | None = None
-
-
-RESULT_COLUMNS = [f.name for f in fields(ResultRow)]
+# The stable output schema of a result row; None marks an unavailable cell.
+RESULT_COLUMNS = [
+    "alpha", "kappa", "A_tilde", "zeta", "realized_alpha", "phase",
+    "c0_theory", "c0_sim", "c0_sim_err", "c0_kernel",
+    "sigma_theory", "sigma_sim", "sigma_sim_err", "sigma_fl_theory",
+    "lambda_theory", "lambda_sim", "Lambda_theory", "Lambda_sim",
+    "chi", "chi_hat_plus", "chi_hat_minus",
+    "bid_mean_theory", "bid_mean_sim", "bid_staggered_theory", "bid_staggered_sim",
+    "n_agents", "t_equilibrate", "t_measure", "seed_count",
+]
 
 
 def _finite_or_none(x):
@@ -237,42 +211,30 @@ def _pool_map(fn, items: list, workers: int) -> list:
                 os.environ[k] = v
 
 
-def _row(pt: dict, opts: dict, seed_count: int | None) -> ResultRow:
-    """The row of one grid point before any engine runs; raises on a bad point.
-
-    seed_count is None when the simulator does not run.
-    """
+def _row(pt: dict, opts: dict) -> dict:
+    """The row of one grid point before any engine runs; raises on a bad point."""
     phase = str(classify_phase(pt["alpha"], pt["kappa"], pt["A_tilde"], pt["zeta"]))
-    sim = seed_count is not None
-    return ResultRow(
-        alpha=pt["alpha"],
-        kappa=pt["kappa"],
-        A_tilde=pt["A_tilde"],
-        zeta=int(pt["zeta"]),
-        realized_alpha=GameParams(n_agents=opts["agents"], alpha=pt["alpha"]).realized_alpha,
-        phase=phase,
-        n_agents=opts["agents"] if sim else None,
-        t_equilibrate=opts["t_eq"] if sim else None,
-        t_measure=opts["t_meas"] if sim else None,
-        seed_count=seed_count,
-    )
+    realized = GameParams(n_agents=opts["agents"], alpha=pt["alpha"]).realized_alpha
+    row = dict.fromkeys(RESULT_COLUMNS)
+    row.update(pt, realized_alpha=realized, phase=phase)
+    return row
 
 
 def run_sweep(
     opts: dict, engines: tuple[str, ...]
-) -> tuple[list[ResultRow], list[KernelTail | None], int]:
+) -> tuple[list[dict], list[KernelTail | None], int]:
     """Run the engines on every grid point: (rows, kernel tail or None per row, n_failed).
 
     Every row is built, and so every point checked, before any task starts.
     Simulation seeds and kernel points form one task list, which fans out
-    over a process pool when workers > 1; rows are assembled in grid order
-    regardless of completion order.  A failing engine at a point leaves its
-    cells empty and the sweep continues.
+    over a process pool when workers > 1; rows are assembled, and failures
+    reported, in grid order regardless of completion order.  A failing
+    engine at a point leaves its cells empty and the sweep continues.
     """
     points = _grid(opts)
     seeds = _seeds(opts)
     sim = "simulate" in engines
-    rows = [_row(pt, opts, len(seeds) if sim else None) for pt in points]
+    rows = [_row(pt, opts) for pt in points]
     sim_tasks = [(_sim_task, (pt, opts, seed)) for pt in points for seed in seeds if sim]
     kernel_tasks = [(_kernel_task, (pt, opts)) for pt in points if "kernels" in engines]
     tasks = sim_tasks + kernel_tasks
@@ -287,23 +249,30 @@ def run_sweep(
     for i, (pt, row) in enumerate(zip(points, rows)):
         if "theory" in engines:
             try:
-                _apply(row, _theory_cells(pt))
+                row.update(_theory_cells(pt))
             except Exception as exc:  # keep sweeping, mark the point
                 failures += 1
                 print(f"[theory] point {pt} failed: {exc}", file=sys.stderr)
         if sim:
-            outs = [o for o in runs[i * n:(i + 1) * n] if o is not None]
+            outs = []
+            for seed, run in zip(seeds, runs[i * n:(i + 1) * n]):
+                if isinstance(run, str):
+                    print(f"[simulate] point {pt} seed {seed} failed: {run}", file=sys.stderr)
+                else:
+                    outs.append(run)
             if len(outs) < n:
                 failures += 1
                 print(f"[simulate] {n - len(outs)} seed(s) failed at {pt}", file=sys.stderr)
+            row.update(n_agents=opts["agents"], t_equilibrate=opts["t_eq"],
+                       t_measure=opts["t_meas"], seed_count=len(outs))
             if outs:
-                _apply(row, _sim_cells(outs))
+                row.update(_sim_cells(outs))
         if isinstance(tails[i], str):
             failures += 1
             print(f"[kernels] point {pt} failed: {tails[i]}", file=sys.stderr)
             tails[i] = None
         elif tails[i] is not None:
-            row.c0_kernel = tails[i].c0
+            row["c0_kernel"] = tails[i].c0
     return rows, tails, failures
 
 
@@ -312,13 +281,13 @@ def _run_task(task):
     return fn(args)
 
 
-def _sim_task(task) -> RunObservables | None:
+def _sim_task(task) -> RunObservables | str:
+    """The observables of one seed at one point, or the failure message."""
     pt, opts, seed = task
     try:
         return run_experiment(_game_params(pt, opts, seed))
     except Exception as exc:
-        print(f"[simulate] point {pt} seed {seed} failed: {exc}", file=sys.stderr)
-        return None
+        return str(exc)
 
 
 def _kernel_task(task) -> KernelTail | str:
@@ -339,40 +308,35 @@ def _kernel_task(task) -> KernelTail | str:
         return str(exc)
 
 
-def _apply(row: ResultRow, cells: dict) -> None:
-    for k, v in cells.items():
-        setattr(row, k, v)
-
-
 # A reference value at or below this magnitude counts as zero in the summary.
 ZERO_REFERENCE = 1e-12
 
 
-def compare_summary(rows: list[ResultRow], tails: list[KernelTail | None]) -> list[str]:
+def compare_summary(rows: list[dict], tails: list[KernelTail | None]) -> list[str]:
     """Max deviation per observable between engines on F/O points.
 
     The deviation is relative to the reference, except where the reference
     is zero (e.g. Lambda at alpha_c2): those points get their own line with
     the absolute deviation.
     """
-    active = [r for r in rows if r.phase in ("F", "O")]
-    kernel = [(r, t) for r, t in zip(rows, tails) if t is not None and r.phase in ("F", "O")]
+    active = [r for r in rows if r["phase"] in ("F", "O")]
+    kernel = [(r, t) for r, t in zip(rows, tails) if t is not None and r["phase"] in ("F", "O")]
     checks = [
-        ("c0: sim vs theory", [(r.c0_sim, r.c0_theory) for r in active]),
-        ("c0: kernels vs theory", [(r.c0_kernel, r.c0_theory) for r in active]),
-        ("sigma: sim vs theory", [(r.sigma_sim, r.sigma_theory) for r in active]),
+        ("c0: sim vs theory", [(r["c0_sim"], r["c0_theory"]) for r in active]),
+        ("c0: kernels vs theory", [(r["c0_kernel"], r["c0_theory"]) for r in active]),
+        ("sigma: sim vs theory", [(r["sigma_sim"], r["sigma_theory"]) for r in active]),
         (
             "lambda: sim vs theory (O phase)",
-            [(r.lambda_sim, r.lambda_theory) for r in active if r.phase == "O"],
+            [(r["lambda_sim"], r["lambda_theory"]) for r in active if r["phase"] == "O"],
         ),
         (
             "Lambda: sim vs theory (F phase)",
-            [(r.Lambda_sim, r.Lambda_theory) for r in active if r.phase == "F"],
+            [(r["Lambda_sim"], r["Lambda_theory"]) for r in active if r["phase"] == "F"],
         ),
-        ("sigma_fl: kernels vs theory", [(t.sigma_fl, r.sigma_fl_theory) for r, t in kernel]),
+        ("sigma_fl: kernels vs theory", [(t.sigma_fl, r["sigma_fl_theory"]) for r, t in kernel]),
         (
             "lambda: kernels vs theory (O phase)",
-            [(t.lam, r.lambda_theory) for r, t in kernel if r.phase == "O"],
+            [(t.lam, r["lambda_theory"]) for r, t in kernel if r["phase"] == "O"],
         ),
     ]
     lines = []
@@ -499,14 +463,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _rows_out(rows: list[ResultRow], merged: dict) -> None:
-    dicts = [{c: getattr(r, c) for c in RESULT_COLUMNS} for r in rows]
-    if merged["format"] == "json":
-        write_json(merged["out"], dicts)
-    else:
-        write_csv(merged["out"], RESULT_COLUMNS, dicts)
-
-
 def cmd_theory(merged: dict) -> int:
     if merged["alpha"] is None:
         raise ContractError("theory requires --alpha")
@@ -558,7 +514,10 @@ def cmd_phase_diagram(merged: dict) -> int:
 
 def _cmd_rows(merged: dict, engines: tuple[str, ...]) -> int:
     rows, tails, failures = run_sweep(merged, engines)
-    _rows_out(rows, merged)
+    if merged["format"] == "json":
+        write_json(merged["out"], rows)
+    else:
+        write_csv(merged["out"], RESULT_COLUMNS, rows)
     if len(engines) > 1:
         for line in compare_summary(rows, tails):
             print(line, file=sys.stderr)

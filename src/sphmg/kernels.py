@@ -175,16 +175,13 @@ def iterate_kernels(params: KernelParams) -> KernelState:
     return KernelState(params=params, T=params.T, C=C, G=G, lambda_traj=lam, W=W)
 
 
-def bid_mean_trajectory(state: KernelState, a_e: np.ndarray) -> np.ndarray:
-    """Deterministic bid-mean series sum_{t'} (1+G)^(-1)_tt' a_e(t').
+def bid_mean_trajectory(state: KernelState) -> np.ndarray:
+    """Deterministic bid-mean series sum_{t'} (1+G)^(-1)_tt' a_e(t') of the state's drive.
 
     Under a stationary (alternating) drive, the plain (staggered) tail average
     approaches A/(1+chi) (A/(1+chi_hat)).
     """
-    a_e = np.asarray(a_e, dtype=np.float64)
-    if a_e.shape != (state.T + 1,):
-        raise ContractError(f"a_e must have length T+1 = {state.T + 1}")
-    return state.W @ a_e
+    return state.W @ state.params.external.series(state.T + 1)
 
 
 def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> KernelTail:

@@ -78,31 +78,27 @@ class StationaryTheory:
 
     phase: Phase
     chi: float
-    chi_hat: float | None
-    chi_hat_minus: float | None
-    c0: float | None
-    lam: float | None
-    Lambda: float | None
-    gamma: float | None
-    psi0: float | None
-    psi1: float | None
-    sigma_fl: float | None
-    sigma: float | None
-    bid_mean: float | None
-    bid_staggered: float | None
+    chi_hat: float | None = None
+    chi_hat_minus: float | None = None
+    c0: float | None = None
+    lam: float | None = None
+    Lambda: float | None = None
+    gamma: float | None = None
+    psi0: float | None = None
+    psi1: float | None = None
+    sigma_fl: float | None = None
+    sigma: float | None = None
+    bid_mean: float | None = None
+    bid_staggered: float | None = None
 
 
 def _static_a2(A_tilde: float, zeta: int) -> float:
     """A^2 if the drive is static, else 0 (only A^2 delta(zeta,0) enters)."""
-    _check_inputs(A_tilde, zeta)
-    return A_tilde * A_tilde if zeta == 0 else 0.0
-
-
-def _check_inputs(A_tilde: float, zeta: int) -> None:
     if zeta not in (0, 1):
         raise ContractError(f"zeta must be 0 or 1, got {zeta!r}")
     if not (A_tilde >= 0.0 and np.isfinite(A_tilde)):
         raise ContractError(f"A_tilde must be finite and >= 0, got {A_tilde!r}")
+    return A_tilde * A_tilde if zeta == 0 else 0.0
 
 
 def _check_kappa(kappa: float) -> None:
@@ -225,11 +221,9 @@ def frozen_solution(alpha: float, kappa: float, A_tilde: float, zeta: int) -> St
         phase=Phase.FROZEN,
         chi=chi,
         chi_hat=0.0,
-        chi_hat_minus=None,
         c0=1.0,
         lam=math.inf,
         Lambda=lam_rate,
-        gamma=None,
         psi0=1.0,
         psi1=0.0,
         sigma_fl=sigma_fl,
@@ -293,22 +287,7 @@ def stationary_solution(alpha: float, kappa: float, A_tilde: float, zeta: int) -
         return frozen_solution(alpha, kappa, A_tilde, zeta)
     if phase is Phase.OSCILLATING:
         return ergodic_solution(alpha, kappa, A_tilde, zeta)
-    return StationaryTheory(
-        phase=Phase.ANOMALOUS,
-        chi=math.inf,
-        chi_hat=None,
-        chi_hat_minus=None,
-        c0=1.0,
-        lam=None,
-        Lambda=None,
-        gamma=None,
-        psi0=None,
-        psi1=None,
-        sigma_fl=None,
-        sigma=None,
-        bid_mean=None,
-        bid_staggered=None,
-    )
+    return StationaryTheory(phase=Phase.ANOMALOUS, chi=math.inf, c0=1.0)
 
 
 def stationary_residuals(

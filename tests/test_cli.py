@@ -214,7 +214,7 @@ def test_outputs_are_deterministic_and_json_round_trips(tmp_path, capsys):
     code3, _, _ = run_cli(capsys, *args, "--format", "json", "--out", str(jpath))
     assert code3 == 0
     rows = json.loads(jpath.read_text())
-    assert all(set(r.keys()) == set(RESULT_COLUMNS) for r in rows)
+    assert all(list(r) == RESULT_COLUMNS for r in rows)
     # lossless round trip
     assert json.loads(json.dumps(rows)) == rows
     # csv and json agree cell by cell
@@ -402,6 +402,56 @@ def test_compare_keeps_rows_when_every_kernel_point_fails(capsys):
     assert [r["alpha"] for r in rows] == ["2.5", "3"]
     assert [r["c0_kernel"] for r in rows] == ["", ""] and rows[0]["c0_theory"] != ""
     assert not [l for l in err.splitlines() if "kernels vs theory" in l]
+
+
+def test_seed_count_counts_the_seeds_averaged(monkeypatch, capsys):
+    argv = ["simulate", "--alpha", "4", "--agents", "64", "--t-eq", "30", "--t-meas", "32",
+            "--workers", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--seeds", "1,3")
+    assert code == 0
+    want = parse_csv(out)[1][0]
+    run = cli.run_experiment
+
+    def fail_seed_two(params):
+        if params.seed == 2:
+            raise RuntimeError("seed 2 broke")
+        return run(params)
+
+    monkeypatch.setattr(cli, "run_experiment", fail_seed_two)
+    code, out, err = run_cli(capsys, *argv, "--seeds", "1,2,3")
+    assert code == 2
+    pt = {"alpha": 4.0, "kappa": 0.0, "A_tilde": 0.0, "zeta": 0}
+    assert err.splitlines() == [f"[simulate] point {pt} seed 2 failed: seed 2 broke",
+                                f"[simulate] 1 seed(s) failed at {pt}"]
+    row = parse_csv(out)[1][0]
+    # the means and errors are those of the two seeds that ran
+    assert row["seed_count"] == "2" and row == want
+
+
+def test_seed_failures_print_in_grid_order_for_any_worker_count():
+    # a sample over the table budget fails every seed; the lines come from the
+    # parent after the tasks, so pool completion order cannot reorder them
+    argv = ["simulate", "--sweep", "alpha:0.5:1:2", "--agents", "300000", "--seeds", "1,2,3,4",
+            "--t-eq", "0", "--t-meas", "16"]
+    env = {**os.environ, "PYTHONPATH": str(Path(sphmg.__file__).resolve().parents[1])}
+
+    def stderr(workers):
+        out = subprocess.run(
+            [sys.executable, "-m", "sphmg.cli", *argv, "--workers", str(workers)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 2
+        return out.stderr
+
+    err = stderr(1)
+    assert stderr(2) == stderr(2) == err
+    pts = [{"alpha": a, "kappa": 0.0, "A_tilde": 0.0, "zeta": 0} for a in (0.5, 1.0)]
+    want = [line for pt in pts for line in
+            [f"[simulate] point {pt} seed {s} failed:" for s in (1, 2, 3, 4)]
+            + [f"[simulate] 4 seed(s) failed at {pt}"]]
+    lines = err.splitlines()
+    assert len(lines) == len(want)
+    assert all(line.startswith(w) for line, w in zip(lines, want))
 
 
 def test_partial_failure_exit_two(capsys):

@@ -151,21 +151,19 @@ def test_tti_emerges_in_the_tail():
 
 def test_bid_mean_trajectory_zero_drive():
     state = iterate_kernels(_params(2.5, T=50))
-    assert np.all(bid_mean_trajectory(state, np.zeros(51)) == 0.0)
+    assert np.all(bid_mean_trajectory(state) == 0.0)
 
 
 def test_bid_mean_trajectory_static_drive():
-    drive = ExternalBid(zeta=0, amplitude=1.0)
     state = iterate_kernels(_params(6.0, A=1.0, zeta=0, T=300))
-    traj = bid_mean_trajectory(state, drive.series(301))
+    traj = bid_mean_trajectory(state)
     # chi = 1/(alpha-1) = 0.2 at kappa = 0, so the tail approaches 1/1.2
     assert traj[-60:].mean() == pytest.approx(5.0 / 6.0, rel=0.02)
 
 
 def test_bid_mean_trajectory_oscillating_drive():
-    drive = ExternalBid(zeta=1, amplitude=1.0)
     state = iterate_kernels(_params(4.0, A=1.0, zeta=1, T=300))
-    traj = bid_mean_trajectory(state, drive.series(301))
+    traj = bid_mean_trajectory(state)
     t = np.arange(301)
     staggered = np.where(t % 2 == 0, 1.0, -1.0) * traj
     assert staggered[-60:].mean() == pytest.approx(1.25, rel=0.02)
@@ -192,8 +190,6 @@ def test_contract_errors():
         extract_stationary(state, 0.6)
     with pytest.raises(ContractError):
         extract_stationary(state, 0.1)  # only 2 tail points
-    with pytest.raises(ContractError):
-        bid_mean_trajectory(state, np.zeros(5))
 
 
 def test_unbiased_scale_start_converges_to_the_same_tail():
