@@ -43,7 +43,7 @@ from .core import (
     row_blocks,
     self_couplings,
 )
-from .estimators import fit_line, lag_correlations, persistent_correlation
+from .estimators import diagonal_means, fit_line, lag_correlations, persistent_correlation
 
 # Snapshot window (unit stride, tail of the measurement window) for the c0
 # estimator; 64 lags leave >= 31 consecutive-lag pairs in the upper half.
@@ -55,10 +55,6 @@ FROZEN_SLOPE_SIGMAS = 5.0
 FROZEN_GROWTH_FACTOR = 2.0
 
 MIN_MEASURE_STEPS = 16
-
-# Entries of xi cast to float at a time for the Gram matrix xi^T xi, which
-# runs over row blocks.
-GRAM_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -152,10 +148,10 @@ def _window(route: _Coupled | _Patterns | _Gram, run: _Run, params: GameParams, 
     return rec
 
 
-def _positions(route: _Coupled | _Patterns | _Gram, run: _Run, rec: _Record) -> np.ndarray:
-    """The recorded positions phi = q / lam, divided in place; q = q0 + xi y on the Gram route."""
-    q = route.lift(run, rec.snaps) if isinstance(route, _Gram) else rec.snaps
-    return np.divide(q, rec.snap_lam[:, np.newaxis], out=q)
+def _positions(rec: _Record) -> np.ndarray:
+    """The recorded positions phi = q / lam of a coupling or per-pattern run,
+    divided in place."""
+    return np.divide(rec.snaps, rec.snap_lam[:, np.newaxis], out=rec.snaps)
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,8 @@ class _Coupled:
         Omega = sample.Omega
         return cls(X, d, h, b, Omega.size, float(Omega.sum()), float(Omega @ Omega))
 
-    def start(self, state: AgentState) -> _Run:
+    def start(self, state: AgentState, xi: np.ndarray) -> _Run:
+        """A run from state; xi is read only by the Gram route's start."""
         n, dtype = state.q.shape[0], self.M.dtype
         return _Run(state.q.astype(np.float64), state.lam, state.t,
                     (np.empty(n), np.empty(n, dtype), np.empty(n, dtype), *np.empty((3, n))))
@@ -224,7 +221,8 @@ class _Patterns:
     def build(cls, sample: DisorderSample) -> _Patterns:
         return cls(sample.xi.astype(np.float32), self_couplings(sample.xi), sample.Omega)
 
-    def start(self, state: AgentState) -> _Run:
+    def start(self, state: AgentState, xi: np.ndarray) -> _Run:
+        """A run from state; xi is read only by the Gram route's start."""
         (n, p), f32 = self.xi32.shape, np.float32
         return _Run(state.q.astype(np.float64), state.lam, state.t,
                     (np.empty(n), np.empty(n, f32), np.empty(p, f32), *np.empty((2, p)),
@@ -253,49 +251,55 @@ class _Patterns:
 
 @dataclass(frozen=True)
 class _Gram:
-    """What the Gram route reads at kappa = 0: xi (int8), the pattern bias
-    Omega and the Gram matrix G = xi^T xi, an exact integer matrix in
-    float64."""
+    """What the Gram route reads at kappa = 0: the pattern bias Omega, the
+    Gram matrix G = xi^T xi, an exact integer matrix in float64, and N."""
 
-    xi: np.ndarray
     Omega: np.ndarray
     G: np.ndarray
+    n_agents: int
 
     @classmethod
     def build(cls, sample: DisorderSample) -> _Gram:
         # float32 products and sums of integers bounded by N are exact below
-        # 2^24, so G has the same bits for any row blocks; one block buffer
-        # and one product buffer are reused, and both are freed before the
-        # float64 copy
+        # 2^24, so G has the same bits for any row blocks.  The float32 sum
+        # and the product buffer are the two halves of G's own bytes; the sum
+        # is then widened in place from the last rows down, in chunks
+        # [ceil(b/2), b) whose float64 destination starts where their float32
+        # source ends or later, so the source rows still to come stay intact
         xi, (n, p) = sample.xi, sample.xi.shape
-        blocks = row_blocks(xi, GRAM_BLOCK_ENTRIES)
+        G = np.zeros((p, p))
+        acc, tmp = (G.view(np.float32).reshape(2, p, p) if n < FLOAT32_EXACT_TERMS
+                    else (G, np.empty((p, p), dtype=np.float32)))
+        blocks = row_blocks(xi)
         buf = np.empty((blocks[0].stop, p), dtype=np.float32)
-        G = np.zeros((p, p), dtype=np.float32 if n < FLOAT32_EXACT_TERMS else np.float64)
-        tmp = None
         for rows in blocks:
             block = buf[:rows.stop - rows.start]
             np.copyto(block, xi[rows])
-            tmp = np.matmul(block.T, block, out=tmp)
-            G += tmp
-        del buf, tmp
-        return cls(xi, sample.Omega, G.astype(np.float64, copy=False))
+            acc += np.matmul(block.T, block, out=tmp)
+        if acc is not G:
+            b = p
+            while b > 1:
+                a = (b + 1) // 2
+                G[a:b] = acc[a:b]
+                b = a
+            G[0] = acc[0].copy()  # row 0 overlaps its own destination
+        return cls(sample.Omega, G, n)
 
-    def start(self, state: AgentState) -> _Run:
-        """A run at y = 0 with G y = 0 and the constants q0, u = xi^T q0 and |q0|^2."""
+    def start(self, state: AgentState, xi: np.ndarray) -> _Run:
+        """A run at y = 0 with G y = 0 and the constants u = xi^T q0 and
+        |q0|^2; u is summed without a float copy of xi."""
         p = self.G.shape[0]
-        u = np.zeros(p)
-        for rows in row_blocks(self.xi):
-            u += state.q[rows] @ self.xi[rows].astype(np.float64)
+        u = np.einsum("ij,i->j", xi, state.q)
         return _Run(np.zeros(p), state.lam, state.t,
-                    (state.q, u, float(state.q @ state.q), *np.zeros((3, p))))
+                    (u, float(state.q @ state.q), *np.zeros((3, p))))
 
     def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
         """One batch step in pattern space, in place: the bids are
         A = a_e + Omega + (u + G y) / (sqrt(N) lambda), y moves by
         -(2/sqrt(N)) A, and N lambda^2 = |q0|^2 + 2 u.y + y.G y reuses G y,
         the one p x p product of the step."""
-        y, (_, u, q0_sq, gy, field, bids) = run.q, run.work
-        n, sqrt_n = self.xi.shape[0], math.sqrt(self.xi.shape[0])
+        y, (u, q0_sq, gy, field, bids) = run.q, run.work
+        n, sqrt_n = self.n_agents, math.sqrt(self.n_agents)
         np.add(u, gy, out=field)
         field /= sqrt_n * lam
         np.add(self.Omega, a_e, out=bids)
@@ -307,13 +311,16 @@ class _Gram:
             return lam_sq, math.nan, math.nan
         return lam_sq, float(bids.sum()), float(bids @ bids)
 
-    def lift(self, run: _Run, ys: np.ndarray) -> np.ndarray:
-        """The valuations q0 + xi y of the rows y of ys, over row blocks of xi."""
-        q = np.empty((ys.shape[0], self.xi.shape[0]))
-        for rows in row_blocks(self.xi):
-            q[:, rows] = ys @ self.xi[rows].astype(np.float64).T
-        q += run.work[0]
-        return q
+    def c0(self, run: _Run, rec: _Record) -> float:
+        """c0 of the recorded y_s from the overlaps of q = q0 + xi y,
+        q_s.q_t = |q0|^2 + u.y_s + u.y_t + y_s.G y_t, divided by N lam_s lam_t."""
+        ys, (u, q0_sq, *_) = rec.snaps, run.work
+        yu = ys @ u
+        overlaps = ys @ (self.G @ ys.T)
+        overlaps += yu[:, np.newaxis] + yu
+        overlaps += q0_sq
+        overlaps /= self.n_agents * np.outer(rec.snap_lam, rec.snap_lam)
+        return persistent_correlation(diagonal_means(overlaps))
 
 
 def batch_step(state: AgentState, couplings: Couplings, params: GameParams) -> AgentState:
@@ -348,16 +355,18 @@ def run_experiment(params: GameParams) -> RunObservables:
     staggered bid mean is (1/tau) sum_t (-1)^t Abar(t) with Abar the pattern
     average and t the absolute batch time; sigma_fl^2 subtracts the squared
     staggered mean from sigma^2 (the plain mean is already removed).  The
-    N x N couplings are built only when p >= 0.7 N; the positions of the c0
-    snapshots are rebuilt from the route's state at the end.
+    N x N couplings are built only when p >= 0.7 N, and the disorder sample
+    is dropped once the run starts.  c0 comes from the positions of the
+    recorded snapshots, on the Gram route from their p-space overlaps.
     """
     if params.t_measure < MIN_MEASURE_STEPS:
         raise ContractError(f"t_measure must be >= {MIN_MEASURE_STEPS} for stable estimates")
     sample = generate_disorder(params)
     route = _route(sample, params.kappa)
-    run = route.start(init_state(params))
+    run = route.start(init_state(params), sample.xi)
+    del sample  # no step reads the int8 table
     _window(route, run, params, params.t_equilibrate)
-    tau, p = params.t_measure, sample.n_patterns
+    tau, p = params.t_measure, params.n_patterns
     rec = _window(route, run, params, tau, record=True)
     lam_hist = rec.lam  # lambda(t) entering each step's positions
     t_abs = np.arange(params.t_equilibrate, params.t_equilibrate + tau)
@@ -379,7 +388,8 @@ def run_experiment(params: GameParams) -> RunObservables:
         and lam_hist[-1] > FROZEN_GROWTH_FACTOR * lam_hist[0]
     )
     return RunObservables(
-        c0_hat=measure_c0(_positions(route, run, rec)),
+        c0_hat=(route.c0(run, rec) if isinstance(route, _Gram)
+                else measure_c0(_positions(rec))),
         sigma=sigma,
         sigma_fl=sigma_fl,
         lambda_mean=float(lam_hist.mean()),

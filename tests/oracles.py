@@ -56,6 +56,12 @@ def market_bids(state: AgentState, sample: DisorderSample, a_e: float) -> np.nda
     return a_e + sample.Omega + internal
 
 
+def lift(q0: np.ndarray, xi: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The valuations q0 + xi y in float64 of the Gram route's pattern-space
+    coordinates y (one vector, or one per row of ys)."""
+    return q0 + ys @ xi.astype(np.float64).T
+
+
 def mirrored_sample(sample: DisorderSample) -> DisorderSample:
     """Duplicate agents, the copies with negated omega rows: the omega column
     sums, and so the pattern bias, are exactly zero."""

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +26,7 @@ from oracles import (
     brute_force_bids,
     brute_force_step,
     brute_force_trajectory,
+    lift,
     market_bids,
     mirrored_sample,
     sample_from_tables,
@@ -125,7 +128,7 @@ def test_coupling_route_cancels_self_coupling_at_full_impact():
     assert isinstance(route, simulator._Coupled)
     assert route.d[0] == 6.0 and route.h[0] == 0.0
     p = GameParams(n_agents=1, alpha=3.0, kappa=1.0, seed=0)
-    run = route.start(_state_from_q([0.7]))
+    run = route.start(_state_from_q([0.7]), sample.xi)
     simulator._window(route, run, p, 1)
     assert run.q[0] == 0.7
 
@@ -185,8 +188,9 @@ def test_degenerate_state_raises():
 @pytest.mark.parametrize("kind", [simulator._Coupled, simulator._Patterns, simulator._Gram])
 def test_degenerate_state_raises_on_every_route(kind):
     # the same one-agent game on each route: q = 2, lambda = 2 steps to q = 0
-    route = kind.build(sample_from_tables([[1]], [[-1]]))
-    run = route.start(_state_from_q([2.0]))
+    sample = sample_from_tables([[1]], [[-1]])
+    route = kind.build(sample)
+    run = route.start(_state_from_q([2.0]), sample.xi)
     assert run.lam == 2.0
     p = GameParams(n_agents=1, alpha=1.0, kappa=0.0, seed=0)
     with pytest.raises(DegenerateStateError, match="t=1$"):
@@ -307,7 +311,7 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha):
     sample = generate_disorder(p)
     coup = _float64_coupled(sample)
     patterns = simulator._Patterns.build(sample)
-    a, b = coup.start(init_state(p)), patterns.start(init_state(p))
+    a, b = coup.start(init_state(p), sample.xi), patterns.start(init_state(p), sample.xi)
     for _ in range(20):
         bids = market_bids(AgentState(a.q, a.lam, a.q / a.lam, a.t), sample,
                            p.external.value_at(a.t))
@@ -336,20 +340,23 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
     coup = _float64_coupled(sample)
     gram = simulator._Gram.build(sample)  # _route would take couplings at p = 0.7 N
     q0 = init_state(p).q
-    a, g = coup.start(init_state(p)), gram.start(init_state(p))
+    a, g = coup.start(init_state(p), sample.xi), gram.start(init_state(p), sample.xi)
     for _ in range(120):
         _, sum_a, sum_a2 = _recorded_step(coup, a, p)
-        rec, sum_g, sum_g2 = _recorded_step(gram, g, p)
+        _, sum_g, sum_g2 = _recorded_step(gram, g, p)
         assert g.t == a.t
         assert g.lam == pytest.approx(a.lam, rel=1e-12)
-        q = q0 + sample.xi.astype(np.float64) @ g.q  # the run carries y as g.q
+        q = lift(q0, sample.xi, g.q)  # the run carries y as g.q
         assert np.allclose(q, a.q, rtol=0.0, atol=1e-12 * np.abs(a.q).max())
         scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_g == pytest.approx(sum_a, abs=1e-12 * scale)
         assert sum_g2 == pytest.approx(sum_a2, rel=1e-12)
-    phi = a.q / a.lam
-    assert np.allclose(simulator._positions(gram, g, rec)[0], phi, rtol=0.0,
-                       atol=1e-12 * np.abs(phi).max())
+    # c0 from the p-space overlaps against c0 of the lifted positions
+    rec = simulator._window(gram, g, p, 16, record=True)
+    phi = lift(q0, sample.xi, rec.snaps) / rec.snap_lam[:, np.newaxis]
+    assert gram.c0(g, rec) == pytest.approx(measure_c0(phi), rel=1e-12)
+    simulator._window(coup, a, p, 16)
+    assert np.allclose(phi[-1], a.q / a.lam, rtol=0.0, atol=1e-12 * np.abs(phi[-1]).max())
 
 
 def test_gram_route_run_matches_coupling_route(monkeypatch):
@@ -373,8 +380,9 @@ def test_window_equals_one_step_windows(kind, alpha, kappa, zeta):
     # a window keeps its state in locals and scratch buffers between steps;
     # stepping one window at a time, recorded or not, must not move a bit
     p = GameParams(n_agents=90, alpha=alpha, kappa=kappa, external=ExternalBid(zeta, 1.0), seed=6)
-    route = kind.build(generate_disorder(p))
-    whole, single, unrecorded = (route.start(init_state(p)) for _ in range(3))
+    sample = generate_disorder(p)
+    route = kind.build(sample)
+    whole, single, unrecorded = (route.start(init_state(p), sample.xi) for _ in range(3))
     rec = simulator._window(route, whole, p, 60, record=True)
     simulator._window(route, unrecorded, p, 60)
     steps = [simulator._window(route, single, p, 1, record=True) for _ in range(60)]
@@ -403,10 +411,73 @@ def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
     xi = sample.xi.astype(np.int64)
     exact = (xi.T @ xi).astype(np.float64)
     for entries in (2**20, 5 * sample.n_patterns):  # one block; blocks of 5 rows, the last short
-        monkeypatch.setattr(simulator, "GRAM_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
         G = simulator._Gram.build(sample).G
         assert G.dtype == np.float64 and np.array_equal(G, exact), entries
-    assert len(core.row_blocks(sample.xi, 5 * sample.n_patterns)) == 41
+    assert len(core.row_blocks(sample.xi)) == 41
+
+
+@pytest.mark.parametrize("n_agents, n_patterns", [(7, 1), (9, 2), (11, 3), (40, 17), (300, 96),
+                                                  (250, 173)])
+@pytest.mark.parametrize("rows", [1, 3, 8, 64, 10**4])
+@pytest.mark.parametrize("float64_sum", [False, True])
+def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows, float64_sum,
+                                                       monkeypatch):
+    # the float32 sum and product share G's float64 bytes and the sum is
+    # widened in place; FLOAT32_EXACT_TERMS = 1 forces the float64 sum
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", rows * n_patterns)
+    if float64_sum:
+        monkeypatch.setattr(simulator, "FLOAT32_EXACT_TERMS", 1)
+    rng = np.random.default_rng(n_agents * n_patterns + rows)
+    xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
+    G = simulator._Gram.build(core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns))).G
+    xi = xi.astype(np.int64)
+    assert G.dtype == np.float64 and G.flags.c_contiguous
+    assert np.array_equal(G, xi.T @ xi)
+
+
+def test_gram_route_footprint():
+    # tracemalloc sees numpy's buffers: the build holds G and one float32
+    # block, and a run from start through c0 adds less than 64 N-vectors
+    p = GameParams(n_agents=2000, alpha=0.3, external=ExternalBid(0, 1.0), seed=1,
+                   t_equilibrate=100, t_measure=200)
+    sample = generate_disorder(p)
+    tracemalloc.start()
+    try:
+        route = simulator._Gram.build(sample)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        run = route.start(init_state(p), sample.xi)
+        simulator._window(route, run, p, p.t_equilibrate)
+        c0 = route.c0(run, simulator._window(route, run, p, p.t_measure, record=True))
+        _, run_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= route.G.nbytes + 4 * core.BLOCK_ENTRIES + 2**19
+    assert run_peak - before < 8 * simulator.C0_SNAPSHOTS * p.n_agents
+    assert c0 == pytest.approx(1.0, abs=0.02)  # phase F
+
+
+@pytest.mark.parametrize("kappa, alpha", [(0.25, 2.0), (0.25, 0.5), (0.0, 0.5)])
+def test_run_experiment_drops_the_disorder_sample_before_the_windows(kappa, alpha, monkeypatch):
+    # a weak reference to xi dies with the last strong one
+    refs, live, step_window = [], [], simulator._window
+
+    def draw(params):
+        sample = generate_disorder(params)
+        refs.append(weakref.ref(sample.xi))
+        return sample
+
+    def window(*args, **kwargs):
+        live.append(refs[0]() is not None)
+        return step_window(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "generate_disorder", draw)
+    monkeypatch.setattr(simulator, "_window", window)
+    run_experiment(GameParams(n_agents=100, alpha=alpha, kappa=kappa, seed=2, t_equilibrate=20,
+                              t_measure=32))
+    assert live == [False, False]
 
 
 @pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 4.0)])
@@ -425,7 +496,7 @@ def test_float32_coupling_route_matches_float64_step(n_agents, alpha, kappa, zet
     X = xi @ xi.T
     assert np.array_equal(route.M + np.diag(np.diagonal(X)), X)
     exact = _float64_coupled(sample)
-    a, b = exact.start(init_state(p)), route.start(init_state(p))
+    a, b = exact.start(init_state(p), sample.xi), route.start(init_state(p), sample.xi)
     for _ in range(120):
         _, sum_a, sum_a2 = _recorded_step(exact, a, p)
         _, sum_b, sum_b2 = _recorded_step(route, b, p)
