@@ -17,6 +17,7 @@ after which one batch step is a single matrix-vector product.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,19 +171,60 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def _coin_table(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
-    """The (n, p) int8 table of rng.integers(0, 2, size=(n, p), dtype=np.int8),
-    taken from the raw stream.
+def disorder_blocks(params: GameParams, entries: int = 0
+                    ) -> tuple[Iterator[tuple[slice, np.ndarray]], np.ndarray]:
+    """xi of the sample of params in row blocks of about max(BLOCK_ENTRIES,
+    entries) entries, and its Omega, which holds its values once the blocks
+    are exhausted.
 
-    That draw reads consecutive uint32 outputs byte by byte, low byte first,
-    and keeps the top bit of each byte; the bytes left over in the last
-    output are dropped.  So the table is the bytes of ceil(n p / 4) raw
-    outputs shifted right by 7, in place.
+    Each {0, 1} table is the draw rng.integers(0, 2, size=(n, p),
+    dtype=np.int8), taken from the raw stream: that draw reads consecutive
+    uint32 outputs byte by byte, low byte first, keeps the top bit of each
+    byte and drops the bytes left over in the last output.  The second table
+    follows the first's ceil(n p / 4) outputs in the stream; a second
+    generator on the same seed is advanced past them (PCG64 yields two uint32
+    outputs per step), so both tables are drawn block by block, side by
+    side.  A block holds whole groups of 8 rows, so every block but the last
+    ends on a uint32 boundary.  Each yielded int8 block is fresh and is not
+    written again.  The table budget is checked at the call, before any draw.
     """
-    raw = rng.integers(0, 2**32, size=-(-n * p // 4), dtype=np.uint32).astype("<u4", copy=False)
-    table = raw.view(np.uint8)
-    np.right_shift(table, 7, out=table)
-    return table[:n * p].view(np.int8).reshape(n, p)
+    n, p = params.n_agents, params.n_patterns
+    if n * p > MAX_TABLE_ENTRIES:
+        raise ResourceBudgetError(
+            f"disorder sample needs {n * p} entries/table, budget is {MAX_TABLE_ENTRIES}"
+        )
+    first = rng_stream(params.seed, _STREAM_DISORDER)
+    second = rng_stream(params.seed, _STREAM_DISORDER)
+    words = -(-n * p // 4)
+    second.bit_generator.advance(words // 2)
+    if words % 2:
+        second.integers(0, 2**32, dtype=np.uint32)
+    rows = max(8, max(BLOCK_ENTRIES, entries) // p // 8 * 8)
+    # with the tables 2 r - 1 for draws r in {0, 1}: xi = r1 - r2, omega = r1 + r2 - 1,
+    # so the column sums of omega are exact integer sums of the draws (int32
+    # within a block, int64 over the blocks)
+    omega_sums = np.full(p, -n, dtype=np.int64)
+    Omega = np.empty(p)
+
+    def coins(rng: np.random.Generator, m: int) -> np.ndarray:
+        raw = rng.integers(0, 2**32, size=-(-m * p // 4), dtype=np.uint32).astype("<u4", copy=False)
+        table = raw.view(np.uint8)
+        np.right_shift(table, 7, out=table)
+        return table[:m * p].view(np.int8).reshape(m, p)
+
+    def blocks() -> Iterator[tuple[slice, np.ndarray]]:
+        for start in range(0, n, rows):
+            block = slice(start, min(start + rows, n))
+            r1 = coins(first, block.stop - start)
+            r2 = coins(second, block.stop - start)
+            np.add(omega_sums, r1.sum(axis=0, dtype=np.int32), out=omega_sums)
+            np.add(omega_sums, r2.sum(axis=0, dtype=np.int32), out=omega_sums)
+            xi = np.subtract(r1, r2, out=r1)
+            del r2  # so the next block's draws join at most the block yielded now
+            yield block, xi
+        np.divide(omega_sums, np.sqrt(n), out=Omega)
+
+    return blocks(), Omega
 
 
 def generate_disorder(params: GameParams) -> DisorderSample:
@@ -190,19 +232,12 @@ def generate_disorder(params: GameParams) -> DisorderSample:
 
     Every table entry is an independent fair coin.  The draw is a pure
     function of params.seed: identical seeds give bit-identical samples.
+    The tables are drawn in row blocks, so only xi is held whole.
     """
-    n, p = params.n_agents, params.n_patterns
-    if n * p > MAX_TABLE_ENTRIES:
-        raise ResourceBudgetError(
-            f"disorder sample needs {n * p} entries/table, budget is {MAX_TABLE_ENTRIES}"
-        )
-    rng = rng_stream(params.seed, _STREAM_DISORDER)
-    # with the tables 2 r - 1 for draws r in {0, 1}: xi = r1 - r2, omega = r1 + r2 - 1,
-    # so the column sums of omega are exact integer sums of the draws
-    r1 = _coin_table(rng, n, p)
-    r2 = _coin_table(rng, n, p)
-    Omega = (r1.sum(axis=0, dtype=np.int32) + r2.sum(axis=0, dtype=np.int32) - n) / np.sqrt(n)
-    xi = np.subtract(r1, r2, out=r1)
+    blocks, Omega = disorder_blocks(params)
+    xi = np.empty((params.n_agents, params.n_patterns), dtype=np.int8)
+    for rows, block in blocks:
+        xi[rows] = block
     _freeze(xi, Omega)
     return DisorderSample(xi=xi, Omega=Omega)
 
@@ -252,6 +287,7 @@ def _integer_couplings(sample: DisorderSample) -> tuple[np.ndarray, np.ndarray, 
             X, tmp = tmp.astype(acc, copy=False), None
         else:
             X += tmp
+    del buf, block, tmp  # free the float32 scratch before h's float64 row blocks
     h = np.empty(n)
     for rows in row_blocks(xi):
         h[rows] = (2.0 / np.sqrt(n)) * (xi[rows].astype(np.float64) @ sample.Omega)

@@ -13,8 +13,9 @@ the compiled Couplings.  It is the exact regrouping of the per-pattern form
 
 so the coupling route and the per-pattern route agree to accumulation noise.
 At kappa = 0 every update is q(t+1) = q(t) - (2/sqrt(N)) xi A(t), so q(t)
-stays in q(0) + span(xi): the Gram route carries q(t) = q(0) + xi y(t) with a
-p-vector y and takes a step through the exact p x p Gram matrix xi^T xi.
+stays in q(0) + span(xi): the Gram route carries q(t) = q(0) + xi y(t) as the
+p-vectors (y, G y) and takes a step through the exact p x p Gram matrix
+G = xi^T xi, built from the disorder draw's row blocks.
 run_experiment runs an equilibration and a measurement window of the one step
 loop, _window, on one of the three routes; a route holds only the arithmetic
 of its step, which updates the run in place.  The measurement window also
@@ -25,6 +26,7 @@ last valuations, whose positions reduce to the stationary observables.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +40,9 @@ from .core import (
     DisorderSample,
     GameParams,
     _integer_couplings,
+    disorder_blocks,
     generate_disorder,
     rng_stream,
-    row_blocks,
     self_couplings,
 )
 from .estimators import diagonal_means, fit_line, lag_correlations, persistent_correlation
@@ -89,21 +91,25 @@ def init_state(params: GameParams) -> AgentState:
     return AgentState(q=q, lam=params.init_scale, phi=signs.copy(), t=0)
 
 
-def _route(sample: DisorderSample, kappa: float) -> _Coupled | _Patterns | _Gram:
-    """The route of a run, chosen from (N, p, kappa) alone: couplings from
-    p = 0.7 N on; below it the Gram route at kappa = 0 and per-pattern passes
-    otherwise.  The threshold is a measured break-even against both other
-    routes (README, Notes on numerics)."""
-    if sample.n_patterns >= 0.7 * sample.n_agents:
-        return _Coupled.build(sample)
-    return (_Gram if kappa == 0.0 else _Patterns).build(sample)
+def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gram:
+    """The route of a run from state, chosen from (N, p, kappa) alone:
+    couplings from p = 0.7 N on; below it the Gram route at kappa = 0 and
+    per-pattern passes otherwise.  The threshold is a measured break-even
+    against both other routes (README, Notes on numerics).  The Gram route is
+    built from the draw's row blocks of max(BLOCK_ENTRIES, p^2/8) entries (a
+    float32 block of at most G's bytes / 16 beyond the default), the others
+    from the whole sample."""
+    n, p = params.n_agents, params.n_patterns
+    if p < 0.7 * n and params.kappa == 0.0:
+        return _Gram.build(*disorder_blocks(params, p * p // 8), state)
+    return (_Coupled if p >= 0.7 * n else _Patterns).build(generate_disorder(params))
 
 
 @dataclass(eq=False)
 class _Run:
-    """One run's state, advanced in place by _window: q (y on the Gram
-    route), lam, t, and the route's constants and scratch buffers,
-    allocated once per run."""
+    """One run's state, advanced in place by _window: q ((y, G y) on the
+    Gram route), lam, t, and the route's scratch buffers, allocated once per
+    run."""
 
     q: np.ndarray
     lam: float
@@ -114,11 +120,12 @@ class _Run:
 class _Record:
     """What a recorded window writes at its step k: lam(t) entering the step,
     the bid moments sum_mu A^mu(t) and sum_mu A^mu(t)^2, and over the last
-    C0_SNAPSHOTS steps the run's q (y on the Gram route) and lam after it."""
+    C0_SNAPSHOTS steps the run's q ((y, G y) on the Gram route) and lam
+    after it."""
 
-    def __init__(self, steps: int, width: int) -> None:
+    def __init__(self, steps: int, shape: tuple[int, ...]) -> None:
         self.lam, self.sum_a, self.sum_a2 = np.empty((3, steps))
-        self.snaps = np.empty((min(C0_SNAPSHOTS, steps), width))
+        self.snaps = np.empty((min(C0_SNAPSHOTS, steps), *shape))
         self.snap_lam = np.empty(self.snaps.shape[0])
 
 
@@ -134,7 +141,7 @@ def _window(route: _Coupled | _Patterns | _Gram, run: _Run, params: GameParams, 
     """steps batch steps of route, in place on run; with record, the _Record
     of the window."""
     lam, t, kappa, value_at = run.lam, run.t, params.kappa, params.external.value_at
-    rec = _Record(steps, run.q.shape[0]) if record else None
+    rec = _Record(steps, run.q.shape) if record else None
     for k in range(steps):
         lam_sq, sum_a, sum_a2 = route.step(run, lam, value_at(t), kappa, record)
         lam_next = _renormalized(lam_sq, t + 1)
@@ -178,8 +185,8 @@ class _Coupled:
         Omega = sample.Omega
         return cls(X, d, h, b, Omega.size, float(Omega.sum()), float(Omega @ Omega))
 
-    def start(self, state: AgentState, xi: np.ndarray) -> _Run:
-        """A run from state; xi is read only by the Gram route's start."""
+    def start(self, state: AgentState) -> _Run:
+        """A run from state."""
         n, dtype = state.q.shape[0], self.M.dtype
         return _Run(state.q.astype(np.float64), state.lam, state.t,
                     (np.empty(n), np.empty(n, dtype), np.empty(n, dtype), *np.empty((3, n))))
@@ -221,8 +228,8 @@ class _Patterns:
     def build(cls, sample: DisorderSample) -> _Patterns:
         return cls(sample.xi.astype(np.float32), self_couplings(sample.xi), sample.Omega)
 
-    def start(self, state: AgentState, xi: np.ndarray) -> _Run:
-        """A run from state; xi is read only by the Gram route's start."""
+    def start(self, state: AgentState) -> _Run:
+        """A run from state."""
         (n, p), f32 = self.xi32.shape, np.float32
         return _Run(state.q.astype(np.float64), state.lam, state.t,
                     (np.empty(n), np.empty(n, f32), np.empty(p, f32), *np.empty((2, p)),
@@ -252,30 +259,43 @@ class _Patterns:
 @dataclass(frozen=True)
 class _Gram:
     """What the Gram route reads at kappa = 0: the pattern bias Omega, the
-    Gram matrix G = xi^T xi, an exact integer matrix in float64, and N."""
+    Gram matrix G = xi^T xi, an exact integer matrix in float64, N, and the
+    constants u = xi^T q0 and |q0|^2 of the initial state q0 it was built
+    for."""
 
     Omega: np.ndarray
     G: np.ndarray
     n_agents: int
+    u: np.ndarray
+    q0_sq: float
 
     @classmethod
-    def build(cls, sample: DisorderSample) -> _Gram:
+    def build(cls, blocks: Iterable[tuple[slice, np.ndarray]], Omega: np.ndarray,
+              state: AgentState) -> _Gram:
+        """The route over the (rows, int8 xi[rows]) blocks of a sample with
+        pattern bias Omega, from state; the blocks are read once, in any
+        partition of the rows."""
         # float32 products and sums of integers bounded by N are exact below
         # 2^24, so G has the same bits for any row blocks.  The float32 sum
         # and the product buffer are the two halves of G's own bytes; the sum
         # is then widened in place from the last rows down, in chunks
         # [ceil(b/2), b) whose float64 destination starts where their float32
-        # source ends or later, so the source rows still to come stay intact
-        xi, (n, p) = sample.xi, sample.xi.shape
-        G = np.zeros((p, p))
+        # source ends or later, so the source rows still to come stay intact.
+        # u = lam xi^T phi with phi = +-1 at the initial state: its sums over
+        # the blocks are exact integers, so u too has the same bits for any
+        # blocks
+        (n,), p = state.q.shape, Omega.shape[0]
+        G, u = np.zeros((p, p)), np.zeros(p)
         acc, tmp = (G.view(np.float32).reshape(2, p, p) if n < FLOAT32_EXACT_TERMS
                     else (G, np.empty((p, p), dtype=np.float32)))
-        blocks = row_blocks(xi)
-        buf = np.empty((blocks[0].stop, p), dtype=np.float32)
-        for rows in blocks:
-            block = buf[:rows.stop - rows.start]
-            np.copyto(block, xi[rows])
+        buf = np.empty((0, p), dtype=np.float32)
+        for rows, xi in blocks:
+            if buf.shape[0] < xi.shape[0]:
+                buf = np.empty(xi.shape, dtype=np.float32)
+            block = buf[:xi.shape[0]]
+            np.copyto(block, xi)
             acc += np.matmul(block.T, block, out=tmp)
+            u += np.einsum("ij,i->j", xi, state.phi[rows])
         if acc is not G:
             b = p
             while b > 1:
@@ -283,22 +303,20 @@ class _Gram:
                 G[a:b] = acc[a:b]
                 b = a
             G[0] = acc[0].copy()  # row 0 overlaps its own destination
-        return cls(sample.Omega, G, n)
+        u *= state.lam
+        return cls(Omega, G, n, u, float(state.q @ state.q))
 
-    def start(self, state: AgentState, xi: np.ndarray) -> _Run:
-        """A run at y = 0 with G y = 0 and the constants u = xi^T q0 and
-        |q0|^2; u is summed without a float copy of xi."""
+    def start(self, state: AgentState) -> _Run:
+        """A run at y = 0 with G y = 0, from the state the route was built for."""
         p = self.G.shape[0]
-        u = np.einsum("ij,i->j", xi, state.q)
-        return _Run(np.zeros(p), state.lam, state.t,
-                    (u, float(state.q @ state.q), *np.zeros((3, p))))
+        return _Run(np.zeros((2, p)), state.lam, state.t, tuple(np.zeros((2, p))))
 
     def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
         """One batch step in pattern space, in place: the bids are
         A = a_e + Omega + (u + G y) / (sqrt(N) lambda), y moves by
-        -(2/sqrt(N)) A, and N lambda^2 = |q0|^2 + 2 u.y + y.G y reuses G y,
-        the one p x p product of the step."""
-        y, (u, q0_sq, gy, field, bids) = run.q, run.work
+        -(2/sqrt(N)) A, and N lambda^2 = |q0|^2 + 2 u.y + y.G y reuses the
+        new G y, the one p x p product of the step."""
+        (y, gy), (field, bids), u = run.q, run.work, self.u
         n, sqrt_n = self.n_agents, math.sqrt(self.n_agents)
         np.add(u, gy, out=field)
         field /= sqrt_n * lam
@@ -306,19 +324,19 @@ class _Gram:
         bids += field
         y -= np.multiply(bids, 2.0 / sqrt_n, out=field)
         np.matmul(self.G, y, out=gy)
-        lam_sq = (q0_sq + 2.0 * float(u @ y) + float(y @ gy)) / n
+        lam_sq = (self.q0_sq + 2.0 * float(u @ y) + float(y @ gy)) / n
         if not moments:
             return lam_sq, math.nan, math.nan
         return lam_sq, float(bids.sum()), float(bids @ bids)
 
-    def c0(self, run: _Run, rec: _Record) -> float:
-        """c0 of the recorded y_s from the overlaps of q = q0 + xi y,
+    def c0(self, rec: _Record) -> float:
+        """c0 of the recorded (y_s, G y_s) from the overlaps of q = q0 + xi y,
         q_s.q_t = |q0|^2 + u.y_s + u.y_t + y_s.G y_t, divided by N lam_s lam_t."""
-        ys, (u, q0_sq, *_) = rec.snaps, run.work
-        yu = ys @ u
-        overlaps = ys @ (self.G @ ys.T)
+        ys, gys = rec.snaps[:, 0], rec.snaps[:, 1]
+        yu = ys @ self.u
+        overlaps = ys @ gys.T
         overlaps += yu[:, np.newaxis] + yu
-        overlaps += q0_sq
+        overlaps += self.q0_sq
         overlaps /= self.n_agents * np.outer(rec.snap_lam, rec.snap_lam)
         return persistent_correlation(diagonal_means(overlaps))
 
@@ -355,16 +373,16 @@ def run_experiment(params: GameParams) -> RunObservables:
     staggered bid mean is (1/tau) sum_t (-1)^t Abar(t) with Abar the pattern
     average and t the absolute batch time; sigma_fl^2 subtracts the squared
     staggered mean from sigma^2 (the plain mean is already removed).  The
-    N x N couplings are built only when p >= 0.7 N, and the disorder sample
-    is dropped once the run starts.  c0 comes from the positions of the
-    recorded snapshots, on the Gram route from their p-space overlaps.
+    N x N couplings are built only when p >= 0.7 N, the Gram route never
+    holds the whole disorder table, and no route keeps it.  c0 comes from the
+    positions of the recorded snapshots, on the Gram route from their
+    p-space overlaps.
     """
     if params.t_measure < MIN_MEASURE_STEPS:
         raise ContractError(f"t_measure must be >= {MIN_MEASURE_STEPS} for stable estimates")
-    sample = generate_disorder(params)
-    route = _route(sample, params.kappa)
-    run = route.start(init_state(params), sample.xi)
-    del sample  # no step reads the int8 table
+    state = init_state(params)
+    route = _route(params, state)
+    run = route.start(state)
     _window(route, run, params, params.t_equilibrate)
     tau, p = params.t_measure, params.n_patterns
     rec = _window(route, run, params, tau, record=True)
@@ -388,7 +406,7 @@ def run_experiment(params: GameParams) -> RunObservables:
         and lam_hist[-1] > FROZEN_GROWTH_FACTOR * lam_hist[0]
     )
     return RunObservables(
-        c0_hat=(route.c0(run, rec) if isinstance(route, _Gram)
+        c0_hat=(route.c0(rec) if isinstance(route, _Gram)
                 else measure_c0(_positions(rec))),
         sigma=sigma,
         sigma_fl=sigma_fl,

@@ -40,6 +40,23 @@ def pm_tables(params: GameParams) -> tuple[np.ndarray, np.ndarray]:
     return (2 * r1 - 1).astype(np.int8), (2 * r2 - 1).astype(np.int8)
 
 
+def whole_table_disorder(params: GameParams) -> DisorderSample:
+    """The disorder draw taken whole from one generator: each {0, 1} table is
+    the bytes of ceil(N p / 4) consecutive raw uint32 outputs shifted right
+    by 7 (numpy's int8 draw), the second table's outputs following the
+    first's, and Omega the int32 column sums of both tables less N."""
+    n, p = params.n_agents, params.n_patterns
+    rng = rng_stream(params.seed, _STREAM_DISORDER)
+
+    def coin_table():
+        raw = rng.integers(0, 2**32, size=-(-n * p // 4), dtype=np.uint32).astype("<u4")
+        return (raw.view(np.uint8) >> 7)[:n * p].view(np.int8).reshape(n, p)
+
+    r1, r2 = coin_table(), coin_table()
+    Omega = (r1.sum(axis=0, dtype=np.int32) + r2.sum(axis=0, dtype=np.int32) - n) / np.sqrt(n)
+    return DisorderSample(xi=r1 - r2, Omega=Omega)
+
+
 def disorder_from_pm_tables(params: GameParams) -> DisorderSample:
     """The sample of pm_tables, halved into xi and omega and reduced to Omega."""
     xi, omega = halve_tables(*pm_tables(params))

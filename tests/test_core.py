@@ -9,8 +9,16 @@ from sphmg import (
     generate_disorder,
     precompute_couplings,
 )
+import tracemalloc
+
 from sphmg import core
-from oracles import disorder_from_pm_tables, halve_tables, pm_tables, sample_from_tables
+from oracles import (
+    disorder_from_pm_tables,
+    halve_tables,
+    pm_tables,
+    sample_from_tables,
+    whole_table_disorder,
+)
 
 
 def test_external_bid_values():
@@ -107,6 +115,49 @@ def test_disorder_draw_matches_pm_table_oracle(n_agents, alpha, seed):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
+# (N, alpha): N p = 1, 7, 36, 450, 675, 3125, 8192, 51600 and 5993002, so
+# N p mod 4 = 1, 3, 0, 2, 3, 1, 0, 0, 2 and ceil(N p / 4) raw words 1, 2, 9,
+# 113, 169, 782, 2048, 12900, 1498251: N = 1, p = 1, every remainder, and odd
+# and even word counts
+DRAW_SHAPES = [(1, 1.0), (7, 0.1), (12, 0.25), (30, 0.5), (45, 1 / 3), (125, 0.2), (64, 2.0),
+               (129, 3.1), (1999, 1.5)]
+
+
+@pytest.mark.parametrize("n_agents, alpha", DRAW_SHAPES)
+@pytest.mark.parametrize("block_entries", [8, 24, 2**18])
+def test_block_draw_matches_whole_table_draw(n_agents, alpha, block_entries, monkeypatch):
+    # blocks of 8 rows (many, the last one partial), of 24 // p rows in whole
+    # groups of 8, and of the default size
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", block_entries)
+    params = GameParams(n_agents=n_agents, alpha=alpha, seed=n_agents)
+    ref = whole_table_disorder(params)
+    sample = generate_disorder(params)
+    for name in ("xi", "Omega"):
+        got, want = getattr(sample, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("n_agents, alpha", DRAW_SHAPES)
+@pytest.mark.parametrize("entries", [0, 40, 2**19])
+def test_disorder_blocks_are_whole_groups_of_eight_rows(n_agents, alpha, entries):
+    # a caller may ask for blocks larger than BLOCK_ENTRIES; every block but
+    # the last holds a multiple of 8 rows, and Omega holds once they are drawn
+    params = GameParams(n_agents=n_agents, alpha=alpha, seed=7)
+    ref = whole_table_disorder(params)
+    n, p = ref.xi.shape
+    budget = max(core.BLOCK_ENTRIES, entries)
+    blocks, Omega = core.disorder_blocks(params, entries)
+    got = list(blocks)
+    stops = [r.stop for r, _ in got]
+    assert [r.start for r, _ in got] == [0, *stops[:-1]] and stops[-1] == n
+    for r, _ in got[:-1]:  # the most whole groups of 8 rows within the budget, at least one
+        rows = r.stop - r.start
+        assert rows % 8 == 0 and (rows == 8 or rows * p <= budget < (rows + 8) * p)
+    for r, xi in got:
+        assert xi.dtype == np.int8 and np.array_equal(xi, ref.xi[r])
+    assert np.array_equal(Omega, ref.Omega)
+
+
 def test_sign_frequencies():
     # P(xi = +1) = P(R1=+1, R2=-1) = 1/4, within sampling noise
     sample = generate_disorder(GameParams(n_agents=100, alpha=1.0, seed=7))
@@ -185,6 +236,19 @@ def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dt
     coup = precompute_couplings(sample)
     assert np.array_equal(np.diagonal(coup.J), coup.d)
     assert np.array_equal(coup.d, core.self_couplings(sample.xi))
+
+
+def test_integer_couplings_free_their_float32_scratch_before_the_field_pass():
+    # X, the float32 block of min(N, p) columns and the product buffer are
+    # 12 N^2 bytes; h's float64 row blocks come after the last two are freed
+    sample = generate_disorder(GameParams(n_agents=800, alpha=6.0, seed=1))
+    tracemalloc.start()
+    try:
+        core._integer_couplings(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * sample.n_agents**2 + 2**19
 
 
 def test_resource_budget(monkeypatch):

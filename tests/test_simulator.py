@@ -12,6 +12,7 @@ from sphmg import (
     DegenerateStateError,
     ExternalBid,
     GameParams,
+    ResourceBudgetError,
     batch_step,
     frozen_solution,
     generate_disorder,
@@ -37,6 +38,17 @@ def _state_from_q(q):
     q = np.asarray(q, dtype=np.float64)
     lam = float(np.sqrt(np.mean(q**2)))
     return AgentState(q=q, lam=lam, phi=q / lam, t=0)
+
+
+def _gram(sample, state):
+    """The Gram route fed the row blocks (core.row_blocks) of a whole sample."""
+    blocks = ((rows, sample.xi[rows]) for rows in core.row_blocks(sample.xi))
+    return simulator._Gram.build(blocks, sample.Omega, state)
+
+
+def _built(kind, sample, state):
+    """The route of kind over sample, for runs from state."""
+    return _gram(sample, state) if kind is simulator._Gram else kind.build(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +136,10 @@ def test_full_impact_correction_cancels_self_coupling():
 def test_coupling_route_cancels_self_coupling_at_full_impact():
     # the float32 route keeps d in float64: at kappa = 1 only the drive acts
     sample = sample_from_tables([[1, 1, -1]], [[-1, -1, 1]])
-    route = simulator._route(sample, 1.0)
-    assert isinstance(route, simulator._Coupled)
+    route = simulator._Coupled.build(sample)  # the route of N = 1, p = 3 (test_route_rule)
     assert route.d[0] == 6.0 and route.h[0] == 0.0
     p = GameParams(n_agents=1, alpha=3.0, kappa=1.0, seed=0)
-    run = route.start(_state_from_q([0.7]), sample.xi)
+    run = route.start(_state_from_q([0.7]))
     simulator._window(route, run, p, 1)
     assert run.q[0] == 0.7
 
@@ -188,9 +199,9 @@ def test_degenerate_state_raises():
 @pytest.mark.parametrize("kind", [simulator._Coupled, simulator._Patterns, simulator._Gram])
 def test_degenerate_state_raises_on_every_route(kind):
     # the same one-agent game on each route: q = 2, lambda = 2 steps to q = 0
-    sample = sample_from_tables([[1]], [[-1]])
-    route = kind.build(sample)
-    run = route.start(_state_from_q([2.0]), sample.xi)
+    sample, state = sample_from_tables([[1]], [[-1]]), _state_from_q([2.0])
+    route = _built(kind, sample, state)
+    run = route.start(state)
     assert run.lam == 2.0
     p = GameParams(n_agents=1, alpha=1.0, kappa=0.0, seed=0)
     with pytest.raises(DegenerateStateError, match="t=1$"):
@@ -267,7 +278,7 @@ def test_run_oscillating_point_small():
 def test_streaming_mode_matches_theory_too(monkeypatch):
     # p >= 0.7 N here, so the per-pattern route has to be forced
     monkeypatch.setattr(simulator, "_route",
-                        lambda sample, kappa: simulator._Patterns.build(sample))
+                        lambda params, state: simulator._Patterns.build(generate_disorder(params)))
     p = GameParams(n_agents=300, alpha=4.0, seed=1, t_equilibrate=300, t_measure=600)
     obs = run_experiment(p)
     th = stationary_solution(4.0, 0.0, 0.0, 0)
@@ -296,11 +307,15 @@ def _recorded_step(route, run, params):
     return rec, rec.sum_a[0], rec.sum_a2[0]
 
 
-def _float64_coupled(sample, kappa=None):
-    """The coupling route with its matrix in float64 (kappa is unused: the
-    signature of _route)."""
+def _float64_coupled(sample):
+    """The coupling route with its matrix in float64."""
     route = simulator._Coupled.build(sample)
     return dataclasses.replace(route, M=route.M.astype(np.float64))
+
+
+def _float64_route(params, state):
+    """_route forced onto the float64 coupling route."""
+    return _float64_coupled(generate_disorder(params))
 
 
 @pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 0.5)])
@@ -311,7 +326,7 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha):
     sample = generate_disorder(p)
     coup = _float64_coupled(sample)
     patterns = simulator._Patterns.build(sample)
-    a, b = coup.start(init_state(p), sample.xi), patterns.start(init_state(p), sample.xi)
+    a, b = coup.start(init_state(p)), patterns.start(init_state(p))
     for _ in range(20):
         bids = market_bids(AgentState(a.q, a.lam, a.q / a.lam, a.t), sample,
                            p.external.value_at(a.t))
@@ -338,23 +353,24 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
                    init_scale=init_scale, seed=12)
     sample = generate_disorder(p)
     coup = _float64_coupled(sample)
-    gram = simulator._Gram.build(sample)  # _route would take couplings at p = 0.7 N
+    gram = _gram(sample, init_state(p))  # _route would take couplings at p = 0.7 N
     q0 = init_state(p).q
-    a, g = coup.start(init_state(p), sample.xi), gram.start(init_state(p), sample.xi)
+    a, g = coup.start(init_state(p)), gram.start(init_state(p))
     for _ in range(120):
         _, sum_a, sum_a2 = _recorded_step(coup, a, p)
         _, sum_g, sum_g2 = _recorded_step(gram, g, p)
         assert g.t == a.t
         assert g.lam == pytest.approx(a.lam, rel=1e-12)
-        q = lift(q0, sample.xi, g.q)  # the run carries y as g.q
+        q = lift(q0, sample.xi, g.q[0])  # the run carries (y, G y) as g.q
         assert np.allclose(q, a.q, rtol=0.0, atol=1e-12 * np.abs(a.q).max())
         scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_g == pytest.approx(sum_a, abs=1e-12 * scale)
         assert sum_g2 == pytest.approx(sum_a2, rel=1e-12)
-    # c0 from the p-space overlaps against c0 of the lifted positions
+    # c0 from the overlaps of the recorded (y, G y) against c0 of the lifted
+    # positions
     rec = simulator._window(gram, g, p, 16, record=True)
-    phi = lift(q0, sample.xi, rec.snaps) / rec.snap_lam[:, np.newaxis]
-    assert gram.c0(g, rec) == pytest.approx(measure_c0(phi), rel=1e-12)
+    phi = lift(q0, sample.xi, rec.snaps[:, 0]) / rec.snap_lam[:, np.newaxis]
+    assert gram.c0(rec) == pytest.approx(measure_c0(phi), rel=1e-12)
     simulator._window(coup, a, p, 16)
     assert np.allclose(phi[-1], a.q / a.lam, rtol=0.0, atol=1e-12 * np.abs(phi[-1]).max())
 
@@ -363,7 +379,7 @@ def test_gram_route_run_matches_coupling_route(monkeypatch):
     p = GameParams(n_agents=300, alpha=0.4, external=ExternalBid(1, 0.5), seed=8,
                    t_equilibrate=100, t_measure=200)
     gram = run_experiment(p)
-    monkeypatch.setattr(simulator, "_route", _float64_coupled)
+    monkeypatch.setattr(simulator, "_route", _float64_route)
     coup = run_experiment(p)
     assert gram.frozen_flag == coup.frozen_flag
     for name in ("c0_hat", "sigma", "sigma_fl", "lambda_mean", "lambda_slope",
@@ -380,9 +396,8 @@ def test_window_equals_one_step_windows(kind, alpha, kappa, zeta):
     # a window keeps its state in locals and scratch buffers between steps;
     # stepping one window at a time, recorded or not, must not move a bit
     p = GameParams(n_agents=90, alpha=alpha, kappa=kappa, external=ExternalBid(zeta, 1.0), seed=6)
-    sample = generate_disorder(p)
-    route = kind.build(sample)
-    whole, single, unrecorded = (route.start(init_state(p), sample.xi) for _ in range(3))
+    route = _built(kind, generate_disorder(p), init_state(p))
+    whole, single, unrecorded = (route.start(init_state(p)) for _ in range(3))
     rec = simulator._window(route, whole, p, 60, record=True)
     simulator._window(route, unrecorded, p, 60)
     steps = [simulator._window(route, single, p, 1, record=True) for _ in range(60)]
@@ -392,7 +407,7 @@ def test_window_equals_one_step_windows(kind, alpha, kappa, zeta):
         assert np.array_equal(getattr(rec, name), stepped), name
     for run in (single, unrecorded):
         assert (run.t, run.lam) == (whole.t, whole.lam) == (60, rec.snap_lam[-1])
-        assert np.array_equal(run.q, whole.q)  # y on the Gram route
+        assert np.array_equal(run.q, whole.q)  # (y, G y) on the Gram route
         assert np.array_equal(run.q / run.lam, whole.q / whole.lam)
 
 
@@ -407,12 +422,13 @@ def test_observables_are_plain_python_values():
 
 
 def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
-    sample = generate_disorder(GameParams(n_agents=203, alpha=0.4, seed=9))
+    params = GameParams(n_agents=203, alpha=0.4, seed=9)
+    sample = generate_disorder(params)
     xi = sample.xi.astype(np.int64)
     exact = (xi.T @ xi).astype(np.float64)
     for entries in (2**20, 5 * sample.n_patterns):  # one block; blocks of 5 rows, the last short
         monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
-        G = simulator._Gram.build(sample).G
+        G = _gram(sample, init_state(params)).G
         assert G.dtype == np.float64 and np.array_equal(G, exact), entries
     assert len(core.row_blocks(sample.xi)) == 41
 
@@ -424,60 +440,97 @@ def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
 def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows, float64_sum,
                                                        monkeypatch):
     # the float32 sum and product share G's float64 bytes and the sum is
-    # widened in place; FLOAT32_EXACT_TERMS = 1 forces the float64 sum
+    # widened in place; FLOAT32_EXACT_TERMS = 1 forces the float64 sum.  u is
+    # lam times the exact integer sums xi^T phi of the +-1 positions
     monkeypatch.setattr(core, "BLOCK_ENTRIES", rows * n_patterns)
     if float64_sum:
         monkeypatch.setattr(simulator, "FLOAT32_EXACT_TERMS", 1)
     rng = np.random.default_rng(n_agents * n_patterns + rows)
     xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
-    G = simulator._Gram.build(core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns))).G
-    xi = xi.astype(np.int64)
+    signs = rng.choice([-1, 1], size=n_agents)
+    state = AgentState(q=0.37 * signs, lam=0.37, phi=signs.astype(np.float64), t=0)
+    route = _gram(core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns)), state)
+    G, xi = route.G, xi.astype(np.int64)
     assert G.dtype == np.float64 and G.flags.c_contiguous
     assert np.array_equal(G, xi.T @ xi)
+    assert np.array_equal(route.u, 0.37 * (signs @ xi).astype(np.float64))
 
 
-def test_gram_route_footprint():
-    # tracemalloc sees numpy's buffers: the build holds G and one float32
-    # block, and a run from start through c0 adds less than 64 N-vectors
-    p = GameParams(n_agents=2000, alpha=0.3, external=ExternalBid(0, 1.0), seed=1,
+def test_gram_route_footprint(monkeypatch):
+    # tracemalloc sees numpy's buffers.  From the draw through the build the
+    # run holds G, one float32 block and three int8 blocks of the draw, never
+    # the N x p table; the windows and c0 add less than 64 N-vectors
+    p = GameParams(n_agents=3000, alpha=0.3, external=ExternalBid(0, 1.0), seed=1,
                    t_equilibrate=100, t_measure=200)
-    sample = generate_disorder(p)
+    peaks, step_window = [], simulator._window
+
+    def window(route, *args, **kwargs):
+        if not peaks:
+            peaks.append((route.G.nbytes, tracemalloc.get_traced_memory()[1]))
+            tracemalloc.reset_peak()
+            peaks.append(tracemalloc.get_traced_memory()[0])
+        return step_window(route, *args, **kwargs)
+
+    # a first small run imports what numpy loads lazily, outside the trace
+    run_experiment(dataclasses.replace(p, n_agents=100))
+    monkeypatch.setattr(simulator, "_window", window)
     tracemalloc.start()
     try:
-        route = simulator._Gram.build(sample)
-        _, build_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-        run = route.start(init_state(p), sample.xi)
-        simulator._window(route, run, p, p.t_equilibrate)
-        c0 = route.c0(run, simulator._window(route, run, p, p.t_measure, record=True))
+        obs = run_experiment(p)
         _, run_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert build_peak <= route.G.nbytes + 4 * core.BLOCK_ENTRIES + 2**19
+    (g_bytes, build_peak), before = peaks
+    entries = max(core.BLOCK_ENTRIES, p.n_patterns**2 // 8)
+    assert build_peak <= g_bytes + 4 * entries + 3 * entries + 2**19
     assert run_peak - before < 8 * simulator.C0_SNAPSHOTS * p.n_agents
-    assert c0 == pytest.approx(1.0, abs=0.02)  # phase F
+    assert obs.c0_hat == pytest.approx(1.0, abs=0.02)  # phase F
 
 
 @pytest.mark.parametrize("kappa, alpha", [(0.25, 2.0), (0.25, 0.5), (0.0, 0.5)])
 def test_run_experiment_drops_the_disorder_sample_before_the_windows(kappa, alpha, monkeypatch):
-    # a weak reference to xi dies with the last strong one
-    refs, live, step_window = [], [], simulator._window
+    # a weak reference to an int8 table or block, and to the buffer it views,
+    # dies with the last strong one.  The Gram route never collects a sample:
+    # it reads the draw's row blocks, here one block of all N x p entries
+    refs, draws, live, step_window = [], [], [], simulator._window
+
+    def track(xi):
+        refs.extend(weakref.ref(a) for a in (xi, xi.base) if a is not None)
+        return xi
 
     def draw(params):
+        draws.append("sample")
         sample = generate_disorder(params)
-        refs.append(weakref.ref(sample.xi))
+        track(sample.xi)
         return sample
 
+    def blocks(params, entries):
+        draws.append("blocks")
+        it, Omega = core.disorder_blocks(params, entries)
+        return ((rows, track(xi)) for rows, xi in it), Omega
+
     def window(*args, **kwargs):
-        live.append(refs[0]() is not None)
+        live.append(any(ref() is not None for ref in refs))
         return step_window(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "generate_disorder", draw)
+    monkeypatch.setattr(simulator, "disorder_blocks", blocks)
     monkeypatch.setattr(simulator, "_window", window)
     run_experiment(GameParams(n_agents=100, alpha=alpha, kappa=kappa, seed=2, t_equilibrate=20,
                               t_measure=32))
+    assert draws == (["blocks"] if kappa == 0.0 else ["sample"]) and refs
     assert live == [False, False]
+
+
+def test_gram_route_checks_the_table_budget_before_any_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("disorder drawn over budget")
+
+    monkeypatch.setattr(core, "MAX_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(core, "rng_stream", refuse)
+    with pytest.raises(ResourceBudgetError, match="5000 entries/table"):
+        run_experiment(GameParams(n_agents=100, alpha=0.5, seed=2, t_equilibrate=20,
+                                  t_measure=32))
 
 
 @pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 4.0)])
@@ -490,13 +543,13 @@ def test_float32_coupling_route_matches_float64_step(n_agents, alpha, kappa, zet
     p = GameParams(n_agents=n_agents, alpha=alpha, kappa=kappa, external=ExternalBid(zeta, 1.0),
                    init_scale=init_scale, seed=3)
     sample = generate_disorder(p)
-    route = simulator._route(sample, kappa)
+    route = simulator._route(p, init_state(p))
     assert isinstance(route, simulator._Coupled) and route.M.dtype == np.float32
     xi = sample.xi.astype(np.int64)
     X = xi @ xi.T
     assert np.array_equal(route.M + np.diag(np.diagonal(X)), X)
     exact = _float64_coupled(sample)
-    a, b = exact.start(init_state(p), sample.xi), route.start(init_state(p), sample.xi)
+    a, b = exact.start(init_state(p)), route.start(init_state(p))
     for _ in range(120):
         _, sum_a, sum_a2 = _recorded_step(exact, a, p)
         _, sum_b, sum_b2 = _recorded_step(route, b, p)
@@ -513,7 +566,7 @@ def test_float32_coupling_run_matches_float64_run(kappa, zeta, alpha, monkeypatc
     p = GameParams(n_agents=200, alpha=alpha, kappa=kappa, external=ExternalBid(zeta, 1.0),
                    seed=4, t_equilibrate=100, t_measure=200)
     obs = run_experiment(p)
-    monkeypatch.setattr(simulator, "_route", _float64_coupled)
+    monkeypatch.setattr(simulator, "_route", _float64_route)
     exact = run_experiment(p)
     assert obs.frozen_flag == exact.frozen_flag
     for name in ("c0_hat", "sigma", "sigma_fl", "lambda_mean", "lambda_slope",
@@ -522,8 +575,9 @@ def test_float32_coupling_run_matches_float64_run(kappa, zeta, alpha, monkeypatc
 
 
 def test_coupling_route_holds_no_float64_square_matrix():
-    sample = generate_disorder(GameParams(n_agents=50, alpha=3.0, seed=1))
-    route = simulator._route(sample, 0.25)
+    params = GameParams(n_agents=50, alpha=3.0, kappa=0.25, seed=1)
+    sample = generate_disorder(params)
+    route = simulator._route(params, init_state(params))
     assert isinstance(route, simulator._Coupled)
     for value in vars(route).values():
         if isinstance(value, np.ndarray):
@@ -534,21 +588,25 @@ def test_coupling_route_holds_no_float64_square_matrix():
 
 
 def test_route_rule(monkeypatch):
-    # each build returns its class, so the rule is read without building
+    # each build returns its class, so the rule is read without a draw
     for cls in (simulator._Coupled, simulator._Patterns, simulator._Gram):
-        monkeypatch.setattr(cls, "build", lambda sample, cls=cls: cls)
+        monkeypatch.setattr(cls, "build", lambda *args, cls=cls: cls)
+    monkeypatch.setattr(simulator, "generate_disorder", lambda params: None)
+    monkeypatch.setattr(simulator, "disorder_blocks", lambda params, entries: (None, None))
 
     def kind(n_agents, n_patterns, kappa):
-        return simulator._route(SimpleNamespace(n_agents=n_agents, n_patterns=n_patterns), kappa)
+        params = SimpleNamespace(n_agents=n_agents, n_patterns=n_patterns, kappa=kappa)
+        return simulator._route(params, None)
 
     assert kind(1000, 1, 0.0) is simulator._Gram
     assert kind(1000, 699, 0.0) is simulator._Gram
     for kappa in (1e-9, 0.25, 1.0):
         for n_patterns in (1, 300, 699):
             assert kind(1000, n_patterns, kappa) is simulator._Patterns
-    for kappa in (0.0, 0.25):
+    for kappa in (0.0, 0.25, 1.0):
         for n_patterns in (700, 749, 1199, 1200):
             assert kind(1000, n_patterns, kappa) is simulator._Coupled
+    assert kind(1, 3, 1.0) is simulator._Coupled
 
 
 def test_run_experiment_takes_gram_route_only_at_kappa_zero(monkeypatch):
