@@ -63,14 +63,6 @@ _OPTIONS = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; the contract wants 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.prog + ": error: " + message) from None
-
-
 # The stable output schema of a result row; None marks an unavailable cell.
 RESULT_COLUMNS = [
     "alpha", "kappa", "A_tilde", "zeta", "realized_alpha", "phase",
@@ -93,8 +85,6 @@ def _finite_or_none(x):
 def _fmt_cell(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(int(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, str):
@@ -133,52 +123,24 @@ def _json_safe(x):
 
 def _theory_cells(pt: dict) -> dict:
     sol = stationary_solution(pt["alpha"], pt["kappa"], pt["A_tilde"], pt["zeta"])
-    return {
-        "c0_theory": _finite_or_none(sol.c0),
-        "sigma_theory": _finite_or_none(sol.sigma),
-        "sigma_fl_theory": _finite_or_none(sol.sigma_fl),
-        "lambda_theory": _finite_or_none(sol.lam),
-        "Lambda_theory": _finite_or_none(sol.Lambda),
-        "chi": _finite_or_none(sol.chi),
-        "chi_hat_plus": _finite_or_none(sol.chi_hat),
-        "chi_hat_minus": _finite_or_none(sol.chi_hat_minus),
-        "bid_mean_theory": _finite_or_none(sol.bid_mean),
-        "bid_staggered_theory": _finite_or_none(sol.bid_staggered),
-    }
-
-
-def _game_params(pt: dict, opts: dict, seed: int) -> GameParams:
-    return GameParams(
-        n_agents=opts["agents"],
-        alpha=pt["alpha"],
-        kappa=pt["kappa"],
-        external=ExternalBid(zeta=pt["zeta"], amplitude=pt["A_tilde"]),
-        init_scale=opts["init_scale"],
-        t_equilibrate=opts["t_eq"],
-        t_measure=opts["t_meas"],
-        seed=seed,
-    )
+    columns = {"c0_theory": "c0", "sigma_theory": "sigma", "sigma_fl_theory": "sigma_fl",
+               "lambda_theory": "lam", "Lambda_theory": "Lambda", "chi": "chi",
+               "chi_hat_plus": "chi_hat", "chi_hat_minus": "chi_hat_minus",
+               "bid_mean_theory": "bid_mean", "bid_staggered_theory": "bid_staggered"}
+    return {col: _finite_or_none(getattr(sol, name)) for col, name in columns.items()}
 
 
 def _sim_cells(results: list[RunObservables]) -> dict:
     """Seed means of the observables, with standard errors for c0 and sigma;
     one seed leaves the errors unknown (None), not 0."""
-    names = ("c0_hat", "sigma", "lambda_mean", "lambda_slope", "bid_mean", "bid_staggered")
-    arr = np.array([[getattr(r, f) for f in names] for r in results], dtype=np.float64)
+    columns = {"c0_sim": "c0_hat", "sigma_sim": "sigma", "lambda_sim": "lambda_mean",
+               "Lambda_sim": "lambda_slope", "bid_mean_sim": "bid_mean",
+               "bid_staggered_sim": "bid_staggered"}
+    arr = np.array([[getattr(r, f) for f in columns.values()] for r in results], dtype=np.float64)
     n = arr.shape[0]
-    mean = dict(zip(names, arr.mean(axis=0)))
-    se = (arr.std(axis=0, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [None] * len(names)
-    err = dict(zip(names, se))
-    return {
-        "c0_sim": float(mean["c0_hat"]),
-        "c0_sim_err": err["c0_hat"],
-        "sigma_sim": float(mean["sigma"]),
-        "sigma_sim_err": err["sigma"],
-        "lambda_sim": float(mean["lambda_mean"]),
-        "Lambda_sim": float(mean["lambda_slope"]),
-        "bid_mean_sim": float(mean["bid_mean"]),
-        "bid_staggered_sim": float(mean["bid_staggered"]),
-    }
+    se = (arr.std(axis=0, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [None] * len(columns)
+    return {**dict(zip(columns, arr.mean(axis=0).tolist())),
+            "c0_sim_err": se[0], "sigma_sim_err": se[1]}
 
 
 # Pool workers are one process per core; a multithreaded BLAS in each of them
@@ -225,18 +187,33 @@ def run_sweep(
 ) -> tuple[list[dict], list[KernelTail | None], int]:
     """Run the engines on every grid point: (rows, kernel tail or None per row, n_failed).
 
-    Every row is built, and so every point checked, before any task starts.
-    Simulation seeds and kernel points form one task list, which fans out
-    over a process pool when workers > 1; rows are assembled, and failures
-    reported, in grid order regardless of completion order.  A failing
-    engine at a point leaves its cells empty and the sweep continues.
+    Every row and every task, an engine function with its checked params, is
+    built before any task starts, so a bad point, seed, setting or worker
+    count fails the sweep before it runs.  Simulation seeds and kernel points
+    form one task list, which fans out over a process pool when workers > 1;
+    rows are assembled, and failures reported, in grid order regardless of
+    completion order.  A failing engine at a point leaves its cells empty and
+    the sweep continues.
     """
+    if opts["workers"] < 1:
+        raise ContractError(f"workers must be >= 1, got {opts['workers']}")
     points = _grid(opts)
     seeds = _seeds(opts)
     sim = "simulate" in engines
     rows = [_row(pt, opts) for pt in points]
-    sim_tasks = [(_sim_task, (pt, opts, seed)) for pt in points for seed in seeds if sim]
-    kernel_tasks = [(_kernel_task, (pt, opts)) for pt in points if "kernels" in engines]
+    drives = [ExternalBid(zeta=pt["zeta"], amplitude=pt["A_tilde"]) for pt in points]
+    sim_tasks = [
+        (run_experiment, GameParams(
+            n_agents=opts["agents"], alpha=pt["alpha"], kappa=pt["kappa"], external=drive,
+            init_scale=opts["init_scale"], t_equilibrate=opts["t_eq"], t_measure=opts["t_meas"],
+            seed=seed))
+        for pt, drive in zip(points, drives) for seed in seeds if sim
+    ]
+    kernel_tasks = [
+        (_kernel_tail, KernelParams(alpha=pt["alpha"], kappa=pt["kappa"], external=drive,
+                                    lambda0=opts["lambda0"], T=opts["T"]), opts["tail"])
+        for pt, drive in zip(points, drives) if "kernels" in engines
+    ]
     tasks = sim_tasks + kernel_tasks
     if opts["workers"] > 1 and len(tasks) > 1:
         outcomes = _pool_map(_run_task, tasks, opts["workers"])
@@ -276,36 +253,18 @@ def run_sweep(
     return rows, tails, failures
 
 
-def _run_task(task):
-    fn, args = task
-    return fn(args)
-
-
-def _sim_task(task) -> RunObservables | str:
-    """The observables of one seed at one point, or the failure message."""
-    pt, opts, seed = task
+def _run_task(task: tuple) -> RunObservables | KernelTail | str:
+    """The result of one (engine, params, *args) task, or the failure message."""
+    fn, *args = task
     try:
-        return run_experiment(_game_params(pt, opts, seed))
+        return fn(*args)
     except Exception as exc:
         return str(exc)
 
 
-def _kernel_task(task) -> KernelTail | str:
-    """The tail estimates of one point, or the failure message."""
-    pt, opts = task
-    try:
-        state = iterate_kernels(
-            KernelParams(
-                alpha=pt["alpha"],
-                kappa=pt["kappa"],
-                external=ExternalBid(zeta=pt["zeta"], amplitude=pt["A_tilde"]),
-                lambda0=opts["lambda0"],
-                T=opts["T"],
-            )
-        )
-        return extract_stationary(state, opts["tail"])
-    except Exception as exc:
-        return str(exc)
+def _kernel_tail(params: KernelParams, tail: float) -> KernelTail:
+    """The tail estimates of one kernel iteration."""
+    return extract_stationary(iterate_kernels(params), tail)
 
 
 # A reference value at or below this magnitude counts as zero in the summary.
@@ -401,6 +360,8 @@ def _seeds(opts: dict) -> list[int]:
         seeds = [opts["seed"] + i for i in range(opts["n_seeds"])]
     if not seeds:
         raise ContractError("need at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ContractError(f"repeated seeds: {opts['seeds']}")
     return seeds
 
 
@@ -427,16 +388,11 @@ def load_config(path: str) -> dict:
     return out
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="sphmg", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="sphmg", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, helptext in (
-        ("theory", "stationary solution at one point"),
-        ("phase-diagram", "transition lines along one axis"),
-        ("simulate", "agent-level simulation rows"),
-        ("kernels", "two-time kernel iteration rows"),
-        ("compare", "multi-engine comparison rows"),
-    ):
+    for command, (helptext, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=helptext)
         for name, kind, _, choices, text in _OPTIONS:
             if name != "engines" or command == "compare":
@@ -524,34 +480,33 @@ def _cmd_rows(merged: dict, engines: tuple[str, ...]) -> int:
     return 2 if failures else 0
 
 
+def cmd_compare(merged: dict) -> int:
+    engines = tuple(merged["engines"].split(","))
+    bad = set(engines) - set(ENGINES)
+    if bad:
+        raise ContractError(f"unknown engines: {sorted(bad)}")
+    if len(set(engines)) < len(engines):
+        raise ContractError(f"repeated engines: {merged['engines']}")
+    if len(engines) < 2:
+        raise ContractError("compare needs at least two engines")
+    return _cmd_rows(merged, engines)
+
+
+# Every subcommand once: name -> (help text, handler of the resolved options).
+_COMMANDS = {
+    "theory": ("stationary solution at one point", cmd_theory),
+    "phase-diagram": ("transition lines along one axis", cmd_phase_diagram),
+    "simulate": ("agent-level simulation rows", lambda merged: _cmd_rows(merged, ("simulate",))),
+    "kernels": ("two-time kernel iteration rows", lambda merged: _cmd_rows(merged, ("kernels",))),
+    "compare": ("multi-engine comparison rows", cmd_compare),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        merged = _resolve(args)
-        if args.command == "theory":
-            return cmd_theory(merged)
-        if args.command == "phase-diagram":
-            return cmd_phase_diagram(merged)
-        if args.command == "simulate":
-            return _cmd_rows(merged, ("simulate",))
-        if args.command == "kernels":
-            return _cmd_rows(merged, ("kernels",))
-        if args.command == "compare":
-            engines = tuple(merged["engines"].split(","))
-            bad = set(engines) - set(ENGINES)
-            if bad:
-                raise ContractError(f"unknown engines: {sorted(bad)}")
-            if len(set(engines)) < len(engines):
-                raise ContractError(f"repeated engines: {merged['engines']}")
-            if len(engines) < 2:
-                raise ContractError("compare needs at least two engines")
-            return _cmd_rows(merged, engines)
-        raise ContractError(f"unknown command {args.command!r}")
-    except SystemExit as exc:  # argparse error path routed through _Parser.error
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command][1](_resolve(args))
+    except SystemExit as exc:  # argparse has printed its usage and error lines
         return 0 if exc.code in (None, 0) else 1
     except (ContractError, OSError, ValueError) as exc:
         print(f"sphmg: error: {exc}", file=sys.stderr)

@@ -247,15 +247,15 @@ def self_couplings(xi: np.ndarray) -> np.ndarray:
     return (2.0 / xi.shape[0]) * np.abs(xi).sum(axis=1, dtype=np.int64).astype(np.float64)
 
 
-def row_blocks(xi: np.ndarray, entries: int | None = None) -> list[slice]:
-    """Row slices of xi of about entries (default BLOCK_ENTRIES) entries each.
+def row_blocks(xi: np.ndarray) -> list[slice]:
+    """Row slices of xi of about BLOCK_ENTRIES entries each.
 
     Blocks of more than 8 rows hold whole groups of 8, so that a matrix-vector
     product over the blocks gives each row the same BLAS kernel path, and the
     same bits, as one product over the whole matrix.
     """
     n, p = xi.shape
-    rows = max(1, (BLOCK_ENTRIES if entries is None else entries) // p)
+    rows = max(1, BLOCK_ENTRIES // p)
     if rows > 8:
         rows -= rows % 8
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]

@@ -382,16 +382,24 @@ def test_bad_point_exits_one_without_traceback(argv, capsys):
     assert code == 1 and out == "" and err.startswith("sphmg: error: ")
 
 
-def test_every_point_checked_before_any_task(monkeypatch, capsys):
+@pytest.mark.parametrize("argv, error", [
+    (["--sweep", "alpha:0:4:3"], "alpha must be finite and > 0, got 0.0"),
+    (["--sweep", "alpha:1:4:3", "--seeds=-1,3"], "seed must be a 64-bit unsigned integer"),
+    (["--sweep", "alpha:1:4:3", "--seeds", "1,1"], "repeated seeds: 1,1"),
+    (["--sweep", "alpha:1:4:3", "--lambda0", "0"], "lambda0 must be > 0, got 0.0"),
+    (["--sweep", "alpha:1:4:3", "--T", "0"], "T must be >= 1, got 0"),
+    (["--sweep", "alpha:1:4:3", "--workers", "0"], "workers must be >= 1, got 0"),
+], ids=["zero-alpha", "negative-seed", "repeated-seeds", "zero-lambda0", "zero-T", "no-workers"])
+def test_every_point_checked_before_any_task(argv, error, monkeypatch, capsys):
     def task_ran(*args):
         raise AssertionError("a task ran")
 
     monkeypatch.setattr(cli, "run_experiment", task_ran)
     monkeypatch.setattr(cli, "iterate_kernels", task_ran)
-    code, out, err = run_cli(capsys, "compare", "--sweep", "alpha:0:4:3", "--agents", "200",
-                             "--n-seeds", "2", "--T", "100")
+    code, out, err = run_cli(capsys, "compare", "--agents", "200", "--n-seeds", "2",
+                             "--T", "100", *argv)
     assert code == 1 and out == ""
-    assert err.splitlines() == ["sphmg: error: alpha must be finite and > 0, got 0.0"]
+    assert err.splitlines() == ["sphmg: error: " + error]
 
 
 def test_compare_keeps_rows_when_every_kernel_point_fails(capsys):
