@@ -297,6 +297,10 @@ def compare_summary(rows: list[dict], tails: list[KernelTail | None]) -> list[st
             "lambda: kernels vs theory (O phase)",
             [(t.lam, r["lambda_theory"]) for r, t in kernel if r["phase"] == "O"],
         ),
+        (
+            "Lambda: kernels vs theory (F phase)",
+            [(t.Lambda, r["Lambda_theory"]) for r, t in kernel if r["phase"] == "F"],
+        ),
     ]
     lines = []
     for label, pairs in checks:

@@ -12,12 +12,14 @@ into dense couplings
     b_i  = (2/sqrt(N)) sum_mu xi_i^mu        (response to the external bid)
     d_i  = (2/N) sum_mu (xi_i^mu)^2          (self-coupling, J_ii)
 
-after which one batch step is a single matrix-vector product.
+after which one batch step is a single matrix-vector product.  The compile
+reads the disorder draw's row blocks once and keeps xi only as two packed bit
+planes (N p / 4 bytes), so it never holds the int8 N x p table.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,66 +244,107 @@ def generate_disorder(params: GameParams) -> DisorderSample:
     return DisorderSample(xi=xi, Omega=Omega)
 
 
-def self_couplings(xi: np.ndarray) -> np.ndarray:
-    """Diagonal d_i = (2/N) sum_mu |xi_i^mu| that the kappa term feeds back."""
-    return (2.0 / xi.shape[0]) * np.abs(xi).sum(axis=1, dtype=np.int64).astype(np.float64)
-
-
-def row_blocks(xi: np.ndarray) -> list[slice]:
-    """Row slices of xi of about BLOCK_ENTRIES entries each.
+def row_blocks(n: int, p: int) -> list[slice]:
+    """Row slices of an N x p table of about BLOCK_ENTRIES entries each.
 
     Blocks of more than 8 rows hold whole groups of 8, so that a matrix-vector
     product over the blocks gives each row the same BLAS kernel path, and the
     same bits, as one product over the whole matrix.
     """
-    n, p = xi.shape
     rows = max(1, BLOCK_ENTRIES // p)
     if rows > 8:
         rows -= rows % 8
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
-def _integer_couplings(sample: DisorderSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact integer matrix X = xi xi^T, with h and b of the couplings.
+def _packed(blocks: Iterable[tuple[slice, np.ndarray]], n: int, p: int) -> np.ndarray:
+    """The bit planes xi > 0 and xi < 0 of the (rows, int8 xi[rows]) blocks,
+    packed along the patterns: N p / 4 bytes."""
+    planes = np.empty((2, n, -(-p // 8)), dtype=np.uint8)
+    for rows, xi in blocks:
+        planes[0, rows] = np.packbits(xi > 0, axis=1)
+        planes[1, rows] = np.packbits(xi < 0, axis=1)
+    return planes
 
-    X is accumulated over column blocks of xi min(N, p) wide, cast into one
-    reused float32 buffer, so no full float copy of xi is held and the
-    scratch is bounded by N^2 entries; narrower blocks make OpenBLAS's syrk,
-    which numpy takes for block @ block.T, slow.  A block's products sum at
-    most min(N, p) terms in {-1, 0, 1}, exact in float32 under the table
-    budget; the sum over blocks is an integer bounded by p, accumulated in
-    float32 for p < FLOAT32_EXACT_TERMS and in float64 from there on.  h is
-    taken over row blocks of xi, one float64 dot product per agent, and b
-    from exact integer row sums.
+
+def _unpack(planes: np.ndarray, rows: slice, start: int, out: np.ndarray) -> None:
+    """xi[rows, start:start + out.shape[1]] into out, for start a multiple of 8."""
+    width = out.shape[1]
+    cols = slice(start // 8, -(-(start + width) // 8))
+    xi, negative = np.unpackbits(planes[:, rows, cols], axis=2, count=width)
+    xi -= negative  # -1 wraps to 255
+    np.copyto(out, xi.view(np.int8))
+
+
+def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The exact integer matrix X = xi xi^T, with h, b and d of the couplings,
+    from the (rows, int8 xi[rows]) blocks of a sample of n agents whose
+    pattern bias Omega holds its values once the blocks are read.
+
+    xi is kept only as its two packed bit planes, and one scratch buffer
+    serves both passes over them.  h is taken first, before X exists, over
+    row blocks of xi unpacked in float64, one float64 dot product per agent,
+    and b from the exact row sums.  X is then summed over column blocks of xi about
+    min(N, p) wide, in whole bytes of the planes, each unpacked in float32;
+    narrower blocks make the products slow at large N.  A block is added
+    into X through lower-triangle row panels of about BLOCK_ENTRIES / 2
+    entries, blk[i0:i1] @ blk[:i1].T in one panel buffer, and the lower
+    triangle is mirrored into the upper once at the end, so no N x N product
+    is held.  A product sums at most min(N, p) terms in {-1, 0, 1}, exact in
+    float32 under the table budget; the sum over blocks is an integer
+    bounded by p, accumulated in float32 for p < FLOAT32_EXACT_TERMS and in
+    float64 from there on, so any blocking gives the same bits.  d is X's
+    diagonal.
     """
-    n, xi = sample.n_agents, sample.xi
-    p = xi.shape[1]
-    width, acc = min(n, p), np.float32 if p < FLOAT32_EXACT_TERMS else np.float64
-    buf = np.empty((n, width), dtype=np.float32)
-    X = tmp = None
+    p = Omega.shape[0]
+    planes = _packed(blocks, n, p)
+    rows = row_blocks(n, p)
+    width = max(8, min(n, p) // 8 * 8)
+    height = min(n, max(1, BLOCK_ENTRIES // 2 // n))
+    cols = n * min(width, p)
+    scratch = np.empty(max(rows[0].stop * p, -(-(cols + height * n) // 2)))
+    h, b, ones = np.empty(n), np.empty(n), np.ones(p)
+    for r in rows:
+        block = scratch[:(r.stop - r.start) * p].reshape(-1, p)
+        _unpack(planes, r, 0, block)
+        h[r] = (2.0 / np.sqrt(n)) * (block @ Omega)
+        b[r] = block @ ones  # exact integer row sums
+    b *= 2.0 / np.sqrt(n)
+    del ones
+    buf = scratch.view(np.float32)
+    panel = buf[cols:cols + height * n]
+    # the first column block is written into X, not added to zeros, so each
+    # fresh page of X is faulted in once
+    X = np.empty((n, n), dtype=np.float32 if p < FLOAT32_EXACT_TERMS else np.float64)
     for start in range(0, p, width):
-        block = buf[:, :min(width, p - start)]
-        np.copyto(block, xi[:, start:start + width])
-        tmp = np.matmul(block, block.T, out=tmp)
-        if X is None:  # the first product becomes X, cast only for a float64 sum
-            X, tmp = tmp.astype(acc, copy=False), None
-        else:
-            X += tmp
-    del buf, block, tmp  # free the float32 scratch before h's float64 row blocks
-    h = np.empty(n)
-    for rows in row_blocks(xi):
-        h[rows] = (2.0 / np.sqrt(n)) * (xi[rows].astype(np.float64) @ sample.Omega)
-    b = (2.0 / np.sqrt(n)) * xi.sum(axis=1, dtype=np.int64)
-    return X, h, b
+        k = min(width, p - start)
+        blk = buf[:n * k].reshape(n, k)
+        for i0 in range(0, n, height):
+            i1 = min(i0 + height, n)
+            _unpack(planes, slice(i0, i1), start, blk[i0:i1])
+            lower = X[i0:i1, :i1]
+            product = np.matmul(blk[i0:i1], blk[:i1].T,
+                                out=panel[:(i1 - i0) * i1].reshape(i1 - i0, i1))
+            if start:
+                lower += product
+            else:
+                lower[...] = product
+    for i0 in range(0, n, height):
+        i1 = min(i0 + height, n)
+        X[i0:i1, i1:] = X[i1:, i0:i1].T
+    d = (2.0 / n) * X.diagonal().astype(np.float64)
+    return X, h, b, d
 
 
 def precompute_couplings(sample: DisorderSample) -> Couplings:
     """Compile (J, h, b, d) in float64 so that one batch step is an O(N^2)
     product: J = (2/N) X with the exact integer X = xi xi^T, and d its
     diagonal."""
-    X, h, b = _integer_couplings(sample)
+    n, p = sample.xi.shape
+    blocks = ((rows, sample.xi[rows]) for rows in row_blocks(n, p))
+    X, h, b, d = _integer_couplings(blocks, n, sample.Omega)
     J = X.astype(np.float64)
-    J *= 2.0 / sample.n_agents
-    d = J.diagonal().copy()
+    J *= 2.0 / n
     _freeze(J, h, b, d)
     return Couplings(J=J, h=h, b=b, d=d)

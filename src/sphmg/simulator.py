@@ -37,13 +37,10 @@ from .core import (
     ContractError,
     Couplings,
     DegenerateStateError,
-    DisorderSample,
     GameParams,
     _integer_couplings,
     disorder_blocks,
-    generate_disorder,
     rng_stream,
-    self_couplings,
 )
 from .estimators import diagonal_means, fit_line, lag_correlations, persistent_correlation
 
@@ -95,14 +92,14 @@ def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gra
     """The route of a run from state, chosen from (N, p, kappa) alone:
     couplings from p = 0.7 N on; below it the Gram route at kappa = 0 and
     per-pattern passes otherwise.  The threshold is a measured break-even
-    against both other routes (README, Notes on numerics).  The Gram route is
-    built from the draw's row blocks of max(BLOCK_ENTRIES, p^2/8) entries (a
-    float32 block of at most G's bytes / 16 beyond the default), the others
-    from the whole sample."""
+    against both other routes (README, Notes on numerics).  Every route is
+    built from the disorder draw's row blocks, so no run holds the int8
+    N x p table: the Gram route's blocks have max(BLOCK_ENTRIES, p^2/8)
+    entries (a float32 block of at most G's bytes / 16 beyond the default),
+    the others BLOCK_ENTRIES."""
     n, p = params.n_agents, params.n_patterns
-    if p < 0.7 * n and params.kappa == 0.0:
-        return _Gram.build(*disorder_blocks(params, p * p // 8), state)
-    return (_Coupled if p >= 0.7 * n else _Patterns).build(generate_disorder(params))
+    kind = _Coupled if p >= 0.7 * n else _Gram if params.kappa == 0.0 else _Patterns
+    return kind.build(*disorder_blocks(params, p * p // 8 if kind is _Gram else 0), state)
 
 
 @dataclass(eq=False)
@@ -178,11 +175,12 @@ class _Coupled:
     omega_sq: float
 
     @classmethod
-    def build(cls, sample: DisorderSample) -> _Coupled:
-        X, h, b = _integer_couplings(sample)
-        d = (2.0 / sample.n_agents) * X.diagonal().astype(np.float64)
+    def build(cls, blocks: Iterable[tuple[slice, np.ndarray]], Omega: np.ndarray,
+              state: AgentState) -> _Coupled:
+        """The route over the (rows, int8 xi[rows]) blocks of a sample with
+        pattern bias Omega, for runs of state's N agents."""
+        X, h, b, d = _integer_couplings(blocks, state.q.shape[0], Omega)
         np.fill_diagonal(X, 0.0)
-        Omega = sample.Omega
         return cls(X, d, h, b, Omega.size, float(Omega.sum()), float(Omega @ Omega))
 
     def start(self, state: AgentState) -> _Run:
@@ -225,8 +223,18 @@ class _Patterns:
     Omega: np.ndarray
 
     @classmethod
-    def build(cls, sample: DisorderSample) -> _Patterns:
-        return cls(sample.xi.astype(np.float32), self_couplings(sample.xi), sample.Omega)
+    def build(cls, blocks: Iterable[tuple[slice, np.ndarray]], Omega: np.ndarray,
+              state: AgentState) -> _Patterns:
+        """The route over the (rows, int8 xi[rows]) blocks of a sample with
+        pattern bias Omega, for runs of state's N agents: xi32 and
+        d_i = (2/N) sum_mu |xi_i^mu| are filled block by block."""
+        n = state.q.shape[0]
+        xi32, d = np.empty((n, Omega.shape[0]), dtype=np.float32), np.empty(n)
+        for rows, xi in blocks:
+            np.copyto(xi32[rows], xi)
+            d[rows] = np.count_nonzero(xi, axis=1)
+        d *= 2.0 / n
+        return cls(xi32, d, Omega)
 
     def start(self, state: AgentState) -> _Run:
         """A run from state."""
@@ -281,21 +289,21 @@ class _Gram:
         # is then widened in place from the last rows down, in chunks
         # [ceil(b/2), b) whose float64 destination starts where their float32
         # source ends or later, so the source rows still to come stay intact.
-        # u = lam xi^T phi with phi = +-1 at the initial state: its sums over
-        # the blocks are exact integers, so u too has the same bits for any
-        # blocks
+        # u = lam xi^T phi with phi = +-1 at the initial state, taken from
+        # the float32 block: its sums within and over the blocks are exact
+        # integers, so u too has the same bits for any blocks
         (n,), p = state.q.shape, Omega.shape[0]
         G, u = np.zeros((p, p)), np.zeros(p)
         acc, tmp = (G.view(np.float32).reshape(2, p, p) if n < FLOAT32_EXACT_TERMS
                     else (G, np.empty((p, p), dtype=np.float32)))
-        buf = np.empty((0, p), dtype=np.float32)
+        buf, phi32 = np.empty((0, p), dtype=np.float32), state.phi.astype(np.float32)
         for rows, xi in blocks:
             if buf.shape[0] < xi.shape[0]:
                 buf = np.empty(xi.shape, dtype=np.float32)
             block = buf[:xi.shape[0]]
             np.copyto(block, xi)
             acc += np.matmul(block.T, block, out=tmp)
-            u += np.einsum("ij,i->j", xi, state.phi[rows])
+            u += phi32[rows] @ block
         if acc is not G:
             b = p
             while b > 1:

@@ -170,6 +170,35 @@ def test_compare_summary_absolute_deviation_at_zero_reference(capsys):
     assert float(dev.group(1)) == pytest.approx(abs(float(rows[1]["Lambda_sim"])), rel=1e-3)
 
 
+def test_compare_summary_kernel_Lambda_at_zero_reference(capsys, monkeypatch):
+    # criterion 4 checks the kernels' Lambda in phase F: alpha = 1.5 gets a
+    # relative deviation, alpha = 2 = alpha_c2, where Lambda_theory is 0, an
+    # absolute one
+    tails, kernel_tail = [], cli._kernel_tail
+
+    def record(*args):
+        tails.append(kernel_tail(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(cli, "_kernel_tail", record)
+    code, out, err = run_cli(
+        capsys, "compare", "--engines", "theory,kernels", "--sweep", "alpha:1.5:2:2",
+        "--T", "150",
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r["phase"] for r in rows] == ["F", "F"] and rows[1]["Lambda_theory"] == "0"
+    label = "Lambda: kernels vs theory (F phase): "
+    lines = [l[len(label):] for l in err.splitlines() if l.startswith(label)]
+    assert len(lines) == 2 and len(tails) == 2
+    rel = re.fullmatch(r"max rel deviation (\S+)", lines[0])
+    dev = re.fullmatch(r"max abs deviation (\S+) \(reference 0\)", lines[1])
+    assert rel and dev
+    expected_rel = abs(tails[0].Lambda / float(rows[0]["Lambda_theory"]) - 1.0)
+    assert float(rel.group(1)) == pytest.approx(expected_rel, rel=1e-3)
+    assert float(dev.group(1)) == pytest.approx(abs(tails[1].Lambda), rel=1e-3)
+
+
 def test_simulate_row_small(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--alpha", "4", "--agents", "200", "--t-eq", "100",

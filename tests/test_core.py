@@ -9,8 +9,6 @@ from sphmg import (
     generate_disorder,
     precompute_couplings,
 )
-import tracemalloc
-
 from sphmg import core
 from oracles import (
     disorder_from_pm_tables,
@@ -19,6 +17,7 @@ from oracles import (
     sample_from_tables,
     whole_table_disorder,
 )
+from tracing import traced_peak
 
 
 def test_external_bid_values():
@@ -197,7 +196,7 @@ def test_field_and_drive_response_over_row_blocks(monkeypatch):
     # whole-matrix float64 products
     monkeypatch.setattr(core, "BLOCK_ENTRIES", 50)
     sample = generate_disorder(GameParams(n_agents=41, alpha=0.5, seed=6))
-    assert len(core.row_blocks(sample.xi)) == 21
+    assert len(core.row_blocks(*sample.xi.shape)) == 21
     coup = precompute_couplings(sample)
     xd = sample.xi.astype(np.float64)
     scale = 2.0 / np.sqrt(sample.n_agents)
@@ -205,50 +204,81 @@ def test_field_and_drive_response_over_row_blocks(monkeypatch):
     assert np.array_equal(coup.b, scale * xd.sum(axis=1))
 
 
+def _compiled(xi, Omega):
+    """_integer_couplings over the row blocks of a whole int8 table."""
+    n, p = xi.shape
+    return core._integer_couplings(((rows, xi[rows]) for rows in core.row_blocks(n, p)), n, Omega)
+
+
+def _exact(xi, Omega):
+    """X = xi xi^T, b and d from int64 sums, and h as float64 products over
+    the row blocks, one dot product per agent."""
+    n, p = xi.shape
+    x, scale = xi.astype(np.int64), 2.0 / np.sqrt(n)
+    h = np.concatenate([scale * (xi[rows].astype(np.float64) @ Omega)
+                        for rows in core.row_blocks(n, p)])
+    return x @ x.T, h, scale * x.sum(axis=1), (2.0 / n) * np.abs(x).sum(axis=1)
+
+
+def _assert_compiled_exactly(xi, Omega, dtype=np.float32):
+    got, want = _compiled(xi, Omega), _exact(xi, Omega)
+    assert got[0].dtype == dtype and got[0].flags.c_contiguous
+    for name, a, b in zip("Xhbd", got, want):
+        assert np.array_equal(a, b), name
+
+
 @pytest.mark.parametrize("n_agents, alpha", [(41, 1.5), (10, 4.55), (20, 3.0), (41, 0.5)])
 def test_self_product_over_column_blocks_is_exact(n_agents, alpha):
-    # blocks of min(N, p) columns: N-wide ones with a short last one
-    # (p = 62 over 41 + 21, p = 46 over 4 x 10 + 6), three of exactly N = 20,
-    # and one block of p = 20 < N
+    # column blocks of min(N, p) rounded down to whole bytes of the planes,
+    # at least 8: p = 62 over 40 + 22, p = 46 over 5 x 8 + 6, p = 60 over
+    # 3 x 16 + 12, and p = 20 < N over 16 + 4
     sample = generate_disorder(GameParams(n_agents=n_agents, alpha=alpha, seed=7))
-    X, h, b = core._integer_couplings(sample)
-    xi = sample.xi.astype(np.int64)
-    assert X.dtype == np.float32
-    assert np.array_equal(X, xi @ xi.T)
+    _assert_compiled_exactly(sample.xi, sample.Omega)
     coup = precompute_couplings(sample)
+    X, h, b, d = _exact(sample.xi, sample.Omega)
     assert coup.J.dtype == np.float64
-    assert np.array_equal(coup.J, (xi @ xi.T).astype(np.float64) * (2.0 / sample.n_agents))
-    assert np.array_equal(coup.h, h) and np.array_equal(coup.b, b)
+    assert np.array_equal(coup.J, X.astype(np.float64) * (2.0 / sample.n_agents))
+    for name, want in (("h", h), ("b", b), ("d", d)):
+        assert np.array_equal(getattr(coup, name), want), name
+
+
+@pytest.mark.parametrize("n_agents, n_patterns", [(41, 20), (40, 40), (41, 62), (20, 60), (10, 46),
+                                                  (1, 3), (1, 17), (9, 1), (300, 1800)])
+@pytest.mark.parametrize("panel_rows", [0, 6])
+def test_packed_compile_is_exact(n_agents, n_patterns, panel_rows, monkeypatch):
+    # p < N, p = N, N < p <= 2N, p > 2N with a short last column block, p not
+    # a multiple of 8 and N = 1, in one panel and in panels of 6 rows, the
+    # last one short for N = 41, 40, 20, 10 and 9 (BLOCK_ENTRIES also sets
+    # the row blocks of h)
+    if panel_rows:
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", 2 * panel_rows * n_agents)
+    rng = np.random.default_rng(n_agents * n_patterns)
+    xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
+    _assert_compiled_exactly(xi, rng.normal(size=n_patterns))
 
 
 @pytest.mark.parametrize("offset, dtype", [(1, np.float32), (0, np.float64), (-1, np.float64)])
 def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dtype, monkeypatch):
     # float32 sums of p terms in {-1, 0, 1} are exact only below p = 2^24; the
     # limit is lowered here because a sample at the real one needs ~1 GB.
-    # p = 60 runs over three 20-column blocks
+    # p = 60 runs over four column blocks
     sample = generate_disorder(GameParams(n_agents=20, alpha=3.0, seed=3))
     p = sample.n_patterns
     monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", p + offset)
-    X, _, _ = core._integer_couplings(sample)
-    assert X.dtype == dtype
-    xi = sample.xi.astype(np.int64)
-    assert np.array_equal(X, xi @ xi.T)
+    _assert_compiled_exactly(sample.xi, sample.Omega, dtype)
     coup = precompute_couplings(sample)
     assert np.array_equal(np.diagonal(coup.J), coup.d)
-    assert np.array_equal(coup.d, core.self_couplings(sample.xi))
 
 
 def test_integer_couplings_free_their_float32_scratch_before_the_field_pass():
-    # X, the float32 block of min(N, p) columns and the product buffer are
-    # 12 N^2 bytes; h's float64 row blocks come after the last two are freed
+    # the compile holds X, the packed planes (N p / 4 bytes) and one scratch
+    # buffer, which is the float32 column block of min(N, p) columns with one
+    # panel of at most BLOCK_ENTRIES / 2 entries, and before it h's float64
+    # row blocks; no int8 table and no N x N product
     sample = generate_disorder(GameParams(n_agents=800, alpha=6.0, seed=1))
-    tracemalloc.start()
-    try:
-        core._integer_couplings(sample)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * sample.n_agents**2 + 2**19
+    n, p = sample.xi.shape
+    _, peak = traced_peak(lambda: _compiled(sample.xi, sample.Omega))
+    assert peak <= 4 * n * n + 4 * n * min(n, p) + 2 * core.BLOCK_ENTRIES + n * p // 4 + 2**19
 
 
 def test_resource_budget(monkeypatch):

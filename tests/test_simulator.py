@@ -32,6 +32,7 @@ from oracles import (
     mirrored_sample,
     sample_from_tables,
 )
+from tracing import traced_peak
 
 
 def _state_from_q(q):
@@ -40,15 +41,11 @@ def _state_from_q(q):
     return AgentState(q=q, lam=lam, phi=q / lam, t=0)
 
 
-def _gram(sample, state):
-    """The Gram route fed the row blocks (core.row_blocks) of a whole sample."""
-    blocks = ((rows, sample.xi[rows]) for rows in core.row_blocks(sample.xi))
-    return simulator._Gram.build(blocks, sample.Omega, state)
-
-
 def _built(kind, sample, state):
-    """The route of kind over sample, for runs from state."""
-    return _gram(sample, state) if kind is simulator._Gram else kind.build(sample)
+    """The route of kind fed the row blocks (core.row_blocks) of a whole
+    sample, for runs from state."""
+    blocks = ((rows, sample.xi[rows]) for rows in core.row_blocks(*sample.xi.shape))
+    return kind.build(blocks, sample.Omega, state)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +132,11 @@ def test_full_impact_correction_cancels_self_coupling():
 
 def test_coupling_route_cancels_self_coupling_at_full_impact():
     # the float32 route keeps d in float64: at kappa = 1 only the drive acts
-    sample = sample_from_tables([[1, 1, -1]], [[-1, -1, 1]])
-    route = simulator._Coupled.build(sample)  # the route of N = 1, p = 3 (test_route_rule)
+    sample, state = sample_from_tables([[1, 1, -1]], [[-1, -1, 1]]), _state_from_q([0.7])
+    route = _built(simulator._Coupled, sample, state)  # the route of N = 1, p = 3 (test_route_rule)
     assert route.d[0] == 6.0 and route.h[0] == 0.0
     p = GameParams(n_agents=1, alpha=3.0, kappa=1.0, seed=0)
-    run = route.start(_state_from_q([0.7]))
+    run = route.start(state)
     simulator._window(route, run, p, 1)
     assert run.q[0] == 0.7
 
@@ -278,7 +275,8 @@ def test_run_oscillating_point_small():
 def test_streaming_mode_matches_theory_too(monkeypatch):
     # p >= 0.7 N here, so the per-pattern route has to be forced
     monkeypatch.setattr(simulator, "_route",
-                        lambda params, state: simulator._Patterns.build(generate_disorder(params)))
+                        lambda params, state: simulator._Patterns.build(
+                            *core.disorder_blocks(params), state))
     p = GameParams(n_agents=300, alpha=4.0, seed=1, t_equilibrate=300, t_measure=600)
     obs = run_experiment(p)
     th = stationary_solution(4.0, 0.0, 0.0, 0)
@@ -287,8 +285,8 @@ def test_streaming_mode_matches_theory_too(monkeypatch):
 
 
 def test_run_experiment_builds_couplings_only_from_p_of_0_7_n(monkeypatch):
-    def refuse(sample):
-        raise AssertionError(f"J built at N={sample.n_agents}, p={sample.n_patterns}")
+    def refuse(blocks, Omega, state):
+        raise AssertionError(f"J built at N={state.q.shape[0]}, p={Omega.shape[0]}")
 
     monkeypatch.setattr(simulator._Coupled, "build", refuse)
     for n_agents, alpha, kappa in [(200, 0.5, 0.0), (100, 0.69, 0.0), (100, 0.69, 0.25)]:
@@ -307,15 +305,15 @@ def _recorded_step(route, run, params):
     return rec, rec.sum_a[0], rec.sum_a2[0]
 
 
-def _float64_coupled(sample):
+def _float64_coupled(sample, state):
     """The coupling route with its matrix in float64."""
-    route = simulator._Coupled.build(sample)
+    route = _built(simulator._Coupled, sample, state)
     return dataclasses.replace(route, M=route.M.astype(np.float64))
 
 
 def _float64_route(params, state):
     """_route forced onto the float64 coupling route."""
-    return _float64_coupled(generate_disorder(params))
+    return _float64_coupled(generate_disorder(params), state)
 
 
 @pytest.mark.parametrize("n_agents, alpha", [(60, 2.0), (80, 0.5)])
@@ -324,8 +322,8 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha):
     p = GameParams(n_agents=n_agents, alpha=alpha, kappa=0.25,
                    external=ExternalBid(zeta=1, amplitude=1.0), seed=3)
     sample = generate_disorder(p)
-    coup = _float64_coupled(sample)
-    patterns = simulator._Patterns.build(sample)
+    coup = _float64_coupled(sample, init_state(p))
+    patterns = _built(simulator._Patterns, sample, init_state(p))
     a, b = coup.start(init_state(p)), patterns.start(init_state(p))
     for _ in range(20):
         bids = market_bids(AgentState(a.q, a.lam, a.q / a.lam, a.t), sample,
@@ -352,8 +350,9 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
     p = GameParams(n_agents=n_agents, alpha=alpha, external=ExternalBid(zeta, 1.0),
                    init_scale=init_scale, seed=12)
     sample = generate_disorder(p)
-    coup = _float64_coupled(sample)
-    gram = _gram(sample, init_state(p))  # _route would take couplings at p = 0.7 N
+    coup = _float64_coupled(sample, init_state(p))
+    # _route would take couplings at p = 0.7 N
+    gram = _built(simulator._Gram, sample, init_state(p))
     q0 = init_state(p).q
     a, g = coup.start(init_state(p)), gram.start(init_state(p))
     for _ in range(120):
@@ -428,9 +427,9 @@ def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
     exact = (xi.T @ xi).astype(np.float64)
     for entries in (2**20, 5 * sample.n_patterns):  # one block; blocks of 5 rows, the last short
         monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
-        G = _gram(sample, init_state(params)).G
+        G = _built(simulator._Gram, sample, init_state(params)).G
         assert G.dtype == np.float64 and np.array_equal(G, exact), entries
-    assert len(core.row_blocks(sample.xi)) == 41
+    assert len(core.row_blocks(*sample.xi.shape)) == 41
 
 
 @pytest.mark.parametrize("n_agents, n_patterns", [(7, 1), (9, 2), (11, 3), (40, 17), (300, 96),
@@ -449,7 +448,7 @@ def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows
     xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
     signs = rng.choice([-1, 1], size=n_agents)
     state = AgentState(q=0.37 * signs, lam=0.37, phi=signs.astype(np.float64), t=0)
-    route = _gram(core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns)), state)
+    route = _built(simulator._Gram, core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns)), state)
     G, xi = route.G, xi.astype(np.int64)
     assert G.dtype == np.float64 and G.flags.c_contiguous
     assert np.array_equal(G, xi.T @ xi)
@@ -471,15 +470,8 @@ def test_gram_route_footprint(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[0])
         return step_window(route, *args, **kwargs)
 
-    # a first small run imports what numpy loads lazily, outside the trace
-    run_experiment(dataclasses.replace(p, n_agents=100))
     monkeypatch.setattr(simulator, "_window", window)
-    tracemalloc.start()
-    try:
-        obs = run_experiment(p)
-        _, run_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    obs, run_peak = traced_peak(lambda: run_experiment(p))
     (g_bytes, build_peak), before = peaks
     entries = max(core.BLOCK_ENTRIES, p.n_patterns**2 // 8)
     assert build_peak <= g_bytes + 4 * entries + 3 * entries + 2**19
@@ -487,38 +479,56 @@ def test_gram_route_footprint(monkeypatch):
     assert obs.c0_hat == pytest.approx(1.0, abs=0.02)  # phase F
 
 
-@pytest.mark.parametrize("kappa, alpha", [(0.25, 2.0), (0.25, 0.5), (0.0, 0.5)])
+def test_coupling_route_footprint():
+    # from the draw through the build the route holds X, the packed planes
+    # (N p / 4 bytes) and one scratch buffer: the float32 column block of
+    # min(N, p) columns and one panel of at most BLOCK_ENTRIES / 2 entries;
+    # never the int8 N x p table nor an N x N product
+    params = GameParams(n_agents=800, alpha=6.0, kappa=0.25, seed=1)
+    n, p = params.n_agents, params.n_patterns
+    route, peak = traced_peak(lambda: simulator._route(params, init_state(params)))
+    assert isinstance(route, simulator._Coupled) and route.M.nbytes == 4 * n * n
+    assert peak <= 4 * n * n + 4 * n * min(n, p) + 2 * core.BLOCK_ENTRIES + n * p // 4 + 2**19
+
+
+def test_per_pattern_route_footprint():
+    # the route fills its float32 table (4 N p bytes) block by block from the
+    # draw, which holds three int8 blocks, with one boolean block for d
+    params = GameParams(n_agents=2000, alpha=0.5, kappa=0.25, seed=1)
+    n, p = params.n_agents, params.n_patterns
+    route, peak = traced_peak(lambda: simulator._route(params, init_state(params)))
+    assert isinstance(route, simulator._Patterns) and route.xi32.nbytes == 4 * n * p
+    assert peak <= 4 * n * p + 4 * core.BLOCK_ENTRIES + 2**16
+
+
+@pytest.mark.parametrize("kappa, alpha", [(0.25, 2.0), (0.0, 2.0), (0.25, 0.5), (0.0, 0.5)])
 def test_run_experiment_drops_the_disorder_sample_before_the_windows(kappa, alpha, monkeypatch):
-    # a weak reference to an int8 table or block, and to the buffer it views,
-    # dies with the last strong one.  The Gram route never collects a sample:
-    # it reads the draw's row blocks, here one block of all N x p entries
-    refs, draws, live, step_window = [], [], [], simulator._window
+    # a weak reference to an int8 block, and to the buffer it views, dies
+    # with the last strong one.  No route collects a sample: each reads the
+    # draw's row blocks once, here one block of all N x p entries
+    refs, draws, live, kinds, step_window = [], [], [], [], simulator._window
 
     def track(xi):
         refs.extend(weakref.ref(a) for a in (xi, xi.base) if a is not None)
         return xi
-
-    def draw(params):
-        draws.append("sample")
-        sample = generate_disorder(params)
-        track(sample.xi)
-        return sample
 
     def blocks(params, entries):
         draws.append("blocks")
         it, Omega = core.disorder_blocks(params, entries)
         return ((rows, track(xi)) for rows, xi in it), Omega
 
-    def window(*args, **kwargs):
+    def window(route, *args, **kwargs):
         live.append(any(ref() is not None for ref in refs))
-        return step_window(*args, **kwargs)
+        kinds.append(type(route))
+        return step_window(route, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, "generate_disorder", draw)
     monkeypatch.setattr(simulator, "disorder_blocks", blocks)
     monkeypatch.setattr(simulator, "_window", window)
     run_experiment(GameParams(n_agents=100, alpha=alpha, kappa=kappa, seed=2, t_equilibrate=20,
                               t_measure=32))
-    assert draws == (["blocks"] if kappa == 0.0 else ["sample"]) and refs
+    kind = (simulator._Coupled if alpha >= 0.7 else
+            simulator._Gram if kappa == 0.0 else simulator._Patterns)
+    assert draws == ["blocks"] and refs and kinds == [kind, kind]
     assert live == [False, False]
 
 
@@ -548,7 +558,7 @@ def test_float32_coupling_route_matches_float64_step(n_agents, alpha, kappa, zet
     xi = sample.xi.astype(np.int64)
     X = xi @ xi.T
     assert np.array_equal(route.M + np.diag(np.diagonal(X)), X)
-    exact = _float64_coupled(sample)
+    exact = _float64_coupled(sample, init_state(p))
     a, b = exact.start(init_state(p)), route.start(init_state(p))
     for _ in range(120):
         _, sum_a, sum_a2 = _recorded_step(exact, a, p)
@@ -591,7 +601,6 @@ def test_route_rule(monkeypatch):
     # each build returns its class, so the rule is read without a draw
     for cls in (simulator._Coupled, simulator._Patterns, simulator._Gram):
         monkeypatch.setattr(cls, "build", lambda *args, cls=cls: cls)
-    monkeypatch.setattr(simulator, "generate_disorder", lambda params: None)
     monkeypatch.setattr(simulator, "disorder_blocks", lambda params, entries: (None, None))
 
     def kind(n_agents, n_patterns, kappa):
@@ -611,8 +620,8 @@ def test_route_rule(monkeypatch):
 
 def test_run_experiment_takes_gram_route_only_at_kappa_zero(monkeypatch):
     def refuse(kind):
-        def build(sample):
-            raise AssertionError(f"{kind} route at N={sample.n_agents}, p={sample.n_patterns}")
+        def build(blocks, Omega, state):
+            raise AssertionError(f"{kind} route at N={state.q.shape[0]}, p={Omega.shape[0]}")
         return build
 
     def run(kappa, alpha):
