@@ -14,7 +14,9 @@ into dense couplings
 
 after which one batch step is a single matrix-vector product.  The compile
 reads the disorder draw's row blocks once and keeps xi only as two packed bit
-planes (N p / 4 bytes), so it never holds the int8 N x p table.
+planes (N p / 4 bytes), so it never holds the int8 N x p table, and it
+multiplies xi in tiles of fixed shape (TILE), so its float32 scratch grows
+with N alone.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ MAX_TABLE_ENTRIES = 2**28
 
 # Entries of xi cast to float at a time where a product runs over row blocks.
 BLOCK_ENTRIES = 2**18
+
+# Rows x columns of the float32 xi tile the coupling compile multiplies at a
+# time: the height of its row panels and the widest of its column blocks (a
+# multiple of 8, whole bytes of the packed planes).
+TILE = (160, 480)
 
 # float32 holds every integer of magnitude up to 2^24 exactly, so sums of
 # products of entries in {-1, 0, 1} stay exact in float32 below this many terms.
@@ -257,14 +264,18 @@ def row_blocks(n: int, p: int) -> list[slice]:
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
-def _packed(blocks: Iterable[tuple[slice, np.ndarray]], n: int, p: int) -> np.ndarray:
+def _packed(blocks: Iterable[tuple[slice, np.ndarray]], n: int, p: int
+            ) -> tuple[np.ndarray, np.ndarray]:
     """The bit planes xi > 0 and xi < 0 of the (rows, int8 xi[rows]) blocks,
-    packed along the patterns: N p / 4 bytes."""
+    packed along the patterns (N p / 4 bytes), and the exact integer row
+    sums of xi (int32 holds them: p <= MAX_TABLE_ENTRIES < 2^31)."""
     planes = np.empty((2, n, -(-p // 8)), dtype=np.uint8)
+    sums = np.empty(n, dtype=np.int32)
     for rows, xi in blocks:
         planes[0, rows] = np.packbits(xi > 0, axis=1)
         planes[1, rows] = np.packbits(xi < 0, axis=1)
-    return planes
+        xi.sum(axis=1, dtype=np.int32, out=sums[rows])
+    return planes, sums
 
 
 def _unpack(planes: np.ndarray, rows: slice, start: int, out: np.ndarray) -> None:
@@ -282,41 +293,41 @@ def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega
     from the (rows, int8 xi[rows]) blocks of a sample of n agents whose
     pattern bias Omega holds its values once the blocks are read.
 
-    xi is kept only as its two packed bit planes, and one scratch buffer
-    serves both passes over them.  h is taken first, before X exists, over
-    row blocks of xi unpacked in float64, one float64 dot product per agent,
-    and b from the exact row sums.  X is then summed over column blocks of xi about
-    min(N, p) wide, in whole bytes of the planes, each unpacked in float32;
-    narrower blocks make the products slow at large N.  A block is added
-    into X through lower-triangle row panels of about BLOCK_ENTRIES / 2
-    entries, blk[i0:i1] @ blk[:i1].T in one panel buffer, and the lower
-    triangle is mirrored into the upper once at the end, so no N x N product
-    is held.  A product sums at most min(N, p) terms in {-1, 0, 1}, exact in
-    float32 under the table budget; the sum over blocks is an integer
-    bounded by p, accumulated in float32 for p < FLOAT32_EXACT_TERMS and in
-    float64 from there on, so any blocking gives the same bits.  d is X's
-    diagonal.
+    xi is kept only as its two packed bit planes, and b comes from the exact
+    row sums taken while packing.  h is taken first, before X exists, over
+    row blocks of xi unpacked in float64 into a buffer of its own, one
+    float64 dot product per agent.  X is then summed over the fewest column
+    blocks of xi of at most TILE[1] columns, evened out in whole bytes of
+    the planes (only the last may be narrower), each unpacked in float32 and
+    summed into X through lower-triangle row panels of TILE[0] rows:
+    blk[i0:i1] @ blk[:i1].T is written into X for the first block and added
+    through one panel buffer for the rest.  The lower triangle is mirrored
+    into the upper once at the end, so no N x N product is held, and the
+    float32 scratch holds at most N sum(TILE) entries at any p.  A product
+    sums at most TILE[1] terms in {-1, 0, 1}, exact in float32; the sum over
+    blocks is an integer bounded by p, accumulated in float32 for
+    p < FLOAT32_EXACT_TERMS and in float64 from there on, so any tile gives
+    the same bits.  d is X's diagonal.
     """
     p = Omega.shape[0]
-    planes = _packed(blocks, n, p)
+    planes, sums = _packed(blocks, n, p)
     rows = row_blocks(n, p)
-    width = max(8, min(n, p) // 8 * 8)
-    height = min(n, max(1, BLOCK_ENTRIES // 2 // n))
-    cols = n * min(width, p)
-    scratch = np.empty(max(rows[0].stop * p, -(-(cols + height * n) // 2)))
-    h, b, ones = np.empty(n), np.empty(n), np.ones(p)
+    field = np.empty(rows[0].stop * p)
+    h = np.empty(n)
     for r in rows:
-        block = scratch[:(r.stop - r.start) * p].reshape(-1, p)
+        block = field[:(r.stop - r.start) * p].reshape(-1, p)
         _unpack(planes, r, 0, block)
         h[r] = (2.0 / np.sqrt(n)) * (block @ Omega)
-        b[r] = block @ ones  # exact integer row sums
-    b *= 2.0 / np.sqrt(n)
-    del ones
-    buf = scratch.view(np.float32)
-    panel = buf[cols:cols + height * n]
-    # the first column block is written into X, not added to zeros, so each
-    # fresh page of X is faulted in once
+    del field, block
+    b = (2.0 / np.sqrt(n)) * sums
+    nbytes = -(-p // 8)
+    count = -(-nbytes // (TILE[1] // 8))  # column blocks
+    width, height = 8 * -(-nbytes // count), min(n, TILE[0])
+    # the first column block's products are written straight into X, not
+    # added to zeros, so each fresh page of X is faulted in once
     X = np.empty((n, n), dtype=np.float32 if p < FLOAT32_EXACT_TERMS else np.float64)
+    buf = np.empty(n * (width + height), dtype=np.float32)
+    panel = buf[n * width:]
     for start in range(0, p, width):
         k = min(width, p - start)
         blk = buf[:n * k].reshape(n, k)
@@ -324,12 +335,11 @@ def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega
             i1 = min(i0 + height, n)
             _unpack(planes, slice(i0, i1), start, blk[i0:i1])
             lower = X[i0:i1, :i1]
-            product = np.matmul(blk[i0:i1], blk[:i1].T,
-                                out=panel[:(i1 - i0) * i1].reshape(i1 - i0, i1))
             if start:
-                lower += product
+                lower += np.matmul(blk[i0:i1], blk[:i1].T,
+                                   out=panel[:(i1 - i0) * i1].reshape(i1 - i0, i1))
             else:
-                lower[...] = product
+                np.matmul(blk[i0:i1], blk[:i1].T, out=lower)
     for i0 in range(0, n, height):
         i1 = min(i0 + height, n)
         X[i0:i1, i1:] = X[i1:, i0:i1].T

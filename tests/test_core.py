@@ -228,10 +228,11 @@ def _assert_compiled_exactly(xi, Omega, dtype=np.float32):
 
 
 @pytest.mark.parametrize("n_agents, alpha", [(41, 1.5), (10, 4.55), (20, 3.0), (41, 0.5)])
-def test_self_product_over_column_blocks_is_exact(n_agents, alpha):
-    # column blocks of min(N, p) rounded down to whole bytes of the planes,
-    # at least 8: p = 62 over 40 + 22, p = 46 over 5 x 8 + 6, p = 60 over
+def test_self_product_over_column_blocks_is_exact(n_agents, alpha, monkeypatch):
+    # column blocks of equal whole bytes of the planes, at most 16 columns
+    # here: p = 62 over 3 x 16 + 14, p = 46 over 2 x 16 + 14, p = 60 over
     # 3 x 16 + 12, and p = 20 < N over 16 + 4
+    monkeypatch.setattr(core, "TILE", (core.TILE[0], 16))
     sample = generate_disorder(GameParams(n_agents=n_agents, alpha=alpha, seed=7))
     _assert_compiled_exactly(sample.xi, sample.Omega)
     coup = precompute_couplings(sample)
@@ -243,15 +244,18 @@ def test_self_product_over_column_blocks_is_exact(n_agents, alpha):
 
 
 @pytest.mark.parametrize("n_agents, n_patterns", [(41, 20), (40, 40), (41, 62), (20, 60), (10, 46),
-                                                  (1, 3), (1, 17), (9, 1), (300, 1800)])
+                                                  (13, 48), (1, 3), (1, 17), (9, 1), (300, 1800)])
 @pytest.mark.parametrize("panel_rows", [0, 6])
 def test_packed_compile_is_exact(n_agents, n_patterns, panel_rows, monkeypatch):
     # p < N, p = N, N < p <= 2N, p > 2N with a short last column block, p not
-    # a multiple of 8 and N = 1, in one panel and in panels of 6 rows, the
-    # last one short for N = 41, 40, 20, 10 and 9 (BLOCK_ENTRIES also sets
-    # the row blocks of h)
+    # a multiple of 8 and N = 1.  The default tile takes one panel and one
+    # column block, except at N = 300, p = 1800: two panels (160 + 140) and
+    # four blocks (3 x 456 + 432).  A 6 x 16 tile takes panels of 6 rows, the
+    # last one short for N = 41, 40, 20, 13, 10 and 9, and column blocks of
+    # 16, several equal ones at p = 48 and 1800 with a short last one where
+    # p is not a multiple of 16
     if panel_rows:
-        monkeypatch.setattr(core, "BLOCK_ENTRIES", 2 * panel_rows * n_agents)
+        monkeypatch.setattr(core, "TILE", (panel_rows, 16))
     rng = np.random.default_rng(n_agents * n_patterns)
     xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
     _assert_compiled_exactly(xi, rng.normal(size=n_patterns))
@@ -261,7 +265,8 @@ def test_packed_compile_is_exact(n_agents, n_patterns, panel_rows, monkeypatch):
 def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dtype, monkeypatch):
     # float32 sums of p terms in {-1, 0, 1} are exact only below p = 2^24; the
     # limit is lowered here because a sample at the real one needs ~1 GB.
-    # p = 60 runs over four column blocks
+    # p = 60 runs over four column blocks of at most 16 columns
+    monkeypatch.setattr(core, "TILE", (core.TILE[0], 16))
     sample = generate_disorder(GameParams(n_agents=20, alpha=3.0, seed=3))
     p = sample.n_patterns
     monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", p + offset)
@@ -271,14 +276,14 @@ def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dt
 
 
 def test_integer_couplings_free_their_float32_scratch_before_the_field_pass():
-    # the compile holds X, the packed planes (N p / 4 bytes) and one scratch
-    # buffer, which is the float32 column block of min(N, p) columns with one
-    # panel of at most BLOCK_ENTRIES / 2 entries, and before it h's float64
-    # row blocks; no int8 table and no N x N product
+    # the compile holds X, the packed planes (N p / 4 bytes) and the float32
+    # scratch of the tile, a column block of at most TILE[1] columns and one
+    # panel of TILE[0] rows; h's float64 row blocks are freed before X.  No
+    # int8 table and no N x N product
     sample = generate_disorder(GameParams(n_agents=800, alpha=6.0, seed=1))
     n, p = sample.xi.shape
     _, peak = traced_peak(lambda: _compiled(sample.xi, sample.Omega))
-    assert peak <= 4 * n * n + 4 * n * min(n, p) + 2 * core.BLOCK_ENTRIES + n * p // 4 + 2**19
+    assert peak <= 4 * n * n + 4 * n * sum(core.TILE) + n * p // 4 + 2**19
 
 
 def test_resource_budget(monkeypatch):

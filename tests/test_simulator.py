@@ -481,14 +481,16 @@ def test_gram_route_footprint(monkeypatch):
 
 def test_coupling_route_footprint():
     # from the draw through the build the route holds X, the packed planes
-    # (N p / 4 bytes) and one scratch buffer: the float32 column block of
-    # min(N, p) columns and one panel of at most BLOCK_ENTRIES / 2 entries;
-    # never the int8 N x p table nor an N x N product
-    params = GameParams(n_agents=800, alpha=6.0, kappa=0.25, seed=1)
-    n, p = params.n_agents, params.n_patterns
-    route, peak = traced_peak(lambda: simulator._route(params, init_state(params)))
-    assert isinstance(route, simulator._Coupled) and route.M.nbytes == 4 * n * n
-    assert peak <= 4 * n * n + 4 * n * min(n, p) + 2 * core.BLOCK_ENTRIES + n * p // 4 + 2**19
+    # (N p / 4 bytes) and the float32 scratch of the tile: a column block of
+    # at most TILE[1] columns and one panel of TILE[0] rows, whatever p; never
+    # the int8 N x p table nor an N x N product.  At N = 1600 a column block
+    # min(N, p) wide would alone take 4 N^2 bytes
+    for n, alpha in ((800, 6.0), (1600, 1.5)):
+        params = GameParams(n_agents=n, alpha=alpha, kappa=0.25, seed=1)
+        p = params.n_patterns
+        route, peak = traced_peak(lambda: simulator._route(params, init_state(params)))
+        assert isinstance(route, simulator._Coupled) and route.M.nbytes == 4 * n * n
+        assert peak <= 4 * n * n + 4 * n * sum(core.TILE) + n * p // 4 + 2**19, n
 
 
 def test_per_pattern_route_footprint():
