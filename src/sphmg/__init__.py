@@ -14,7 +14,6 @@ The ``cli`` module drives parameter sweeps and cross-engine comparisons.
 
 from .core import (
     ContractError,
-    Couplings,
     DegenerateStateError,
     DisorderSample,
     ExternalBid,
@@ -34,7 +33,6 @@ from .kernels import (
 )
 from .simulator import (
     RunObservables,
-    batch_step,
     init_state,
     run_experiment,
 )
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContractError",
-    "Couplings",
     "DegenerateStateError",
     "DisorderSample",
     "ExternalBid",
@@ -71,7 +68,6 @@ __all__ = [
     "alpha_c1",
     "alpha_c2",
     "alpha_c2_via_c0",
-    "batch_step",
     "bid_mean_trajectory",
     "classify_phase",
     "ergodic_solution",

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -114,6 +115,14 @@ def _json_safe(x):
     if isinstance(x, float) and not math.isfinite(x):
         return "inf" if x > 0 else "-inf"
     return x
+
+
+def _write_rows(merged: dict, columns: list[str], rows: list[dict]) -> None:
+    """The rows to merged["out"] in merged["format"]: csv over columns, or json."""
+    if merged["format"] == "json":
+        write_json(merged["out"], [{k: _json_safe(v) for k, v in r.items()} for r in rows])
+    else:
+        write_csv(merged["out"], columns, rows)
 
 
 # ----------------------------------------------------------------------------
@@ -370,25 +379,18 @@ def _seeds(opts: dict) -> list[int]:
 
 
 def load_config(path: str) -> dict:
-    """Flat key-value file: 'name = value' (or 'name: value'), # comments."""
+    """Flat key-value file: 'name = value', 'name: value' or 'name value',
+    split at the first separator after the name; # comments."""
     out = {}
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            for sep in ("=", ":", None):
-                if sep is None:
-                    parts = line.split(None, 1)
-                elif sep in line:
-                    parts = line.split(sep, 1)
-                else:
-                    continue
-                if len(parts) == 2:
-                    out[parts[0].strip().replace("-", "_")] = parts[1].strip()
-                    break
-            else:
+            match = re.fullmatch(r"([^\s=:]*)\s*(?:[=:]\s*|\s)(.*)", line)
+            if match is None:
                 raise ContractError(f"cannot parse config line: {raw.rstrip()}")
+            out[match[1].replace("-", "_")] = match[2]
     return out
 
 
@@ -464,20 +466,14 @@ def cmd_phase_diagram(merged: dict) -> int:
         kappa = v if name == "kappa" else merged["kappa"]
         A = v if name == "A_tilde" else merged["A"]
         rows.append({name: v, "alpha_c1": alpha_c1(A, z), "alpha_c2": alpha_c2(A, kappa, z)})
-    if merged["format"] == "json":
-        write_json(merged["out"], [{k: _json_safe(v) for k, v in r.items()} for r in rows])
-    else:
-        # alpha_c2 = inf at kappa = 1 prints "inf"
-        write_csv(merged["out"], [name, "alpha_c1", "alpha_c2"], rows)
+    # alpha_c2 = inf at kappa = 1 prints "inf"
+    _write_rows(merged, [name, "alpha_c1", "alpha_c2"], rows)
     return 0
 
 
 def _cmd_rows(merged: dict, engines: tuple[str, ...]) -> int:
     rows, tails, failures = run_sweep(merged, engines)
-    if merged["format"] == "json":
-        write_json(merged["out"], rows)
-    else:
-        write_csv(merged["out"], RESULT_COLUMNS, rows)
+    _write_rows(merged, RESULT_COLUMNS, rows)
     if len(engines) > 1:
         for line in compare_summary(rows, tails):
             print(line, file=sys.stderr)

@@ -1,18 +1,19 @@
-"""Game configuration, quenched strategy disorder, and compiled couplings.
+"""Game configuration, quenched strategy disorder, and the coupling compile.
 
 N agents each hold two binary look-up tables over p = round(alpha*N)
 information patterns.  Only the half-difference xi and half-sum omega of the
 two tables enter the batch dynamics; omega appears through the pattern bias
 Omega_mu = N^(-1/2) sum_i omega_i^mu.  Because the batch valuation update is
 affine in the normalized positions phi, a quenched sample can be compiled once
-into dense couplings
+into the couplings
 
-    J_ij = (2/N) sum_mu xi_i^mu xi_j^mu      (agent-agent coupling)
+    J_ij = (2/N) X_ij with X = xi xi^T       (agent-agent coupling)
     h_i  = (2/sqrt(N)) sum_mu xi_i^mu Omega_mu
     b_i  = (2/sqrt(N)) sum_mu xi_i^mu        (response to the external bid)
     d_i  = (2/N) sum_mu (xi_i^mu)^2          (self-coupling, J_ii)
 
-after which one batch step is a single matrix-vector product.  The compile
+after which one batch step of the simulator's coupling route is a single
+matrix-vector product over the exact integer matrix X.  The compile
 reads the disorder draw's row blocks once and keeps xi only as two packed bit
 planes (N p / 4 bytes), so it never holds the int8 N x p table, and it
 multiplies xi in tiles of fixed shape (TILE), so its float32 scratch grows
@@ -161,25 +162,6 @@ class DisorderSample:
         return self.xi.shape[1]
 
 
-@dataclass(frozen=True)
-class Couplings:
-    """Dense coupling tables compiled from one DisorderSample (float64)."""
-
-    J: np.ndarray
-    h: np.ndarray
-    b: np.ndarray
-    d: np.ndarray
-
-    @property
-    def n_agents(self) -> int:
-        return self.h.shape[0]
-
-
-def _freeze(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 def disorder_blocks(params: GameParams, entries: int = 0
                     ) -> tuple[Iterator[tuple[slice, np.ndarray]], np.ndarray]:
     """xi of the sample of params in row blocks of about max(BLOCK_ENTRIES,
@@ -247,7 +229,7 @@ def generate_disorder(params: GameParams) -> DisorderSample:
     xi = np.empty((params.n_agents, params.n_patterns), dtype=np.int8)
     for rows, block in blocks:
         xi[rows] = block
-    _freeze(xi, Omega)
+    xi.flags.writeable = Omega.flags.writeable = False
     return DisorderSample(xi=xi, Omega=Omega)
 
 
@@ -347,14 +329,10 @@ def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega
     return X, h, b, d
 
 
-def precompute_couplings(sample: DisorderSample) -> Couplings:
-    """Compile (J, h, b, d) in float64 so that one batch step is an O(N^2)
-    product: J = (2/N) X with the exact integer X = xi xi^T, and d its
-    diagonal."""
+def precompute_couplings(sample: DisorderSample
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The coupling route's compile of a whole sample: (X, h, b, d) of
+    _integer_couplings over the sample's row_blocks, so J = (2/N) X."""
     n, p = sample.xi.shape
-    blocks = ((rows, sample.xi[rows]) for rows in row_blocks(n, p))
-    X, h, b, d = _integer_couplings(blocks, n, sample.Omega)
-    J = X.astype(np.float64)
-    J *= 2.0 / n
-    _freeze(J, h, b, d)
-    return Couplings(J=J, h=h, b=b, d=d)
+    return _integer_couplings(((rows, sample.xi[rows]) for rows in row_blocks(n, p)), n,
+                              sample.Omega)

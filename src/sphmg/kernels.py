@@ -67,7 +67,7 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class KernelState:
-    """Two-time kernels on the grid {0..T}^2.
+    """Two-time kernels on the grid {0..T}^2, T = params.T.
 
     C is symmetric with unit diagonal, G strictly lower triangular and
     W = (1+G)^(-1).  The unnormalized moments K, the noise source D, the
@@ -76,7 +76,6 @@ class KernelState:
     """
 
     params: KernelParams
-    T: int
     C: np.ndarray
     G: np.ndarray
     lambda_traj: np.ndarray
@@ -90,7 +89,7 @@ class KernelState:
     @property
     def D(self) -> np.ndarray:
         """Noise source 1 + C_tt' + 2 A_e(t) A_e(t')."""
-        a_e = self.params.external.series(self.T + 1)
+        a_e = self.params.external.series(self.params.T + 1)
         return 1.0 + self.C + 2.0 * np.outer(a_e, a_e)
 
     @property
@@ -172,7 +171,7 @@ def iterate_kernels(params: KernelParams) -> KernelState:
         C[t + 1, t + 1] = 1.0
         G[t + 1, : t + 1] = g[: t + 1] / lam[t + 1]
 
-    return KernelState(params=params, T=params.T, C=C, G=G, lambda_traj=lam, W=W)
+    return KernelState(params=params, C=C, G=G, lambda_traj=lam, W=W)
 
 
 def bid_mean_trajectory(state: KernelState) -> np.ndarray:
@@ -181,7 +180,7 @@ def bid_mean_trajectory(state: KernelState) -> np.ndarray:
     Under a stationary (alternating) drive, the plain (staggered) tail average
     approaches A/(1+chi) (A/(1+chi_hat)).
     """
-    return state.W @ state.params.external.series(state.T + 1)
+    return state.W @ state.params.external.series(state.params.T + 1)
 
 
 def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> KernelTail:
@@ -193,7 +192,7 @@ def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> Kerne
     """
     if not 0.0 < tail_fraction <= 0.5:
         raise ContractError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
-    n = state.T + 1
+    n = state.params.T + 1
     n_tail = int(round(tail_fraction * n))
     if n_tail < 8:
         raise ContractError(f"tail window has {n_tail} points, need >= 8")

@@ -5,8 +5,9 @@ One batch step maps the valuation vector q(t) through
     q_i(t+1) = q_i(t) - b_i A_e(t) - h_i - sum_j J_ij phi_j(t) + kappa d_i phi_i(t)
 
 with phi = q / lambda, followed by the spherical renormalization
-lambda(t+1) = sqrt(mean q(t+1)^2); batch_step is this formula in float64 over
-the compiled Couplings.  It is the exact regrouping of the per-pattern form
+lambda(t+1) = sqrt(mean q(t+1)^2); the coupling route takes this formula
+over the couplings compiled by core._integer_couplings.  It is the exact
+regrouping of the per-pattern form
 
     q_i(t+1) = q_i(t) - (2/sqrt(N)) sum_mu xi_i^mu [A^mu(t) - (kappa/sqrt(N)) phi_i(t) xi_i^mu]
     A^mu(t)  = A_e(t) + Omega_mu + N^(-1/2) sum_j phi_j(t) xi_j^mu
@@ -35,7 +36,6 @@ from .core import (
     _STREAM_INIT,
     FLOAT32_EXACT_TERMS,
     ContractError,
-    Couplings,
     DegenerateStateError,
     GameParams,
     _integer_couplings,
@@ -58,12 +58,12 @@ MIN_MEASURE_STEPS = 16
 
 @dataclass(frozen=True)
 class AgentState:
-    """Microscopic state: valuations q, constraint force lam, positions phi=q/lam."""
+    """Microscopic state at t = 0: valuations q, constraint force lam,
+    positions phi=q/lam."""
 
     q: np.ndarray
     lam: float
     phi: np.ndarray
-    t: int
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def init_state(params: GameParams) -> AgentState:
     rng = rng_stream(params.seed, _STREAM_INIT)
     signs = np.where(rng.random(params.n_agents) < 0.5, 1.0, -1.0)
     q = params.init_scale * signs
-    return AgentState(q=q, lam=params.init_scale, phi=signs.copy(), t=0)
+    return AgentState(q=q, lam=params.init_scale, phi=signs.copy())
 
 
 def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gram:
@@ -186,7 +186,7 @@ class _Coupled:
     def start(self, state: AgentState) -> _Run:
         """A run from state."""
         n, dtype = state.q.shape[0], self.M.dtype
-        return _Run(state.q.astype(np.float64), state.lam, state.t,
+        return _Run(state.q.astype(np.float64), state.lam, 0,
                     (np.empty(n), np.empty(n, dtype), np.empty(n, dtype), *np.empty((3, n))))
 
     def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
@@ -239,7 +239,7 @@ class _Patterns:
     def start(self, state: AgentState) -> _Run:
         """A run from state."""
         (n, p), f32 = self.xi32.shape, np.float32
-        return _Run(state.q.astype(np.float64), state.lam, state.t,
+        return _Run(state.q.astype(np.float64), state.lam, 0,
                     (np.empty(n), np.empty(n, f32), np.empty(p, f32), *np.empty((2, p)),
                      np.empty(p, f32), np.empty(n, f32), *np.empty((2, n))))
 
@@ -317,7 +317,7 @@ class _Gram:
     def start(self, state: AgentState) -> _Run:
         """A run at y = 0 with G y = 0, from the state the route was built for."""
         p = self.G.shape[0]
-        return _Run(np.zeros((2, p)), state.lam, state.t, tuple(np.zeros((2, p))))
+        return _Run(np.zeros((2, p)), state.lam, 0, tuple(np.zeros((2, p))))
 
     def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
         """One batch step in pattern space, in place: the bids are
@@ -347,18 +347,6 @@ class _Gram:
         overlaps += self.q0_sq
         overlaps /= self.n_agents * np.outer(rec.snap_lam, rec.snap_lam)
         return persistent_correlation(diagonal_means(overlaps))
-
-
-def batch_step(state: AgentState, couplings: Couplings, params: GameParams) -> AgentState:
-    """One coupling-based batch step in float64, q - b a_e - h - J phi
-    + kappa d phi, followed by the spherical renormalization."""
-    if couplings.n_agents != state.q.shape[0]:
-        raise ContractError("state and couplings disagree on the number of agents")
-    c, phi, t = couplings, state.phi, state.t + 1
-    q = (state.q - params.external.value_at(state.t) * c.b - c.h - c.J @ phi
-         + params.kappa * c.d * phi)
-    lam = _renormalized(float(q @ q) / q.shape[0], t)
-    return AgentState(q=q, lam=lam, phi=q / lam, t=t)
 
 
 def measure_c0(phi_history: np.ndarray) -> float:

@@ -195,7 +195,7 @@ def cross_moments_by_recursion(state: KernelState) -> np.ndarray:
     L[t, u+1] = L[t, u] - alpha sum_{t'<=u} M_ut' L[t, t']/lambda(t') + sqrt(alpha) Sigma_tu.
     """
     p = state.params
-    n = state.T + 1
+    n = state.params.T + 1
     ml = memory_rows(state.G, p.kappa, state.lambda_traj)
     sqrt_a = math.sqrt(p.alpha)
     L = np.zeros((n, n))
@@ -214,7 +214,7 @@ def sample_effective_process(state: KernelState, n_paths: int, rng: np.random.Ge
     the entrywise mean and standard error of phi(t) phi(t').
     """
     p = state.params
-    T = state.T
+    T = state.params.T
     eta = rng.multivariate_normal(np.zeros(T), state.Sigma[:T, :T], size=n_paths, method="eigh")
     ml = memory_rows(state.G, p.kappa, state.lambda_traj)
     q = np.empty((n_paths, T + 1))

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole module is deterministic (fixed seeds throughout).
 """
 
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -18,20 +19,19 @@ from sphmg import (
     alpha_c1,
     alpha_c2,
     alpha_c2_via_c0,
-    batch_step,
     classify_phase,
     ergodic_solution,
     extract_stationary,
     generate_disorder,
     init_state,
     iterate_kernels,
-    precompute_couplings,
     run_experiment,
     stationary_residuals,
     stationary_solution,
 )
+from sphmg import core, simulator
 from sphmg.theory import Phase
-from oracles import brute_force_trajectory, sample_effective_process
+from oracles import brute_force_trajectory, lift, sample_effective_process
 
 N_DESK = 1000
 T_EQ, T_MEAS = 1000, 2000
@@ -119,7 +119,7 @@ def test_criterion_4_kernels_vs_theory():
                 # frozen: theory lambda is infinite; the trajectory must
                 # diverge at the predicted linear rate instead
                 assert abs(tail.Lambda - th.Lambda) / th.Lambda < 0.05
-                assert state.lambda_traj[-1] > 0.5 * th.Lambda * state.T
+                assert state.lambda_traj[-1] > 0.5 * th.Lambda * state.params.T
         for alpha, kappa in [(1.0, 0.0), (1.0, 0.25)]:
             state = iterate_kernels(KernelParams(alpha=alpha, kappa=kappa, T=400))
             tail = extract_stationary(state, 0.25)
@@ -161,7 +161,33 @@ def test_criterion_7_amplitude_invariance_of_oscillating_boundaries():
             assert obs.frozen_flag and obs.c0_hat > 0.95, (a, obs.c0_hat)
 
 
+def _route_trajectory(kind, sample, params, steps, float64=False):
+    """q after each of steps batch steps of the route kind, built on the
+    whole sample and run from init_state(params) one step window at a time;
+    with float64 the coupling route's matrix is cast to float64, and the
+    Gram route's (y, G y) is lifted to q = q0 + xi y."""
+    state = init_state(params)
+    blocks = ((rows, sample.xi[rows]) for rows in core.row_blocks(*sample.xi.shape))
+    route = kind.build(blocks, sample.Omega, state)
+    if float64:
+        route = dataclasses.replace(route, M=route.M.astype(np.float64))
+    run = route.start(state)
+    for _ in range(steps):
+        simulator._window(route, run, params, 1)
+        yield lift(state.q, sample.xi, run.q[0]) if kind is simulator._Gram else run.q
+
+
 def test_criterion_8_brute_force_equivalence():
+    # Every route's own step against the brute-force per-pattern trajectory:
+    # the coupling route with its matrix in float64, and the Gram route on a
+    # kappa = 0 copy of each game, at atol 1e-12.  The float32 coupling and
+    # per-pattern routes run as they are.  With unit roundoff u = 2^-24,
+    # mean phi^2 = 1 (so sum_j |phi_j| <= N) and |A^mu| <= 2 + 2 sqrt(N),
+    # a step's float32 casts and sums of at most max(N, p) terms move q by
+    # at most 2 p (N + 2) u on the coupling route and
+    # 2 p (N + 1) u + 8 p (p + 1) u on the per-pattern route.  The bound for
+    # both is the larger, 2 p (N + 1 + 4 (p + 1)) u a step, added up over the
+    # steps taken.
     with criterion(8, "brute-force equivalence", runtime_limit=1.0):
         rng = np.random.default_rng(31415)
         for _ in range(50):
@@ -178,14 +204,23 @@ def test_criterion_8_brute_force_equivalence():
             )
             sample = generate_disorder(params)
             assert sample.n_patterns == p
-            coup = precompute_couplings(sample)
-            state = init_state(params)
+            q0 = init_state(params).q.tolist()
             oracle = brute_force_trajectory(
-                state.q.tolist(), sample, params.external.value_at, params.kappa, steps
+                q0, sample, params.external.value_at, params.kappa, steps
             )
-            for step in range(steps):
-                state = batch_step(state, coup, params)
-                assert np.allclose(state.q, oracle[step + 1], atol=1e-12)
+            kappa0 = dataclasses.replace(params, kappa=0.0)
+            oracle0 = brute_force_trajectory(q0, sample, params.external.value_at, 0.0, steps)
+            runs = zip(_route_trajectory(simulator._Coupled, sample, params, steps, float64=True),
+                       _route_trajectory(simulator._Gram, sample, kappa0, steps),
+                       _route_trajectory(simulator._Coupled, sample, params, steps),
+                       _route_trajectory(simulator._Patterns, sample, params, steps))
+            per_step = 2 * p * (n + 1 + 4 * (p + 1)) * 2.0**-24
+            for step, (coupled, gram, coupled32, patterns) in enumerate(runs):
+                assert np.allclose(coupled, oracle[step + 1], atol=1e-12)
+                assert np.allclose(gram, oracle0[step + 1], atol=1e-12)
+                bound = (step + 1) * per_step
+                for q in (coupled32, patterns):
+                    assert np.abs(q - oracle[step + 1]).max() <= bound
 
 
 def test_criterion_9_monte_carlo_validates_kernel_iteration():

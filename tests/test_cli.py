@@ -338,16 +338,21 @@ def test_cli_import_loads_no_pool_modules():
 
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("agents = 64\nt-eq = 30\nt-meas: 32\nn_seeds 1\nalpha = 1.0\n# comment\n")
+    cfg.write_text("agents = 64\nt-eq = 30\nt-meas: 32\nn_seeds 1\nalpha = 1.0\n"
+                   "sweep alpha:0.5:1:2\nengines: a=b\n# comment\n")
+    # each line splits at its first separator, whatever its value holds
+    assert cli.load_config(str(cfg)) == {
+        "agents": "64", "t_eq": "30", "t_meas": "32", "n_seeds": "1", "alpha": "1.0",
+        "sweep": "alpha:0.5:1:2", "engines": "a=b"}
     code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 0
     _, rows = parse_csv(out)
-    assert rows[0]["alpha"] == "1" and rows[0]["n_agents"] == "64"
+    assert [r["alpha"] for r in rows] == ["0.5", "1"] and rows[0]["n_agents"] == "64"
     # explicit flag beats the config value
-    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--alpha", "2.0")
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--sweep", "alpha:2:3:2")
     assert code == 0
     _, rows = parse_csv(out)
-    assert rows[0]["alpha"] == "2"
+    assert [r["alpha"] for r in rows] == ["2", "3"]
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -77,10 +77,10 @@ def test_two_agent_hand_example():
     assert sample.xi[:, 0].tolist() == [0, 1]
     assert halve_tables([[1], [1]], [[1], [-1]])[1][:, 0].tolist() == [1, 0]
     assert sample.Omega[0] == pytest.approx(1 / np.sqrt(2))
-    coup = precompute_couplings(sample)
-    assert np.allclose(coup.J, [[0.0, 0.0], [0.0, 1.0]])
-    assert coup.d.tolist() == [0.0, 1.0]
-    assert coup.b.tolist() == [0.0, pytest.approx(2 / np.sqrt(2))]
+    X, _, b, d = precompute_couplings(sample)
+    assert X.tolist() == [[0.0, 0.0], [0.0, 1.0]]  # J = (2/N) X = X at N = 2
+    assert d.tolist() == [0.0, 1.0]
+    assert b.tolist() == [0.0, pytest.approx(2 / np.sqrt(2))]
 
 
 def test_xi_omega_exclusivity():
@@ -170,25 +170,25 @@ def test_sign_frequencies():
 def test_coupling_identities_and_mean_d():
     p = GameParams(n_agents=500, alpha=2.0, seed=17)
     sample = generate_disorder(p)
-    coup = precompute_couplings(sample)
-    assert np.array_equal(coup.J, coup.J.T)
-    assert np.allclose(np.diag(coup.J), coup.d, atol=1e-15)
-    assert coup.d.min() >= 0.0
-    assert coup.d.max() <= 2.0 * sample.n_patterns / sample.n_agents
+    X, _, _, d = precompute_couplings(sample)
+    assert np.array_equal(X, X.T)
+    assert np.array_equal((2.0 / sample.n_agents) * np.diag(X).astype(np.float64), d)
+    assert d.min() >= 0.0
+    assert d.max() <= 2.0 * sample.n_patterns / sample.n_agents
     # E[xi^2] = 1/2 so E[d] = alpha
-    assert abs(coup.d.mean() - p.alpha) / p.alpha < 0.05
+    assert abs(d.mean() - p.alpha) / p.alpha < 0.05
 
 
 def test_coupling_matrix_matches_definition():
     sample = generate_disorder(GameParams(n_agents=8, alpha=0.5, seed=3))
-    coup = precompute_couplings(sample)
+    X, h, _, _ = precompute_couplings(sample)
     n, p = sample.xi.shape
     for i in range(n):
         for j in range(n):
             jij = 2.0 / n * sum(float(sample.xi[i, mu]) * float(sample.xi[j, mu]) for mu in range(p))
-            assert coup.J[i, j] == pytest.approx(jij, abs=1e-12)
+            assert 2.0 / n * float(X[i, j]) == pytest.approx(jij, abs=1e-12)
         hi = 2.0 / np.sqrt(n) * sum(float(sample.xi[i, mu]) * sample.Omega[mu] for mu in range(p))
-        assert coup.h[i] == pytest.approx(hi, abs=1e-12)
+        assert h[i] == pytest.approx(hi, abs=1e-12)
 
 
 def test_field_and_drive_response_over_row_blocks(monkeypatch):
@@ -197,17 +197,16 @@ def test_field_and_drive_response_over_row_blocks(monkeypatch):
     monkeypatch.setattr(core, "BLOCK_ENTRIES", 50)
     sample = generate_disorder(GameParams(n_agents=41, alpha=0.5, seed=6))
     assert len(core.row_blocks(*sample.xi.shape)) == 21
-    coup = precompute_couplings(sample)
+    _, h, b, _ = precompute_couplings(sample)
     xd = sample.xi.astype(np.float64)
     scale = 2.0 / np.sqrt(sample.n_agents)
-    assert np.allclose(coup.h, scale * (xd @ sample.Omega), rtol=0.0, atol=1e-12)
-    assert np.array_equal(coup.b, scale * xd.sum(axis=1))
+    assert np.allclose(h, scale * (xd @ sample.Omega), rtol=0.0, atol=1e-12)
+    assert np.array_equal(b, scale * xd.sum(axis=1))
 
 
 def _compiled(xi, Omega):
-    """_integer_couplings over the row blocks of a whole int8 table."""
-    n, p = xi.shape
-    return core._integer_couplings(((rows, xi[rows]) for rows in core.row_blocks(n, p)), n, Omega)
+    """precompute_couplings of the sample (xi, Omega)."""
+    return precompute_couplings(core.DisorderSample(xi=xi, Omega=Omega))
 
 
 def _exact(xi, Omega):
@@ -235,12 +234,6 @@ def test_self_product_over_column_blocks_is_exact(n_agents, alpha, monkeypatch):
     monkeypatch.setattr(core, "TILE", (core.TILE[0], 16))
     sample = generate_disorder(GameParams(n_agents=n_agents, alpha=alpha, seed=7))
     _assert_compiled_exactly(sample.xi, sample.Omega)
-    coup = precompute_couplings(sample)
-    X, h, b, d = _exact(sample.xi, sample.Omega)
-    assert coup.J.dtype == np.float64
-    assert np.array_equal(coup.J, X.astype(np.float64) * (2.0 / sample.n_agents))
-    for name, want in (("h", h), ("b", b), ("d", d)):
-        assert np.array_equal(getattr(coup, name), want), name
 
 
 @pytest.mark.parametrize("n_agents, n_patterns", [(41, 20), (40, 40), (41, 62), (20, 60), (10, 46),
@@ -271,8 +264,6 @@ def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dt
     p = sample.n_patterns
     monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", p + offset)
     _assert_compiled_exactly(sample.xi, sample.Omega, dtype)
-    coup = precompute_couplings(sample)
-    assert np.array_equal(np.diagonal(coup.J), coup.d)
 
 
 def test_integer_couplings_free_their_float32_scratch_before_the_field_pass():
@@ -297,6 +288,5 @@ def test_arrays_are_locked():
     sample = generate_disorder(GameParams(n_agents=16, alpha=1.0, seed=1))
     with pytest.raises(ValueError):
         sample.xi[0, 0] = 0
-    coup = precompute_couplings(sample)
     with pytest.raises(ValueError):
-        coup.J[0, 0] = 1.0
+        sample.Omega[0] = 0.0

@@ -38,7 +38,7 @@ def test_zero_alpha_limit_is_static():
 
 def test_structure_invariants():
     state = iterate_kernels(_params(3.0, kappa=0.2, A=1.0, zeta=1, T=60))
-    n = state.T + 1
+    n = state.params.T + 1
     assert np.abs(np.diag(state.C) - 1.0).max() < 1e-10
     assert np.array_equal(state.C, state.C.T)
     assert np.abs(state.C).max() <= 1.0 + 1e-8
@@ -76,7 +76,7 @@ def test_state_stores_only_underived_kernels():
     stored = {k for k, v in vars(state).items() if isinstance(v, np.ndarray)}
     assert stored == {"C", "G", "lambda_traj", "W"}
     lam = state.lambda_traj
-    a_e = ExternalBid(zeta=1, amplitude=1.0).series(state.T + 1)
+    a_e = ExternalBid(zeta=1, amplitude=1.0).series(state.params.T + 1)
     g = state.G * lam[:, np.newaxis]
     derived = [
         (state.K, state.C * np.outer(lam, lam)),
@@ -139,7 +139,7 @@ def test_frozen_point_growth_rate_and_fluctuations():
     assert tail.c0 == pytest.approx(1.0, abs=0.01)
     assert tail.sigma_fl == pytest.approx(th.sigma_fl, rel=0.05)
     # constraint force diverges: lambda grew linearly to O(Lambda * T)
-    assert state.lambda_traj[-1] > 0.5 * th.Lambda * state.T
+    assert state.lambda_traj[-1] > 0.5 * th.Lambda * state.params.T
 
 
 def test_tti_emerges_in_the_tail():

@@ -13,7 +13,6 @@ from sphmg import (
     ExternalBid,
     GameParams,
     ResourceBudgetError,
-    batch_step,
     frozen_solution,
     generate_disorder,
     init_state,
@@ -25,8 +24,6 @@ from sphmg import core, simulator
 from sphmg.simulator import AgentState, measure_c0
 from oracles import (
     brute_force_bids,
-    brute_force_step,
-    brute_force_trajectory,
     lift,
     market_bids,
     mirrored_sample,
@@ -38,7 +35,7 @@ from tracing import traced_peak
 def _state_from_q(q):
     q = np.asarray(q, dtype=np.float64)
     lam = float(np.sqrt(np.mean(q**2)))
-    return AgentState(q=q, lam=lam, phi=q / lam, t=0)
+    return AgentState(q=q, lam=lam, phi=q / lam)
 
 
 def _built(kind, sample, state):
@@ -84,7 +81,7 @@ def test_init_state_deterministic():
 
 def test_market_bids_zero_positions():
     sample = generate_disorder(GameParams(n_agents=6, alpha=0.5, seed=1))
-    st = AgentState(q=np.zeros(6), lam=1.0, phi=np.zeros(6), t=0)
+    st = AgentState(q=np.zeros(6), lam=1.0, phi=np.zeros(6))
     bids = market_bids(st, sample, a_e=1.5)
     assert np.allclose(bids, 1.5 + sample.Omega)
 
@@ -113,21 +110,8 @@ def test_market_bids_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# batch step
+# one batch step on the routes
 # ---------------------------------------------------------------------------
-
-
-def test_full_impact_correction_cancels_self_coupling():
-    # single agent, single pattern, xi = 1: J_11 = d_1 = 2, so at kappa = 1
-    # the -J phi and +kappa d phi terms cancel and only the drive acts
-    sample = sample_from_tables([[1]], [[-1]])
-    assert sample.xi[0, 0] == 1 and sample.Omega[0] == 0.0
-    coup = precompute_couplings(sample)
-    assert coup.J[0, 0] == 2.0 and coup.d[0] == 2.0
-    p = GameParams(n_agents=1, alpha=1.0, kappa=1.0, seed=0)
-    st = _state_from_q([0.7])
-    new = batch_step(st, coup, p)
-    assert new.q[0] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_coupling_route_cancels_self_coupling_at_full_impact():
@@ -141,29 +125,20 @@ def test_coupling_route_cancels_self_coupling_at_full_impact():
     assert run.q[0] == 0.7
 
 
-def test_batch_step_trajectory_matches_per_pattern_oracle():
-    p = GameParams(n_agents=4, alpha=0.5, kappa=0.3,
-                   external=ExternalBid(zeta=1, amplitude=0.8), seed=21)
-    sample = generate_disorder(p)
-    assert sample.n_patterns == 2
-    coup = precompute_couplings(sample)
-    st = init_state(p)
-    qs = brute_force_trajectory(st.q.tolist(), sample, p.external.value_at, p.kappa, 3)
-    for step in range(3):
-        st = batch_step(st, coup, p)
-        assert np.allclose(st.q, qs[step + 1], atol=1e-12)
-        assert np.mean(st.phi**2) == pytest.approx(1.0, abs=1e-10)
-
-
 def test_spherical_constraint_holds_along_a_run():
-    p = GameParams(n_agents=60, alpha=2.0, kappa=0.25, seed=4)
-    sample = generate_disorder(p)
-    coup = precompute_couplings(sample)
-    st = init_state(p)
-    for _ in range(40):
-        st = batch_step(st, coup, p)
-        assert abs(np.mean(st.phi**2) - 1.0) < 1e-10
-        assert st.lam == pytest.approx(np.sqrt(np.mean(st.q**2)))
+    # every route; the Gram route's q is lifted from its (y, G y) at kappa = 0
+    sample = generate_disorder(GameParams(n_agents=60, alpha=2.0, seed=4))
+    for kind, kappa in ((simulator._Coupled, 0.25), (simulator._Patterns, 0.25),
+                        (simulator._Gram, 0.0)):
+        p = GameParams(n_agents=60, alpha=2.0, kappa=kappa, seed=4)
+        state = init_state(p)
+        route = _built(kind, sample, state)
+        run = route.start(state)
+        for _ in range(40):
+            simulator._window(route, run, p, 1)
+            q = lift(state.q, sample.xi, run.q[0]) if kind is simulator._Gram else run.q
+            assert abs(np.mean((q / run.lam)**2) - 1.0) < 1e-10, kind
+            assert run.lam == pytest.approx(np.sqrt(np.mean(q**2))), kind
 
 
 def test_sign_symmetry_without_pattern_bias():
@@ -171,26 +146,18 @@ def test_sign_symmetry_without_pattern_bias():
     # pattern bias field vanish; a mirrored sample enforces Omega = h = 0.
     base = generate_disorder(GameParams(n_agents=30, alpha=1.0, seed=14))
     sample = mirrored_sample(base)
-    coup = precompute_couplings(sample)
-    assert np.all(coup.h == 0.0)
     p = GameParams(n_agents=60, alpha=0.5, kappa=0.4, seed=0)
     rng = np.random.default_rng(11)
     q0 = rng.normal(size=60)
-    plus, minus = _state_from_q(q0), _state_from_q(-q0)
-    for _ in range(6):
-        plus = batch_step(plus, coup, p)
-        minus = batch_step(minus, coup, p)
-        assert np.array_equal(plus.q, -minus.q)
-        assert plus.lam == minus.lam
-
-
-def test_degenerate_state_raises():
-    # one agent with xi = 1 and q = 2: q' = q - J phi = 2 - 2 = 0 exactly
-    sample = sample_from_tables([[1]], [[-1]])
-    coup = precompute_couplings(sample)
-    p = GameParams(n_agents=1, alpha=1.0, kappa=0.0, seed=0)
-    with pytest.raises(DegenerateStateError):
-        batch_step(_state_from_q([2.0]), coup, p)
+    for kind in (simulator._Coupled, simulator._Patterns):
+        route = _built(kind, sample, _state_from_q(q0))
+        assert kind is simulator._Patterns or np.all(route.h == 0.0)
+        plus, minus = route.start(_state_from_q(q0)), route.start(_state_from_q(-q0))
+        for _ in range(6):
+            simulator._window(route, plus, p, 1)
+            simulator._window(route, minus, p, 1)
+            assert np.array_equal(plus.q, -minus.q), kind
+            assert plus.lam == minus.lam, kind
 
 
 @pytest.mark.parametrize("kind", [simulator._Coupled, simulator._Patterns, simulator._Gram])
@@ -326,7 +293,7 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha):
     patterns = _built(simulator._Patterns, sample, init_state(p))
     a, b = coup.start(init_state(p)), patterns.start(init_state(p))
     for _ in range(20):
-        bids = market_bids(AgentState(a.q, a.lam, a.q / a.lam, a.t), sample,
+        bids = market_bids(AgentState(a.q, a.lam, a.q / a.lam), sample,
                            p.external.value_at(a.t))
         _, sum_a, sum_a2 = _recorded_step(coup, a, p)
         _, sum_b, sum_b2 = _recorded_step(patterns, b, p)
@@ -447,7 +414,7 @@ def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows
     rng = np.random.default_rng(n_agents * n_patterns + rows)
     xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
     signs = rng.choice([-1, 1], size=n_agents)
-    state = AgentState(q=0.37 * signs, lam=0.37, phi=signs.astype(np.float64), t=0)
+    state = AgentState(q=0.37 * signs, lam=0.37, phi=signs.astype(np.float64))
     route = _built(simulator._Gram, core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns)), state)
     G, xi = route.G, xi.astype(np.int64)
     assert G.dtype == np.float64 and G.flags.c_contiguous
@@ -596,7 +563,7 @@ def test_coupling_route_holds_no_float64_square_matrix():
             assert value.ndim == 1 or value.dtype == np.float32
     # the diagonal of J is d, kept in float64
     assert np.all(np.diagonal(route.M) == 0.0)
-    assert np.array_equal(route.d, precompute_couplings(sample).d)
+    assert np.array_equal(route.d, precompute_couplings(sample)[3])
 
 
 def test_route_rule(monkeypatch):
@@ -664,14 +631,10 @@ def test_lambda_trajectory_fit_quality_by_phase():
 
     def lambda_history(alpha, n_steps):
         p = GameParams(n_agents=400, alpha=alpha, seed=6)
-        sample = generate_disorder(p)
-        coup = precompute_couplings(sample)
-        st = init_state(p)
-        lams = []
-        for _ in range(n_steps):
-            st = batch_step(st, coup, p)
-            lams.append(st.lam)
-        return np.array(lams[n_steps // 2 :])  # measurement half
+        route = simulator._route(p, init_state(p))
+        run = route.start(init_state(p))
+        simulator._window(route, run, p, n_steps // 2)
+        return simulator._window(route, run, p, n_steps // 2, record=True).lam  # measurement half
 
     lam_frozen = lambda_history(1.0, 600)
     fit = fit_line(np.arange(lam_frozen.size, dtype=float), lam_frozen)
