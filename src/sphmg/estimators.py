@@ -9,36 +9,22 @@ import numpy as np
 from .core import ContractError
 
 
-def diagonal_means(square: np.ndarray) -> np.ndarray:
-    """Mean of each upper diagonal of a square matrix, at offsets 0..n-1."""
-    return np.array([np.mean(np.diagonal(square, offset=tau)) for tau in range(square.shape[0])])
+def persistent_correlation(window: np.ndarray) -> float:
+    """Persistent part c0 of a square unit-stride window of the two-time
+    correlation, C(s, t) = c0 + (1 - c0) (-1)^(t - s).
 
-
-def lag_correlations(phi_history: np.ndarray) -> np.ndarray:
-    """Average N^(-1) phi(t).phi(t+tau) over start times, for tau = 0..n-1.
-
-    phi_history holds consecutive position snapshots, one row per time step.
+    Averaging the mean C(s, s + tau) of consecutive lag pairs cancels the
+    staggered component exactly; only lags n/2 to n - 1 of the n available
+    are read, so early transients do not bias the estimate.
     """
-    phi = np.asarray(phi_history, dtype=np.float64)
-    if phi.ndim != 2:
-        raise ContractError("phi_history must be a (snapshots, N) matrix")
-    return diagonal_means((phi @ phi.T) / phi.shape[1])
-
-
-def persistent_correlation(c_lag: np.ndarray) -> float:
-    """Persistent part c0 of a lag curve of the form c0 + (1 - c0) (-1)^tau.
-
-    Averaging consecutive lag pairs cancels the staggered component exactly;
-    only pairs in the upper half of the available lags are used, so early
-    transients do not bias the estimate.
-    """
-    c_lag = np.asarray(c_lag, dtype=np.float64)
-    n_lag = c_lag.shape[0]
-    if n_lag < 8:
-        raise ContractError(f"need at least 8 lags for a c0 estimate, got {n_lag}")
-    lo = n_lag // 2
-    pairs = 0.5 * (c_lag[lo : n_lag - 1] + c_lag[lo + 1 : n_lag])
-    return float(pairs.mean())
+    window = np.asarray(window, dtype=np.float64)
+    n = window.shape[0]
+    if window.shape != (n, n):
+        raise ContractError(f"c0 needs a square two-time window, got shape {window.shape}")
+    if n < 8:
+        raise ContractError(f"need at least 8 lags for a c0 estimate, got {n}")
+    c_lag = np.array([np.mean(np.diagonal(window, offset=tau)) for tau in range(n // 2, n)])
+    return float((0.5 * (c_lag[:-1] + c_lag[1:])).mean())
 
 
 @dataclass(frozen=True)

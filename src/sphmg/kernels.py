@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ContractError, ExternalBid
-from .estimators import diagonal_means, fit_line, persistent_correlation
+from .estimators import fit_line, persistent_correlation
 
 
 class KernelInstabilityError(RuntimeError):
@@ -186,7 +186,7 @@ def bid_mean_trajectory(state: KernelState) -> np.ndarray:
 def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> KernelTail:
     """Tail-window estimates of c0, lambda, Lambda, and sigma_fl.
 
-    c0 comes from consecutive-lag pair averaging over the tail block of C;
+    c0 is the persistent_correlation of the tail block of C;
     Lambda is the fitted slope of lambda(t) over the tail; sigma_fl^2 is the
     tail average of diag[(1+G)^(-1) (1 + C) (1+G^T)^(-1)] / 2.
     """
@@ -198,7 +198,7 @@ def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> Kerne
         raise ContractError(f"tail window has {n_tail} points, need >= 8")
     idx = np.arange(n - n_tail, n)
 
-    c0 = persistent_correlation(diagonal_means(state.C[np.ix_(idx, idx)]))
+    c0 = persistent_correlation(state.C[np.ix_(idx, idx)])
 
     lam_tail = state.lambda_traj[idx]
     fit = fit_line(idx.astype(np.float64), lam_tail)

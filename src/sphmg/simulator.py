@@ -42,7 +42,7 @@ from .core import (
     disorder_blocks,
     rng_stream,
 )
-from .estimators import diagonal_means, fit_line, lag_correlations, persistent_correlation
+from .estimators import fit_line, persistent_correlation
 
 # Snapshot window (unit stride, tail of the measurement window) for the c0
 # estimator; 64 lags leave >= 31 consecutive-lag pairs in the upper half.
@@ -152,12 +152,6 @@ def _window(route: _Coupled | _Patterns | _Gram, run: _Run, params: GameParams, 
     return rec
 
 
-def _positions(rec: _Record) -> np.ndarray:
-    """The recorded positions phi = q / lam of a coupling or per-pattern run,
-    divided in place."""
-    return np.divide(rec.snaps, rec.snap_lam[:, np.newaxis], out=rec.snaps)
-
-
 @dataclass(frozen=True)
 class _Coupled:
     """What the coupling route reads: J = (2/N) M + diag(d) split into the
@@ -212,6 +206,12 @@ class _Coupled:
                 p * a_e**2 + self.omega_sq + 2.0 * a_e * sum_omega + a_e * b_phi
                 + float(h @ phi) + 0.5 * (float(phi @ off_phi) + float(phi @ d_phi)))
 
+    def c0(self, rec: _Record) -> float:
+        """c0 of the recorded q, from the positions phi = q / lam, divided in
+        place, and their overlaps phi_s.phi_t / N."""
+        phi = np.divide(rec.snaps, rec.snap_lam[:, np.newaxis], out=rec.snaps)
+        return persistent_correlation((phi @ phi.T) / phi.shape[1])
+
 
 @dataclass(frozen=True)
 class _Patterns:
@@ -262,6 +262,8 @@ class _Patterns:
         if not moments:
             return lam_sq, math.nan, math.nan
         return lam_sq, float(bids.sum()), float(bids @ bids)
+
+    c0 = _Coupled.c0  # the run carries q, as on the coupling route
 
 
 @dataclass(frozen=True)
@@ -346,20 +348,7 @@ class _Gram:
         overlaps += yu[:, np.newaxis] + yu
         overlaps += self.q0_sq
         overlaps /= self.n_agents * np.outer(rec.snap_lam, rec.snap_lam)
-        return persistent_correlation(diagonal_means(overlaps))
-
-
-def measure_c0(phi_history: np.ndarray) -> float:
-    """Persistent correlation from consecutive position snapshots.
-
-    The stationary two-time correlation has the form c0 + (1 - c0)(-1)^tau;
-    averaging lag pairs (tau, tau+1) over the upper half of the available
-    lags cancels the staggered part and returns c0.
-    """
-    phi = np.asarray(phi_history, dtype=np.float64)
-    if phi.ndim != 2 or phi.shape[0] < 8:
-        raise ContractError("need at least 8 unit-stride snapshots to estimate c0")
-    return persistent_correlation(lag_correlations(phi))
+        return persistent_correlation(overlaps)
 
 
 def run_experiment(params: GameParams) -> RunObservables:
@@ -370,9 +359,9 @@ def run_experiment(params: GameParams) -> RunObservables:
     average and t the absolute batch time; sigma_fl^2 subtracts the squared
     staggered mean from sigma^2 (the plain mean is already removed).  The
     N x N couplings are built only when p >= 0.7 N, the Gram route never
-    holds the whole disorder table, and no route keeps it.  c0 comes from the
-    positions of the recorded snapshots, on the Gram route from their
-    p-space overlaps.
+    holds the whole disorder table, and no route keeps it.  c0 is the route's
+    persistent_correlation of the recorded snapshots' two-time window, on the
+    Gram route from their p-space overlaps.
     """
     if params.t_measure < MIN_MEASURE_STEPS:
         raise ContractError(f"t_measure must be >= {MIN_MEASURE_STEPS} for stable estimates")
@@ -384,10 +373,8 @@ def run_experiment(params: GameParams) -> RunObservables:
     rec = _window(route, run, params, tau, record=True)
     lam_hist = rec.lam  # lambda(t) entering each step's positions
     t_abs = np.arange(params.t_equilibrate, params.t_equilibrate + tau)
-    sum_a = sum_a2 = 0.0
-    for step_a, step_a2 in zip(rec.sum_a.tolist(), rec.sum_a2.tolist()):  # in time order
-        sum_a += step_a
-        sum_a2 += step_a2
+    # a strictly sequential sum, in time order
+    sum_a, sum_a2 = np.add.accumulate([rec.sum_a, rec.sum_a2], axis=1)[:, -1].tolist()
 
     mean_a = sum_a / (tau * p)
     sigma2 = sum_a2 / (tau * p) - mean_a**2
@@ -402,8 +389,7 @@ def run_experiment(params: GameParams) -> RunObservables:
         and lam_hist[-1] > FROZEN_GROWTH_FACTOR * lam_hist[0]
     )
     return RunObservables(
-        c0_hat=(route.c0(rec) if isinstance(route, _Gram)
-                else measure_c0(_positions(rec))),
+        c0_hat=route.c0(rec),
         sigma=sigma,
         sigma_fl=sigma_fl,
         lambda_mean=float(lam_hist.mean()),

@@ -5,12 +5,10 @@ lines; the whole module is deterministic (fixed seeds throughout).
 """
 
 import dataclasses
-import math
 import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from sphmg import (
     ExternalBid,
@@ -19,7 +17,6 @@ from sphmg import (
     alpha_c1,
     alpha_c2,
     alpha_c2_via_c0,
-    classify_phase,
     ergodic_solution,
     extract_stationary,
     generate_disorder,
@@ -216,8 +213,8 @@ def test_criterion_8_brute_force_equivalence():
                        _route_trajectory(simulator._Patterns, sample, params, steps))
             per_step = 2 * p * (n + 1 + 4 * (p + 1)) * 2.0**-24
             for step, (coupled, gram, coupled32, patterns) in enumerate(runs):
-                assert np.allclose(coupled, oracle[step + 1], atol=1e-12)
-                assert np.allclose(gram, oracle0[step + 1], atol=1e-12)
+                assert np.allclose(coupled, oracle[step + 1], rtol=0, atol=1e-12)
+                assert np.allclose(gram, oracle0[step + 1], rtol=0, atol=1e-12)
                 bound = (step + 1) * per_step
                 for q in (coupled32, patterns):
                     assert np.abs(q - oracle[step + 1]).max() <= bound

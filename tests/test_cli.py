@@ -1,12 +1,10 @@
 import json
-import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import sphmg

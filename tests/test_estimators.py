@@ -2,35 +2,53 @@ import numpy as np
 import pytest
 
 from sphmg.core import ContractError
-from sphmg.estimators import fit_line, lag_correlations, persistent_correlation
+from sphmg.estimators import fit_line, persistent_correlation
+
+
+def _toeplitz(curve):
+    """The square window C(s, t) = curve[|t - s|] of a stationary lag curve."""
+    lags = np.abs(np.subtract.outer(np.arange(len(curve)), np.arange(len(curve))))
+    return np.asarray(curve)[lags]
 
 
 def test_lag_correlations_of_constant_history():
     phi = np.ones((10, 5))
-    c = lag_correlations(phi)
-    assert np.allclose(c, 1.0)
+    assert persistent_correlation(phi @ phi.T / 5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lag_correlations_matches_direct_sum():
+    # c0 is the mean of consecutive-lag pairs of N^-1 phi(t).phi(t + tau),
+    # averaged over start times t, for tau = n/2 .. n-1
     rng = np.random.default_rng(0)
     phi = rng.normal(size=(12, 7))
-    c = lag_correlations(phi)
     n_snap, n = phi.shape
-    for tau in range(n_snap):
-        vals = [phi[t] @ phi[t + tau] / n for t in range(n_snap - tau)]
-        assert c[tau] == pytest.approx(np.mean(vals), abs=1e-12)
+    c_lag = [np.mean([phi[t] @ phi[t + tau] / n for t in range(n_snap - tau)])
+             for tau in range(n_snap // 2, n_snap)]
+    pairs = [0.5 * (a + b) for a, b in zip(c_lag[:-1], c_lag[1:])]
+    assert persistent_correlation(phi @ phi.T / n) == pytest.approx(np.mean(pairs), abs=1e-12)
 
 
 def test_persistent_correlation_cancels_staggered_part():
     tau = np.arange(16)
     for c0 in (0.0, 0.37, 1.0):
-        curve = c0 + (1 - c0) * (-1.0) ** tau
-        assert persistent_correlation(curve) == pytest.approx(c0, abs=1e-14)
+        window = _toeplitz(c0 + (1 - c0) * (-1.0) ** tau)
+        assert persistent_correlation(window) == pytest.approx(c0, abs=1e-14)
 
 
 def test_persistent_correlation_needs_eight_lags():
     with pytest.raises(ContractError):
-        persistent_correlation(np.ones(7))
+        persistent_correlation(np.ones((7, 7)))
+    with pytest.raises(ContractError, match="square"):
+        persistent_correlation(np.ones(16))  # a lag curve, not a window
+
+
+@pytest.mark.parametrize("n", [8, 17, 64])
+def test_persistent_correlation_ignores_lags_below_half_the_window(n):
+    rng = np.random.default_rng(n)
+    window = rng.normal(size=(n, n))
+    s, t = np.indices((n, n))
+    perturbed = np.where(np.abs(t - s) < n // 2, window + 1e3 * rng.normal(size=(n, n)), window)
+    assert persistent_correlation(perturbed) == persistent_correlation(window)
 
 
 def test_fit_line_exact():

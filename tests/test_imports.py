@@ -1,0 +1,47 @@
+"""No imported name in src/ or tests/ goes unused (stdlib ast, no linter)."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(source):
+    """(line, name) of each name an import in source binds that nothing
+    references; a name listed in __all__ counts as used, and an imported name
+    whose line carries '# noqa' is skipped, as are __future__ imports."""
+    tree, lines = ast.parse(source), source.splitlines()
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa" not in lines[alias.lineno - 1]:
+                    # import a.b binds a
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+             for line, name in unused_imports(path.read_text())]
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_unused_imports_reads_all_and_noqa():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "import numpy.random  # noqa: F401\n"
+              "from a import (b,\n"
+              "               c as d)\n"
+              "import e.f\n"
+              "__all__ = ['b']\n"
+              "e.f.g()\n")
+    assert unused_imports(source) == [(2, "os"), (5, "d")]

@@ -21,7 +21,8 @@ from sphmg import (
     stationary_solution,
 )
 from sphmg import core, simulator
-from sphmg.simulator import AgentState, measure_c0
+from sphmg.estimators import persistent_correlation
+from sphmg.simulator import AgentState
 from oracles import (
     brute_force_bids,
     lift,
@@ -177,15 +178,21 @@ def test_degenerate_state_raises_on_every_route(kind):
 # ---------------------------------------------------------------------------
 
 
+def _c0_of_positions(phi):
+    """c0 of consecutive position snapshots phi, from their overlaps
+    phi_s.phi_t / N as the coupling and per-pattern routes form them."""
+    return persistent_correlation(phi @ phi.T / phi.shape[1])
+
+
 def test_measure_c0_constant_positions():
     phi = np.tile(np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0]), (12, 1))
-    assert measure_c0(phi) == pytest.approx(1.0, abs=1e-12)
+    assert _c0_of_positions(phi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_c0_alternating_positions():
     base = np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     phi = np.array([base * (-1.0) ** t for t in range(12)])
-    assert measure_c0(phi) == pytest.approx(0.0, abs=1e-12)
+    assert _c0_of_positions(phi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_measure_c0_synthetic_mixture():
@@ -198,12 +205,12 @@ def test_measure_c0_synthetic_mixture():
     phi = np.array(
         [math.sqrt(0.6) * u + (-1.0) ** t * math.sqrt(0.4) * v for t in range(16)]
     )
-    assert measure_c0(phi) == pytest.approx(0.6, abs=1e-10)
+    assert _c0_of_positions(phi) == pytest.approx(0.6, abs=1e-10)
 
 
 def test_measure_c0_needs_history():
     with pytest.raises(ContractError):
-        measure_c0(np.ones((7, 10)))
+        _c0_of_positions(np.ones((7, 10)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +339,12 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
         scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_g == pytest.approx(sum_a, abs=1e-12 * scale)
         assert sum_g2 == pytest.approx(sum_a2, rel=1e-12)
-    # c0 from the overlaps of the recorded (y, G y) against c0 of the lifted
-    # positions
+    # c0 from the overlaps of the recorded (y, G y) against the coupling
+    # route's c0 of its own recorded positions
     rec = simulator._window(gram, g, p, 16, record=True)
     phi = lift(q0, sample.xi, rec.snaps[:, 0]) / rec.snap_lam[:, np.newaxis]
-    assert gram.c0(rec) == pytest.approx(measure_c0(phi), rel=1e-12)
-    simulator._window(coup, a, p, 16)
+    assert gram.c0(rec) == pytest.approx(coup.c0(simulator._window(coup, a, p, 16, record=True)),
+                                         rel=1e-12)
     assert np.allclose(phi[-1], a.q / a.lam, rtol=0.0, atol=1e-12 * np.abs(phi[-1]).max())
 
 
