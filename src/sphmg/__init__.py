@@ -43,8 +43,6 @@ from .theory import (
     alpha_c2,
     alpha_c2_via_c0,
     classify_phase,
-    ergodic_solution,
-    frozen_solution,
     stationary_residuals,
     stationary_solution,
 )
@@ -70,9 +68,7 @@ __all__ = [
     "alpha_c2_via_c0",
     "bid_mean_trajectory",
     "classify_phase",
-    "ergodic_solution",
     "extract_stationary",
-    "frozen_solution",
     "generate_disorder",
     "init_state",
     "iterate_kernels",

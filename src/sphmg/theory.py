@@ -21,6 +21,10 @@ with boundaries
 alpha_c2 is also the locus c0 = 1 of the finite-lambda solution; the second
 route below (alpha_c2_via_c0) evaluates that form and must agree to 1e-9.
 
+stationary_solution is the one solver.  classify_phase, which checks all
+four inputs, decides the phase once; an exact boundary goes to the lower-alpha
+phase, and so does a point above alpha_c2 whose oscillating c0 rounds to 1.
+
 Frozen phase (diverging constraint force, growth rate Lambda):
 
     chi      = 1 / (sqrt(2 alpha (1 + a2)) - 1)         chi_hat = 0
@@ -51,11 +55,6 @@ from enum import Enum
 import numpy as np
 
 from .core import ContractError
-
-# Discriminants within this distance of zero are clamped to zero so that
-# boundary-grid sweeps do not fail on float noise.
-DISC_CLAMP = 1e-12
-
 
 class Phase(Enum):
     OSCILLATING = "O"
@@ -127,10 +126,8 @@ def alpha_c2(A_tilde: float, kappa: float, zeta: int) -> float:
     _check_kappa(kappa)
     if kappa == 1.0:
         return math.inf
-    r = _big_r(a2)
+    r = _big_r(a2)  # r >= 4.5 > 4 (1 - kappa): the discriminant is positive
     disc = r * r - 4.0 * (1.0 - kappa) * r
-    if disc < 0.0:  # cannot happen: r >= 4.5 > 4 (1 - kappa)
-        raise ContractError("negative discriminant in alpha_c2")
     return (r - 2.0 * (1.0 - kappa) + math.sqrt(disc)) / (2.0 * (1.0 - kappa) ** 2)
 
 
@@ -161,54 +158,38 @@ def alpha_c2_via_c0(A_tilde: float, kappa: float, zeta: int) -> float:
     return num / den
 
 
-def _chi_minus(alpha: float, kappa: float) -> float:
-    """Smaller root of  alpha kappa chi^2 + chi [1 + alpha (kappa-1)] + 1 = 0.
+def _chi_c0(alpha: float, kappa: float, a2: float) -> tuple[float, float]:
+    """chi and c0 of the oscillating state, for alpha above the line alpha_c2.
 
-    For x = alpha (1-kappa) - 1 > 0 (always true above the frozen-to-
-    oscillating line) the conjugate form 2 / (x + sqrt(x^2 - 4 alpha kappa))
-    avoids cancellation and reduces to 1/(alpha-1) exactly at kappa = 0.  For
-    x < 0, reachable only in the small-alpha algebra regime below the
-    existence gap, the literal root is the stable one.
+    chi is the smaller root of  alpha kappa chi^2 + chi [1 + alpha (kappa-1)] + 1 = 0
+    in the conjugate form 2 / (x + sqrt(x^2 - 4 alpha kappa)), which avoids
+    cancellation and reduces to 1/(alpha-1) exactly at kappa = 0.  Above the
+    line x = alpha (1-kappa) - 1 >= 1 and the discriminant is >= x^2 / 9.
     """
     x = alpha * (1.0 - kappa) - 1.0
-    disc = x * x - 4.0 * alpha * kappa
-    if disc < 0.0:
-        if disc < -DISC_CLAMP:
-            raise ContractError(
-                f"no finite-constraint-force solution at alpha={alpha}, kappa={kappa}"
-            )
-        disc = 0.0
-    s = math.sqrt(disc)
-    if x > 0.0:
-        return 2.0 / (x + s)
-    if kappa == 0.0:
-        raise ContractError("finite-force branch diverges for alpha <= 1 at kappa = 0")
-    return (x - s) / (2.0 * alpha * kappa)
-
-
-def _finite_force_c0(alpha: float, kappa: float, a2: float) -> float:
-    """Persistent correlation of the finite-force branch, physical or not."""
-    chi = _chi_minus(alpha, kappa)
-    return chi * (1.0 + 2.0 * a2) / (1.0 - kappa * (1.0 + chi) ** 2)
+    chi = 2.0 / (x + math.sqrt(x * x - 4.0 * alpha * kappa))
+    return chi, chi * (1.0 + 2.0 * a2) / (1.0 - kappa * (1.0 + chi) ** 2)
 
 
 def classify_phase(alpha: float, kappa: float, A_tilde: float, zeta: int) -> Phase:
-    """Phase at (alpha, kappa, A, zeta); exact boundaries go to the lower-alpha phase."""
+    """Phase at (alpha, kappa, A, zeta), all four checked; boundaries go to the lower-alpha phase.
+
+    A point above alpha_c2 whose oscillating c0 rounds to 1 lies on the line
+    within rounding, so it is frozen too.
+    """
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise ContractError(f"alpha must be finite and > 0, got {alpha!r}")
+    a2 = _static_a2(A_tilde, zeta)
+    _check_kappa(kappa)
     if alpha <= alpha_c1(A_tilde, zeta):
         return Phase.ANOMALOUS
-    if alpha <= alpha_c2(A_tilde, kappa, zeta):
+    if alpha <= alpha_c2(A_tilde, kappa, zeta) or _chi_c0(alpha, kappa, a2)[1] >= 1.0:
         return Phase.FROZEN
     return Phase.OSCILLATING
 
 
-def frozen_solution(alpha: float, kappa: float, A_tilde: float, zeta: int) -> StationaryTheory:
+def _frozen(alpha: float, kappa: float, A_tilde: float, zeta: int, a2: float) -> StationaryTheory:
     """Closed forms in the frozen window alpha_c1 < alpha <= alpha_c2."""
-    a2 = _static_a2(A_tilde, zeta)
-    _check_kappa(kappa)
-    if classify_phase(alpha, kappa, A_tilde, zeta) is not Phase.FROZEN:
-        raise ContractError(f"alpha={alpha} is outside the frozen window")
     root = math.sqrt(2.0 * alpha * (1.0 + a2))  # > 1 inside the window
     chi = 1.0 / (root - 1.0)
     lam_rate = -1.0 - alpha * (1.0 - kappa) + math.sqrt(alpha) * (3.0 + 2.0 * a2) / math.sqrt(
@@ -233,20 +214,11 @@ def frozen_solution(alpha: float, kappa: float, A_tilde: float, zeta: int) -> St
     )
 
 
-def ergodic_solution(alpha: float, kappa: float, A_tilde: float, zeta: int) -> StationaryTheory:
-    """Finite-constraint-force solution for alpha > alpha_c2.
-
-    chi is the smaller root of the static quadratic, evaluated in the
-    cancellation-free form 2 / (x + sqrt(x^2 - 4 alpha kappa)) with
-    x = alpha (1-kappa) - 1, which reproduces the kappa -> 0 limit
-    1/(alpha - 1) exactly at kappa = 0.
-    """
-    a2 = _static_a2(A_tilde, zeta)
-    _check_kappa(kappa)
-    if classify_phase(alpha, kappa, A_tilde, zeta) is not Phase.OSCILLATING:
-        raise ContractError(f"alpha={alpha} is not above the frozen-to-oscillating line")
-
-    chi, c0 = _chi_minus(alpha, kappa), _finite_force_c0(alpha, kappa, a2)
+def _oscillating(
+    alpha: float, kappa: float, A_tilde: float, zeta: int, a2: float
+) -> StationaryTheory:
+    """Finite-constraint-force solution for alpha > alpha_c2."""
+    chi, c0 = _chi_c0(alpha, kappa, a2)
     if not 0.0 <= c0 < 1.0:
         raise ContractError(f"persistent correlation c0={c0} outside [0, 1)")
 
@@ -281,13 +253,13 @@ def ergodic_solution(alpha: float, kappa: float, A_tilde: float, zeta: int) -> S
 
 
 def stationary_solution(alpha: float, kappa: float, A_tilde: float, zeta: int) -> StationaryTheory:
-    """Dispatch on the phase; the anomalous phase carries only c0 = 1, chi = inf."""
+    """The solution in the phase classify_phase gives; the anomalous phase
+    carries only c0 = 1, chi = inf."""
     phase = classify_phase(alpha, kappa, A_tilde, zeta)
-    if phase is Phase.FROZEN:
-        return frozen_solution(alpha, kappa, A_tilde, zeta)
-    if phase is Phase.OSCILLATING:
-        return ergodic_solution(alpha, kappa, A_tilde, zeta)
-    return StationaryTheory(phase=Phase.ANOMALOUS, chi=math.inf, c0=1.0)
+    if phase is Phase.ANOMALOUS:
+        return StationaryTheory(phase=Phase.ANOMALOUS, chi=math.inf, c0=1.0)
+    solve = _frozen if phase is Phase.FROZEN else _oscillating
+    return solve(alpha, kappa, A_tilde, zeta, A_tilde * A_tilde if zeta == 0 else 0.0)
 
 
 def stationary_residuals(

@@ -17,7 +17,6 @@ from sphmg import (
     alpha_c1,
     alpha_c2,
     alpha_c2_via_c0,
-    ergodic_solution,
     extract_stationary,
     generate_disorder,
     init_state,
@@ -93,7 +92,7 @@ def test_criterion_3_stationary_residuals():
             a = rng.uniform(0.0, 3.0)
             zeta = int(rng.integers(0, 2))
             alpha = alpha_c2(a, kappa, zeta) * rng.uniform(1.001, 10.0)
-            sol = ergodic_solution(alpha, kappa, a, zeta)
+            sol = stationary_solution(alpha, kappa, a, zeta)
             res = stationary_residuals(alpha, kappa, a, zeta, sol)
             assert np.max(np.abs(res)) < 1e-9, (alpha, kappa, a, zeta)
             checked += 1

@@ -1,10 +1,12 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sphmg
@@ -81,6 +83,20 @@ def test_theory_key_order(fmt, capsys):
     assert keys == THEORY_KEYS
 
 
+def test_point_within_rounding_above_alpha_c2_is_frozen(capsys):
+    # the oscillating c0 rounds to 1 here, so the point is on the line
+    alpha = "2.2480228020241295"
+    assert float(alpha) > sphmg.alpha_c2(0.0, 0.03, 0)
+    code, out, _ = run_cli(capsys, "theory", "--alpha", alpha, "--kappa", "0.03")
+    assert code == 0 and parse_block(out)["phase"] == "F"
+    code, out, err = run_cli(capsys, "compare", "--engines", "theory,kernels", "--alpha", alpha,
+                             "--kappa", "0.03", "--T", "40")
+    assert code == 0 and "failed" not in err
+    row = parse_csv(out)[1][0]
+    assert row["phase"] == "F" and row["c0_theory"] == "1"
+    assert row["sigma_theory"] != "" and row["chi"] != "" and row["c0_kernel"] != ""
+
+
 # ---------------------------------------------------------------------------
 # phase-diagram command
 # ---------------------------------------------------------------------------
@@ -116,6 +132,39 @@ def test_phase_diagram_amplitude_axis_oscillating(capsys):
 def test_phase_diagram_requires_single_axis(capsys):
     code, _, err = run_cli(capsys, "phase-diagram", "--alpha", "1")
     assert code == 1 and "sweep" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["theory"], "theory requires --alpha"),
+    (["phase-diagram", "--sweep", "alpha:1:4:3"], "phase-diagram sweeps kappa or A_tilde"),
+    (["phase-diagram", "--sweep", "kappa:0:1:3", "--sweep2", "A_tilde:0:1:2"],
+     "phase-diagram takes a single sweep axis"),
+], ids=["theory-without-alpha", "phase-diagram-alpha-axis", "phase-diagram-two-axes"])
+def test_command_errors_exit_one(argv, error, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sphmg: error: " + error]
+
+
+def test_axis_spacing_and_single_point():
+    name, values = cli._parse_axis("alpha:0.5:8:5:log")
+    assert name == "alpha" and np.array_equal(values, np.geomspace(0.5, 8.0, 5))
+    assert np.array_equal(cli._parse_axis("kappa:0:1:3:lin")[1], np.linspace(0.0, 1.0, 3))
+    assert cli._parse_axis("kappa:0.25:0.75:1")[1].tolist() == [0.25]
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("alpha:1:2", "axis spec must be name:min:max:count[:log], got 'alpha:1:2'"),
+    ("beta:1:2:3", "sweep axis must be one of ('alpha', 'kappa', 'A_tilde'), got 'beta'"),
+    ("alpha:1:2:3:cubic", "axis spacing must be 'lin' or 'log', got 'cubic'"),
+    ("alpha:1:2:0", "axis count must be >= 1"),
+    ("alpha:2:1:3", "axis alpha: min 2.0 > max 1.0"),
+    ("alpha:0:1:3:log", "log axis needs a positive minimum"),
+], ids=["parts", "name", "spacing", "count", "order", "log-minimum"])
+def test_axis_spec_errors(spec, error):
+    with pytest.raises(sphmg.ContractError) as info:
+        cli._parse_axis(spec)
+    assert str(info.value) == error
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +409,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 1 and "agentz" in err
 
 
+def test_config_line_without_value_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("alpha\n")
+    code, out, err = run_cli(capsys, "theory", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sphmg: error: cannot parse config line: alpha"]
+
+
 @pytest.mark.parametrize("name, kind, default, choices", [o[:4] for o in _OPTIONS],
                          ids=[o[0] for o in _OPTIONS])
 def test_every_option_resolves_alike_from_flag_and_config(name, kind, default, choices, tmp_path):
@@ -418,10 +475,12 @@ def test_bad_point_exits_one_without_traceback(argv, capsys):
     (["--sweep", "alpha:0:4:3"], "alpha must be finite and > 0, got 0.0"),
     (["--sweep", "alpha:1:4:3", "--seeds=-1,3"], "seed must be a 64-bit unsigned integer"),
     (["--sweep", "alpha:1:4:3", "--seeds", "1,1"], "repeated seeds: 1,1"),
+    (["--sweep", "alpha:1:4:3", "--seeds", ","], "need at least one seed"),
     (["--sweep", "alpha:1:4:3", "--lambda0", "0"], "lambda0 must be > 0, got 0.0"),
     (["--sweep", "alpha:1:4:3", "--T", "0"], "T must be >= 1, got 0"),
     (["--sweep", "alpha:1:4:3", "--workers", "0"], "workers must be >= 1, got 0"),
-], ids=["zero-alpha", "negative-seed", "repeated-seeds", "zero-lambda0", "zero-T", "no-workers"])
+], ids=["zero-alpha", "negative-seed", "repeated-seeds", "no-seeds", "zero-lambda0", "zero-T",
+        "no-workers"])
 def test_every_point_checked_before_any_task(argv, error, monkeypatch, capsys):
     def task_ran(*args):
         raise AssertionError("a task ran")
@@ -432,6 +491,36 @@ def test_every_point_checked_before_any_task(argv, error, monkeypatch, capsys):
                              "--T", "100", *argv)
     assert code == 1 and out == ""
     assert err.splitlines() == ["sphmg: error: " + error]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_theory_failure_keeps_the_sweep(workers, monkeypatch, capsys):
+    # every seed and kernel point fails by its settings; theory fails at
+    # alpha = 3 only, and its line comes first among that point's lines
+    argv = ["compare", "--sweep", "alpha:2.5:3:2", "--agents", "32", "--t-eq", "5",
+            "--t-meas", "8", "--n-seeds", "1", "--T", "4", "--workers", workers]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    want = parse_csv(out)[1]
+    cells = cli._theory_cells
+
+    def fail_at_three(pt):
+        if pt["alpha"] == 3.0:
+            raise RuntimeError("theory broke")
+        return cells(pt)
+
+    monkeypatch.setattr(cli, "_theory_cells", fail_at_three)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    rows = parse_csv(out)[1]
+    pt = {"alpha": 3.0, "kappa": 0.0, "A_tilde": 0.0, "zeta": 0}
+    theory = cells(pt)
+    assert rows[0] == want[0] and all(want[1][c] != "" for c in theory)
+    assert rows[1] == {**want[1], **dict.fromkeys(theory, "")}
+    lines = [l for l in err.splitlines() if str(pt) in l]
+    assert len(lines) == 4
+    assert lines[0] == f"[theory] point {pt} failed: theory broke"
+    assert [l.split()[0] for l in lines[1:]] == ["[simulate]", "[simulate]", "[kernels]"]
 
 
 def test_compare_keeps_rows_when_every_kernel_point_fails(capsys):
@@ -505,3 +594,24 @@ def test_partial_failure_exit_two(capsys):
     assert "failed" in err
     _, rows = parse_csv(out)
     assert rows[0]["c0_sim"] == ""  # row kept, cells empty
+
+
+def _readme_commands():
+    """The argv of every sphmg line in README's sh blocks, with continuations
+    joined and each shell variable replaced by 0."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
+    return [shlex.split(re.sub(r"\$\{?\w+\}?", "0", line), comments=True)[1:]
+            for line in map(str.strip, lines.splitlines()) if line.startswith("sphmg ")]
+
+
+def test_readme_commands_stay_valid():
+    # parsed and checked as far as each command checks before it runs
+    commands = _readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        merged = _resolve(build_parser().parse_args(argv))
+        if argv[0] == "phase-diagram":
+            assert cli._parse_axis(merged["sweep"])[0] in ("kappa", "A_tilde")
+        else:
+            assert cli._grid(merged) and cli._seeds(merged)

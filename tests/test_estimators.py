@@ -65,6 +65,11 @@ def test_fit_line_constant_series():
     assert fit.slope == 0.0 and fit.slope_stderr == 0.0 and fit.r2 == 1.0
 
 
+def test_fit_line_needs_three_points():
+    with pytest.raises(ContractError, match="at least 3 points"):
+        fit_line(np.arange(2.0), np.arange(2.0))
+
+
 def test_fit_line_noisy_slope_error():
     rng = np.random.default_rng(5)
     x = np.arange(500.0)

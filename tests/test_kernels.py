@@ -9,7 +9,6 @@ from sphmg import (
     KernelParams,
     bid_mean_trajectory,
     extract_stationary,
-    frozen_solution,
     iterate_kernels,
     stationary_solution,
 )
@@ -134,7 +133,7 @@ def test_oscillating_point_with_drive_matches_theory():
 def test_frozen_point_growth_rate_and_fluctuations():
     state = iterate_kernels(_params(1.0, T=400))
     tail = extract_stationary(state, 0.25)
-    th = frozen_solution(1.0, 0.0, 0.0, 0)
+    th = stationary_solution(1.0, 0.0, 0.0, 0)
     assert tail.Lambda == pytest.approx(th.Lambda, rel=0.05)
     assert tail.c0 == pytest.approx(1.0, abs=0.01)
     assert tail.sigma_fl == pytest.approx(th.sigma_fl, rel=0.05)
@@ -185,6 +184,8 @@ def test_contract_errors():
         KernelParams(alpha=1.0, T=0)
     with pytest.raises(ContractError):
         KernelParams(alpha=1.0, lambda0=0.0)
+    with pytest.raises(ContractError, match="kappa"):
+        KernelParams(alpha=1.0, kappa=1.5)
     state = iterate_kernels(_params(1.0, T=20))
     with pytest.raises(ContractError):
         extract_stationary(state, 0.6)

@@ -13,7 +13,6 @@ from sphmg import (
     ExternalBid,
     GameParams,
     ResourceBudgetError,
-    frozen_solution,
     generate_disorder,
     init_state,
     precompute_couplings,
@@ -227,7 +226,7 @@ def test_run_experiment_rejects_short_measurement():
 def test_run_frozen_point_small():
     p = GameParams(n_agents=500, alpha=1.0, seed=0, t_equilibrate=400, t_measure=800)
     obs = run_experiment(p)
-    th = frozen_solution(1.0, 0.0, 0.0, 0)
+    th = stationary_solution(1.0, 0.0, 0.0, 0)
     assert obs.c0_hat == pytest.approx(1.0, abs=0.02)
     assert obs.sigma == pytest.approx(th.sigma, rel=0.10)
     assert obs.frozen_flag
@@ -664,7 +663,7 @@ def test_run_frozen_point_large_n():
     # the frozen closed form and the volatility its fluctuation part
     p = GameParams(n_agents=3000, alpha=1.0, seed=0, t_equilibrate=500, t_measure=1000)
     obs = run_experiment(p)
-    th = frozen_solution(1.0, 0.0, 0.0, 0)
+    th = stationary_solution(1.0, 0.0, 0.0, 0)
     assert obs.c0_hat == pytest.approx(1.0, abs=0.02)
     assert obs.sigma == pytest.approx(th.sigma, rel=0.10)
     assert obs.lambda_slope == pytest.approx(th.Lambda, rel=0.10)

@@ -10,12 +10,10 @@ from sphmg import (
     alpha_c2,
     alpha_c2_via_c0,
     classify_phase,
-    ergodic_solution,
-    frozen_solution,
     stationary_residuals,
     stationary_solution,
 )
-from sphmg.theory import _chi_minus, _finite_force_c0
+from sphmg.theory import _chi_c0
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,6 +51,7 @@ def test_alpha_c2_via_c0_closed_values():
     assert alpha_c2_via_c0(0.0, 0.25, 0) == pytest.approx(expected, abs=1e-12)
     assert alpha_c2_via_c0(0.0, 1e-12, 0) == pytest.approx(2.0, abs=1e-9)
     assert alpha_c2_via_c0(3.0, 0.5, 0) == pytest.approx(alpha_c2(3.0, 0.5, 0), abs=1e-9)
+    assert alpha_c2_via_c0(0.0, 1.0, 0) == math.inf
 
 
 def test_transition_routes_agree_on_grid():
@@ -98,14 +97,16 @@ def test_classify_phase(alpha, kappa, a, zeta, expected):
 
 
 def test_frozen_at_boundary_alpha_two():
-    sol = frozen_solution(2.0, 0.0, 0.0, 0)
+    sol = stationary_solution(2.0, 0.0, 0.0, 0)
+    assert sol.phase is Phase.FROZEN
     assert sol.chi == pytest.approx(1.0, abs=1e-12)
     assert sol.sigma_fl == pytest.approx(0.5, abs=1e-12)
     assert sol.Lambda == pytest.approx(0.0, abs=1e-12)
 
 
 def test_frozen_alpha_one():
-    sol = frozen_solution(1.0, 0.0, 0.0, 0)
+    sol = stationary_solution(1.0, 0.0, 0.0, 0)
+    assert sol.phase is Phase.FROZEN
     assert sol.chi == pytest.approx(1.0 + SQRT2, abs=1e-12)
     assert sol.sigma_fl == pytest.approx(1.0 - 1.0 / SQRT2, abs=1e-12)
     assert sol.Lambda == pytest.approx(3.0 / SQRT2 - 2.0, abs=1e-12)
@@ -115,7 +116,8 @@ def test_frozen_alpha_one():
 
 
 def test_frozen_with_static_drive():
-    sol = frozen_solution(1.0, 0.0, 1.0, 0)
+    sol = stationary_solution(1.0, 0.0, 1.0, 0)
+    assert sol.phase is Phase.FROZEN
     assert sol.chi == pytest.approx(1.0, abs=1e-12)
     assert sol.sigma_fl**2 == pytest.approx(0.25, abs=1e-12)
     assert sol.bid_mean == pytest.approx(0.5, abs=1e-12)
@@ -125,17 +127,11 @@ def test_frozen_with_static_drive():
 def test_frozen_with_oscillating_drive():
     # chi_hat = 0 so the staggered bid average equals the raw amplitude and
     # sigma^2 = sigma_fl^2 + A^2
-    sol = frozen_solution(1.0, 0.0, 2.0, 1)
+    sol = stationary_solution(1.0, 0.0, 2.0, 1)
+    assert sol.phase is Phase.FROZEN
     assert sol.bid_staggered == pytest.approx(2.0)
     assert sol.sigma**2 == pytest.approx(sol.sigma_fl**2 + 4.0)
     assert sol.bid_mean == 0.0
-
-
-def test_frozen_domain_errors():
-    with pytest.raises(ContractError):
-        frozen_solution(4.0, 0.0, 0.0, 0)
-    with pytest.raises(ContractError):
-        frozen_solution(0.4, 0.0, 0.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,8 @@ def test_frozen_domain_errors():
 
 
 def test_ergodic_alpha_four():
-    sol = ergodic_solution(4.0, 0.0, 0.0, 0)
+    sol = stationary_solution(4.0, 0.0, 0.0, 0)
+    assert sol.phase is Phase.OSCILLATING
     assert sol.chi == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert sol.c0 == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert sol.chi_hat == pytest.approx(-1.0 / 3.0, abs=1e-14)
@@ -157,7 +154,8 @@ def test_ergodic_alpha_four():
 
 
 def test_ergodic_oscillating_drive():
-    sol = ergodic_solution(4.0, 0.0, 1.0, 1)
+    sol = stationary_solution(4.0, 0.0, 1.0, 1)
+    assert sol.phase is Phase.OSCILLATING
     assert sol.c0 == pytest.approx(1.0 / 3.0, abs=1e-14)  # amplitude-independent
     assert sol.chi_hat == pytest.approx(-0.2, abs=1e-14)
     assert sol.sigma**2 == pytest.approx(sol.sigma_fl**2 + 25.0 / 16.0, abs=1e-12)
@@ -170,18 +168,12 @@ def test_ergodic_large_alpha_asymptote():
     #                                    + (1+2 kappa)/(alpha (1-kappa)^2)^2 + O(alpha^-3)
     kappa = 0.25
     for alpha in (1e3, 1e5):
-        sol = ergodic_solution(alpha, kappa, 0.0, 0)
+        sol = stationary_solution(alpha, kappa, 0.0, 0)
+        assert sol.phase is Phase.OSCILLATING
         lead = 1.0 / (alpha * (1.0 - kappa) ** 2)
         second = (1.0 + 2.0 * kappa) / (alpha * (1.0 - kappa) ** 2) ** 2
         assert abs(sol.c0 - lead - second) < 30.0 / alpha**3
         assert sol.c0 < 5.0 / alpha  # decays like 1/alpha
-
-
-def test_ergodic_domain_error_in_frozen_window():
-    with pytest.raises(ContractError):
-        ergodic_solution(1.0, 0.0, 0.0, 0)
-    with pytest.raises(ContractError):
-        ergodic_solution(6.0, 0.25, 1.0, 0)  # F phase: alpha_c2 ~ 8.23
 
 
 def test_stationary_solution_dispatch():
@@ -213,7 +205,8 @@ def _random_oscillating_points(rng, count):
 def test_stationary_residuals_vanish_on_random_points():
     rng = np.random.default_rng(42)
     for alpha, kappa, a, zeta in _random_oscillating_points(rng, 50):
-        sol = ergodic_solution(alpha, kappa, a, zeta)
+        sol = stationary_solution(alpha, kappa, a, zeta)
+        assert sol.phase is Phase.OSCILLATING
         res = stationary_residuals(alpha, kappa, a, zeta, sol)
         assert np.max(np.abs(res)) < 1e-9, (alpha, kappa, a, zeta, res)
 
@@ -221,7 +214,8 @@ def test_stationary_residuals_vanish_on_random_points():
 def test_quadratic_roots():
     for kappa in np.linspace(0.01, 0.9, 15):
         alpha = alpha_c2(0.0, kappa, 0) * 1.5
-        sol = ergodic_solution(alpha, kappa, 0.0, 0)
+        sol = stationary_solution(alpha, kappa, 0.0, 0)
+        assert sol.phase is Phase.OSCILLATING
         chi = sol.chi
         assert abs(alpha * kappa * chi**2 + chi * (1.0 + alpha * (kappa - 1.0)) + 1.0) < 1e-10
         ch, g = sol.chi_hat, sol.gamma
@@ -231,25 +225,30 @@ def test_quadratic_roots():
 def test_continuity_across_the_frozen_to_oscillating_line():
     for kappa, a, zeta in [(0.0, 0.0, 0), (0.25, 1.0, 0), (0.5, 2.0, 1)]:
         ac2 = alpha_c2(a, kappa, zeta)
-        frozen = frozen_solution(ac2 - 1e-6, kappa, a, zeta)
-        ergodic = ergodic_solution(ac2 + 1e-6, kappa, a, zeta)
+        frozen = stationary_solution(ac2 - 1e-6, kappa, a, zeta)
+        ergodic = stationary_solution(ac2 + 1e-6, kappa, a, zeta)
+        assert frozen.phase is Phase.FROZEN and ergodic.phase is Phase.OSCILLATING
         assert abs(frozen.c0 - ergodic.c0) < 1e-3
         assert 0.0 < frozen.Lambda < 1e-5
 
 
-def test_small_alpha_series_of_the_finite_force_branch():
-    # pure algebra check of the closed form below the existence gap (outside
-    # the physical phases): |c0| = alpha + alpha^2 (1 + 2 kappa) + O(alpha^3)
-    def series(alpha, kappa):
-        return alpha + alpha**2 * (1.0 + 2.0 * kappa)
-
-    for kappa in (0.1, 0.3, 0.7):
-        alpha = 1e-3
-        c0 = _finite_force_c0(alpha, kappa, 0.0)
-        rem1 = abs(c0) - series(alpha, kappa)
-        assert abs(rem1) < 0.1 * abs(c0)
-        rem2 = abs(_finite_force_c0(2 * alpha, kappa, 0.0)) - series(2 * alpha, kappa)
-        assert rem2 / rem1 == pytest.approx(8.0, rel=0.3)  # remainder is O(alpha^3)
+def test_every_point_within_rounding_above_alpha_c2_is_solved():
+    # the 40 floats above the line on a (kappa, A, zeta) grid: where the
+    # oscillating c0 rounds to 1 the point is frozen, elsewhere oscillating,
+    # and the solver gives a solution in the classified phase at every one
+    kappas = [*np.linspace(0.0, 0.99, 100), 0.999, 1.0 - 1e-6, 1.0 - 1e-12]
+    phases = []
+    for kappa in map(float, kappas):
+        for a in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 100.0, 1e4):
+            for zeta in (0, 1):
+                alpha = alpha_c2(a, kappa, zeta)
+                for _ in range(40):
+                    alpha = math.nextafter(alpha, math.inf)
+                    sol = stationary_solution(alpha, kappa, a, zeta)
+                    assert sol.phase is classify_phase(alpha, kappa, a, zeta)
+                    phases.append(sol.phase)
+    assert len(phases) == 65920
+    assert 0 < phases.count(Phase.FROZEN) < len(phases) // 10
 
 
 def test_finite_force_existence_window():
@@ -268,9 +267,9 @@ def test_finite_force_existence_window():
 
 def test_chi_minus_matches_limit_at_kappa_zero():
     for alpha in (1.5, 2.5, 10.0):
-        assert _chi_minus(alpha, 0.0) == pytest.approx(1.0 / (alpha - 1.0), abs=1e-15)
+        assert _chi_c0(alpha, 0.0, 0.0)[0] == pytest.approx(1.0 / (alpha - 1.0), abs=1e-15)
         # continuous in kappa near zero
-        assert _chi_minus(alpha, 1e-12) == pytest.approx(1.0 / (alpha - 1.0), rel=1e-9)
+        assert _chi_c0(alpha, 1e-12, 0.0)[0] == pytest.approx(1.0 / (alpha - 1.0), rel=1e-9)
 
 
 def test_input_validation():
@@ -280,3 +279,8 @@ def test_input_validation():
         alpha_c1(1.0, 2)
     with pytest.raises(ContractError):
         classify_phase(0.0, 0.0, 0.0, 0)
+    # kappa is checked in every phase, the anomalous one too
+    with pytest.raises(ContractError, match="kappa must lie in"):
+        classify_phase(0.1, 5.0, 0.0, 0)
+    with pytest.raises(ContractError, match="kappa must lie in"):
+        stationary_solution(0.1, -1.0, 0.0, 0)
