@@ -27,23 +27,16 @@ from .kernels import (
     KernelParams,
     KernelState,
     KernelTail,
-    bid_mean_trajectory,
     extract_stationary,
     iterate_kernels,
 )
-from .simulator import (
-    RunObservables,
-    init_state,
-    run_experiment,
-)
+from .simulator import RunObservables, run_experiment
 from .theory import (
     Phase,
     StationaryTheory,
     alpha_c1,
     alpha_c2,
-    alpha_c2_via_c0,
     classify_phase,
-    stationary_residuals,
     stationary_solution,
 )
 
@@ -65,16 +58,12 @@ __all__ = [
     "StationaryTheory",
     "alpha_c1",
     "alpha_c2",
-    "alpha_c2_via_c0",
-    "bid_mean_trajectory",
     "classify_phase",
     "extract_stationary",
     "generate_disorder",
-    "init_state",
     "iterate_kernels",
     "precompute_couplings",
     "run_experiment",
-    "stationary_residuals",
     "stationary_solution",
     "__version__",
 ]

@@ -201,8 +201,9 @@ def run_sweep(
     count fails the sweep before it runs.  Simulation seeds and kernel points
     form one task list, which fans out over a process pool when workers > 1;
     rows are assembled, and failures reported, in grid order regardless of
-    completion order.  A failing engine at a point leaves its cells empty and
-    the sweep continues.
+    completion order.  A failing engine at a point, such as a sample over
+    the table budget or a kernel horizon too short for its tail, leaves its
+    cells empty and the sweep continues.
     """
     if opts["workers"] < 1:
         raise ContractError(f"workers must be >= 1, got {opts['workers']}")
@@ -408,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags, typed and checked by _OPTIONS."""
+    """Defaults < config file < explicit flags, typed and checked by _OPTIONS;
+    --out must name a file in an existing writable directory."""
     merged = {name: default for name, _, default, _, _ in _OPTIONS}
     if args.config:
         cfg = load_config(args.config)
@@ -422,10 +424,16 @@ def _resolve(args: argparse.Namespace) -> dict:
             merged[name] = kind(merged[name])
             if choices and merged[name] not in choices:
                 raise ContractError(f"{name} must be one of {choices}, got {merged[name]!r}")
+    if merged["out"] not in (None, "-"):
+        folder = os.path.dirname(merged["out"]) or "."
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ContractError(f"out: {folder} is not a writable directory")
     return merged
 
 
 def cmd_theory(merged: dict) -> int:
+    if merged["sweep"] or merged["sweep2"]:
+        raise ContractError("theory takes no sweep axis")
     if merged["alpha"] is None:
         raise ContractError("theory requires --alpha")
     a, k, A, z = merged["alpha"], merged["kappa"], merged["A"], merged["zeta"]

@@ -42,6 +42,9 @@ TILE = (160, 480)
 # products of entries in {-1, 0, 1} stay exact in float32 below this many terms.
 FLOAT32_EXACT_TERMS = 2**24
 
+# Shortest measurement window of a run that gives stable estimates.
+MIN_MEASURE_STEPS = 16
+
 # Sub-stream indices derived from GameParams.seed, so that strategy draws and
 # initial-condition draws come from independent generators.
 _STREAM_DISORDER = 0
@@ -127,8 +130,8 @@ class GameParams:
             raise ContractError(f"init_scale must be > 0, got {self.init_scale}")
         if self.t_equilibrate < 0:
             raise ContractError("t_equilibrate must be >= 0")
-        if self.t_measure < 1:
-            raise ContractError("t_measure must be >= 1")
+        if self.t_measure < MIN_MEASURE_STEPS:
+            raise ContractError(f"t_measure must be >= {MIN_MEASURE_STEPS} for stable estimates")
         if not 0 <= self.seed < 2**64:
             raise ContractError("seed must be a 64-bit unsigned integer")
 

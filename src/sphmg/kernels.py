@@ -70,9 +70,8 @@ class KernelState:
     """Two-time kernels on the grid {0..T}^2, T = params.T.
 
     C is symmetric with unit diagonal, G strictly lower triangular and
-    W = (1+G)^(-1).  The unnormalized moments K, the noise source D, the
-    effective noise covariance Sigma and the cross moments L are derived from
-    these on each access.
+    W = (1+G)^(-1).  Only these are stored; K, D, Sigma and L follow from
+    them by the products in the module docstring.
     """
 
     params: KernelParams
@@ -80,28 +79,6 @@ class KernelState:
     G: np.ndarray
     lambda_traj: np.ndarray
     W: np.ndarray
-
-    @property
-    def K(self) -> np.ndarray:
-        """<q(t) q(t')> = C_tt' lambda(t) lambda(t')."""
-        return self.C * np.outer(self.lambda_traj, self.lambda_traj)
-
-    @property
-    def D(self) -> np.ndarray:
-        """Noise source 1 + C_tt' + 2 A_e(t) A_e(t')."""
-        a_e = self.params.external.series(self.params.T + 1)
-        return 1.0 + self.C + 2.0 * np.outer(a_e, a_e)
-
-    @property
-    def Sigma(self) -> np.ndarray:
-        """Effective noise covariance <eta(t) eta(t')> = W D W^T."""
-        return self.W @ self.D @ self.W.T
-
-    @property
-    def L(self) -> np.ndarray:
-        """<eta(t) q(t')> = sqrt(alpha) (Sigma g^T)_tt' with g = G lambda."""
-        g = self.G * self.lambda_traj[:, np.newaxis]
-        return np.sqrt(self.params.alpha) * (self.Sigma @ g.T)
 
 
 @dataclass(frozen=True)
@@ -172,15 +149,6 @@ def iterate_kernels(params: KernelParams) -> KernelState:
         G[t + 1, : t + 1] = g[: t + 1] / lam[t + 1]
 
     return KernelState(params=params, C=C, G=G, lambda_traj=lam, W=W)
-
-
-def bid_mean_trajectory(state: KernelState) -> np.ndarray:
-    """Deterministic bid-mean series sum_{t'} (1+G)^(-1)_tt' a_e(t') of the state's drive.
-
-    Under a stationary (alternating) drive, the plain (staggered) tail average
-    approaches A/(1+chi) (A/(1+chi_hat)).
-    """
-    return state.W @ state.params.external.series(state.params.T + 1)
 
 
 def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> KernelTail:

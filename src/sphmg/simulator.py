@@ -35,7 +35,6 @@ import numpy as np
 from .core import (
     _STREAM_INIT,
     FLOAT32_EXACT_TERMS,
-    ContractError,
     DegenerateStateError,
     GameParams,
     _integer_couplings,
@@ -52,8 +51,6 @@ C0_SNAPSHOTS = 64
 # exceeds this many standard errors and lambda grew by at least 2x.
 FROZEN_SLOPE_SIGMAS = 5.0
 FROZEN_GROWTH_FACTOR = 2.0
-
-MIN_MEASURE_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -363,8 +360,6 @@ def run_experiment(params: GameParams) -> RunObservables:
     persistent_correlation of the recorded snapshots' two-time window, on the
     Gram route from their p-space overlaps.
     """
-    if params.t_measure < MIN_MEASURE_STEPS:
-        raise ContractError(f"t_measure must be >= {MIN_MEASURE_STEPS} for stable estimates")
     state = init_state(params)
     route = _route(params, state)
     run = route.start(state)

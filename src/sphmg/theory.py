@@ -18,8 +18,8 @@ with boundaries
     alpha_c2 = [R - 2(1-kappa) + sqrt(R^2 - 4(1-kappa) R)] / (2 (1-kappa)^2),
     R = (3 + 2 a2)^2 / (2 + 2 a2)
 
-alpha_c2 is also the locus c0 = 1 of the finite-lambda solution; the second
-route below (alpha_c2_via_c0) evaluates that form and must agree to 1e-9.
+alpha_c2 is also the locus c0 = 1 of the finite-lambda solution; the tests
+evaluate that second form independently and require agreement to 1e-9.
 
 stationary_solution is the one solver.  classify_phase, which checks all
 four inputs, decides the phase once; an exact boundary goes to the lower-alpha
@@ -131,33 +131,6 @@ def alpha_c2(A_tilde: float, kappa: float, zeta: int) -> float:
     return (r - 2.0 * (1.0 - kappa) + math.sqrt(disc)) / (2.0 * (1.0 - kappa) ** 2)
 
 
-def alpha_c2_via_c0(A_tilde: float, kappa: float, zeta: int) -> float:
-    """Same line obtained from the c0 = 1 condition of the finite-lambda state.
-
-    With Xi = sqrt((1 + 2 a2)^2 + 8 kappa (1 + a2)) the line reads
-
-        2 (Xi - 1 - 2 a2) / [(Xi - 1 - 2 a2 - 2 kappa) (3 + 2 a2 - Xi)]
-
-    whose differences cancel badly for large a2 and kappa near 1 (and is 0/0
-    at kappa = 0).  Each difference reduces exactly against Xi^2, e.g.
-    Xi^2 - (1 + 2 a2 + 2 kappa)^2 = 4 kappa (1 - kappa), which yields the
-    cancellation-free equivalent evaluated here:
-
-        (Xi + 1 + 2 a2 + 2 kappa) (3 + 2 a2 + Xi) / [2 (1-kappa)^2 (Xi + 1 + 2 a2)]
-
-    This form is finite and exact down to kappa = 0, where it gives
-    2 (1 + a2); it diverges at kappa = 1, returned as +inf.
-    """
-    a2 = _static_a2(A_tilde, zeta)
-    _check_kappa(kappa)
-    if kappa == 1.0:
-        return math.inf
-    xi = math.sqrt((1.0 + 2.0 * a2) ** 2 + 8.0 * kappa * (1.0 + a2))
-    num = (xi + 1.0 + 2.0 * a2 + 2.0 * kappa) * (3.0 + 2.0 * a2 + xi)
-    den = 2.0 * (1.0 - kappa) ** 2 * (xi + 1.0 + 2.0 * a2)
-    return num / den
-
-
 def _chi_c0(alpha: float, kappa: float, a2: float) -> tuple[float, float]:
     """chi and c0 of the oscillating state, for alpha above the line alpha_c2.
 
@@ -260,31 +233,3 @@ def stationary_solution(alpha: float, kappa: float, A_tilde: float, zeta: int) -
         return StationaryTheory(phase=Phase.ANOMALOUS, chi=math.inf, c0=1.0)
     solve = _frozen if phase is Phase.FROZEN else _oscillating
     return solve(alpha, kappa, A_tilde, zeta, A_tilde * A_tilde if zeta == 0 else 0.0)
-
-
-def stationary_residuals(
-    alpha: float, kappa: float, A_tilde: float, zeta: int, sol: StationaryTheory
-) -> np.ndarray:
-    """Residuals of the four stationary order-parameter equations.
-
-    For a time-translation invariant state (c0, chi, chi_hat, psi0, psi1) the
-    reduced equations read
-
-        c0 [alpha psi1 + (1+chi)^2 (1-psi0)]          = alpha psi1 chi (1 + 2 A^2 d(zeta,0))
-        (1-c0) [alpha psi1 - (1+chi_hat)^2 (1+psi0)]  = 2 alpha psi1 chi_hat A^2 d(zeta,1)
-        (1-psi0) chi (1+chi)                          = psi1 (1 + chi - alpha chi)
-        -(1+psi0) chi_hat (1+chi_hat)                 = psi1 (1 + chi_hat - alpha chi_hat)
-
-    and a valid oscillating-phase solution must satisfy all four to float
-    accuracy.  Returns the four signed residuals (LHS - RHS).
-    """
-    a2 = _static_a2(A_tilde, zeta)
-    if None in (sol.c0, sol.chi_hat, sol.psi0, sol.psi1):
-        raise ContractError("residuals need a fully populated stationary solution")
-    c0, chi, ch, p0, p1 = sol.c0, sol.chi, sol.chi_hat, sol.psi0, sol.psi1
-    a2_osc = A_tilde * A_tilde if zeta == 1 else 0.0
-    r1 = c0 * (alpha * p1 + (1.0 + chi) ** 2 * (1.0 - p0)) - alpha * p1 * chi * (1.0 + 2.0 * a2)
-    r2 = (1.0 - c0) * (alpha * p1 - (1.0 + ch) ** 2 * (1.0 + p0)) - 2.0 * alpha * p1 * ch * a2_osc
-    r3 = (1.0 - p0) * chi * (1.0 + chi) - p1 * (1.0 + chi - alpha * chi)
-    r4 = -(1.0 + p0) * ch * (1.0 + ch) - p1 * (1.0 + ch - alpha * ch)
-    return np.array([r1, r2, r3, r4])

@@ -1,8 +1,11 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written from the defining sums with explicit Python loops
-(or direct stochastic sampling), deliberately sharing no code path with the
-package implementations it checks.
+Everything here is written from the defining sums with explicit Python loops,
+direct stochastic sampling or a second closed form, deliberately sharing no
+code path with the package implementations it checks.  Nothing is imported
+from sphmg.theory: each theory oracle writes out its own a2 = A^2 d(zeta,0).
+The derived kernels (K, D, Sigma, L) are formed from a KernelState's stored
+C, G, lambda and W by their defining products.  The package calls none of it.
 """
 
 from __future__ import annotations
@@ -187,6 +190,38 @@ def reference_kernels(params: KernelParams) -> tuple[np.ndarray, ...]:
     return C, G, lam, Sig, W
 
 
+def kernel_moments(state: KernelState) -> np.ndarray:
+    """K = <q(t) q(t')> = C_tt' lambda(t) lambda(t')."""
+    return state.C * np.outer(state.lambda_traj, state.lambda_traj)
+
+
+def noise_source(state: KernelState) -> np.ndarray:
+    """D = 1 + C_tt' + 2 A_e(t) A_e(t')."""
+    a_e = state.params.external.series(state.params.T + 1)
+    return 1.0 + state.C + 2.0 * np.outer(a_e, a_e)
+
+
+def noise_covariance(state: KernelState) -> np.ndarray:
+    """Sigma = <eta(t) eta(t')> = W D W^T."""
+    return state.W @ noise_source(state) @ state.W.T
+
+
+def cross_moments(state: KernelState) -> np.ndarray:
+    """L = <eta(t) q(t')> = sqrt(alpha) (Sigma g^T)_tt' with g = G lambda,
+    the Gaussian identity for the linear process."""
+    g = state.G * state.lambda_traj[:, np.newaxis]
+    return math.sqrt(state.params.alpha) * (noise_covariance(state) @ g.T)
+
+
+def bid_mean_trajectory(state: KernelState) -> np.ndarray:
+    """Bid-mean series sum_{t'} (1+G)^(-1)_tt' a_e(t') of the state's drive.
+
+    Under a stationary (alternating) drive, the plain (staggered) tail average
+    approaches A/(1+chi) (A/(1+chi_hat)).
+    """
+    return state.W @ state.params.external.series(state.params.T + 1)
+
+
 def cross_moments_by_recursion(state: KernelState) -> np.ndarray:
     """<eta(t) q(s)> integrated column by column along the valuation recursion.
 
@@ -198,10 +233,11 @@ def cross_moments_by_recursion(state: KernelState) -> np.ndarray:
     n = state.params.T + 1
     ml = memory_rows(state.G, p.kappa, state.lambda_traj)
     sqrt_a = math.sqrt(p.alpha)
+    sigma = noise_covariance(state)
     L = np.zeros((n, n))
     for u in range(n - 1):
         memory = L[:, : u + 1] @ ml[u, : u + 1]
-        L[:, u + 1] = L[:, u] - p.alpha * memory + sqrt_a * state.Sigma[:, u]
+        L[:, u + 1] = L[:, u] - p.alpha * memory + sqrt_a * sigma[:, u]
     return L
 
 
@@ -215,7 +251,8 @@ def sample_effective_process(state: KernelState, n_paths: int, rng: np.random.Ge
     """
     p = state.params
     T = state.params.T
-    eta = rng.multivariate_normal(np.zeros(T), state.Sigma[:T, :T], size=n_paths, method="eigh")
+    eta = rng.multivariate_normal(np.zeros(T), noise_covariance(state)[:T, :T],
+                                  size=n_paths, method="eigh")
     ml = memory_rows(state.G, p.kappa, state.lambda_traj)
     q = np.empty((n_paths, T + 1))
     q[:, 0] = p.lambda0 * rng.choice([-1.0, 1.0], size=n_paths)
@@ -227,3 +264,56 @@ def sample_effective_process(state: KernelState, n_paths: int, rng: np.random.Ge
     second = ((phi**2).T @ (phi**2)) / n_paths
     c_se = np.sqrt(np.maximum(second - c_mc**2, 0.0) / n_paths)
     return c_mc, c_se
+
+
+def alpha_c2_via_c0(A_tilde: float, kappa: float, zeta: int) -> float:
+    """The frozen-to-oscillating line from the c0 = 1 condition of the
+    finite-lambda state.
+
+    With Xi = sqrt((1 + 2 a2)^2 + 8 kappa (1 + a2)) the line reads
+
+        2 (Xi - 1 - 2 a2) / [(Xi - 1 - 2 a2 - 2 kappa) (3 + 2 a2 - Xi)]
+
+    whose differences cancel badly for large a2 and kappa near 1 (and is 0/0
+    at kappa = 0).  Each difference reduces exactly against Xi^2, e.g.
+    Xi^2 - (1 + 2 a2 + 2 kappa)^2 = 4 kappa (1 - kappa), which yields the
+    cancellation-free equivalent evaluated here:
+
+        (Xi + 1 + 2 a2 + 2 kappa) (3 + 2 a2 + Xi) / [2 (1-kappa)^2 (Xi + 1 + 2 a2)]
+
+    This form is finite and exact down to kappa = 0, where it gives
+    2 (1 + a2); it diverges at kappa = 1, returned as +inf.
+    """
+    a2 = A_tilde * A_tilde if zeta == 0 else 0.0
+    if kappa == 1.0:
+        return math.inf
+    xi = math.sqrt((1.0 + 2.0 * a2) ** 2 + 8.0 * kappa * (1.0 + a2))
+    num = (xi + 1.0 + 2.0 * a2 + 2.0 * kappa) * (3.0 + 2.0 * a2 + xi)
+    den = 2.0 * (1.0 - kappa) ** 2 * (xi + 1.0 + 2.0 * a2)
+    return num / den
+
+
+def stationary_residuals(
+    alpha: float, kappa: float, A_tilde: float, zeta: int, sol
+) -> np.ndarray:
+    """Residuals (LHS - RHS) of the four stationary order-parameter equations.
+
+    For a time-translation invariant state (c0, chi, chi_hat, psi0, psi1) the
+    reduced equations read
+
+        c0 [alpha psi1 + (1+chi)^2 (1-psi0)]          = alpha psi1 chi (1 + 2 A^2 d(zeta,0))
+        (1-c0) [alpha psi1 - (1+chi_hat)^2 (1+psi0)]  = 2 alpha psi1 chi_hat A^2 d(zeta,1)
+        (1-psi0) chi (1+chi)                          = psi1 (1 + chi - alpha chi)
+        -(1+psi0) chi_hat (1+chi_hat)                 = psi1 (1 + chi_hat - alpha chi_hat)
+
+    and a valid oscillating-phase solution sol must satisfy all four to float
+    accuracy.
+    """
+    a2 = A_tilde * A_tilde if zeta == 0 else 0.0
+    a2_osc = A_tilde * A_tilde if zeta == 1 else 0.0
+    c0, chi, ch, p0, p1 = sol.c0, sol.chi, sol.chi_hat, sol.psi0, sol.psi1
+    r1 = c0 * (alpha * p1 + (1.0 + chi) ** 2 * (1.0 - p0)) - alpha * p1 * chi * (1.0 + 2.0 * a2)
+    r2 = (1.0 - c0) * (alpha * p1 - (1.0 + ch) ** 2 * (1.0 + p0)) - 2.0 * alpha * p1 * ch * a2_osc
+    r3 = (1.0 - p0) * chi * (1.0 + chi) - p1 * (1.0 + chi - alpha * chi)
+    r4 = -(1.0 + p0) * ch * (1.0 + ch) - p1 * (1.0 + ch - alpha * ch)
+    return np.array([r1, r2, r3, r4])

@@ -16,18 +16,22 @@ from sphmg import (
     KernelParams,
     alpha_c1,
     alpha_c2,
-    alpha_c2_via_c0,
     extract_stationary,
     generate_disorder,
-    init_state,
     iterate_kernels,
     run_experiment,
-    stationary_residuals,
     stationary_solution,
 )
 from sphmg import core, simulator
+from sphmg.simulator import init_state
 from sphmg.theory import Phase
-from oracles import brute_force_trajectory, lift, sample_effective_process
+from oracles import (
+    alpha_c2_via_c0,
+    brute_force_trajectory,
+    lift,
+    sample_effective_process,
+    stationary_residuals,
+)
 
 N_DESK = 1000
 T_EQ, T_MEAS = 1000, 2000

@@ -139,7 +139,10 @@ def test_phase_diagram_requires_single_axis(capsys):
     (["phase-diagram", "--sweep", "alpha:1:4:3"], "phase-diagram sweeps kappa or A_tilde"),
     (["phase-diagram", "--sweep", "kappa:0:1:3", "--sweep2", "A_tilde:0:1:2"],
      "phase-diagram takes a single sweep axis"),
-], ids=["theory-without-alpha", "phase-diagram-alpha-axis", "phase-diagram-two-axes"])
+    (["theory", "--alpha", "1", "--sweep", "alpha:1:3:3"], "theory takes no sweep axis"),
+    (["theory", "--alpha", "1", "--sweep2", "kappa:0:1:2"], "theory takes no sweep axis"),
+], ids=["theory-without-alpha", "phase-diagram-alpha-axis", "phase-diagram-two-axes",
+        "theory-with-sweep", "theory-with-sweep2"])
 def test_command_errors_exit_one(argv, error, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -479,8 +482,11 @@ def test_bad_point_exits_one_without_traceback(argv, capsys):
     (["--sweep", "alpha:1:4:3", "--lambda0", "0"], "lambda0 must be > 0, got 0.0"),
     (["--sweep", "alpha:1:4:3", "--T", "0"], "T must be >= 1, got 0"),
     (["--sweep", "alpha:1:4:3", "--workers", "0"], "workers must be >= 1, got 0"),
+    (["--sweep", "alpha:1:4:3", "--t-meas", "8"], "t_measure must be >= 16 for stable estimates"),
+    (["--sweep", "alpha:1:4:3", "--out", "/no/such/dir/x.csv"],
+     "out: /no/such/dir is not a writable directory"),
 ], ids=["zero-alpha", "negative-seed", "repeated-seeds", "no-seeds", "zero-lambda0", "zero-T",
-        "no-workers"])
+        "no-workers", "short-measurement", "out-in-missing-dir"])
 def test_every_point_checked_before_any_task(argv, error, monkeypatch, capsys):
     def task_ran(*args):
         raise AssertionError("a task ran")
@@ -495,10 +501,11 @@ def test_every_point_checked_before_any_task(argv, error, monkeypatch, capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_theory_failure_keeps_the_sweep(workers, monkeypatch, capsys):
-    # every seed and kernel point fails by its settings; theory fails at
-    # alpha = 3 only, and its line comes first among that point's lines
-    argv = ["compare", "--sweep", "alpha:2.5:3:2", "--agents", "32", "--t-eq", "5",
-            "--t-meas", "8", "--n-seeds", "1", "--T", "4", "--workers", workers]
+    # every seed (a sample over the table budget) and kernel point (a horizon
+    # too short for the tail) fails in its task; theory fails at alpha = 3
+    # only, and its line comes first among that point's lines
+    argv = ["compare", "--sweep", "alpha:2.5:3:2", "--agents", "300000", "--t-eq", "5",
+            "--t-meas", "16", "--n-seeds", "1", "--T", "4", "--workers", workers]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     want = parse_csv(out)[1]
@@ -584,11 +591,10 @@ def test_seed_failures_print_in_grid_order_for_any_worker_count():
 
 
 def test_partial_failure_exit_two(capsys):
-    # alpha axis reaching into the anomalous phase: theory rows there are fine
-    # (A-phase record), but a sim with t_measure below the contract fails
+    # a sample over the table budget fails its run, not the sweep
     code, out, err = run_cli(
-        capsys, "simulate", "--alpha", "1", "--agents", "32", "--t-eq", "5",
-        "--t-meas", "8", "--n-seeds", "1",
+        capsys, "simulate", "--alpha", "1", "--agents", "300000", "--t-eq", "5",
+        "--t-meas", "16", "--n-seeds", "1",
     )
     assert code == 2
     assert "failed" in err

@@ -1,4 +1,5 @@
-"""No imported name in src/ or tests/ goes unused (stdlib ast, no linter)."""
+"""No imported name in src/ or tests/ goes unused, and every definition in
+src/ has a caller outside the tests (stdlib ast, no linter)."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,22 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def definitions(source):
+    """(line, name) of every function, class, method and property that source
+    defines, dunders excepted."""
+    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def references(source):
+    """Every name that source reads, bare or as an attribute; a name that an
+    import binds or __all__ lists is not read by that alone."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
@@ -45,3 +62,30 @@ def test_unused_imports_reads_all_and_noqa():
               "__all__ = ['b']\n"
               "e.f.g()\n")
     assert unused_imports(source) == [(2, "os"), (5, "d")]
+
+
+def test_every_src_definition_has_a_caller_outside_the_tests():
+    src = sorted((ROOT / "src").rglob("*.py"))
+    read = set().union(*(references(path.read_text())
+                         for path in src + sorted((ROOT / "perfbench").glob("*.py"))))
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in src for line, name in definitions(path.read_text()) if name not in read]
+    assert not found, "definitions only the tests reach:\n" + "\n".join(found)
+
+
+def test_definitions_and_references_read_names_and_attributes():
+    source = ("from mod import orphan, called\n"
+              "__all__ = ['orphan']\n"
+              "class A:\n"
+              "    def __init__(self):\n"
+              "        self.used()\n"
+              "    def used(self):\n"
+              "        self.idle = called()\n"
+              "    @property\n"
+              "    def idle(self):\n"
+              "        pass\n"
+              "def orphan():\n"
+              "    pass\n"
+              "A()\n")
+    assert definitions(source) == [(3, "A"), (6, "used"), (9, "idle"), (11, "orphan")]
+    assert references(source) == {"A", "self", "used", "called", "property"}

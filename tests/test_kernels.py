@@ -7,14 +7,16 @@ from sphmg import (
     ContractError,
     ExternalBid,
     KernelParams,
-    bid_mean_trajectory,
     extract_stationary,
     iterate_kernels,
     stationary_solution,
 )
 from oracles import (
+    bid_mean_trajectory,
     causal_inverse,
+    cross_moments,
     cross_moments_by_recursion,
+    kernel_moments,
     memory_rows,
     reference_kernels,
     sample_effective_process,
@@ -32,24 +34,15 @@ def test_zero_alpha_limit_is_static():
     state = iterate_kernels(_params(0.0, A=2.0, zeta=1, T=30, lambda0=0.7))
     assert np.allclose(state.C, 1.0)
     assert np.allclose(state.lambda_traj, 0.7)
-    assert np.allclose(state.K, 0.49)
 
 
 def test_structure_invariants():
     state = iterate_kernels(_params(3.0, kappa=0.2, A=1.0, zeta=1, T=60))
-    n = state.params.T + 1
     assert np.abs(np.diag(state.C) - 1.0).max() < 1e-10
     assert np.array_equal(state.C, state.C.T)
     assert np.abs(state.C).max() <= 1.0 + 1e-8
     assert np.abs(np.triu(state.G)).max() == 0.0  # causality, includes diagonal
     assert np.all(state.lambda_traj > 0.0)
-    # K_tt = lambda(t)^2 and C = K normalized
-    assert np.allclose(np.diag(state.K), state.lambda_traj**2, rtol=1e-12)
-    lam = state.lambda_traj
-    assert np.allclose(state.C, state.K / np.outer(lam, lam), atol=1e-12)
-    # D carries the drive: D = 1 + C + 2 a_e(t) a_e(t')
-    a_e = ExternalBid(zeta=1, amplitude=1.0).series(n)
-    assert np.allclose(state.D, 1.0 + state.C + 2.0 * np.outer(a_e, a_e), atol=1e-12)
     # W, grown by forward substitution, is the causal inverse
     W = causal_inverse(state.G)
     assert np.abs(state.W - W).max() < 1e-12
@@ -74,30 +67,21 @@ def test_state_stores_only_underived_kernels():
     state = iterate_kernels(_params(2.5, kappa=0.2, A=1.0, zeta=1, T=40))
     stored = {k for k, v in vars(state).items() if isinstance(v, np.ndarray)}
     assert stored == {"C", "G", "lambda_traj", "W"}
-    lam = state.lambda_traj
-    a_e = ExternalBid(zeta=1, amplitude=1.0).series(state.params.T + 1)
-    g = state.G * lam[:, np.newaxis]
-    derived = [
-        (state.K, state.C * np.outer(lam, lam)),
-        (state.D, 1.0 + state.C + 2.0 * np.outer(a_e, a_e)),
-        (state.L, math.sqrt(2.5) * (state.Sigma @ g.T)),
-    ]
-    for got, want in derived:
-        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_cross_moments_satisfy_gaussian_identity():
-    # state.L is <eta(t) q(s)> = sqrt(alpha) (Sigma g^T)_ts, the Gaussian
-    # identity for the linear process; the oracle integrates the recursion of
-    # q instead.  K must obey that recursion with the oracle's L at every
-    # (t, s), which checks the cross moments the iteration consumed.  Exact,
-    # so tight tolerance.
+    # cross_moments takes <eta(t) q(s)> from the state's Sigma and g by the
+    # Gaussian identity sqrt(alpha) (Sigma g^T)_ts for the linear process;
+    # cross_moments_by_recursion integrates the recursion of q instead.  K
+    # must obey that recursion with the recursion's L at every (t, s), which
+    # checks the cross moments the iteration consumed.  Exact, so tight
+    # tolerance.
     for alpha, kappa, A, zeta in [(2.0, 0.0, 0.0, 0), (4.0, 0.3, 1.0, 1), (1.5, 0.0, 2.0, 0)]:
         state = iterate_kernels(_params(alpha, kappa, A, zeta, T=40))
         expected = cross_moments_by_recursion(state)
         scale = max(1.0, np.abs(expected).max())
-        assert np.abs(state.L - expected).max() / scale < 1e-12
-        K = state.K
+        assert np.abs(cross_moments(state) - expected).max() / scale < 1e-12
+        K = kernel_moments(state)
         ml = memory_rows(state.G, kappa, state.lambda_traj)
         K_next = K[:-1] - alpha * (ml[:-1] @ K) + math.sqrt(alpha) * expected[:-1]
         assert np.abs(K[1:] - K_next).max() / np.abs(K).max() < 1e-12

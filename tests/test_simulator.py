@@ -14,14 +14,13 @@ from sphmg import (
     GameParams,
     ResourceBudgetError,
     generate_disorder,
-    init_state,
     precompute_couplings,
     run_experiment,
     stationary_solution,
 )
 from sphmg import core, simulator
 from sphmg.estimators import persistent_correlation
-from sphmg.simulator import AgentState
+from sphmg.simulator import AgentState, init_state
 from oracles import (
     brute_force_bids,
     lift,
@@ -218,9 +217,9 @@ def test_measure_c0_needs_history():
 
 
 def test_run_experiment_rejects_short_measurement():
-    p = GameParams(n_agents=20, alpha=1.0, t_equilibrate=0, t_measure=8)
-    with pytest.raises(ContractError):
-        run_experiment(p)
+    # the params of a run refuse the window before any run starts
+    with pytest.raises(ContractError, match="t_measure must be >= 16"):
+        GameParams(n_agents=20, alpha=1.0, t_equilibrate=0, t_measure=8)
 
 
 def test_run_frozen_point_small():

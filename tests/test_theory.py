@@ -8,12 +8,11 @@ from sphmg import (
     Phase,
     alpha_c1,
     alpha_c2,
-    alpha_c2_via_c0,
     classify_phase,
-    stationary_residuals,
     stationary_solution,
 )
 from sphmg.theory import _chi_c0
+from oracles import alpha_c2_via_c0, stationary_residuals
 
 SQRT2 = math.sqrt(2.0)
 
