@@ -38,8 +38,8 @@ SWEEPABLE = ("alpha", "kappa", "A_tilde")
 ENGINES = ("theory", "simulate", "kernels")
 
 # Every settable value once: (name, type, default, choices, help).  The flag
-# is "--" + name with "_" written "-", the config key is the name; --engines
-# is a flag of compare only.
+# is "--" + name with "_" written "-", the config key is the name; a
+# subcommand takes the names its _COMMANDS row lists.
 _OPTIONS = (
     ("alpha", float, None, None, "pattern-to-agent ratio"),
     ("kappa", float, 0.0, None, "self-impact correction in [0,1]"),
@@ -208,8 +208,8 @@ def run_sweep(
     if opts["workers"] < 1:
         raise ContractError(f"workers must be >= 1, got {opts['workers']}")
     points = _grid(opts)
-    seeds = _seeds(opts)
     sim = "simulate" in engines
+    seeds = _seeds(opts) if sim else []
     rows = [_row(pt, opts) for pt in points]
     drives = [ExternalBid(zeta=pt["zeta"], amplitude=pt["A_tilde"]) for pt in points]
     sim_tasks = [
@@ -217,7 +217,7 @@ def run_sweep(
             n_agents=opts["agents"], alpha=pt["alpha"], kappa=pt["kappa"], external=drive,
             init_scale=opts["init_scale"], t_equilibrate=opts["t_eq"], t_measure=opts["t_meas"],
             seed=seed))
-        for pt, drive in zip(points, drives) for seed in seeds if sim
+        for pt, drive in zip(points, drives) for seed in seeds
     ]
     kernel_tasks = [
         (_kernel_tail, KernelParams(alpha=pt["alpha"], kappa=pt["kappa"], external=drive,
@@ -399,32 +399,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sphmg", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (helptext, _) in _COMMANDS.items():
+    for command, (helptext, _, names) in _COMMANDS.items():
         p = sub.add_parser(command, help=helptext)
         for name, kind, _, choices, text in _OPTIONS:
-            if name != "engines" or command == "compare":
+            if name in names:
                 p.add_argument("--" + name.replace("_", "-"), type=kind, choices=choices, help=text)
         p.add_argument("--config", type=str, help="key-value config file")
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags, typed and checked by _OPTIONS;
-    --out must name a file in an existing writable directory."""
-    merged = {name: default for name, _, default, _, _ in _OPTIONS}
-    if args.config:
-        cfg = load_config(args.config)
-        unknown = set(cfg) - set(merged)
-        if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(cfg)
-    merged.update((k, v) for k, v in vars(args).items() if k in merged and v is not None)
+    """Defaults < config file < explicit flags over the command's options, typed and checked
+    by _OPTIONS; --seeds excludes --seed and --n-seeds; --out is a file in a writable directory."""
+    names = _COMMANDS[args.command][2]
+    merged = {name: default for name, _, default, _, _ in _OPTIONS if name in names}
+    given = load_config(args.config) if args.config else {}
+    unknown = set(given) - set(merged)
+    if unknown:
+        raise ContractError(f"unknown config keys: {sorted(unknown)}")
+    given.update((k, v) for k, v in vars(args).items() if k in merged and v is not None)
+    if "seeds" in given and given.keys() & {"seed", "n_seeds"}:
+        raise ContractError("--seeds excludes --seed and --n-seeds")
+    merged.update(given)
     for name, kind, _, choices, _ in _OPTIONS:
-        if merged[name] is not None:
+        if merged.get(name) is not None:
             merged[name] = kind(merged[name])
             if choices and merged[name] not in choices:
                 raise ContractError(f"{name} must be one of {choices}, got {merged[name]!r}")
     if merged["out"] not in (None, "-"):
+        if os.path.isdir(merged["out"]):
+            raise ContractError(f"out: {merged['out']} is a directory")
         folder = os.path.dirname(merged["out"]) or "."
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ContractError(f"out: {folder} is not a writable directory")
@@ -432,8 +436,6 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def cmd_theory(merged: dict) -> int:
-    if merged["sweep"] or merged["sweep2"]:
-        raise ContractError("theory takes no sweep axis")
     if merged["alpha"] is None:
         raise ContractError("theory requires --alpha")
     a, k, A, z = merged["alpha"], merged["kappa"], merged["A"], merged["zeta"]
@@ -466,8 +468,6 @@ def cmd_phase_diagram(merged: dict) -> int:
     name, values = _parse_axis(merged["sweep"])
     if name not in ("kappa", "A_tilde"):
         raise ContractError("phase-diagram sweeps kappa or A_tilde")
-    if merged["sweep2"]:
-        raise ContractError("phase-diagram takes a single sweep axis")
     z = merged["zeta"]
     rows = []
     for v in map(float, values):
@@ -500,13 +500,21 @@ def cmd_compare(merged: dict) -> int:
     return _cmd_rows(merged, engines)
 
 
-# Every subcommand once: name -> (help text, handler of the resolved options).
+# Every subcommand once: name -> (help text, handler of the resolved options,
+# the options it reads, which are its flags and config keys).  Every row
+# command reads _ROW_OPTS; kernels reads agents for realized_alpha.
+_ROW_OPTS = ("alpha", "kappa", "A", "zeta", "agents", "workers", "sweep", "sweep2", "out", "format")
 _COMMANDS = {
-    "theory": ("stationary solution at one point", cmd_theory),
-    "phase-diagram": ("transition lines along one axis", cmd_phase_diagram),
-    "simulate": ("agent-level simulation rows", lambda merged: _cmd_rows(merged, ("simulate",))),
-    "kernels": ("two-time kernel iteration rows", lambda merged: _cmd_rows(merged, ("kernels",))),
-    "compare": ("multi-engine comparison rows", cmd_compare),
+    "theory": ("stationary solution at one point", cmd_theory,
+               ("alpha", "kappa", "A", "zeta", "out", "format")),
+    "phase-diagram": ("transition lines along one axis", cmd_phase_diagram,
+                      ("sweep", "kappa", "A", "zeta", "out", "format")),
+    "simulate": ("agent-level simulation rows", lambda merged: _cmd_rows(merged, ("simulate",)),
+                 _ROW_OPTS + ("seed", "seeds", "n_seeds", "t_eq", "t_meas", "init_scale")),
+    "kernels": ("two-time kernel iteration rows", lambda merged: _cmd_rows(merged, ("kernels",)),
+                _ROW_OPTS + ("T", "lambda0", "tail")),
+    "compare": ("multi-engine comparison rows", cmd_compare,
+                tuple(name for name, *_ in _OPTIONS)),
 }
 
 

@@ -156,14 +156,6 @@ class DisorderSample:
     xi: np.ndarray
     Omega: np.ndarray
 
-    @property
-    def n_agents(self) -> int:
-        return self.xi.shape[0]
-
-    @property
-    def n_patterns(self) -> int:
-        return self.xi.shape[1]
-
 
 def disorder_blocks(params: GameParams, entries: int = 0
                     ) -> tuple[Iterator[tuple[slice, np.ndarray]], np.ndarray]:

@@ -69,7 +69,7 @@ def disorder_from_pm_tables(params: GameParams) -> DisorderSample:
 
 def market_bids(state: AgentState, sample: DisorderSample, a_e: float) -> np.ndarray:
     """Total bid per pattern in float64: A^mu = a_e + Omega_mu + N^(-1/2) sum_j phi_j xi_j^mu."""
-    n = sample.n_agents
+    n = sample.xi.shape[0]
     if state.phi.shape[0] != n:
         raise ContractError(f"state has {state.phi.shape[0]} agents, sample has {n}")
     internal = (state.phi @ sample.xi.astype(np.float64)) / np.sqrt(n)
@@ -86,7 +86,7 @@ def mirrored_sample(sample: DisorderSample) -> DisorderSample:
     """Duplicate agents, the copies with negated omega rows: the omega column
     sums, and so the pattern bias, are exactly zero."""
     xi = np.concatenate([sample.xi, sample.xi])
-    return DisorderSample(xi=xi, Omega=np.zeros(sample.n_patterns))
+    return DisorderSample(xi=xi, Omega=np.zeros(sample.xi.shape[1]))
 
 
 def brute_force_bids(phi, sample: DisorderSample, a_e: float) -> list[float]:

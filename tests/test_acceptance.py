@@ -203,7 +203,7 @@ def test_criterion_8_brute_force_equivalence():
                 seed=int(rng.integers(0, 2**32)),
             )
             sample = generate_disorder(params)
-            assert sample.n_patterns == p
+            assert sample.xi.shape[1] == p
             q0 = init_state(params).q.tolist()
             oracle = brute_force_trajectory(
                 q0, sample, params.external.value_at, params.kappa, steps

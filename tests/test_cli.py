@@ -11,7 +11,9 @@ import pytest
 
 import sphmg
 from sphmg import cli
-from sphmg.cli import _OPTIONS, RESULT_COLUMNS, _pool_map, _resolve, build_parser, main
+from sphmg.cli import (
+    _COMMANDS, _OPTIONS, RESULT_COLUMNS, _pool_map, _resolve, build_parser, main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -130,23 +132,33 @@ def test_phase_diagram_amplitude_axis_oscillating(capsys):
 
 
 def test_phase_diagram_requires_single_axis(capsys):
-    code, _, err = run_cli(capsys, "phase-diagram", "--alpha", "1")
-    assert code == 1 and "sweep" in err
+    code, out, err = run_cli(capsys, "phase-diagram", "--A", "1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "sphmg: error: phase-diagram requires --sweep over kappa or A_tilde"]
 
 
-@pytest.mark.parametrize("argv, error", [
-    (["theory"], "theory requires --alpha"),
-    (["phase-diagram", "--sweep", "alpha:1:4:3"], "phase-diagram sweeps kappa or A_tilde"),
+def unread_error(*args):
+    """argparse's stderr for flags the subcommand does not take."""
+    usage = build_parser().format_usage()
+    return usage + "sphmg: error: unrecognized arguments: " + " ".join(args)
+
+
+@pytest.mark.parametrize("argv, err_text", [
+    (["theory"], "sphmg: error: theory requires --alpha"),
+    (["phase-diagram", "--sweep", "alpha:1:4:3"],
+     "sphmg: error: phase-diagram sweeps kappa or A_tilde"),
     (["phase-diagram", "--sweep", "kappa:0:1:3", "--sweep2", "A_tilde:0:1:2"],
-     "phase-diagram takes a single sweep axis"),
-    (["theory", "--alpha", "1", "--sweep", "alpha:1:3:3"], "theory takes no sweep axis"),
-    (["theory", "--alpha", "1", "--sweep2", "kappa:0:1:2"], "theory takes no sweep axis"),
+     unread_error("--sweep2", "A_tilde:0:1:2")),
+    (["theory", "--alpha", "1", "--sweep", "alpha:1:3:3"], unread_error("--sweep", "alpha:1:3:3")),
+    (["theory", "--alpha", "1", "--sweep2", "kappa:0:1:2"],
+     unread_error("--sweep2", "kappa:0:1:2")),
 ], ids=["theory-without-alpha", "phase-diagram-alpha-axis", "phase-diagram-two-axes",
         "theory-with-sweep", "theory-with-sweep2"])
-def test_command_errors_exit_one(argv, error, capsys):
+def test_command_errors_exit_one(argv, err_text, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.splitlines() == ["sphmg: error: " + error]
+    assert err == err_text + "\n"
 
 
 def test_axis_spacing_and_single_point():
@@ -394,12 +406,13 @@ def test_config_file_precedence(tmp_path, capsys):
     assert cli.load_config(str(cfg)) == {
         "agents": "64", "t_eq": "30", "t_meas": "32", "n_seeds": "1", "alpha": "1.0",
         "sweep": "alpha:0.5:1:2", "engines": "a=b"}
-    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
+    # explicit flags beat the config values: --engines here, --sweep below
+    argv = ["compare", "--config", str(cfg), "--engines", "theory,simulate"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     _, rows = parse_csv(out)
     assert [r["alpha"] for r in rows] == ["0.5", "1"] and rows[0]["n_agents"] == "64"
-    # explicit flag beats the config value
-    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--sweep", "alpha:2:3:2")
+    code, out, _ = run_cli(capsys, *argv, "--sweep", "alpha:2:3:2")
     assert code == 0
     _, rows = parse_csv(out)
     assert [r["alpha"] for r in rows] == ["2", "3"]
@@ -423,15 +436,72 @@ def test_config_line_without_value_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("name, kind, default, choices", [o[:4] for o in _OPTIONS],
                          ids=[o[0] for o in _OPTIONS])
 def test_every_option_resolves_alike_from_flag_and_config(name, kind, default, choices, tmp_path):
+    # under every subcommand that takes the option; compare takes them all
     text = str(choices[-1]) if choices else {int: "3", float: "0.5", str: "x"}[kind]
-    command = "compare" if name == "engines" else "simulate"
+    commands = [command for command, row in _COMMANDS.items() if name in row[2]]
+    assert "compare" in commands
     parser = build_parser()
-    want = _resolve(parser.parse_args([command, "--" + name.replace("_", "-"), text]))
-    assert type(want[name]) is kind and want[name] != default
-    for key in {name, name.replace("_", "-")}:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {text}\n")
-        assert _resolve(parser.parse_args([command, "--config", str(cfg)])) == want
+    for command in commands:
+        want = _resolve(parser.parse_args([command, "--" + name.replace("_", "-"), text]))
+        assert type(want[name]) is kind and want[name] != default
+        for key in {name, name.replace("_", "-")}:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {text}\n")
+            assert _resolve(parser.parse_args([command, "--config", str(cfg)])) == want
+
+
+UNREAD = [(command, name) for command, row in _COMMANDS.items()
+          for name, *_ in _OPTIONS if name not in row[2]]
+
+
+@pytest.mark.parametrize("command, name", UNREAD, ids=[f"{c}-{n}" for c, n in UNREAD])
+def test_option_a_command_does_not_read_exits_one(command, name, tmp_path, capsys):
+    flag = "--" + name.replace("_", "-")
+    code, out, err = run_cli(capsys, command, flag, "1")
+    assert code == 1 and out == "" and err == unread_error(flag, "1") + "\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = 1\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"sphmg: error: unknown config keys: [{name!r}]"]
+
+
+def test_each_command_takes_its_table_row():
+    # the two tests above check each row's flags and keys against the parser
+    assert all(set(row[2]) <= {o[0] for o in _OPTIONS} for row in _COMMANDS.values())
+    assert {command: len(row[2]) for command, row in _COMMANDS.items()} == {
+        "theory": 6, "phase-diagram": 6, "simulate": 16, "kernels": 13, "compare": 20}
+
+
+# Small runs that together reach every read of every option a command takes:
+# a kappa axis reads A and an A_tilde axis kappa; a derived seed list reads
+# seeds, seed and n_seeds.
+SMALL_SIM = ["--agents", "64", "--t-eq", "30", "--t-meas", "32", "--n-seeds", "1"]
+SMALL_RUNS = {
+    "theory": [["--alpha", "1"]],
+    "phase-diagram": [["--sweep", "kappa:0:1:2"], ["--sweep", "A_tilde:0:1:2"]],
+    "simulate": [["--alpha", "1", *SMALL_SIM]],
+    "kernels": [["--alpha", "1", "--T", "40"]],
+    "compare": [["--alpha", "1", *SMALL_SIM, "--T", "40"]],
+}
+
+
+def test_every_command_reads_every_option_it_takes(monkeypatch, capsys):
+    # a command that read an option outside its row would raise KeyError
+    read, resolve = set(), cli._resolve
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(cli, "_resolve", lambda args: Recording(resolve(args)))
+    assert list(SMALL_RUNS) == list(_COMMANDS)
+    for command, runs in SMALL_RUNS.items():
+        read.clear()
+        for argv in runs:
+            assert run_cli(capsys, command, *argv)[0] == 0
+        assert sorted(read) == sorted(_COMMANDS[command][2]), command
 
 
 @pytest.mark.parametrize("line", ["format = xml", "zeta = 2"])
@@ -474,6 +544,14 @@ def test_bad_point_exits_one_without_traceback(argv, capsys):
     assert code == 1 and out == "" and err.startswith("sphmg: error: ")
 
 
+def stop_tasks(monkeypatch):
+    def task_ran(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(cli, "run_experiment", task_ran)
+    monkeypatch.setattr(cli, "iterate_kernels", task_ran)
+
+
 @pytest.mark.parametrize("argv, error", [
     (["--sweep", "alpha:0:4:3"], "alpha must be finite and > 0, got 0.0"),
     (["--sweep", "alpha:1:4:3", "--seeds=-1,3"], "seed must be a 64-bit unsigned integer"),
@@ -485,18 +563,32 @@ def test_bad_point_exits_one_without_traceback(argv, capsys):
     (["--sweep", "alpha:1:4:3", "--t-meas", "8"], "t_measure must be >= 16 for stable estimates"),
     (["--sweep", "alpha:1:4:3", "--out", "/no/such/dir/x.csv"],
      "out: /no/such/dir is not a writable directory"),
+    (["--sweep", "alpha:1:4:3", "--out", "."], "out: . is a directory"),
+    (["--sweep", "alpha:1:4:3", "--seeds", "3,4", "--seed", "9", "--n-seeds", "7"],
+     "--seeds excludes --seed and --n-seeds"),
 ], ids=["zero-alpha", "negative-seed", "repeated-seeds", "no-seeds", "zero-lambda0", "zero-T",
-        "no-workers", "short-measurement", "out-in-missing-dir"])
+        "no-workers", "short-measurement", "out-in-missing-dir", "out-is-directory",
+        "seeds-with-seed-and-count"])
 def test_every_point_checked_before_any_task(argv, error, monkeypatch, capsys):
-    def task_ran(*args):
-        raise AssertionError("a task ran")
-
-    monkeypatch.setattr(cli, "run_experiment", task_ran)
-    monkeypatch.setattr(cli, "iterate_kernels", task_ran)
-    code, out, err = run_cli(capsys, "compare", "--agents", "200", "--n-seeds", "2",
-                             "--T", "100", *argv)
+    stop_tasks(monkeypatch)
+    code, out, err = run_cli(capsys, "compare", "--agents", "200", "--T", "100", *argv)
     assert code == 1 and out == ""
     assert err.splitlines() == ["sphmg: error: " + error]
+
+
+@pytest.mark.parametrize("lines, argv", [
+    ("seeds = 3,4\nseed = 9\n", []),
+    ("n-seeds = 7\n", ["--seeds", "3,4"]),
+    ("seeds = 3,4\n", ["--seed", "0"]),
+], ids=["both-in-config", "count-in-config", "list-in-config"])
+def test_seed_list_excludes_seed_and_count_from_config(lines, argv, tmp_path, monkeypatch,
+                                                       capsys):
+    stop_tasks(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    code, out, err = run_cli(capsys, "simulate", "--alpha", "1", "--config", str(cfg), *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sphmg: error: --seeds excludes --seed and --n-seeds"]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -617,7 +709,10 @@ def test_readme_commands_stay_valid():
     assert len(commands) == 6
     for argv in commands:
         merged = _resolve(build_parser().parse_args(argv))
-        if argv[0] == "phase-diagram":
+        if argv[0] == "theory":
+            assert merged["alpha"] is not None
+        elif argv[0] == "phase-diagram":
             assert cli._parse_axis(merged["sweep"])[0] in ("kappa", "A_tilde")
         else:
-            assert cli._grid(merged) and cli._seeds(merged)
+            assert cli._grid(merged)
+            assert "seeds" not in merged or cli._seeds(merged)

@@ -171,10 +171,11 @@ def test_coupling_identities_and_mean_d():
     p = GameParams(n_agents=500, alpha=2.0, seed=17)
     sample = generate_disorder(p)
     X, _, _, d = precompute_couplings(sample)
+    n, n_patterns = sample.xi.shape
     assert np.array_equal(X, X.T)
-    assert np.array_equal((2.0 / sample.n_agents) * np.diag(X).astype(np.float64), d)
+    assert np.array_equal((2.0 / n) * np.diag(X).astype(np.float64), d)
     assert d.min() >= 0.0
-    assert d.max() <= 2.0 * sample.n_patterns / sample.n_agents
+    assert d.max() <= 2.0 * n_patterns / n
     # E[xi^2] = 1/2 so E[d] = alpha
     assert abs(d.mean() - p.alpha) / p.alpha < 0.05
 
@@ -199,7 +200,7 @@ def test_field_and_drive_response_over_row_blocks(monkeypatch):
     assert len(core.row_blocks(*sample.xi.shape)) == 21
     _, h, b, _ = precompute_couplings(sample)
     xd = sample.xi.astype(np.float64)
-    scale = 2.0 / np.sqrt(sample.n_agents)
+    scale = 2.0 / np.sqrt(sample.xi.shape[0])
     assert np.allclose(h, scale * (xd @ sample.Omega), rtol=0.0, atol=1e-12)
     assert np.array_equal(b, scale * xd.sum(axis=1))
 
@@ -261,7 +262,7 @@ def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dt
     # p = 60 runs over four column blocks of at most 16 columns
     monkeypatch.setattr(core, "TILE", (core.TILE[0], 16))
     sample = generate_disorder(GameParams(n_agents=20, alpha=3.0, seed=3))
-    p = sample.n_patterns
+    p = sample.xi.shape[1]
     monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", p + offset)
     _assert_compiled_exactly(sample.xi, sample.Omega, dtype)
 

@@ -303,7 +303,7 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha):
         _, sum_a, sum_a2 = _recorded_step(coup, a, p)
         _, sum_b, sum_b2 = _recorded_step(patterns, b, p)
         # coupling-route moments are exact: compare with the float64 bids
-        scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
+        scale = math.sqrt(sample.xi.shape[1] * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_a == pytest.approx(bids.sum(), abs=1e-12 * scale)
         assert sum_a2 == pytest.approx(bids @ bids, rel=1e-12)
         assert np.allclose(b.q, a.q, rtol=0.0, atol=1e-5 * np.abs(a.q).max())
@@ -334,7 +334,7 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
         assert g.lam == pytest.approx(a.lam, rel=1e-12)
         q = lift(q0, sample.xi, g.q[0])  # the run carries (y, G y) as g.q
         assert np.allclose(q, a.q, rtol=0.0, atol=1e-12 * np.abs(a.q).max())
-        scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
+        scale = math.sqrt(sample.xi.shape[1] * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_g == pytest.approx(sum_a, abs=1e-12 * scale)
         assert sum_g2 == pytest.approx(sum_a2, rel=1e-12)
     # c0 from the overlaps of the recorded (y, G y) against the coupling
@@ -397,7 +397,7 @@ def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
     sample = generate_disorder(params)
     xi = sample.xi.astype(np.int64)
     exact = (xi.T @ xi).astype(np.float64)
-    for entries in (2**20, 5 * sample.n_patterns):  # one block; blocks of 5 rows, the last short
+    for entries in (2**20, 5 * sample.xi.shape[1]):  # one block; blocks of 5 rows, the last short
         monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
         G = _built(simulator._Gram, sample, init_state(params)).G
         assert G.dtype == np.float64 and np.array_equal(G, exact), entries
@@ -540,7 +540,7 @@ def test_float32_coupling_route_matches_float64_step(n_agents, alpha, kappa, zet
         assert b.t == a.t
         assert np.allclose(b.q, a.q, rtol=0.0, atol=1e-5 * np.abs(a.q).max())
         assert b.lam == pytest.approx(a.lam, rel=1e-5)
-        scale = math.sqrt(sample.n_patterns * sum_a2)  # bounds sum_mu |A^mu|
+        scale = math.sqrt(sample.xi.shape[1] * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_b == pytest.approx(sum_a, abs=1e-5 * scale)
         assert sum_b2 == pytest.approx(sum_a2, rel=1e-5)
 
