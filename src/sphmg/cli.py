@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .core import ContractError, ExternalBid, GameParams
-from .kernels import KernelParams, KernelTail, extract_stationary, iterate_kernels
+from .kernels import KernelParams, KernelTail, check_tail, extract_stationary, iterate_kernels
 from .simulator import RunObservables, run_experiment
 from .theory import alpha_c1, alpha_c2, classify_phase, stationary_solution
 
@@ -51,9 +51,8 @@ _OPTIONS = (
     ("n_seeds", int, 5, None, "number of derived seeds"),
     ("t_eq", int, 1000, None, "equilibration batch steps"),
     ("t_meas", int, 2000, None, "measurement batch steps"),
-    ("init_scale", float, 1.0, None, "initial |q| magnitude"),
+    ("init_scale", float, 1.0, None, "initial |q| and lambda(0) of simulator and kernels"),
     ("T", int, 400, None, "kernel iteration horizon"),
-    ("lambda0", float, 1.0, None, "kernel initial constraint force"),
     ("tail", float, 0.25, None, "kernel tail fraction for estimates"),
     ("out", str, None, None, "output path ('-' for stdout)"),
     ("format", str, "csv", ("csv", "json"), "output format"),
@@ -182,15 +181,6 @@ def _pool_map(fn, items: list, workers: int) -> list:
                 os.environ[k] = v
 
 
-def _row(pt: dict, opts: dict) -> dict:
-    """The row of one grid point before any engine runs; raises on a bad point."""
-    phase = str(classify_phase(pt["alpha"], pt["kappa"], pt["A_tilde"], pt["zeta"]))
-    realized = GameParams(n_agents=opts["agents"], alpha=pt["alpha"]).realized_alpha
-    row = dict.fromkeys(RESULT_COLUMNS)
-    row.update(pt, realized_alpha=realized, phase=phase)
-    return row
-
-
 def run_sweep(
     opts: dict, engines: tuple[str, ...]
 ) -> tuple[list[dict], list[KernelTail | None], int]:
@@ -210,7 +200,8 @@ def run_sweep(
     points = _grid(opts)
     sim = "simulate" in engines
     seeds = _seeds(opts) if sim else []
-    rows = [_row(pt, opts) for pt in points]
+    rows = [{**dict.fromkeys(RESULT_COLUMNS), **pt, "phase": str(classify_phase(**pt))}
+            for pt in points]
     drives = [ExternalBid(zeta=pt["zeta"], amplitude=pt["A_tilde"]) for pt in points]
     sim_tasks = [
         (run_experiment, GameParams(
@@ -219,9 +210,11 @@ def run_sweep(
             seed=seed))
         for pt, drive in zip(points, drives) for seed in seeds
     ]
+    if "kernels" in engines:
+        check_tail(opts["tail"])
     kernel_tasks = [
         (_kernel_tail, KernelParams(alpha=pt["alpha"], kappa=pt["kappa"], external=drive,
-                                    lambda0=opts["lambda0"], T=opts["T"]), opts["tail"])
+                                    init_scale=opts["init_scale"], T=opts["T"]), opts["tail"])
         for pt, drive in zip(points, drives) if "kernels" in engines
     ]
     tasks = sim_tasks + kernel_tasks
@@ -250,8 +243,8 @@ def run_sweep(
             if len(outs) < n:
                 failures += 1
                 print(f"[simulate] {n - len(outs)} seed(s) failed at {pt}", file=sys.stderr)
-            row.update(n_agents=opts["agents"], t_equilibrate=opts["t_eq"],
-                       t_measure=opts["t_meas"], seed_count=len(outs))
+            row.update(realized_alpha=sim_tasks[i * n][1].realized_alpha, n_agents=opts["agents"],
+                       t_equilibrate=opts["t_eq"], t_measure=opts["t_meas"], seed_count=len(outs))
             if outs:
                 row.update(_sim_cells(outs))
         if isinstance(tails[i], str):
@@ -354,7 +347,7 @@ def _parse_axis(text: str) -> tuple[str, np.ndarray]:
 
 
 def _grid(opts: dict) -> list[dict]:
-    """The grid points, the swept axes overriding the fixed values."""
+    """The grid points, the swept axes in place of their fixed values."""
     axes = [_parse_axis(opts[key]) for key in ("sweep", "sweep2") if opts[key]]
     names = [name for name, _ in axes]
     if len(names) == 2 and names[0] == names[1]:
@@ -410,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Defaults < config file < explicit flags over the command's options, typed and checked
-    by _OPTIONS; --seeds excludes --seed and --n-seeds; --out is a file in a writable directory."""
+    by _OPTIONS; --seeds excludes --seed and --n-seeds, a swept axis its fixed value; --out is
+    a file in a writable directory."""
     names = _COMMANDS[args.command][2]
     merged = {name: default for name, _, default, _, _ in _OPTIONS if name in names}
     given = load_config(args.config) if args.config else {}
@@ -420,6 +414,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     given.update((k, v) for k, v in vars(args).items() if k in merged and v is not None)
     if "seeds" in given and given.keys() & {"seed", "n_seeds"}:
         raise ContractError("--seeds excludes --seed and --n-seeds")
+    for key in ("sweep", "sweep2"):
+        axis = str(given.get(key)).split(":")[0]
+        fixed = "A" if axis == "A_tilde" else axis
+        if axis in SWEEPABLE and fixed in given:
+            raise ContractError(f"{axis} is swept by --{key} and fixed by --{fixed}")
     merged.update(given)
     for name, kind, _, choices, _ in _OPTIONS:
         if merged.get(name) is not None:
@@ -502,17 +501,18 @@ def cmd_compare(merged: dict) -> int:
 
 # Every subcommand once: name -> (help text, handler of the resolved options,
 # the options it reads, which are its flags and config keys).  Every row
-# command reads _ROW_OPTS; kernels reads agents for realized_alpha.
-_ROW_OPTS = ("alpha", "kappa", "A", "zeta", "agents", "workers", "sweep", "sweep2", "out", "format")
+# command reads _ROW_OPTS; init_scale starts both dynamic engines.
+_ROW_OPTS = ("alpha", "kappa", "A", "zeta", "init_scale", "workers", "sweep", "sweep2", "out",
+             "format")
 _COMMANDS = {
     "theory": ("stationary solution at one point", cmd_theory,
                ("alpha", "kappa", "A", "zeta", "out", "format")),
     "phase-diagram": ("transition lines along one axis", cmd_phase_diagram,
                       ("sweep", "kappa", "A", "zeta", "out", "format")),
     "simulate": ("agent-level simulation rows", lambda merged: _cmd_rows(merged, ("simulate",)),
-                 _ROW_OPTS + ("seed", "seeds", "n_seeds", "t_eq", "t_meas", "init_scale")),
+                 _ROW_OPTS + ("agents", "seed", "seeds", "n_seeds", "t_eq", "t_meas")),
     "kernels": ("two-time kernel iteration rows", lambda merged: _cmd_rows(merged, ("kernels",)),
-                _ROW_OPTS + ("T", "lambda0", "tail")),
+                _ROW_OPTS + ("T", "tail")),
     "compare": ("multi-engine comparison rows", cmd_compare,
                 tuple(name for name, *_ in _OPTIONS)),
 }

@@ -72,7 +72,7 @@ def rng_stream(seed: int, purpose: int) -> np.random.Generator:
 class ExternalBid:
     """External additive contribution to the total market bid.
 
-    value_at(t) = amplitude * (-1)^(zeta*t): a constant offset for zeta=0, a
+    A_e(t) = amplitude * (-1)^(zeta*t): a constant offset for zeta=0, a
     period-2 alternation for zeta=1.  amplitude=0 reproduces the unperturbed
     game for either zeta.
     """
@@ -86,13 +86,8 @@ class ExternalBid:
         if not (self.amplitude >= 0.0 and np.isfinite(self.amplitude)):
             raise ContractError(f"amplitude must be finite and >= 0, got {self.amplitude!r}")
 
-    def value_at(self, t: int) -> float:
-        if self.zeta == 1 and t % 2 == 1:
-            return -self.amplitude
-        return self.amplitude
-
     def series(self, n_steps: int) -> np.ndarray:
-        """Values at times 0, 1, ..., n_steps-1."""
+        """A_e(t) at times t = 0, 1, ..., n_steps-1."""
         out = np.full(n_steps, self.amplitude, dtype=np.float64)
         if self.zeta == 1:
             out[1::2] *= -1.0

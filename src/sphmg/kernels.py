@@ -46,12 +46,13 @@ class KernelInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Horizon and control parameters for one kernel iteration."""
+    """Horizon and control parameters for one kernel iteration; it starts at
+    lambda(0) = init_scale and C(0,0) = 1, the simulator's +-init_scale start."""
 
     alpha: float
     kappa: float = 0.0
     external: ExternalBid = field(default_factory=ExternalBid)
-    lambda0: float = 1.0
+    init_scale: float = 1.0
     T: int = 400
 
     def __post_init__(self) -> None:
@@ -59,8 +60,8 @@ class KernelParams:
             raise ContractError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 <= self.kappa <= 1.0:
             raise ContractError(f"kappa must lie in [0, 1], got {self.kappa}")
-        if not (self.lambda0 > 0.0 and np.isfinite(self.lambda0)):
-            raise ContractError(f"lambda0 must be > 0, got {self.lambda0}")
+        if not (self.init_scale > 0.0 and np.isfinite(self.init_scale)):
+            raise ContractError(f"init_scale must be > 0, got {self.init_scale}")
         if self.T < 1:
             raise ContractError(f"T must be >= 1, got {self.T}")
 
@@ -114,7 +115,7 @@ def iterate_kernels(params: KernelParams) -> KernelState:
     ra = np.zeros(n)  # W a_e
     g = np.zeros(n)  # row t of the response to a valuation kick, G = g / lambda
 
-    lam[0] = params.lambda0
+    lam[0] = params.init_scale
     C[0, 0] = 1.0
 
     for t in range(n):
@@ -151,6 +152,12 @@ def iterate_kernels(params: KernelParams) -> KernelState:
     return KernelState(params=params, C=C, G=G, lambda_traj=lam, W=W)
 
 
+def check_tail(tail_fraction: float) -> None:
+    """Raise unless the tail window is a fraction in (0, 0.5] of the horizon."""
+    if not 0.0 < tail_fraction <= 0.5:
+        raise ContractError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
+
+
 def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> KernelTail:
     """Tail-window estimates of c0, lambda, Lambda, and sigma_fl.
 
@@ -158,8 +165,7 @@ def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> Kerne
     Lambda is the fitted slope of lambda(t) over the tail; sigma_fl^2 is the
     tail average of diag[(1+G)^(-1) (1 + C) (1+G^T)^(-1)] / 2.
     """
-    if not 0.0 < tail_fraction <= 0.5:
-        raise ContractError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
+    check_tail(tail_fraction)
     n = state.params.T + 1
     n_tail = int(round(tail_fraction * n))
     if n_tail < 8:
@@ -175,6 +181,4 @@ def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> Kerne
     diag_tail = ((wt @ state.C) * wt).sum(axis=1) + wt.sum(axis=1) ** 2
     sigma_fl = float(np.sqrt(max(np.mean(diag_tail) / 2.0, 0.0)))
 
-    return KernelTail(
-        c0=c0, lam=float(lam_tail.mean()), Lambda=fit.slope, sigma_fl=sigma_fl
-    )
+    return KernelTail(c0=c0, lam=float(lam_tail.mean()), Lambda=fit.slope, sigma_fl=sigma_fl)

@@ -134,10 +134,11 @@ def _window(route: _Coupled | _Patterns | _Gram, run: _Run, params: GameParams, 
             record: bool = False) -> _Record | None:
     """steps batch steps of route, in place on run; with record, the _Record
     of the window."""
-    lam, t, kappa, value_at = run.lam, run.t, params.kappa, params.external.value_at
+    lam, t, kappa = run.lam, run.t, params.kappa
+    drive = params.external.series(t + steps)[t:].tolist()
     rec = _Record(steps, run.q.shape) if record else None
     for k in range(steps):
-        lam_sq, sum_a, sum_a2 = route.step(run, lam, value_at(t), kappa, record)
+        lam_sq, sum_a, sum_a2 = route.step(run, lam, drive[k], kappa, record)
         lam_next = _renormalized(lam_sq, t + 1)
         if rec is not None:
             rec.lam[k], rec.sum_a[k], rec.sum_a2[k] = lam, sum_a, sum_a2

@@ -117,15 +117,15 @@ def brute_force_step(q, phi, sample: DisorderSample, a_e: float, kappa: float):
     return q_new, lam, phi_new
 
 
-def brute_force_trajectory(q0, sample: DisorderSample, a_e_of_t, kappa: float, n_steps: int):
-    """Iterate brute_force_step; a_e_of_t maps the batch time to the drive."""
+def brute_force_trajectory(q0, sample: DisorderSample, a_e, kappa: float, n_steps: int):
+    """Iterate brute_force_step; a_e[t] is the drive at batch time t."""
     n = len(q0)
     lam = math.sqrt(sum(v * v for v in q0) / n)
     q = list(q0)
     phi = [v / lam for v in q]
     qs = [list(q)]
     for t in range(n_steps):
-        q, lam, phi = brute_force_step(q, phi, sample, a_e_of_t(t), kappa)
+        q, lam, phi = brute_force_step(q, phi, sample, a_e[t], kappa)
         qs.append(list(q))
     return qs
 
@@ -158,8 +158,8 @@ def reference_kernels(params: KernelParams) -> tuple[np.ndarray, ...]:
     a_e = params.external.series(n)
     C, G, Sig, W, K, D, g = (np.zeros((n, n)) for _ in range(7))
     lam = np.zeros(n)
-    lam[0] = params.lambda0
-    K[0, 0] = params.lambda0**2
+    lam[0] = params.init_scale
+    K[0, 0] = params.init_scale**2
     C[0, 0] = 1.0
     W[0, 0] = 1.0
     for t in range(n):
@@ -255,7 +255,7 @@ def sample_effective_process(state: KernelState, n_paths: int, rng: np.random.Ge
                                   size=n_paths, method="eigh")
     ml = memory_rows(state.G, p.kappa, state.lambda_traj)
     q = np.empty((n_paths, T + 1))
-    q[:, 0] = p.lambda0 * rng.choice([-1.0, 1.0], size=n_paths)
+    q[:, 0] = p.init_scale * rng.choice([-1.0, 1.0], size=n_paths)
     sqrt_a = math.sqrt(p.alpha)
     for t in range(T):
         q[:, t + 1] = q[:, t] - p.alpha * (q[:, : t + 1] @ ml[t, : t + 1]) + sqrt_a * eta[:, t]

@@ -205,11 +205,10 @@ def test_criterion_8_brute_force_equivalence():
             sample = generate_disorder(params)
             assert sample.xi.shape[1] == p
             q0 = init_state(params).q.tolist()
-            oracle = brute_force_trajectory(
-                q0, sample, params.external.value_at, params.kappa, steps
-            )
+            a_e = params.external.series(steps).tolist()
+            oracle = brute_force_trajectory(q0, sample, a_e, params.kappa, steps)
             kappa0 = dataclasses.replace(params, kappa=0.0)
-            oracle0 = brute_force_trajectory(q0, sample, params.external.value_at, 0.0, steps)
+            oracle0 = brute_force_trajectory(q0, sample, a_e, 0.0, steps)
             runs = zip(_route_trajectory(simulator._Coupled, sample, params, steps, float64=True),
                        _route_trajectory(simulator._Gram, sample, kappa0, steps),
                        _route_trajectory(simulator._Coupled, sample, params, steps),

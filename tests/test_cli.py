@@ -153,8 +153,14 @@ def unread_error(*args):
     (["theory", "--alpha", "1", "--sweep", "alpha:1:3:3"], unread_error("--sweep", "alpha:1:3:3")),
     (["theory", "--alpha", "1", "--sweep2", "kappa:0:1:2"],
      unread_error("--sweep2", "kappa:0:1:2")),
+    (["phase-diagram", "--sweep", "kappa:0:1:2", "--kappa", "0.7"],
+     "sphmg: error: kappa is swept by --sweep and fixed by --kappa"),
+    (["kernels", "--alpha", "9", "--sweep", "alpha:1:2:2", "--T", "40"],
+     "sphmg: error: alpha is swept by --sweep and fixed by --alpha"),
+    (["kernels", "--alpha", "1", "--lambda0", "1"], unread_error("--lambda0", "1")),
 ], ids=["theory-without-alpha", "phase-diagram-alpha-axis", "phase-diagram-two-axes",
-        "theory-with-sweep", "theory-with-sweep2"])
+        "theory-with-sweep", "theory-with-sweep2", "phase-diagram-swept-and-fixed",
+        "kernels-swept-and-fixed", "kernels-lambda0"])
 def test_command_errors_exit_one(argv, err_text, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -208,8 +214,53 @@ def test_compare_theory_kernels_amplitude_invariance(capsys):
     assert [r["phase"] for r in rows] == ["O", "O"]
     assert rows[0]["c0_theory"] == rows[1]["c0_theory"]
     assert float(rows[0]["c0_kernel"]) == pytest.approx(float(rows[0]["c0_theory"]), rel=0.02)
-    # simulation columns stay empty when the engine is not selected
-    assert rows[0]["c0_sim"] == "" and rows[0]["n_agents"] == ""
+    # simulation columns stay empty when the engine is not selected, and
+    # realized_alpha is the simulator's p/N: the kernels take no N
+    assert rows[0]["c0_sim"] == rows[0]["n_agents"] == rows[0]["realized_alpha"] == ""
+
+
+def test_kernels_start_where_the_simulator_starts(capsys):
+    # below alpha_c1 the kernels remember their start, and --init-scale sets it
+    code, out, _ = run_cli(
+        capsys, "compare", "--engines", "simulate,kernels", "--alpha", "0.3", "--agents", "400",
+        "--t-eq", "200", "--t-meas", "400", "--n-seeds", "2", "--T", "200", "--init-scale", "1e-4",
+    )
+    assert code == 0
+    row = parse_csv(out)[1][0]
+    state = sphmg.iterate_kernels(sphmg.KernelParams(alpha=0.3, T=200, init_scale=1e-4))
+    c0 = sphmg.extract_stationary(state, 0.25).c0
+    assert row["c0_kernel"] == format(c0, ".12g") == "0.428545184896"
+
+
+def test_simulator_and_kernel_tasks_share_their_inputs(monkeypatch, capsys):
+    # each point's seeds and kernel task agree on alpha, kappa, the drive and
+    # the start, so no second setting of a shared input can come back
+    games, kernels = [], []
+
+    def recorder(cls, made):
+        def make(**kwargs):
+            made.append(cls(**kwargs))
+            return made[-1]
+        return make
+
+    monkeypatch.setattr(cli, "GameParams", recorder(cli.GameParams, games))
+    monkeypatch.setattr(cli, "KernelParams", recorder(cli.KernelParams, kernels))
+    code, out, _ = run_cli(
+        capsys, "compare", "--sweep", "alpha:1.3:3:2", "--kappa", "0.25", "--A", "0.5",
+        "--zeta", "1", "--init-scale", "0.5", "--agents", "64", "--t-eq", "30", "--t-meas", "32",
+        "--seeds", "1,2", "--T", "40",
+    )
+    assert code == 0 and len(games) == 4 and len(kernels) == 2
+
+    def shared(params):
+        return params.alpha, params.kappa, params.external, params.init_scale
+
+    assert [shared(g) for g in games] == [shared(k) for k in kernels for _ in (1, 2)]
+    assert shared(kernels[0]) == (1.3, 0.25, sphmg.ExternalBid(zeta=1, amplitude=0.5), 0.5)
+    # a row's realized_alpha is that of its point's first simulation task
+    rows = parse_csv(out)[1]
+    assert [float(r["realized_alpha"]) for r in rows] == [g.realized_alpha for g in games[::2]]
+    assert rows[0]["realized_alpha"] == "1.296875"  # p = 83 patterns over N = 64
 
 
 def test_compare_summary_absolute_deviation_at_zero_reference(capsys):
@@ -400,14 +451,20 @@ def test_cli_import_loads_no_pool_modules():
 
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("agents = 64\nt-eq = 30\nt-meas: 32\nn_seeds 1\nalpha = 1.0\n"
-                   "sweep alpha:0.5:1:2\nengines: a=b\n# comment\n")
+    text = ("agents = 64\nt-eq = 30\nt-meas: 32\nn_seeds 1\nalpha = 1.0\n"
+            "sweep alpha:0.5:1:2\nengines: a=b\n# comment\n")
+    cfg.write_text(text)
     # each line splits at its first separator, whatever its value holds
     assert cli.load_config(str(cfg)) == {
         "agents": "64", "t_eq": "30", "t_meas": "32", "n_seeds": "1", "alpha": "1.0",
         "sweep": "alpha:0.5:1:2", "engines": "a=b"}
-    # explicit flags beat the config values: --engines here, --sweep below
     argv = ["compare", "--config", str(cfg), "--engines", "theory,simulate"]
+    # a swept axis takes no fixed value, from config keys as from flags
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sphmg: error: alpha is swept by --sweep and fixed by --alpha"]
+    # explicit flags beat the config values: --engines here, --sweep below
+    cfg.write_text(text.replace("alpha = 1.0\n", ""))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     _, rows = parse_csv(out)
@@ -470,7 +527,7 @@ def test_each_command_takes_its_table_row():
     # the two tests above check each row's flags and keys against the parser
     assert all(set(row[2]) <= {o[0] for o in _OPTIONS} for row in _COMMANDS.values())
     assert {command: len(row[2]) for command, row in _COMMANDS.items()} == {
-        "theory": 6, "phase-diagram": 6, "simulate": 16, "kernels": 13, "compare": 20}
+        "theory": 6, "phase-diagram": 6, "simulate": 16, "kernels": 12, "compare": 19}
 
 
 # Small runs that together reach every read of every option a command takes:
@@ -537,10 +594,11 @@ def test_argument_errors_exit_one(capsys):
     assert run_cli(capsys, "simulate")[0] == 1  # alpha missing
 
 
-@pytest.mark.parametrize("argv", [["--alpha", "1", "--agents", "0"], ["--alpha", "inf"]],
+@pytest.mark.parametrize("argv", [["simulate", "--alpha", "1", "--agents", "0"],
+                                  ["kernels", "--alpha", "inf", "--T", "60"]],
                          ids=["no-agents", "infinite-alpha"])
 def test_bad_point_exits_one_without_traceback(argv, capsys):
-    code, out, err = run_cli(capsys, "kernels", *argv, "--T", "60")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("sphmg: error: ")
 
 
@@ -557,7 +615,7 @@ def stop_tasks(monkeypatch):
     (["--sweep", "alpha:1:4:3", "--seeds=-1,3"], "seed must be a 64-bit unsigned integer"),
     (["--sweep", "alpha:1:4:3", "--seeds", "1,1"], "repeated seeds: 1,1"),
     (["--sweep", "alpha:1:4:3", "--seeds", ","], "need at least one seed"),
-    (["--sweep", "alpha:1:4:3", "--lambda0", "0"], "lambda0 must be > 0, got 0.0"),
+    (["--sweep", "alpha:1:4:3", "--init-scale", "0"], "init_scale must be > 0, got 0.0"),
     (["--sweep", "alpha:1:4:3", "--T", "0"], "T must be >= 1, got 0"),
     (["--sweep", "alpha:1:4:3", "--workers", "0"], "workers must be >= 1, got 0"),
     (["--sweep", "alpha:1:4:3", "--t-meas", "8"], "t_measure must be >= 16 for stable estimates"),
@@ -566,9 +624,14 @@ def stop_tasks(monkeypatch):
     (["--sweep", "alpha:1:4:3", "--out", "."], "out: . is a directory"),
     (["--sweep", "alpha:1:4:3", "--seeds", "3,4", "--seed", "9", "--n-seeds", "7"],
      "--seeds excludes --seed and --n-seeds"),
-], ids=["zero-alpha", "negative-seed", "repeated-seeds", "no-seeds", "zero-lambda0", "zero-T",
+    (["--sweep", "alpha:1:4:3", "--alpha", "2"], "alpha is swept by --sweep and fixed by --alpha"),
+    (["--alpha", "2", "--sweep2", "A_tilde:0:1:2", "--A", "1"],
+     "A_tilde is swept by --sweep2 and fixed by --A"),
+    (["--sweep", "alpha:1:4:3", "--tail", "0.9"], "tail_fraction must lie in (0, 0.5], got 0.9"),
+], ids=["zero-alpha", "negative-seed", "repeated-seeds", "no-seeds", "zero-init-scale", "zero-T",
         "no-workers", "short-measurement", "out-in-missing-dir", "out-is-directory",
-        "seeds-with-seed-and-count"])
+        "seeds-with-seed-and-count", "alpha-swept-and-fixed", "amplitude-swept-and-fixed",
+        "tail-above-half"])
 def test_every_point_checked_before_any_task(argv, error, monkeypatch, capsys):
     stop_tasks(monkeypatch)
     code, out, err = run_cli(capsys, "compare", "--agents", "200", "--T", "100", *argv)

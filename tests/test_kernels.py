@@ -23,15 +23,15 @@ from oracles import (
 )
 
 
-def _params(alpha, kappa=0.0, A=0.0, zeta=0, T=200, lambda0=1.0):
+def _params(alpha, kappa=0.0, A=0.0, zeta=0, T=200, init_scale=1.0):
     return KernelParams(
         alpha=alpha, kappa=kappa, external=ExternalBid(zeta=zeta, amplitude=A),
-        lambda0=lambda0, T=T,
+        init_scale=init_scale, T=T,
     )
 
 
 def test_zero_alpha_limit_is_static():
-    state = iterate_kernels(_params(0.0, A=2.0, zeta=1, T=30, lambda0=0.7))
+    state = iterate_kernels(_params(0.0, A=2.0, zeta=1, T=30, init_scale=0.7))
     assert np.allclose(state.C, 1.0)
     assert np.allclose(state.lambda_traj, 0.7)
 
@@ -166,8 +166,8 @@ def test_contract_errors():
         KernelParams(alpha=-1.0)
     with pytest.raises(ContractError):
         KernelParams(alpha=1.0, T=0)
-    with pytest.raises(ContractError):
-        KernelParams(alpha=1.0, lambda0=0.0)
+    with pytest.raises(ContractError, match=r"^init_scale must be > 0, got 0\.0$"):
+        KernelParams(alpha=1.0, init_scale=0.0)  # the message GameParams gives
     with pytest.raises(ContractError, match="kappa"):
         KernelParams(alpha=1.0, kappa=1.5)
     state = iterate_kernels(_params(1.0, T=20))
@@ -178,9 +178,9 @@ def test_contract_errors():
 
 
 def test_unbiased_scale_start_converges_to_the_same_tail():
-    # lambda0 mirrors the unbiased simulation start; the stationary tail of
-    # the oscillating phase does not remember it
-    tail_big = extract_stationary(iterate_kernels(_params(4.0, T=300, lambda0=1.0)), 0.2)
-    tail_small = extract_stationary(iterate_kernels(_params(4.0, T=300, lambda0=1e-4)), 0.2)
+    # init_scale is the simulation's start; the stationary tail of the
+    # oscillating phase does not remember it
+    tail_big = extract_stationary(iterate_kernels(_params(4.0, T=300, init_scale=1.0)), 0.2)
+    tail_small = extract_stationary(iterate_kernels(_params(4.0, T=300, init_scale=1e-4)), 0.2)
     assert tail_big.c0 == pytest.approx(tail_small.c0, abs=5e-3)
     assert tail_big.lam == pytest.approx(tail_small.lam, rel=5e-3)

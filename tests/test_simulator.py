@@ -297,9 +297,9 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha):
     coup = _float64_coupled(sample, init_state(p))
     patterns = _built(simulator._Patterns, sample, init_state(p))
     a, b = coup.start(init_state(p)), patterns.start(init_state(p))
+    a_e = p.external.series(20)
     for _ in range(20):
-        bids = market_bids(AgentState(a.q, a.lam, a.q / a.lam), sample,
-                           p.external.value_at(a.t))
+        bids = market_bids(AgentState(a.q, a.lam, a.q / a.lam), sample, a_e[a.t])
         _, sum_a, sum_a2 = _recorded_step(coup, a, p)
         _, sum_b, sum_b2 = _recorded_step(patterns, b, p)
         # coupling-route moments are exact: compare with the float64 bids
