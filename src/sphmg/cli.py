@@ -275,7 +275,8 @@ ZERO_REFERENCE = 1e-12
 
 
 def compare_summary(rows: list[dict], tails: list[KernelTail | None]) -> list[str]:
-    """Max deviation per observable between engines on F/O points.
+    """Max deviation per observable between engines on F/O points, and of
+    the kernels' c0 from the simulator's at every point both fill.
 
     The deviation is relative to the reference, except where the reference
     is zero (e.g. Lambda at alpha_c2): those points get their own line with
@@ -286,6 +287,7 @@ def compare_summary(rows: list[dict], tails: list[KernelTail | None]) -> list[st
     checks = [
         ("c0: sim vs theory", [(r["c0_sim"], r["c0_theory"]) for r in active]),
         ("c0: kernels vs theory", [(r["c0_kernel"], r["c0_theory"]) for r in active]),
+        ("c0: kernels vs sim", [(r["c0_kernel"], r["c0_sim"]) for r in rows]),
         ("sigma: sim vs theory", [(r["sigma_sim"], r["sigma_theory"]) for r in active]),
         (
             "lambda: sim vs theory (O phase)",

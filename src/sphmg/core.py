@@ -63,6 +63,24 @@ class DegenerateStateError(RuntimeError):
     """The valuation vector became exactly zero, so phi = q/lambda is undefined."""
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise unless the pattern-to-agent ratio alpha is finite and > 0."""
+    if not (alpha > 0.0 and np.isfinite(alpha)):
+        raise ContractError(f"alpha must be finite and > 0, got {alpha}")
+
+
+def check_kappa(kappa: float) -> None:
+    """Raise unless the self-impact correction kappa lies in [0, 1]."""
+    if not 0.0 <= kappa <= 1.0:
+        raise ContractError(f"kappa must lie in [0, 1], got {kappa}")
+
+
+def check_init_scale(init_scale: float) -> None:
+    """Raise unless the start's scale init_scale is finite and > 0."""
+    if not (init_scale > 0.0 and np.isfinite(init_scale)):
+        raise ContractError(f"init_scale must be > 0, got {init_scale}")
+
+
 def rng_stream(seed: int, purpose: int) -> np.random.Generator:
     """Independent, reproducible generator for one purpose under one seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(purpose,)))
@@ -117,12 +135,9 @@ class GameParams:
     def __post_init__(self) -> None:
         if self.n_agents < 1:
             raise ContractError(f"n_agents must be >= 1, got {self.n_agents}")
-        if not (self.alpha > 0.0 and np.isfinite(self.alpha)):
-            raise ContractError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ContractError(f"kappa must lie in [0, 1], got {self.kappa}")
-        if not (self.init_scale > 0.0 and np.isfinite(self.init_scale)):
-            raise ContractError(f"init_scale must be > 0, got {self.init_scale}")
+        check_alpha(self.alpha)
+        check_kappa(self.kappa)
+        check_init_scale(self.init_scale)
         if self.t_equilibrate < 0:
             raise ContractError("t_equilibrate must be >= 0")
         if self.t_measure < MIN_MEASURE_STEPS:
@@ -226,9 +241,10 @@ def generate_disorder(params: GameParams) -> DisorderSample:
 def row_blocks(n: int, p: int) -> list[slice]:
     """Row slices of an N x p table of about BLOCK_ENTRIES entries each.
 
-    Blocks of more than 8 rows hold whole groups of 8, so that a matrix-vector
-    product over the blocks gives each row the same BLAS kernel path, and the
-    same bits, as one product over the whole matrix.
+    Blocks of more than 8 rows hold whole groups of 8.  The field h, one
+    float64 matrix-vector product per block, then has the same bits on 1 and
+    2 BLAS threads; one product over the whole matrix does not (at N = 1500,
+    alpha = 2 its bits on 2 threads differ from those of the blocks).
     """
     rows = max(1, BLOCK_ENTRIES // p)
     if rows > 8:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractError, ExternalBid
+from .core import ContractError, ExternalBid, check_alpha, check_init_scale, check_kappa
 from .estimators import fit_line, persistent_correlation
 
 
@@ -56,12 +56,9 @@ class KernelParams:
     T: int = 400
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0.0 and np.isfinite(self.alpha)):
-            raise ContractError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ContractError(f"kappa must lie in [0, 1], got {self.kappa}")
-        if not (self.init_scale > 0.0 and np.isfinite(self.init_scale)):
-            raise ContractError(f"init_scale must be > 0, got {self.init_scale}")
+        check_alpha(self.alpha)
+        check_kappa(self.kappa)
+        check_init_scale(self.init_scale)
         if self.T < 1:
             raise ContractError(f"T must be >= 1, got {self.T}")
 
@@ -152,22 +149,22 @@ def iterate_kernels(params: KernelParams) -> KernelState:
     return KernelState(params=params, C=C, G=G, lambda_traj=lam, W=W)
 
 
-def check_tail(tail_fraction: float) -> None:
+def check_tail(tail: float) -> None:
     """Raise unless the tail window is a fraction in (0, 0.5] of the horizon."""
-    if not 0.0 < tail_fraction <= 0.5:
-        raise ContractError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
+    if not 0.0 < tail <= 0.5:
+        raise ContractError(f"tail must lie in (0, 0.5], got {tail}")
 
 
-def extract_stationary(state: KernelState, tail_fraction: float = 0.25) -> KernelTail:
+def extract_stationary(state: KernelState, tail: float = 0.25) -> KernelTail:
     """Tail-window estimates of c0, lambda, Lambda, and sigma_fl.
 
     c0 is the persistent_correlation of the tail block of C;
     Lambda is the fitted slope of lambda(t) over the tail; sigma_fl^2 is the
     tail average of diag[(1+G)^(-1) (1 + C) (1+G^T)^(-1)] / 2.
     """
-    check_tail(tail_fraction)
+    check_tail(tail)
     n = state.params.T + 1
-    n_tail = int(round(tail_fraction * n))
+    n_tail = int(round(tail * n))
     if n_tail < 8:
         raise ContractError(f"tail window has {n_tail} points, need >= 8")
     idx = np.arange(n - n_tail, n)

@@ -52,9 +52,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .core import ContractError
+from .core import ContractError, ExternalBid, check_alpha, check_kappa
 
 class Phase(Enum):
     OSCILLATING = "O"
@@ -92,17 +90,10 @@ class StationaryTheory:
 
 
 def _static_a2(A_tilde: float, zeta: int) -> float:
-    """A^2 if the drive is static, else 0 (only A^2 delta(zeta,0) enters)."""
-    if zeta not in (0, 1):
-        raise ContractError(f"zeta must be 0 or 1, got {zeta!r}")
-    if not (A_tilde >= 0.0 and np.isfinite(A_tilde)):
-        raise ContractError(f"A_tilde must be finite and >= 0, got {A_tilde!r}")
+    """A^2 if the drive is static, else 0 (only A^2 delta(zeta,0) enters);
+    the drive is checked by building it."""
+    ExternalBid(zeta=zeta, amplitude=A_tilde)
     return A_tilde * A_tilde if zeta == 0 else 0.0
-
-
-def _check_kappa(kappa: float) -> None:
-    if not 0.0 <= kappa <= 1.0:
-        raise ContractError(f"kappa must lie in [0, 1], got {kappa!r}")
 
 
 def alpha_c1(A_tilde: float, zeta: int) -> float:
@@ -123,7 +114,7 @@ def alpha_c2(A_tilde: float, kappa: float, zeta: int) -> float:
     self-impact correction), returned as +inf.
     """
     a2 = _static_a2(A_tilde, zeta)
-    _check_kappa(kappa)
+    check_kappa(kappa)
     if kappa == 1.0:
         return math.inf
     r = _big_r(a2)  # r >= 4.5 > 4 (1 - kappa): the discriminant is positive
@@ -150,10 +141,9 @@ def classify_phase(alpha: float, kappa: float, A_tilde: float, zeta: int) -> Pha
     A point above alpha_c2 whose oscillating c0 rounds to 1 lies on the line
     within rounding, so it is frozen too.
     """
-    if not (alpha > 0.0 and np.isfinite(alpha)):
-        raise ContractError(f"alpha must be finite and > 0, got {alpha!r}")
+    check_alpha(alpha)
     a2 = _static_a2(A_tilde, zeta)
-    _check_kappa(kappa)
+    check_kappa(kappa)
     if alpha <= alpha_c1(A_tilde, zeta):
         return Phase.ANOMALOUS
     if alpha <= alpha_c2(A_tilde, kappa, zeta) or _chi_c0(alpha, kappa, a2)[1] >= 1.0:
@@ -161,36 +151,24 @@ def classify_phase(alpha: float, kappa: float, A_tilde: float, zeta: int) -> Pha
     return Phase.OSCILLATING
 
 
-def _frozen(alpha: float, kappa: float, A_tilde: float, zeta: int, a2: float) -> StationaryTheory:
-    """Closed forms in the frozen window alpha_c1 < alpha <= alpha_c2."""
+def _frozen(alpha: float, kappa: float, A_tilde: float, zeta: int, a2: float
+            ) -> tuple[dict, float]:
+    """The frozen window alpha_c1 < alpha <= alpha_c2: its closed forms and
+    sigma_fl^2."""
     root = math.sqrt(2.0 * alpha * (1.0 + a2))  # > 1 inside the window
-    chi = 1.0 / (root - 1.0)
+    sigma_fl = 1.0 - 1.0 / root
     lam_rate = -1.0 - alpha * (1.0 - kappa) + math.sqrt(alpha) * (3.0 + 2.0 * a2) / math.sqrt(
         2.0 * (1.0 + a2)
     )
-    sigma_fl = 1.0 - 1.0 / root
-    stag = A_tilde if zeta == 1 else 0.0  # chi_hat = 0 makes the staggered gain 1
-    sigma = math.sqrt(sigma_fl**2 + stag**2)
-    return StationaryTheory(
-        phase=Phase.FROZEN,
-        chi=chi,
-        chi_hat=0.0,
-        c0=1.0,
-        lam=math.inf,
-        Lambda=lam_rate,
-        psi0=1.0,
-        psi1=0.0,
-        sigma_fl=sigma_fl,
-        sigma=sigma,
-        bid_mean=A_tilde / (1.0 + chi) if zeta == 0 else 0.0,
-        bid_staggered=stag,
-    )
+    forms = dict(chi=1.0 / (root - 1.0), chi_hat=0.0, c0=1.0, lam=math.inf, Lambda=lam_rate,
+                 psi0=1.0, psi1=0.0, sigma_fl=sigma_fl)
+    return forms, sigma_fl**2
 
 
-def _oscillating(
-    alpha: float, kappa: float, A_tilde: float, zeta: int, a2: float
-) -> StationaryTheory:
-    """Finite-constraint-force solution for alpha > alpha_c2."""
+def _oscillating(alpha: float, kappa: float, A_tilde: float, zeta: int, a2: float
+                 ) -> tuple[dict, float]:
+    """The finite-constraint-force solution for alpha > alpha_c2: its closed
+    forms and sigma_fl^2."""
     chi, c0 = _chi_c0(alpha, kappa, a2)
     if not 0.0 <= c0 < 1.0:
         raise ContractError(f"persistent correlation c0={c0} outside [0, 1)")
@@ -198,38 +176,32 @@ def _oscillating(
     osc = 2.0 * A_tilde * A_tilde / (1.0 - c0) if zeta == 1 else 0.0
     s = math.sqrt(alpha * (1.0 + osc))  # > 1 since alpha > alpha_c2 >= 2/(1+a2) > 1
     chi_hat = -1.0 / (1.0 + s)
-    chi_hat_minus = -1.0 / (1.0 - s)
     gamma = -(1.0 + chi_hat * (1.0 - alpha)) / (alpha * chi_hat * (1.0 + chi_hat))
     lam = 0.5 * alpha * (gamma - kappa)
     if not lam > 0.0:
         raise ContractError(f"nonpositive stationary constraint force lam={lam}")
 
     sigma_fl2 = (1.0 + c0) / (2.0 * (1.0 + chi) ** 2) + (1.0 - c0) / (2.0 * (1.0 + chi_hat) ** 2)
-    stag = A_tilde / (1.0 + chi_hat) if zeta == 1 else 0.0
-    sigma = math.sqrt(sigma_fl2 + stag**2)
-    return StationaryTheory(
-        phase=Phase.OSCILLATING,
-        chi=chi,
-        chi_hat=chi_hat,
-        chi_hat_minus=chi_hat_minus,
-        c0=c0,
-        lam=lam,
-        Lambda=0.0,
-        gamma=gamma,
-        psi0=(lam + alpha * kappa) / lam,
-        psi1=1.0 / lam,
-        sigma_fl=math.sqrt(sigma_fl2),
-        sigma=sigma,
-        bid_mean=A_tilde / (1.0 + chi) if zeta == 0 else 0.0,
-        bid_staggered=stag,
-    )
+    forms = dict(chi=chi, chi_hat=chi_hat, chi_hat_minus=-1.0 / (1.0 - s), c0=c0, lam=lam,
+                 Lambda=0.0, gamma=gamma, psi0=(lam + alpha * kappa) / lam, psi1=1.0 / lam,
+                 sigma_fl=math.sqrt(sigma_fl2))
+    return forms, sigma_fl2
 
 
 def stationary_solution(alpha: float, kappa: float, A_tilde: float, zeta: int) -> StationaryTheory:
     """The solution in the phase classify_phase gives; the anomalous phase
-    carries only c0 = 1, chi = inf."""
+    carries only c0 = 1, chi = inf.
+
+    The response to the drive is taken once for F and O: the bid mean
+    A/(1+chi) under a static drive, the staggered bid A/(1+chi_hat) under an
+    alternating one, and sigma^2 = sigma_fl^2 + (staggered bid)^2.
+    """
     phase = classify_phase(alpha, kappa, A_tilde, zeta)
     if phase is Phase.ANOMALOUS:
         return StationaryTheory(phase=Phase.ANOMALOUS, chi=math.inf, c0=1.0)
     solve = _frozen if phase is Phase.FROZEN else _oscillating
-    return solve(alpha, kappa, A_tilde, zeta, A_tilde * A_tilde if zeta == 0 else 0.0)
+    forms, sigma_fl2 = solve(alpha, kappa, A_tilde, zeta, _static_a2(A_tilde, zeta))
+    stag = A_tilde / (1.0 + forms["chi_hat"]) if zeta == 1 else 0.0
+    return StationaryTheory(phase=phase, **forms, sigma=math.sqrt(sigma_fl2 + stag**2),
+                            bid_mean=A_tilde / (1.0 + forms["chi"]) if zeta == 0 else 0.0,
+                            bid_staggered=stag)

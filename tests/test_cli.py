@@ -232,6 +232,22 @@ def test_kernels_start_where_the_simulator_starts(capsys):
     assert row["c0_kernel"] == format(c0, ".12g") == "0.428545184896"
 
 
+def test_compare_summary_kernels_vs_sim_at_every_point(capsys):
+    # the two dynamic engines start alike, so their c0 is compared at every
+    # point both fill, phase A included, where theory gives only c0 = 1
+    code, out, err = run_cli(
+        capsys, "compare", "--engines", "simulate,kernels", "--sweep", "alpha:0.3:4:2",
+        "--agents", "200", "--t-eq", "100", "--t-meas", "200", "--n-seeds", "2", "--T", "100",
+        "--init-scale", "1e-4",
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r["phase"] for r in rows] == ["A", "O"]
+    dev = max(abs(float(r["c0_kernel"]) / float(r["c0_sim"]) - 1.0) for r in rows)
+    line = re.fullmatch(r"c0: kernels vs sim: max rel deviation (\S+)", err.strip())
+    assert line and float(line.group(1)) == pytest.approx(dev, rel=1e-3)
+
+
 def test_simulator_and_kernel_tasks_share_their_inputs(monkeypatch, capsys):
     # each point's seeds and kernel task agree on alpha, kappa, the drive and
     # the start, so no second setting of a shared input can come back
@@ -627,7 +643,7 @@ def stop_tasks(monkeypatch):
     (["--sweep", "alpha:1:4:3", "--alpha", "2"], "alpha is swept by --sweep and fixed by --alpha"),
     (["--alpha", "2", "--sweep2", "A_tilde:0:1:2", "--A", "1"],
      "A_tilde is swept by --sweep2 and fixed by --A"),
-    (["--sweep", "alpha:1:4:3", "--tail", "0.9"], "tail_fraction must lie in (0, 0.5], got 0.9"),
+    (["--sweep", "alpha:1:4:3", "--tail", "0.9"], "tail must lie in (0, 0.5], got 0.9"),
 ], ids=["zero-alpha", "negative-seed", "repeated-seeds", "no-seeds", "zero-init-scale", "zero-T",
         "no-workers", "short-measurement", "out-in-missing-dir", "out-is-directory",
         "seeds-with-seed-and-count", "alpha-swept-and-fixed", "amplitude-swept-and-fixed",
@@ -637,6 +653,27 @@ def test_every_point_checked_before_any_task(argv, error, monkeypatch, capsys):
     code, out, err = run_cli(capsys, "compare", "--agents", "200", "--T", "100", *argv)
     assert code == 1 and out == ""
     assert err.splitlines() == ["sphmg: error: " + error]
+
+
+@pytest.mark.parametrize("key, value", [("alpha", "0"), ("kappa", "2"), ("zeta", "2"),
+                                        ("init_scale", "0"), ("T", "0"), ("tail", "0.9"),
+                                        ("workers", "0")])
+def test_a_bad_value_is_named_by_its_key(key, value, tmp_path, monkeypatch, capsys):
+    # --t-meas, --agents and --A stay named by their library fields (t_measure,
+    # n_agents, amplitude): perfbench builds GameParams and ExternalBid by those
+    # keywords
+    stop_tasks(monkeypatch)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    runs = [["--config", str(cfg)]]
+    if key != "zeta":  # argparse refuses --zeta 2 itself, naming the flag
+        runs.append(["--" + key.replace("_", "-"), value])
+    for argv in runs:
+        if key != "alpha":
+            argv = argv + ["--alpha", "1"]
+        code, out, err = run_cli(capsys, "compare", *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].startswith(f"sphmg: error: {key} "), err
 
 
 @pytest.mark.parametrize("lines, argv", [

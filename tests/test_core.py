@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,9 @@ from sphmg import (
     ContractError,
     ExternalBid,
     GameParams,
+    KernelParams,
     ResourceBudgetError,
+    classify_phase,
     generate_disorder,
     precompute_couplings,
 )
@@ -70,6 +77,16 @@ def test_params_pattern_count_and_realized_alpha():
 def test_params_validation(kwargs):
     with pytest.raises(ContractError):
         GameParams(**kwargs)
+
+
+def test_alpha_zero_is_refused_alike_by_every_engine():
+    errors = []
+    for refuse in (lambda: KernelParams(alpha=0.0), lambda: GameParams(n_agents=10, alpha=0.0),
+                   lambda: classify_phase(0.0, 0.0, 0.0, 0)):
+        with pytest.raises(ContractError) as info:
+            refuse()
+        errors.append(str(info.value))
+    assert errors == ["alpha must be finite and > 0, got 0.0"] * 3
 
 
 def test_two_agent_hand_example():
@@ -204,6 +221,25 @@ def test_field_and_drive_response_over_row_blocks(monkeypatch):
     scale = 2.0 / np.sqrt(sample.xi.shape[0])
     assert np.allclose(h, scale * (xd @ sample.Omega), rtol=0.0, atol=1e-12)
     assert np.array_equal(b, scale * xd.sum(axis=1))
+
+
+def test_field_bits_do_not_depend_on_the_blas_thread_count():
+    # at N = 1500, alpha = 2 (80-row blocks) one float64 product over the
+    # whole matrix gives other bits on 2 OpenBLAS threads than on 1; h, taken
+    # over row_blocks, gives the same bits on both
+    script = ("import hashlib, sphmg; "
+              "s = sphmg.generate_disorder(sphmg.GameParams(n_agents=1500, alpha=2.0, seed=3)); "
+              "print(hashlib.md5(sphmg.precompute_couplings(s)[1].tobytes()).hexdigest())")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(core.__file__).resolve().parents[1])
+
+    def h_digest(threads):
+        return subprocess.run([sys.executable, "-c", script],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
+                              text=True, timeout=120, check=True).stdout
+
+    assert h_digest("1") == h_digest("2")
 
 
 def _compiled(xi, Omega):

@@ -31,7 +31,8 @@ def _params(alpha, kappa=0.0, A=0.0, zeta=0, T=200, init_scale=1.0):
 
 
 def test_zero_alpha_limit_is_static():
-    state = iterate_kernels(_params(0.0, A=2.0, zeta=1, T=30, init_scale=0.7))
+    # alpha = 0 itself is refused, as the simulator and the theory refuse it
+    state = iterate_kernels(_params(1e-12, A=2.0, zeta=1, T=30, init_scale=0.7))
     assert np.allclose(state.C, 1.0)
     assert np.allclose(state.lambda_traj, 0.7)
 
@@ -155,7 +156,7 @@ def test_bid_mean_trajectory_oscillating_drive():
 
 
 def test_extract_stationary_static_limit():
-    state = iterate_kernels(_params(0.0, T=60))
+    state = iterate_kernels(_params(1e-12, T=60))
     tail = extract_stationary(state, 0.5)
     assert tail.c0 == pytest.approx(1.0, abs=1e-12)
     assert tail.Lambda == pytest.approx(0.0, abs=1e-12)

@@ -629,6 +629,26 @@ def test_frozen_drive_independence_at_alpha_one():
         assert obs.frozen_flag and obs.c0_hat > 0.95
 
 
+def test_static_drive_freezes_where_an_alternating_one_does_not():
+    # the paper's contrast: at alpha = 3, A = 1 a static drive moves alpha_c2
+    # to 2 (1 + A^2) = 4, so the game freezes (F, c0 = 1), while an
+    # alternating one leaves the line at 2 (O, c0 = 0.5)
+    def runs(zeta):
+        return [run_experiment(GameParams(n_agents=500, alpha=3.0, external=ExternalBid(zeta, 1.0),
+                                          seed=seed, t_equilibrate=300, t_measure=600))
+                for seed in range(4)]
+
+    static, alternating = runs(0), runs(1)
+    assert all(obs.frozen_flag for obs in static)
+    assert [obs.c0_hat for obs in static] == pytest.approx([1.0] * 4, abs=1e-12)
+    assert not any(obs.frozen_flag for obs in alternating)
+    c0 = np.array([obs.c0_hat for obs in alternating])
+    th = stationary_solution(3.0, 0.0, 1.0, 1)
+    assert str(th.phase) == "O" and str(stationary_solution(3.0, 0.0, 1.0, 0).phase) == "F"
+    # the seed mean within three standard errors of theory's c0
+    assert abs(c0.mean() - th.c0) < 3.0 * c0.std(ddof=1) / np.sqrt(c0.size)
+
+
 def test_lambda_trajectory_fit_quality_by_phase():
     # frozen phase: near-perfect linear growth; oscillating phase: a slope
     # statistically indistinguishable from zero
