@@ -34,7 +34,8 @@ from .kernels import KernelParams, KernelTail, check_tail, extract_stationary, i
 from .simulator import RunObservables, run_experiment
 from .theory import alpha_c1, alpha_c2, classify_phase, stationary_solution
 
-SWEEPABLE = ("alpha", "kappa", "A_tilde")
+# Every sweep axis once: axis -> the option whose fixed value it replaces.
+AXES = {"alpha": "alpha", "kappa": "kappa", "A_tilde": "A"}
 ENGINES = ("theory", "simulate", "kernels")
 
 # Every settable value once: (name, type, default, choices, help).  The flag
@@ -274,41 +275,33 @@ def _kernel_tail(params: KernelParams, tail: float) -> KernelTail:
 ZERO_REFERENCE = 1e-12
 
 
+# Every summary line once: (label, compared value, reference column, phases
+# of the points compared).  The value is a row column or a KernelTail field.
+_COMPARISONS = (
+    ("c0: sim vs theory", "c0_sim", "c0_theory", ("F", "O")),
+    ("c0: kernels vs theory", "c0_kernel", "c0_theory", ("F", "O")),
+    ("c0: kernels vs sim", "c0_kernel", "c0_sim", ("A", "F", "O")),
+    ("sigma: sim vs theory", "sigma_sim", "sigma_theory", ("F", "O")),
+    ("lambda: sim vs theory (O phase)", "lambda_sim", "lambda_theory", ("O",)),
+    ("Lambda: sim vs theory (F phase)", "Lambda_sim", "Lambda_theory", ("F",)),
+    ("sigma_fl: kernels vs theory", "sigma_fl", "sigma_fl_theory", ("F", "O")),
+    ("lambda: kernels vs theory (O phase)", "lam", "lambda_theory", ("O",)),
+    ("Lambda: kernels vs theory (F phase)", "Lambda", "Lambda_theory", ("F",)),
+)
+
+
 def compare_summary(rows: list[dict], tails: list[KernelTail | None]) -> list[str]:
-    """Max deviation per observable between engines on F/O points, and of
-    the kernels' c0 from the simulator's at every point both fill.
+    """Max deviation of each _COMPARISONS value from its reference over the
+    points of its phases.
 
     The deviation is relative to the reference, except where the reference
     is zero (e.g. Lambda at alpha_c2): those points get their own line with
     the absolute deviation.
     """
-    active = [r for r in rows if r["phase"] in ("F", "O")]
-    kernel = [(r, t) for r, t in zip(rows, tails) if t is not None and r["phase"] in ("F", "O")]
-    checks = [
-        ("c0: sim vs theory", [(r["c0_sim"], r["c0_theory"]) for r in active]),
-        ("c0: kernels vs theory", [(r["c0_kernel"], r["c0_theory"]) for r in active]),
-        ("c0: kernels vs sim", [(r["c0_kernel"], r["c0_sim"]) for r in rows]),
-        ("sigma: sim vs theory", [(r["sigma_sim"], r["sigma_theory"]) for r in active]),
-        (
-            "lambda: sim vs theory (O phase)",
-            [(r["lambda_sim"], r["lambda_theory"]) for r in active if r["phase"] == "O"],
-        ),
-        (
-            "Lambda: sim vs theory (F phase)",
-            [(r["Lambda_sim"], r["Lambda_theory"]) for r in active if r["phase"] == "F"],
-        ),
-        ("sigma_fl: kernels vs theory", [(t.sigma_fl, r["sigma_fl_theory"]) for r, t in kernel]),
-        (
-            "lambda: kernels vs theory (O phase)",
-            [(t.lam, r["lambda_theory"]) for r, t in kernel if r["phase"] == "O"],
-        ),
-        (
-            "Lambda: kernels vs theory (F phase)",
-            [(t.Lambda, r["Lambda_theory"]) for r, t in kernel if r["phase"] == "F"],
-        ),
-    ]
+    cells = [{**row, **(vars(tail) if tail else {})} for row, tail in zip(rows, tails)]
     lines = []
-    for label, pairs in checks:
+    for label, value, reference, phases in _COMPARISONS:
+        pairs = [(c.get(value), c[reference]) for c in cells if c["phase"] in phases]
         pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
         rel_devs = [abs(a - b) / abs(b) for a, b in pairs if abs(b) > ZERO_REFERENCE]
         abs_devs = [abs(a - b) for a, b in pairs if abs(b) <= ZERO_REFERENCE]
@@ -324,14 +317,14 @@ def compare_summary(rows: list[dict], tails: list[KernelTail | None]) -> list[st
 # ----------------------------------------------------------------------------
 
 
-def _parse_axis(text: str) -> tuple[str, np.ndarray]:
+def _parse_axis(text: str) -> tuple[str, list[float]]:
     """(name, values) of an axis spec name:min:max:count[:lin|log]."""
     parts = text.split(":")
     if len(parts) not in (4, 5):
         raise ContractError(f"axis spec must be name:min:max:count[:log], got {text!r}")
     name = parts[0]
-    if name not in SWEEPABLE:
-        raise ContractError(f"sweep axis must be one of {SWEEPABLE}, got {name!r}")
+    if name not in AXES:
+        raise ContractError(f"sweep axis must be one of {tuple(AXES)}, got {name!r}")
     if parts[4:] not in ([], ["lin"], ["log"]):
         raise ContractError(f"axis spacing must be 'lin' or 'log', got {parts[4]!r}")
     lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
@@ -340,31 +333,29 @@ def _parse_axis(text: str) -> tuple[str, np.ndarray]:
     if lo > hi:
         raise ContractError(f"axis {name}: min {lo} > max {hi}")
     if count == 1:
-        return name, np.array([lo])
+        return name, [lo]
     if parts[4:] == ["log"]:
         if lo <= 0:
             raise ContractError("log axis needs a positive minimum")
-        return name, np.geomspace(lo, hi, count)
-    return name, np.linspace(lo, hi, count)
+        return name, np.geomspace(lo, hi, count).tolist()
+    return name, np.linspace(lo, hi, count).tolist()
 
 
 def _grid(opts: dict) -> list[dict]:
-    """The grid points, the swept axes in place of their fixed values."""
-    axes = [_parse_axis(opts[key]) for key in ("sweep", "sweep2") if opts[key]]
-    names = [name for name, _ in axes]
-    if len(names) == 2 and names[0] == names[1]:
-        raise ContractError(f"--sweep and --sweep2 both sweep {names[0]}")
-    if opts["alpha"] is None and "alpha" not in names:
+    """The grid points over the axes the command reads and zeta, the parsed
+    sweeps in place of their fixed values."""
+    axes = [opts[key] for key in ("sweep", "sweep2") if key in opts and opts[key]]
+    base = {axis: opts[option] for axis, option in AXES.items() if option in opts}
+    points = [{**base, "zeta": opts["zeta"], **dict(zip([name for name, _ in axes], values))}
+              for values in itertools.product(*(values for _, values in axes))]
+    if None in points[0].values():  # alpha is the one axis without a default
         raise ContractError("--alpha is required unless alpha is a sweep axis")
-    base = {"alpha": opts["alpha"], "kappa": opts["kappa"], "A_tilde": opts["A"],
-            "zeta": opts["zeta"]}
-    return [{**base, **dict(zip(names, map(float, values)))}
-            for values in itertools.product(*(values for _, values in axes))]
+    return points
 
 
 def _seeds(opts: dict) -> list[int]:
     if opts["seeds"]:
-        seeds = [int(s) for s in opts["seeds"].split(",") if s.strip()]
+        seeds = [_parsed("seeds", int, s) for s in opts["seeds"].split(",") if s.strip()]
     else:
         seeds = [opts["seed"] + i for i in range(opts["n_seeds"])]
     if not seeds:
@@ -372,6 +363,14 @@ def _seeds(opts: dict) -> list[int]:
     if len(set(seeds)) < len(seeds):
         raise ContractError(f"repeated seeds: {opts['seeds']}")
     return seeds
+
+
+def _parsed(key: str, parse, text: str):
+    """parse(text), a failure named by its key."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ContractError(f"{key}: {exc}") from None
 
 
 def load_config(path: str) -> dict:
@@ -405,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Defaults < config file < explicit flags over the command's options, typed and checked
-    by _OPTIONS; --seeds excludes --seed and --n-seeds, a swept axis its fixed value; --out is
-    a file in a writable directory."""
+    by _OPTIONS, the sweeps parsed into (axis, values); --seeds excludes --seed and --n-seeds, a
+    swept axis its fixed value and the other sweep's axis; --out is a file in a writable
+    directory."""
     names = _COMMANDS[args.command][2]
     merged = {name: default for name, _, default, _, _ in _OPTIONS if name in names}
     given = load_config(args.config) if args.config else {}
@@ -416,17 +416,22 @@ def _resolve(args: argparse.Namespace) -> dict:
     given.update((k, v) for k, v in vars(args).items() if k in merged and v is not None)
     if "seeds" in given and given.keys() & {"seed", "n_seeds"}:
         raise ContractError("--seeds excludes --seed and --n-seeds")
-    for key in ("sweep", "sweep2"):
-        axis = str(given.get(key)).split(":")[0]
-        fixed = "A" if axis == "A_tilde" else axis
-        if axis in SWEEPABLE and fixed in given:
-            raise ContractError(f"{axis} is swept by --{key} and fixed by --{fixed}")
     merged.update(given)
     for name, kind, _, choices, _ in _OPTIONS:
         if merged.get(name) is not None:
-            merged[name] = kind(merged[name])
+            merged[name] = _parsed(name, kind, merged[name])
             if choices and merged[name] not in choices:
                 raise ContractError(f"{name} must be one of {choices}, got {merged[name]!r}")
+    swept = []
+    for key in ("sweep", "sweep2"):
+        if merged.get(key):
+            merged[key] = _parsed(key, _parse_axis, merged[key])
+            axis = merged[key][0]
+            if AXES[axis] in given:
+                raise ContractError(f"{axis} is swept by --{key} and fixed by --{AXES[axis]}")
+            if axis in swept:
+                raise ContractError(f"--sweep and --sweep2 both sweep {axis}")
+            swept.append(axis)
     if merged["out"] not in (None, "-"):
         if os.path.isdir(merged["out"]):
             raise ContractError(f"out: {merged['out']} is a directory")
@@ -439,10 +444,10 @@ def _resolve(args: argparse.Namespace) -> dict:
 def cmd_theory(merged: dict) -> int:
     if merged["alpha"] is None:
         raise ContractError("theory requires --alpha")
-    a, k, A, z = merged["alpha"], merged["kappa"], merged["A"], merged["zeta"]
-    sol = stationary_solution(a, k, A, z)
-    payload = {"alpha": a, "kappa": k, "A_tilde": A, "zeta": z,
-               "alpha_c1": alpha_c1(A, z), "alpha_c2": alpha_c2(A, k, z)}
+    pt = _grid(merged)[0]
+    sol = stationary_solution(**pt)
+    payload = {**pt, "alpha_c1": alpha_c1(pt["A_tilde"], pt["zeta"]),
+               "alpha_c2": alpha_c2(pt["A_tilde"], pt["kappa"], pt["zeta"])}
     for f in fields(sol):
         payload["lambda" if f.name == "lam" else f.name] = getattr(sol, f.name)
     payload["phase"] = str(sol.phase)
@@ -466,15 +471,11 @@ def cmd_theory(merged: dict) -> int:
 def cmd_phase_diagram(merged: dict) -> int:
     if not merged["sweep"]:
         raise ContractError("phase-diagram requires --sweep over kappa or A_tilde")
-    name, values = _parse_axis(merged["sweep"])
+    name = merged["sweep"][0]
     if name not in ("kappa", "A_tilde"):
         raise ContractError("phase-diagram sweeps kappa or A_tilde")
-    z = merged["zeta"]
-    rows = []
-    for v in map(float, values):
-        kappa = v if name == "kappa" else merged["kappa"]
-        A = v if name == "A_tilde" else merged["A"]
-        rows.append({name: v, "alpha_c1": alpha_c1(A, z), "alpha_c2": alpha_c2(A, kappa, z)})
+    rows = [{name: pt[name], "alpha_c1": alpha_c1(pt["A_tilde"], pt["zeta"]),
+             "alpha_c2": alpha_c2(pt["A_tilde"], pt["kappa"], pt["zeta"])} for pt in _grid(merged)]
     # alpha_c2 = inf at kappa = 1 prints "inf"
     _write_rows(merged, [name, "alpha_c1", "alpha_c2"], rows)
     return 0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ContractError
@@ -27,16 +25,8 @@ def persistent_correlation(window: np.ndarray) -> float:
     return float((0.5 * (c_lag[:-1] + c_lag[1:])).mean())
 
 
-@dataclass(frozen=True)
-class LineFit:
-    slope: float
-    intercept: float
-    slope_stderr: float
-    r2: float
-
-
-def fit_line(x: np.ndarray, y: np.ndarray) -> LineFit:
-    """Ordinary least squares y = a + b x with the slope's standard error."""
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(slope, slope standard error) of the ordinary least squares y = a + b x."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
@@ -46,9 +36,5 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> LineFit:
     sxx = np.sum((x - xm) ** 2)
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     intercept = float(ym - slope * xm)
-    resid = y - intercept - slope * x
-    rss = float(np.sum(resid**2))
-    tss = float(np.sum((y - ym) ** 2))
-    stderr = float(np.sqrt(max(rss, 0.0) / (n - 2) / sxx))
-    r2 = 1.0 if tss == 0.0 else 1.0 - rss / tss
-    return LineFit(slope=slope, intercept=intercept, slope_stderr=stderr, r2=r2)
+    rss = float(np.sum((y - intercept - slope * x) ** 2))
+    return slope, float(np.sqrt(max(rss, 0.0) / (n - 2) / sxx))

@@ -172,10 +172,10 @@ def extract_stationary(state: KernelState, tail: float = 0.25) -> KernelTail:
     c0 = persistent_correlation(state.C[np.ix_(idx, idx)])
 
     lam_tail = state.lambda_traj[idx]
-    fit = fit_line(idx.astype(np.float64), lam_tail)
+    Lambda, _ = fit_line(idx.astype(np.float64), lam_tail)
 
     wt = state.W[n - n_tail :]  # diag[W (1 + C) W^T] with no (T+1)^2 temporary
     diag_tail = ((wt @ state.C) * wt).sum(axis=1) + wt.sum(axis=1) ** 2
     sigma_fl = float(np.sqrt(max(np.mean(diag_tail) / 2.0, 0.0)))
 
-    return KernelTail(c0=c0, lam=float(lam_tail.mean()), Lambda=fit.slope, sigma_fl=sigma_fl)
+    return KernelTail(c0=c0, lam=float(lam_tail.mean()), Lambda=Lambda, sigma_fl=sigma_fl)

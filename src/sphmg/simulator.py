@@ -88,8 +88,10 @@ def init_state(params: GameParams) -> AgentState:
 def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gram:
     """The route of a run from state, chosen from (N, p, kappa) alone:
     couplings from p = 0.7 N on; below it the Gram route at kappa = 0 and
-    per-pattern passes otherwise.  The threshold is a measured break-even
-    against both other routes (README, Notes on numerics).  Every route is
+    per-pattern passes otherwise.  At kappa = 0 the threshold is a measured
+    break-even against the Gram route; for kappa > 0 the measured crossover
+    lies between 0.45 and 0.6 N, and 0.7 N stays until a batched step is
+    measured (README, Notes on numerics).  Every route is
     built from the disorder draw's row blocks, so no run holds the int8
     N x p table: the Gram route's blocks have max(BLOCK_ENTRIES, p^2/8)
     entries (a float32 block of at most G's bytes / 16 beyond the default),
@@ -379,9 +381,9 @@ def run_experiment(params: GameParams) -> RunObservables:
     bid_staggered = float(np.mean(signs * (rec.sum_a / p)))
     sigma_fl = float(np.sqrt(max(sigma2 - bid_staggered**2, 0.0)))
 
-    fit = fit_line(t_abs.astype(np.float64), lam_hist)
+    slope, slope_stderr = fit_line(t_abs.astype(np.float64), lam_hist)
     frozen = (
-        fit.slope > FROZEN_SLOPE_SIGMAS * fit.slope_stderr
+        slope > FROZEN_SLOPE_SIGMAS * slope_stderr
         and lam_hist[-1] > FROZEN_GROWTH_FACTOR * lam_hist[0]
     )
     return RunObservables(
@@ -389,7 +391,7 @@ def run_experiment(params: GameParams) -> RunObservables:
         sigma=sigma,
         sigma_fl=sigma_fl,
         lambda_mean=float(lam_hist.mean()),
-        lambda_slope=fit.slope,
+        lambda_slope=slope,
         bid_mean=mean_a,
         bid_staggered=bid_staggered,
         frozen_flag=bool(frozen),

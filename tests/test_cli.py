@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -14,6 +15,8 @@ from sphmg import cli
 from sphmg.cli import (
     _COMMANDS, _OPTIONS, RESULT_COLUMNS, _pool_map, _resolve, build_parser, main,
 )
+from sphmg.kernels import KernelTail
+from sphmg.theory import Phase
 
 
 def run_cli(capsys, *argv):
@@ -157,10 +160,12 @@ def unread_error(*args):
      "sphmg: error: kappa is swept by --sweep and fixed by --kappa"),
     (["kernels", "--alpha", "9", "--sweep", "alpha:1:2:2", "--T", "40"],
      "sphmg: error: alpha is swept by --sweep and fixed by --alpha"),
+    (["kernels", "--sweep", "alpha", "--alpha", "1", "--T", "40"],
+     "sphmg: error: sweep: axis spec must be name:min:max:count[:log], got 'alpha'"),
     (["kernels", "--alpha", "1", "--lambda0", "1"], unread_error("--lambda0", "1")),
 ], ids=["theory-without-alpha", "phase-diagram-alpha-axis", "phase-diagram-two-axes",
         "theory-with-sweep", "theory-with-sweep2", "phase-diagram-swept-and-fixed",
-        "kernels-swept-and-fixed", "kernels-lambda0"])
+        "kernels-swept-and-fixed", "kernels-malformed-sweep", "kernels-lambda0"])
 def test_command_errors_exit_one(argv, err_text, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -171,7 +176,7 @@ def test_axis_spacing_and_single_point():
     name, values = cli._parse_axis("alpha:0.5:8:5:log")
     assert name == "alpha" and np.array_equal(values, np.geomspace(0.5, 8.0, 5))
     assert np.array_equal(cli._parse_axis("kappa:0:1:3:lin")[1], np.linspace(0.0, 1.0, 3))
-    assert cli._parse_axis("kappa:0.25:0.75:1")[1].tolist() == [0.25]
+    assert cli._parse_axis("kappa:0.25:0.75:1")[1] == [0.25]
 
 
 @pytest.mark.parametrize("spec, error", [
@@ -277,6 +282,15 @@ def test_simulator_and_kernel_tasks_share_their_inputs(monkeypatch, capsys):
     rows = parse_csv(out)[1]
     assert [float(r["realized_alpha"]) for r in rows] == [g.realized_alpha for g in games[::2]]
     assert rows[0]["realized_alpha"] == "1.296875"  # p = 83 patterns over N = 64
+
+
+def test_every_comparison_reads_a_row_column_or_a_kernel_tail_field():
+    tail_fields = {f.name for f in dataclasses.fields(KernelTail)}
+    assert not tail_fields & set(RESULT_COLUMNS)  # a tail field never hides a column
+    for label, value, reference, phases in cli._COMPARISONS:
+        assert reference in RESULT_COLUMNS, label
+        assert value in RESULT_COLUMNS or value in tail_fields, label
+        assert phases and set(phases) <= {str(phase) for phase in Phase}, label
 
 
 def test_compare_summary_absolute_deviation_at_zero_reference(capsys):
@@ -510,13 +524,18 @@ def test_config_line_without_value_rejected(tmp_path, capsys):
                          ids=[o[0] for o in _OPTIONS])
 def test_every_option_resolves_alike_from_flag_and_config(name, kind, default, choices, tmp_path):
     # under every subcommand that takes the option; compare takes them all
-    text = str(choices[-1]) if choices else {int: "3", float: "0.5", str: "x"}[kind]
+    specs = {"sweep": "kappa:0:1:2", "sweep2": "A_tilde:0:1:2"}
+    text = specs.get(name) or (str(choices[-1]) if choices else
+                               {int: "3", float: "0.5", str: "x"}[kind])
     commands = [command for command, row in _COMMANDS.items() if name in row[2]]
     assert "compare" in commands
     parser = build_parser()
     for command in commands:
         want = _resolve(parser.parse_args([command, "--" + name.replace("_", "-"), text]))
-        assert type(want[name]) is kind and want[name] != default
+        if name in specs:  # a sweep resolves to its parsed (axis, values)
+            assert want[name] == cli._parse_axis(text)
+        else:
+            assert type(want[name]) is kind and want[name] != default
         for key in {name, name.replace("_", "-")}:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{key} = {text}\n")
@@ -676,6 +695,34 @@ def test_a_bad_value_is_named_by_its_key(key, value, tmp_path, monkeypatch, caps
         assert err.splitlines()[-1].startswith(f"sphmg: error: {key} "), err
 
 
+@pytest.mark.parametrize("command, argv, config, error", [
+    ("simulate", ["--alpha", "1"], "agents = x",
+     "agents: invalid literal for int() with base 10: 'x'"),
+    ("kernels", ["--alpha", "1"], "T = 4.5", "T: invalid literal for int() with base 10: '4.5'"),
+    ("theory", [], "alpha = x", "alpha: could not convert string to float: 'x'"),
+    ("simulate", ["--alpha", "1", "--seeds", "1,x"], "",
+     "seeds: invalid literal for int() with base 10: 'x'"),
+    ("simulate", ["--alpha", "1"], "seeds = 1,x",
+     "seeds: invalid literal for int() with base 10: 'x'"),
+    ("kernels", ["--sweep", "alpha:1:2:x", "--T", "40"], "",
+     "sweep: invalid literal for int() with base 10: 'x'"),
+    ("phase-diagram", ["--sweep", "kappa:0:1:x"], "",
+     "sweep: invalid literal for int() with base 10: 'x'"),
+    ("kernels", ["--alpha", "1"], "sweep2 = kappa:0:1", "sweep2: axis spec must be "
+     "name:min:max:count[:log], got 'kappa:0:1'"),
+], ids=["agents-config", "T-config", "alpha-config", "seeds-flag", "seeds-config", "sweep-flag",
+        "phase-diagram-sweep-flag", "sweep2-config"])
+def test_a_value_that_does_not_parse_is_named_by_its_key(command, argv, config, error, tmp_path,
+                                                         monkeypatch, capsys):
+    # typed flags (--agents x) keep argparse's own error, which names the flag
+    stop_tasks(monkeypatch)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config + "\n")
+    code, out, err = run_cli(capsys, command, *argv, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sphmg: error: " + error]
+
+
 @pytest.mark.parametrize("lines, argv", [
     ("seeds = 3,4\nseed = 9\n", []),
     ("n-seeds = 7\n", ["--seeds", "3,4"]),
@@ -812,7 +859,7 @@ def test_readme_commands_stay_valid():
         if argv[0] == "theory":
             assert merged["alpha"] is not None
         elif argv[0] == "phase-diagram":
-            assert cli._parse_axis(merged["sweep"])[0] in ("kappa", "A_tilde")
+            assert merged["sweep"][0] in ("kappa", "A_tilde")
         else:
             assert cli._grid(merged)
             assert "seeds" not in merged or cli._seeds(merged)

@@ -1,5 +1,6 @@
-"""No imported name in src/ or tests/ goes unused, and every definition in
-src/ has a caller outside the tests (stdlib ast, no linter)."""
+"""No imported name in src/ or tests/ goes unused, and every definition and
+dataclass field in src/ has a reader outside the tests (stdlib ast, no
+linter)."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,29 @@ def references(source):
     return {node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(ast.parse(source))
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def dataclass_fields(source):
+    """(line, class, field) of every annotated field of every @dataclass class
+    that source defines."""
+    def is_dataclass(decorator):
+        node = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(node, ast.Name) and node.id == "dataclass"
+
+    return sorted((stmt.lineno, node.name, stmt.target.id)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+
+
+def field_reads(source):
+    """Every name that source reads as an attribute or spells as a string
+    constant, such as a dict key or a getattr name."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Constant) and isinstance(node.value, str))}
 
 
 def test_no_unused_imports():
@@ -89,3 +113,39 @@ def test_definitions_and_references_read_names_and_attributes():
               "A()\n")
     assert definitions(source) == [(3, "A"), (6, "used"), (9, "idle"), (11, "orphan")]
     assert references(source) == {"A", "self", "used", "called", "property"}
+
+
+# Dataclasses read whole rather than field by field.
+READ_WHOLE = {
+    "StationaryTheory": "cmd_theory prints every field through dataclasses.fields",
+    "RunObservables": "perfbench records every field through dataclasses.asdict",
+}
+
+
+def test_every_src_dataclass_field_has_a_reader_outside_the_tests():
+    src = sorted((ROOT / "src").rglob("*.py"))
+    read = set().union(*(field_reads(path.read_text())
+                         for path in src + sorted((ROOT / "perfbench").glob("*.py"))))
+    found = [f"{path.relative_to(ROOT)}:{line}: {cls}.{name}"
+             for path in src
+             for line, cls, name in dataclass_fields(path.read_text())
+             if cls not in READ_WHOLE and name not in read]
+    assert not found, "dataclass fields only the tests read:\n" + "\n".join(found)
+
+
+def test_dataclass_fields_and_field_reads():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\n"
+              "class A:\n"
+              "    x: int\n"
+              "    y: float = 0.0\n"
+              "    def z(self):\n"
+              "        return self.x + d['y']\n"
+              "@dataclass\n"
+              "class B:\n"
+              "    w: int\n"
+              "class C:\n"
+              "    v: int\n"
+              "A(x=1, y=2).x\n")
+    assert dataclass_fields(source) == [(4, "A", "x"), (5, "A", "y"), (10, "B", "w")]
+    assert field_reads(source) == {"x", "y"}

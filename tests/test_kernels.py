@@ -7,6 +7,7 @@ from sphmg import (
     ContractError,
     ExternalBid,
     KernelParams,
+    alpha_c2,
     extract_stationary,
     iterate_kernels,
     stationary_solution,
@@ -131,6 +132,25 @@ def test_tti_emerges_in_the_tail():
     for lag in range(6):
         vals = [state.C[t, t - lag] for t in range(330, 401)]
         assert max(vals) - min(vals) < 1e-3
+
+
+@pytest.mark.parametrize("kappa, A, zeta", [(0.0, 0.0, 0), (0.0, 1.0, 0), (0.0, 1.0, 1),
+                                             (0.25, 1.0, 0), (0.25, 1.0, 1)])
+def test_kernel_tail_finds_each_drives_transition_line(kappa, A, zeta):
+    # a static drive moves alpha_c2 to 2(1 + A^2) at kappa = 0, an alternating
+    # one leaves it at 2.  Probe at T = 400, tail 0.25: at 0.9 alpha_c2 the
+    # tail Lambda (0.046-0.25) was within 0.89% of theory, the slow side being
+    # zeta = 1, kappa = 0 (0.26% at T = 800); at 1.1 alpha_c2 it was <= 2.1e-5
+    assert alpha_c2(1.0, 0.0, 0) == 4.0 and alpha_c2(1.0, 0.0, 1) == 2.0
+    line = alpha_c2(A, kappa, zeta)
+    for factor, phase in ((0.9, "F"), (1.1, "O")):
+        th = stationary_solution(factor * line, kappa, A, zeta)
+        tail = extract_stationary(iterate_kernels(_params(factor * line, kappa, A, zeta, T=400)))
+        assert str(th.phase) == phase
+        if phase == "F":
+            assert tail.Lambda == pytest.approx(th.Lambda, rel=1.5e-2)
+        else:
+            assert th.Lambda == 0.0 and abs(tail.Lambda) < 1e-4
 
 
 def test_bid_mean_trajectory_zero_drive():
