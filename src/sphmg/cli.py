@@ -36,7 +36,27 @@ from .theory import alpha_c1, alpha_c2, classify_phase, stationary_solution
 
 # Every sweep axis once: axis -> the option whose fixed value it replaces.
 AXES = {"alpha": "alpha", "kappa": "kappa", "A_tilde": "A"}
-ENGINES = ("theory", "simulate", "kernels")
+# Every engine once: name -> (suffix of its cells, its name in summary lines).
+ENGINES = {"theory": ("theory", "theory"), "simulate": ("sim", "sim"),
+           "kernels": ("kernel", "kernels")}
+# Every observable once: quantity -> its field in StationaryTheory, RunObservables
+# and KernelTail, or None.  Its cell is <quantity>_<engine suffix>, with <cell>_err
+# the seed standard error of a simulator mean; theory's susceptibilities keep
+# their bare legacy names.
+OBSERVABLES = {
+    "c0": ("c0", "c0_hat", "c0"),
+    "sigma": ("sigma", "sigma", None),
+    "sigma_fl": ("sigma_fl", "sigma_fl", "sigma_fl"),
+    "lambda": ("lam", "lambda_mean", "lam"),
+    "Lambda": ("Lambda", "lambda_slope", "Lambda"),
+    "bid_mean": ("bid_mean", "bid_mean", None),
+    "bid_staggered": ("bid_staggered", "bid_staggered", None),
+    "frozen": (None, "frozen_flag", None),
+    "chi": ("chi", None, None),
+    "chi_hat_plus": ("chi_hat", None, None),
+    "chi_hat_minus": ("chi_hat_minus", None, None),
+}
+_BARE = ("chi", "chi_hat_plus", "chi_hat_minus")
 
 # Every settable value once: (name, type, default, choices, help).  The flag
 # is "--" + name with "_" written "-", the config key is the name; a
@@ -73,34 +93,18 @@ RESULT_COLUMNS = [
     "chi", "chi_hat_plus", "chi_hat_minus",
     "bid_mean_theory", "bid_mean_sim", "bid_staggered_theory", "bid_staggered_sim",
     "n_agents", "t_equilibrate", "t_measure", "seed_count",
+    "sigma_fl_sim", "sigma_fl_sim_err", "sigma_fl_kernel", "lambda_sim_err", "lambda_kernel",
+    "Lambda_sim_err", "Lambda_kernel", "bid_mean_sim_err", "bid_staggered_sim_err",
+    "frozen_sim", "frozen_sim_err",
 ]
 
 
-def _finite_or_none(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _cell(quantity: str, engine: str) -> str:
+    return quantity if quantity in _BARE else f"{quantity}_{ENGINES[engine][0]}"
 
 
 def _fmt_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".12g")
-
-
-def write_csv(path, columns, rows) -> None:
-    lines = ["# generated " + datetime.now(timezone.utc).isoformat(), ",".join(columns)]
-    lines += [",".join(_fmt_cell(r[c]) for c in columns) for r in rows]
-    _emit(path, "\n".join(lines) + "\n")
-
-
-def write_json(path, rows) -> None:
-    _emit(path, json.dumps(rows, indent=1, allow_nan=False) + "\n")
+    return "" if x is None else format(x, ".12g") if isinstance(x, float) else str(x)
 
 
 def _emit(path, text) -> None:
@@ -111,18 +115,21 @@ def _emit(path, text) -> None:
             fh.write(text)
 
 
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return "inf" if x > 0 else "-inf"
-    return x
+def _json_safe(row: dict) -> dict:
+    """row with each float that is not finite written as the string "inf" or "-inf"."""
+    return {k: ("inf" if v > 0 else "-inf") if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in row.items()}
 
 
 def _write_rows(merged: dict, columns: list[str], rows: list[dict]) -> None:
-    """The rows to merged["out"] in merged["format"]: csv over columns, or json."""
+    """The rows to merged["out"] in merged["format"]: json, or csv over columns
+    below a commented timestamp line."""
     if merged["format"] == "json":
-        write_json(merged["out"], [{k: _json_safe(v) for k, v in r.items()} for r in rows])
+        text = json.dumps(list(map(_json_safe, rows)), indent=1, allow_nan=False)
     else:
-        write_csv(merged["out"], columns, rows)
+        lines = ["# generated " + datetime.now(timezone.utc).isoformat(), ",".join(columns)]
+        text = "\n".join(lines + [",".join(_fmt_cell(r[c]) for c in columns) for r in rows])
+    _emit(merged["out"], text + "\n")
 
 
 # ----------------------------------------------------------------------------
@@ -130,26 +137,21 @@ def _write_rows(merged: dict, columns: list[str], rows: list[dict]) -> None:
 # ----------------------------------------------------------------------------
 
 
-def _theory_cells(pt: dict) -> dict:
-    sol = stationary_solution(pt["alpha"], pt["kappa"], pt["A_tilde"], pt["zeta"])
-    columns = {"c0_theory": "c0", "sigma_theory": "sigma", "sigma_fl_theory": "sigma_fl",
-               "lambda_theory": "lam", "Lambda_theory": "Lambda", "chi": "chi",
-               "chi_hat_plus": "chi_hat", "chi_hat_minus": "chi_hat_minus",
-               "bid_mean_theory": "bid_mean", "bid_staggered_theory": "bid_staggered"}
-    return {col: _finite_or_none(getattr(sol, name)) for col, name in columns.items()}
-
-
-def _sim_cells(results: list[RunObservables]) -> dict:
-    """Seed means of the observables, with standard errors for c0 and sigma;
-    one seed leaves the errors unknown (None), not 0."""
-    columns = {"c0_sim": "c0_hat", "sigma_sim": "sigma", "lambda_sim": "lambda_mean",
-               "Lambda_sim": "lambda_slope", "bid_mean_sim": "bid_mean",
-               "bid_staggered_sim": "bid_staggered"}
-    arr = np.array([[getattr(r, f) for f in columns.values()] for r in results], dtype=np.float64)
-    n = arr.shape[0]
-    se = (arr.std(axis=0, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [None] * len(columns)
-    return {**dict(zip(columns, arr.mean(axis=0).tolist())),
-            "c0_sim_err": se[0], "sigma_sim_err": se[1]}
+def _cells(engine: str, results: list) -> dict:
+    """The engine's cells from the fields OBSERVABLES names: theory's and the
+    kernels' one result as it is, the simulator's seed means with their
+    standard errors, unknown (None) for one seed, not 0."""
+    i = tuple(ENGINES).index(engine)
+    names = {_cell(q, engine): named[i] for q, named in OBSERVABLES.items() if named[i]}
+    if engine != "simulate":
+        (result,) = results
+        values = {cell: getattr(result, f) for cell, f in names.items()}
+        return {c: v if v is not None and math.isfinite(v) else None for c, v in values.items()}
+    arr = np.array([[getattr(r, f) for f in names.values()] for r in results], dtype=np.float64)
+    n = len(results)
+    se = (arr.std(axis=0, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [None] * len(names)
+    return {**dict(zip(names, arr.mean(axis=0).tolist())),
+            **dict(zip([cell + "_err" for cell in names], se))}
 
 
 # Pool workers are one process per core; a multithreaded BLAS in each of them
@@ -182,10 +184,8 @@ def _pool_map(fn, items: list, workers: int) -> list:
                 os.environ[k] = v
 
 
-def run_sweep(
-    opts: dict, engines: tuple[str, ...]
-) -> tuple[list[dict], list[KernelTail | None], int]:
-    """Run the engines on every grid point: (rows, kernel tail or None per row, n_failed).
+def run_sweep(opts: dict, engines: tuple[str, ...]) -> tuple[list[dict], int]:
+    """Run the engines on every grid point: (rows, n_failed).
 
     Every row and every task, an engine function with its checked params, is
     built before any task starts, so a bad point, seed, setting or worker
@@ -223,14 +223,14 @@ def run_sweep(
         outcomes = _pool_map(_run_task, tasks, opts["workers"])
     else:
         outcomes = [_run_task(t) for t in tasks]
-    runs, tails = outcomes[:len(sim_tasks)], outcomes[len(sim_tasks):] or [None] * len(points)
+    runs, tails = outcomes[:len(sim_tasks)], outcomes[len(sim_tasks):]
 
     failures = 0
     n = len(seeds)
     for i, (pt, row) in enumerate(zip(points, rows)):
         if "theory" in engines:
             try:
-                row.update(_theory_cells(pt))
+                row.update(_cells("theory", [stationary_solution(**pt)]))
             except Exception as exc:  # keep sweeping, mark the point
                 failures += 1
                 print(f"[theory] point {pt} failed: {exc}", file=sys.stderr)
@@ -247,14 +247,14 @@ def run_sweep(
             row.update(realized_alpha=sim_tasks[i * n][1].realized_alpha, n_agents=opts["agents"],
                        t_equilibrate=opts["t_eq"], t_measure=opts["t_meas"], seed_count=len(outs))
             if outs:
-                row.update(_sim_cells(outs))
-        if isinstance(tails[i], str):
+                row.update(_cells("simulate", outs))
+        tail = tails[i] if tails else None
+        if isinstance(tail, str):
             failures += 1
-            print(f"[kernels] point {pt} failed: {tails[i]}", file=sys.stderr)
-            tails[i] = None
-        elif tails[i] is not None:
-            row["c0_kernel"] = tails[i].c0
-    return rows, tails, failures
+            print(f"[kernels] point {pt} failed: {tail}", file=sys.stderr)
+        elif tail is not None:
+            row.update(_cells("kernels", [tail]))
+    return rows, failures
 
 
 def _run_task(task: tuple) -> RunObservables | KernelTail | str:
@@ -275,33 +275,36 @@ def _kernel_tail(params: KernelParams, tail: float) -> KernelTail:
 ZERO_REFERENCE = 1e-12
 
 
-# Every summary line once: (label, compared value, reference column, phases
-# of the points compared).  The value is a row column or a KernelTail field.
+# Every summary line once: (quantity, engine, reference engine, phases of the
+# points compared), labelled "<quantity>: <engine> vs <reference>" and, when
+# one phase is compared, " (<phase> phase)".
 _COMPARISONS = (
-    ("c0: sim vs theory", "c0_sim", "c0_theory", ("F", "O")),
-    ("c0: kernels vs theory", "c0_kernel", "c0_theory", ("F", "O")),
-    ("c0: kernels vs sim", "c0_kernel", "c0_sim", ("A", "F", "O")),
-    ("sigma: sim vs theory", "sigma_sim", "sigma_theory", ("F", "O")),
-    ("lambda: sim vs theory (O phase)", "lambda_sim", "lambda_theory", ("O",)),
-    ("Lambda: sim vs theory (F phase)", "Lambda_sim", "Lambda_theory", ("F",)),
-    ("sigma_fl: kernels vs theory", "sigma_fl", "sigma_fl_theory", ("F", "O")),
-    ("lambda: kernels vs theory (O phase)", "lam", "lambda_theory", ("O",)),
-    ("Lambda: kernels vs theory (F phase)", "Lambda", "Lambda_theory", ("F",)),
+    ("c0", "simulate", "theory", ("F", "O")),
+    ("c0", "kernels", "theory", ("F", "O")),
+    ("c0", "kernels", "simulate", ("A", "F", "O")),
+    ("sigma", "simulate", "theory", ("F", "O")),
+    ("lambda", "simulate", "theory", ("O",)),
+    ("Lambda", "simulate", "theory", ("F",)),
+    ("sigma_fl", "kernels", "theory", ("F", "O")),
+    ("lambda", "kernels", "theory", ("O",)),
+    ("Lambda", "kernels", "theory", ("F",)),
 )
 
 
-def compare_summary(rows: list[dict], tails: list[KernelTail | None]) -> list[str]:
-    """Max deviation of each _COMPARISONS value from its reference over the
-    points of its phases.
+def compare_summary(rows: list[dict]) -> list[str]:
+    """Max deviation of each _COMPARISONS engine's cell from its reference
+    engine's over the points of its phases.
 
     The deviation is relative to the reference, except where the reference
     is zero (e.g. Lambda at alpha_c2): those points get their own line with
     the absolute deviation.
     """
-    cells = [{**row, **(vars(tail) if tail else {})} for row, tail in zip(rows, tails)]
     lines = []
-    for label, value, reference, phases in _COMPARISONS:
-        pairs = [(c.get(value), c[reference]) for c in cells if c["phase"] in phases]
+    for quantity, engine, reference, phases in _COMPARISONS:
+        label = f"{quantity}: {ENGINES[engine][1]} vs {ENGINES[reference][1]}"
+        label += f" ({phases[0]} phase)" if len(phases) == 1 else ""
+        value, ref = _cell(quantity, engine), _cell(quantity, reference)
+        pairs = [(r[value], r[ref]) for r in rows if r["phase"] in phases]
         pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
         rel_devs = [abs(a - b) / abs(b) for a, b in pairs if abs(b) > ZERO_REFERENCE]
         abs_devs = [abs(a - b) for a, b in pairs if abs(b) <= ZERO_REFERENCE]
@@ -424,7 +427,7 @@ def _resolve(args: argparse.Namespace) -> dict:
                 raise ContractError(f"{name} must be one of {choices}, got {merged[name]!r}")
     swept = []
     for key in ("sweep", "sweep2"):
-        if merged.get(key):
+        if merged.get(key) is not None:  # an empty spec is an error, not no sweep
             merged[key] = _parsed(key, _parse_axis, merged[key])
             axis = merged[key][0]
             if AXES[axis] in given:
@@ -452,19 +455,12 @@ def cmd_theory(merged: dict) -> int:
         payload["lambda" if f.name == "lam" else f.name] = getattr(sol, f.name)
     payload["phase"] = str(sol.phase)
     if merged["format"] == "json":
-        write_json(merged["out"], {k: _json_safe(v) for k, v in payload.items()})
+        _emit(merged["out"], json.dumps(_json_safe(payload), indent=1, allow_nan=False) + "\n")
     else:
-        width = max(len(k) for k in payload)
-        lines = []
-        for key, val in payload.items():
-            if val is None:
-                shown = "n/a"
-            elif isinstance(val, float):
-                shown = format(val, ".8g")
-            else:
-                shown = str(val)
-            lines.append(f"{key:<{width}}  {shown}")
-        _emit(merged["out"], "\n".join(lines) + "\n")
+        shown = {k: "n/a" if v is None else format(v, ".8g") if isinstance(v, float) else str(v)
+                 for k, v in payload.items()}
+        width = max(map(len, shown))
+        _emit(merged["out"], "".join(f"{k:<{width}}  {v}\n" for k, v in shown.items()))
     return 0
 
 
@@ -482,10 +478,10 @@ def cmd_phase_diagram(merged: dict) -> int:
 
 
 def _cmd_rows(merged: dict, engines: tuple[str, ...]) -> int:
-    rows, tails, failures = run_sweep(merged, engines)
+    rows, failures = run_sweep(merged, engines)
     _write_rows(merged, RESULT_COLUMNS, rows)
     if len(engines) > 1:
-        for line in compare_summary(rows, tails):
+        for line in compare_summary(rows):
             print(line, file=sys.stderr)
     return 2 if failures else 0
 

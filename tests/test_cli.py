@@ -16,7 +16,8 @@ from sphmg.cli import (
     _COMMANDS, _OPTIONS, RESULT_COLUMNS, _pool_map, _resolve, build_parser, main,
 )
 from sphmg.kernels import KernelTail
-from sphmg.theory import Phase
+from sphmg.simulator import RunObservables
+from sphmg.theory import Phase, StationaryTheory
 
 
 def run_cli(capsys, *argv):
@@ -284,13 +285,63 @@ def test_simulator_and_kernel_tasks_share_their_inputs(monkeypatch, capsys):
     assert rows[0]["realized_alpha"] == "1.296875"  # p = 83 patterns over N = 64
 
 
-def test_every_comparison_reads_a_row_column_or_a_kernel_tail_field():
-    tail_fields = {f.name for f in dataclasses.fields(KernelTail)}
-    assert not tail_fields & set(RESULT_COLUMNS)  # a tail field never hides a column
-    for label, value, reference, phases in cli._COMPARISONS:
-        assert reference in RESULT_COLUMNS, label
-        assert value in RESULT_COLUMNS or value in tail_fields, label
-        assert phases and set(phases) <= {str(phase) for phase in Phase}, label
+def test_both_cells_of_every_comparison_are_result_columns():
+    for quantity, engine, reference, phases in cli._COMPARISONS:
+        assert engine != reference, quantity
+        assert cli._cell(quantity, engine) in RESULT_COLUMNS, (quantity, engine)
+        assert cli._cell(quantity, reference) in RESULT_COLUMNS, (quantity, reference)
+        assert phases and set(phases) <= {str(phase) for phase in Phase}, quantity
+
+
+def test_every_engine_cell_is_named_by_the_rule():
+    # the observable table names every engine cell, and each names a field of
+    # its engine's result: <quantity>_<suffix>, <cell>_err for the simulator
+    results = {"theory": StationaryTheory, "simulate": RunObservables, "kernels": KernelTail}
+    named = set()
+    for quantity, per_engine in cli.OBSERVABLES.items():
+        assert len(per_engine) == len(cli.ENGINES)
+        for (engine, (suffix, _)), field in zip(cli.ENGINES.items(), per_engine):
+            if field is None:
+                continue
+            assert field in {f.name for f in dataclasses.fields(results[engine])}, field
+            cell = cli._cell(quantity, engine)
+            assert cell == quantity if quantity in cli._BARE else cell == f"{quantity}_{suffix}"
+            named |= {cell, cell + "_err"} if engine == "simulate" else {cell}
+    assert named <= set(RESULT_COLUMNS)
+    rest = ["alpha", "kappa", "A_tilde", "zeta", "realized_alpha", "phase",
+            "n_agents", "t_equilibrate", "t_measure", "seed_count"]
+    assert sorted(named) == sorted(set(RESULT_COLUMNS) - set(rest))
+
+
+def test_kernel_cells_are_the_kernel_tail_fields(monkeypatch, capsys):
+    tails, kernel_tail = [], cli._kernel_tail
+
+    def record(*args):
+        tails.append(kernel_tail(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(cli, "_kernel_tail", record)
+    code, out, _ = run_cli(capsys, "kernels", "--sweep", "alpha:1.5:4:2", "--A", "1",
+                           "--zeta", "1", "--T", "100")
+    assert code == 0 and len(tails) == 2
+    cells = ("c0_kernel", "sigma_fl_kernel", "lambda_kernel", "Lambda_kernel")
+    for row, tail in zip(parse_csv(out)[1], tails):
+        want = (tail.c0, tail.sigma_fl, tail.lam, tail.Lambda)
+        assert [row[c] for c in cells] == [format(v, ".12g") for v in want]
+
+
+def test_frozen_sim_is_the_fraction_of_seeds_frozen(capsys):
+    # at alpha = 3, A = 1 a static drive freezes every seed and an alternating
+    # one none (test_static_drive_freezes_where_an_alternating_one_does_not)
+    argv = ["simulate", "--alpha", "3", "--A", "1", "--agents", "500", "--t-eq", "300",
+            "--t-meas", "600", "--n-seeds", "4"]
+    frozen = {}
+    for zeta in ("0", "1"):
+        code, out, _ = run_cli(capsys, *argv, "--zeta", zeta)
+        assert code == 0
+        row = parse_csv(out)[1][0]
+        frozen[zeta] = row["frozen_sim"], row["frozen_sim_err"]
+    assert frozen == {"0": ("1", "0"), "1": ("0", "0")}
 
 
 def test_compare_summary_absolute_deviation_at_zero_reference(capsys):
@@ -366,9 +417,11 @@ def test_one_seed_standard_errors_are_unknown(fmt, capsys):
     assert code == 0
     rows = json.loads(out) if fmt == "json" else parse_csv(out)[1]
     assert len(rows) == 2
+    errs = [c for c in RESULT_COLUMNS if c.endswith("_sim_err")]
+    assert len(errs) == 8
     for row in rows:
         assert row["c0_sim"] not in ("", None) and row["sigma_sim"] not in ("", None)
-        assert row["c0_sim_err"] == row["sigma_sim_err"] == ("" if fmt == "csv" else None)
+        assert {row[c] for c in errs} == {"" if fmt == "csv" else None}
 
 
 def test_outputs_are_deterministic_and_json_round_trips(tmp_path, capsys):
@@ -710,8 +763,17 @@ def test_a_bad_value_is_named_by_its_key(key, value, tmp_path, monkeypatch, caps
      "sweep: invalid literal for int() with base 10: 'x'"),
     ("kernels", ["--alpha", "1"], "sweep2 = kappa:0:1", "sweep2: axis spec must be "
      "name:min:max:count[:log], got 'kappa:0:1'"),
+    ("simulate", ["--sweep", "", "--alpha", "1"], "",
+     "sweep: axis spec must be name:min:max:count[:log], got ''"),
+    ("simulate", ["--sweep2", "", "--alpha", "1"], "",
+     "sweep2: axis spec must be name:min:max:count[:log], got ''"),
+    ("simulate", ["--alpha", "1"], "sweep =",
+     "sweep: axis spec must be name:min:max:count[:log], got ''"),
+    ("phase-diagram", ["--sweep", ""], "",
+     "sweep: axis spec must be name:min:max:count[:log], got ''"),
 ], ids=["agents-config", "T-config", "alpha-config", "seeds-flag", "seeds-config", "sweep-flag",
-        "phase-diagram-sweep-flag", "sweep2-config"])
+        "phase-diagram-sweep-flag", "sweep2-config", "empty-sweep-flag", "empty-sweep2-flag",
+        "empty-sweep-config", "phase-diagram-empty-sweep-flag"])
 def test_a_value_that_does_not_parse_is_named_by_its_key(command, argv, config, error, tmp_path,
                                                          monkeypatch, capsys):
     # typed flags (--agents x) keep argparse's own error, which names the flag
@@ -748,19 +810,19 @@ def test_theory_failure_keeps_the_sweep(workers, monkeypatch, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     want = parse_csv(out)[1]
-    cells = cli._theory_cells
+    solve = cli.stationary_solution
 
-    def fail_at_three(pt):
-        if pt["alpha"] == 3.0:
+    def fail_at_three(alpha, kappa, A_tilde, zeta):
+        if alpha == 3.0:
             raise RuntimeError("theory broke")
-        return cells(pt)
+        return solve(alpha, kappa, A_tilde, zeta)
 
-    monkeypatch.setattr(cli, "_theory_cells", fail_at_three)
+    monkeypatch.setattr(cli, "stationary_solution", fail_at_three)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     rows = parse_csv(out)[1]
     pt = {"alpha": 3.0, "kappa": 0.0, "A_tilde": 0.0, "zeta": 0}
-    theory = cells(pt)
+    theory = cli._cells("theory", [solve(**pt)])
     assert rows[0] == want[0] and all(want[1][c] != "" for c in theory)
     assert rows[1] == {**want[1], **dict.fromkeys(theory, "")}
     lines = [l for l in err.splitlines() if str(pt) in l]

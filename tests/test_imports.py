@@ -118,7 +118,6 @@ def test_definitions_and_references_read_names_and_attributes():
 # Dataclasses read whole rather than field by field.
 READ_WHOLE = {
     "StationaryTheory": "cmd_theory prints every field through dataclasses.fields",
-    "RunObservables": "perfbench records every field through dataclasses.asdict",
 }
 
 
