@@ -14,9 +14,10 @@ regrouping of the per-pattern form
 
 so the coupling route and the per-pattern route agree to accumulation noise.
 At kappa = 0 every update is q(t+1) = q(t) - (2/sqrt(N)) xi A(t), so q(t)
-stays in q(0) + span(xi): the Gram route carries q(t) = q(0) + xi y(t) as the
-p-vectors (y, G y) and takes a step through the exact p x p Gram matrix
-G = xi^T xi, built from the disorder draw's row blocks.
+stays in q(0) + span(xi): the Gram route writes q(t) = q(0) + xi Q z(t) in the
+basis Q that makes the exact p x p Gram matrix G = xi^T xi, built from the
+disorder draw's row blocks, tridiagonal, T = Q^T G Q, carries the p-vectors
+(z, T z) and takes a step through T's three diagonals.
 run_experiment runs an equilibration and a measurement window of the one step
 loop, _window, on one of the three routes; a route holds only the arithmetic
 of its step, which updates the run in place.  The measurement window also
@@ -34,6 +35,7 @@ import numpy as np
 
 from .core import (
     _STREAM_INIT,
+    BLOCK_ENTRIES,
     FLOAT32_EXACT_TERMS,
     DegenerateStateError,
     GameParams,
@@ -51,6 +53,9 @@ C0_SNAPSHOTS = 64
 # exceeds this many standard errors and lambda grew by at least 2x.
 FROZEN_SLOPE_SIGMAS = 5.0
 FROZEN_GROWTH_FACTOR = 2.0
+
+# Columns per panel of the Gram route's tridiagonal reduction.
+REDUCTION_PANEL = 32
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,9 @@ def init_state(params: GameParams) -> AgentState:
 def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gram:
     """The route of a run from state, chosen from (N, p, kappa) alone:
     couplings from p = 0.7 N on; below it the Gram route at kappa = 0 and
-    per-pattern passes otherwise.  At kappa = 0 the threshold is a measured
-    break-even against the Gram route; for kappa > 0 the measured crossover
+    per-pattern passes otherwise.  At kappa = 0 the threshold is a break-even
+    measured against the Gram route's earlier p x p step, not yet re-measured
+    for its tridiagonal one; for kappa > 0 the measured crossover
     lies between 0.45 and 0.6 N, and 0.7 N stays until a batched step is
     measured (README, Notes on numerics).  Every route is
     built from the disorder draw's row blocks, so no run holds the int8
@@ -103,7 +109,7 @@ def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gra
 
 @dataclass(eq=False)
 class _Run:
-    """One run's state, advanced in place by _window: q ((y, G y) on the
+    """One run's state, advanced in place by _window: q ((z, T z) on the
     Gram route), lam, t, and the route's scratch buffers, allocated once per
     run."""
 
@@ -116,7 +122,7 @@ class _Run:
 class _Record:
     """What a recorded window writes at its step k: lam(t) entering the step,
     the bid moments sum_mu A^mu(t) and sum_mu A^mu(t)^2, and over the last
-    C0_SNAPSHOTS steps the run's q ((y, G y) on the Gram route) and lam
+    C0_SNAPSHOTS steps the run's q ((z, T z) on the Gram route) and lam
     after it."""
 
     def __init__(self, steps: int, shape: tuple[int, ...]) -> None:
@@ -266,86 +272,168 @@ class _Patterns:
     c0 = _Coupled.c0  # the run carries q, as on the coupling route
 
 
+def _gram_sums(blocks: Iterable[tuple[slice, np.ndarray]], p: int,
+               state: AgentState) -> tuple[np.ndarray, np.ndarray]:
+    """The exact Gram matrix G = xi^T xi in float64 and u = xi^T q0 of the
+    (rows, int8 xi[rows]) blocks of a sample with p patterns, for the
+    initial state q0 = state.q; the blocks are read once, in any partition
+    of the rows."""
+    # float32 products and sums of integers bounded by N are exact below
+    # 2^24, so G has the same bits for any row blocks.  The float32 sum
+    # and the product buffer are the two halves of G's own bytes; the sum
+    # is then widened in place from the last rows down, in chunks
+    # [ceil(b/2), b) whose float64 destination starts where their float32
+    # source ends or later, so the source rows still to come stay intact.
+    # u = lam xi^T phi with phi = +-1 at the initial state, taken from
+    # the float32 block: its sums within and over the blocks are exact
+    # integers, so u too has the same bits for any blocks
+    n = state.q.shape[0]
+    G, u = np.zeros((p, p)), np.zeros(p)
+    acc, tmp = (G.view(np.float32).reshape(2, p, p) if n < FLOAT32_EXACT_TERMS
+                else (G, np.empty((p, p), dtype=np.float32)))
+    buf, phi32 = np.empty((0, p), dtype=np.float32), state.phi.astype(np.float32)
+    for rows, xi in blocks:
+        if buf.shape[0] < xi.shape[0]:
+            buf = np.empty(xi.shape, dtype=np.float32)
+        block = buf[:xi.shape[0]]
+        np.copyto(block, xi)
+        acc += np.matmul(block.T, block, out=tmp)
+        u += phi32[rows] @ block
+    if acc is not G:
+        b = p
+        while b > 1:
+            a = (b + 1) // 2
+            G[a:b] = acc[a:b]
+            b = a
+        G[0] = acc[0].copy()  # row 0 overlaps its own destination
+    u *= state.lam
+    return G, u
+
+
+def _tridiagonalize(A: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal d and off-diagonal e of T = Q^T A Q for a symmetric
+    float64 A, reduced in place by Householder reflectors H_k (Golub & Van
+    Loan, Matrix Computations, sec. 8.3), Q = H_0 H_1 ... H_{p-3}; each row b
+    of vectors becomes Q^T b.  A is overwritten.
+
+    Panels of REDUCTION_PANEL columns defer the trailing update, as LAPACK's
+    dsytrd does: within a panel, row c is first brought up to date with the
+    panel's earlier reflectors (V, W), its reflector v and tau are formed,
+    and w = x - (tau/2)(x.v) v with x = tau (A - V W^T - W V^T) v, A as it
+    stood at the panel's start.  After the panel, A -= V W^T + W V^T in
+    chunks of BLOCK_ENTRIES // (2p) rows, so that a chunk's float64 product
+    takes no more bytes than the float32 block the Gram route is built
+    from.  The panel keeps each v in its row and each w in its column, parts
+    of A it has finished with, so the reduction needs no p x p workspace.
+    """
+    p = A.shape[0]
+    d, e = np.empty(p), np.zeros(p - 1)
+    rows = max(1, BLOCK_ENTRIES // (2 * p))
+    for k0 in range(0, p - 1, REDUCTION_PANEL):
+        k1 = min(k0 + REDUCTION_PANEL, p - 1)
+        for c in range(k0, k1):
+            row = A[c, c:]  # row c as the panel's earlier reflectors leave it
+            if c > k0:
+                row -= A[c, k0:c] @ A[k0:c, c:]
+                row -= A[k0:c, c] @ A[c:, k0:c].T
+            d[c] = row[0]
+            v, alpha = row[1:], row[1]
+            rest = float(v[1:] @ v[1:])
+            if rest == 0.0:  # tau = 0, H_c = I: v = w = 0
+                e[c] = alpha
+                v[:] = 0.0
+                A[c + 1:, c] = 0.0
+                continue
+            beta = -math.copysign(math.sqrt(alpha * alpha + rest), alpha)
+            tau = (beta - alpha) / beta
+            e[c] = beta
+            v[1:] /= alpha - beta
+            v[0] = 1.0
+            w = A[c + 1:, c + 1:] @ v
+            if c > k0:
+                w -= A[c + 1:, k0:c] @ (A[k0:c, c + 1:] @ v)
+                w -= A[k0:c, c + 1:].T @ (A[c + 1:, k0:c].T @ v)
+            w *= tau
+            w -= (0.5 * tau * float(w @ v)) * v
+            A[c + 1:, c] = w
+            tail = vectors[:, c + 1:]
+            tail -= ((tail @ v) * tau)[:, np.newaxis] * v
+        v_rows, w_cols = A[k0:k1, k1:], A[k1:, k0:k1]
+        for r in range(k1, p, rows):
+            s = slice(r, min(r + rows, p))
+            chunk = A[s, k1:]
+            chunk -= A[s, k0:k1] @ v_rows
+            chunk -= A[k0:k1, s].T @ w_cols.T
+    d[p - 1] = A[p - 1, p - 1]
+    return d, e
+
+
 @dataclass(frozen=True)
 class _Gram:
-    """What the Gram route reads at kappa = 0: the pattern bias Omega, the
-    Gram matrix G = xi^T xi, an exact integer matrix in float64, N, and the
-    constants u = xi^T q0 and |q0|^2 of the initial state q0 it was built
-    for."""
+    """What the Gram route reads at kappa = 0, in the tridiagonal basis
+    T = Q^T G Q of the Gram matrix G = xi^T xi: T's diagonal d and
+    off-diagonal e, the rotated Q^T 1 and pattern bias Q^T Omega, N, and the
+    constants Q^T u with u = xi^T q0 and |q0|^2 of the initial state q0 it
+    was built for.  Every p-vector is held in the rotated basis, named qt_."""
 
-    Omega: np.ndarray
-    G: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    qt_ones: np.ndarray
+    qt_Omega: np.ndarray
+    qt_u: np.ndarray
     n_agents: int
-    u: np.ndarray
     q0_sq: float
 
     @classmethod
     def build(cls, blocks: Iterable[tuple[slice, np.ndarray]], Omega: np.ndarray,
               state: AgentState) -> _Gram:
         """The route over the (rows, int8 xi[rows]) blocks of a sample with
-        pattern bias Omega, from state; the blocks are read once, in any
-        partition of the rows."""
-        # float32 products and sums of integers bounded by N are exact below
-        # 2^24, so G has the same bits for any row blocks.  The float32 sum
-        # and the product buffer are the two halves of G's own bytes; the sum
-        # is then widened in place from the last rows down, in chunks
-        # [ceil(b/2), b) whose float64 destination starts where their float32
-        # source ends or later, so the source rows still to come stay intact.
-        # u = lam xi^T phi with phi = +-1 at the initial state, taken from
-        # the float32 block: its sums within and over the blocks are exact
-        # integers, so u too has the same bits for any blocks
-        (n,), p = state.q.shape, Omega.shape[0]
-        G, u = np.zeros((p, p)), np.zeros(p)
-        acc, tmp = (G.view(np.float32).reshape(2, p, p) if n < FLOAT32_EXACT_TERMS
-                    else (G, np.empty((p, p), dtype=np.float32)))
-        buf, phi32 = np.empty((0, p), dtype=np.float32), state.phi.astype(np.float32)
-        for rows, xi in blocks:
-            if buf.shape[0] < xi.shape[0]:
-                buf = np.empty(xi.shape, dtype=np.float32)
-            block = buf[:xi.shape[0]]
-            np.copyto(block, xi)
-            acc += np.matmul(block.T, block, out=tmp)
-            u += phi32[rows] @ block
-        if acc is not G:
-            b = p
-            while b > 1:
-                a = (b + 1) // 2
-                G[a:b] = acc[a:b]
-                b = a
-            G[0] = acc[0].copy()  # row 0 overlaps its own destination
-        u *= state.lam
-        return cls(Omega, G, n, u, float(state.q @ state.q))
+        pattern bias Omega, from state: the exact G and u, then G reduced to
+        T inside its own buffer, which is dropped, while 1, Omega and u are
+        rotated."""
+        p = Omega.shape[0]
+        G, u = _gram_sums(blocks, p, state)
+        vectors = np.stack([np.ones(p), Omega, u])
+        d, e = _tridiagonalize(G, vectors)
+        return cls(d, e, *vectors, state.q.shape[0], float(state.q @ state.q))
 
     def start(self, state: AgentState) -> _Run:
-        """A run at y = 0 with G y = 0, from the state the route was built for."""
-        p = self.G.shape[0]
-        return _Run(np.zeros((2, p)), state.lam, 0, tuple(np.zeros((2, p))))
+        """A run at z = 0 with T z = 0, from the state the route was built for."""
+        p = self.d.shape[0]
+        return _Run(np.zeros((2, p)), state.lam, 0, tuple(np.zeros((3, p))))
 
     def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
-        """One batch step in pattern space, in place: the bids are
-        A = a_e + Omega + (u + G y) / (sqrt(N) lambda), y moves by
-        -(2/sqrt(N)) A, and N lambda^2 = |q0|^2 + 2 u.y + y.G y reuses the
-        new G y, the one p x p product of the step."""
-        (y, gy), (field, bids), u = run.q, run.work, self.u
+        """One batch step in the rotated pattern space, in place, with
+        y = Q z: the rotated bids are Q^T A = a_e Q^T 1 + Q^T Omega
+        + (Q^T u + T z) / (sqrt(N) lambda), z moves by -(2/sqrt(N)) Q^T A,
+        and N lambda^2 = |q0|^2 + 2 Q^T u.z + z.T z reuses the new T z, a
+        three-term product.  The bid moments are sum_mu A^mu = Q^T 1.Q^T A
+        and sum_mu (A^mu)^2 = |Q^T A|^2."""
+        (z, tz), (field, bids, scratch), u, e = run.q, run.work, self.qt_u, self.e
         n, sqrt_n = self.n_agents, math.sqrt(self.n_agents)
-        np.add(u, gy, out=field)
+        np.add(u, tz, out=field)
         field /= sqrt_n * lam
-        np.add(self.Omega, a_e, out=bids)
+        np.multiply(self.qt_ones, a_e, out=bids)
+        bids += self.qt_Omega
         bids += field
-        y -= np.multiply(bids, 2.0 / sqrt_n, out=field)
-        np.matmul(self.G, y, out=gy)
-        lam_sq = (self.q0_sq + 2.0 * float(u @ y) + float(y @ gy)) / n
+        z -= np.multiply(bids, 2.0 / sqrt_n, out=field)
+        np.multiply(self.d, z, out=tz)
+        off = scratch[1:]
+        tz[:-1] += np.multiply(e, z[1:], out=off)
+        tz[1:] += np.multiply(e, z[:-1], out=off)
+        lam_sq = (self.q0_sq + 2.0 * float(u @ z) + float(z @ tz)) / n
         if not moments:
             return lam_sq, math.nan, math.nan
-        return lam_sq, float(bids.sum()), float(bids @ bids)
+        return lam_sq, float(self.qt_ones @ bids), float(bids @ bids)
 
     def c0(self, rec: _Record) -> float:
-        """c0 of the recorded (y_s, G y_s) from the overlaps of q = q0 + xi y,
-        q_s.q_t = |q0|^2 + u.y_s + u.y_t + y_s.G y_t, divided by N lam_s lam_t."""
-        ys, gys = rec.snaps[:, 0], rec.snaps[:, 1]
-        yu = ys @ self.u
-        overlaps = ys @ gys.T
-        overlaps += yu[:, np.newaxis] + yu
+        """c0 of the recorded (z_s, T z_s) from the overlaps of q = q0 + xi Q z,
+        q_s.q_t = |q0|^2 + Q^T u.z_s + Q^T u.z_t + z_s.T z_t, divided by
+        N lam_s lam_t."""
+        zs, tzs = rec.snaps[:, 0], rec.snaps[:, 1]
+        zu = zs @ self.qt_u
+        overlaps = zs @ tzs.T
+        overlaps += zu[:, np.newaxis] + zu
         overlaps += self.q0_sq
         overlaps /= self.n_agents * np.outer(rec.snap_lam, rec.snap_lam)
         return persistent_correlation(overlaps)

@@ -76,10 +76,43 @@ def market_bids(state: AgentState, sample: DisorderSample, a_e: float) -> np.nda
     return a_e + sample.Omega + internal
 
 
-def lift(q0: np.ndarray, xi: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The valuations q0 + xi y in float64 of the Gram route's pattern-space
-    coordinates y (one vector, or one per row of ys)."""
-    return q0 + ys @ xi.astype(np.float64).T
+def lift(q0: np.ndarray, xi: np.ndarray, zs: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The valuations q0 + xi y in float64 of the Gram route's rotated
+    pattern-space coordinates z, with y = Q z (one vector, or one per row
+    of zs)."""
+    return q0 + (zs @ Q.T) @ xi.astype(np.float64).T
+
+
+def pattern_space_run(G: np.ndarray, u: np.ndarray, Omega: np.ndarray, q0: np.ndarray,
+                      lam: float, a_e: np.ndarray, snaps: int) -> dict[str, np.ndarray]:
+    """A kappa = 0 run in the unrotated pattern-space coordinates y of
+    q = q0 + xi y, one p x p product a step: the bids
+    A = a_e + Omega + (u + G y) / (sqrt(N) lambda) with u = xi^T q0 and the
+    Gram matrix G = xi^T xi, y moves by -(2/sqrt(N)) A, and
+    N lambda^2 = |q0|^2 + 2 u.y + y.G y.  Over len(a_e) steps from y = 0 it
+    returns lambda entering each step, the bid moments sum_mu A^mu and
+    sum_mu (A^mu)^2 of each step, and C(s, t) = q_s.q_t / (N lam_s lam_t)
+    over the valuations after the last snaps steps."""
+    n, p = q0.shape[0], G.shape[0]
+    q0_sq, sqrt_n = float(q0 @ q0), math.sqrt(q0.shape[0])
+    y, gy = np.zeros(p), np.zeros(p)
+    out = {key: np.empty(len(a_e)) for key in ("lam", "sum_a", "sum_a2")}
+    ys, gys, lams = [], [], []
+    for t, drive in enumerate(a_e):
+        bids = drive + Omega + (u + gy) / (sqrt_n * lam)
+        out["lam"][t], out["sum_a"][t], out["sum_a2"][t] = lam, bids.sum(), bids @ bids
+        y = y - (2.0 / sqrt_n) * bids
+        gy = G @ y
+        lam = math.sqrt((q0_sq + 2.0 * (u @ y) + y @ gy) / n)
+        if t >= len(a_e) - snaps:
+            ys.append(y)
+            gys.append(gy)
+            lams.append(lam)
+    ys, gys, lams = np.array(ys), np.array(gys), np.array(lams)
+    yu = ys @ u
+    overlaps = q0_sq + yu[:, np.newaxis] + yu + ys @ gys.T
+    out["C"] = overlaps / (n * np.outer(lams, lams))
+    return out
 
 
 def mirrored_sample(sample: DisorderSample) -> DisorderSample:

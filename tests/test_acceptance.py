@@ -165,16 +165,24 @@ def _route_trajectory(kind, sample, params, steps, float64=False):
     """q after each of steps batch steps of the route kind, built on the
     whole sample and run from init_state(params) one step window at a time;
     with float64 the coupling route's matrix is cast to float64, and the
-    Gram route's (y, G y) is lifted to q = q0 + xi y."""
+    Gram route's (z, T z) is lifted to q = q0 + xi Q z, with Q the identity
+    carried through the route's reduction of G."""
     state = init_state(params)
-    blocks = ((rows, sample.xi[rows]) for rows in core.row_blocks(*sample.xi.shape))
-    route = kind.build(blocks, sample.Omega, state)
+
+    def blocks():
+        return ((rows, sample.xi[rows]) for rows in core.row_blocks(*sample.xi.shape))
+
+    route = kind.build(blocks(), sample.Omega, state)
     if float64:
         route = dataclasses.replace(route, M=route.M.astype(np.float64))
+    if kind is simulator._Gram:
+        G, _ = simulator._gram_sums(blocks(), sample.xi.shape[1], state)
+        Q = np.eye(G.shape[0])
+        simulator._tridiagonalize(G, Q)
     run = route.start(state)
     for _ in range(steps):
         simulator._window(route, run, params, 1)
-        yield lift(state.q, sample.xi, run.q[0]) if kind is simulator._Gram else run.q
+        yield lift(state.q, sample.xi, run.q[0], Q) if kind is simulator._Gram else run.q
 
 
 def test_criterion_8_brute_force_equivalence():

@@ -481,27 +481,29 @@ def test_pool_workers_run_single_threaded_blas(monkeypatch):
 
 
 def test_rows_identical_for_any_worker_count_at_one_blas_thread():
-    # at N = 1500 the float32 coupling product gives other bits on 1 and 2
-    # BLAS threads; pool workers run one thread, an inline --workers 1 run
-    # inherits the process's thread count
-    argv = ["simulate", "--sweep", "alpha:2:2.5:2", "--kappa", "0.25", "--A", "1", "--zeta", "1",
-            "--agents", "1500", "--t-eq", "30", "--t-meas", "32", "--seeds", "1,2"]
+    # at N = 1500 the float32 coupling product (kappa = 0.25, alpha >= 0.7)
+    # and the Gram route's tridiagonal reduction (kappa = 0, p = 375 and 450)
+    # give other bits on 1 and 2 BLAS threads; pool workers run one thread,
+    # an inline --workers 1 run inherits the process's thread count
+    common = ["--A", "1", "--agents", "1500", "--t-eq", "30", "--t-meas", "32", "--seeds", "1,2"]
     src = str(Path(sphmg.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = src
 
-    def rows(workers, **extra):
+    def rows(argv, workers, **extra):
         out = subprocess.run(
-            [sys.executable, "-m", "sphmg.cli", *argv, "--workers", str(workers)],
+            [sys.executable, "-m", "sphmg.cli", *argv, *common, "--workers", str(workers)],
             env={**env, **extra}, capture_output=True, text=True, timeout=120, check=True,
         )
         lines = [l for l in out.stdout.splitlines() if not l.startswith("#")]
         assert len(lines) == 3
         return lines
 
-    assert rows(1, OPENBLAS_NUM_THREADS="1") == rows(2, OPENBLAS_NUM_THREADS="1")
-    assert rows(2) == rows(3)
+    for argv in (["simulate", "--sweep", "alpha:2:2.5:2", "--kappa", "0.25", "--zeta", "1"],
+                 ["simulate", "--sweep", "alpha:0.25:0.3:2", "--kappa", "0", "--zeta", "0"]):
+        assert rows(argv, 1, OPENBLAS_NUM_THREADS="1") == rows(argv, 2, OPENBLAS_NUM_THREADS="1")
+        assert rows(argv, 2) == rows(argv, 3)
 
 
 def test_import_loads_no_scipy():

@@ -119,6 +119,10 @@ def test_definitions_and_references_read_names_and_attributes():
 READ_WHOLE = {
     "StationaryTheory": "cmd_theory prints every field through dataclasses.fields",
 }
+# Single fields read only through their object as a whole.
+READ_WHOLE_FIELDS = {
+    ("KernelState", "G"): "perfbench's kernel workload sizes every array field through vars(state)",
+}
 
 
 def test_every_src_dataclass_field_has_a_reader_outside_the_tests():
@@ -128,7 +132,8 @@ def test_every_src_dataclass_field_has_a_reader_outside_the_tests():
     found = [f"{path.relative_to(ROOT)}:{line}: {cls}.{name}"
              for path in src
              for line, cls, name in dataclass_fields(path.read_text())
-             if cls not in READ_WHOLE and name not in read]
+             if cls not in READ_WHOLE and (cls, name) not in READ_WHOLE_FIELDS
+             and name not in read]
     assert not found, "dataclass fields only the tests read:\n" + "\n".join(found)
 
 

@@ -26,6 +26,7 @@ from oracles import (
     lift,
     market_bids,
     mirrored_sample,
+    pattern_space_run,
     sample_from_tables,
 )
 from tracing import traced_peak
@@ -37,11 +38,30 @@ def _state_from_q(q):
     return AgentState(q=q, lam=lam, phi=q / lam)
 
 
+def _blocks(sample):
+    """The row blocks (core.row_blocks) of a whole sample."""
+    return ((rows, sample.xi[rows]) for rows in core.row_blocks(*sample.xi.shape))
+
+
 def _built(kind, sample, state):
-    """The route of kind fed the row blocks (core.row_blocks) of a whole
+    """The route of kind fed the row blocks of a whole sample, for runs from
+    state."""
+    return kind.build(_blocks(sample), sample.Omega, state)
+
+
+def _gram_sums(sample, state):
+    """G and u as the Gram route sums them from the row blocks of a whole
     sample, for runs from state."""
-    blocks = ((rows, sample.xi[rows]) for rows in core.row_blocks(*sample.xi.shape))
-    return kind.build(blocks, sample.Omega, state)
+    return simulator._gram_sums(_blocks(sample), sample.xi.shape[1], state)
+
+
+def _gram_basis(sample, state):
+    """The Gram route's basis Q of sample, with T = Q^T G Q tridiagonal: the
+    identity carried through the route's reduction of G."""
+    G, _ = _gram_sums(sample, state)
+    Q = np.eye(G.shape[0])
+    simulator._tridiagonalize(G, Q)
+    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +145,18 @@ def test_coupling_route_cancels_self_coupling_at_full_impact():
 
 
 def test_spherical_constraint_holds_along_a_run():
-    # every route; the Gram route's q is lifted from its (y, G y) at kappa = 0
+    # every route; the Gram route's q is lifted from its (z, T z) at kappa = 0
     sample = generate_disorder(GameParams(n_agents=60, alpha=2.0, seed=4))
     for kind, kappa in ((simulator._Coupled, 0.25), (simulator._Patterns, 0.25),
                         (simulator._Gram, 0.0)):
         p = GameParams(n_agents=60, alpha=2.0, kappa=kappa, seed=4)
         state = init_state(p)
         route = _built(kind, sample, state)
+        Q = _gram_basis(sample, state)
         run = route.start(state)
         for _ in range(40):
             simulator._window(route, run, p, 1)
-            q = lift(state.q, sample.xi, run.q[0]) if kind is simulator._Gram else run.q
+            q = lift(state.q, sample.xi, run.q[0], Q) if kind is simulator._Gram else run.q
             assert abs(np.mean((q / run.lam)**2) - 1.0) < 1e-10, kind
             assert run.lam == pytest.approx(np.sqrt(np.mean(q**2))), kind
 
@@ -325,22 +346,22 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
     coup = _float64_coupled(sample, init_state(p))
     # _route would take couplings at p = 0.7 N
     gram = _built(simulator._Gram, sample, init_state(p))
-    q0 = init_state(p).q
+    Q, q0 = _gram_basis(sample, init_state(p)), init_state(p).q
     a, g = coup.start(init_state(p)), gram.start(init_state(p))
     for _ in range(120):
         _, sum_a, sum_a2 = _recorded_step(coup, a, p)
         _, sum_g, sum_g2 = _recorded_step(gram, g, p)
         assert g.t == a.t
         assert g.lam == pytest.approx(a.lam, rel=1e-12)
-        q = lift(q0, sample.xi, g.q[0])  # the run carries (y, G y) as g.q
+        q = lift(q0, sample.xi, g.q[0], Q)  # the run carries (z, T z) as g.q
         assert np.allclose(q, a.q, rtol=0.0, atol=1e-12 * np.abs(a.q).max())
         scale = math.sqrt(sample.xi.shape[1] * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_g == pytest.approx(sum_a, abs=1e-12 * scale)
         assert sum_g2 == pytest.approx(sum_a2, rel=1e-12)
-    # c0 from the overlaps of the recorded (y, G y) against the coupling
+    # c0 from the overlaps of the recorded (z, T z) against the coupling
     # route's c0 of its own recorded positions
     rec = simulator._window(gram, g, p, 16, record=True)
-    phi = lift(q0, sample.xi, rec.snaps[:, 0]) / rec.snap_lam[:, np.newaxis]
+    phi = lift(q0, sample.xi, rec.snaps[:, 0], Q) / rec.snap_lam[:, np.newaxis]
     assert gram.c0(rec) == pytest.approx(coup.c0(simulator._window(coup, a, p, 16, record=True)),
                                          rel=1e-12)
     assert np.allclose(phi[-1], a.q / a.lam, rtol=0.0, atol=1e-12 * np.abs(phi[-1]).max())
@@ -378,7 +399,7 @@ def test_window_equals_one_step_windows(kind, alpha, kappa, zeta):
         assert np.array_equal(getattr(rec, name), stepped), name
     for run in (single, unrecorded):
         assert (run.t, run.lam) == (whole.t, whole.lam) == (60, rec.snap_lam[-1])
-        assert np.array_equal(run.q, whole.q)  # (y, G y) on the Gram route
+        assert np.array_equal(run.q, whole.q)  # (z, T z) on the Gram route
         assert np.array_equal(run.q / run.lam, whole.q / whole.lam)
 
 
@@ -399,7 +420,7 @@ def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
     exact = (xi.T @ xi).astype(np.float64)
     for entries in (2**20, 5 * sample.xi.shape[1]):  # one block; blocks of 5 rows, the last short
         monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
-        G = _built(simulator._Gram, sample, init_state(params)).G
+        G, _ = _gram_sums(sample, init_state(params))
         assert G.dtype == np.float64 and np.array_equal(G, exact), entries
     assert len(core.row_blocks(*sample.xi.shape)) == 41
 
@@ -420,31 +441,89 @@ def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows
     xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
     signs = rng.choice([-1, 1], size=n_agents)
     state = AgentState(q=0.37 * signs, lam=0.37, phi=signs.astype(np.float64))
-    route = _built(simulator._Gram, core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns)), state)
-    G, xi = route.G, xi.astype(np.int64)
+    G, u = _gram_sums(core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns)), state)
+    xi = xi.astype(np.int64)
     assert G.dtype == np.float64 and G.flags.c_contiguous
     assert np.array_equal(G, xi.T @ xi)
-    assert np.array_equal(route.u, 0.37 * (signs @ xi).astype(np.float64))
+    assert np.array_equal(u, 0.37 * (signs @ xi).astype(np.float64))
+
+
+def _symmetric(p, kind, rng):
+    """A random symmetric p x p matrix; with kind "zero-column" its first row
+    and column vanish, and "block-diagonal" splits it into blocks of
+    min(p, 5) and p - 5 rows, so that the reflector of column 4 is the
+    identity, as the first column's is in the zero-column case."""
+    x = rng.normal(size=(p, p))
+    A = x + x.T
+    if kind == "zero-column":
+        A[0], A[:, 0] = 0.0, 0.0
+    elif kind == "block-diagonal":
+        A[:5, 5:], A[5:, :5] = 0.0, 0.0
+    return A
+
+
+@pytest.mark.parametrize("p, kind, chunk_rows", [(1, "random", None), (2, "random", None),
+                                                (3, "random", None), (33, "random", None),
+                                                (300, "random", None), (300, "random", 7),
+                                                (33, "zero-column", None),
+                                                (40, "block-diagonal", 3)])
+def test_tridiagonal_reduction(p, kind, chunk_rows, monkeypatch):
+    # the identity carried through the reduction is Q, with T = Q^T A Q
+    # tridiagonal; chunk_rows rows a chunk of the trailing update
+    if chunk_rows:
+        monkeypatch.setattr(simulator, "BLOCK_ENTRIES", 2 * chunk_rows * p)
+    A = _symmetric(p, kind, np.random.default_rng(p))
+    Q = np.eye(p)
+    d, e = simulator._tridiagonalize(A.copy(), Q)
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    scale = np.abs(A).max()
+    assert np.abs(Q.T @ A @ Q - T).max() <= 1e-13 * scale
+    assert np.abs(Q.T @ Q - np.eye(p)).max() <= 1e-14
+    assert np.allclose(np.linalg.eigvalsh(T), np.linalg.eigvalsh(A), rtol=0.0, atol=1e-12 * scale)
+    if kind != "random":
+        assert e[0 if kind == "zero-column" else 4] == 0.0
+
+
+@pytest.mark.parametrize("zeta", [0, 1])
+def test_gram_route_matches_the_pattern_space_step_at_large_p(zeta):
+    # p = 900: the route's three-term step in the tridiagonal basis of G
+    # against the former step's p x p product G y (oracles.pattern_space_run)
+    # over an equilibration and a measurement window of 200 steps each
+    p = GameParams(n_agents=3000, alpha=0.3, external=ExternalBid(zeta, 1.0), seed=7,
+                   t_equilibrate=200, t_measure=200)
+    state, sample = init_state(p), generate_disorder(p)
+    assert p.n_patterns == 900
+    ref = pattern_space_run(*_gram_sums(sample, state), sample.Omega, state.q, state.lam,
+                            p.external.series(400), simulator.C0_SNAPSHOTS)
+    route = _built(simulator._Gram, sample, state)
+    run = route.start(state)
+    simulator._window(route, run, p, 200)
+    rec = simulator._window(route, run, p, 200, record=True)
+    for name in ("lam", "sum_a", "sum_a2"):
+        assert getattr(rec, name) == pytest.approx(ref[name][200:], rel=1e-12), name
+    assert route.c0(rec) == pytest.approx(persistent_correlation(ref["C"]), rel=1e-12)
 
 
 def test_gram_route_footprint(monkeypatch):
     # tracemalloc sees numpy's buffers.  From the draw through the build the
-    # run holds G, one float32 block and three int8 blocks of the draw, never
-    # the N x p table; the windows and c0 add less than 64 N-vectors
+    # run holds G (8 p^2 bytes) and one float32 block and three int8 blocks
+    # of the draw, never the N x p table, then G and one row chunk of the
+    # reduction's trailing update; the windows and c0 add less than 64
+    # N-vectors
     p = GameParams(n_agents=3000, alpha=0.3, external=ExternalBid(0, 1.0), seed=1,
                    t_equilibrate=100, t_measure=200)
     peaks, step_window = [], simulator._window
 
     def window(route, *args, **kwargs):
         if not peaks:
-            peaks.append((route.G.nbytes, tracemalloc.get_traced_memory()[1]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             peaks.append(tracemalloc.get_traced_memory()[0])
         return step_window(route, *args, **kwargs)
 
     monkeypatch.setattr(simulator, "_window", window)
     obs, run_peak = traced_peak(lambda: run_experiment(p))
-    (g_bytes, build_peak), before = peaks
+    (build_peak, before), g_bytes = peaks, 8 * p.n_patterns**2
     entries = max(core.BLOCK_ENTRIES, p.n_patterns**2 // 8)
     assert build_peak <= g_bytes + 4 * entries + 3 * entries + 2**19
     assert run_peak - before < 8 * simulator.C0_SNAPSHOTS * p.n_agents
