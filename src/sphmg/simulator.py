@@ -16,8 +16,8 @@ so the coupling route and the per-pattern route agree to accumulation noise.
 At kappa = 0 every update is q(t+1) = q(t) - (2/sqrt(N)) xi A(t), so q(t)
 stays in q(0) + span(xi): the Gram route writes q(t) = q(0) + xi Q z(t) in the
 basis Q that makes the exact p x p Gram matrix G = xi^T xi, built from the
-disorder draw's row blocks, tridiagonal, T = Q^T G Q, carries the p-vectors
-(z, T z) and takes a step through T's three diagonals.
+disorder draw's row blocks, a band of width BAND, B = Q^T G Q, carries the
+zero-padded p-vectors (z, B z) and takes a step through B's row blocks.
 run_experiment runs an equilibration and a measurement window of the one step
 loop, _window, on one of the three routes; a route holds only the arithmetic
 of its step, which updates the run in place.  The measurement window also
@@ -54,8 +54,9 @@ C0_SNAPSHOTS = 64
 FROZEN_SLOPE_SIGMAS = 5.0
 FROZEN_GROWTH_FACTOR = 2.0
 
-# Columns per panel of the Gram route's tridiagonal reduction.
-REDUCTION_PANEL = 32
+# Bandwidth of the Gram route's band B = Q^T G Q, and the columns per panel
+# of its reduction.
+BAND = 32
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,12 @@ def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gra
     """The route of a run from state, chosen from (N, p, kappa) alone:
     couplings from p = 0.7 N on; below it the Gram route at kappa = 0 and
     per-pattern passes otherwise.  At kappa = 0 the threshold is a break-even
-    measured against the Gram route's earlier p x p step, not yet re-measured
-    for its tridiagonal one; for kappa > 0 the measured crossover
-    lies between 0.45 and 0.6 N, and 0.7 N stays until a batched step is
-    measured (README, Notes on numerics).  Every route is
+    measured against the Gram route's earlier p x p step; its band reduction
+    costs about 600-800 of those steps from p = 450 on (about 2000 at
+    p = 240), so shorter kappa = 0 runs are slower than that step would make
+    them, and the run length is not yet part of the rule.  For kappa > 0 the
+    measured crossover lies between 0.45 and 0.6 N, and 0.7 N stays until a
+    batched step is measured (README, Notes on numerics).  Every route is
     built from the disorder draw's row blocks, so no run holds the int8
     N x p table: the Gram route's blocks have max(BLOCK_ENTRIES, p^2/8)
     entries (a float32 block of at most G's bytes / 16 beyond the default),
@@ -109,7 +112,7 @@ def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gra
 
 @dataclass(eq=False)
 class _Run:
-    """One run's state, advanced in place by _window: q ((z, T z) on the
+    """One run's state, advanced in place by _window: q ((z, B z) on the
     Gram route), lam, t, and the route's scratch buffers, allocated once per
     run."""
 
@@ -122,7 +125,7 @@ class _Run:
 class _Record:
     """What a recorded window writes at its step k: lam(t) entering the step,
     the bid moments sum_mu A^mu(t) and sum_mu A^mu(t)^2, and over the last
-    C0_SNAPSHOTS steps the run's q ((z, T z) on the Gram route) and lam
+    C0_SNAPSHOTS steps the run's q ((z, B z) on the Gram route) and lam
     after it."""
 
     def __init__(self, steps: int, shape: tuple[int, ...]) -> None:
@@ -310,74 +313,126 @@ def _gram_sums(blocks: Iterable[tuple[slice, np.ndarray]], p: int,
     return G, u
 
 
-def _tridiagonalize(A: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal d and off-diagonal e of T = Q^T A Q for a symmetric
-    float64 A, reduced in place by Householder reflectors H_k (Golub & Van
-    Loan, Matrix Computations, sec. 8.3), Q = H_0 H_1 ... H_{p-3}; each row b
-    of vectors becomes Q^T b.  A is overwritten.
+def _householder(Yt: np.ndarray) -> np.ndarray:
+    """The Householder QR of the panel Yt^T in place, as LAPACK's dgeqr2
+    takes it (Golub & Van Loan, Matrix Computations, sec. 5.2), each column
+    a row of Yt: row j ends as column j of R up to the diagonal and the
+    reflector v_j below it (v_j[0] = 1 implied).  Returns the tau_j of
+    H_j = I - tau_j v_j v_j^T, 0 where the column is already 0 below the
+    diagonal (H_j = I)."""
+    w, m = Yt.shape
+    tau = np.zeros(min(w, m))
+    for j in range(tau.size):
+        x = Yt[j, j:]
+        alpha, rest = float(x[0]), float(x[1:] @ x[1:])
+        if rest == 0.0:
+            continue
+        beta = -math.copysign(math.sqrt(alpha * alpha + rest), alpha)
+        tau[j] = (beta - alpha) / beta
+        x[1:] /= alpha - beta
+        x[0] = 1.0
+        below = Yt[j + 1:, j:]
+        below -= np.multiply.outer((below @ x) * tau[j], x)
+        x[0] = beta
+    return tau
 
-    Panels of REDUCTION_PANEL columns defer the trailing update, as LAPACK's
-    dsytrd does: within a panel, row c is first brought up to date with the
-    panel's earlier reflectors (V, W), its reflector v and tau are formed,
-    and w = x - (tau/2)(x.v) v with x = tau (A - V W^T - W V^T) v, A as it
-    stood at the panel's start.  After the panel, A -= V W^T + W V^T in
-    chunks of BLOCK_ENTRIES // (2p) rows, so that a chunk's float64 product
-    takes no more bytes than the float32 block the Gram route is built
-    from.  The panel keeps each v in its row and each w in its column, parts
-    of A it has finished with, so the reduction needs no p x p workspace.
+
+def _reduce_to_band(A: np.ndarray, vectors: np.ndarray) -> None:
+    """B = Q^T A Q of bandwidth BAND for a symmetric float64 A, in place, by
+    the first stage of two-stage reduction (Bischof, Lang & Sun, ACM TOMS 26,
+    2000); each row v of vectors becomes Q^T v.  On return row block k of A
+    holds, in its lower triangle, B's diagonal block D_k and, left of it,
+    the upper triangular sub-diagonal block R_{k-1}; nothing else of A is
+    meaningful.
+
+    Each panel of BAND columns k0:k1 is split by the Householder QR of its
+    part below the band, A[k1:, k0:k1] = (I - Y T Y^T) R, taken on a
+    contiguous transposed copy, with T from dlarft's recurrence (Schreiber &
+    Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), so that tau = 0 gives
+    H = I.  The trailing matrix A22 then takes A22 -= Y Z^T + Z Y^T on its
+    lower triangle, with P = A22 Y T and Z = P - (1/2) Y (Y T)^T P.  Y is
+    kept in the panel's columns and Z^T in its mirrored rows, where P^T is
+    formed; the update reads them as one product of depth 2b,
+    [Z Y] [Y Z]^T, from copies in the previous panel's columns and rows
+    outside the band, so the reduction needs no p x p workspace.  Every
+    product over A22 runs in chunks of BLOCK_ENTRIES // (2p) rows or
+    columns, so that one chunk's float64 product takes no more bytes than
+    the float32 block the Gram route is built from; the panel's copy reuses
+    that chunk's buffer.  The chunks are cut at the same multiples of their
+    row count in A's indices for every panel, so that each chunk's diagonal
+    block is current in both triangles.
     """
-    p = A.shape[0]
-    d, e = np.empty(p), np.zeros(p - 1)
+    p, b = A.shape[0], BAND
     rows = max(1, BLOCK_ENTRIES // (2 * p))
-    for k0 in range(0, p - 1, REDUCTION_PANEL):
-        k1 = min(k0 + REDUCTION_PANEL, p - 1)
-        for c in range(k0, k1):
-            row = A[c, c:]  # row c as the panel's earlier reflectors leave it
-            if c > k0:
-                row -= A[c, k0:c] @ A[k0:c, c:]
-                row -= A[k0:c, c] @ A[c:, k0:c].T
-            d[c] = row[0]
-            v, alpha = row[1:], row[1]
-            rest = float(v[1:] @ v[1:])
-            if rest == 0.0:  # tau = 0, H_c = I: v = w = 0
-                e[c] = alpha
-                v[:] = 0.0
-                A[c + 1:, c] = 0.0
-                continue
-            beta = -math.copysign(math.sqrt(alpha * alpha + rest), alpha)
-            tau = (beta - alpha) / beta
-            e[c] = beta
-            v[1:] /= alpha - beta
-            v[0] = 1.0
-            w = A[c + 1:, c + 1:] @ v
-            if c > k0:
-                w -= A[c + 1:, k0:c] @ (A[k0:c, c + 1:] @ v)
-                w -= A[k0:c, c + 1:].T @ (A[c + 1:, k0:c].T @ v)
-            w *= tau
-            w -= (0.5 * tau * float(w @ v)) * v
-            A[c + 1:, c] = w
-            tail = vectors[:, c + 1:]
-            tail -= ((tail @ v) * tau)[:, np.newaxis] * v
-        v_rows, w_cols = A[k0:k1, k1:], A[k1:, k0:k1]
-        for r in range(k1, p, rows):
-            s = slice(r, min(r + rows, p))
-            chunk = A[s, k1:]
-            chunk -= A[s, k0:k1] @ v_rows
-            chunk -= A[k0:k1, s].T @ w_cols.T
-    d[p - 1] = A[p - 1, p - 1]
-    return d, e
+    chunk_buf, panel_buf = np.empty(max(rows, b) * p), np.empty((b, rows))
+    for k0 in range(0, p - b, b):
+        k1, m = k0 + b, p - k0 - b
+        cuts = sorted({0, m, *range(-k1 % rows, m, rows)})
+        chunks = [slice(c0, c1) for c0, c1 in zip(cuts, cuts[1:])]
+        A22, Y, Zt = A[k1:, k1:], A[k1:, k0:k1], A[k0:k1, k1:]
+        Yt = chunk_buf[:b * m].reshape(b, m)
+        np.copyto(Yt, Y.T)
+        tau = _householder(Yt)
+        R = np.triu(Yt.T[:b])
+        Yt[:, :b] = np.triu(Yt[:, :b])
+        np.fill_diagonal(Yt, 1.0)
+        np.copyto(Y, Yt.T)
+        YtY, T = Yt @ Yt.T, np.zeros((b, b))
+        for j, tau_j in enumerate(tau):  # dlarft, forward and columnwise
+            T[j, j] = tau_j
+            T[:j, j] = -tau_j * (T[:j, :j] @ YtY[:j, j])
+        for s in chunks:  # P^T = T^T Y^T A22 from A22's lower triangle
+            w = np.matmul(Yt[:, s.start:], A22[s.start:, s], out=panel_buf[:, :s.stop - s.start])
+            w += Yt[:, :s.start] @ A22[s, :s.start].T
+            np.matmul(T.T, w, out=Zt[:, s])
+        half = (Zt @ Y) @ T
+        half *= 0.5
+        for s in chunks:
+            Zt[:, s] -= np.matmul(half, Yt[:, s], out=panel_buf[:, :s.stop - s.start])
+        tail = vectors[:, k1:]
+        tail -= ((tail @ Y) @ T) @ Yt
+        if k0:
+            A[k0 - b:k0, k1:], A[k1:, k0 - b:k0] = Yt, Zt.T
+            terms = ((A[k1:, k0 - b:k1], A[k0 - b:k1, k1:]),)
+        else:  # no columns left of the first panel
+            terms = ((Y, Zt), (Zt.T, Y.T))
+        for s in chunks:
+            chunk = A22[s, :s.stop]
+            for left, right in terms:
+                chunk -= np.matmul(left[s], right[:, :s.stop],
+                                   out=chunk_buf[:chunk.size].reshape(chunk.shape))
+        Y[:b] = R
+
+
+def _band_blocks(B: np.ndarray) -> np.ndarray:
+    """The (nb, b, 3b) row blocks [B_{k,k-1} | D_k | B_{k,k+1}] of the band
+    that _reduce_to_band leaves in B's lower triangle, nb = ceil(p / b) with
+    b = BAND, zero-padded past p and at both ends."""
+    p, b = B.shape[0], BAND
+    nb = -(-p // b)
+    blocks = np.zeros((nb, b, 3 * b))
+    for k in range(nb):
+        k0, k1, k2 = k * b, min(k * b + b, p), min(k * b + 2 * b, p)
+        D = B[k0:k1, k0:k1]
+        blocks[k, :k1 - k0, b:b + k1 - k0] = np.tril(D) + np.tril(D, -1).T
+        if k:
+            blocks[k, :k1 - k0, :b] = B[k0:k1, k0 - b:k0]
+        blocks[k, :k1 - k0, 2 * b:2 * b + k2 - k1] = B[k1:k2, k0:k1].T
+    return blocks
 
 
 @dataclass(frozen=True)
 class _Gram:
-    """What the Gram route reads at kappa = 0, in the tridiagonal basis
-    T = Q^T G Q of the Gram matrix G = xi^T xi: T's diagonal d and
-    off-diagonal e, the rotated Q^T 1 and pattern bias Q^T Omega, N, and the
-    constants Q^T u with u = xi^T q0 and |q0|^2 of the initial state q0 it
-    was built for.  Every p-vector is held in the rotated basis, named qt_."""
+    """What the Gram route reads at kappa = 0, in the basis of the band
+    B = Q^T G Q of the Gram matrix G = xi^T xi: B's (nb, b, 3b) row blocks
+    [B_{k,k-1} | D_k | B_{k,k+1}] with b = BAND, 24 b^2 nb bytes, the
+    rotated Q^T 1 and pattern bias Q^T Omega, N, and the constants Q^T u with
+    u = xi^T q0 and |q0|^2 of the initial state q0 it was built for.  Every
+    p-vector is held in the rotated basis, named qt_, and padded with b
+    zeros in front and (nb + 1) b - p behind, so that row block k of B
+    multiplies the (nb + 2) b-vector's entries k b to (k + 3) b."""
 
-    d: np.ndarray
-    e: np.ndarray
+    blocks: np.ndarray
     qt_ones: np.ndarray
     qt_Omega: np.ndarray
     qt_u: np.ndarray
@@ -389,50 +444,54 @@ class _Gram:
               state: AgentState) -> _Gram:
         """The route over the (rows, int8 xi[rows]) blocks of a sample with
         pattern bias Omega, from state: the exact G and u, then G reduced to
-        T inside its own buffer, which is dropped, while 1, Omega and u are
-        rotated."""
-        p = Omega.shape[0]
+        the band inside its own buffer, which is dropped once B's blocks are
+        copied out, while 1, Omega and u are rotated."""
+        p, b = Omega.shape[0], BAND
         G, u = _gram_sums(blocks, p, state)
-        vectors = np.stack([np.ones(p), Omega, u])
-        d, e = _tridiagonalize(G, vectors)
-        return cls(d, e, *vectors, state.q.shape[0], float(state.q @ state.q))
+        vectors = np.zeros((3, (-(-p // b) + 2) * b))
+        vectors[0, b:b + p] = 1.0
+        vectors[1:, b:b + p] = Omega, u
+        _reduce_to_band(G, vectors[:, b:b + p])
+        return cls(_band_blocks(G), *vectors, state.q.shape[0], float(state.q @ state.q))
 
     def start(self, state: AgentState) -> _Run:
-        """A run at z = 0 with T z = 0, from the state the route was built for."""
-        p = self.d.shape[0]
-        return _Run(np.zeros((2, p)), state.lam, 0, tuple(np.zeros((3, p))))
+        """A run at z = 0 with B z = 0, from the state the route was built
+        for; its scratch holds B z's row blocks and z's windows as views."""
+        nb, b, width = self.blocks.shape
+        q = np.zeros((2, self.qt_u.shape[0]))
+        windows = np.lib.stride_tricks.sliding_window_view(q[0], width)[::b, :, np.newaxis]
+        return _Run(q, state.lam, 0,
+                    (*np.zeros((2, q.shape[1])), windows, q[1, b:b + nb * b].reshape(nb, b, 1)))
 
     def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
         """One batch step in the rotated pattern space, in place, with
         y = Q z: the rotated bids are Q^T A = a_e Q^T 1 + Q^T Omega
-        + (Q^T u + T z) / (sqrt(N) lambda), z moves by -(2/sqrt(N)) Q^T A,
-        and N lambda^2 = |q0|^2 + 2 Q^T u.z + z.T z reuses the new T z, a
-        three-term product.  The bid moments are sum_mu A^mu = Q^T 1.Q^T A
-        and sum_mu (A^mu)^2 = |Q^T A|^2."""
-        (z, tz), (field, bids, scratch), u, e = run.q, run.work, self.qt_u, self.e
+        + (Q^T u + B z) / (sqrt(N) lambda), z moves by -(2/sqrt(N)) Q^T A,
+        and N lambda^2 = |q0|^2 + 2 Q^T u.z + z.B z reuses the new B z, one
+        stacked product of the row blocks with z's windows.  The bid moments
+        are sum_mu A^mu = Q^T 1.Q^T A and sum_mu (A^mu)^2 = |Q^T A|^2; the
+        padding of every term is 0, so it stays 0 in z and B z."""
+        (z, bz), (field, bids, windows, bz_blocks), u = run.q, run.work, self.qt_u
         n, sqrt_n = self.n_agents, math.sqrt(self.n_agents)
-        np.add(u, tz, out=field)
+        np.add(u, bz, out=field)
         field /= sqrt_n * lam
         np.multiply(self.qt_ones, a_e, out=bids)
         bids += self.qt_Omega
         bids += field
         z -= np.multiply(bids, 2.0 / sqrt_n, out=field)
-        np.multiply(self.d, z, out=tz)
-        off = scratch[1:]
-        tz[:-1] += np.multiply(e, z[1:], out=off)
-        tz[1:] += np.multiply(e, z[:-1], out=off)
-        lam_sq = (self.q0_sq + 2.0 * float(u @ z) + float(z @ tz)) / n
+        np.matmul(self.blocks, windows, out=bz_blocks)
+        lam_sq = (self.q0_sq + 2.0 * float(u @ z) + float(z @ bz)) / n
         if not moments:
             return lam_sq, math.nan, math.nan
         return lam_sq, float(self.qt_ones @ bids), float(bids @ bids)
 
     def c0(self, rec: _Record) -> float:
-        """c0 of the recorded (z_s, T z_s) from the overlaps of q = q0 + xi Q z,
-        q_s.q_t = |q0|^2 + Q^T u.z_s + Q^T u.z_t + z_s.T z_t, divided by
+        """c0 of the recorded (z_s, B z_s) from the overlaps of q = q0 + xi Q z,
+        q_s.q_t = |q0|^2 + Q^T u.z_s + Q^T u.z_t + z_s.B z_t, divided by
         N lam_s lam_t."""
-        zs, tzs = rec.snaps[:, 0], rec.snaps[:, 1]
+        zs, bzs = rec.snaps[:, 0], rec.snaps[:, 1]
         zu = zs @ self.qt_u
-        overlaps = zs @ tzs.T
+        overlaps = zs @ bzs.T
         overlaps += zu[:, np.newaxis] + zu
         overlaps += self.q0_sq
         overlaps /= self.n_agents * np.outer(rec.snap_lam, rec.snap_lam)

@@ -165,8 +165,9 @@ def _route_trajectory(kind, sample, params, steps, float64=False):
     """q after each of steps batch steps of the route kind, built on the
     whole sample and run from init_state(params) one step window at a time;
     with float64 the coupling route's matrix is cast to float64, and the
-    Gram route's (z, T z) is lifted to q = q0 + xi Q z, with Q the identity
-    carried through the route's reduction of G."""
+    Gram route's (z, B z) is lifted to q = q0 + xi Q z, with Q the identity
+    carried through the route's reduction of G in the padded layout of its
+    vectors."""
     state = init_state(params)
 
     def blocks():
@@ -177,8 +178,10 @@ def _route_trajectory(kind, sample, params, steps, float64=False):
         route = dataclasses.replace(route, M=route.M.astype(np.float64))
     if kind is simulator._Gram:
         G, _ = simulator._gram_sums(blocks(), sample.xi.shape[1], state)
-        Q = np.eye(G.shape[0])
-        simulator._tridiagonalize(G, Q)
+        p, b = G.shape[0], simulator.BAND
+        Q = np.zeros((p, (-(-p // b) + 2) * b))
+        Q[:, b:b + p] = np.eye(p)
+        simulator._reduce_to_band(G, Q[:, b:b + p])
     run = route.start(state)
     for _ in range(steps):
         simulator._window(route, run, params, 1)

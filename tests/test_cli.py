@@ -482,7 +482,7 @@ def test_pool_workers_run_single_threaded_blas(monkeypatch):
 
 def test_rows_identical_for_any_worker_count_at_one_blas_thread():
     # at N = 1500 the float32 coupling product (kappa = 0.25, alpha >= 0.7)
-    # and the Gram route's tridiagonal reduction (kappa = 0, p = 375 and 450)
+    # and the Gram route's band reduction (kappa = 0, p = 375 and 450)
     # give other bits on 1 and 2 BLAS threads; pool workers run one thread,
     # an inline --workers 1 run inherits the process's thread count
     common = ["--A", "1", "--agents", "1500", "--t-eq", "30", "--t-meas", "32", "--seeds", "1,2"]

@@ -56,12 +56,24 @@ def _gram_sums(sample, state):
 
 
 def _gram_basis(sample, state):
-    """The Gram route's basis Q of sample, with T = Q^T G Q tridiagonal: the
-    identity carried through the route's reduction of G."""
+    """The Gram route's basis Q of sample, with B = Q^T G Q banded, in the
+    padded layout of the route's vectors (column j at b + j of (nb + 2) b,
+    b = BAND): the identity carried through the route's reduction of G."""
     G, _ = _gram_sums(sample, state)
-    Q = np.eye(G.shape[0])
-    simulator._tridiagonalize(G, Q)
+    p, b = G.shape[0], simulator.BAND
+    Q = np.zeros((p, (-(-p // b) + 2) * b))
+    Q[:, b:b + p] = np.eye(p)
+    simulator._reduce_to_band(G, Q[:, b:b + p])
     return Q
+
+
+def _dense_band(blocks, p):
+    """The p x p matrix B of the Gram route's (nb, b, 3b) row blocks."""
+    nb, b, _ = blocks.shape
+    B = np.zeros(((nb + 2) * b, (nb + 2) * b))
+    for k in range(nb):
+        B[(k + 1) * b:(k + 2) * b, k * b:(k + 3) * b] = blocks[k]
+    return B[b:b + p, b:b + p]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +157,7 @@ def test_coupling_route_cancels_self_coupling_at_full_impact():
 
 
 def test_spherical_constraint_holds_along_a_run():
-    # every route; the Gram route's q is lifted from its (z, T z) at kappa = 0
+    # every route; the Gram route's q is lifted from its (z, B z) at kappa = 0
     sample = generate_disorder(GameParams(n_agents=60, alpha=2.0, seed=4))
     for kind, kappa in ((simulator._Coupled, 0.25), (simulator._Patterns, 0.25),
                         (simulator._Gram, 0.0)):
@@ -353,12 +365,12 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
         _, sum_g, sum_g2 = _recorded_step(gram, g, p)
         assert g.t == a.t
         assert g.lam == pytest.approx(a.lam, rel=1e-12)
-        q = lift(q0, sample.xi, g.q[0], Q)  # the run carries (z, T z) as g.q
+        q = lift(q0, sample.xi, g.q[0], Q)  # the run carries (z, B z) as g.q
         assert np.allclose(q, a.q, rtol=0.0, atol=1e-12 * np.abs(a.q).max())
         scale = math.sqrt(sample.xi.shape[1] * sum_a2)  # bounds sum_mu |A^mu|
         assert sum_g == pytest.approx(sum_a, abs=1e-12 * scale)
         assert sum_g2 == pytest.approx(sum_a2, rel=1e-12)
-    # c0 from the overlaps of the recorded (z, T z) against the coupling
+    # c0 from the overlaps of the recorded (z, B z) against the coupling
     # route's c0 of its own recorded positions
     rec = simulator._window(gram, g, p, 16, record=True)
     phi = lift(q0, sample.xi, rec.snaps[:, 0], Q) / rec.snap_lam[:, np.newaxis]
@@ -399,7 +411,7 @@ def test_window_equals_one_step_windows(kind, alpha, kappa, zeta):
         assert np.array_equal(getattr(rec, name), stepped), name
     for run in (single, unrecorded):
         assert (run.t, run.lam) == (whole.t, whole.lam) == (60, rec.snap_lam[-1])
-        assert np.array_equal(run.q, whole.q)  # (z, T z) on the Gram route
+        assert np.array_equal(run.q, whole.q)  # (z, B z) on the Gram route
         assert np.array_equal(run.q / run.lam, whole.q / whole.lam)
 
 
@@ -451,8 +463,9 @@ def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows
 def _symmetric(p, kind, rng):
     """A random symmetric p x p matrix; with kind "zero-column" its first row
     and column vanish, and "block-diagonal" splits it into blocks of
-    min(p, 5) and p - 5 rows, so that the reflector of column 4 is the
-    identity, as the first column's is in the zero-column case."""
+    min(p, 5) and p - 5 rows, so that the first panel's reflectors of
+    columns 0 to 4 are the identity, as column 0's is in the zero-column
+    case."""
     x = rng.normal(size=(p, p))
     A = x + x.T
     if kind == "zero-column":
@@ -462,31 +475,59 @@ def _symmetric(p, kind, rng):
     return A
 
 
+_B = simulator.BAND
+
+
 @pytest.mark.parametrize("p, kind, chunk_rows", [(1, "random", None), (2, "random", None),
-                                                (3, "random", None), (33, "random", None),
+                                                (_B - 1, "random", None), (_B, "random", None),
+                                                (_B + 1, "random", None),
+                                                (2 * _B + 1, "random", None),
                                                 (300, "random", None), (300, "random", 7),
-                                                (33, "zero-column", None),
-                                                (40, "block-diagonal", 3)])
-def test_tridiagonal_reduction(p, kind, chunk_rows, monkeypatch):
-    # the identity carried through the reduction is Q, with T = Q^T A Q
-    # tridiagonal; chunk_rows rows a chunk of the trailing update
+                                                (2 * _B + 1, "zero-column", None),
+                                                (2 * _B + 8, "block-diagonal", 3)])
+def test_band_reduction(p, kind, chunk_rows, monkeypatch):
+    # the identity carried through the reduction is Q, with B = Q^T A Q of
+    # bandwidth BAND; chunk_rows rows a chunk of every product over the
+    # trailing matrix.  p = 2b + 1 ends on a panel of one row, 300 on one of
+    # 12; a zero first column and the block-diagonal split make the first
+    # reflectors of the first panel the identity (tau = 0)
     if chunk_rows:
         monkeypatch.setattr(simulator, "BLOCK_ENTRIES", 2 * chunk_rows * p)
     A = _symmetric(p, kind, np.random.default_rng(p))
     Q = np.eye(p)
-    d, e = simulator._tridiagonalize(A.copy(), Q)
-    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    scale = np.abs(A).max()
-    assert np.abs(Q.T @ A @ Q - T).max() <= 1e-13 * scale
+    reduced = A.copy()
+    simulator._reduce_to_band(reduced, Q)
+    B = _dense_band(simulator._band_blocks(reduced), p)
+    scale, (i, j) = np.abs(A).max(), np.indices((p, p))
+    assert np.abs(Q.T @ A @ Q - B).max() <= 1e-13 * scale
+    assert not B[np.abs(i - j) > _B].any()
     assert np.abs(Q.T @ Q - np.eye(p)).max() <= 1e-14
-    assert np.allclose(np.linalg.eigvalsh(T), np.linalg.eigvalsh(A), rtol=0.0, atol=1e-12 * scale)
-    if kind != "random":
-        assert e[0 if kind == "zero-column" else 4] == 0.0
+    assert np.allclose(np.linalg.eigvalsh(B), np.linalg.eigvalsh(A), rtol=0.0, atol=1e-12 * scale)
+    if kind != "random":  # tau = 0 leaves the columns' sub-diagonal block exactly 0
+        assert not B[_B:, :1 if kind == "zero-column" else 5].any()
+
+
+def test_band_step_matches_the_dense_product():
+    # p = 100 is no multiple of b: the step's stacked product of B's row
+    # blocks with z's windows against B @ z, and the padding of z and B z
+    # exactly 0 over a window of 50 steps
+    p = GameParams(n_agents=250, alpha=0.4, external=ExternalBid(1, 1.0), seed=3)
+    route = _built(simulator._Gram, generate_disorder(p), init_state(p))
+    n, b = p.n_patterns, simulator.BAND
+    assert n % b and route.qt_u.shape == ((-(-n // b) + 2) * b,)
+    B, run = _dense_band(route.blocks, n), route.start(init_state(p))
+    for _ in range(50):
+        simulator._window(route, run, p, 1)
+        z, bz = run.q
+        assert np.allclose(bz[b:b + n], B @ z[b:b + n], rtol=0.0,
+                           atol=1e-13 * np.abs(B).sum(axis=1).max() * np.abs(z).max())
+        assert not z[:b].any() and not z[b + n:].any()
+        assert not bz[:b].any() and not bz[b + n:].any()
 
 
 @pytest.mark.parametrize("zeta", [0, 1])
 def test_gram_route_matches_the_pattern_space_step_at_large_p(zeta):
-    # p = 900: the route's three-term step in the tridiagonal basis of G
+    # p = 900: the route's block step in the banded basis of G
     # against the former step's p x p product G y (oracles.pattern_space_run)
     # over an equilibration and a measurement window of 200 steps each
     p = GameParams(n_agents=3000, alpha=0.3, external=ExternalBid(zeta, 1.0), seed=7,
@@ -508,14 +549,17 @@ def test_gram_route_footprint(monkeypatch):
     # tracemalloc sees numpy's buffers.  From the draw through the build the
     # run holds G (8 p^2 bytes) and one float32 block and three int8 blocks
     # of the draw, never the N x p table, then G and one row chunk of the
-    # reduction's trailing update; the windows and c0 add less than 64
+    # reduction's trailing update.  After the build the route holds B's row
+    # blocks (24 b^2 ceil(p/b) bytes) and padded p-vectors, no p x p array,
+    # and the run's state two more; the windows and c0 add less than 64
     # N-vectors
     p = GameParams(n_agents=3000, alpha=0.3, external=ExternalBid(0, 1.0), seed=1,
                    t_equilibrate=100, t_measure=200)
-    peaks, step_window = [], simulator._window
+    peaks, routes, step_window = [], [], simulator._window
 
     def window(route, *args, **kwargs):
         if not peaks:
+            routes.append(route)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             peaks.append(tracemalloc.get_traced_memory()[0])
@@ -526,6 +570,13 @@ def test_gram_route_footprint(monkeypatch):
     (build_peak, before), g_bytes = peaks, 8 * p.n_patterns**2
     entries = max(core.BLOCK_ENTRIES, p.n_patterns**2 // 8)
     assert build_peak <= g_bytes + 4 * entries + 3 * entries + 2**19
+    b, nb = simulator.BAND, -(-p.n_patterns // simulator.BAND)
+    vectors = [v for v in vars(routes[0]).values() if isinstance(v, np.ndarray)]
+    assert routes[0].blocks.nbytes <= 24 * b * b * nb
+    assert all(v.shape == ((nb + 2) * b,) for v in vectors if v is not routes[0].blocks)
+    # held when the windows start: the blocks, the route's three padded
+    # vectors and the run's four, and the state's q and phi
+    assert before <= 24 * b * b * nb + 8 * 7 * (nb + 2) * b + 8 * 2 * p.n_agents + 2**16
     assert run_peak - before < 8 * simulator.C0_SNAPSHOTS * p.n_agents
     assert obs.c0_hat == pytest.approx(1.0, abs=0.02)  # phase F
 
