@@ -14,10 +14,10 @@ regrouping of the per-pattern form
 
 so the coupling route and the per-pattern route agree to accumulation noise.
 At kappa = 0 every update is q(t+1) = q(t) - (2/sqrt(N)) xi A(t), so q(t)
-stays in q(0) + span(xi): the Gram route writes q(t) = q(0) + xi Q z(t) in the
-basis Q that makes the exact p x p Gram matrix G = xi^T xi, built from the
-disorder draw's row blocks, a band of width BAND, B = Q^T G Q, carries the
-zero-padded p-vectors (z, B z) and takes a step through B's row blocks.
+stays in q(0) + span(xi): the Gram route writes q(t) = q(0) + xi Q z(t) with
+Q from LAPACK's panel QRs, which make the exact Gram matrix G = xi^T xi of the
+draw's row blocks a band of width BAND, B = Q^T G Q, and steps (z, B z),
+zero-padded p-vectors, through B's row blocks.
 run_experiment runs an equilibration and a measurement window of the one step
 loop, _window, on one of the three routes; a route holds only the arithmetic
 of its step, which updates the run in place.  The measurement window also
@@ -96,9 +96,9 @@ def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gra
     couplings from p = 0.7 N on; below it the Gram route at kappa = 0 and
     per-pattern passes otherwise.  At kappa = 0 the threshold is a break-even
     measured against the Gram route's earlier p x p step; its band reduction
-    costs about 600-800 of those steps from p = 450 on (about 2000 at
-    p = 240), so shorter kappa = 0 runs are slower than that step would make
-    them, and the run length is not yet part of the rule.  For kappa > 0 the
+    costs about 500-650 of those steps at p = 450-1200, 800-850 at p = 1800
+    and 1000-1100 at p = 240, so shorter kappa = 0 runs are slower than that
+    step would make them, and the run length is not yet part of the rule.  For kappa > 0 the
     measured crossover lies between 0.45 and 0.6 N, and 0.7 N stays until a
     batched step is measured (README, Notes on numerics).  Every route is
     built from the disorder draw's row blocks, so no run holds the int8
@@ -313,111 +313,69 @@ def _gram_sums(blocks: Iterable[tuple[slice, np.ndarray]], p: int,
     return G, u
 
 
-def _householder(Yt: np.ndarray) -> np.ndarray:
-    """The Householder QR of the panel Yt^T in place, as LAPACK's dgeqr2
-    takes it (Golub & Van Loan, Matrix Computations, sec. 5.2), each column
-    a row of Yt: row j ends as column j of R up to the diagonal and the
-    reflector v_j below it (v_j[0] = 1 implied).  Returns the tau_j of
-    H_j = I - tau_j v_j v_j^T, 0 where the column is already 0 below the
-    diagonal (H_j = I)."""
-    w, m = Yt.shape
-    tau = np.zeros(min(w, m))
-    for j in range(tau.size):
-        x = Yt[j, j:]
-        alpha, rest = float(x[0]), float(x[1:] @ x[1:])
-        if rest == 0.0:
-            continue
-        beta = -math.copysign(math.sqrt(alpha * alpha + rest), alpha)
-        tau[j] = (beta - alpha) / beta
-        x[1:] /= alpha - beta
-        x[0] = 1.0
-        below = Yt[j + 1:, j:]
-        below -= np.multiply.outer((below @ x) * tau[j], x)
-        x[0] = beta
-    return tau
-
-
 def _reduce_to_band(A: np.ndarray, vectors: np.ndarray) -> None:
     """B = Q^T A Q of bandwidth BAND for a symmetric float64 A, in place, by
     the first stage of two-stage reduction (Bischof, Lang & Sun, ACM TOMS 26,
     2000); each row v of vectors becomes Q^T v.  On return row block k of A
-    holds, in its lower triangle, B's diagonal block D_k and, left of it,
-    the upper triangular sub-diagonal block R_{k-1}; nothing else of A is
+    holds B's diagonal block D_k, left of it the upper triangular
+    sub-diagonal block R_{k-1} and right of it R_k^T; nothing else of A is
     meaningful.
 
-    Each panel of BAND columns k0:k1 is split by the Householder QR of its
-    part below the band, A[k1:, k0:k1] = (I - Y T Y^T) R, taken on a
-    contiguous transposed copy, with T from dlarft's recurrence (Schreiber &
-    Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), so that tau = 0 gives
-    H = I.  The trailing matrix A22 then takes A22 -= Y Z^T + Z Y^T on its
-    lower triangle, with P = A22 Y T and Z = P - (1/2) Y (Y T)^T P.  Y is
-    kept in the panel's columns and Z^T in its mirrored rows, where P^T is
-    formed; the update reads them as one product of depth 2b,
-    [Z Y] [Y Z]^T, from copies in the previous panel's columns and rows
-    outside the band, so the reduction needs no p x p workspace.  Every
-    product over A22 runs in chunks of BLOCK_ENTRIES // (2p) rows or
-    columns, so that one chunk's float64 product takes no more bytes than
-    the float32 block the Gram route is built from; the panel's copy reuses
-    that chunk's buffer.  The chunks are cut at the same multiples of their
-    row count in A's indices for every panel, so that each chunk's diagonal
-    block is current in both triangles.
+    Each panel of BAND columns k0:k1 is split by LAPACK's Householder QR of
+    its part below the band, A[k1:, k0:k1] = (I - Y T Y^T) R, with T from
+    dlarft's recurrence (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
+    1989), so that tau = 0 gives H = I.  The whole trailing matrix A22 then
+    takes A22 -= Y Z^T + Z Y^T = [Y Z] [Z Y]^T, with P = A22 Y T and
+    Z = P - (1/2) Y (Y T)^T P, from one (p - b, 3b) buffer [Y | Z | Y], so
+    both triangles stay current.  P and the update run over chunks of
+    BLOCK_ENTRIES // (2p) rows, so that one chunk's float64 product takes no
+    more bytes than the float32 block the Gram route is built from, and no
+    product spans A22 whole.
     """
     p, b = A.shape[0], BAND
     rows = max(1, BLOCK_ENTRIES // (2 * p))
-    chunk_buf, panel_buf = np.empty(max(rows, b) * p), np.empty((b, rows))
+    panels, chunk_buf = np.empty((max(p - b, 0), 3 * b)), np.empty(rows * p)
     for k0 in range(0, p - b, b):
         k1, m = k0 + b, p - k0 - b
-        cuts = sorted({0, m, *range(-k1 % rows, m, rows)})
-        chunks = [slice(c0, c1) for c0, c1 in zip(cuts, cuts[1:])]
-        A22, Y, Zt = A[k1:, k1:], A[k1:, k0:k1], A[k0:k1, k1:]
-        Yt = chunk_buf[:b * m].reshape(b, m)
-        np.copyto(Yt, Y.T)
-        tau = _householder(Yt)
-        R = np.triu(Yt.T[:b])
-        Yt[:, :b] = np.triu(Yt[:, :b])
-        np.fill_diagonal(Yt, 1.0)
-        np.copyto(Y, Yt.T)
-        YtY, T = Yt @ Yt.T, np.zeros((b, b))
+        A22, W, chunks = A[k1:, k1:], panels[:m], [slice(s, s + rows) for s in range(0, m, rows)]
+        Y, Z = W[:, :b], W[:, b:2 * b]
+        h, tau = np.linalg.qr(A[k1:, k0:k1], mode="raw")
+        Y[:] = h.T
+        del h  # one m x b copy of the panel at a time
+        A[k1:k1 + b, k0:k1] = np.triu(Y[:b])
+        A[k0:k1, k1:k1 + b] = A[k1:k1 + b, k0:k1].T
+        Y[:b] = np.tril(Y[:b], -1)
+        np.fill_diagonal(Y, 1.0)
+        W[:, 2 * b:] = Y
+        YtY, T = Y.T @ Y, np.zeros((b, b))
         for j, tau_j in enumerate(tau):  # dlarft, forward and columnwise
             T[j, j] = tau_j
             T[:j, j] = -tau_j * (T[:j, :j] @ YtY[:j, j])
-        for s in chunks:  # P^T = T^T Y^T A22 from A22's lower triangle
-            w = np.matmul(Yt[:, s.start:], A22[s.start:, s], out=panel_buf[:, :s.stop - s.start])
-            w += Yt[:, :s.start] @ A22[s, :s.start].T
-            np.matmul(T.T, w, out=Zt[:, s])
-        half = (Zt @ Y) @ T
-        half *= 0.5
         for s in chunks:
-            Zt[:, s] -= np.matmul(half, Yt[:, s], out=panel_buf[:, :s.stop - s.start])
+            Z[s] = (A22[s] @ Y) @ T
+        Z -= Y @ (0.5 * T.T @ (Y.T @ Z))
         tail = vectors[:, k1:]
-        tail -= ((tail @ Y) @ T) @ Yt
-        if k0:
-            A[k0 - b:k0, k1:], A[k1:, k0 - b:k0] = Yt, Zt.T
-            terms = ((A[k1:, k0 - b:k1], A[k0 - b:k1, k1:]),)
-        else:  # no columns left of the first panel
-            terms = ((Y, Zt), (Zt.T, Y.T))
+        tail -= ((tail @ Y) @ T) @ Y.T
         for s in chunks:
-            chunk = A22[s, :s.stop]
-            for left, right in terms:
-                chunk -= np.matmul(left[s], right[:, :s.stop],
-                                   out=chunk_buf[:chunk.size].reshape(chunk.shape))
-        Y[:b] = R
+            chunk = A22[s]
+            chunk -= np.matmul(W[s, :2 * b], W[:, b:].T,
+                               out=chunk_buf[:chunk.size].reshape(chunk.shape))
 
 
 def _band_blocks(B: np.ndarray) -> np.ndarray:
     """The (nb, b, 3b) row blocks [B_{k,k-1} | D_k | B_{k,k+1}] of the band
-    that _reduce_to_band leaves in B's lower triangle, nb = ceil(p / b) with
-    b = BAND, zero-padded past p and at both ends."""
+    that _reduce_to_band leaves in B, nb = ceil(p / b) with b = BAND,
+    zero-padded past p and at both ends.  Each D_k is taken from its lower
+    triangle, so that B is exactly symmetric."""
     p, b = B.shape[0], BAND
     nb = -(-p // b)
     blocks = np.zeros((nb, b, 3 * b))
     for k in range(nb):
-        k0, k1, k2 = k * b, min(k * b + b, p), min(k * b + 2 * b, p)
+        k0, k1 = k * b, min(k * b + b, p)
+        lo, hi = max(k0 - b, 0), min(k0 + 2 * b, p)
+        blocks[k, :k1 - k0, lo - k0 + b:hi - k0 + b] = B[k0:k1, lo:hi]
         D = B[k0:k1, k0:k1]
         blocks[k, :k1 - k0, b:b + k1 - k0] = np.tril(D) + np.tril(D, -1).T
-        if k:
-            blocks[k, :k1 - k0, :b] = B[k0:k1, k0 - b:k0]
-        blocks[k, :k1 - k0, 2 * b:2 * b + k2 - k1] = B[k1:k2, k0:k1].T
     return blocks
 
 
@@ -444,8 +402,8 @@ class _Gram:
               state: AgentState) -> _Gram:
         """The route over the (rows, int8 xi[rows]) blocks of a sample with
         pattern bias Omega, from state: the exact G and u, then G reduced to
-        the band inside its own buffer, which is dropped once B's blocks are
-        copied out, while 1, Omega and u are rotated."""
+        the band in its own buffer, beside a panel buffer and a row chunk,
+        as 1, Omega and u are rotated, and dropped once B's blocks are copied out."""
         p, b = Omega.shape[0], BAND
         G, u = _gram_sums(blocks, p, state)
         vectors = np.zeros((3, (-(-p // b) + 2) * b))

@@ -487,20 +487,24 @@ _B = simulator.BAND
                                                 (2 * _B + 8, "block-diagonal", 3)])
 def test_band_reduction(p, kind, chunk_rows, monkeypatch):
     # the identity carried through the reduction is Q, with B = Q^T A Q of
-    # bandwidth BAND; chunk_rows rows a chunk of every product over the
-    # trailing matrix.  p = 2b + 1 ends on a panel of one row, 300 on one of
-    # 12; a zero first column and the block-diagonal split make the first
-    # reflectors of the first panel the identity (tau = 0)
+    # bandwidth BAND, exactly symmetric although the trailing update forms
+    # (i, j) and (j, i) by different sums; chunk_rows rows a chunk of every
+    # product over the trailing matrix.  p = 2b + 1 ends on a panel of one
+    # row, 300 on one of 12; a zero first column and the block-diagonal split
+    # make the first reflectors of the first panel the identity (tau = 0)
     if chunk_rows:
         monkeypatch.setattr(simulator, "BLOCK_ENTRIES", 2 * chunk_rows * p)
     A = _symmetric(p, kind, np.random.default_rng(p))
     Q = np.eye(p)
     reduced = A.copy()
     simulator._reduce_to_band(reduced, Q)
-    B = _dense_band(simulator._band_blocks(reduced), p)
+    blocks = simulator._band_blocks(reduced)
+    B = _dense_band(blocks, p)
     scale, (i, j) = np.abs(A).max(), np.indices((p, p))
     assert np.abs(Q.T @ A @ Q - B).max() <= 1e-13 * scale
     assert not B[np.abs(i - j) > _B].any()
+    assert (B == B.T).all()
+    assert not np.tril(blocks[:, :, :_B], -1).any()  # each R_{k-1} upper triangular
     assert np.abs(Q.T @ Q - np.eye(p)).max() <= 1e-14
     assert np.allclose(np.linalg.eigvalsh(B), np.linalg.eigvalsh(A), rtol=0.0, atol=1e-12 * scale)
     if kind != "random":  # tau = 0 leaves the columns' sub-diagonal block exactly 0
@@ -548,11 +552,11 @@ def test_gram_route_matches_the_pattern_space_step_at_large_p(zeta):
 def test_gram_route_footprint(monkeypatch):
     # tracemalloc sees numpy's buffers.  From the draw through the build the
     # run holds G (8 p^2 bytes) and one float32 block and three int8 blocks
-    # of the draw, never the N x p table, then G and one row chunk of the
-    # reduction's trailing update.  After the build the route holds B's row
-    # blocks (24 b^2 ceil(p/b) bytes) and padded p-vectors, no p x p array,
-    # and the run's state two more; the windows and c0 add less than 64
-    # N-vectors
+    # of the draw, never the N x p table, then G, one row chunk of the
+    # reduction's trailing update and its (p - b, 3b) panel buffer
+    # [Y | Z | Y].  After the build the route holds B's row blocks
+    # (24 b^2 ceil(p/b) bytes) and padded p-vectors, no p x p array, and the
+    # run's state two more; the windows and c0 add less than 64 N-vectors
     p = GameParams(n_agents=3000, alpha=0.3, external=ExternalBid(0, 1.0), seed=1,
                    t_equilibrate=100, t_measure=200)
     peaks, routes, step_window = [], [], simulator._window
