@@ -60,7 +60,8 @@ class ResourceBudgetError(MemoryError):
 
 
 class DegenerateStateError(RuntimeError):
-    """The valuation vector became exactly zero, so phi = q/lambda is undefined."""
+    """The valuation vector became exactly zero, or its mean square overflowed
+    float64, so phi = q/lambda is undefined."""
 
 
 def check_alpha(alpha: float) -> None:
@@ -92,7 +93,9 @@ class ExternalBid:
 
     A_e(t) = amplitude * (-1)^(zeta*t): a constant offset for zeta=0, a
     period-2 alternation for zeta=1.  amplitude=0 reproduces the unperturbed
-    game for either zeta.
+    game for either zeta.  amplitude is at most 1e76: the theory's
+    R = (3 + 2 A^2)^2 / (2 + 2 A^2) overflows from A ~ 8.2e76, and at 1e76
+    every engine still runs or fails by its own checks.
     """
 
     zeta: int = 0
@@ -101,8 +104,8 @@ class ExternalBid:
     def __post_init__(self) -> None:
         if self.zeta not in (0, 1):
             raise ContractError(f"zeta must be 0 or 1, got {self.zeta!r}")
-        if not (self.amplitude >= 0.0 and np.isfinite(self.amplitude)):
-            raise ContractError(f"amplitude must be finite and >= 0, got {self.amplitude!r}")
+        if not 0.0 <= self.amplitude <= 1e76:
+            raise ContractError(f"amplitude must lie in [0, 1e76], got {self.amplitude!r}")
 
     def series(self, n_steps: int) -> np.ndarray:
         """A_e(t) at times t = 0, 1, ..., n_steps-1."""
@@ -136,6 +139,9 @@ class GameParams:
         if self.n_agents < 1:
             raise ContractError(f"n_agents must be >= 1, got {self.n_agents}")
         check_alpha(self.alpha)
+        if not np.isfinite(self.alpha * self.n_agents):
+            raise ContractError(
+                f"alpha * n_agents must be finite, got {self.alpha} * {self.n_agents}")
         check_kappa(self.kappa)
         check_init_scale(self.init_scale)
         if self.t_equilibrate < 0:

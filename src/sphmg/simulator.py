@@ -20,9 +20,10 @@ draw's row blocks a band of width BAND, B = Q^T G Q, and steps (z, B z),
 zero-padded p-vectors, through B's row blocks.
 run_experiment runs an equilibration and a measurement window of the one step
 loop, _window, on one of the three routes; a route holds only the arithmetic
-of its step, which updates the run in place.  The measurement window also
-records lambda(t), the bid moments sum_mu A^mu(t) and sum_mu A^mu(t)^2 and the
-last valuations, whose positions reduce to the stationary observables.
+of its step, which updates the run in place and returns lambda^2 and the bid
+moments sum_mu A^mu(t) and sum_mu A^mu(t)^2.  Every window records lambda(t),
+those moments and the last valuations; the measurement window's record
+reduces to the stationary observables.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ class _Run:
 
 
 class _Record:
-    """What a recorded window writes at its step k: lam(t) entering the step,
-    the bid moments sum_mu A^mu(t) and sum_mu A^mu(t)^2, and over the last
+    """What a window writes at its step k: lam(t) entering the step, the bid
+    moments sum_mu A^mu(t) and sum_mu A^mu(t)^2, and over the last
     C0_SNAPSHOTS steps the run's q ((z, B z) on the Gram route) and lam
     after it."""
 
@@ -134,29 +135,25 @@ class _Record:
         self.snap_lam = np.empty(self.snaps.shape[0])
 
 
-def _renormalized(lam_sq: float, t: int) -> float:
-    """lambda(t) from lambda(t)^2 = mean_i q_i(t)^2."""
-    if not lam_sq > 0.0:
-        raise DegenerateStateError(f"all valuations vanished at t={t}")
-    return math.sqrt(lam_sq)
-
-
-def _window(route: _Coupled | _Patterns | _Gram, run: _Run, params: GameParams, steps: int,
-            record: bool = False) -> _Record | None:
-    """steps batch steps of route, in place on run; with record, the _Record
-    of the window."""
+def _window(route: _Coupled | _Patterns | _Gram, run: _Run, params: GameParams,
+            steps: int) -> _Record:
+    """steps batch steps of route, in place on run, and the window's _Record;
+    lambda(t) comes from lambda(t)^2 = mean_i q_i(t)^2, which must be
+    positive and finite."""
     lam, t, kappa = run.lam, run.t, params.kappa
     drive = params.external.series(t + steps)[t:].tolist()
-    rec = _Record(steps, run.q.shape) if record else None
+    rec = _Record(steps, run.q.shape)
     for k in range(steps):
-        lam_sq, sum_a, sum_a2 = route.step(run, lam, drive[k], kappa, record)
-        lam_next = _renormalized(lam_sq, t + 1)
-        if rec is not None:
-            rec.lam[k], rec.sum_a[k], rec.sum_a2[k] = lam, sum_a, sum_a2
-            j = k - steps + rec.snaps.shape[0]
-            if j >= 0:
-                rec.snaps[j], rec.snap_lam[j] = run.q, lam_next
-        lam, t = lam_next, t + 1
+        lam_sq, rec.sum_a[k], rec.sum_a2[k] = route.step(run, lam, drive[k], kappa)
+        rec.lam[k], t = lam, t + 1
+        if not lam_sq > 0.0:
+            raise DegenerateStateError(f"all valuations vanished at t={t}")
+        if lam_sq == math.inf:
+            raise DegenerateStateError(f"valuations overflowed at t={t}")
+        lam = math.sqrt(lam_sq)
+        j = k - steps + rec.snaps.shape[0]
+        if j >= 0:
+            rec.snaps[j], rec.snap_lam[j] = run.q, lam
     run.lam, run.t = lam, t
     return rec
 
@@ -192,7 +189,7 @@ class _Coupled:
         return _Run(state.q.astype(np.float64), state.lam, 0,
                     (np.empty(n), np.empty(n, dtype), np.empty(n, dtype), *np.empty((3, n))))
 
-    def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
+    def step(self, run: _Run, lam: float, a_e: float, kappa: float):
         """One batch step in place, q <- q - b a_e - h - (2/N) M phi
         - (1 - kappa) d phi with phi = q / lam; the bid moments come exactly
         from J phi through O(N) dot products."""
@@ -208,8 +205,6 @@ class _Coupled:
         q -= off_phi
         q -= d_phi if kappa == 0.0 else np.multiply(d_phi, 1.0 - kappa, out=tmp)
         lam_sq = float(q @ q) / n
-        if not moments:
-            return lam_sq, math.nan, math.nan
         p, sum_omega, b_phi = self.n_patterns, self.sum_omega, float(b @ phi)
         return (lam_sq, p * a_e + sum_omega + 0.5 * b_phi,
                 p * a_e**2 + self.omega_sq + 2.0 * a_e * sum_omega + a_e * b_phi
@@ -252,7 +247,7 @@ class _Patterns:
                     (np.empty(n), np.empty(n, f32), np.empty(p, f32), *np.empty((2, p)),
                      np.empty(p, f32), np.empty(n, f32), *np.empty((2, n))))
 
-    def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
+    def step(self, run: _Run, lam: float, a_e: float, kappa: float):
         """One batch step in place from the explicit bids, whose pattern
         products run in float32 (exact to ~1e-7, far below measurement
         noise)."""
@@ -268,8 +263,6 @@ class _Patterns:
                          dtype=np.float64)
         q += np.multiply(np.multiply(self.d, phi, out=kick), kappa, out=kick)
         lam_sq = float(q @ q) / n
-        if not moments:
-            return lam_sq, math.nan, math.nan
         return lam_sq, float(bids.sum()), float(bids @ bids)
 
     c0 = _Coupled.c0  # the run carries q, as on the coupling route
@@ -421,7 +414,7 @@ class _Gram:
         return _Run(q, state.lam, 0,
                     (*np.zeros((2, q.shape[1])), windows, q[1, b:b + nb * b].reshape(nb, b, 1)))
 
-    def step(self, run: _Run, lam: float, a_e: float, kappa: float, moments: bool):
+    def step(self, run: _Run, lam: float, a_e: float, kappa: float):
         """One batch step in the rotated pattern space, in place, with
         y = Q z: the rotated bids are Q^T A = a_e Q^T 1 + Q^T Omega
         + (Q^T u + B z) / (sqrt(N) lambda), z moves by -(2/sqrt(N)) Q^T A,
@@ -439,8 +432,6 @@ class _Gram:
         z -= np.multiply(bids, 2.0 / sqrt_n, out=field)
         np.matmul(self.blocks, windows, out=bz_blocks)
         lam_sq = (self.q0_sq + 2.0 * float(u @ z) + float(z @ bz)) / n
-        if not moments:
-            return lam_sq, math.nan, math.nan
         return lam_sq, float(self.qt_ones @ bids), float(bids @ bids)
 
     def c0(self, rec: _Record) -> float:
@@ -459,21 +450,22 @@ class _Gram:
 def run_experiment(params: GameParams) -> RunObservables:
     """Equilibrate, measure, and reduce one quenched run to its observables.
 
-    sigma^2 is the time-pattern variance of the recorded bids A^mu(t); the
-    staggered bid mean is (1/tau) sum_t (-1)^t Abar(t) with Abar the pattern
-    average and t the absolute batch time; sigma_fl^2 subtracts the squared
-    staggered mean from sigma^2 (the plain mean is already removed).  The
-    N x N couplings are built only when p >= 0.7 N, the Gram route never
-    holds the whole disorder table, and no route keeps it.  c0 is the route's
-    persistent_correlation of the recorded snapshots' two-time window, on the
-    Gram route from their p-space overlaps.
+    Only the measurement window's record is reduced; the equilibration
+    window's is dropped.  sigma^2 is the time-pattern variance of its bids
+    A^mu(t); the staggered bid mean is (1/tau) sum_t (-1)^t Abar(t) with
+    Abar the pattern average and t the absolute batch time; sigma_fl^2
+    subtracts the squared staggered mean from sigma^2 (the plain mean is
+    already removed).  The N x N couplings are built only when p >= 0.7 N,
+    the Gram route never holds the whole disorder table, and no route keeps
+    it.  c0 is the route's persistent_correlation of the recorded snapshots'
+    two-time window, on the Gram route from their p-space overlaps.
     """
     state = init_state(params)
     route = _route(params, state)
     run = route.start(state)
     _window(route, run, params, params.t_equilibrate)
     tau, p = params.t_measure, params.n_patterns
-    rec = _window(route, run, params, tau, record=True)
+    rec = _window(route, run, params, tau)
     lam_hist = rec.lam  # lambda(t) entering each step's positions
     t_abs = np.arange(params.t_equilibrate, params.t_equilibrate + tau)
     # a strictly sequential sum, in time order

@@ -684,9 +684,20 @@ def test_argument_errors_exit_one(capsys):
     assert run_cli(capsys, "simulate")[0] == 1  # alpha missing
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--alpha", "1", "--agents", "0"],
-                                  ["kernels", "--alpha", "inf", "--T", "60"]],
-                         ids=["no-agents", "infinite-alpha"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha", "1", "--agents", "0"],
+    ["kernels", "--alpha", "inf", "--T", "60"],
+    ["theory", "--alpha", "0.3", "--A", "1e80"],
+    ["phase-diagram", "--sweep", "A_tilde:0:1e80:3"],
+    ["theory", "--alpha", "0.3", "--A", "1e200"],
+    ["theory", "--alpha", "3", "--A", "1e200", "--zeta", "1"],
+    ["kernels", "--alpha", "0.3", "--A", "1e200", "--T", "20"],
+    ["phase-diagram", "--sweep", "A_tilde:0:1e200:3"],
+    ["simulate", "--alpha", "1e308", "--agents", "8", "--t-eq", "0", "--t-meas", "16",
+     "--n-seeds", "1"],
+], ids=["no-agents", "infinite-alpha", "amplitude-1e80", "amplitude-1e80-axis", "amplitude-1e200",
+        "amplitude-1e200-alternating", "amplitude-1e200-kernels", "amplitude-1e200-axis",
+        "alpha-times-agents-overflows"])
 def test_bad_point_exits_one_without_traceback(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("sphmg: error: ")
@@ -894,15 +905,21 @@ def test_seed_failures_print_in_grid_order_for_any_worker_count():
 
 
 def test_partial_failure_exit_two(capsys):
-    # a sample over the table budget fails its run, not the sweep
-    code, out, err = run_cli(
-        capsys, "simulate", "--alpha", "1", "--agents", "300000", "--t-eq", "5",
-        "--t-meas", "16", "--n-seeds", "1",
-    )
-    assert code == 2
-    assert "failed" in err
-    _, rows = parse_csv(out)
-    assert rows[0]["c0_sim"] == ""  # row kept, cells empty
+    # a sample over the table budget, or a start whose lambda^2 overflows
+    # float64 (numpy's overflow warning silenced), fails its runs, not the sweep
+    for argv, seeds, error in [(["--alpha", "1", "--agents", "300000"], 1, "disorder sample needs"),
+                               (["--alpha", "2", "--agents", "40", "--init-scale", "1e200"], 2,
+                                "valuations overflowed at t=1")]:
+        for fmt in ("csv", "json"):
+            with np.errstate(over="ignore"):
+                code, out, err = run_cli(capsys, "simulate", *argv, "--t-eq", "5", "--t-meas", "16",
+                                         "--n-seeds", str(seeds), "--format", fmt)
+            assert code == 2
+            failed = [l for l in err.splitlines() if " failed: " in l]
+            assert len(failed) == seeds and all(error in l for l in failed)
+            row = json.loads(out)[0] if fmt == "json" else parse_csv(out)[1][0]
+            empty = None if fmt == "json" else ""  # row kept, cells empty
+            assert [c for c in RESULT_COLUMNS if "_sim" in c and row[c] != empty] == []
 
 
 def _readme_commands():

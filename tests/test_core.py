@@ -43,6 +43,7 @@ def test_external_bid_values():
     [
         dict(zeta=2, amplitude=1.0),
         dict(zeta=0, amplitude=-0.5),
+        dict(zeta=1, amplitude=2e76),
     ],
 )
 def test_external_bid_rejects(kwargs):
@@ -72,6 +73,7 @@ def test_params_pattern_count_and_realized_alpha():
         dict(n_agents=10, alpha=1.0, t_measure=0),
         dict(n_agents=10, alpha=1.0, seed=-1),
         dict(n_agents=10, alpha=1.0, seed=2**64),
+        dict(n_agents=8, alpha=1e308),
     ],
 )
 def test_params_validation(kwargs):

@@ -194,14 +194,18 @@ def test_sign_symmetry_without_pattern_bias():
 
 @pytest.mark.parametrize("kind", [simulator._Coupled, simulator._Patterns, simulator._Gram])
 def test_degenerate_state_raises_on_every_route(kind):
-    # the same one-agent game on each route: q = 2, lambda = 2 steps to q = 0
-    sample, state = sample_from_tables([[1]], [[-1]]), _state_from_q([2.0])
-    route = _built(kind, sample, state)
-    run = route.start(state)
-    assert run.lam == 2.0
+    # the same one-agent game on each route: q = 2, lambda = 2 steps to q = 0,
+    # and q = 1e200 to a q^2 beyond float64 (numpy's overflow warning silenced)
+    sample = sample_from_tables([[1]], [[-1]])
     p = GameParams(n_agents=1, alpha=1.0, kappa=0.0, seed=0)
-    with pytest.raises(DegenerateStateError, match="t=1$"):
-        simulator._window(route, run, p, 1)
+    for q0, error in ((2.0, "all valuations vanished"), (1e200, "valuations overflowed")):
+        state = AgentState(q=np.array([q0]), lam=q0, phi=np.array([1.0]))
+        with np.errstate(over="ignore"):
+            route = _built(kind, sample, state)
+            run = route.start(state)
+            assert run.lam == q0
+            with pytest.raises(DegenerateStateError, match=f"^{error} at t=1$"):
+                simulator._window(route, run, p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +309,8 @@ def test_run_experiment_builds_couplings_only_from_p_of_0_7_n(monkeypatch):
 
 
 def _recorded_step(route, run, params):
-    """One recorded one-step window: its record and the step's bid moments."""
-    rec = simulator._window(route, run, params, 1, record=True)
+    """One one-step window: its record and the step's bid moments."""
+    rec = simulator._window(route, run, params, 1)
     return rec, rec.sum_a[0], rec.sum_a2[0]
 
 
@@ -372,9 +376,9 @@ def test_gram_and_coupling_routes_agree(n_agents, alpha, block_entries, zeta, in
         assert sum_g2 == pytest.approx(sum_a2, rel=1e-12)
     # c0 from the overlaps of the recorded (z, B z) against the coupling
     # route's c0 of its own recorded positions
-    rec = simulator._window(gram, g, p, 16, record=True)
+    rec = simulator._window(gram, g, p, 16)
     phi = lift(q0, sample.xi, rec.snaps[:, 0], Q) / rec.snap_lam[:, np.newaxis]
-    assert gram.c0(rec) == pytest.approx(coup.c0(simulator._window(coup, a, p, 16, record=True)),
+    assert gram.c0(rec) == pytest.approx(coup.c0(simulator._window(coup, a, p, 16)),
                                          rel=1e-12)
     assert np.allclose(phi[-1], a.q / a.lam, rtol=0.0, atol=1e-12 * np.abs(phi[-1]).max())
 
@@ -398,21 +402,19 @@ def test_gram_route_run_matches_coupling_route(monkeypatch):
 @pytest.mark.parametrize("zeta", [0, 1])
 def test_window_equals_one_step_windows(kind, alpha, kappa, zeta):
     # a window keeps its state in locals and scratch buffers between steps;
-    # stepping one window at a time, recorded or not, must not move a bit
+    # stepping one window at a time must not move a bit
     p = GameParams(n_agents=90, alpha=alpha, kappa=kappa, external=ExternalBid(zeta, 1.0), seed=6)
     route = _built(kind, generate_disorder(p), init_state(p))
-    whole, single, unrecorded = (route.start(init_state(p)) for _ in range(3))
-    rec = simulator._window(route, whole, p, 60, record=True)
-    simulator._window(route, unrecorded, p, 60)
-    steps = [simulator._window(route, single, p, 1, record=True) for _ in range(60)]
+    whole, single = (route.start(init_state(p)) for _ in range(2))
+    rec = simulator._window(route, whole, p, 60)
+    steps = [simulator._window(route, single, p, 1) for _ in range(60)]
     assert rec.snaps.shape[0] == 60
     for name in ("lam", "sum_a", "sum_a2", "snaps", "snap_lam"):
         stepped = np.concatenate([getattr(s, name) for s in steps])
         assert np.array_equal(getattr(rec, name), stepped), name
-    for run in (single, unrecorded):
-        assert (run.t, run.lam) == (whole.t, whole.lam) == (60, rec.snap_lam[-1])
-        assert np.array_equal(run.q, whole.q)  # (z, B z) on the Gram route
-        assert np.array_equal(run.q / run.lam, whole.q / whole.lam)
+    assert (single.t, single.lam) == (whole.t, whole.lam) == (60, rec.snap_lam[-1])
+    assert np.array_equal(single.q, whole.q)  # (z, B z) on the Gram route
+    assert np.array_equal(single.q / single.lam, whole.q / whole.lam)
 
 
 def test_observables_are_plain_python_values():
@@ -543,7 +545,7 @@ def test_gram_route_matches_the_pattern_space_step_at_large_p(zeta):
     route = _built(simulator._Gram, sample, state)
     run = route.start(state)
     simulator._window(route, run, p, 200)
-    rec = simulator._window(route, run, p, 200, record=True)
+    rec = simulator._window(route, run, p, 200)
     for name in ("lam", "sum_a", "sum_a2"):
         assert getattr(rec, name) == pytest.approx(ref[name][200:], rel=1e-12), name
     assert route.c0(rec) == pytest.approx(persistent_correlation(ref["C"]), rel=1e-12)
@@ -793,7 +795,7 @@ def test_lambda_trajectory_fit_quality_by_phase():
         route = simulator._route(p, init_state(p))
         run = route.start(init_state(p))
         simulator._window(route, run, p, n_steps // 2)
-        return simulator._window(route, run, p, n_steps // 2, record=True).lam  # measurement half
+        return simulator._window(route, run, p, n_steps // 2).lam  # measurement half
 
     lam_frozen = lambda_history(1.0, 600)
     t = np.arange(lam_frozen.size, dtype=float)
