@@ -173,11 +173,10 @@ class DisorderSample:
     Omega: np.ndarray
 
 
-def disorder_blocks(params: GameParams, entries: int = 0
-                    ) -> tuple[Iterator[tuple[slice, np.ndarray]], np.ndarray]:
-    """xi of the sample of params in row blocks of about max(BLOCK_ENTRIES,
-    entries) entries, and its Omega, which holds its values once the blocks
-    are exhausted.
+def disorder_blocks(params: GameParams) -> tuple[Iterator[tuple[slice, np.ndarray]], np.ndarray]:
+    """xi of the sample of params in row blocks of about BLOCK_ENTRIES
+    entries, and its Omega, which holds its values once the blocks are
+    exhausted.
 
     Each {0, 1} table is the draw rng.integers(0, 2, size=(n, p),
     dtype=np.int8), taken from the raw stream: that draw reads consecutive
@@ -201,7 +200,7 @@ def disorder_blocks(params: GameParams, entries: int = 0
     second.bit_generator.advance(words // 2)
     if words % 2:
         second.integers(0, 2**32, dtype=np.uint32)
-    rows = max(8, max(BLOCK_ENTRIES, entries) // p // 8 * 8)
+    rows = max(8, BLOCK_ENTRIES // p // 8 * 8)
     # with the tables 2 r - 1 for draws r in {0, 1}: xi = r1 - r2, omega = r1 + r2 - 1,
     # so the column sums of omega are exact integer sums of the draws (int32
     # within a block, int64 over the blocks)

@@ -59,6 +59,14 @@ FROZEN_GROWTH_FACTOR = 2.0
 # of its reduction.
 BAND = 32
 
+# Rows of the lower-triangle panels through which the Gram route sums G.  Up
+# to p = 320 one panel spans G, one product per block, as at N = 800, p = 240,
+# where two panels of core.TILE[0] = 160 rows have stalled a 2-thread float32
+# product near 40 ms in fresh processes.  At p = 600-1500 (warm, 2-vCPU Xeon)
+# panels of 160, 256 and 320 rows ran within noise of each other, and of 480
+# rows up to 27% slower.
+GRAM_PANEL = 320
+
 
 @dataclass(frozen=True)
 class AgentState:
@@ -97,18 +105,16 @@ def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gra
     couplings from p = 0.7 N on; below it the Gram route at kappa = 0 and
     per-pattern passes otherwise.  At kappa = 0 the threshold is a break-even
     measured against the Gram route's earlier p x p step; its band reduction
-    costs about 500-650 of those steps at p = 450-1200, 800-850 at p = 1800
-    and 1000-1100 at p = 240, so shorter kappa = 0 runs are slower than that
-    step would make them, and the run length is not yet part of the rule.  For kappa > 0 the
-    measured crossover lies between 0.45 and 0.6 N, and 0.7 N stays until a
-    batched step is measured (README, Notes on numerics).  Every route is
-    built from the disorder draw's row blocks, so no run holds the int8
-    N x p table: the Gram route's blocks have max(BLOCK_ENTRIES, p^2/8)
-    entries (a float32 block of at most G's bytes / 16 beyond the default),
-    the others BLOCK_ENTRIES."""
+    costs about 500-700 of those steps at p = 450-1200, 750-800 at p = 1800
+    and 1000-1700 at p = 240, so shorter kappa = 0 runs are slower than that
+    step would make them, and the run length is not yet part of the rule.
+    For kappa > 0 the measured crossover lies between 0.45 and 0.6 N, and
+    0.7 N stays until a batched step is measured (README, Notes on
+    numerics).  Every route is built from the disorder draw's row blocks of
+    BLOCK_ENTRIES entries, so no run holds the int8 N x p table."""
     n, p = params.n_agents, params.n_patterns
     kind = _Coupled if p >= 0.7 * n else _Gram if params.kappa == 0.0 else _Patterns
-    return kind.build(*disorder_blocks(params, p * p // 8 if kind is _Gram else 0), state)
+    return kind.build(*disorder_blocks(params), state)
 
 
 @dataclass(eq=False)
@@ -139,21 +145,24 @@ def _window(route: _Coupled | _Patterns | _Gram, run: _Run, params: GameParams,
             steps: int) -> _Record:
     """steps batch steps of route, in place on run, and the window's _Record;
     lambda(t) comes from lambda(t)^2 = mean_i q_i(t)^2, which must be
-    positive and finite."""
+    positive and finite.  numpy's overflow warnings are off in the steps:
+    an overflow makes lambda^2 infinite (or NaN), which fails the run with
+    DegenerateStateError."""
     lam, t, kappa = run.lam, run.t, params.kappa
     drive = params.external.series(t + steps)[t:].tolist()
     rec = _Record(steps, run.q.shape)
-    for k in range(steps):
-        lam_sq, rec.sum_a[k], rec.sum_a2[k] = route.step(run, lam, drive[k], kappa)
-        rec.lam[k], t = lam, t + 1
-        if not lam_sq > 0.0:
-            raise DegenerateStateError(f"all valuations vanished at t={t}")
-        if lam_sq == math.inf:
-            raise DegenerateStateError(f"valuations overflowed at t={t}")
-        lam = math.sqrt(lam_sq)
-        j = k - steps + rec.snaps.shape[0]
-        if j >= 0:
-            rec.snaps[j], rec.snap_lam[j] = run.q, lam
+    with np.errstate(over="ignore"):
+        for k in range(steps):
+            lam_sq, rec.sum_a[k], rec.sum_a2[k] = route.step(run, lam, drive[k], kappa)
+            rec.lam[k], t = lam, t + 1
+            if not lam_sq > 0.0:
+                raise DegenerateStateError(f"all valuations vanished at t={t}")
+            if lam_sq == math.inf:
+                raise DegenerateStateError(f"valuations overflowed at t={t}")
+            lam = math.sqrt(lam_sq)
+            j = k - steps + rec.snaps.shape[0]
+            if j >= 0:
+                rec.snaps[j], rec.snap_lam[j] = run.q, lam
     run.lam, run.t = lam, t
     return rec
 
@@ -273,28 +282,57 @@ def _gram_sums(blocks: Iterable[tuple[slice, np.ndarray]], p: int,
     """The exact Gram matrix G = xi^T xi in float64 and u = xi^T q0 of the
     (rows, int8 xi[rows]) blocks of a sample with p patterns, for the
     initial state q0 = state.q; the blocks are read once, in any partition
-    of the rows."""
+    of the rows.
+
+    G's float64 buffer is viewed as two float32 p x p halves: the first
+    sums G's lower triangle, and the second is spare.  The spare half's
+    first GRAM_PANEL rows hold the product of one row panel, and its other
+    rows are the stage: the blocks are cast into it one after another, and
+    whenever the next would not fit, and once at the end, the staged rows S
+    are summed through the panels, acc[i0:i1, :i1] += S[:, i0:i1]^T S[:, :i1],
+    one triangle as in a symmetric rank-k update (SYRK; Dongarra, Du Croz,
+    Hammarling & Duff, ACM TOMS 16, 1990).  Where the spare half cannot hold
+    one panel and one block, as at p <= GRAM_PANEL, where one panel spans G,
+    the stage is a buffer of one block.  The lower triangle is then mirrored
+    once and the sum widened to float64 in place.  From N =
+    FLOAT32_EXACT_TERMS on G itself is the sum and the spare half a p x p
+    float32 buffer of its own."""
     # float32 products and sums of integers bounded by N are exact below
-    # 2^24, so G has the same bits for any row blocks.  The float32 sum
-    # and the product buffer are the two halves of G's own bytes; the sum
-    # is then widened in place from the last rows down, in chunks
-    # [ceil(b/2), b) whose float64 destination starts where their float32
-    # source ends or later, so the source rows still to come stay intact.
-    # u = lam xi^T phi with phi = +-1 at the initial state, taken from
-    # the float32 block: its sums within and over the blocks are exact
-    # integers, so u too has the same bits for any blocks
+    # 2^24, so G has the same bits for any row blocks and any stage.  The
+    # sum is widened from the last rows down, in chunks [ceil(b/2), b)
+    # whose float64 destination starts where their float32 source ends or
+    # later, so the source rows still to come stay intact.  u = lam xi^T phi
+    # with phi = +-1 at the initial state, taken from each block as it is
+    # staged: its sums within and over the blocks are exact integers, so u
+    # too has the same bits for any blocks
     n = state.q.shape[0]
     G, u = np.zeros((p, p)), np.zeros(p)
-    acc, tmp = (G.view(np.float32).reshape(2, p, p) if n < FLOAT32_EXACT_TERMS
-                else (G, np.empty((p, p), dtype=np.float32)))
-    buf, phi32 = np.empty((0, p), dtype=np.float32), state.phi.astype(np.float32)
+    acc, spare = (G.view(np.float32).reshape(2, p, p) if n < FLOAT32_EXACT_TERMS
+                  else (G, np.empty((p, p), dtype=np.float32)))
+    height = min(GRAM_PANEL, p)
+    panels = [(i0, min(i0 + height, p)) for i0 in range(0, p, height)]
+    panel, stage = spare.reshape(-1)[:height * p], spare[height:]
+    phi32, filled = state.phi.astype(np.float32), 0
+
+    def flush(S):
+        for i0, i1 in panels:
+            acc[i0:i1, :i1] += np.matmul(S[:, i0:i1].T, S[:, :i1],
+                                         out=panel[:(i1 - i0) * i1].reshape(i1 - i0, i1))
+
     for rows, xi in blocks:
-        if buf.shape[0] < xi.shape[0]:
-            buf = np.empty(xi.shape, dtype=np.float32)
-        block = buf[:xi.shape[0]]
+        m = xi.shape[0]
+        if filled and filled + m > stage.shape[0]:
+            flush(stage[:filled])
+            filled = 0
+        if m > stage.shape[0]:
+            stage = np.empty(xi.shape, dtype=np.float32)
+        block = stage[filled:filled + m]
         np.copyto(block, xi)
-        acc += np.matmul(block.T, block, out=tmp)
         u += phi32[rows] @ block
+        filled += m
+    flush(stage[:filled])
+    for i0, i1 in panels:
+        acc[i0:i1, i1:] = acc[i1:, i0:i1].T
     if acc is not G:
         b = p
         while b > 1:
@@ -403,7 +441,9 @@ class _Gram:
         vectors[0, b:b + p] = 1.0
         vectors[1:, b:b + p] = Omega, u
         _reduce_to_band(G, vectors[:, b:b + p])
-        return cls(_band_blocks(G), *vectors, state.q.shape[0], float(state.q @ state.q))
+        with np.errstate(over="ignore"):  # an infinite |q0|^2 fails the first step
+            q0_sq = float(state.q @ state.q)
+        return cls(_band_blocks(G), *vectors, state.q.shape[0], q0_sq)
 
     def start(self, state: AgentState) -> _Run:
         """A run at z = 0 with B z = 0, from the state the route was built

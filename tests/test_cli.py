@@ -906,17 +906,18 @@ def test_seed_failures_print_in_grid_order_for_any_worker_count():
 
 def test_partial_failure_exit_two(capsys):
     # a sample over the table budget, or a start whose lambda^2 overflows
-    # float64 (numpy's overflow warning silenced), fails its runs, not the sweep
+    # float64, fails its runs, not the sweep; stderr holds the failure lines
+    # and nothing else, no numpy warning (pytest.ini turns one into an error)
     for argv, seeds, error in [(["--alpha", "1", "--agents", "300000"], 1, "disorder sample needs"),
                                (["--alpha", "2", "--agents", "40", "--init-scale", "1e200"], 2,
                                 "valuations overflowed at t=1")]:
         for fmt in ("csv", "json"):
-            with np.errstate(over="ignore"):
-                code, out, err = run_cli(capsys, "simulate", *argv, "--t-eq", "5", "--t-meas", "16",
-                                         "--n-seeds", str(seeds), "--format", fmt)
+            code, out, err = run_cli(capsys, "simulate", *argv, "--t-eq", "5", "--t-meas", "16",
+                                     "--n-seeds", str(seeds), "--format", fmt)
             assert code == 2
-            failed = [l for l in err.splitlines() if " failed: " in l]
-            assert len(failed) == seeds and all(error in l for l in failed)
+            *failed, summary = err.splitlines()
+            assert len(failed) == seeds and all(" failed: " in l and error in l for l in failed)
+            assert summary.startswith(f"[simulate] {seeds} seed(s) failed at ")
             row = json.loads(out)[0] if fmt == "json" else parse_csv(out)[1][0]
             empty = None if fmt == "json" else ""  # row kept, cells empty
             assert [c for c in RESULT_COLUMNS if "_sim" in c and row[c] != empty] == []

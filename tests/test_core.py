@@ -157,15 +157,15 @@ def test_block_draw_matches_whole_table_draw(n_agents, alpha, block_entries, mon
 
 
 @pytest.mark.parametrize("n_agents, alpha", DRAW_SHAPES)
-@pytest.mark.parametrize("entries", [0, 40, 2**19])
-def test_disorder_blocks_are_whole_groups_of_eight_rows(n_agents, alpha, entries):
-    # a caller may ask for blocks larger than BLOCK_ENTRIES; every block but
-    # the last holds a multiple of 8 rows, and Omega holds once they are drawn
+@pytest.mark.parametrize("budget", [0, 40, 2**19])
+def test_disorder_blocks_are_whole_groups_of_eight_rows(n_agents, alpha, budget, monkeypatch):
+    # under any BLOCK_ENTRIES budget every block but the last holds a
+    # multiple of 8 rows, and Omega holds once they are drawn
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", budget)
     params = GameParams(n_agents=n_agents, alpha=alpha, seed=7)
     ref = whole_table_disorder(params)
     n, p = ref.xi.shape
-    budget = max(core.BLOCK_ENTRIES, entries)
-    blocks, Omega = core.disorder_blocks(params, entries)
+    blocks, Omega = core.disorder_blocks(params)
     got = list(blocks)
     stops = [r.stop for r, _ in got]
     assert [r.start for r, _ in got] == [0, *stops[:-1]] and stops[-1] == n

@@ -195,17 +195,17 @@ def test_sign_symmetry_without_pattern_bias():
 @pytest.mark.parametrize("kind", [simulator._Coupled, simulator._Patterns, simulator._Gram])
 def test_degenerate_state_raises_on_every_route(kind):
     # the same one-agent game on each route: q = 2, lambda = 2 steps to q = 0,
-    # and q = 1e200 to a q^2 beyond float64 (numpy's overflow warning silenced)
+    # and q = 1e200 to a q^2 beyond float64, with no warning: pytest.ini turns
+    # one into an error
     sample = sample_from_tables([[1]], [[-1]])
     p = GameParams(n_agents=1, alpha=1.0, kappa=0.0, seed=0)
     for q0, error in ((2.0, "all valuations vanished"), (1e200, "valuations overflowed")):
         state = AgentState(q=np.array([q0]), lam=q0, phi=np.array([1.0]))
-        with np.errstate(over="ignore"):
-            route = _built(kind, sample, state)
-            run = route.start(state)
-            assert run.lam == q0
-            with pytest.raises(DegenerateStateError, match=f"^{error} at t=1$"):
-                simulator._window(route, run, p, 1)
+        route = _built(kind, sample, state)
+        run = route.start(state)
+        assert run.lam == q0
+        with pytest.raises(DegenerateStateError, match=f"^{error} at t=1$"):
+            simulator._window(route, run, p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +440,23 @@ def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("n_agents, n_patterns", [(7, 1), (9, 2), (11, 3), (40, 17), (300, 96),
-                                                  (250, 173)])
+                                                  (250, 173), (61, 22)])
 @pytest.mark.parametrize("rows", [1, 3, 8, 64, 10**4])
 @pytest.mark.parametrize("float64_sum", [False, True])
 def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows, float64_sum,
                                                        monkeypatch):
-    # the float32 sum and product share G's float64 bytes and the sum is
-    # widened in place; FLOAT32_EXACT_TERMS = 1 forces the float64 sum.  u is
-    # lam times the exact integer sums xi^T phi of the +-1 positions
+    # the float32 sum and the spare half share G's float64 bytes and the sum
+    # is widened in place; FLOAT32_EXACT_TERMS = 1 forces the float64 sum,
+    # with a spare p x p float32 buffer.  Panels of 7 rows: at p <= 3 one
+    # panel spans G, the spare half has no stage rows left and each block
+    # takes the stage's own buffer; at p = 17 to 173 G spans 3 to 25 panels,
+    # the last one short, and blocks of up to p - 7 rows are staged in the
+    # spare half and flushed several times, the last flush holding what is
+    # left (9 + 9 + 9 + 9 + 4 rows at (40, 17) in blocks of 3, 15 x 4 + 1 at
+    # (61, 22)); larger blocks take the own buffer.  u is lam times the exact
+    # integer sums xi^T phi of the +-1 positions
     monkeypatch.setattr(core, "BLOCK_ENTRIES", rows * n_patterns)
+    monkeypatch.setattr(simulator, "GRAM_PANEL", 7)
     if float64_sum:
         monkeypatch.setattr(simulator, "FLOAT32_EXACT_TERMS", 1)
     rng = np.random.default_rng(n_agents * n_patterns + rows)
@@ -458,7 +466,7 @@ def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows
     G, u = _gram_sums(core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns)), state)
     xi = xi.astype(np.int64)
     assert G.dtype == np.float64 and G.flags.c_contiguous
-    assert np.array_equal(G, xi.T @ xi)
+    assert np.array_equal(G, xi.T @ xi) and (G == G.T).all()
     assert np.array_equal(u, 0.37 * (signs @ xi).astype(np.float64))
 
 
@@ -552,15 +560,21 @@ def test_gram_route_matches_the_pattern_space_step_at_large_p(zeta):
 
 
 def test_gram_route_footprint(monkeypatch):
-    # tracemalloc sees numpy's buffers.  From the draw through the build the
-    # run holds G (8 p^2 bytes) and one float32 block and three int8 blocks
-    # of the draw, never the N x p table, then G, one row chunk of the
-    # reduction's trailing update and its (p - b, 3b) panel buffer
-    # [Y | Z | Y].  After the build the route holds B's row blocks
-    # (24 b^2 ceil(p/b) bytes) and padded p-vectors, no p x p array, and the
-    # run's state two more; the windows and c0 add less than 64 N-vectors
+    # tracemalloc sees numpy's buffers.  Through the draw and G's sums the
+    # run holds G (8 p^2 bytes) and three int8 blocks of the draw, never the
+    # N x p table: at p = 900 each block is cast to float32 into the stage
+    # in G's spare half, with no block buffer of its own.  Then the build
+    # holds G, one row chunk of the reduction's trailing update and its
+    # (p - b, 3b) panel buffer [Y | Z | Y], which set the build's bound.
+    # After the build the route holds B's row blocks (24 b^2 ceil(p/b)
+    # bytes) and padded p-vectors, no p x p array, and the run's state two
+    # more; the windows and c0 add less than 64 N-vectors
     p = GameParams(n_agents=3000, alpha=0.3, external=ExternalBid(0, 1.0), seed=1,
                    t_equilibrate=100, t_measure=200)
+    entries, g_bytes, state = core.BLOCK_ENTRIES, 8 * p.n_patterns**2, init_state(p)
+    _, sums_peak = traced_peak(
+        lambda: simulator._gram_sums(core.disorder_blocks(p)[0], p.n_patterns, state))
+    assert sums_peak <= g_bytes + 3 * entries + 2**19
     peaks, routes, step_window = [], [], simulator._window
 
     def window(route, *args, **kwargs):
@@ -573,8 +587,7 @@ def test_gram_route_footprint(monkeypatch):
 
     monkeypatch.setattr(simulator, "_window", window)
     obs, run_peak = traced_peak(lambda: run_experiment(p))
-    (build_peak, before), g_bytes = peaks, 8 * p.n_patterns**2
-    entries = max(core.BLOCK_ENTRIES, p.n_patterns**2 // 8)
+    build_peak, before = peaks
     assert build_peak <= g_bytes + 4 * entries + 3 * entries + 2**19
     b, nb = simulator.BAND, -(-p.n_patterns // simulator.BAND)
     vectors = [v for v in vars(routes[0]).values() if isinstance(v, np.ndarray)]
@@ -622,9 +635,9 @@ def test_run_experiment_drops_the_disorder_sample_before_the_windows(kappa, alph
         refs.extend(weakref.ref(a) for a in (xi, xi.base) if a is not None)
         return xi
 
-    def blocks(params, entries):
+    def blocks(params):
         draws.append("blocks")
-        it, Omega = core.disorder_blocks(params, entries)
+        it, Omega = core.disorder_blocks(params)
         return ((rows, track(xi)) for rows, xi in it), Omega
 
     def window(route, *args, **kwargs):
@@ -711,7 +724,7 @@ def test_route_rule(monkeypatch):
     # each build returns its class, so the rule is read without a draw
     for cls in (simulator._Coupled, simulator._Patterns, simulator._Gram):
         monkeypatch.setattr(cls, "build", lambda *args, cls=cls: cls)
-    monkeypatch.setattr(simulator, "disorder_blocks", lambda params, entries: (None, None))
+    monkeypatch.setattr(simulator, "disorder_blocks", lambda params: (None, None))
 
     def kind(n_agents, n_patterns, kappa):
         params = SimpleNamespace(n_agents=n_agents, n_patterns=n_patterns, kappa=kappa)
