@@ -333,6 +333,8 @@ def _parse_axis(text: str) -> tuple[str, list[float]]:
     lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
     if count < 1:
         raise ContractError("axis count must be >= 1")
+    if not np.isfinite([lo, hi]).all():
+        raise ContractError(f"axis {name}: min {lo} and max {hi} must be finite")
     if lo > hi:
         raise ContractError(f"axis {name}: min {lo} > max {hi}")
     if count == 1:

@@ -1,4 +1,4 @@
-"""Game configuration, quenched strategy disorder, and the coupling compile.
+"""Game configuration, quenched strategy disorder, and its exact compiles.
 
 N agents each hold two binary look-up tables over p = round(alpha*N)
 information patterns.  Only the half-difference xi and half-sum omega of the
@@ -13,11 +13,12 @@ into the couplings
     d_i  = (2/N) sum_mu (xi_i^mu)^2          (self-coupling, J_ii)
 
 after which one batch step of the simulator's coupling route is a single
-matrix-vector product over the exact integer matrix X.  The compile
-reads the disorder draw's row blocks once and keeps xi only as two packed bit
-planes (N p / 4 bytes), so it never holds the int8 N x p table, and it
-multiplies xi in tiles of fixed shape (TILE), so its float32 scratch grows
-with N alone.
+matrix-vector product over the exact integer matrix X.  That compile reads
+the draw's row blocks once and keeps xi only as two packed bit planes, so it
+never holds the int8 N x p table, and its float32 tiles (TILE) grow with N
+alone.  The Gram route's compile, G = xi^T xi from the same blocks, shares
+its float32 lower-triangle panel sum (exact below FLOAT32_EXACT_TERMS terms)
+and its one mirror.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ BLOCK_ENTRIES = 2**18
 # time: the height of its row panels and the widest of its column blocks (a
 # multiple of 8, whole bytes of the packed planes).
 TILE = (160, 480)
+
+# Rows of the lower-triangle panels through which the Gram route sums G.  Up
+# to p = 320 one panel spans G, one product per block, as at N = 800, p = 240,
+# where two panels of TILE[0] = 160 rows have stalled a 2-thread float32
+# product near 40 ms in fresh processes.  At p = 600-1500 (warm, 2-vCPU Xeon)
+# panels of 160, 256 and 320 rows ran within noise of each other, and of 480
+# rows up to 27% slower.
+GRAM_PANEL = 320
 
 # float32 holds every integer of magnitude up to 2^24 exactly, so sums of
 # products of entries in {-1, 0, 1} stay exact in float32 below this many terms.
@@ -280,6 +289,26 @@ def _unpack(planes: np.ndarray, rows: slice, start: int, out: np.ndarray) -> Non
     np.copyto(out, xi.view(np.int8))
 
 
+def _lower_panel_sums(acc: np.ndarray, S: np.ndarray, height: int, panel: np.ndarray) -> None:
+    """acc[i0:i1, :i1] += S[:, i0:i1]^T S[:, :i1] over row panels of height
+    rows, through the flat float32 buffer panel (height * acc.shape[0]
+    entries): one triangle, as in a symmetric rank-k update (SYRK; Dongarra,
+    Du Croz, Hammarling & Duff, ACM TOMS 16, 1990)."""
+    n = acc.shape[0]
+    for i0 in range(0, n, height):
+        i1 = min(i0 + height, n)
+        acc[i0:i1, :i1] += np.matmul(S[:, i0:i1].T, S[:, :i1],
+                                     out=panel[:(i1 - i0) * i1].reshape(i1 - i0, i1))
+
+
+def _mirror_lower(acc: np.ndarray, height: int) -> None:
+    """acc's lower triangle into its upper, in row panels of height rows."""
+    n = acc.shape[0]
+    for i0 in range(0, n, height):
+        i1 = min(i0 + height, n)
+        acc[i0:i1, i1:] = acc[i1:, i0:i1].T
+
+
 def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The exact integer matrix X = xi xi^T, with h, b and d of the couplings,
@@ -291,14 +320,13 @@ def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega
     row blocks of xi unpacked in float64 into a buffer of its own, one
     float64 dot product per agent.  X is then summed over the fewest column
     blocks of xi of at most TILE[1] columns, evened out in whole bytes of
-    the planes (only the last may be narrower), each unpacked in float32 and
-    summed into X through lower-triangle row panels of TILE[0] rows:
-    blk[i0:i1] @ blk[:i1].T is written into X for the first block and added
-    through one panel buffer for the rest.  The lower triangle is mirrored
-    into the upper once at the end, so no N x N product is held, and the
-    float32 scratch holds at most N sum(TILE) entries at any p.  A product
-    sums at most TILE[1] terms in {-1, 0, 1}, exact in float32; the sum over
-    blocks is an integer bounded by p, accumulated in float32 for
+    the planes (only the last may be narrower): each is unpacked in float32,
+    TILE[0] rows at a time, and added as S = blk^T by _lower_panel_sums in
+    row panels of TILE[0] rows through one panel buffer.  The lower triangle
+    is mirrored into the upper once at the end, so no N x N product is held,
+    and the float32 scratch holds at most N sum(TILE) entries at any p.  A
+    product sums at most TILE[1] terms in {-1, 0, 1}, exact in float32; the
+    sum over blocks is an integer bounded by p, accumulated in float32 for
     p < FLOAT32_EXACT_TERMS and in float64 from there on, so any tile gives
     the same bits.  d is X's diagonal.
     """
@@ -316,28 +344,71 @@ def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega
     nbytes = -(-p // 8)
     count = -(-nbytes // (TILE[1] // 8))  # column blocks
     width, height = 8 * -(-nbytes // count), min(n, TILE[0])
-    # the first column block's products are written straight into X, not
-    # added to zeros, so each fresh page of X is faulted in once
-    X = np.empty((n, n), dtype=np.float32 if p < FLOAT32_EXACT_TERMS else np.float64)
+    X = np.zeros((n, n), dtype=np.float32 if p < FLOAT32_EXACT_TERMS else np.float64)
     buf = np.empty(n * (width + height), dtype=np.float32)
-    panel = buf[n * width:]
     for start in range(0, p, width):
-        k = min(width, p - start)
-        blk = buf[:n * k].reshape(n, k)
+        blk = buf[:n * min(width, p - start)].reshape(n, -1)
         for i0 in range(0, n, height):
-            i1 = min(i0 + height, n)
-            _unpack(planes, slice(i0, i1), start, blk[i0:i1])
-            lower = X[i0:i1, :i1]
-            if start:
-                lower += np.matmul(blk[i0:i1], blk[:i1].T,
-                                   out=panel[:(i1 - i0) * i1].reshape(i1 - i0, i1))
-            else:
-                np.matmul(blk[i0:i1], blk[:i1].T, out=lower)
-    for i0 in range(0, n, height):
-        i1 = min(i0 + height, n)
-        X[i0:i1, i1:] = X[i1:, i0:i1].T
+            _unpack(planes, slice(i0, i0 + height), start, blk[i0:i0 + height])
+        _lower_panel_sums(X, blk.T, height, buf[n * width:])
+    _mirror_lower(X, height)
     d = (2.0 / n) * X.diagonal().astype(np.float64)
     return X, h, b, d
+
+
+def _integer_gram(blocks: Iterable[tuple[slice, np.ndarray]], p: int, phi: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The exact Gram matrix G = xi^T xi in float64 and xi^T phi of the
+    (rows, int8 xi[rows]) blocks of a sample with p patterns, for positions
+    phi, exact where phi is integer (+-1 at a run's start); the blocks are
+    read once, in any partition of the rows.
+
+    G's float64 buffer is viewed as two float32 p x p halves: the first
+    sums G's lower triangle, and the second is spare.  The spare half's
+    first GRAM_PANEL rows hold the product of one row panel, and its other
+    rows are the stage: the blocks are cast into it one after another, and
+    whenever the next would not fit, and once at the end, the staged rows S
+    are summed by _lower_panel_sums in row panels of GRAM_PANEL rows.  Where
+    the spare half cannot hold one panel and one block (always at
+    p <= GRAM_PANEL) the stage is a buffer of one block.  The lower triangle
+    is then mirrored once and the sum widened to float64 in place.  From
+    N = FLOAT32_EXACT_TERMS on G itself is the sum and the spare half a
+    p x p float32 buffer of its own."""
+    # float32 products and sums of integers bounded by N are exact below
+    # 2^24, so G has the same bits for any row blocks and any stage.  The
+    # sum is widened from the last rows down, in chunks [ceil(b/2), b)
+    # whose float64 destination starts where their float32 source ends or
+    # later, so the source rows still to come stay intact.  xi^T phi is
+    # taken from each block as it is staged: its sums within and over the
+    # blocks are exact integers, so it too has the same bits for any blocks
+    n = phi.shape[0]
+    G, xt_phi = np.zeros((p, p)), np.zeros(p)
+    acc, spare = (G.view(np.float32).reshape(2, p, p) if n < FLOAT32_EXACT_TERMS
+                  else (G, np.empty((p, p), dtype=np.float32)))
+    height = min(GRAM_PANEL, p)
+    panel, stage = spare.reshape(-1)[:height * p], spare[height:]
+    phi32, filled = phi.astype(np.float32), 0
+    for rows, xi in blocks:
+        m = xi.shape[0]
+        if filled and filled + m > stage.shape[0]:
+            _lower_panel_sums(acc, stage[:filled], height, panel)
+            filled = 0
+        if m > stage.shape[0]:
+            stage = np.empty(xi.shape, dtype=np.float32)
+        block = stage[filled:filled + m]
+        np.copyto(block, xi)
+        xt_phi += phi32[rows] @ block
+        filled += m
+    _lower_panel_sums(acc, stage[:filled], height, panel)
+    _mirror_lower(acc, height)
+    if acc is not G:
+        b = p
+        while b > 1:
+            a = (b + 1) // 2
+            G[a:b] = acc[a:b]
+            b = a
+        G[0] = acc[0].copy()  # row 0 overlaps its own destination
+    return G, xt_phi
 
 
 def precompute_couplings(sample: DisorderSample

@@ -15,8 +15,8 @@ regrouping of the per-pattern form
 so the coupling route and the per-pattern route agree to accumulation noise.
 At kappa = 0 every update is q(t+1) = q(t) - (2/sqrt(N)) xi A(t), so q(t)
 stays in q(0) + span(xi): the Gram route writes q(t) = q(0) + xi Q z(t) with
-Q from LAPACK's panel QRs, which make the exact Gram matrix G = xi^T xi of the
-draw's row blocks a band of width BAND, B = Q^T G Q, and steps (z, B z),
+Q from LAPACK's panel QRs, which make G = xi^T xi, core._integer_gram of
+the draw's row blocks, a band of width BAND, B = Q^T G Q, and steps (z, B z),
 zero-padded p-vectors, through B's row blocks.
 run_experiment runs an equilibration and a measurement window of the one step
 loop, _window, on one of the three routes; a route holds only the arithmetic
@@ -37,10 +37,10 @@ import numpy as np
 from .core import (
     _STREAM_INIT,
     BLOCK_ENTRIES,
-    FLOAT32_EXACT_TERMS,
     DegenerateStateError,
     GameParams,
     _integer_couplings,
+    _integer_gram,
     disorder_blocks,
     rng_stream,
 )
@@ -58,14 +58,6 @@ FROZEN_GROWTH_FACTOR = 2.0
 # Bandwidth of the Gram route's band B = Q^T G Q, and the columns per panel
 # of its reduction.
 BAND = 32
-
-# Rows of the lower-triangle panels through which the Gram route sums G.  Up
-# to p = 320 one panel spans G, one product per block, as at N = 800, p = 240,
-# where two panels of core.TILE[0] = 160 rows have stalled a 2-thread float32
-# product near 40 ms in fresh processes.  At p = 600-1500 (warm, 2-vCPU Xeon)
-# panels of 160, 256 and 320 rows ran within noise of each other, and of 480
-# rows up to 27% slower.
-GRAM_PANEL = 320
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,7 @@ def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gra
     couplings from p = 0.7 N on; below it the Gram route at kappa = 0 and
     per-pattern passes otherwise.  At kappa = 0 the threshold is a break-even
     measured against the Gram route's earlier p x p step; its band reduction
-    costs about 500-700 of those steps at p = 450-1200, 750-800 at p = 1800
+    costs about 510-710 of those steps at p = 450-1200, 740-820 at p = 1800
     and 1000-1700 at p = 240, so shorter kappa = 0 runs are slower than that
     step would make them, and the run length is not yet part of the rule.
     For kappa > 0 the measured crossover lies between 0.45 and 0.6 N, and
@@ -277,73 +269,6 @@ class _Patterns:
     c0 = _Coupled.c0  # the run carries q, as on the coupling route
 
 
-def _gram_sums(blocks: Iterable[tuple[slice, np.ndarray]], p: int,
-               state: AgentState) -> tuple[np.ndarray, np.ndarray]:
-    """The exact Gram matrix G = xi^T xi in float64 and u = xi^T q0 of the
-    (rows, int8 xi[rows]) blocks of a sample with p patterns, for the
-    initial state q0 = state.q; the blocks are read once, in any partition
-    of the rows.
-
-    G's float64 buffer is viewed as two float32 p x p halves: the first
-    sums G's lower triangle, and the second is spare.  The spare half's
-    first GRAM_PANEL rows hold the product of one row panel, and its other
-    rows are the stage: the blocks are cast into it one after another, and
-    whenever the next would not fit, and once at the end, the staged rows S
-    are summed through the panels, acc[i0:i1, :i1] += S[:, i0:i1]^T S[:, :i1],
-    one triangle as in a symmetric rank-k update (SYRK; Dongarra, Du Croz,
-    Hammarling & Duff, ACM TOMS 16, 1990).  Where the spare half cannot hold
-    one panel and one block, as at p <= GRAM_PANEL, where one panel spans G,
-    the stage is a buffer of one block.  The lower triangle is then mirrored
-    once and the sum widened to float64 in place.  From N =
-    FLOAT32_EXACT_TERMS on G itself is the sum and the spare half a p x p
-    float32 buffer of its own."""
-    # float32 products and sums of integers bounded by N are exact below
-    # 2^24, so G has the same bits for any row blocks and any stage.  The
-    # sum is widened from the last rows down, in chunks [ceil(b/2), b)
-    # whose float64 destination starts where their float32 source ends or
-    # later, so the source rows still to come stay intact.  u = lam xi^T phi
-    # with phi = +-1 at the initial state, taken from each block as it is
-    # staged: its sums within and over the blocks are exact integers, so u
-    # too has the same bits for any blocks
-    n = state.q.shape[0]
-    G, u = np.zeros((p, p)), np.zeros(p)
-    acc, spare = (G.view(np.float32).reshape(2, p, p) if n < FLOAT32_EXACT_TERMS
-                  else (G, np.empty((p, p), dtype=np.float32)))
-    height = min(GRAM_PANEL, p)
-    panels = [(i0, min(i0 + height, p)) for i0 in range(0, p, height)]
-    panel, stage = spare.reshape(-1)[:height * p], spare[height:]
-    phi32, filled = state.phi.astype(np.float32), 0
-
-    def flush(S):
-        for i0, i1 in panels:
-            acc[i0:i1, :i1] += np.matmul(S[:, i0:i1].T, S[:, :i1],
-                                         out=panel[:(i1 - i0) * i1].reshape(i1 - i0, i1))
-
-    for rows, xi in blocks:
-        m = xi.shape[0]
-        if filled and filled + m > stage.shape[0]:
-            flush(stage[:filled])
-            filled = 0
-        if m > stage.shape[0]:
-            stage = np.empty(xi.shape, dtype=np.float32)
-        block = stage[filled:filled + m]
-        np.copyto(block, xi)
-        u += phi32[rows] @ block
-        filled += m
-    flush(stage[:filled])
-    for i0, i1 in panels:
-        acc[i0:i1, i1:] = acc[i1:, i0:i1].T
-    if acc is not G:
-        b = p
-        while b > 1:
-            a = (b + 1) // 2
-            G[a:b] = acc[a:b]
-            b = a
-        G[0] = acc[0].copy()  # row 0 overlaps its own destination
-    u *= state.lam
-    return G, u
-
-
 def _reduce_to_band(A: np.ndarray, vectors: np.ndarray) -> None:
     """B = Q^T A Q of bandwidth BAND for a symmetric float64 A, in place, by
     the first stage of two-stage reduction (Bischof, Lang & Sun, ACM TOMS 26,
@@ -432,11 +357,13 @@ class _Gram:
     def build(cls, blocks: Iterable[tuple[slice, np.ndarray]], Omega: np.ndarray,
               state: AgentState) -> _Gram:
         """The route over the (rows, int8 xi[rows]) blocks of a sample with
-        pattern bias Omega, from state: the exact G and u, then G reduced to
-        the band in its own buffer, beside a panel buffer and a row chunk,
-        as 1, Omega and u are rotated, and dropped once B's blocks are copied out."""
+        pattern bias Omega, from state: the exact G and xi^T phi of
+        core._integer_gram, u = lam xi^T phi, then G reduced to the band in
+        its own buffer, beside a panel buffer and a row chunk, as 1, Omega
+        and u are rotated, and dropped once B's blocks are copied out."""
         p, b = Omega.shape[0], BAND
-        G, u = _gram_sums(blocks, p, state)
+        G, u = _integer_gram(blocks, p, state.phi)
+        u *= state.lam
         vectors = np.zeros((3, (-(-p // b) + 2) * b))
         vectors[0, b:b + p] = 1.0
         vectors[1:, b:b + p] = Omega, u

@@ -177,7 +177,7 @@ def _route_trajectory(kind, sample, params, steps, float64=False):
     if float64:
         route = dataclasses.replace(route, M=route.M.astype(np.float64))
     if kind is simulator._Gram:
-        G, _ = simulator._gram_sums(blocks(), sample.xi.shape[1], state)
+        G, _ = core._integer_gram(blocks(), sample.xi.shape[1], state.phi)
         p, b = G.shape[0], simulator.BAND
         Q = np.zeros((p, (-(-p // b) + 2) * b))
         Q[:, b:b + p] = np.eye(p)

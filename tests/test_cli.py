@@ -784,9 +784,16 @@ def test_a_bad_value_is_named_by_its_key(key, value, tmp_path, monkeypatch, caps
      "sweep: axis spec must be name:min:max:count[:log], got ''"),
     ("phase-diagram", ["--sweep", ""], "",
      "sweep: axis spec must be name:min:max:count[:log], got ''"),
+    ("phase-diagram", ["--sweep", "kappa:0:inf:3"], "",
+     "sweep: axis kappa: min 0.0 and max inf must be finite"),
+    ("simulate", ["--alpha", "1"], "sweep2 = kappa:-inf:1:2",
+     "sweep2: axis kappa: min -inf and max 1.0 must be finite"),
+    ("kernels", ["--sweep", "alpha:nan:1:2", "--T", "40"], "",
+     "sweep: axis alpha: min nan and max 1.0 must be finite"),
 ], ids=["agents-config", "T-config", "alpha-config", "seeds-flag", "seeds-config", "sweep-flag",
         "phase-diagram-sweep-flag", "sweep2-config", "empty-sweep-flag", "empty-sweep2-flag",
-        "empty-sweep-config", "phase-diagram-empty-sweep-flag"])
+        "empty-sweep-config", "phase-diagram-empty-sweep-flag", "inf-max", "minus-inf-min",
+        "nan-min"])
 def test_a_value_that_does_not_parse_is_named_by_its_key(command, argv, config, error, tmp_path,
                                                          monkeypatch, capsys):
     # typed flags (--agents x) keep argparse's own error, which names the flag

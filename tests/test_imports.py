@@ -1,6 +1,6 @@
-"""No imported name in src/ or tests/ goes unused, and every definition and
-dataclass field in src/ has a reader outside the tests (stdlib ast, no
-linter)."""
+"""No imported name in src/ or tests/ goes unused, and every definition,
+module constant and dataclass field in src/ has a reader outside the tests
+(stdlib ast, no linter)."""
 
 import ast
 from pathlib import Path
@@ -36,6 +36,33 @@ def definitions(source):
     return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source))
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                   and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def module_assignments(source):
+    """(line, name) of every name that an assignment at source's module scope
+    binds, dunders excepted."""
+    return sorted((node.lineno, node.id) for stmt in ast.parse(source).body
+                  if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                  for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+                  for node in ast.walk(target)
+                  if isinstance(node, ast.Name)
+                  and not (node.id.startswith("__") and node.id.endswith("__")))
+
+
+def constant_reads(source, module):
+    """Every (module, name) that source, the module named module, reads: a
+    bare name gives its own module, a name imported from a module gives that
+    module (the last part of its dotted name), and an attribute read gives
+    (None, name), a read for every module."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add((module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add((None, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            reads.update((node.module.split(".")[-1], alias.name) for alias in node.names)
+    return reads
 
 
 def references(source):
@@ -113,6 +140,34 @@ def test_every_src_definition_has_a_caller_outside_the_tests():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in src for line, name in definitions(path.read_text()) if name not in read]
     assert not found, "definitions only the tests reach:\n" + "\n".join(found)
+
+
+def test_every_src_module_constant_has_a_reader_outside_the_tests():
+    src = sorted((ROOT / "src").rglob("*.py"))
+    read = set().union(*(constant_reads(path.read_text(), path.stem)
+                         for path in src + sorted((ROOT / "perfbench").glob("*.py"))))
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in src for line, name in module_assignments(path.read_text())
+             if not {(path.stem, name), (None, name)} & read]
+    assert not found, "module constants only the tests read:\n" + "\n".join(found)
+
+
+def test_module_constants_and_their_reads():
+    source = ("from .core import TILE, BAND as WIDTH\n"
+              "__all__ = ['A']\n"
+              "A = 1\n"
+              "B: int = 2\n"
+              "C, (D, E) = 3, (4, 5)\n"
+              "F = G = 6\n"
+              "def f():\n"
+              "    H = 7\n"
+              "    return A + core.TILE\n")
+    assert module_assignments(source) == [(3, "A"), (4, "B"), (5, "C"), (5, "D"), (5, "E"),
+                                          (6, "F"), (6, "G")]
+    # an unread copy of another module's constant has no reader of its own
+    assert constant_reads(source, "simulator") == {
+        ("core", "TILE"), ("core", "BAND"), ("simulator", "A"), ("simulator", "int"),
+        ("simulator", "core"), (None, "TILE")}
 
 
 def test_definitions_and_references_read_names_and_attributes():

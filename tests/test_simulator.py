@@ -49,17 +49,17 @@ def _built(kind, sample, state):
     return kind.build(_blocks(sample), sample.Omega, state)
 
 
-def _gram_sums(sample, state):
-    """G and u as the Gram route sums them from the row blocks of a whole
-    sample, for runs from state."""
-    return simulator._gram_sums(_blocks(sample), sample.xi.shape[1], state)
+def _integer_gram(sample, phi):
+    """G and xi^T phi as the Gram route sums them from the row blocks of a
+    whole sample, for runs from positions phi."""
+    return core._integer_gram(_blocks(sample), sample.xi.shape[1], phi)
 
 
 def _gram_basis(sample, state):
     """The Gram route's basis Q of sample, with B = Q^T G Q banded, in the
     padded layout of the route's vectors (column j at b + j of (nb + 2) b,
     b = BAND): the identity carried through the route's reduction of G."""
-    G, _ = _gram_sums(sample, state)
+    G, _ = _integer_gram(sample, state.phi)
     p, b = G.shape[0], simulator.BAND
     Q = np.zeros((p, (-(-p // b) + 2) * b))
     Q[:, b:b + p] = np.eye(p)
@@ -428,13 +428,26 @@ def test_observables_are_plain_python_values():
 
 
 def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
+    # at the shipping GRAM_PANEL and BLOCK_ENTRIES, against float64 products
+    # of xi (exact integers below 2^53): at p = 440 blocks of 592 rows
+    # overflow the spare half's 120 stage rows, so the stage is a buffer of
+    # its own, with panels of 320 + 120 rows; at p = 900 two blocks of 288
+    # rows fit the spare half's 580 stage rows, with panels of
+    # 320 + 320 + 260 rows
+    for n_agents, alpha in ((800, 0.55), (1500, 0.6)):
+        params = GameParams(n_agents=n_agents, alpha=alpha, seed=9)
+        sample, phi = generate_disorder(params), init_state(params).phi
+        xi = sample.xi.astype(np.float64)
+        G, xt_phi = _integer_gram(sample, phi)
+        assert G.dtype == np.float64 and np.array_equal(G, xi.T @ xi), n_agents
+        assert np.array_equal(xt_phi, phi @ xi), n_agents
     params = GameParams(n_agents=203, alpha=0.4, seed=9)
     sample = generate_disorder(params)
     xi = sample.xi.astype(np.int64)
     exact = (xi.T @ xi).astype(np.float64)
     for entries in (2**20, 5 * sample.xi.shape[1]):  # one block; blocks of 5 rows, the last short
         monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
-        G, _ = _gram_sums(sample, init_state(params))
+        G, _ = _integer_gram(sample, init_state(params).phi)
         assert G.dtype == np.float64 and np.array_equal(G, exact), entries
     assert len(core.row_blocks(*sample.xi.shape)) == 41
 
@@ -453,21 +466,21 @@ def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows
     # the last one short, and blocks of up to p - 7 rows are staged in the
     # spare half and flushed several times, the last flush holding what is
     # left (9 + 9 + 9 + 9 + 4 rows at (40, 17) in blocks of 3, 15 x 4 + 1 at
-    # (61, 22)); larger blocks take the own buffer.  u is lam times the exact
-    # integer sums xi^T phi of the +-1 positions
+    # (61, 22)); larger blocks take the own buffer.  xi^T phi is the exact
+    # integer sums of the +-1 positions
     monkeypatch.setattr(core, "BLOCK_ENTRIES", rows * n_patterns)
-    monkeypatch.setattr(simulator, "GRAM_PANEL", 7)
+    monkeypatch.setattr(core, "GRAM_PANEL", 7)
     if float64_sum:
-        monkeypatch.setattr(simulator, "FLOAT32_EXACT_TERMS", 1)
+        monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", 1)
     rng = np.random.default_rng(n_agents * n_patterns + rows)
     xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
     signs = rng.choice([-1, 1], size=n_agents)
-    state = AgentState(q=0.37 * signs, lam=0.37, phi=signs.astype(np.float64))
-    G, u = _gram_sums(core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns)), state)
+    G, xt_phi = _integer_gram(core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns)),
+                              signs.astype(np.float64))
     xi = xi.astype(np.int64)
     assert G.dtype == np.float64 and G.flags.c_contiguous
     assert np.array_equal(G, xi.T @ xi) and (G == G.T).all()
-    assert np.array_equal(u, 0.37 * (signs @ xi).astype(np.float64))
+    assert np.array_equal(xt_phi, (signs @ xi).astype(np.float64))
 
 
 def _symmetric(p, kind, rng):
@@ -548,7 +561,8 @@ def test_gram_route_matches_the_pattern_space_step_at_large_p(zeta):
                    t_equilibrate=200, t_measure=200)
     state, sample = init_state(p), generate_disorder(p)
     assert p.n_patterns == 900
-    ref = pattern_space_run(*_gram_sums(sample, state), sample.Omega, state.q, state.lam,
+    G, xt_phi = _integer_gram(sample, state.phi)
+    ref = pattern_space_run(G, state.lam * xt_phi, sample.Omega, state.q, state.lam,
                             p.external.series(400), simulator.C0_SNAPSHOTS)
     route = _built(simulator._Gram, sample, state)
     run = route.start(state)
@@ -573,7 +587,7 @@ def test_gram_route_footprint(monkeypatch):
                    t_equilibrate=100, t_measure=200)
     entries, g_bytes, state = core.BLOCK_ENTRIES, 8 * p.n_patterns**2, init_state(p)
     _, sums_peak = traced_peak(
-        lambda: simulator._gram_sums(core.disorder_blocks(p)[0], p.n_patterns, state))
+        lambda: core._integer_gram(core.disorder_blocks(p)[0], p.n_patterns, state.phi))
     assert sums_peak <= g_bytes + 3 * entries + 2**19
     peaks, routes, step_window = [], [], simulator._window
 
