@@ -25,9 +25,12 @@ With K_tt' = <q(t) q(t')> one step grows the triangle by one row:
     lambda(t+1) = sqrt(K_{t+1,t+1}),   C_{t+1,s} = K_{t+1,s} / (lambda(t+1) lambda(s))
 
 which needs only the row L[t, :t+2], available once g has grown to row t+1.
-(1+G) is unit lower triangular, so W is obtained exactly by forward
-substitution on the grown triangle.  Note that L is a full matrix: eta is
-correlated across all time pairs, so <eta(t) q(s)> != 0 even for s <= t.
+(1+G) is unit lower triangular, so row t of W follows exactly by forward
+substitution from row t of G, g(t)/lambda(t), and the rows of W above it.
+W G = G W = 1 - W turns every other product with G into one with W, so the
+iteration never forms G; G = W^(-1) - 1 follows from W.  Note that L is a
+full matrix: eta is correlated across all time pairs, so <eta(t) q(s)> != 0
+even for s <= t.
 """
 
 from __future__ import annotations
@@ -41,7 +44,10 @@ from .estimators import fit_line, persistent_correlation
 
 
 class KernelInstabilityError(RuntimeError):
-    """The moment recursion produced a nonpositive diagonal second moment."""
+    """The moment recursion produced a diagonal second moment that is not
+    positive, or not finite.  numpy's overflow warnings are off in the
+    iteration: an overflow makes the moment infinite (or NaN), which fails
+    the run with this error."""
 
 
 @dataclass(frozen=True)
@@ -67,14 +73,13 @@ class KernelParams:
 class KernelState:
     """Two-time kernels on the grid {0..T}^2, T = params.T.
 
-    C is symmetric with unit diagonal, G strictly lower triangular and
-    W = (1+G)^(-1).  Only these are stored; K, D, Sigma and L follow from
-    them by the products in the module docstring.
+    C is symmetric with unit diagonal and W = (1+G)^(-1) unit lower
+    triangular.  Only these and lambda are stored: G = W^(-1) - 1 follows,
+    with K, D, Sigma and L, by the products in the module docstring.
     """
 
     params: KernelParams
     C: np.ndarray
-    G: np.ndarray
     lambda_traj: np.ndarray
     W: np.ndarray
 
@@ -90,63 +95,63 @@ class KernelTail:
 
 
 def iterate_kernels(params: KernelParams) -> KernelState:
-    """Grow the C, G, lambda trajectory step by step up to horizon T.
+    """Grow the C, W, lambda trajectory step by step up to horizon T.
 
     Each entry of the kernels is computed exactly once and never revisited.
-    Only C, G and W are held, with the O(T) vectors r1 = W 1, ra = W a_e and
-    the current row of g = lambda G.  Row t of Sigma is
-    r1_t r1 + W (C W_t^T) + 2 ra_t ra, and C W_t^T also gives the memory term
-    of the K update, so a step makes five passes: G_t W, C W_t^T, W (C W_t^T),
-    W_t G and G Sigma_t.  Raises KernelInstabilityError if the diagonal moment
-    closure fails.
+    Only C and W are held, with the O(T) vectors r1 = W 1, ra = W a_e,
+    G r1 = 1 - r1 and G ra = a_e - ra, and the current row of g = lambda G.
+    Row t of Sigma is r1_t r1 + W (C W_t^T) + 2 ra_t ra, and C W_t^T also
+    gives the memory term of the K update.  W G = G W = 1 - W turns the
+    response update's W_t G into e_t - W_t and the cross moments' G Sigma_t
+    into (1 - W) C W_t^T + r1_t G r1 + 2 ra_t G ra, so a step makes three
+    passes: G_t W, C W_t^T and W (C W_t^T).  G r1 and G ra are summed from
+    W's rows without the unit diagonal, not subtracted from 1 and a_e, which
+    would cancel under strong drives.  numpy's overflow warnings are off in
+    the loop.  Raises KernelInstabilityError if the diagonal moment closure
+    fails or overflows.
     """
     n = params.T + 1
     alpha, kappa = params.alpha, params.kappa
     a_e = params.external.series(n)
 
-    C = np.zeros((n, n))
-    G = np.zeros((n, n))
-    W = np.zeros((n, n))  # (1+G)^(-1), grown by forward substitution
-    lam = np.zeros(n)
-    r1 = np.zeros(n)  # W 1
-    ra = np.zeros(n)  # W a_e
-    g = np.zeros(n)  # row t of the response to a valuation kick, G = g / lambda
-
+    C = np.eye(n)
+    W = np.eye(n)  # (1+G)^(-1), grown by forward substitution
+    lam, g = np.zeros((2, n))  # g: row t of the response to a valuation kick, G = g / lambda
+    r1, ra, gr1, gra = np.zeros((4, n))  # W 1, W a_e, G r1 = 1 - r1 and G ra = a_e - ra
     lam[0] = params.init_scale
-    C[0, 0] = 1.0
 
-    for t in range(n):
-        W[t, :t] = -(G[t, :t] @ W[:t, :t])
-        W[t, t] = 1.0
-        if t == params.T:
-            break
-        w = W[t, : t + 1]
-        r1[t] = w.sum()
-        ra[t] = w @ a_e[: t + 1]
-        c_t = C[t, : t + 1]
-        v = C[: t + 1, : t + 1] @ w
-        sigma = W[: t + 1, : t + 1] @ v
-        sigma += r1[t] * r1[: t + 1] + (2.0 * ra[t]) * ra[: t + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n):
+            g_t = g[:t] / lam[t]  # row t of G
+            W[t, :t] = -(g_t @ W[:t, :t])
+            if t == params.T:
+                break
+            w = W[t, : t + 1]
+            r1[t], gr1[t] = w.sum(), -W[t, :t].sum()
+            ra[t], gra[t] = w @ a_e[: t + 1], -(W[t, :t] @ a_e[:t])
+            c_t = C[t, : t + 1]
+            v = C[: t + 1, : t + 1] @ w
+            wv = W[: t + 1, : t + 1] @ v
+            sigma = wv + (r1[t] * r1[: t + 1] + (2.0 * ra[t]) * ra[: t + 1])
 
-        g[: t + 1] -= alpha * (w @ G[: t + 1, : t + 1] - kappa * G[t, : t + 1])
-        g[t] += 1.0
-        # K_{t+1,s} = lambda(s) x_s: the memory term is lambda(s) (v - kappa C_t)_s
-        # and the cross moments sqrt(alpha) L_ts are alpha lambda(s) (G Sigma_t)_s
-        x = lam[t] * c_t - alpha * (v - kappa * c_t) + alpha * (G[: t + 1, : t + 1] @ sigma)
-        k_next = (lam[t] * x[t] - alpha * (w @ x - kappa * x[t])
-                  + alpha * (g[: t + 1] @ sigma))
-        if not k_next > 0.0:
-            raise KernelInstabilityError(
-                f"<q^2> closure failed at t={t + 1}: K={k_next:.3e}, "
-                f"lambda tail {lam[max(0, t - 3) : t + 1]}"
-            )
-        lam[t + 1] = np.sqrt(k_next)
-        C[t + 1, : t + 1] = x / lam[t + 1]
-        C[: t + 1, t + 1] = C[t + 1, : t + 1]
-        C[t + 1, t + 1] = 1.0
-        G[t + 1, : t + 1] = g[: t + 1] / lam[t + 1]
+            g[:t] += alpha * (W[t, :t] + kappa * g_t)
+            g[t] = 1.0
+            # K_{t+1,s} = lambda(s) x_s: the memory term is lambda(s) (v - kappa C_t)_s
+            # and the cross moments sqrt(alpha) L_ts are alpha lambda(s) (G Sigma_t)_s
+            g_sigma = (v - wv) + r1[t] * gr1[: t + 1] + (2.0 * ra[t]) * gra[: t + 1]
+            x = lam[t] * c_t - alpha * (v - kappa * c_t) + alpha * g_sigma
+            k_next = (lam[t] * x[t] - alpha * (w @ x - kappa * x[t])
+                      + alpha * (g[: t + 1] @ sigma))
+            if not np.isfinite(k_next):
+                raise KernelInstabilityError(f"<q^2> overflowed at t={t + 1}")
+            if not k_next > 0.0:
+                raise KernelInstabilityError(f"<q^2> closure failed at t={t + 1}: K={k_next:.3e}, "
+                                             f"lambda tail {lam[max(0, t - 3) : t + 1]}")
+            lam[t + 1] = np.sqrt(k_next)
+            C[t + 1, : t + 1] = x / lam[t + 1]
+            C[: t + 1, t + 1] = C[t + 1, : t + 1]
 
-    return KernelState(params=params, C=C, G=G, lambda_traj=lam, W=W)
+    return KernelState(params=params, C=C, lambda_traj=lam, W=W)
 
 
 def check_tail(tail: float) -> None:
@@ -160,7 +165,7 @@ def extract_stationary(state: KernelState, tail: float = 0.25) -> KernelTail:
 
     c0 is the persistent_correlation of the tail block of C;
     Lambda is the fitted slope of lambda(t) over the tail; sigma_fl^2 is the
-    tail average of diag[(1+G)^(-1) (1 + C) (1+G^T)^(-1)] / 2.
+    tail average of diag[W (1 + C) W^T] / 2.
     """
     check_tail(tail)
     n = state.params.T + 1

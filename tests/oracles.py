@@ -4,8 +4,9 @@ Everything here is written from the defining sums with explicit Python loops,
 direct stochastic sampling or a second closed form, deliberately sharing no
 code path with the package implementations it checks.  Nothing is imported
 from sphmg.theory: each theory oracle writes out its own a2 = A^2 d(zeta,0).
-The derived kernels (K, D, Sigma, L) are formed from a KernelState's stored
-C, G, lambda and W by their defining products.  The package calls none of it.
+The derived kernels (G, K, D, Sigma, L) are formed from a KernelState's
+stored C, lambda and W by their defining products, G = W^(-1) - 1 by one
+triangular solve.  The package calls none of it.
 """
 
 from __future__ import annotations
@@ -163,36 +164,30 @@ def brute_force_trajectory(q0, sample: DisorderSample, a_e, kappa: float, n_step
     return qs
 
 
-def causal_inverse(G: np.ndarray) -> np.ndarray:
-    """(1 + G)^(-1) for a strictly lower triangular response matrix."""
-    n = G.shape[0]
-    return solve_triangular(np.eye(n) + G, np.eye(n), lower=True, unit_diagonal=True)
-
-
-def memory_rows(G: np.ndarray, kappa: float, lam: np.ndarray) -> np.ndarray:
-    """Rows of [(1+G)^(-1) - kappa 1] with columns pre-divided by lambda(t')."""
-    ml = causal_inverse(G)
+def memory_rows(W: np.ndarray, kappa: float, lam: np.ndarray) -> np.ndarray:
+    """Rows of [W - kappa 1] with columns pre-divided by lambda(t')."""
+    ml = W.copy()
     ml[np.diag_indices_from(ml)] -= kappa
     ml /= lam[np.newaxis, :]
     return ml
 
 
-def reference_kernels(params: KernelParams) -> tuple[np.ndarray, ...]:
+def reference_kernels(params: KernelParams, dtype=np.float64) -> tuple[np.ndarray, ...]:
     """C, G, lambda, Sigma and W by the seven-array recursion of the moments.
 
     Every two-time array is held in full: K = <q q>, the noise source
     D = 1 + C + 2 a_e a_e^T, Sigma = W D W^T, the unnormalized response g
     and the cross moments L_t = sqrt(alpha) g Sigma_t, each row taken from
-    its defining product.
+    its defining product, all in dtype.
     """
     n = params.T + 1
-    alpha, kappa = params.alpha, params.kappa
-    sqrt_a = math.sqrt(alpha)
-    a_e = params.external.series(n)
-    C, G, Sig, W, K, D, g = (np.zeros((n, n)) for _ in range(7))
-    lam = np.zeros(n)
+    alpha, kappa = dtype(params.alpha), dtype(params.kappa)
+    sqrt_a = np.sqrt(alpha)
+    a_e = params.external.series(n).astype(dtype)
+    C, G, Sig, W, K, D, g = (np.zeros((n, n), dtype) for _ in range(7))
+    lam = np.zeros(n, dtype)
     lam[0] = params.init_scale
-    K[0, 0] = params.init_scale**2
+    K[0, 0] = dtype(params.init_scale) ** 2
     C[0, 0] = 1.0
     W[0, 0] = 1.0
     for t in range(n):
@@ -216,11 +211,17 @@ def reference_kernels(params: KernelParams) -> tuple[np.ndarray, ...]:
         )
         K[t + 1, t + 1] = K[t + 1, t] - alpha * (ml @ K[t + 1, : t + 1]) + sqrt_a * L_t[t + 1]
         K[: t + 1, t + 1] = K[t + 1, : t + 1]
-        lam[t + 1] = math.sqrt(K[t + 1, t + 1])
+        lam[t + 1] = np.sqrt(K[t + 1, t + 1])
         C[t + 1, : t + 2] = K[t + 1, : t + 2] / (lam[t + 1] * lam[: t + 2])
         C[: t + 2, t + 1] = C[t + 1, : t + 2]
         G[t + 1, : t + 1] = g[t + 1, : t + 1] / lam[t + 1]
     return C, G, lam, Sig, W
+
+
+def response(state: KernelState) -> np.ndarray:
+    """G = W^(-1) - 1, the strictly lower triangular response of the state's W."""
+    eye = np.eye(state.params.T + 1)
+    return solve_triangular(state.W, eye, lower=True, unit_diagonal=True) - eye
 
 
 def kernel_moments(state: KernelState) -> np.ndarray:
@@ -242,12 +243,12 @@ def noise_covariance(state: KernelState) -> np.ndarray:
 def cross_moments(state: KernelState) -> np.ndarray:
     """L = <eta(t) q(t')> = sqrt(alpha) (Sigma g^T)_tt' with g = G lambda,
     the Gaussian identity for the linear process."""
-    g = state.G * state.lambda_traj[:, np.newaxis]
+    g = response(state) * state.lambda_traj[:, np.newaxis]
     return math.sqrt(state.params.alpha) * (noise_covariance(state) @ g.T)
 
 
 def bid_mean_trajectory(state: KernelState) -> np.ndarray:
-    """Bid-mean series sum_{t'} (1+G)^(-1)_tt' a_e(t') of the state's drive.
+    """Bid-mean series sum_{t'} W_tt' a_e(t') of the state's drive.
 
     Under a stationary (alternating) drive, the plain (staggered) tail average
     approaches A/(1+chi) (A/(1+chi_hat)).
@@ -264,7 +265,7 @@ def cross_moments_by_recursion(state: KernelState) -> np.ndarray:
     """
     p = state.params
     n = state.params.T + 1
-    ml = memory_rows(state.G, p.kappa, state.lambda_traj)
+    ml = memory_rows(state.W, p.kappa, state.lambda_traj)
     sqrt_a = math.sqrt(p.alpha)
     sigma = noise_covariance(state)
     L = np.zeros((n, n))
@@ -286,7 +287,7 @@ def sample_effective_process(state: KernelState, n_paths: int, rng: np.random.Ge
     T = state.params.T
     eta = rng.multivariate_normal(np.zeros(T), noise_covariance(state)[:T, :T],
                                   size=n_paths, method="eigh")
-    ml = memory_rows(state.G, p.kappa, state.lambda_traj)
+    ml = memory_rows(state.W, p.kappa, state.lambda_traj)
     q = np.empty((n_paths, T + 1))
     q[:, 0] = p.init_scale * rng.choice([-1.0, 1.0], size=n_paths)
     sqrt_a = math.sqrt(p.alpha)

@@ -930,6 +930,20 @@ def test_partial_failure_exit_two(capsys):
             assert [c for c in RESULT_COLUMNS if "_sim" in c and row[c] != empty] == []
 
 
+@pytest.mark.parametrize("argv", [["--alpha", "3", "--init-scale", "1e300"],
+                                  ["--alpha", "3", "--init-scale", "1e200"],
+                                  ["--alpha", "1e300"]])
+def test_kernel_overflow_fails_once_without_warnings(argv):
+    # a subprocess, so that a numpy warning would reach stderr as it does for
+    # a user rather than be raised by pytest.ini's filter
+    env = {**os.environ, "PYTHONPATH": str(Path(sphmg.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-m", "sphmg.cli", "kernels", "--T", "40", *argv],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    [line] = out.stderr.splitlines()
+    assert line.startswith("[kernels] point ") and line.endswith(" failed: <q^2> overflowed at t=1")
+
+
 def _readme_commands():
     """The argv of every sphmg line in README's sh blocks, with continuations
     joined and each shell variable replaced by 0."""

@@ -192,10 +192,6 @@ def test_definitions_and_references_read_names_and_attributes():
 READ_WHOLE = {
     "StationaryTheory": "cmd_theory prints every field through dataclasses.fields",
 }
-# Single fields read only through their object as a whole.
-READ_WHOLE_FIELDS = {
-    ("KernelState", "G"): "perfbench's kernel workload sizes every array field through vars(state)",
-}
 
 
 def test_every_src_dataclass_field_has_a_reader_outside_the_tests():
@@ -205,8 +201,15 @@ def test_every_src_dataclass_field_has_a_reader_outside_the_tests():
     found = [f"{path.relative_to(ROOT)}:{line}: {cls}.{name}"
              for path in src
              for line, cls, name in unread_fields(path.read_text(), read)
-             if cls not in READ_WHOLE and (cls, name) not in READ_WHOLE_FIELDS]
+             if cls not in READ_WHOLE]
     assert not found, "dataclass fields only the tests read:\n" + "\n".join(found)
+
+
+def test_every_read_whole_entry_names_a_src_dataclass():
+    # a stale exemption fails here rather than lingering
+    classes = {cls for path in (ROOT / "src").rglob("*.py")
+               for _, cls, _ in dataclass_fields(path.read_text())}
+    assert set(READ_WHOLE) <= classes
 
 
 def test_dataclass_fields_and_field_reads():

@@ -6,6 +6,7 @@ import pytest
 from sphmg import (
     ContractError,
     ExternalBid,
+    KernelInstabilityError,
     KernelParams,
     alpha_c2,
     extract_stationary,
@@ -14,14 +15,15 @@ from sphmg import (
 )
 from oracles import (
     bid_mean_trajectory,
-    causal_inverse,
     cross_moments,
     cross_moments_by_recursion,
     kernel_moments,
     memory_rows,
     reference_kernels,
+    response,
     sample_effective_process,
 )
+from tracing import traced_peak
 
 
 def _params(alpha, kappa=0.0, A=0.0, zeta=0, T=200, init_scale=1.0):
@@ -43,11 +45,11 @@ def test_structure_invariants():
     assert np.abs(np.diag(state.C) - 1.0).max() < 1e-10
     assert np.array_equal(state.C, state.C.T)
     assert np.abs(state.C).max() <= 1.0 + 1e-8
-    assert np.abs(np.triu(state.G)).max() == 0.0  # causality, includes diagonal
     assert np.all(state.lambda_traj > 0.0)
-    # W, grown by forward substitution, is the causal inverse
-    W = causal_inverse(state.G)
-    assert np.abs(state.W - W).max() < 1e-12
+    # causality: W is unit lower triangular, so G = W^(-1) - 1 is strictly so
+    assert np.array_equal(np.diag(state.W), np.ones(61))
+    assert np.abs(np.triu(state.W, 1)).max() == 0.0
+    assert np.abs(np.triu(response(state))).max() == 0.0  # includes diagonal
 
 
 @pytest.mark.parametrize("alpha, kappa, A, zeta", [(1.0, 0.0, 0.0, 0),    # frozen phase F
@@ -55,20 +57,54 @@ def test_structure_invariants():
                                                    (3.0, 0.0, 1.0, 1),    # alternating drive
                                                    (2.4, 0.25, 1.0, 0)])  # partial self-impact
 def test_iteration_matches_seven_array_recursion(alpha, kappa, A, zeta):
-    # the iterator derives Sigma, K, g and the cross moments from C, G and W;
+    # the iterator derives Sigma, K, g and the cross moments from C and W;
     # the reference holds all seven arrays and takes each row by its
     # defining product, so only the rounding differs
     params = _params(alpha, kappa, A, zeta, T=200)
     state = iterate_kernels(params)
     C, G, lam, Sigma, W = reference_kernels(params)
-    for got, want in [(state.C, C), (state.G, G), (state.lambda_traj, lam), (state.W, W)]:
+    for got, want in [(state.C, C), (response(state), G), (state.lambda_traj, lam), (state.W, W)]:
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("A, T, bounds", [(1e3, 300, (1.5e-10, 4e-12, 1e-11, 6e-11)),
+                                          (1e4, 200, (1.5e-8, 3e-11, 1e-9, 6e-9))])
+def test_strong_alternating_drive_keeps_its_digits(A, T, bounds):
+    # against the seven-array recursion in long double.  A strong alternating
+    # drive makes ra = W a_e and G ra = a_e - ra large with alternating
+    # signs; G r1 and G ra are summed from W's rows, not subtracted from 1
+    # and a_e.  The bounds are 2.6-3.1x the largest relative errors of the
+    # five-product recursion that held G (C 5.1e-11 and 5.7e-9, lambda
+    # 1.3e-12 and 9.9e-12, W 3.6e-12 and 3.4e-10, G 2.2e-11 and 2.1e-9);
+    # the subtracted form misses them by 40x or more (C 6.6e-9 and 6.0e-6)
+    params = _params(3.0, A=A, zeta=1, T=T)
+    state = iterate_kernels(params)
+    C, G, lam, _, W = reference_kernels(params, np.longdouble)
+    for got, want, bound in zip((state.C, state.lambda_traj, state.W, response(state)),
+                                (C, lam, W, G), bounds):
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
 
 def test_state_stores_only_underived_kernels():
     state = iterate_kernels(_params(2.5, kappa=0.2, A=1.0, zeta=1, T=40))
     stored = {k for k, v in vars(state).items() if isinstance(v, np.ndarray)}
-    assert stored == {"C", "G", "lambda_traj", "W"}
+    assert stored == {"C", "lambda_traj", "W"}
+
+
+def test_kernel_footprint():
+    # tracemalloc sees numpy's buffers: the iteration holds C and W, two
+    # (T+1)^2 float64 arrays, and less than 64 (T+1)-vectors besides
+    params = _params(2.4, kappa=0.25, A=1.0, zeta=1, T=400)
+    n = params.T + 1
+    _, peak = traced_peak(lambda: iterate_kernels(params))
+    assert peak <= 2 * 8 * n * n + 64 * 8 * n
+
+
+@pytest.mark.parametrize("alpha, init_scale", [(3.0, 1e300), (3.0, 1e200), (1e300, 1.0)])
+def test_overflow_fails_at_its_own_step(alpha, init_scale):
+    # K(1, 1) overflows; no numpy warning (pytest.ini makes one an error)
+    with pytest.raises(KernelInstabilityError, match=r"^<q\^2> overflowed at t=1$"):
+        iterate_kernels(_params(alpha, T=40, init_scale=init_scale))
 
 
 def test_cross_moments_satisfy_gaussian_identity():
@@ -84,7 +120,7 @@ def test_cross_moments_satisfy_gaussian_identity():
         scale = max(1.0, np.abs(expected).max())
         assert np.abs(cross_moments(state) - expected).max() / scale < 1e-12
         K = kernel_moments(state)
-        ml = memory_rows(state.G, kappa, state.lambda_traj)
+        ml = memory_rows(state.W, kappa, state.lambda_traj)
         K_next = K[:-1] - alpha * (ml[:-1] @ K) + math.sqrt(alpha) * expected[:-1]
         assert np.abs(K[1:] - K_next).max() / np.abs(K).max() < 1e-12
 
