@@ -19,6 +19,12 @@ never holds the int8 N x p table, and its float32 tiles (TILE) grow with N
 alone.  The Gram route's compile, G = xi^T xi from the same blocks, shares
 its float32 lower-triangle panel sum (exact below FLOAT32_EXACT_TERMS terms)
 and its one mirror.
+
+A sample and its start depend on (N, p, seed) alone.  The seed splits into
+two independent sub-streams, read only here: one draws the tables over
+row_blocks, the one row partition of the N x p table, which the field h of
+the compile and every whole-sample feed cut the same way; the other draws
+the start's signs (init_state).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 # Budget for one quenched sample: N*p int8 entries per table.
 MAX_TABLE_ENTRIES = 2**28
 
-# Entries of xi cast to float at a time where a product runs over row blocks.
+# Entries of one block of row_blocks (at least 8 rows whatever p).
 BLOCK_ENTRIES = 2**18
 
 # Rows x columns of the float32 xi tile the coupling compile multiplies at a
@@ -182,10 +188,25 @@ class DisorderSample:
     Omega: np.ndarray
 
 
+def row_blocks(n: int, p: int) -> list[slice]:
+    """The one row partition of an N x p table: whole groups of 8 rows, at
+    least 8, and the most within BLOCK_ENTRIES entries; only the last block
+    may be shorter.
+
+    The disorder draw yields its blocks over it, so every block but the last
+    ends on a uint32 boundary of the raw stream, and the coupling compile
+    takes h over it, one float64 matrix-vector product per block.  Those
+    products have the same bits on 1 and 2 BLAS threads at every p, where
+    one product over the whole matrix does not (at N = 1500, alpha = 2), nor
+    do products of one row each (at N = 100, alpha = 1400).
+    """
+    rows = max(8, BLOCK_ENTRIES // p // 8 * 8)
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
 def disorder_blocks(params: GameParams) -> tuple[Iterator[tuple[slice, np.ndarray]], np.ndarray]:
-    """xi of the sample of params in row blocks of about BLOCK_ENTRIES
-    entries, and its Omega, which holds its values once the blocks are
-    exhausted.
+    """xi of the sample of params over row_blocks(N, p), and its Omega, which
+    holds its values once the blocks are exhausted.
 
     Each {0, 1} table is the draw rng.integers(0, 2, size=(n, p),
     dtype=np.int8), taken from the raw stream: that draw reads consecutive
@@ -194,9 +215,9 @@ def disorder_blocks(params: GameParams) -> tuple[Iterator[tuple[slice, np.ndarra
     follows the first's ceil(n p / 4) outputs in the stream; a second
     generator on the same seed is advanced past them (PCG64 yields two uint32
     outputs per step), so both tables are drawn block by block, side by
-    side.  A block holds whole groups of 8 rows, so every block but the last
-    ends on a uint32 boundary.  Each yielded int8 block is fresh and is not
-    written again.  The table budget is checked at the call, before any draw.
+    side: a block of whole groups of 8 rows takes whole outputs of either
+    generator.  Each yielded int8 block is fresh and is not written again.
+    The table budget is checked at the call, before any draw.
     """
     n, p = params.n_agents, params.n_patterns
     if n * p > MAX_TABLE_ENTRIES:
@@ -209,7 +230,6 @@ def disorder_blocks(params: GameParams) -> tuple[Iterator[tuple[slice, np.ndarra
     second.bit_generator.advance(words // 2)
     if words % 2:
         second.integers(0, 2**32, dtype=np.uint32)
-    rows = max(8, BLOCK_ENTRIES // p // 8 * 8)
     # with the tables 2 r - 1 for draws r in {0, 1}: xi = r1 - r2, omega = r1 + r2 - 1,
     # so the column sums of omega are exact integer sums of the draws (int32
     # within a block, int64 over the blocks)
@@ -223,15 +243,14 @@ def disorder_blocks(params: GameParams) -> tuple[Iterator[tuple[slice, np.ndarra
         return table[:m * p].view(np.int8).reshape(m, p)
 
     def blocks() -> Iterator[tuple[slice, np.ndarray]]:
-        for start in range(0, n, rows):
-            block = slice(start, min(start + rows, n))
-            r1 = coins(first, block.stop - start)
-            r2 = coins(second, block.stop - start)
+        for rows in row_blocks(n, p):
+            r1 = coins(first, rows.stop - rows.start)
+            r2 = coins(second, rows.stop - rows.start)
             np.add(omega_sums, r1.sum(axis=0, dtype=np.int32), out=omega_sums)
             np.add(omega_sums, r2.sum(axis=0, dtype=np.int32), out=omega_sums)
             xi = np.subtract(r1, r2, out=r1)
             del r2  # so the next block's draws join at most the block yielded now
-            yield block, xi
+            yield rows, xi
         np.divide(omega_sums, np.sqrt(n), out=Omega)
 
     return blocks(), Omega
@@ -252,18 +271,24 @@ def generate_disorder(params: GameParams) -> DisorderSample:
     return DisorderSample(xi=xi, Omega=Omega)
 
 
-def row_blocks(n: int, p: int) -> list[slice]:
-    """Row slices of an N x p table of about BLOCK_ENTRIES entries each.
+@dataclass(frozen=True)
+class AgentState:
+    """Microscopic state at t = 0: valuations q, constraint force lam,
+    positions phi=q/lam."""
 
-    Blocks of more than 8 rows hold whole groups of 8.  The field h, one
-    float64 matrix-vector product per block, then has the same bits on 1 and
-    2 BLAS threads; one product over the whole matrix does not (at N = 1500,
-    alpha = 2 its bits on 2 threads differ from those of the blocks).
-    """
-    rows = max(1, BLOCK_ENTRIES // p)
-    if rows > 8:
-        rows -= rows % 8
-    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+    q: np.ndarray
+    lam: float
+    phi: np.ndarray
+
+
+def init_state(params: GameParams) -> AgentState:
+    """Random +-init_scale valuations; lambda(0) = init_scale exactly.  The
+    signs are fair coins of the seed's second sub-stream, independent of the
+    disorder draw's."""
+    rng = rng_stream(params.seed, _STREAM_INIT)
+    signs = np.where(rng.random(params.n_agents) < 0.5, 1.0, -1.0)
+    q = params.init_scale * signs
+    return AgentState(q=q, lam=params.init_scale, phi=signs.copy())
 
 
 def _packed(blocks: Iterable[tuple[slice, np.ndarray]], n: int, p: int
@@ -317,18 +342,19 @@ def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega
 
     xi is kept only as its two packed bit planes, and b comes from the exact
     row sums taken while packing.  h is taken first, before X exists, over
-    row blocks of xi unpacked in float64 into a buffer of its own, one
-    float64 dot product per agent.  X is then summed over the fewest column
-    blocks of xi of at most TILE[1] columns, evened out in whole bytes of
-    the planes (only the last may be narrower): each is unpacked in float32,
-    TILE[0] rows at a time, and added as S = blk^T by _lower_panel_sums in
-    row panels of TILE[0] rows through one panel buffer.  The lower triangle
-    is mirrored into the upper once at the end, so no N x N product is held,
-    and the float32 scratch holds at most N sum(TILE) entries at any p.  A
-    product sums at most TILE[1] terms in {-1, 0, 1}, exact in float32; the
-    sum over blocks is an integer bounded by p, accumulated in float32 for
-    p < FLOAT32_EXACT_TERMS and in float64 from there on, so any tile gives
-    the same bits.  d is X's diagonal.
+    row_blocks(n, p) of xi, whatever partition the blocks read came in,
+    unpacked in float64 into a buffer of its own, one float64
+    matrix-vector product per block.  X is then summed over the fewest
+    column blocks of xi of at most TILE[1] columns, evened out in whole
+    bytes of the planes (only the last may be narrower): each is unpacked
+    in float32, TILE[0] rows at a time, and added as S = blk^T by
+    _lower_panel_sums in row panels of TILE[0] rows through one panel
+    buffer.  The lower triangle is mirrored into the upper once at the end,
+    so no N x N product is held, and the float32 scratch holds at most
+    N sum(TILE) entries at any p.  A product sums at most TILE[1] terms in
+    {-1, 0, 1}, exact in float32; the sum over blocks is an integer bounded
+    by p, accumulated in float32 for p < FLOAT32_EXACT_TERMS and in float64
+    from there on, so any tile gives the same bits.  d is X's diagonal.
     """
     p = Omega.shape[0]
     planes, sums = _packed(blocks, n, p)

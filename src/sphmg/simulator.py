@@ -35,14 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _STREAM_INIT,
     BLOCK_ENTRIES,
+    AgentState,
     DegenerateStateError,
     GameParams,
     _integer_couplings,
     _integer_gram,
     disorder_blocks,
-    rng_stream,
+    init_state,
 )
 from .estimators import fit_line, persistent_correlation
 
@@ -61,16 +61,6 @@ BAND = 32
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """Microscopic state at t = 0: valuations q, constraint force lam,
-    positions phi=q/lam."""
-
-    q: np.ndarray
-    lam: float
-    phi: np.ndarray
-
-
-@dataclass(frozen=True)
 class RunObservables:
     """Stationary observables measured over one run's measurement window."""
 
@@ -82,14 +72,6 @@ class RunObservables:
     bid_mean: float
     bid_staggered: float
     frozen_flag: bool
-
-
-def init_state(params: GameParams) -> AgentState:
-    """Random +-init_scale valuations; lambda(0) = init_scale exactly."""
-    rng = rng_stream(params.seed, _STREAM_INIT)
-    signs = np.where(rng.random(params.n_agents) < 0.5, 1.0, -1.0)
-    q = params.init_scale * signs
-    return AgentState(q=q, lam=params.init_scale, phi=signs.copy())
 
 
 def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gram:

@@ -16,9 +16,15 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from sphmg.core import _STREAM_DISORDER, ContractError, DisorderSample, GameParams, rng_stream
+from sphmg.core import (
+    _STREAM_DISORDER,
+    AgentState,
+    ContractError,
+    DisorderSample,
+    GameParams,
+    rng_stream,
+)
 from sphmg.kernels import KernelParams, KernelState
-from sphmg.simulator import AgentState
 
 
 def halve_tables(r1, r2) -> tuple[np.ndarray, np.ndarray]:

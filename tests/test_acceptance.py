@@ -23,7 +23,7 @@ from sphmg import (
     stationary_solution,
 )
 from sphmg import core, simulator
-from sphmg.simulator import init_state
+from sphmg.core import init_state
 from sphmg.theory import Phase
 from oracles import (
     alpha_c2_via_c0,

@@ -156,11 +156,13 @@ def test_block_draw_matches_whole_table_draw(n_agents, alpha, block_entries, mon
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
-@pytest.mark.parametrize("n_agents, alpha", DRAW_SHAPES)
-@pytest.mark.parametrize("budget", [0, 40, 2**19])
+@pytest.mark.parametrize("n_agents, alpha", [*DRAW_SHAPES, (20, 2000.0)])
+@pytest.mark.parametrize("budget", [0, 40, 2**18, 2**19])
 def test_disorder_blocks_are_whole_groups_of_eight_rows(n_agents, alpha, budget, monkeypatch):
-    # under any BLOCK_ENTRIES budget every block but the last holds a
-    # multiple of 8 rows, and Omega holds once they are drawn
+    # under any BLOCK_ENTRIES budget the draw's blocks are core.row_blocks,
+    # every block but the last holds a multiple of 8 rows, and Omega holds
+    # once they are drawn; p = 40000 > 2^15 takes 8-row blocks at the
+    # shipping budget 2^18
     monkeypatch.setattr(core, "BLOCK_ENTRIES", budget)
     params = GameParams(n_agents=n_agents, alpha=alpha, seed=7)
     ref = whole_table_disorder(params)
@@ -169,6 +171,7 @@ def test_disorder_blocks_are_whole_groups_of_eight_rows(n_agents, alpha, budget,
     got = list(blocks)
     stops = [r.stop for r, _ in got]
     assert [r.start for r, _ in got] == [0, *stops[:-1]] and stops[-1] == n
+    assert [r for r, _ in got] == core.row_blocks(n, p)
     for r, _ in got[:-1]:  # the most whole groups of 8 rows within the budget, at least one
         rows = r.stop - r.start
         assert rows % 8 == 0 and (rows == 8 or rows * p <= budget < (rows + 8) * p)
@@ -213,12 +216,14 @@ def test_coupling_matrix_matches_definition():
 
 
 def test_field_and_drive_response_over_row_blocks(monkeypatch):
-    # blocks of a few rows, the last one short: h and b still match the
+    # read in 21 blocks of two rows, the last one short, and with h over
+    # row_blocks of 8 rows, the last one short: h and b still match the
     # whole-matrix float64 products
     monkeypatch.setattr(core, "BLOCK_ENTRIES", 50)
     sample = generate_disorder(GameParams(n_agents=41, alpha=0.5, seed=6))
-    assert len(core.row_blocks(*sample.xi.shape)) == 21
-    _, h, b, _ = precompute_couplings(sample)
+    pairs = [slice(i, i + 2) for i in range(0, 41, 2)]
+    assert len(pairs) == 21 and len(core.row_blocks(*sample.xi.shape)) == 6
+    _, h, b, _ = core._integer_couplings(((r, sample.xi[r]) for r in pairs), 41, sample.Omega)
     xd = sample.xi.astype(np.float64)
     scale = 2.0 / np.sqrt(sample.xi.shape[0])
     assert np.allclose(h, scale * (xd @ sample.Omega), rtol=0.0, atol=1e-12)
@@ -227,21 +232,24 @@ def test_field_and_drive_response_over_row_blocks(monkeypatch):
 
 def test_field_bits_do_not_depend_on_the_blas_thread_count():
     # at N = 1500, alpha = 2 (80-row blocks) one float64 product over the
-    # whole matrix gives other bits on 2 OpenBLAS threads than on 1; h, taken
-    # over row_blocks, gives the same bits on both
-    script = ("import hashlib, sphmg; "
-              "s = sphmg.generate_disorder(sphmg.GameParams(n_agents=1500, alpha=2.0, seed=3)); "
-              "print(hashlib.md5(sphmg.precompute_couplings(s)[1].tobytes()).hexdigest())")
+    # whole matrix gives other bits on 2 OpenBLAS threads than on 1, and at
+    # N = 100, alpha = 1400 (p = 140000) so do products of one row each; h,
+    # taken over row_blocks, gives the same bits on both
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(core.__file__).resolve().parents[1])
 
-    def h_digest(threads):
+    def h_digest(threads, n_agents, alpha):
+        script = ("import hashlib, sphmg; "
+                  f"params = sphmg.GameParams(n_agents={n_agents}, alpha={alpha}, seed=3); "
+                  "s = sphmg.generate_disorder(params); "
+                  "print(hashlib.md5(sphmg.precompute_couplings(s)[1].tobytes()).hexdigest())")
         return subprocess.run([sys.executable, "-c", script],
                               env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
                               text=True, timeout=120, check=True).stdout
 
-    assert h_digest("1") == h_digest("2")
+    for shape in ((1500, 2.0), (100, 1400.0)):
+        assert h_digest("1", *shape) == h_digest("2", *shape), shape
 
 
 def _compiled(xi, Omega):

@@ -1,6 +1,7 @@
-"""No imported name in src/ or tests/ goes unused, and every definition,
-module constant and dataclass field in src/ has a reader outside the tests
-(stdlib ast, no linter)."""
+"""No imported name in src/ or tests/ goes unused, every definition, module
+constant and dataclass field in src/ has a reader outside the tests, and no
+module in src/ reads another's underscore-named module constant (stdlib ast,
+no linter)."""
 
 import ast
 from pathlib import Path
@@ -63,6 +64,16 @@ def constant_reads(source, module):
         elif isinstance(node, ast.ImportFrom) and node.module:
             reads.update((node.module.split(".")[-1], alias.name) for alias in node.names)
     return reads
+
+
+def private_reads(source, module, private):
+    """Every (owner, name) of private, a set of (module, name) pairs of
+    underscore-named module constants, that source, the module named
+    module, reads from another module; an attribute read counts for every
+    owner."""
+    reads = constant_reads(source, module)
+    return sorted((owner, name) for owner, name in private
+                  if owner != module and {(owner, name), (None, name)} & reads)
 
 
 def references(source):
@@ -152,6 +163,16 @@ def test_every_src_module_constant_has_a_reader_outside_the_tests():
     assert not found, "module constants only the tests read:\n" + "\n".join(found)
 
 
+def test_no_src_module_reads_another_modules_private_constant():
+    src = sorted((ROOT / "src").rglob("*.py"))
+    private = {(path.stem, name) for path in src
+               for _, name in module_assignments(path.read_text()) if name.startswith("_")}
+    found = [f"{path.relative_to(ROOT)}: {owner}.{name}"
+             for path in src
+             for owner, name in private_reads(path.read_text(), path.stem, private)]
+    assert not found, "private module constants read from another module:\n" + "\n".join(found)
+
+
 def test_module_constants_and_their_reads():
     source = ("from .core import TILE, BAND as WIDTH\n"
               "__all__ = ['A']\n"
@@ -168,6 +189,9 @@ def test_module_constants_and_their_reads():
     assert constant_reads(source, "simulator") == {
         ("core", "TILE"), ("core", "BAND"), ("simulator", "A"), ("simulator", "int"),
         ("simulator", "core"), (None, "TILE")}
+    private = {("core", "_STREAM"), ("core", "_SEED"), ("simulator", "_OWN"), ("core", "TILE")}
+    assert private_reads("from .core import _STREAM\nx = core._SEED + _OWN\n", "simulator",
+                         private) == [("core", "_SEED"), ("core", "_STREAM")]
 
 
 def test_definitions_and_references_read_names_and_attributes():

@@ -20,7 +20,7 @@ from sphmg import (
 )
 from sphmg import core, simulator
 from sphmg.estimators import persistent_correlation
-from sphmg.simulator import AgentState, init_state
+from sphmg.core import AgentState, init_state
 from oracles import (
     brute_force_bids,
     lift,
@@ -41,6 +41,11 @@ def _state_from_q(q):
 def _blocks(sample):
     """The row blocks (core.row_blocks) of a whole sample."""
     return ((rows, sample.xi[rows]) for rows in core.row_blocks(*sample.xi.shape))
+
+
+def _sliced(xi, rows):
+    """(rows, xi[rows]) blocks of rows rows each, the last one short."""
+    return ((slice(i, i + rows), xi[i:i + rows]) for i in range(0, xi.shape[0], rows))
 
 
 def _built(kind, sample, state):
@@ -427,7 +432,7 @@ def test_observables_are_plain_python_values():
             assert type(getattr(obs, field.name)) is want, field.name
 
 
-def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
+def test_gram_matrix_is_the_same_for_any_row_blocks():
     # at the shipping GRAM_PANEL and BLOCK_ENTRIES, against float64 products
     # of xi (exact integers below 2^53): at p = 440 blocks of 592 rows
     # overflow the spare half's 120 stage rows, so the stage is a buffer of
@@ -443,13 +448,12 @@ def test_gram_matrix_is_the_same_for_any_row_blocks(monkeypatch):
         assert np.array_equal(xt_phi, phi @ xi), n_agents
     params = GameParams(n_agents=203, alpha=0.4, seed=9)
     sample = generate_disorder(params)
-    xi = sample.xi.astype(np.int64)
+    xi, (n, p) = sample.xi.astype(np.int64), sample.xi.shape
     exact = (xi.T @ xi).astype(np.float64)
-    for entries in (2**20, 5 * sample.xi.shape[1]):  # one block; blocks of 5 rows, the last short
-        monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
-        G, _ = _integer_gram(sample, init_state(params).phi)
-        assert G.dtype == np.float64 and np.array_equal(G, exact), entries
-    assert len(core.row_blocks(*sample.xi.shape)) == 41
+    for rows in (n, 5):  # one block; 41 blocks of 5 rows, the last short
+        G, _ = core._integer_gram(_sliced(sample.xi, rows), p, init_state(params).phi)
+        assert G.dtype == np.float64 and np.array_equal(G, exact), rows
+    assert len(list(_sliced(sample.xi, 5))) == 41
 
 
 @pytest.mark.parametrize("n_agents, n_patterns", [(7, 1), (9, 2), (11, 3), (40, 17), (300, 96),
@@ -468,15 +472,13 @@ def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows
     # left (9 + 9 + 9 + 9 + 4 rows at (40, 17) in blocks of 3, 15 x 4 + 1 at
     # (61, 22)); larger blocks take the own buffer.  xi^T phi is the exact
     # integer sums of the +-1 positions
-    monkeypatch.setattr(core, "BLOCK_ENTRIES", rows * n_patterns)
     monkeypatch.setattr(core, "GRAM_PANEL", 7)
     if float64_sum:
         monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", 1)
     rng = np.random.default_rng(n_agents * n_patterns + rows)
     xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
     signs = rng.choice([-1, 1], size=n_agents)
-    G, xt_phi = _integer_gram(core.DisorderSample(xi=xi, Omega=np.zeros(n_patterns)),
-                              signs.astype(np.float64))
+    G, xt_phi = core._integer_gram(_sliced(xi, rows), n_patterns, signs.astype(np.float64))
     xi = xi.astype(np.int64)
     assert G.dtype == np.float64 and G.flags.c_contiguous
     assert np.array_equal(G, xi.T @ xi) and (G == G.T).all()
@@ -670,8 +672,13 @@ def test_run_experiment_drops_the_disorder_sample_before_the_windows(kappa, alph
 
 
 def test_gram_route_checks_the_table_budget_before_any_draw(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("disorder drawn over budget")
+    # the start's own sub-stream is drawn first, from the same module
+    def refuse(seed, purpose):
+        if purpose == core._STREAM_DISORDER:
+            raise AssertionError("disorder drawn over budget")
+        return stream(seed, purpose)
+
+    stream = core.rng_stream
 
     monkeypatch.setattr(core, "MAX_TABLE_ENTRIES", 100)
     monkeypatch.setattr(core, "rng_stream", refuse)
