@@ -32,7 +32,7 @@ import numpy as np
 from .core import ContractError, ExternalBid, GameParams
 from .kernels import KernelParams, KernelTail, check_tail, extract_stationary, iterate_kernels
 from .simulator import RunObservables, run_experiment
-from .theory import alpha_c1, alpha_c2, classify_phase, stationary_solution
+from .theory import StationaryTheory, alpha_c1, alpha_c2, classify_phase, stationary_solution
 
 # Every sweep axis once: axis -> the option whose fixed value it replaces.
 AXES = {"alpha": "alpha", "kappa": "kappa", "A_tilde": "A"}
@@ -77,7 +77,7 @@ _OPTIONS = (
     ("tail", float, 0.25, None, "kernel tail fraction for estimates"),
     ("out", str, None, None, "output path ('-' for stdout)"),
     ("format", str, "csv", ("csv", "json"), "output format"),
-    ("workers", int, 1, None, "process pool size for simulations"),
+    ("workers", int, 1, None, "pool size for simulations and kernels, at most the CPU count"),
     ("sweep", str, None, None, "axis spec name:min:max:count[:log]"),
     ("sweep2", str, None, None, "second axis spec"),
     ("engines", str, ",".join(ENGINES), None, "comma list from theory,simulate,kernels"),
@@ -138,43 +138,46 @@ def _write_rows(merged: dict, columns: list[str], rows: list[dict]) -> None:
 
 
 def _cells(engine: str, results: list) -> dict:
-    """The engine's cells from the fields OBSERVABLES names: theory's and the
-    kernels' one result as it is, the simulator's seed means with their
-    standard errors, unknown (None) for one seed, not 0."""
+    """The engine's cells from the fields OBSERVABLES names, by one rule for
+    every engine: a cell is the mean of the results and <cell>_err its
+    standard error over more than one; a value that is not finite, and the
+    error of one result, is unknown (None), not 0.  Only RESULT_COLUMNS are
+    cells, so theory and the kernels write no _err cell."""
     i = tuple(ENGINES).index(engine)
     names = {_cell(q, engine): named[i] for q, named in OBSERVABLES.items() if named[i]}
-    if engine != "simulate":
-        (result,) = results
-        values = {cell: getattr(result, f) for cell, f in names.items()}
-        return {c: v if v is not None and math.isfinite(v) else None for c, v in values.items()}
     arr = np.array([[getattr(r, f) for f in names.values()] for r in results], dtype=np.float64)
     n = len(results)
-    se = (arr.std(axis=0, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [None] * len(names)
-    return {**dict(zip(names, arr.mean(axis=0).tolist())),
-            **dict(zip([cell + "_err" for cell in names], se))}
+    se = arr.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full(len(names), np.nan)
+    cells = {**dict(zip(names, arr.mean(axis=0))), **dict(zip([c + "_err" for c in names], se))}
+    return {c: float(v) if math.isfinite(v) else None for c, v in cells.items()
+            if c in RESULT_COLUMNS}
 
 
-# Pool workers are one process per core; a multithreaded BLAS in each of them
-# would oversubscribe the cores.
+# Pool workers are at most one process per core; a multithreaded BLAS in each
+# of them would oversubscribe the cores.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _pool_map(fn, items: list, workers: int) -> list:
     """fn over items in a spawn-context pool whose workers run single-threaded BLAS.
 
-    BLAS reads its thread count when a worker first imports numpy, so the
-    variables are set in this process's environment while the workers start
-    (they inherit it) and restored afterwards.  The pool modules are imported
-    here, so a run that never fans out does not load them.
+    The pool holds at most one worker per CPU this process may use, whatever
+    workers asks for: the executor starts a process per submitted task up to
+    its size, and each one imports numpy.  BLAS reads its thread count when a
+    worker first imports numpy, so the variables are set in this process's
+    environment while the workers start (they inherit it) and restored
+    afterwards.  The pool modules are imported here, so a run that never fans
+    out does not load them.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, cpus or 1), mp_context=spawn) as pool:
             return list(pool.map(fn, items))
     finally:
         for k, v in saved.items():
@@ -187,78 +190,71 @@ def _pool_map(fn, items: list, workers: int) -> list:
 def run_sweep(opts: dict, engines: tuple[str, ...]) -> tuple[list[dict], int]:
     """Run the engines on every grid point: (rows, n_failed).
 
-    Every row and every task, an engine function with its checked params, is
+    Every row and every task, an engine function with its checked inputs, is
     built before any task starts, so a bad point, seed, setting or worker
-    count fails the sweep before it runs.  Simulation seeds and kernel points
-    form one task list, which fans out over a process pool when workers > 1;
-    rows are assembled, and failures reported, in grid order regardless of
-    completion order.  A failing engine at a point, such as a sample over
-    the table budget or a kernel horizon too short for its tail, leaves its
-    cells empty and the sweep continues.
+    count fails the sweep before it runs.  A point's tasks form one group per
+    engine, in ENGINES order: theory's one solve, one simulation per seed and
+    one kernel iteration.  All of them run through _run_task, theory in this
+    process and the rest as one list that fans out over a process pool when
+    workers > 1, and all finish before any row is assembled.  One pass over
+    the groups in grid order then reports each failed task, counts a group
+    with a failure once and fills the cells, so the rows and failure lines do
+    not depend on completion order.  A failing engine at a point, such as a
+    sample over the table budget or a kernel horizon too short for its tail,
+    leaves its cells empty and the sweep continues.
     """
     if opts["workers"] < 1:
         raise ContractError(f"workers must be >= 1, got {opts['workers']}")
     points = _grid(opts)
-    sim = "simulate" in engines
-    seeds = _seeds(opts) if sim else []
-    rows = [{**dict.fromkeys(RESULT_COLUMNS), **pt, "phase": str(classify_phase(**pt))}
-            for pt in points]
-    drives = [ExternalBid(zeta=pt["zeta"], amplitude=pt["A_tilde"]) for pt in points]
-    sim_tasks = [
-        (run_experiment, GameParams(
-            n_agents=opts["agents"], alpha=pt["alpha"], kappa=pt["kappa"], external=drive,
-            init_scale=opts["init_scale"], t_equilibrate=opts["t_eq"], t_measure=opts["t_meas"],
-            seed=seed))
-        for pt, drive in zip(points, drives) for seed in seeds
-    ]
+    seeds = _seeds(opts) if "simulate" in engines else []
     if "kernels" in engines:
         check_tail(opts["tail"])
-    kernel_tasks = [
-        (_kernel_tail, KernelParams(alpha=pt["alpha"], kappa=pt["kappa"], external=drive,
-                                    init_scale=opts["init_scale"], T=opts["T"]), opts["tail"])
-        for pt, drive in zip(points, drives) if "kernels" in engines
-    ]
-    tasks = sim_tasks + kernel_tasks
-    if opts["workers"] > 1 and len(tasks) > 1:
-        outcomes = _pool_map(_run_task, tasks, opts["workers"])
-    else:
-        outcomes = [_run_task(t) for t in tasks]
-    runs, tails = outcomes[:len(sim_tasks)], outcomes[len(sim_tasks):]
+    rows, groups = [], []  # groups: (point, its row, engine, the engine's tasks there)
+    for pt in points:
+        row = {**dict.fromkeys(RESULT_COLUMNS), **pt, "phase": str(classify_phase(**pt))}
+        drive = ExternalBid(zeta=pt["zeta"], amplitude=pt["A_tilde"])
+        per_engine = {
+            "theory": [(stationary_solution, pt["alpha"], pt["kappa"], pt["A_tilde"], pt["zeta"])],
+            "simulate": [(run_experiment, GameParams(
+                n_agents=opts["agents"], alpha=pt["alpha"], kappa=pt["kappa"], external=drive,
+                init_scale=opts["init_scale"], t_equilibrate=opts["t_eq"],
+                t_measure=opts["t_meas"], seed=seed)) for seed in seeds],
+            "kernels": [(_kernel_tail, KernelParams(
+                alpha=pt["alpha"], kappa=pt["kappa"], external=drive,
+                init_scale=opts["init_scale"], T=opts["T"]), opts["tail"])
+            ] if "kernels" in engines else [],
+        }
+        rows.append(row)
+        groups += [(pt, row, engine, per_engine[engine]) for engine in ENGINES if engine in engines]
+    pooled = [t for _, _, engine, tasks in groups if engine != "theory" for t in tasks]
+    pool = opts["workers"] > 1 and len(pooled) > 1
+    done = iter(_pool_map(_run_task, pooled, opts["workers"]) if pool else map(_run_task, pooled))
+    outcomes = [[_run_task(t) if engine == "theory" else next(done) for t in tasks]
+                for _, _, engine, tasks in groups]
 
     failures = 0
-    n = len(seeds)
-    for i, (pt, row) in enumerate(zip(points, rows)):
-        if "theory" in engines:
-            try:
-                row.update(_cells("theory", [stationary_solution(**pt)]))
-            except Exception as exc:  # keep sweeping, mark the point
-                failures += 1
-                print(f"[theory] point {pt} failed: {exc}", file=sys.stderr)
-        if sim:
-            outs = []
-            for seed, run in zip(seeds, runs[i * n:(i + 1) * n]):
-                if isinstance(run, str):
-                    print(f"[simulate] point {pt} seed {seed} failed: {run}", file=sys.stderr)
-                else:
-                    outs.append(run)
-            if len(outs) < n:
-                failures += 1
-                print(f"[simulate] {n - len(outs)} seed(s) failed at {pt}", file=sys.stderr)
-            row.update(realized_alpha=sim_tasks[i * n][1].realized_alpha, n_agents=opts["agents"],
-                       t_equilibrate=opts["t_eq"], t_measure=opts["t_meas"], seed_count=len(outs))
-            if outs:
-                row.update(_cells("simulate", outs))
-        tail = tails[i] if tails else None
-        if isinstance(tail, str):
-            failures += 1
-            print(f"[kernels] point {pt} failed: {tail}", file=sys.stderr)
-        elif tail is not None:
-            row.update(_cells("kernels", [tail]))
+    for (pt, row, engine, tasks), outs in zip(groups, outcomes):
+        results = [out for out in outs if not isinstance(out, str)]
+        for task, out in zip(tasks, outs):
+            if isinstance(out, str):
+                seed = f" seed {task[1].seed}" if engine == "simulate" else ""
+                print(f"[{engine}] point {pt}{seed} failed: {out}", file=sys.stderr)
+        failed = len(tasks) - len(results)
+        failures += failed > 0
+        if engine == "simulate":
+            if failed:
+                print(f"[simulate] {failed} seed(s) failed at {pt}", file=sys.stderr)
+            row.update(realized_alpha=tasks[0][1].realized_alpha, n_agents=opts["agents"],
+                       t_equilibrate=opts["t_eq"], t_measure=opts["t_meas"],
+                       seed_count=len(results))
+        if results:
+            row.update(_cells(engine, results))
     return rows, failures
 
 
-def _run_task(task: tuple) -> RunObservables | KernelTail | str:
-    """The result of one (engine, params, *args) task, or the failure message."""
+def _run_task(task: tuple) -> StationaryTheory | RunObservables | KernelTail | str:
+    """The result of one (engine function, *its inputs) task, or the failure
+    message: theory's solve, a simulation or a kernel iteration."""
     fn, *args = task
     try:
         return fn(*args)

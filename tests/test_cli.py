@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -424,10 +425,16 @@ def test_one_seed_standard_errors_are_unknown(fmt, capsys):
         assert {row[c] for c in errs} == {"" if fmt == "csv" else None}
 
 
-def test_outputs_are_deterministic_and_json_round_trips(tmp_path, capsys):
+@pytest.mark.parametrize("engines, seeds", [
+    ("theory,simulate", "5,6"), ("theory,simulate", "5"), ("theory,simulate,kernels", "5,6"),
+    ("theory,kernels", "5,6"),
+], ids=["theory-simulate-2-seeds", "theory-simulate-1-seed", "all-engines", "theory-kernels"])
+def test_outputs_are_deterministic_and_json_round_trips(engines, seeds, tmp_path, capsys):
+    # every engine's cells come from one rule: theory and the kernels write no
+    # _err cell, and a simulator mean over one seed has an unknown error
     args = [
-        "compare", "--engines", "theory,simulate", "--alpha", "1.2", "--agents", "64",
-        "--t-eq", "30", "--t-meas", "32", "--seeds", "5,6",
+        "compare", "--engines", engines, "--alpha", "1.2", "--agents", "64",
+        "--t-eq", "30", "--t-meas", "32", "--seeds", seeds, "--T", "60",
     ]
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
@@ -439,18 +446,26 @@ def test_outputs_are_deterministic_and_json_round_trips(tmp_path, capsys):
     code3, _, _ = run_cli(capsys, *args, "--format", "json", "--out", str(jpath))
     assert code3 == 0
     rows = json.loads(jpath.read_text())
-    assert all(list(r) == RESULT_COLUMNS for r in rows)
+    assert rows and all(list(r) == RESULT_COLUMNS for r in rows)
     # lossless round trip
     assert json.loads(json.dumps(rows)) == rows
     # csv and json agree cell by cell
     _, crows = parse_csv(out1)
-    for col in RESULT_COLUMNS:
-        jval = rows[0][col]
-        cval = crows[0][col]
-        if jval is None:
-            assert cval == ""
-        elif isinstance(jval, float):
-            assert float(cval) == pytest.approx(jval, rel=1e-11)
+    assert len(crows) == len(rows)
+    for row, crow in zip(rows, crows):
+        for col in RESULT_COLUMNS:
+            jval, cval = row[col], crow[col]
+            if jval is None:
+                assert cval == "", col
+            elif isinstance(jval, float):
+                assert float(cval) == pytest.approx(jval, rel=1e-11), col
+            else:
+                assert cval == str(jval), col
+    errs = [c for c in RESULT_COLUMNS if c.endswith("_err")]
+    known = "simulate" in engines and "," in seeds
+    assert all((row[c] is not None) == known for row in rows for c in errs)
+    for engine, (suffix, _) in cli.ENGINES.items():
+        assert (rows[0]["c0_" + suffix] is not None) == (engine in engines), engine
 
 
 def test_workers_do_not_change_results(capsys):
@@ -478,6 +493,44 @@ def test_pool_workers_run_single_threaded_blas(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert _pool_map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2, 2) == ["1", "1"]
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size and maps inline."""
+
+    def __init__(self, sizes, max_workers, mp_context):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_never_starts_more_workers_than_cpus(monkeypatch, capsys):
+    # no process starts: the executor is replaced by a recorder that maps inline
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kwargs: _InlinePool(sizes, **kwargs))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _pool_map(str, [1, 2], 64) == ["1", "2"]
+    assert _pool_map(str, [1, 2], 2) == ["1", "2"]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _pool_map(str, [1], 8) == ["1"]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_map(str, [1], 8) == ["1"]
+    assert sizes == [3, 2, 4, 1]
+    # on one CPU any --workers above 1 still fans out, over one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    argv = ["simulate", "--alpha", "2", "--agents", "64", "--t-eq", "30", "--t-meas", "32",
+            "--seeds", "1,2"]
+    _, out, _ = run_cli(capsys, *argv, "--workers", "64")
+    assert sizes == [3, 2, 4, 1, 1] and len(parse_csv(out)[1]) == 1
 
 
 def test_rows_identical_for_any_worker_count_at_one_blas_thread():
