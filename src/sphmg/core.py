@@ -17,8 +17,9 @@ matrix-vector product over the exact integer matrix X.  That compile reads
 the draw's row blocks once and keeps xi only as two packed bit planes, so it
 never holds the int8 N x p table, and its float32 tiles (TILE) grow with N
 alone.  The Gram route's compile, G = xi^T xi from the same blocks, shares
-its float32 lower-triangle panel sum (exact below FLOAT32_EXACT_TERMS terms)
-and its one mirror.
+its float32 upper-triangle panel products (exact below FLOAT32_EXACT_TERMS
+terms), and holds only G's upper triangle, packed in row panels of BAND rows
+(_upper_panels).
 
 A sample and its start depend on (N, p, seed) alone.  The seed splits into
 two independent sub-streams, read only here: one draws the tables over
@@ -42,16 +43,16 @@ BLOCK_ENTRIES = 2**18
 
 # Rows x columns of the float32 xi tile the coupling compile multiplies at a
 # time: the height of its row panels and the widest of its column blocks (a
-# multiple of 8, whole bytes of the packed planes).
+# multiple of 8, whole bytes of the packed planes).  TILE[0] is also the
+# height of the Gram route's float32 products: at p = 900-2100 (warm, 2-vCPU
+# Xeon) products of 64-256 rows summed G within about 10% of each other,
+# and of 320 rows, which leave the stage fewer rows, 26% slower at p = 900.
 TILE = (160, 480)
 
-# Rows of the lower-triangle panels through which the Gram route sums G.  Up
-# to p = 320 one panel spans G, one product per block, as at N = 800, p = 240,
-# where two panels of TILE[0] = 160 rows have stalled a 2-thread float32
-# product near 40 ms in fresh processes.  At p = 600-1500 (warm, 2-vCPU Xeon)
-# panels of 160, 256 and 320 rows ran within noise of each other, and of 480
-# rows up to 27% slower.
-GRAM_PANEL = 320
+# Rows of the panels in which the Gram route holds G's upper triangle, and
+# the bandwidth of its band B = Q^T G Q (a divisor of TILE[0], so that each
+# of G's float32 products of TILE[0] rows covers whole panels).
+BAND = 32
 
 # float32 holds every integer of magnitude up to 2^24 exactly, so sums of
 # products of entries in {-1, 0, 1} stay exact in float32 below this many terms.
@@ -314,24 +315,46 @@ def _unpack(planes: np.ndarray, rows: slice, start: int, out: np.ndarray) -> Non
     np.copyto(out, xi.view(np.int8))
 
 
-def _lower_panel_sums(acc: np.ndarray, S: np.ndarray, height: int, panel: np.ndarray) -> None:
-    """acc[i0:i1, :i1] += S[:, i0:i1]^T S[:, :i1] over row panels of height
-    rows, through the flat float32 buffer panel (height * acc.shape[0]
-    entries): one triangle, as in a symmetric rank-k update (SYRK; Dongarra,
-    Du Croz, Hammarling & Duff, ACM TOMS 16, 1990)."""
+def _upper_products(S: np.ndarray, height: int, out: np.ndarray
+                    ) -> Iterator[tuple[int, np.ndarray]]:
+    """(i0, S[:, i0:i1]^T S[:, i0:]) for the row panels i0:i1 of height rows
+    of S^T S, each product the panel's part from column i0 on, computed into
+    the flat float32 buffer out (height * S.shape[1] entries) and valid until
+    the next is yielded: one triangle, as in a symmetric rank-k update (SYRK;
+    Dongarra, Du Croz, Hammarling & Duff, ACM TOMS 16, 1990)."""
+    n = S.shape[1]
+    for i0 in range(0, n, height):
+        i1 = min(i0 + height, n)
+        yield i0, np.matmul(S[:, i0:i1].T, S[:, i0:],
+                            out=out[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0))
+
+
+def _mirror_upper(acc: np.ndarray, height: int) -> None:
+    """acc's upper triangle into its lower, in row panels of height rows."""
     n = acc.shape[0]
     for i0 in range(0, n, height):
         i1 = min(i0 + height, n)
-        acc[i0:i1, :i1] += np.matmul(S[:, i0:i1].T, S[:, :i1],
-                                     out=panel[:(i1 - i0) * i1].reshape(i1 - i0, i1))
+        acc[i1:, i0:i1] = acc[i0:i1, i1:].T
 
 
-def _mirror_lower(acc: np.ndarray, height: int) -> None:
-    """acc's lower triangle into its upper, in row panels of height rows."""
-    n = acc.shape[0]
-    for i0 in range(0, n, height):
-        i1 = min(i0 + height, n)
-        acc[i0:i1, i1:] = acc[i1:, i0:i1].T
+def _upper_size(p: int) -> int:
+    """Entries of _upper_panels over p columns: p (p + BAND) / 2, less
+    r (BAND - r) / 2 for a last panel of r rows."""
+    r = (p - 1) % BAND + 1
+    return (p * (p + BAND) - r * (BAND - r)) // 2
+
+
+def _upper_panels(G: np.ndarray, p: int) -> list[np.ndarray]:
+    """The upper triangle of a symmetric p x p matrix held in the flat array
+    G (_upper_size(p) entries) as its row panels of BAND rows, in order:
+    panel k is the C-contiguous (min(BAND, p - k0), p - k0) view of rows
+    k0 = k BAND on and columns k0 on, its diagonal block whole."""
+    panels, start = [], 0
+    for k0 in range(0, p, BAND):
+        rows, width = min(BAND, p - k0), p - k0
+        panels.append(G[start:start + rows * width].reshape(rows, width))
+        start += rows * width
+    return panels
 
 
 def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega: np.ndarray
@@ -347,9 +370,9 @@ def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega
     matrix-vector product per block.  X is then summed over the fewest
     column blocks of xi of at most TILE[1] columns, evened out in whole
     bytes of the planes (only the last may be narrower): each is unpacked
-    in float32, TILE[0] rows at a time, and added as S = blk^T by
-    _lower_panel_sums in row panels of TILE[0] rows through one panel
-    buffer.  The lower triangle is mirrored into the upper once at the end,
+    in float32, TILE[0] rows at a time, and added as S = blk^T from
+    _upper_products in row panels of TILE[0] rows through one panel
+    buffer.  The upper triangle is mirrored into the lower once at the end,
     so no N x N product is held, and the float32 scratch holds at most
     N sum(TILE) entries at any p.  A product sums at most TILE[1] terms in
     {-1, 0, 1}, exact in float32; the sum over blocks is an integer bounded
@@ -376,64 +399,77 @@ def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega
         blk = buf[:n * min(width, p - start)].reshape(n, -1)
         for i0 in range(0, n, height):
             _unpack(planes, slice(i0, i0 + height), start, blk[i0:i0 + height])
-        _lower_panel_sums(X, blk.T, height, buf[n * width:])
-    _mirror_lower(X, height)
+        for i0, product in _upper_products(blk.T, height, buf[n * width:]):
+            X[i0:i0 + product.shape[0], i0:] += product
+    _mirror_upper(X, height)
     d = (2.0 / n) * X.diagonal().astype(np.float64)
     return X, h, b, d
 
 
 def _integer_gram(blocks: Iterable[tuple[slice, np.ndarray]], p: int, phi: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The exact Gram matrix G = xi^T xi in float64 and xi^T phi of the
-    (rows, int8 xi[rows]) blocks of a sample with p patterns, for positions
-    phi, exact where phi is integer (+-1 at a run's start); the blocks are
-    read once, in any partition of the rows.
+    """The exact Gram matrix G = xi^T xi in float64, its upper triangle
+    packed in the flat array of _upper_panels (_upper_size(p) entries), and
+    xi^T phi, of the (rows, int8 xi[rows]) blocks of a sample with p
+    patterns, for positions phi, exact where phi is integer (+-1 at a run's
+    start); the blocks are read once, in any partition of the rows.
 
-    G's float64 buffer is viewed as two float32 p x p halves: the first
-    sums G's lower triangle, and the second is spare.  The spare half's
-    first GRAM_PANEL rows hold the product of one row panel, and its other
-    rows are the stage: the blocks are cast into it one after another, and
-    whenever the next would not fit, and once at the end, the staged rows S
-    are summed by _lower_panel_sums in row panels of GRAM_PANEL rows.  Where
-    the spare half cannot hold one panel and one block (always at
-    p <= GRAM_PANEL) the stage is a buffer of one block.  The lower triangle
-    is then mirrored once and the sum widened to float64 in place.  From
-    N = FLOAT32_EXACT_TERMS on G itself is the sum and the spare half a
-    p x p float32 buffer of its own."""
+    G's float64 buffer is viewed as two float32 halves of _upper_size(p)
+    entries: the first sums G's panels, and the second is spare.  Where the
+    spare half leaves the stage at least TILE[0] rows of p beside one
+    product of TILE[0] rows (from p = 608 on), it holds that product from
+    its start, and otherwise the product is a buffer of its own.  The rest
+    of the spare half is the stage: the rows of the blocks are cast into
+    it one after another, a block split where the stage fills, and
+    whenever it is full, and once at the end, the staged rows S are summed
+    from _upper_products in products of TILE[0] rows, each added into the
+    BAND-row panels it covers.  The sum is then widened to float64 in
+    place.  From N = FLOAT32_EXACT_TERMS on G itself is the sum and the
+    spare half a float32 buffer of its own."""
     # float32 products and sums of integers bounded by N are exact below
     # 2^24, so G has the same bits for any row blocks and any stage.  The
-    # sum is widened from the last rows down, in chunks [ceil(b/2), b)
+    # sum is widened from the last entries down, in chunks [ceil(b/2), b)
     # whose float64 destination starts where their float32 source ends or
-    # later, so the source rows still to come stay intact.  xi^T phi is
-    # taken from each block as it is staged: its sums within and over the
-    # blocks are exact integers, so it too has the same bits for any blocks
-    n = phi.shape[0]
-    G, xt_phi = np.zeros((p, p)), np.zeros(p)
-    acc, spare = (G.view(np.float32).reshape(2, p, p) if n < FLOAT32_EXACT_TERMS
-                  else (G, np.empty((p, p), dtype=np.float32)))
-    height = min(GRAM_PANEL, p)
-    panel, stage = spare.reshape(-1)[:height * p], spare[height:]
+    # later, so the source entries still to come stay intact.  xi^T phi is
+    # taken from each staged piece: its sums within and over the pieces are
+    # exact integers, so it too has the same bits for any blocks
+    n, size = phi.shape[0], _upper_size(p)
+    G, xt_phi = np.zeros(size), np.zeros(p)
+    acc, spare = ((G.view(np.float32)[:size], G.view(np.float32)[size:])
+                  if n < FLOAT32_EXACT_TERMS else (G, np.empty(size, dtype=np.float32)))
+    panels, height = _upper_panels(acc, p), min(TILE[0], p)
+    if 2 * height * p <= size:
+        product, spare = spare[:height * p], spare[height * p:]
+    else:
+        product = np.empty(height * p, dtype=np.float32)
+    stage = spare[:spare.size // p * p].reshape(-1, p)
+
+    def flush(S: np.ndarray) -> None:
+        for i0, prod in _upper_products(S, height, product):
+            for k0 in range(i0, i0 + prod.shape[0], BAND):
+                panel = panels[k0 // BAND]
+                panel += prod[k0 - i0:k0 - i0 + panel.shape[0], k0 - i0:]
+
     phi32, filled = phi.astype(np.float32), 0
     for rows, xi in blocks:
-        m = xi.shape[0]
-        if filled and filled + m > stage.shape[0]:
-            _lower_panel_sums(acc, stage[:filled], height, panel)
-            filled = 0
-        if m > stage.shape[0]:
-            stage = np.empty(xi.shape, dtype=np.float32)
-        block = stage[filled:filled + m]
-        np.copyto(block, xi)
-        xt_phi += phi32[rows] @ block
-        filled += m
-    _lower_panel_sums(acc, stage[:filled], height, panel)
-    _mirror_lower(acc, height)
+        phi_rows = phi32[rows]
+        while len(xi):
+            part = stage[filled:filled + len(xi)]
+            np.copyto(part, xi[:len(part)])
+            xt_phi += phi_rows[:len(part)] @ part
+            xi, phi_rows, filled = xi[len(part):], phi_rows[len(part):], filled + len(part)
+            if filled == len(stage):
+                flush(stage)
+                filled = 0
+    if filled:
+        flush(stage[:filled])
     if acc is not G:
-        b = p
+        b = size
         while b > 1:
             a = (b + 1) // 2
             G[a:b] = acc[a:b]
             b = a
-        G[0] = acc[0].copy()  # row 0 overlaps its own destination
+        G[0] = acc[0]
     return G, xt_phi
 
 

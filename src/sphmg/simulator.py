@@ -16,7 +16,8 @@ so the coupling route and the per-pattern route agree to accumulation noise.
 At kappa = 0 every update is q(t+1) = q(t) - (2/sqrt(N)) xi A(t), so q(t)
 stays in q(0) + span(xi): the Gram route writes q(t) = q(0) + xi Q z(t) with
 Q from LAPACK's panel QRs, which make G = xi^T xi, core._integer_gram of
-the draw's row blocks, a band of width BAND, B = Q^T G Q, and steps (z, B z),
+the draw's row blocks held as the packed row panels of its upper triangle,
+a band of width BAND, B = Q^T G Q, in place, and steps (z, B z),
 zero-padded p-vectors, through B's row blocks.
 run_experiment runs an equilibration and a measurement window of the one step
 loop, _window, on one of the three routes; a route holds only the arithmetic
@@ -35,12 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BLOCK_ENTRIES,
+    BAND,
     AgentState,
     DegenerateStateError,
     GameParams,
     _integer_couplings,
     _integer_gram,
+    _upper_panels,
     disorder_blocks,
     init_state,
 )
@@ -54,10 +56,6 @@ C0_SNAPSHOTS = 64
 # exceeds this many standard errors and lambda grew by at least 2x.
 FROZEN_SLOPE_SIGMAS = 5.0
 FROZEN_GROWTH_FACTOR = 2.0
-
-# Bandwidth of the Gram route's band B = Q^T G Q, and the columns per panel
-# of its reduction.
-BAND = 32
 
 
 @dataclass(frozen=True)
@@ -251,69 +249,81 @@ class _Patterns:
     c0 = _Coupled.c0  # the run carries q, as on the coupling route
 
 
-def _reduce_to_band(A: np.ndarray, vectors: np.ndarray) -> None:
-    """B = Q^T A Q of bandwidth BAND for a symmetric float64 A, in place, by
-    the first stage of two-stage reduction (Bischof, Lang & Sun, ACM TOMS 26,
-    2000); each row v of vectors becomes Q^T v.  On return row block k of A
-    holds B's diagonal block D_k, left of it the upper triangular
-    sub-diagonal block R_{k-1} and right of it R_k^T; nothing else of A is
-    meaningful.
+def _reduce_to_band(panels: list[np.ndarray], vectors: np.ndarray) -> None:
+    """B = Q^T A Q of bandwidth BAND for a symmetric float64 A held as the
+    row panels of its upper triangle (core._upper_panels), in place, by the
+    first stage of two-stage reduction (Bischof, Lang & Sun, ACM TOMS 26,
+    2000); each row v of vectors becomes Q^T v.  On return panel k holds B's
+    diagonal block D_k in its first BAND columns and right of them R_k^T,
+    the transposed upper triangular sub-diagonal block; nothing else of the
+    panels is meaningful.
 
-    Each panel of BAND columns k0:k1 is split by LAPACK's Householder QR of
-    its part below the band, A[k1:, k0:k1] = (I - Y T Y^T) R, with T from
-    dlarft's recurrence (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
-    1989), so that tau = 0 gives H = I.  The whole trailing matrix A22 then
-    takes A22 -= Y Z^T + Z Y^T = [Y Z] [Z Y]^T, with P = A22 Y T and
-    Z = P - (1/2) Y (Y T)^T P, from one (p - b, 3b) buffer [Y | Z | Y], so
-    both triangles stay current.  P and the update run over chunks of
-    BLOCK_ENTRIES // (2p) rows, so that one chunk's float64 product takes no
-    more bytes than the float32 block the Gram route is built from, and no
-    product spans A22 whole.
+    The part of panel k right of its diagonal block, U[:, b:] =
+    A[k1:, k0:k1]^T, is split by LAPACK's Householder QR of its transpose,
+    A[k1:, k0:k1] = (I - Y T Y^T) R, with T from dlarft's recurrence
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), so that
+    tau = 0 gives H = I.  The later panels, the upper triangle of the
+    trailing matrix A22, then take A22 -= Y Z^T + Z Y^T = [Y Z] [Z Y]^T,
+    with P = A22 Y T and Z = P - (1/2) Y (Y T)^T P, from one (p - b, 3b)
+    buffer [Y | Z | Y].  A22 Y takes two products per later panel V: its
+    own rows are V times Y's rows from V's first column on, and the rows
+    below it gain the lower triangle's share, V's part right of its
+    diagonal block, transposed, times V's rows of Y.  Each later panel takes
+    its own rows of the update, one product of depth 2b, so the update does
+    half the flops of one over the whole of A22.  A22 Y is summed in a
+    contiguous (p - b, b) buffer of its own, as adds into the strided Z
+    took half as long again, and one scratch buffer of as many entries
+    takes the shares and the panels' updates.
     """
-    p, b = A.shape[0], BAND
-    rows = max(1, BLOCK_ENTRIES // (2 * p))
-    panels, chunk_buf = np.empty((max(p - b, 0), 3 * b)), np.empty(rows * p)
-    for k0 in range(0, p - b, b):
-        k1, m = k0 + b, p - k0 - b
-        A22, W, chunks = A[k1:, k1:], panels[:m], [slice(s, s + rows) for s in range(0, m, rows)]
-        Y, Z = W[:, :b], W[:, b:2 * b]
-        h, tau = np.linalg.qr(A[k1:, k0:k1], mode="raw")
+    p, b = panels[0].shape[1], BAND
+    W, (ay, scratch) = np.empty((max(p - b, 0), 3 * b)), np.empty((2, max(p - b, 0) * b))
+    for k, U in enumerate(panels[:-1]):
+        m, later = p - (k + 1) * b, panels[k + 1:]
+        Wk = W[:m]
+        Y, Z = Wk[:, :b], Wk[:, b:2 * b]
+        h, tau = np.linalg.qr(U[:, b:].T, mode="raw")
         Y[:] = h.T
         del h  # one m x b copy of the panel at a time
-        A[k1:k1 + b, k0:k1] = np.triu(Y[:b])
-        A[k0:k1, k1:k1 + b] = A[k1:k1 + b, k0:k1].T
+        U[:, b:2 * b] = np.triu(Y[:b]).T
         Y[:b] = np.tril(Y[:b], -1)
         np.fill_diagonal(Y, 1.0)
-        W[:, 2 * b:] = Y
+        Wk[:, 2 * b:] = Y
         YtY, T = Y.T @ Y, np.zeros((b, b))
         for j, tau_j in enumerate(tau):  # dlarft, forward and columnwise
             T[j, j] = tau_j
             T[:j, j] = -tau_j * (T[:j, :j] @ YtY[:j, j])
-        for s in chunks:
-            Z[s] = (A22[s] @ Y) @ T
+        AY = ay[:m * b].reshape(m, b)
+        for i in range(len(later) - 1, -1, -1):  # rows are written before shares reach them
+            V, r0 = later[i], i * b
+            r1 = r0 + V.shape[0]
+            np.matmul(V, Y[r0:], out=AY[r0:r1])
+            if r1 < m:
+                AY[r1:] += np.matmul(V[:, b:].T, Y[r0:r1],
+                                     out=scratch[:(m - r1) * b].reshape(m - r1, b))
+        np.matmul(AY, T, out=Z)
         Z -= Y @ (0.5 * T.T @ (Y.T @ Z))
-        tail = vectors[:, k1:]
+        tail = vectors[:, p - m:]
         tail -= ((tail @ Y) @ T) @ Y.T
-        for s in chunks:
-            chunk = A22[s]
-            chunk -= np.matmul(W[s, :2 * b], W[:, b:].T,
-                               out=chunk_buf[:chunk.size].reshape(chunk.shape))
+        for i, V in enumerate(later):
+            V -= np.matmul(Wk[i * b:i * b + V.shape[0], :2 * b], Wk[i * b:, b:].T,
+                           out=scratch[:V.size].reshape(V.shape))
 
 
-def _band_blocks(B: np.ndarray) -> np.ndarray:
+def _band_blocks(panels: list[np.ndarray]) -> np.ndarray:
     """The (nb, b, 3b) row blocks [B_{k,k-1} | D_k | B_{k,k+1}] of the band
-    that _reduce_to_band leaves in B, nb = ceil(p / b) with b = BAND,
-    zero-padded past p and at both ends.  Each D_k is taken from its lower
-    triangle, so that B is exactly symmetric."""
-    p, b = B.shape[0], BAND
-    nb = -(-p // b)
-    blocks = np.zeros((nb, b, 3 * b))
-    for k in range(nb):
-        k0, k1 = k * b, min(k * b + b, p)
-        lo, hi = max(k0 - b, 0), min(k0 + 2 * b, p)
-        blocks[k, :k1 - k0, lo - k0 + b:hi - k0 + b] = B[k0:k1, lo:hi]
-        D = B[k0:k1, k0:k1]
-        blocks[k, :k1 - k0, b:b + k1 - k0] = np.tril(D) + np.tril(D, -1).T
+    that _reduce_to_band leaves in the panels, nb = ceil(p / b) with
+    b = BAND, zero-padded past p and at both ends: B_{k,k+1} = R_k^T from
+    panel k and B_{k,k-1} = R_{k-1} from panel k - 1.  Each D_k is taken
+    from its upper triangle, so that B is exactly symmetric."""
+    b = BAND
+    blocks = np.zeros((len(panels), b, 3 * b))
+    for k, U in enumerate(panels):
+        r = U.shape[0]
+        D, right = U[:, :r], U[:, r:r + b]
+        blocks[k, :r, b:b + r] = np.triu(D) + np.triu(D, 1).T
+        blocks[k, :r, 2 * b:2 * b + right.shape[1]] = right
+        if k:
+            blocks[k, :r, :b] = panels[k - 1][:, b:b + r].T
     return blocks
 
 
@@ -339,20 +349,22 @@ class _Gram:
     def build(cls, blocks: Iterable[tuple[slice, np.ndarray]], Omega: np.ndarray,
               state: AgentState) -> _Gram:
         """The route over the (rows, int8 xi[rows]) blocks of a sample with
-        pattern bias Omega, from state: the exact G and xi^T phi of
-        core._integer_gram, u = lam xi^T phi, then G reduced to the band in
-        its own buffer, beside a panel buffer and a row chunk, as 1, Omega
-        and u are rotated, and dropped once B's blocks are copied out."""
+        pattern bias Omega, from state: the exact G, as the packed panels
+        of its upper triangle, and xi^T phi of core._integer_gram,
+        u = lam xi^T phi, then G reduced to the band in its own panels,
+        beside a panel buffer and one scratch buffer, as 1, Omega and u are
+        rotated, and dropped once B's blocks are copied out."""
         p, b = Omega.shape[0], BAND
         G, u = _integer_gram(blocks, p, state.phi)
         u *= state.lam
         vectors = np.zeros((3, (-(-p // b) + 2) * b))
         vectors[0, b:b + p] = 1.0
         vectors[1:, b:b + p] = Omega, u
-        _reduce_to_band(G, vectors[:, b:b + p])
+        panels = _upper_panels(G, p)
+        _reduce_to_band(panels, vectors[:, b:b + p])
         with np.errstate(over="ignore"):  # an infinite |q0|^2 fails the first step
             q0_sq = float(state.q @ state.q)
-        return cls(_band_blocks(G), *vectors, state.q.shape[0], q0_sq)
+        return cls(_band_blocks(panels), *vectors, state.q.shape[0], q0_sq)
 
     def start(self, state: AgentState) -> _Run:
         """A run at z = 0 with B z = 0, from the state the route was built

@@ -90,6 +90,13 @@ def lift(q0: np.ndarray, xi: np.ndarray, zs: np.ndarray, Q: np.ndarray) -> np.nd
     return q0 + (zs @ Q.T) @ xi.astype(np.float64).T
 
 
+def packed_upper(A: np.ndarray, band: int) -> np.ndarray:
+    """The upper triangle of the symmetric matrix A as its row panels of
+    band rows, panel k = A[k band:(k + 1) band, k band:], each flattened in
+    row order and laid end to end."""
+    return np.concatenate([A[k0:k0 + band, k0:].ravel() for k0 in range(0, A.shape[0], band)])
+
+
 def pattern_space_run(G: np.ndarray, u: np.ndarray, Omega: np.ndarray, q0: np.ndarray,
                       lam: float, a_e: np.ndarray, snaps: int) -> dict[str, np.ndarray]:
     """A kappa = 0 run in the unrotated pattern-space coordinates y of

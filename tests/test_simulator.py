@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +30,7 @@ from oracles import (
     lift,
     market_bids,
     mirrored_sample,
+    packed_upper,
     pattern_space_run,
     sample_from_tables,
 )
@@ -55,8 +60,9 @@ def _built(kind, sample, state):
 
 
 def _integer_gram(sample, phi):
-    """G and xi^T phi as the Gram route sums them from the row blocks of a
-    whole sample, for runs from positions phi."""
+    """G, packed in its upper triangle's panels, and xi^T phi as the Gram
+    route sums them from the row blocks of a whole sample, for runs from
+    positions phi."""
     return core._integer_gram(_blocks(sample), sample.xi.shape[1], phi)
 
 
@@ -65,10 +71,10 @@ def _gram_basis(sample, state):
     padded layout of the route's vectors (column j at b + j of (nb + 2) b,
     b = BAND): the identity carried through the route's reduction of G."""
     G, _ = _integer_gram(sample, state.phi)
-    p, b = G.shape[0], simulator.BAND
+    p, b = sample.xi.shape[1], simulator.BAND
     Q = np.zeros((p, (-(-p // b) + 2) * b))
     Q[:, b:b + p] = np.eye(p)
-    simulator._reduce_to_band(G, Q[:, b:b + p])
+    simulator._reduce_to_band(core._upper_panels(G, p), Q[:, b:b + p])
     return Q
 
 
@@ -433,27 +439,47 @@ def test_observables_are_plain_python_values():
 
 
 def test_gram_matrix_is_the_same_for_any_row_blocks():
-    # at the shipping GRAM_PANEL and BLOCK_ENTRIES, against float64 products
-    # of xi (exact integers below 2^53): at p = 440 blocks of 592 rows
-    # overflow the spare half's 120 stage rows, so the stage is a buffer of
-    # its own, with panels of 320 + 120 rows; at p = 900 two blocks of 288
-    # rows fit the spare half's 580 stage rows, with panels of
-    # 320 + 320 + 260 rows
-    for n_agents, alpha in ((800, 0.55), (1500, 0.6)):
-        params = GameParams(n_agents=n_agents, alpha=alpha, seed=9)
-        sample, phi = generate_disorder(params), init_state(params).phi
-        xi = sample.xi.astype(np.float64)
-        G, xt_phi = _integer_gram(sample, phi)
-        assert G.dtype == np.float64 and np.array_equal(G, xi.T @ xi), n_agents
-        assert np.array_equal(xt_phi, phi @ xi), n_agents
     params = GameParams(n_agents=203, alpha=0.4, seed=9)
     sample = generate_disorder(params)
     xi, (n, p) = sample.xi.astype(np.int64), sample.xi.shape
-    exact = (xi.T @ xi).astype(np.float64)
+    exact = packed_upper((xi.T @ xi).astype(np.float64), core.BAND)
     for rows in (n, 5):  # one block; 41 blocks of 5 rows, the last short
         G, _ = core._integer_gram(_sliced(sample.xi, rows), p, init_state(params).phi)
         assert G.dtype == np.float64 and np.array_equal(G, exact), rows
     assert len(list(_sliced(sample.xi, 5))) == 41
+
+
+@pytest.mark.parametrize("n_agents, p, own_product, whole_blocks", [
+    (800, 240, True, 0), (800, 440, True, 0), (1000, 607, True, 0), (1000, 608, False, 0),
+    (1000, 880, False, 0), (1000, 881, False, 1), (1500, 900, False, 1), (1000, 1170, False, 1),
+    (1000, 1171, False, 2)])
+def test_gram_matrix_is_exact_on_both_sides_of_each_fallback(n_agents, p, own_product,
+                                                              whole_blocks, monkeypatch):
+    # at the shipping TILE, BAND and BLOCK_ENTRIES, against float64 products
+    # of xi (exact integers below 2^53, so the int64 xi^T xi): below p = 608
+    # the spare half cannot hold a product of TILE[0] rows beside as many
+    # stage rows, so the product is a buffer of its own; from p = 881 the
+    # stage beside it holds one whole block of the draw (296 rows), from
+    # p = 1171 two (2 x 216 of 441 rows), and below that each block is split
+    # where the stage fills.  Every case flushes the stage more than once
+    flushes, products = [], core._upper_products
+
+    def recorded(S, height, out):
+        flushes.append((S, out))
+        return products(S, height, out)
+
+    monkeypatch.setattr(core, "_upper_products", recorded)
+    params = GameParams(n_agents=n_agents, alpha=p / n_agents, seed=9)
+    sample, phi = generate_disorder(params), init_state(params).phi
+    assert params.n_patterns == p
+    xi = sample.xi.astype(np.float64)
+    G, xt_phi = _integer_gram(sample, phi)
+    assert G.dtype == np.float64 and np.array_equal(G, packed_upper(xi.T @ xi, core.BAND))
+    assert np.array_equal(xt_phi, phi @ xi)
+    S, out = flushes[0]
+    assert np.shares_memory(S, G) and np.shares_memory(out, G) is not own_product
+    assert S.shape[0] < n_agents
+    assert S.shape[0] // core.row_blocks(n_agents, p)[0].stop == whole_blocks
 
 
 @pytest.mark.parametrize("n_agents, n_patterns", [(7, 1), (9, 2), (11, 3), (40, 17), (300, 96),
@@ -464,15 +490,18 @@ def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows
                                                        monkeypatch):
     # the float32 sum and the spare half share G's float64 bytes and the sum
     # is widened in place; FLOAT32_EXACT_TERMS = 1 forces the float64 sum,
-    # with a spare p x p float32 buffer.  Panels of 7 rows: at p <= 3 one
-    # panel spans G, the spare half has no stage rows left and each block
-    # takes the stage's own buffer; at p = 17 to 173 G spans 3 to 25 panels,
-    # the last one short, and blocks of up to p - 7 rows are staged in the
-    # spare half and flushed several times, the last flush holding what is
-    # left (9 + 9 + 9 + 9 + 4 rows at (40, 17) in blocks of 3, 15 x 4 + 1 at
-    # (61, 22)); larger blocks take the own buffer.  xi^T phi is the exact
-    # integer sums of the +-1 positions
-    monkeypatch.setattr(core, "GRAM_PANEL", 7)
+    # with a spare float32 buffer of its own.  Panels of 4 rows and products
+    # of 8: up to p = 22 the spare half cannot hold a product beside 8 stage
+    # rows, so the product is a buffer of its own and the stage is the whole
+    # spare half (3 rows at p = 3, 10 at p = 17); from p = 96 on the product
+    # sits in the spare half (42 stage rows beside it at p = 96, 80 at
+    # p = 173).  Blocks of 1 and 3 rows fill the stage several times, larger
+    # ones are split where it fills, and the last flush holds what is left
+    # (4 x 10 rows at (40, 17) and 5 x 12 + 1 at (61, 22) in any blocks).
+    # G spans 1 to 44 panels, the last one short at p = 17, 22 and 173.
+    # xi^T phi is the exact integer sums of the +-1 positions
+    monkeypatch.setattr(core, "BAND", 4)
+    monkeypatch.setattr(core, "TILE", (8, core.TILE[1]))
     if float64_sum:
         monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", 1)
     rng = np.random.default_rng(n_agents * n_patterns + rows)
@@ -481,7 +510,7 @@ def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows
     G, xt_phi = core._integer_gram(_sliced(xi, rows), n_patterns, signs.astype(np.float64))
     xi = xi.astype(np.int64)
     assert G.dtype == np.float64 and G.flags.c_contiguous
-    assert np.array_equal(G, xi.T @ xi) and (G == G.T).all()
+    assert np.array_equal(G, packed_upper((xi.T @ xi).astype(np.float64), 4))
     assert np.array_equal(xt_phi, (signs @ xi).astype(np.float64))
 
 
@@ -503,37 +532,45 @@ def _symmetric(p, kind, rng):
 _B = simulator.BAND
 
 
-@pytest.mark.parametrize("p, kind, chunk_rows", [(1, "random", None), (2, "random", None),
-                                                (_B - 1, "random", None), (_B, "random", None),
-                                                (_B + 1, "random", None),
-                                                (2 * _B + 1, "random", None),
-                                                (300, "random", None), (300, "random", 7),
-                                                (2 * _B + 1, "zero-column", None),
-                                                (2 * _B + 8, "block-diagonal", 3)])
-def test_band_reduction(p, kind, chunk_rows, monkeypatch):
-    # the identity carried through the reduction is Q, with B = Q^T A Q of
-    # bandwidth BAND, exactly symmetric although the trailing update forms
-    # (i, j) and (j, i) by different sums; chunk_rows rows a chunk of every
-    # product over the trailing matrix.  p = 2b + 1 ends on a panel of one
-    # row, 300 on one of 12; a zero first column and the block-diagonal split
-    # make the first reflectors of the first panel the identity (tau = 0)
-    if chunk_rows:
-        monkeypatch.setattr(simulator, "BLOCK_ENTRIES", 2 * chunk_rows * p)
+@pytest.mark.parametrize("p, kind, band", [(1, "random", None), (2, "random", None),
+                                           (_B - 1, "random", None), (_B, "random", None),
+                                           (_B + 1, "random", None),
+                                           (2 * _B + 1, "random", None),
+                                           (4 * _B + 1, "random", None),
+                                           (300, "random", None), (300, "random", 7),
+                                           (2 * _B + 1, "zero-column", None),
+                                           (2 * _B + 8, "block-diagonal", None),
+                                           (2 * _B + 8, "block-diagonal", 3)])
+def test_band_reduction(p, kind, band, monkeypatch):
+    # the identity carried through the reduction of A's packed upper
+    # panels is Q, with B = Q^T A Q of bandwidth b = BAND, exactly symmetric
+    # although the panels' update forms (i, j) and (j, i) of a diagonal
+    # block by different sums; band patches BAND, the panels' height.
+    # p = 2b + 1 and 4b + 1 end on a panel of one row, 300 on one of 12 (of
+    # 6 in panels of 7 rows); a zero first column and the block-diagonal
+    # split make the first reflectors of the first panel the identity
+    # (tau = 0), and in panels of 3 rows those of the second panel's first
+    # two columns
+    if band:
+        monkeypatch.setattr(core, "BAND", band)
+        monkeypatch.setattr(simulator, "BAND", band)
+    b = simulator.BAND
     A = _symmetric(p, kind, np.random.default_rng(p))
     Q = np.eye(p)
-    reduced = A.copy()
-    simulator._reduce_to_band(reduced, Q)
-    blocks = simulator._band_blocks(reduced)
+    panels = core._upper_panels(packed_upper(A, b), p)
+    simulator._reduce_to_band(panels, Q)
+    blocks = simulator._band_blocks(panels)
     B = _dense_band(blocks, p)
     scale, (i, j) = np.abs(A).max(), np.indices((p, p))
     assert np.abs(Q.T @ A @ Q - B).max() <= 1e-13 * scale
-    assert not B[np.abs(i - j) > _B].any()
+    assert not B[np.abs(i - j) > b].any()
     assert (B == B.T).all()
-    assert not np.tril(blocks[:, :, :_B], -1).any()  # each R_{k-1} upper triangular
+    assert not np.tril(blocks[:, :, :b], -1).any()  # each R_{k-1} upper triangular
     assert np.abs(Q.T @ Q - np.eye(p)).max() <= 1e-14
     assert np.allclose(np.linalg.eigvalsh(B), np.linalg.eigvalsh(A), rtol=0.0, atol=1e-12 * scale)
     if kind != "random":  # tau = 0 leaves the columns' sub-diagonal block exactly 0
-        assert not B[_B:, :1 if kind == "zero-column" else 5].any()
+        cols = 1 if kind == "zero-column" else 5
+        assert not B[max(b, cols):, :cols].any()
 
 
 def test_band_step_matches_the_dense_product():
@@ -563,9 +600,9 @@ def test_gram_route_matches_the_pattern_space_step_at_large_p(zeta):
                    t_equilibrate=200, t_measure=200)
     state, sample = init_state(p), generate_disorder(p)
     assert p.n_patterns == 900
-    G, xt_phi = _integer_gram(sample, state.phi)
-    ref = pattern_space_run(G, state.lam * xt_phi, sample.Omega, state.q, state.lam,
-                            p.external.series(400), simulator.C0_SNAPSHOTS)
+    xi = sample.xi.astype(np.float64)  # exact integer products below 2^53
+    ref = pattern_space_run(xi.T @ xi, state.lam * (state.phi @ xi), sample.Omega, state.q,
+                            state.lam, p.external.series(400), simulator.C0_SNAPSHOTS)
     route = _built(simulator._Gram, sample, state)
     run = route.start(state)
     simulator._window(route, run, p, 200)
@@ -577,20 +614,22 @@ def test_gram_route_matches_the_pattern_space_step_at_large_p(zeta):
 
 def test_gram_route_footprint(monkeypatch):
     # tracemalloc sees numpy's buffers.  Through the draw and G's sums the
-    # run holds G (8 p^2 bytes) and three int8 blocks of the draw, never the
-    # N x p table: at p = 900 each block is cast to float32 into the stage
-    # in G's spare half, with no block buffer of its own.  Then the build
-    # holds G, one row chunk of the reduction's trailing update and its
-    # (p - b, 3b) panel buffer [Y | Z | Y], which set the build's bound.
-    # After the build the route holds B's row blocks (24 b^2 ceil(p/b)
+    # run holds G's packed upper panels (8 p (p + b) / 2 bytes) and three
+    # int8 blocks of the draw, never the N x p table nor a p x p array: at
+    # p = 900 the blocks are cast to float32 into the stage in G's spare
+    # half, beside the product, with no buffer of their own.  Then the build
+    # holds G, the reduction's (p - b, 3b) panel buffer [Y | Z | Y], its
+    # scratch of (p - b) b entries and a panel's QR, which set the build's
+    # bound.  After the build the route holds B's row blocks (24 b^2 ceil(p/b)
     # bytes) and padded p-vectors, no p x p array, and the run's state two
     # more; the windows and c0 add less than 64 N-vectors
     p = GameParams(n_agents=3000, alpha=0.3, external=ExternalBid(0, 1.0), seed=1,
                    t_equilibrate=100, t_measure=200)
-    entries, g_bytes, state = core.BLOCK_ENTRIES, 8 * p.n_patterns**2, init_state(p)
+    entries, state = core.BLOCK_ENTRIES, init_state(p)
+    g_bytes = 4 * p.n_patterns * (p.n_patterns + simulator.BAND)
     _, sums_peak = traced_peak(
         lambda: core._integer_gram(core.disorder_blocks(p)[0], p.n_patterns, state.phi))
-    assert sums_peak <= g_bytes + 3 * entries + 2**19
+    assert sums_peak <= g_bytes + 3 * entries + 2**19, sums_peak - g_bytes
     peaks, routes, step_window = [], [], simulator._window
 
     def window(route, *args, **kwargs):
@@ -604,7 +643,7 @@ def test_gram_route_footprint(monkeypatch):
     monkeypatch.setattr(simulator, "_window", window)
     obs, run_peak = traced_peak(lambda: run_experiment(p))
     build_peak, before = peaks
-    assert build_peak <= g_bytes + 4 * entries + 3 * entries + 2**19
+    assert build_peak <= g_bytes + 4 * entries + 3 * entries + 2**19, build_peak - g_bytes
     b, nb = simulator.BAND, -(-p.n_patterns // simulator.BAND)
     vectors = [v for v in vars(routes[0]).values() if isinstance(v, np.ndarray)]
     assert routes[0].blocks.nbytes <= 24 * b * b * nb
@@ -614,6 +653,33 @@ def test_gram_route_footprint(monkeypatch):
     assert before <= 24 * b * b * nb + 8 * 7 * (nb + 2) * b + 8 * 2 * p.n_agents + 2**16
     assert run_peak - before < 8 * simulator.C0_SNAPSHOTS * p.n_agents
     assert obs.c0_hat == pytest.approx(1.0, abs=0.02)  # phase F
+
+
+def test_gram_route_build_raises_the_resident_peak_by_less_than_a_whole_g():
+    # tracemalloc cannot see the pages OpenBLAS allocates for itself, so the
+    # resident peak (ru_maxrss, KiB on Linux) is read in a fresh process:
+    # after a warm-up build at N = 400, which starts the BLAS threads, one
+    # build at N = 4000, alpha = 0.3 (p = 1200) raises it by less than
+    # 8 p^2 bytes (11.0 MiB), the whole float64 G it no longer holds.  On a
+    # 2-vCPU Xeon the packed G raised it by 9.0-9.1 MiB (5.6 MiB of them
+    # G), the whole G by 15.3-15.4 MiB
+    code = ("import resource\n"
+            "from sphmg import GameParams, simulator\n"
+            "from sphmg.core import init_state\n"
+            "def build(n):\n"
+            "    params = GameParams(n_agents=n, alpha=0.3, seed=1)\n"
+            "    return simulator._route(params, init_state(params))\n"
+            "build(400)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "route = build(4000)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(type(route).__name__, after - before)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(core.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    kind, grown = out.stdout.split()
+    assert kind == "_Gram"
+    assert 1024 * int(grown) < 8 * 1200**2, int(grown) / 1024
 
 
 def test_coupling_route_footprint():
