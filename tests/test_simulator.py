@@ -661,7 +661,7 @@ def test_gram_route_build_raises_the_resident_peak_by_less_than_a_whole_g():
     # after a warm-up build at N = 400, which starts the BLAS threads, one
     # build at N = 4000, alpha = 0.3 (p = 1200) raises it by less than
     # 8 p^2 bytes (11.0 MiB), the whole float64 G it no longer holds.  On a
-    # 2-vCPU Xeon the packed G raised it by 9.0-9.1 MiB (5.6 MiB of them
+    # 2-vCPU Xeon the packed G raised it by 9.0-9.4 MiB (5.6 MiB of them
     # G), the whole G by 15.3-15.4 MiB
     code = ("import resource\n"
             "from sphmg import GameParams, simulator\n"
