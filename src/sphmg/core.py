@@ -15,11 +15,12 @@ into the couplings
 after which one batch step of the simulator's coupling route is a single
 matrix-vector product over the exact integer matrix X.  That compile reads
 the draw's row blocks once and keeps xi only as two packed bit planes, so it
-never holds the int8 N x p table, and its float32 tiles (TILE) grow with N
-alone.  The Gram route's compile, G = xi^T xi from the same blocks, shares
-its float32 upper-triangle panel products (exact below FLOAT32_EXACT_TERMS
-terms), and holds only G's upper triangle, packed in row panels of BAND rows
-(_upper_panels).
+never holds the int8 N x p table, and it sums X inside X's own buffer.  The
+Gram route's compile, G = xi^T xi from the same blocks, sums G inside G's
+own buffer in the same way: both hold their matrix's upper triangle, packed
+in row panels of BAND rows (_upper_panels), and add float32 upper-triangle
+panel products (exact below FLOAT32_EXACT_TERMS terms) into it through one
+routine (_panel_sum).
 
 A sample and its start depend on (N, p, seed) alone.  The seed splits into
 two independent sub-streams, read only here: one draws the tables over
@@ -30,7 +31,7 @@ the start's signs (init_state).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,17 +42,17 @@ MAX_TABLE_ENTRIES = 2**28
 # Entries of one block of row_blocks (at least 8 rows whatever p).
 BLOCK_ENTRIES = 2**18
 
-# Rows x columns of the float32 xi tile the coupling compile multiplies at a
-# time: the height of its row panels and the widest of its column blocks (a
-# multiple of 8, whole bytes of the packed planes).  TILE[0] is also the
-# height of the Gram route's float32 products: at p = 900-2100 (warm, 2-vCPU
-# Xeon) products of 64-256 rows summed G within about 10% of each other,
-# and of 320 rows, which leave the stage fewer rows, 26% slower at p = 900.
-TILE = (160, 480)
+# Rows of the float32 upper-triangle products that sum X and G, of the
+# chunks in which the coupling compile unpacks xi, and the fewest columns of
+# its stage (a multiple of 8, whole bytes of the packed planes): at
+# p = 900-2100 (warm, 2-vCPU Xeon) products of 64-256 rows summed G within
+# about 10% of each other, and of 320 rows, which leave the stage fewer
+# rows, 26% slower at p = 900.
+TILE = 160
 
-# Rows of the panels in which the Gram route holds G's upper triangle, and
-# the bandwidth of its band B = Q^T G Q (a divisor of TILE[0], so that each
-# of G's float32 products of TILE[0] rows covers whole panels).
+# Rows of the panels in which both compiles hold their matrix's upper
+# triangle, and the bandwidth of the Gram route's band B = Q^T G Q (a divisor
+# of TILE, so that each product of TILE rows covers whole panels).
 BAND = 32
 
 # float32 holds every integer of magnitude up to 2^24 exactly, so sums of
@@ -329,14 +330,6 @@ def _upper_products(S: np.ndarray, height: int, out: np.ndarray
                             out=out[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0))
 
 
-def _mirror_upper(acc: np.ndarray, height: int) -> None:
-    """acc's upper triangle into its lower, in row panels of height rows."""
-    n = acc.shape[0]
-    for i0 in range(0, n, height):
-        i1 = min(i0 + height, n)
-        acc[i1:, i0:i1] = acc[i0:i1, i1:].T
-
-
 def _upper_size(p: int) -> int:
     """Entries of _upper_panels over p columns: p (p + BAND) / 2, less
     r (BAND - r) / 2 for a last panel of r rows."""
@@ -357,6 +350,30 @@ def _upper_panels(G: np.ndarray, p: int) -> list[np.ndarray]:
     return panels
 
 
+def _panel_sum(acc: np.ndarray, spare: np.ndarray, p: int
+               ) -> tuple[Callable[[np.ndarray], None], np.ndarray]:
+    """The sum of the staged rows S (p columns) of S^T S into the panels of
+    _upper_panels over acc (_upper_size(p) entries, from zeros): flush(S)
+    adds S's products of min(TILE, p) rows from _upper_products, each into
+    the BAND-row panels it covers.  Where the flat float32 spare leaves at
+    least that many rows of p beside one such product, the product is held
+    from spare's start, and otherwise in a buffer of its own; returned
+    beside flush is the rest of spare, the space for the stage."""
+    panels, height = _upper_panels(acc, p), min(TILE, p)
+    if 2 * height * p <= spare.size:
+        product, spare = spare[:height * p], spare[height * p:]
+    else:
+        product = np.empty(height * p, dtype=np.float32)
+
+    def flush(S: np.ndarray) -> None:
+        for i0, prod in _upper_products(S, height, product):
+            for k0 in range(i0, i0 + prod.shape[0], BAND):
+                panel = panels[k0 // BAND]
+                panel += prod[k0 - i0:k0 - i0 + panel.shape[0], k0 - i0:]
+
+    return flush, spare
+
+
 def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The exact integer matrix X = xi xi^T, with h, b and d of the couplings,
@@ -367,17 +384,23 @@ def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega
     row sums taken while packing.  h is taken first, before X exists, over
     row_blocks(n, p) of xi, whatever partition the blocks read came in,
     unpacked in float64 into a buffer of its own, one float64
-    matrix-vector product per block.  X is then summed over the fewest
-    column blocks of xi of at most TILE[1] columns, evened out in whole
-    bytes of the planes (only the last may be narrower): each is unpacked
-    in float32, TILE[0] rows at a time, and added as S = blk^T from
-    _upper_products in row panels of TILE[0] rows through one panel
-    buffer.  The upper triangle is mirrored into the lower once at the end,
-    so no N x N product is held, and the float32 scratch holds at most
-    N sum(TILE) entries at any p.  A product sums at most TILE[1] terms in
+    matrix-vector product per block.  X is then summed inside its own n^2
+    entries: the first _upper_size(n) hold X's upper triangle as the
+    panels of _panel_sum, and the bytes after them, viewed as float32, are
+    its spare space, which holds the product from N = 672 on (at BAND = 32
+    and TILE = 160).  The rest is the stage where it holds at least TILE
+    columns of xi (from N = 352 on), and otherwise the stage is a buffer of
+    TILE columns of its own.
+    xi is unpacked into the stage in float32, TILE rows at a time, one
+    column block at a time, each block as wide as the stage holds in whole
+    bytes of the planes (224 columns at N = 800, 1320 at N = 3000; only the
+    last may be narrower), and each block blk is flushed as S = blk^T.  At
+    the end the panels are expanded in place into X's dense rows, the last
+    panel first, and each is mirrored into the lower triangle, so no N x N
+    product is held.  A product sums at most a block's width of terms in
     {-1, 0, 1}, exact in float32; the sum over blocks is an integer bounded
     by p, accumulated in float32 for p < FLOAT32_EXACT_TERMS and in float64
-    from there on, so any tile gives the same bits.  d is X's diagonal.
+    from there on, so any stage gives the same bits.  d is X's diagonal.
     """
     p = Omega.shape[0]
     planes, sums = _packed(blocks, n, p)
@@ -390,18 +413,20 @@ def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega
         h[r] = (2.0 / np.sqrt(n)) * (block @ Omega)
     del field, block
     b = (2.0 / np.sqrt(n)) * sums
-    nbytes = -(-p // 8)
-    count = -(-nbytes // (TILE[1] // 8))  # column blocks
-    width, height = 8 * -(-nbytes // count), min(n, TILE[0])
     X = np.zeros((n, n), dtype=np.float32 if p < FLOAT32_EXACT_TERMS else np.float64)
-    buf = np.empty(n * (width + height), dtype=np.float32)
+    acc = X.reshape(-1)[:_upper_size(n)]
+    flush, spare = _panel_sum(acc, X.reshape(-1).view(np.float32)[acc.nbytes // 4:], n)
+    width = max(TILE, spare.size // n // 8 * 8)
+    stage = spare if n * width <= spare.size else np.empty(n * width, dtype=np.float32)
     for start in range(0, p, width):
-        blk = buf[:n * min(width, p - start)].reshape(n, -1)
-        for i0 in range(0, n, height):
-            _unpack(planes, slice(i0, i0 + height), start, blk[i0:i0 + height])
-        for i0, product in _upper_products(blk.T, height, buf[n * width:]):
-            X[i0:i0 + product.shape[0], i0:] += product
-    _mirror_upper(X, height)
+        blk = stage[:n * min(width, p - start)].reshape(n, -1)
+        for i0 in range(0, n, TILE):
+            _unpack(planes, slice(i0, i0 + TILE), start, blk[i0:i0 + TILE])
+        flush(blk.T)
+    for k0, panel in reversed(list(zip(range(0, n, BAND), _upper_panels(acc, n)))):
+        k1 = k0 + panel.shape[0]
+        X[k0:k1, k0:] = panel
+        X[k1:, k0:k1] = X[k0:k1, k1:].T
     d = (2.0 / n) * X.diagonal().astype(np.float64)
     return X, h, b, d
 
@@ -415,17 +440,14 @@ def _integer_gram(blocks: Iterable[tuple[slice, np.ndarray]], p: int, phi: np.nd
     start); the blocks are read once, in any partition of the rows.
 
     G's float64 buffer is viewed as two float32 halves of _upper_size(p)
-    entries: the first sums G's panels, and the second is spare.  Where the
-    spare half leaves the stage at least TILE[0] rows of p beside one
-    product of TILE[0] rows (from p = 608 on), it holds that product from
-    its start, and otherwise the product is a buffer of its own.  The rest
+    entries: the first sums G's panels through _panel_sum, and the second
+    is its spare space, which holds the product from p = 608 on.  The rest
     of the spare half is the stage: the rows of the blocks are cast into
     it one after another, a block split where the stage fills, and
-    whenever it is full, and once at the end, the staged rows S are summed
-    from _upper_products in products of TILE[0] rows, each added into the
-    BAND-row panels it covers.  The sum is then widened to float64 in
-    place.  From N = FLOAT32_EXACT_TERMS on G itself is the sum and the
-    spare half a float32 buffer of its own."""
+    whenever it is full, and once at the end, the staged rows are flushed
+    into the panels.  The sum is then widened to float64 in place.  From
+    N = FLOAT32_EXACT_TERMS on G itself is the sum and the spare half a
+    float32 buffer of its own."""
     # float32 products and sums of integers bounded by N are exact below
     # 2^24, so G has the same bits for any row blocks and any stage.  The
     # sum is widened from the last entries down, in chunks [ceil(b/2), b)
@@ -437,19 +459,8 @@ def _integer_gram(blocks: Iterable[tuple[slice, np.ndarray]], p: int, phi: np.nd
     G, xt_phi = np.zeros(size), np.zeros(p)
     acc, spare = ((G.view(np.float32)[:size], G.view(np.float32)[size:])
                   if n < FLOAT32_EXACT_TERMS else (G, np.empty(size, dtype=np.float32)))
-    panels, height = _upper_panels(acc, p), min(TILE[0], p)
-    if 2 * height * p <= size:
-        product, spare = spare[:height * p], spare[height * p:]
-    else:
-        product = np.empty(height * p, dtype=np.float32)
+    flush, spare = _panel_sum(acc, spare, p)
     stage = spare[:spare.size // p * p].reshape(-1, p)
-
-    def flush(S: np.ndarray) -> None:
-        for i0, prod in _upper_products(S, height, product):
-            for k0 in range(i0, i0 + prod.shape[0], BAND):
-                panel = panels[k0 // BAND]
-                panel += prod[k0 - i0:k0 - i0 + panel.shape[0], k0 - i0:]
-
     phi32, filled = phi.astype(np.float32), 0
     for rows, xi in blocks:
         phi_rows = phi32[rows]

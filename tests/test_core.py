@@ -268,35 +268,99 @@ def _exact(xi, Omega):
 
 
 def _assert_compiled_exactly(xi, Omega, dtype=np.float32):
+    """The compile of (xi, Omega), once it matches _exact bit for bit."""
     got, want = _compiled(xi, Omega), _exact(xi, Omega)
     assert got[0].dtype == dtype and got[0].flags.c_contiguous
     for name, a, b in zip("Xhbd", got, want):
         assert np.array_equal(a, b), name
+    return got
+
+
+def _recorded_flushes(monkeypatch):
+    """The list into which every later call of core._upper_products, one a
+    flush of the stage, records (S, its product buffer)."""
+    flushes, products = [], core._upper_products
+
+    def recorded(S, height, out):
+        flushes.append((S, out))
+        return products(S, height, out)
+
+    monkeypatch.setattr(core, "_upper_products", recorded)
+    return flushes
+
+
+def _assert_paths(X, flushes, own_product, own_stage, count):
+    """count flushes, each of a stage and a product held in X's buffer or
+    in buffers of their own."""
+    assert len(flushes) == count
+    for S, out in flushes:
+        assert np.shares_memory(S, X) is not own_stage
+        assert np.shares_memory(out, X) is not own_product
 
 
 @pytest.mark.parametrize("n_agents, alpha", [(41, 1.5), (10, 4.55), (20, 3.0), (41, 0.5)])
 def test_self_product_over_column_blocks_is_exact(n_agents, alpha, monkeypatch):
-    # column blocks of equal whole bytes of the planes, at most 16 columns
-    # here: p = 62 over 3 x 16 + 14, p = 46 over 2 x 16 + 14, p = 60 over
-    # 3 x 16 + 12, and p = 20 < N over 16 + 4
-    monkeypatch.setattr(core, "TILE", (core.TILE[0], 16))
+    # panels of 4 rows and products of 8: X's spare space holds the product
+    # beside 8 columns of stage at N = 41, only the stage at N = 20, and
+    # neither at N = 10, where the stage is a buffer of 8 columns of its
+    # own; so p = 62 runs over 7 x 8 + 6 columns, p = 46 over 5 x 8 + 6,
+    # p = 60 over 7 x 8 + 4 and p = 20 < N over 2 x 8 + 4.  The last panel
+    # is short at N = 41 and 10
+    monkeypatch.setattr(core, "BAND", 4)
+    monkeypatch.setattr(core, "TILE", 8)
     sample = generate_disorder(GameParams(n_agents=n_agents, alpha=alpha, seed=7))
-    _assert_compiled_exactly(sample.xi, sample.Omega)
+    flushes = _recorded_flushes(monkeypatch)
+    X = _assert_compiled_exactly(sample.xi, sample.Omega)[0]
+    # (own product, own stage, flushes)
+    paths = {(41, 1.5): (False, False, 8), (10, 4.55): (True, True, 6),
+             (20, 3.0): (True, False, 8), (41, 0.5): (False, False, 3)}[n_agents, alpha]
+    _assert_paths(X, flushes, *paths)
+
+
+@pytest.mark.parametrize("n_agents, n_patterns, float64_sum, own_product, own_stage, count", [
+    (1, 3, False, True, True, 1), (1, 200, False, True, True, 2),
+    (351, 170, False, True, True, 2), (352, 170, False, True, False, 2),
+    (671, 330, False, True, False, 2), (672, 330, False, False, False, 3),
+    (191, 170, True, True, True, 2), (192, 170, True, True, False, 2),
+    (352, 170, True, False, False, 2)])
+def test_coupling_matrix_is_exact_on_both_sides_of_each_fallback(
+        n_agents, n_patterns, float64_sum, own_product, own_stage, count, monkeypatch):
+    # at the shipping TILE and BAND: X's spare space, the bytes after its
+    # packed upper panels, holds the stage where it leaves at least TILE
+    # columns (from N = 352 on), and the product of TILE rows as well where
+    # it then still leaves them (from N = 672); below that each is a buffer
+    # of its own, the stage TILE columns wide.  The stage is 160 columns at
+    # N = 352 and 672 and 312 at N = 671 (one or several flushes).  A
+    # float64 X, summed from p = FLOAT32_EXACT_TERMS on, spares twice the
+    # float32 entries: the stage from N = 192 and both from N = 352.  The
+    # last panel is short at N = 351, 671, 191 and 1
+    rng = np.random.default_rng(n_agents * n_patterns)
+    xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
+    Omega = rng.normal(size=n_patterns)
+    if float64_sum:
+        monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", n_patterns)
+    flushes = _recorded_flushes(monkeypatch)
+    X = _assert_compiled_exactly(xi, Omega, np.float64 if float64_sum else np.float32)[0]
+    _assert_paths(X, flushes, own_product, own_stage, count)
 
 
 @pytest.mark.parametrize("n_agents, n_patterns", [(41, 20), (40, 40), (41, 62), (20, 60), (10, 46),
                                                   (13, 48), (1, 3), (1, 17), (9, 1), (300, 1800)])
 @pytest.mark.parametrize("panel_rows", [0, 6])
 def test_packed_compile_is_exact(n_agents, n_patterns, panel_rows, monkeypatch):
-    # p < N, p = N, N < p <= 2N, p > 2N with a short last column block, p not
-    # a multiple of 8 and N = 1.  The default tile takes one panel and one
-    # column block, except at N = 300, p = 1800: two panels (160 + 140) and
-    # four blocks (3 x 456 + 432).  A 6 x 16 tile takes panels of 6 rows, the
-    # last one short for N = 41, 40, 20, 13, 10 and 9, and column blocks of
-    # 16, several equal ones at p = 48 and 1800 with a short last one where
-    # p is not a multiple of 16
+    # p < N, p = N, N < p <= 2N, p > 2N, p not a multiple of 8 and N = 1.
+    # The shipping TILE and BAND take one column block in a stage of 160
+    # columns of its own, except at N = 300, p = 1800: eleven such blocks
+    # and a short last one, with products of 160 rows (160 + 140) in
+    # panels of 32 rows, the last one short.  Panels of 6 rows with
+    # products of 24 take a stage of 24 columns of its own below N = 300,
+    # so several blocks at p = 40, 62, 60, 46 and 48 with a short last one
+    # where p is not a multiple of 24, and at N = 300 a stage of 120
+    # columns in X's spare space (15 blocks); the last panel is short for
+    # N = 41, 20, 13, 10 and 9
     if panel_rows:
-        monkeypatch.setattr(core, "TILE", (panel_rows, 16))
+        monkeypatch.setattr(core, "BAND", panel_rows)
+        monkeypatch.setattr(core, "TILE", 4 * panel_rows)
     rng = np.random.default_rng(n_agents * n_patterns)
     xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
     _assert_compiled_exactly(xi, rng.normal(size=n_patterns))
@@ -306,8 +370,10 @@ def test_packed_compile_is_exact(n_agents, n_patterns, panel_rows, monkeypatch):
 def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dtype, monkeypatch):
     # float32 sums of p terms in {-1, 0, 1} are exact only below p = 2^24; the
     # limit is lowered here because a sample at the real one needs ~1 GB.
-    # p = 60 runs over four column blocks of at most 16 columns
-    monkeypatch.setattr(core, "TILE", (core.TILE[0], 16))
+    # With panels of 4 rows and products of 8, p = 60 runs over eight
+    # column blocks of at most 8 columns, in X's spare space
+    monkeypatch.setattr(core, "BAND", 4)
+    monkeypatch.setattr(core, "TILE", 8)
     sample = generate_disorder(GameParams(n_agents=20, alpha=3.0, seed=3))
     p = sample.xi.shape[1]
     monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", p + offset)
@@ -315,14 +381,14 @@ def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dt
 
 
 def test_integer_couplings_free_their_float32_scratch_before_the_field_pass():
-    # the compile holds X, the packed planes (N p / 4 bytes) and the float32
-    # scratch of the tile, a column block of at most TILE[1] columns and one
-    # panel of TILE[0] rows; h's float64 row blocks are freed before X.  No
-    # int8 table and no N x N product
+    # the compile holds X and the packed planes (N p / 4 bytes), and sums X
+    # with its stage and product inside X's own buffer; h's float64 row
+    # blocks are freed before X.  No int8 table, no N x N product and no
+    # column block beside X; the slack of a product of TILE rows is kept
     sample = generate_disorder(GameParams(n_agents=800, alpha=6.0, seed=1))
     n, p = sample.xi.shape
     _, peak = traced_peak(lambda: _compiled(sample.xi, sample.Omega))
-    assert peak <= 4 * n * n + 4 * n * sum(core.TILE) + n * p // 4 + 2**19
+    assert peak <= 4 * n * n + 4 * n * core.TILE + n * p // 4 + 2**19
 
 
 def test_resource_budget(monkeypatch):

@@ -1,11 +1,7 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import weakref
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +30,7 @@ from oracles import (
     pattern_space_run,
     sample_from_tables,
 )
-from tracing import traced_peak
+from tracing import route_build_growth, traced_peak
 
 
 def _state_from_q(q):
@@ -501,7 +497,7 @@ def test_gram_matrix_built_in_its_own_buffer_is_exact(n_agents, n_patterns, rows
     # G spans 1 to 44 panels, the last one short at p = 17, 22 and 173.
     # xi^T phi is the exact integer sums of the +-1 positions
     monkeypatch.setattr(core, "BAND", 4)
-    monkeypatch.setattr(core, "TILE", (8, core.TILE[1]))
+    monkeypatch.setattr(core, "TILE", 8)
     if float64_sum:
         monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", 1)
     rng = np.random.default_rng(n_agents * n_patterns + rows)
@@ -656,44 +652,41 @@ def test_gram_route_footprint(monkeypatch):
 
 
 def test_gram_route_build_raises_the_resident_peak_by_less_than_a_whole_g():
-    # tracemalloc cannot see the pages OpenBLAS allocates for itself, so the
-    # resident peak (ru_maxrss, KiB on Linux) is read in a fresh process:
-    # after a warm-up build at N = 400, which starts the BLAS threads, one
-    # build at N = 4000, alpha = 0.3 (p = 1200) raises it by less than
-    # 8 p^2 bytes (11.0 MiB), the whole float64 G it no longer holds.  On a
-    # 2-vCPU Xeon the packed G raised it by 9.0-9.4 MiB (5.6 MiB of them
-    # G), the whole G by 15.3-15.4 MiB
-    code = ("import resource\n"
-            "from sphmg import GameParams, simulator\n"
-            "from sphmg.core import init_state\n"
-            "def build(n):\n"
-            "    params = GameParams(n_agents=n, alpha=0.3, seed=1)\n"
-            "    return simulator._route(params, init_state(params))\n"
-            "build(400)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "route = build(4000)\n"
-            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(type(route).__name__, after - before)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(core.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
-    kind, grown = out.stdout.split()
+    # after a warm-up build at N = 400, one build at N = 4000, alpha = 0.3
+    # (p = 1200) raises the resident peak by less than 8 p^2 bytes
+    # (11.0 MiB), the whole float64 G it no longer holds.  On a 2-vCPU Xeon
+    # the packed G raised it by 9.0-9.4 MiB (5.6 MiB of them G), the whole
+    # G by 15.3-15.4 MiB
+    kind, grown = route_build_growth((400, 0.3), (4000, 0.3))
     assert kind == "_Gram"
-    assert 1024 * int(grown) < 8 * 1200**2, int(grown) / 1024
+    assert grown < 8 * 1200**2, grown / 2**20
 
 
 def test_coupling_route_footprint():
-    # from the draw through the build the route holds X, the packed planes
-    # (N p / 4 bytes) and the float32 scratch of the tile: a column block of
-    # at most TILE[1] columns and one panel of TILE[0] rows, whatever p; never
-    # the int8 N x p table nor an N x N product.  At N = 1600 a column block
-    # min(N, p) wide would alone take 4 N^2 bytes
+    # from the draw through the build the route holds X and the packed
+    # planes (N p / 4 bytes), and sums X with its stage and product inside
+    # X's own buffer: no column block of xi beside X, never the int8 N x p
+    # table nor an N x N product; the slack of a product of TILE rows is
+    # kept
     for n, alpha in ((800, 6.0), (1600, 1.5)):
         params = GameParams(n_agents=n, alpha=alpha, kappa=0.25, seed=1)
         p = params.n_patterns
         route, peak = traced_peak(lambda: simulator._route(params, init_state(params)))
         assert isinstance(route, simulator._Coupled) and route.M.nbytes == 4 * n * n
-        assert peak <= 4 * n * n + 4 * n * sum(core.TILE) + n * p // 4 + 2**19, n
+        assert peak <= 4 * n * n + 4 * n * core.TILE + n * p // 4 + 2**19, n
+
+
+def test_coupling_route_build_raises_the_resident_peak_by_little_more_than_x():
+    # after a warm-up build at N = 400, one build at N = 1600, alpha = 1.5
+    # raises the resident peak by at most X (4 N^2 bytes, 9.8 MiB), the
+    # packed planes (N p / 4 bytes, 0.9 MiB) and 1.5 MiB.  On a 2-vCPU Xeon
+    # it rose by 10.5-10.6 MiB with X summed in its own buffer, and by
+    # 14.2-14.3 MiB with a float32 column block of 480 columns and a
+    # product of 160 rows beside X
+    n, p = 1600, 2400
+    kind, grown = route_build_growth((400, 1.5), (n, p / n))
+    assert kind == "_Coupled"
+    assert grown <= 4 * n * n + n * p // 4 + 3 * 2**19, grown / 2**20
 
 
 def test_per_pattern_route_footprint():
