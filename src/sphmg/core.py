@@ -13,14 +13,16 @@ into the couplings
     d_i  = (2/N) sum_mu (xi_i^mu)^2          (self-coupling, J_ii)
 
 after which one batch step of the simulator's coupling route is a single
-matrix-vector product over the exact integer matrix X.  That compile reads
-the draw's row blocks once and keeps xi only as two packed bit planes, so it
-never holds the int8 N x p table, and it sums X inside X's own buffer.  The
-Gram route's compile, G = xi^T xi from the same blocks, sums G inside G's
-own buffer in the same way: both hold their matrix's upper triangle, packed
-in row panels of BAND rows (_upper_panels), and add float32 upper-triangle
-panel products (exact below FLOAT32_EXACT_TERMS terms) into it through one
-routine (_panel_sum).
+matrix-vector product over the exact integer matrix X (integer_couplings).
+That compile reads the draw's row blocks once and keeps xi only as two
+packed bit planes, so it never holds the int8 N x p table, and it sums X
+inside X's own buffer.  The Gram route's compile (gram_band) sums
+G = xi^T xi from the same blocks inside G's own buffer in the same way: both
+hold their matrix's upper triangle, packed in row panels of BAND rows
+(_upper_panels), and add float32 upper-triangle panel products (exact below
+FLOAT32_EXACT_TERMS terms) into it through one routine (_panel_sum).  G is
+then reduced in those panels to the band B = Q^T G Q of bandwidth BAND
+(_reduce_to_band), so the packed layout never leaves this module.
 
 A sample and its start depend on (N, p, seed) alone.  The seed splits into
 two independent sub-streams, read only here: one draws the tables over
@@ -374,8 +376,8 @@ def _panel_sum(acc: np.ndarray, spare: np.ndarray, p: int
     return flush, spare
 
 
-def _integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The exact integer matrix X = xi xi^T, with h, b and d of the couplings,
     from the (rows, int8 xi[rows]) blocks of a sample of n agents whose
     pattern bias Omega holds its values once the blocks are read.
@@ -484,10 +486,104 @@ def _integer_gram(blocks: Iterable[tuple[slice, np.ndarray]], p: int, phi: np.nd
     return G, xt_phi
 
 
+def _reduce_to_band(panels: list[np.ndarray], vectors: np.ndarray) -> np.ndarray:
+    """The (nb, b, 3b) row blocks [B_{k,k-1} | D_k | B_{k,k+1}] of
+    B = Q^T A Q of bandwidth b = BAND, nb = ceil(p / b), zero-padded past p
+    and at both ends, for a symmetric float64 A held as the row panels of
+    its upper triangle (_upper_panels), reduced in place by the first stage
+    of two-stage reduction (Bischof, Lang & Sun, ACM TOMS 26, 2000); each
+    row v of vectors becomes Q^T v.  The reduction leaves panel k holding
+    B's diagonal block D_k in its first b columns and right of them R_k^T,
+    the transposed upper triangular sub-diagonal block, and nothing else of
+    the panels is meaningful: B_{k,k+1} = R_k^T comes from panel k,
+    B_{k,k-1} = R_{k-1} is its transpose in block row k + 1, and each D_k
+    comes from its upper triangle, so that B is exactly symmetric.  The
+    blocks are allocated once the reduction's buffers are freed.
+
+    The part of panel k right of its diagonal block, U[:, b:] =
+    A[k1:, k0:k1]^T, is split by LAPACK's Householder QR of its transpose,
+    A[k1:, k0:k1] = (I - Y T Y^T) R, with T from dlarft's recurrence
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), so that
+    tau = 0 gives H = I.  The later panels, the upper triangle of the
+    trailing matrix A22, then take A22 -= Y Z^T + Z Y^T = [Y Z] [Z Y]^T,
+    with P = A22 Y T and Z = P - (1/2) Y (Y T)^T P, from one (p - b, 3b)
+    buffer [Y | Z | Y].  A22 Y takes two products per later panel V: its
+    own rows are V times Y's rows from V's first column on, and the rows
+    below it gain the lower triangle's share, V's part right of its
+    diagonal block, transposed, times V's rows of Y.  Each later panel takes
+    its own rows of the update, one product of depth 2b, so the update does
+    half the flops of one over the whole of A22.  A22 Y is summed in a
+    contiguous (p - b, b) buffer of its own, as adds into the strided Z
+    took half as long again, and one scratch buffer of as many entries
+    takes the shares and the panels' updates.
+    """
+    p, b = panels[0].shape[1], BAND
+    W, (ay, scratch) = np.empty((max(p - b, 0), 3 * b)), np.empty((2, max(p - b, 0) * b))
+    for k, U in enumerate(panels[:-1]):
+        m, later = p - (k + 1) * b, panels[k + 1:]
+        Wk = W[:m]
+        Y, Z = Wk[:, :b], Wk[:, b:2 * b]
+        h, tau = np.linalg.qr(U[:, b:].T, mode="raw")
+        Y[:] = h.T
+        del h  # one m x b copy of the panel at a time
+        U[:, b:2 * b] = np.triu(Y[:b]).T
+        Y[:b] = np.tril(Y[:b], -1)
+        np.fill_diagonal(Y, 1.0)
+        Wk[:, 2 * b:] = Y
+        YtY, T = Y.T @ Y, np.zeros((b, b))
+        for j, tau_j in enumerate(tau):  # dlarft, forward and columnwise
+            T[j, j] = tau_j
+            T[:j, j] = -tau_j * (T[:j, :j] @ YtY[:j, j])
+        AY = ay[:m * b].reshape(m, b)
+        for i in range(len(later) - 1, -1, -1):  # rows are written before shares reach them
+            V, r0 = later[i], i * b
+            r1 = r0 + V.shape[0]
+            np.matmul(V, Y[r0:], out=AY[r0:r1])
+            if r1 < m:
+                AY[r1:] += np.matmul(V[:, b:].T, Y[r0:r1],
+                                     out=scratch[:(m - r1) * b].reshape(m - r1, b))
+        np.matmul(AY, T, out=Z)
+        Z -= Y @ (0.5 * T.T @ (Y.T @ Z))
+        tail = vectors[:, p - m:]
+        tail -= ((tail @ Y) @ T) @ Y.T
+        for i, V in enumerate(later):
+            V -= np.matmul(Wk[i * b:i * b + V.shape[0], :2 * b], Wk[i * b:, b:].T,
+                           out=scratch[:V.size].reshape(V.shape))
+        del Wk, Y, Z, AY
+    del W, ay, scratch
+    blocks = np.zeros((len(panels), b, 3 * b))
+    for k, U in enumerate(panels):
+        r = U.shape[0]
+        D, right = U[:, :r], U[:, r:r + b]
+        blocks[k, :r, b:b + r] = np.triu(D) + np.triu(D, 1).T
+        blocks[k, :r, 2 * b:2 * b + right.shape[1]] = right
+    blocks[1:, :, :b] = blocks[:-1, :, 2 * b:].transpose(0, 2, 1)
+    return blocks
+
+
+def gram_band(blocks: Iterable[tuple[slice, np.ndarray]], Omega: np.ndarray, state: AgentState
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram route's compile, from the (rows, int8 xi[rows]) blocks of a
+    sample with pattern bias Omega, for runs from state: the row blocks
+    (_reduce_to_band) of the band B = Q^T G Q of G = xi^T xi, and the rows
+    Q^T 1, Q^T Omega and Q^T u with u = lam xi^T phi = xi^T q0, each
+    zero-padded with BAND entries in front and (nb + 1) BAND - p behind,
+    nb = ceil(p / BAND).  G is summed exactly by _integer_gram, as the
+    packed panels of its upper triangle, reduced to the band in them as 1,
+    Omega and u are rotated, and dropped once B's blocks are copied out."""
+    p, b = Omega.shape[0], BAND
+    G, u = _integer_gram(blocks, p, state.phi)
+    u *= state.lam
+    vectors = np.zeros((3, (-(-p // b) + 2) * b))
+    vectors[0, b:b + p] = 1.0
+    vectors[1:, b:b + p] = Omega, u
+    return _reduce_to_band(_upper_panels(G, p), vectors[:, b:b + p]), vectors
+
+
 def precompute_couplings(sample: DisorderSample
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The coupling route's compile of a whole sample: (X, h, b, d) of
-    _integer_couplings over the sample's row_blocks, so J = (2/N) X."""
+    integer_couplings over the sample's row_blocks, so J = (2/N) X."""
     n, p = sample.xi.shape
-    return _integer_couplings(((rows, sample.xi[rows]) for rows in row_blocks(n, p)), n,
-                              sample.Omega)
+    return integer_couplings(((rows, sample.xi[rows]) for rows in row_blocks(n, p)), n,
+                             sample.Omega)

@@ -6,7 +6,7 @@ One batch step maps the valuation vector q(t) through
 
 with phi = q / lambda, followed by the spherical renormalization
 lambda(t+1) = sqrt(mean q(t+1)^2); the coupling route takes this formula
-over the couplings compiled by core._integer_couplings.  It is the exact
+over the couplings compiled by core.integer_couplings.  It is the exact
 regrouping of the per-pattern form
 
     q_i(t+1) = q_i(t) - (2/sqrt(N)) sum_mu xi_i^mu [A^mu(t) - (kappa/sqrt(N)) phi_i(t) xi_i^mu]
@@ -14,10 +14,9 @@ regrouping of the per-pattern form
 
 so the coupling route and the per-pattern route agree to accumulation noise.
 At kappa = 0 every update is q(t+1) = q(t) - (2/sqrt(N)) xi A(t), so q(t)
-stays in q(0) + span(xi): the Gram route writes q(t) = q(0) + xi Q z(t) with
-Q from LAPACK's panel QRs, which make G = xi^T xi, core._integer_gram of
-the draw's row blocks held as the packed row panels of its upper triangle,
-a band of width BAND, B = Q^T G Q, in place, and steps (z, B z),
+stays in q(0) + span(xi): the Gram route writes q(t) = q(0) + xi Q z(t),
+where core.gram_band compiles the draw's row blocks into the band
+B = Q^T G Q of G = xi^T xi and the rotated vectors, and steps (z, B z),
 zero-padded p-vectors, through B's row blocks.
 run_experiment runs an equilibration and a measurement window of the one step
 loop, _window, on one of the three routes; a route holds only the arithmetic
@@ -36,15 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BAND,
     AgentState,
     DegenerateStateError,
     GameParams,
-    _integer_couplings,
-    _integer_gram,
-    _upper_panels,
     disorder_blocks,
+    gram_band,
     init_state,
+    integer_couplings,
 )
 from .estimators import fit_line, persistent_correlation
 
@@ -160,7 +157,7 @@ class _Coupled:
               state: AgentState) -> _Coupled:
         """The route over the (rows, int8 xi[rows]) blocks of a sample with
         pattern bias Omega, for runs of state's N agents."""
-        X, h, b, d = _integer_couplings(blocks, state.q.shape[0], Omega)
+        X, h, b, d = integer_couplings(blocks, state.q.shape[0], Omega)
         np.fill_diagonal(X, 0.0)
         return cls(X, d, h, b, Omega.size, float(Omega.sum()), float(Omega @ Omega))
 
@@ -249,84 +246,6 @@ class _Patterns:
     c0 = _Coupled.c0  # the run carries q, as on the coupling route
 
 
-def _reduce_to_band(panels: list[np.ndarray], vectors: np.ndarray) -> None:
-    """B = Q^T A Q of bandwidth BAND for a symmetric float64 A held as the
-    row panels of its upper triangle (core._upper_panels), in place, by the
-    first stage of two-stage reduction (Bischof, Lang & Sun, ACM TOMS 26,
-    2000); each row v of vectors becomes Q^T v.  On return panel k holds B's
-    diagonal block D_k in its first BAND columns and right of them R_k^T,
-    the transposed upper triangular sub-diagonal block; nothing else of the
-    panels is meaningful.
-
-    The part of panel k right of its diagonal block, U[:, b:] =
-    A[k1:, k0:k1]^T, is split by LAPACK's Householder QR of its transpose,
-    A[k1:, k0:k1] = (I - Y T Y^T) R, with T from dlarft's recurrence
-    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), so that
-    tau = 0 gives H = I.  The later panels, the upper triangle of the
-    trailing matrix A22, then take A22 -= Y Z^T + Z Y^T = [Y Z] [Z Y]^T,
-    with P = A22 Y T and Z = P - (1/2) Y (Y T)^T P, from one (p - b, 3b)
-    buffer [Y | Z | Y].  A22 Y takes two products per later panel V: its
-    own rows are V times Y's rows from V's first column on, and the rows
-    below it gain the lower triangle's share, V's part right of its
-    diagonal block, transposed, times V's rows of Y.  Each later panel takes
-    its own rows of the update, one product of depth 2b, so the update does
-    half the flops of one over the whole of A22.  A22 Y is summed in a
-    contiguous (p - b, b) buffer of its own, as adds into the strided Z
-    took half as long again, and one scratch buffer of as many entries
-    takes the shares and the panels' updates.
-    """
-    p, b = panels[0].shape[1], BAND
-    W, (ay, scratch) = np.empty((max(p - b, 0), 3 * b)), np.empty((2, max(p - b, 0) * b))
-    for k, U in enumerate(panels[:-1]):
-        m, later = p - (k + 1) * b, panels[k + 1:]
-        Wk = W[:m]
-        Y, Z = Wk[:, :b], Wk[:, b:2 * b]
-        h, tau = np.linalg.qr(U[:, b:].T, mode="raw")
-        Y[:] = h.T
-        del h  # one m x b copy of the panel at a time
-        U[:, b:2 * b] = np.triu(Y[:b]).T
-        Y[:b] = np.tril(Y[:b], -1)
-        np.fill_diagonal(Y, 1.0)
-        Wk[:, 2 * b:] = Y
-        YtY, T = Y.T @ Y, np.zeros((b, b))
-        for j, tau_j in enumerate(tau):  # dlarft, forward and columnwise
-            T[j, j] = tau_j
-            T[:j, j] = -tau_j * (T[:j, :j] @ YtY[:j, j])
-        AY = ay[:m * b].reshape(m, b)
-        for i in range(len(later) - 1, -1, -1):  # rows are written before shares reach them
-            V, r0 = later[i], i * b
-            r1 = r0 + V.shape[0]
-            np.matmul(V, Y[r0:], out=AY[r0:r1])
-            if r1 < m:
-                AY[r1:] += np.matmul(V[:, b:].T, Y[r0:r1],
-                                     out=scratch[:(m - r1) * b].reshape(m - r1, b))
-        np.matmul(AY, T, out=Z)
-        Z -= Y @ (0.5 * T.T @ (Y.T @ Z))
-        tail = vectors[:, p - m:]
-        tail -= ((tail @ Y) @ T) @ Y.T
-        for i, V in enumerate(later):
-            V -= np.matmul(Wk[i * b:i * b + V.shape[0], :2 * b], Wk[i * b:, b:].T,
-                           out=scratch[:V.size].reshape(V.shape))
-
-
-def _band_blocks(panels: list[np.ndarray]) -> np.ndarray:
-    """The (nb, b, 3b) row blocks [B_{k,k-1} | D_k | B_{k,k+1}] of the band
-    that _reduce_to_band leaves in the panels, nb = ceil(p / b) with
-    b = BAND, zero-padded past p and at both ends: B_{k,k+1} = R_k^T from
-    panel k and B_{k,k-1} = R_{k-1} from panel k - 1.  Each D_k is taken
-    from its upper triangle, so that B is exactly symmetric."""
-    b = BAND
-    blocks = np.zeros((len(panels), b, 3 * b))
-    for k, U in enumerate(panels):
-        r = U.shape[0]
-        D, right = U[:, :r], U[:, r:r + b]
-        blocks[k, :r, b:b + r] = np.triu(D) + np.triu(D, 1).T
-        blocks[k, :r, 2 * b:2 * b + right.shape[1]] = right
-        if k:
-            blocks[k, :r, :b] = panels[k - 1][:, b:b + r].T
-    return blocks
-
-
 @dataclass(frozen=True)
 class _Gram:
     """What the Gram route reads at kappa = 0, in the basis of the band
@@ -349,22 +268,12 @@ class _Gram:
     def build(cls, blocks: Iterable[tuple[slice, np.ndarray]], Omega: np.ndarray,
               state: AgentState) -> _Gram:
         """The route over the (rows, int8 xi[rows]) blocks of a sample with
-        pattern bias Omega, from state: the exact G, as the packed panels
-        of its upper triangle, and xi^T phi of core._integer_gram,
-        u = lam xi^T phi, then G reduced to the band in its own panels,
-        beside a panel buffer and one scratch buffer, as 1, Omega and u are
-        rotated, and dropped once B's blocks are copied out."""
-        p, b = Omega.shape[0], BAND
-        G, u = _integer_gram(blocks, p, state.phi)
-        u *= state.lam
-        vectors = np.zeros((3, (-(-p // b) + 2) * b))
-        vectors[0, b:b + p] = 1.0
-        vectors[1:, b:b + p] = Omega, u
-        panels = _upper_panels(G, p)
-        _reduce_to_band(panels, vectors[:, b:b + p])
+        pattern bias Omega, from state: B's row blocks and the rotated
+        vectors of core.gram_band, and |q0|^2."""
+        band, vectors = gram_band(blocks, Omega, state)
         with np.errstate(over="ignore"):  # an infinite |q0|^2 fails the first step
             q0_sq = float(state.q @ state.q)
-        return cls(_band_blocks(panels), *vectors, state.q.shape[0], q0_sq)
+        return cls(band, *vectors, state.q.shape[0], q0_sq)
 
     def start(self, state: AgentState) -> _Run:
         """A run at z = 0 with B z = 0, from the state the route was built

@@ -177,11 +177,11 @@ def _route_trajectory(kind, sample, params, steps, float64=False):
     if float64:
         route = dataclasses.replace(route, M=route.M.astype(np.float64))
     if kind is simulator._Gram:
-        p, b = sample.xi.shape[1], simulator.BAND
+        p, b = sample.xi.shape[1], core.BAND
         G, _ = core._integer_gram(blocks(), p, state.phi)
         Q = np.zeros((p, (-(-p // b) + 2) * b))
         Q[:, b:b + p] = np.eye(p)
-        simulator._reduce_to_band(core._upper_panels(G, p), Q[:, b:b + p])
+        core._reduce_to_band(core._upper_panels(G, p), Q[:, b:b + p])
     run = route.start(state)
     for _ in range(steps):
         simulator._window(route, run, params, 1)

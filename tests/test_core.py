@@ -223,7 +223,7 @@ def test_field_and_drive_response_over_row_blocks(monkeypatch):
     sample = generate_disorder(GameParams(n_agents=41, alpha=0.5, seed=6))
     pairs = [slice(i, i + 2) for i in range(0, 41, 2)]
     assert len(pairs) == 21 and len(core.row_blocks(*sample.xi.shape)) == 6
-    _, h, b, _ = core._integer_couplings(((r, sample.xi[r]) for r in pairs), 41, sample.Omega)
+    _, h, b, _ = core.integer_couplings(((r, sample.xi[r]) for r in pairs), 41, sample.Omega)
     xd = sample.xi.astype(np.float64)
     scale = 2.0 / np.sqrt(sample.xi.shape[0])
     assert np.allclose(h, scale * (xd @ sample.Omega), rtol=0.0, atol=1e-12)

@@ -36,10 +36,12 @@ def test_compare_holds_failure_lines_and_exit_codes_exact():
     same = json.loads(json.dumps(golden))
     assert compare(golden, same) == ([], [])
     moved = {**same, "stdout": ["a,b", "1,0.50000000000001"],
-             "stderr": [same["stderr"][0], "c0: sim vs theory: max rel deviation 4.4410000000001e-16"]}
+             "stderr": [same["stderr"][0],
+                        "c0: sim vs theory: max rel deviation 4.4410000000001e-16"]}
     faults, diffs = compare(golden, moved)
     assert faults == [] and len(diffs) == 2
-    broken = {**same, "exit": 0, "stderr": ["[kernels] point {'alpha': 4.00000000001} failed: 2 points",
-                                           same["stderr"][1]]}
+    broken = {**same, "exit": 0,
+              "stderr": ["[kernels] point {'alpha': 4.00000000001} failed: 2 points",
+                         same["stderr"][1]]}
     faults, _ = compare(golden, broken)
     assert len(faults) == 2 and faults[0].startswith("exit 0")

@@ -1,7 +1,7 @@
 """No imported name in src/ or tests/ goes unused, every definition, module
 constant and dataclass field in src/ has a reader outside the tests, and no
-module in src/ reads another's underscore-named module constant (stdlib ast,
-no linter)."""
+module in src/ reads another's underscore-named module constant, function or
+class (stdlib ast, no linter)."""
 
 import ast
 from pathlib import Path
@@ -50,6 +50,15 @@ def module_assignments(source):
                   and not (node.id.startswith("__") and node.id.endswith("__")))
 
 
+def private_names(source):
+    """Every underscore-named constant, function and class that source
+    binds at its module scope, dunders excepted."""
+    defined = [stmt.name for stmt in ast.parse(source).body
+               if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return sorted({name for name in defined + [name for _, name in module_assignments(source)]
+                   if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))})
+
+
 def constant_reads(source, module):
     """Every (module, name) that source, the module named module, reads: a
     bare name gives its own module, a name imported from a module gives that
@@ -68,9 +77,8 @@ def constant_reads(source, module):
 
 def private_reads(source, module, private):
     """Every (owner, name) of private, a set of (module, name) pairs of
-    underscore-named module constants, that source, the module named
-    module, reads from another module; an attribute read counts for every
-    owner."""
+    private_names, that source, the module named module, reads from another
+    module; an attribute read counts for every owner."""
     reads = constant_reads(source, module)
     return sorted((owner, name) for owner, name in private
                   if owner != module and {(owner, name), (None, name)} & reads)
@@ -164,13 +172,14 @@ def test_every_src_module_constant_has_a_reader_outside_the_tests():
 
 
 def test_no_src_module_reads_another_modules_private_constant():
+    # constants, functions and classes alike: core's packed panel layout
+    # (_upper_panels, _panel_sum, _integer_gram, _reduce_to_band) stays in core
     src = sorted((ROOT / "src").rglob("*.py"))
-    private = {(path.stem, name) for path in src
-               for _, name in module_assignments(path.read_text()) if name.startswith("_")}
+    private = {(path.stem, name) for path in src for name in private_names(path.read_text())}
     found = [f"{path.relative_to(ROOT)}: {owner}.{name}"
              for path in src
              for owner, name in private_reads(path.read_text(), path.stem, private)]
-    assert not found, "private module constants read from another module:\n" + "\n".join(found)
+    assert not found, "private module names read from another module:\n" + "\n".join(found)
 
 
 def test_module_constants_and_their_reads():
@@ -192,6 +201,21 @@ def test_module_constants_and_their_reads():
     private = {("core", "_STREAM"), ("core", "_SEED"), ("simulator", "_OWN"), ("core", "TILE")}
     assert private_reads("from .core import _STREAM\nx = core._SEED + _OWN\n", "simulator",
                          private) == [("core", "_SEED"), ("core", "_STREAM")]
+    # module-scope functions and classes count as constants do, methods and
+    # nested functions do not
+    core = ("_TILE = 1\n"
+            "def _sum(): pass\n"
+            "def gram_band():\n"
+            "    def _local(): pass\n"
+            "class _Run:\n"
+            "    def _step(self): pass\n"
+            "def __getattr__(name): pass\n")
+    assert private_names(core) == ["_Run", "_TILE", "_sum"]
+    private = {("core", name) for name in private_names(core)} | {("simulator", "_own")}
+    assert private_reads("from .core import gram_band, _sum\nx = core._Run\n", "simulator",
+                         private) == [("core", "_Run"), ("core", "_sum")]
+    assert private_reads("from .core import gram_band\nx = _own() + run._step()\n", "simulator",
+                         private) == []
 
 
 def test_definitions_and_references_read_names_and_attributes():

@@ -67,10 +67,10 @@ def _gram_basis(sample, state):
     padded layout of the route's vectors (column j at b + j of (nb + 2) b,
     b = BAND): the identity carried through the route's reduction of G."""
     G, _ = _integer_gram(sample, state.phi)
-    p, b = sample.xi.shape[1], simulator.BAND
+    p, b = sample.xi.shape[1], core.BAND
     Q = np.zeros((p, (-(-p // b) + 2) * b))
     Q[:, b:b + p] = np.eye(p)
-    simulator._reduce_to_band(core._upper_panels(G, p), Q[:, b:b + p])
+    core._reduce_to_band(core._upper_panels(G, p), Q[:, b:b + p])
     return Q
 
 
@@ -525,7 +525,7 @@ def _symmetric(p, kind, rng):
     return A
 
 
-_B = simulator.BAND
+_B = core.BAND
 
 
 @pytest.mark.parametrize("p, kind, band", [(1, "random", None), (2, "random", None),
@@ -549,13 +549,11 @@ def test_band_reduction(p, kind, band, monkeypatch):
     # two columns
     if band:
         monkeypatch.setattr(core, "BAND", band)
-        monkeypatch.setattr(simulator, "BAND", band)
-    b = simulator.BAND
+    b = core.BAND
     A = _symmetric(p, kind, np.random.default_rng(p))
     Q = np.eye(p)
     panels = core._upper_panels(packed_upper(A, b), p)
-    simulator._reduce_to_band(panels, Q)
-    blocks = simulator._band_blocks(panels)
+    blocks = core._reduce_to_band(panels, Q)
     B = _dense_band(blocks, p)
     scale, (i, j) = np.abs(A).max(), np.indices((p, p))
     assert np.abs(Q.T @ A @ Q - B).max() <= 1e-13 * scale
@@ -575,7 +573,7 @@ def test_band_step_matches_the_dense_product():
     # exactly 0 over a window of 50 steps
     p = GameParams(n_agents=250, alpha=0.4, external=ExternalBid(1, 1.0), seed=3)
     route = _built(simulator._Gram, generate_disorder(p), init_state(p))
-    n, b = p.n_patterns, simulator.BAND
+    n, b = p.n_patterns, core.BAND
     assert n % b and route.qt_u.shape == ((-(-n // b) + 2) * b,)
     B, run = _dense_band(route.blocks, n), route.start(init_state(p))
     for _ in range(50):
@@ -622,7 +620,7 @@ def test_gram_route_footprint(monkeypatch):
     p = GameParams(n_agents=3000, alpha=0.3, external=ExternalBid(0, 1.0), seed=1,
                    t_equilibrate=100, t_measure=200)
     entries, state = core.BLOCK_ENTRIES, init_state(p)
-    g_bytes = 4 * p.n_patterns * (p.n_patterns + simulator.BAND)
+    g_bytes = 4 * p.n_patterns * (p.n_patterns + core.BAND)
     _, sums_peak = traced_peak(
         lambda: core._integer_gram(core.disorder_blocks(p)[0], p.n_patterns, state.phi))
     assert sums_peak <= g_bytes + 3 * entries + 2**19, sums_peak - g_bytes
@@ -640,7 +638,7 @@ def test_gram_route_footprint(monkeypatch):
     obs, run_peak = traced_peak(lambda: run_experiment(p))
     build_peak, before = peaks
     assert build_peak <= g_bytes + 4 * entries + 3 * entries + 2**19, build_peak - g_bytes
-    b, nb = simulator.BAND, -(-p.n_patterns // simulator.BAND)
+    b, nb = core.BAND, -(-p.n_patterns // core.BAND)
     vectors = [v for v in vars(routes[0]).values() if isinstance(v, np.ndarray)]
     assert routes[0].blocks.nbytes <= 24 * b * b * nb
     assert all(v.shape == ((nb + 2) * b,) for v in vectors if v is not routes[0].blocks)
