@@ -8,27 +8,30 @@ affine in the normalized positions phi, a quenched sample can be compiled once
 into the couplings
 
     J_ij = (2/N) X_ij with X = xi xi^T       (agent-agent coupling)
-    h_i  = (2/sqrt(N)) sum_mu xi_i^mu Omega_mu
+    h_i  = (2/sqrt(N)) sum_mu xi_i^mu Omega_mu = (2/N) sum_mu xi_i^mu W_mu
     b_i  = (2/sqrt(N)) sum_mu xi_i^mu        (response to the external bid)
     d_i  = (2/N) sum_mu (xi_i^mu)^2          (self-coupling, J_ii)
 
 after which one batch step of the simulator's coupling route is a single
-matrix-vector product over the exact integer matrix X (integer_couplings).
-That compile reads the draw's row blocks once and keeps xi only as two
-packed bit planes, so it never holds the int8 N x p table, and it sums X
-inside X's own buffer.  The Gram route's compile (gram_band) sums
-G = xi^T xi from the same blocks inside G's own buffer in the same way: both
-hold their matrix's upper triangle, packed in row panels of BAND rows
-(_upper_panels), and add float32 upper-triangle panel products (exact below
-FLOAT32_EXACT_TERMS terms) into it through one routine (_panel_sum).  G is
-then reduced in those panels to the band B = Q^T G Q of bandwidth BAND
-(_reduce_to_band), so the packed layout never leaves this module.
+matrix-vector product over the exact integer matrix X (integer_couplings),
+where W = sqrt(N) Omega are the draw's integer pattern sums, so that h too is
+(2/N) times an exact integer vector.  That compile reads the draw's row
+blocks once and keeps xi only as two packed bit planes, so it never holds
+the int8 N x p table; it unpacks them once, in column blocks, and sums X
+inside X's own buffer and xi W beside it.  The Gram route's compile
+(gram_band) sums G = xi^T xi from the same blocks inside G's own buffer in
+the same way: both hold their matrix's upper triangle, packed in row panels
+of BAND rows (_upper_panels), and add float32 upper-triangle panel products
+(exact below FLOAT32_EXACT_TERMS terms) into it through one routine
+(_panel_sum).  G is then reduced in those panels to the band
+B = Q^T G Q of bandwidth BAND (_reduce_to_band), so the packed layout never
+leaves this module.
 
 A sample and its start depend on (N, p, seed) alone.  The seed splits into
-two independent sub-streams, read only here: one draws the tables over
-row_blocks, the one row partition of the N x p table, which the field h of
-the compile and every whole-sample feed cut the same way; the other draws
-the start's signs (init_state).
+two independent sub-streams, read only here: one draws the tables in row
+blocks (disorder_blocks), the other the start's signs (init_state).  Both
+compiles are exact, so they give the same bits for any partition of the rows
+they read.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 # Budget for one quenched sample: N*p int8 entries per table.
 MAX_TABLE_ENTRIES = 2**28
 
-# Entries of one block of row_blocks (at least 8 rows whatever p).
+# Entries of one block of the disorder draw (at least 8 rows whatever p).
 BLOCK_ENTRIES = 2**18
 
 # Rows of the float32 upper-triangle products that sum X and G, of the
@@ -192,25 +195,11 @@ class DisorderSample:
     Omega: np.ndarray
 
 
-def row_blocks(n: int, p: int) -> list[slice]:
-    """The one row partition of an N x p table: whole groups of 8 rows, at
-    least 8, and the most within BLOCK_ENTRIES entries; only the last block
-    may be shorter.
-
-    The disorder draw yields its blocks over it, so every block but the last
-    ends on a uint32 boundary of the raw stream, and the coupling compile
-    takes h over it, one float64 matrix-vector product per block.  Those
-    products have the same bits on 1 and 2 BLAS threads at every p, where
-    one product over the whole matrix does not (at N = 1500, alpha = 2), nor
-    do products of one row each (at N = 100, alpha = 1400).
-    """
-    rows = max(8, BLOCK_ENTRIES // p // 8 * 8)
-    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
-
-
 def disorder_blocks(params: GameParams) -> tuple[Iterator[tuple[slice, np.ndarray]], np.ndarray]:
-    """xi of the sample of params over row_blocks(N, p), and its Omega, which
-    holds its values once the blocks are exhausted.
+    """xi of the sample of params in row blocks, and its Omega, which holds
+    its values once the blocks are exhausted.  The blocks are whole groups
+    of 8 rows, at least 8, and the most within BLOCK_ENTRIES entries; only
+    the last may be shorter.
 
     Each {0, 1} table is the draw rng.integers(0, 2, size=(n, p),
     dtype=np.int8), taken from the raw stream: that draw reads consecutive
@@ -247,7 +236,9 @@ def disorder_blocks(params: GameParams) -> tuple[Iterator[tuple[slice, np.ndarra
         return table[:m * p].view(np.int8).reshape(m, p)
 
     def blocks() -> Iterator[tuple[slice, np.ndarray]]:
-        for rows in row_blocks(n, p):
+        step = max(8, BLOCK_ENTRIES // p // 8 * 8)
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
             r1 = coins(first, rows.stop - rows.start)
             r2 = coins(second, rows.stop - rows.start)
             np.add(omega_sums, r1.sum(axis=0, dtype=np.int32), out=omega_sums)
@@ -380,55 +371,58 @@ def integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega:
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The exact integer matrix X = xi xi^T, with h, b and d of the couplings,
     from the (rows, int8 xi[rows]) blocks of a sample of n agents whose
-    pattern bias Omega holds its values once the blocks are read.
+    pattern bias Omega holds its values once the blocks are read; the blocks
+    may come in any partition of the rows.
 
     xi is kept only as its two packed bit planes, and b comes from the exact
-    row sums taken while packing.  h is taken first, before X exists, over
-    row_blocks(n, p) of xi, whatever partition the blocks read came in,
-    unpacked in float64 into a buffer of its own, one float64
-    matrix-vector product per block.  X is then summed inside its own n^2
-    entries: the first _upper_size(n) hold X's upper triangle as the
-    panels of _panel_sum, and the bytes after them, viewed as float32, are
-    its spare space, which holds the product from N = 672 on (at BAND = 32
-    and TILE = 160).  The rest is the stage where it holds at least TILE
-    columns of xi (from N = 352 on), and otherwise the stage is a buffer of
-    TILE columns of its own.
+    row sums taken while packing.  Omega must be W / sqrt(n) for integer
+    pattern sums |W| <= n, as the draw gives it; W = rint(sqrt(n) Omega)
+    recovers them exactly, and any other Omega is refused.  X is summed
+    inside its own n^2 entries: the first _upper_size(n) hold X's upper
+    triangle as the panels of _panel_sum, and the bytes after them, viewed
+    as float32, are its spare space, which holds the product from N = 672 on
+    (at BAND = 32 and TILE = 160).  The rest is the stage where it holds at
+    least TILE columns of xi (from N = 352 on), and otherwise the stage is a
+    buffer of TILE columns of its own.
     xi is unpacked into the stage in float32, TILE rows at a time, one
     column block at a time, each block as wide as the stage holds in whole
     bytes of the planes (224 columns at N = 800, 1320 at N = 3000; only the
-    last may be narrower), and each block blk is flushed as S = blk^T.  At
-    the end the panels are expanded in place into X's dense rows, the last
-    panel first, and each is mirrored into the lower triangle, so no N x N
-    product is held.  A product sums at most a block's width of terms in
-    {-1, 0, 1}, exact in float32; the sum over blocks is an integer bounded
-    by p, accumulated in float32 for p < FLOAT32_EXACT_TERMS and in float64
-    from there on, so any stage gives the same bits.  d is X's diagonal.
+    last may be narrower), and each block blk adds blk W[cols] to xi W and
+    is flushed as S = blk^T.  At the end the panels are expanded in place
+    into X's dense rows, the last panel first, and each is mirrored into the
+    lower triangle, so no N x N product is held.  A product sums at most a
+    block's width of terms in {-1, 0, 1}, exact in float32; the sum over
+    blocks is an integer bounded by p, accumulated in float32 for
+    p < FLOAT32_EXACT_TERMS and in float64 from there on, so any stage gives
+    the same bits.  blk W[cols] is taken in float32 products of fewer than
+    FLOAT32_EXACT_TERMS / n columns, each exact, and summed in float64, so
+    h = (2/n) xi W is exact too.  d is X's diagonal.
     """
     p = Omega.shape[0]
     planes, sums = _packed(blocks, n, p)
-    rows = row_blocks(n, p)
-    field = np.empty(rows[0].stop * p)
-    h = np.empty(n)
-    for r in rows:
-        block = field[:(r.stop - r.start) * p].reshape(-1, p)
-        _unpack(planes, r, 0, block)
-        h[r] = (2.0 / np.sqrt(n)) * (block @ Omega)
-    del field, block
-    b = (2.0 / np.sqrt(n)) * sums
+    W = np.rint(Omega * np.sqrt(n))
+    if np.any(np.abs(W) > n) or not np.array_equal(W / np.sqrt(n), Omega):
+        raise ContractError("Omega must be W / sqrt(N) for integer pattern sums |W| <= N")
+    W, xi_w = W.astype(np.float32), np.zeros(n)
     X = np.zeros((n, n), dtype=np.float32 if p < FLOAT32_EXACT_TERMS else np.float64)
     acc = X.reshape(-1)[:_upper_size(n)]
     flush, spare = _panel_sum(acc, X.reshape(-1).view(np.float32)[acc.nbytes // 4:], n)
     width = max(TILE, spare.size // n // 8 * 8)
     stage = spare if n * width <= spare.size else np.empty(n * width, dtype=np.float32)
+    split = max(1, (FLOAT32_EXACT_TERMS - 1) // n)
     for start in range(0, p, width):
         blk = stage[:n * min(width, p - start)].reshape(n, -1)
         for i0 in range(0, n, TILE):
             _unpack(planes, slice(i0, i0 + TILE), start, blk[i0:i0 + TILE])
+        cols = W[start:start + blk.shape[1]]
+        for c in range(0, len(cols), split):
+            xi_w += blk[:, c:c + split] @ cols[c:c + split]
         flush(blk.T)
     for k0, panel in reversed(list(zip(range(0, n, BAND), _upper_panels(acc, n)))):
         k1 = k0 + panel.shape[0]
         X[k0:k1, k0:] = panel
         X[k1:, k0:k1] = X[k0:k1, k1:].T
+    h, b = (2.0 / n) * xi_w, (2.0 / np.sqrt(n)) * sums
     d = (2.0 / n) * X.diagonal().astype(np.float64)
     return X, h, b, d
 
@@ -583,7 +577,10 @@ def gram_band(blocks: Iterable[tuple[slice, np.ndarray]], Omega: np.ndarray, sta
 def precompute_couplings(sample: DisorderSample
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The coupling route's compile of a whole sample: (X, h, b, d) of
-    integer_couplings over the sample's row_blocks, so J = (2/N) X."""
-    n, p = sample.xi.shape
-    return integer_couplings(((rows, sample.xi[rows]) for rows in row_blocks(n, p)), n,
-                             sample.Omega)
+    integer_couplings, so J = (2/N) X.  It raises ContractError unless the
+    sample's Omega is N^(-1/2) times integer pattern sums, as the draw's is.
+    The sample is read in blocks of TILE rows, so packing it holds no
+    temporary of N x p entries."""
+    n = sample.xi.shape[0]
+    return integer_couplings(((slice(i, i + TILE), sample.xi[i:i + TILE])
+                              for i in range(0, n, TILE)), n, sample.Omega)

@@ -171,7 +171,7 @@ def _route_trajectory(kind, sample, params, steps, float64=False):
     state = init_state(params)
 
     def blocks():
-        return ((rows, sample.xi[rows]) for rows in core.row_blocks(*sample.xi.shape))
+        return [(slice(0, sample.xi.shape[0]), sample.xi)]
 
     route = kind.build(blocks(), sample.Omega, state)
     if float64:

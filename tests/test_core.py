@@ -159,9 +159,9 @@ def test_block_draw_matches_whole_table_draw(n_agents, alpha, block_entries, mon
 @pytest.mark.parametrize("n_agents, alpha", [*DRAW_SHAPES, (20, 2000.0)])
 @pytest.mark.parametrize("budget", [0, 40, 2**18, 2**19])
 def test_disorder_blocks_are_whole_groups_of_eight_rows(n_agents, alpha, budget, monkeypatch):
-    # under any BLOCK_ENTRIES budget the draw's blocks are core.row_blocks,
-    # every block but the last holds a multiple of 8 rows, and Omega holds
-    # once they are drawn; p = 40000 > 2^15 takes 8-row blocks at the
+    # under any BLOCK_ENTRIES budget the draw's blocks cover the rows in
+    # order, every block but the last holds a multiple of 8 rows, and Omega
+    # holds once they are drawn; p = 40000 > 2^15 takes 8-row blocks at the
     # shipping budget 2^18
     monkeypatch.setattr(core, "BLOCK_ENTRIES", budget)
     params = GameParams(n_agents=n_agents, alpha=alpha, seed=7)
@@ -171,7 +171,6 @@ def test_disorder_blocks_are_whole_groups_of_eight_rows(n_agents, alpha, budget,
     got = list(blocks)
     stops = [r.stop for r, _ in got]
     assert [r.start for r, _ in got] == [0, *stops[:-1]] and stops[-1] == n
-    assert [r for r, _ in got] == core.row_blocks(n, p)
     for r, _ in got[:-1]:  # the most whole groups of 8 rows within the budget, at least one
         rows = r.stop - r.start
         assert rows % 8 == 0 and (rows == 8 or rows * p <= budget < (rows + 8) * p)
@@ -215,26 +214,52 @@ def test_coupling_matrix_matches_definition():
         assert h[i] == pytest.approx(hi, abs=1e-12)
 
 
-def test_field_and_drive_response_over_row_blocks(monkeypatch):
-    # read in 21 blocks of two rows, the last one short, and with h over
-    # row_blocks of 8 rows, the last one short: h and b still match the
-    # whole-matrix float64 products
-    monkeypatch.setattr(core, "BLOCK_ENTRIES", 50)
+def test_field_and_drive_response_over_row_blocks():
+    # read in 21 blocks of two rows, the last one short: h and b match the
+    # exact integer products bit for bit, as for any other blocks
     sample = generate_disorder(GameParams(n_agents=41, alpha=0.5, seed=6))
     pairs = [slice(i, i + 2) for i in range(0, 41, 2)]
-    assert len(pairs) == 21 and len(core.row_blocks(*sample.xi.shape)) == 6
+    assert len(pairs) == 21
     _, h, b, _ = core.integer_couplings(((r, sample.xi[r]) for r in pairs), 41, sample.Omega)
-    xd = sample.xi.astype(np.float64)
-    scale = 2.0 / np.sqrt(sample.xi.shape[0])
-    assert np.allclose(h, scale * (xd @ sample.Omega), rtol=0.0, atol=1e-12)
-    assert np.array_equal(b, scale * xd.sum(axis=1))
+    _, want_h, want_b, _ = _exact(sample.xi, sample.Omega)
+    assert np.array_equal(h, want_h) and np.array_equal(b, want_b)
+
+
+def test_field_is_exact_where_float64_sums_over_omega_are_not():
+    # at N = 41, p = 62 the integer sums xi_i W of agents 3 and 36 vanish,
+    # where float64 products (2 / sqrt(N)) xi_i Omega read -3.5e-17 and
+    # -1.4e-16 (numpy 2.4, OpenBLAS 0.3)
+    sample = generate_disorder(GameParams(n_agents=41, alpha=1.5, seed=7))
+    h = _assert_compiled_exactly(sample.xi, sample.Omega)[1]
+    assert h[3] == h[36] == 0.0
+
+
+@pytest.mark.parametrize("limit", [41 * 20 + 1, 41 * 62, 41 * 62 + 1])
+def test_field_is_exact_across_the_float32_split_of_its_product(limit, monkeypatch):
+    # h's float32 products of a column block are exact while their columns
+    # times N stay below FLOAT32_EXACT_TERMS; lowered here (X stays float32,
+    # p = 62 below it), the one block of 62 columns at N = 41 splits into
+    # products of 20, 20, 20 and 2 columns, of 61 and 1, or stays whole
+    sample = generate_disorder(GameParams(n_agents=41, alpha=1.5, seed=7))
+    monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", limit)
+    _assert_compiled_exactly(sample.xi, sample.Omega)
+
+
+@pytest.mark.parametrize("bad", [0.3, 2.5, np.nan])
+def test_compile_refuses_omega_that_is_not_integer_sums(bad):
+    # at N = 4 Omega = W / 2 for integer sums |W| <= 4: half-integers up to 2
+    xi = np.array([[1, 0, -1]] * 4, dtype=np.int8)
+    _assert_compiled_exactly(xi, np.array([0.5, -2.0, 1.0]))
+    with pytest.raises(ContractError, match="Omega"):
+        _compiled(xi, np.array([0.5, -2.0, bad]))
 
 
 def test_field_bits_do_not_depend_on_the_blas_thread_count():
-    # at N = 1500, alpha = 2 (80-row blocks) one float64 product over the
-    # whole matrix gives other bits on 2 OpenBLAS threads than on 1, and at
+    # at N = 1500, alpha = 2 one float64 product xi Omega over the whole
+    # matrix gives other bits on 2 OpenBLAS threads than on 1, and at
     # N = 100, alpha = 1400 (p = 140000) so do products of one row each; h,
-    # taken over row_blocks, gives the same bits on both
+    # summed exactly from float32 products of integers, gives the same bits
+    # on both
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(core.__file__).resolve().parents[1])
@@ -258,13 +283,17 @@ def _compiled(xi, Omega):
 
 
 def _exact(xi, Omega):
-    """X = xi xi^T, b and d from int64 sums, and h as float64 products over
-    the row blocks, one dot product per agent."""
-    n, p = xi.shape
-    x, scale = xi.astype(np.int64), 2.0 / np.sqrt(n)
-    h = np.concatenate([scale * (xi[rows].astype(np.float64) @ Omega)
-                        for rows in core.row_blocks(n, p)])
-    return x @ x.T, h, scale * x.sum(axis=1), (2.0 / n) * np.abs(x).sum(axis=1)
+    """X = xi xi^T, h = (2/N) xi W, b and d from int64 sums, with the integer
+    pattern sums W = sqrt(N) Omega."""
+    n = xi.shape[0]
+    x, W = xi.astype(np.int64), np.rint(Omega * np.sqrt(n)).astype(np.int64)
+    return (x @ x.T, (2.0 / n) * (x @ W), (2.0 / np.sqrt(n)) * x.sum(axis=1),
+            (2.0 / n) * np.abs(x).sum(axis=1))
+
+
+def _draw_consistent(rng, n, p):
+    """Omega = W / sqrt(N) for random integer pattern sums |W| <= N."""
+    return rng.integers(-n, n + 1, size=p) / np.sqrt(n)
 
 
 def _assert_compiled_exactly(xi, Omega, dtype=np.float32):
@@ -336,7 +365,7 @@ def test_coupling_matrix_is_exact_on_both_sides_of_each_fallback(
     # last panel is short at N = 351, 671, 191 and 1
     rng = np.random.default_rng(n_agents * n_patterns)
     xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
-    Omega = rng.normal(size=n_patterns)
+    Omega = _draw_consistent(rng, n_agents, n_patterns)
     if float64_sum:
         monkeypatch.setattr(core, "FLOAT32_EXACT_TERMS", n_patterns)
     flushes = _recorded_flushes(monkeypatch)
@@ -363,7 +392,7 @@ def test_packed_compile_is_exact(n_agents, n_patterns, panel_rows, monkeypatch):
         monkeypatch.setattr(core, "TILE", 4 * panel_rows)
     rng = np.random.default_rng(n_agents * n_patterns)
     xi = rng.integers(-1, 2, size=(n_agents, n_patterns), dtype=np.int8)
-    _assert_compiled_exactly(xi, rng.normal(size=n_patterns))
+    _assert_compiled_exactly(xi, _draw_consistent(rng, n_agents, n_patterns))
 
 
 @pytest.mark.parametrize("offset, dtype", [(1, np.float32), (0, np.float64), (-1, np.float64)])
@@ -380,11 +409,12 @@ def test_self_product_accumulates_in_float64_from_the_exactness_limit(offset, dt
     _assert_compiled_exactly(sample.xi, sample.Omega, dtype)
 
 
-def test_integer_couplings_free_their_float32_scratch_before_the_field_pass():
+def test_integer_couplings_hold_only_x_and_the_packed_planes():
     # the compile holds X and the packed planes (N p / 4 bytes), and sums X
-    # with its stage and product inside X's own buffer; h's float64 row
-    # blocks are freed before X.  No int8 table, no N x N product and no
-    # column block beside X; the slack of a product of TILE rows is kept
+    # with its stage and product inside X's own buffer, and xi W beside it
+    # from the same stage.  No int8 table, no float64 copy of xi, no N x N
+    # product and no column block beside X; the slack of a product of TILE
+    # rows is kept
     sample = generate_disorder(GameParams(n_agents=800, alpha=6.0, seed=1))
     n, p = sample.xi.shape
     _, peak = traced_peak(lambda: _compiled(sample.xi, sample.Omega))

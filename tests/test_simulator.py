@@ -40,8 +40,8 @@ def _state_from_q(q):
 
 
 def _blocks(sample):
-    """The row blocks (core.row_blocks) of a whole sample."""
-    return ((rows, sample.xi[rows]) for rows in core.row_blocks(*sample.xi.shape))
+    """A whole sample as one row block."""
+    return [(slice(0, sample.xi.shape[0]), sample.xi)]
 
 
 def _sliced(xi, rows):
@@ -50,15 +50,13 @@ def _sliced(xi, rows):
 
 
 def _built(kind, sample, state):
-    """The route of kind fed the row blocks of a whole sample, for runs from
-    state."""
+    """The route of kind fed a whole sample, for runs from state."""
     return kind.build(_blocks(sample), sample.Omega, state)
 
 
 def _integer_gram(sample, phi):
     """G, packed in its upper triangle's panels, and xi^T phi as the Gram
-    route sums them from the row blocks of a whole sample, for runs from
-    positions phi."""
+    route sums them from a whole sample, for runs from positions phi."""
     return core._integer_gram(_blocks(sample), sample.xi.shape[1], phi)
 
 
@@ -453,11 +451,12 @@ def test_gram_matrix_is_exact_on_both_sides_of_each_fallback(n_agents, p, own_pr
                                                               whole_blocks, monkeypatch):
     # at the shipping TILE, BAND and BLOCK_ENTRIES, against float64 products
     # of xi (exact integers below 2^53, so the int64 xi^T xi): below p = 608
-    # the spare half cannot hold a product of TILE[0] rows beside as many
+    # the spare half cannot hold a product of TILE rows beside as many
     # stage rows, so the product is a buffer of its own; from p = 881 the
-    # stage beside it holds one whole block of the draw (296 rows), from
-    # p = 1171 two (2 x 216 of 441 rows), and below that each block is split
-    # where the stage fills.  Every case flushes the stage more than once
+    # stage beside it holds one whole block of the draw (disorder_blocks:
+    # 296 rows), from p = 1171 two (2 x 216 of 441 rows), and below that
+    # each block is split where the stage fills.  Every case flushes the
+    # stage more than once
     flushes, products = [], core._upper_products
 
     def recorded(S, height, out):
@@ -468,14 +467,15 @@ def test_gram_matrix_is_exact_on_both_sides_of_each_fallback(n_agents, p, own_pr
     params = GameParams(n_agents=n_agents, alpha=p / n_agents, seed=9)
     sample, phi = generate_disorder(params), init_state(params).phi
     assert params.n_patterns == p
+    draw = list(core.disorder_blocks(params)[0])
     xi = sample.xi.astype(np.float64)
-    G, xt_phi = _integer_gram(sample, phi)
+    G, xt_phi = core._integer_gram(iter(draw), p, phi)
     assert G.dtype == np.float64 and np.array_equal(G, packed_upper(xi.T @ xi, core.BAND))
     assert np.array_equal(xt_phi, phi @ xi)
     S, out = flushes[0]
     assert np.shares_memory(S, G) and np.shares_memory(out, G) is not own_product
     assert S.shape[0] < n_agents
-    assert S.shape[0] // core.row_blocks(n_agents, p)[0].stop == whole_blocks
+    assert S.shape[0] // len(draw[0][1]) == whole_blocks
 
 
 @pytest.mark.parametrize("n_agents, n_patterns", [(7, 1), (9, 2), (11, 3), (40, 17), (300, 96),
