@@ -23,7 +23,6 @@ from .core import (
     precompute_couplings,
 )
 from .kernels import (
-    KernelInstabilityError,
     KernelParams,
     KernelState,
     KernelTail,
@@ -48,7 +47,6 @@ __all__ = [
     "DisorderSample",
     "ExternalBid",
     "GameParams",
-    "KernelInstabilityError",
     "KernelParams",
     "KernelState",
     "KernelTail",

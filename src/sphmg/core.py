@@ -82,8 +82,12 @@ class ResourceBudgetError(MemoryError):
 
 
 class DegenerateStateError(RuntimeError):
-    """The valuation vector became exactly zero, or its mean square overflowed
-    float64, so phi = q/lambda is undefined."""
+    """A dynamic engine's constraint force lambda^2 is not positive and
+    finite, so phi = q/lambda is undefined: in the simulator every valuation
+    vanished or their mean square overflowed float64, and in the kernel
+    iterator the diagonal moment <q^2> closure failed or overflowed.  numpy's
+    overflow warnings are off in both loops: an overflow makes lambda^2
+    infinite (or NaN), which fails the run with this error."""
 
 
 def check_alpha(alpha: float) -> None:
@@ -268,34 +272,36 @@ def generate_disorder(params: GameParams) -> DisorderSample:
 
 @dataclass(frozen=True)
 class AgentState:
-    """Microscopic state at t = 0: valuations q, constraint force lam,
-    positions phi=q/lam."""
+    """Microscopic state at t = 0: valuations q and constraint force lam, so
+    the positions are phi = q / lam."""
 
     q: np.ndarray
     lam: float
-    phi: np.ndarray
 
 
 def init_state(params: GameParams) -> AgentState:
-    """Random +-init_scale valuations; lambda(0) = init_scale exactly.  The
-    signs are fair coins of the seed's second sub-stream, independent of the
-    disorder draw's."""
+    """Random +-init_scale valuations; lambda(0) = init_scale exactly, so
+    phi(0) = q / lam is exactly +-1.  The signs are fair coins of the seed's
+    second sub-stream, independent of the disorder draw's."""
     rng = rng_stream(params.seed, _STREAM_INIT)
     signs = np.where(rng.random(params.n_agents) < 0.5, 1.0, -1.0)
-    q = params.init_scale * signs
-    return AgentState(q=q, lam=params.init_scale, phi=signs.copy())
+    return AgentState(q=params.init_scale * signs, lam=params.init_scale)
 
 
 def _packed(blocks: Iterable[tuple[slice, np.ndarray]], n: int, p: int
             ) -> tuple[np.ndarray, np.ndarray]:
     """The bit planes xi > 0 and xi < 0 of the (rows, int8 xi[rows]) blocks,
     packed along the patterns (N p / 4 bytes), and the exact integer row
-    sums of xi (int32 holds them: p <= MAX_TABLE_ENTRIES < 2^31)."""
+    sums of xi (int32 holds them: p <= MAX_TABLE_ENTRIES < 2^31).  Each
+    block is packed in chunks of at most TILE rows, so its bool temporaries
+    stay within 2 TILE p bytes however the rows are cut."""
     planes = np.empty((2, n, -(-p // 8)), dtype=np.uint8)
     sums = np.empty(n, dtype=np.int32)
     for rows, xi in blocks:
-        planes[0, rows] = np.packbits(xi > 0, axis=1)
-        planes[1, rows] = np.packbits(xi < 0, axis=1)
+        block = planes[:, rows]
+        for i in range(0, len(xi), TILE):
+            block[0, i:i + TILE] = np.packbits(xi[i:i + TILE] > 0, axis=1)
+            block[1, i:i + TILE] = np.packbits(xi[i:i + TILE] < 0, axis=1)
         xi.sum(axis=1, dtype=np.int32, out=sums[rows])
     return planes, sums
 
@@ -374,8 +380,9 @@ def integer_couplings(blocks: Iterable[tuple[slice, np.ndarray]], n: int, Omega:
     pattern bias Omega holds its values once the blocks are read; the blocks
     may come in any partition of the rows.
 
-    xi is kept only as its two packed bit planes, and b comes from the exact
-    row sums taken while packing.  Omega must be W / sqrt(n) for integer
+    xi is kept only as its two packed bit planes, packed in chunks of at
+    most TILE rows whatever the partition (_packed), and b comes from the
+    exact row sums taken while packing.  Omega must be W / sqrt(n) for integer
     pattern sums |W| <= n, as the draw gives it; W = rint(sqrt(n) Omega)
     recovers them exactly, and any other Omega is refused.  X is summed
     inside its own n^2 entries: the first _upper_size(n) hold X's upper
@@ -562,11 +569,13 @@ def gram_band(blocks: Iterable[tuple[slice, np.ndarray]], Omega: np.ndarray, sta
     (_reduce_to_band) of the band B = Q^T G Q of G = xi^T xi, and the rows
     Q^T 1, Q^T Omega and Q^T u with u = lam xi^T phi = xi^T q0, each
     zero-padded with BAND entries in front and (nb + 1) BAND - p behind,
-    nb = ceil(p / BAND).  G is summed exactly by _integer_gram, as the
-    packed panels of its upper triangle, reduced to the band in them as 1,
-    Omega and u are rotated, and dropped once B's blocks are copied out."""
+    nb = ceil(p / BAND).  phi = q / lam is read from state; it is exactly
+    +-1 at a run's start, where xi^T phi is an exact integer sum.  G is
+    summed exactly by _integer_gram, as the packed panels of its upper
+    triangle, reduced to the band in them as 1, Omega and u are rotated,
+    and dropped once B's blocks are copied out."""
     p, b = Omega.shape[0], BAND
-    G, u = _integer_gram(blocks, p, state.phi)
+    G, u = _integer_gram(blocks, p, state.q / state.lam)
     u *= state.lam
     vectors = np.zeros((3, (-(-p // b) + 2) * b))
     vectors[0, b:b + p] = 1.0
@@ -579,8 +588,7 @@ def precompute_couplings(sample: DisorderSample
     """The coupling route's compile of a whole sample: (X, h, b, d) of
     integer_couplings, so J = (2/N) X.  It raises ContractError unless the
     sample's Omega is N^(-1/2) times integer pattern sums, as the draw's is.
-    The sample is read in blocks of TILE rows, so packing it holds no
-    temporary of N x p entries."""
+    The sample is fed as one block; packing it holds no temporary of N x p
+    entries, as _packed cuts every block into chunks of TILE rows."""
     n = sample.xi.shape[0]
-    return integer_couplings(((slice(i, i + TILE), sample.xi[i:i + TILE])
-                              for i in range(0, n, TILE)), n, sample.Omega)
+    return integer_couplings([(slice(0, n), sample.xi)], n, sample.Omega)

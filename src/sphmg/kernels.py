@@ -39,15 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractError, ExternalBid, check_alpha, check_init_scale, check_kappa
+from .core import (ContractError, DegenerateStateError, ExternalBid, check_alpha,
+                   check_init_scale, check_kappa)
 from .estimators import fit_line, persistent_correlation
-
-
-class KernelInstabilityError(RuntimeError):
-    """The moment recursion produced a diagonal second moment that is not
-    positive, or not finite.  numpy's overflow warnings are off in the
-    iteration: an overflow makes the moment infinite (or NaN), which fails
-    the run with this error."""
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,9 @@ def iterate_kernels(params: KernelParams) -> KernelState:
     passes: G_t W, C W_t^T and W (C W_t^T).  G r1 and G ra are summed from
     W's rows without the unit diagonal, not subtracted from 1 and a_e, which
     would cancel under strong drives.  numpy's overflow warnings are off in
-    the loop.  Raises KernelInstabilityError if the diagonal moment closure
-    fails or overflows.
+    the loop.  Raises DegenerateStateError, as the simulator does, if the
+    diagonal moment <q^2> = lambda^2 is not positive (its closure failed) or
+    not finite (it overflowed).
     """
     n = params.T + 1
     alpha, kappa = params.alpha, params.kappa
@@ -143,10 +138,10 @@ def iterate_kernels(params: KernelParams) -> KernelState:
             k_next = (lam[t] * x[t] - alpha * (w @ x - kappa * x[t])
                       + alpha * (g[: t + 1] @ sigma))
             if not np.isfinite(k_next):
-                raise KernelInstabilityError(f"<q^2> overflowed at t={t + 1}")
+                raise DegenerateStateError(f"<q^2> overflowed at t={t + 1}")
             if not k_next > 0.0:
-                raise KernelInstabilityError(f"<q^2> closure failed at t={t + 1}: K={k_next:.3e}, "
-                                             f"lambda tail {lam[max(0, t - 3) : t + 1]}")
+                raise DegenerateStateError(f"<q^2> closure failed at t={t + 1}: K={k_next:.3e}, "
+                                           f"lambda tail {lam[max(0, t - 3) : t + 1]}")
             lam[t + 1] = np.sqrt(k_next)
             C[t + 1, : t + 1] = x / lam[t + 1]
             C[: t + 1, t + 1] = C[t + 1, : t + 1]

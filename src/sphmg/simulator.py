@@ -72,15 +72,13 @@ class RunObservables:
 def _route(params: GameParams, state: AgentState) -> _Coupled | _Patterns | _Gram:
     """The route of a run from state, chosen from (N, p, kappa) alone:
     couplings from p = 0.7 N on; below it the Gram route at kappa = 0 and
-    per-pattern passes otherwise.  At kappa = 0 the threshold is a break-even
-    measured against the Gram route's earlier p x p step; its band reduction
-    costs about 510-710 of those steps at p = 450-1200, 740-820 at p = 1800
-    and 1000-1700 at p = 240, so shorter kappa = 0 runs are slower than that
-    step would make them, and the run length is not yet part of the rule.
-    For kappa > 0 the measured crossover lies between 0.45 and 0.6 N, and
-    0.7 N stays until a batched step is measured (README, Notes on
-    numerics).  Every route is built from the disorder draw's row blocks of
-    BLOCK_ENTRIES entries, so no run holds the int8 N x p table."""
+    per-pattern passes otherwise.  The run length is not part of the rule,
+    so a short kappa = 0 run pays the Gram route's band reduction in full.
+    For kappa > 0 the measured crossover lies lower, between 0.45 and
+    0.6 N, and 0.7 N stays until a batched step is measured.  The costs
+    behind the rule, and its revision, are ROADMAP item H.  Every route is
+    built from the disorder draw's row blocks of BLOCK_ENTRIES entries, so
+    no run holds the int8 N x p table."""
     n, p = params.n_agents, params.n_patterns
     kind = _Coupled if p >= 0.7 * n else _Gram if params.kappa == 0.0 else _Patterns
     return kind.build(*disorder_blocks(params), state)

@@ -76,10 +76,10 @@ def disorder_from_pm_tables(params: GameParams) -> DisorderSample:
 
 def market_bids(state: AgentState, sample: DisorderSample, a_e: float) -> np.ndarray:
     """Total bid per pattern in float64: A^mu = a_e + Omega_mu + N^(-1/2) sum_j phi_j xi_j^mu."""
-    n = sample.xi.shape[0]
-    if state.phi.shape[0] != n:
-        raise ContractError(f"state has {state.phi.shape[0]} agents, sample has {n}")
-    internal = (state.phi @ sample.xi.astype(np.float64)) / np.sqrt(n)
+    n, phi = sample.xi.shape[0], state.q / state.lam
+    if phi.shape[0] != n:
+        raise ContractError(f"state has {phi.shape[0]} agents, sample has {n}")
+    internal = (phi @ sample.xi.astype(np.float64)) / np.sqrt(n)
     return a_e + sample.Omega + internal
 
 

@@ -178,7 +178,7 @@ def _route_trajectory(kind, sample, params, steps, float64=False):
         route = dataclasses.replace(route, M=route.M.astype(np.float64))
     if kind is simulator._Gram:
         p, b = sample.xi.shape[1], core.BAND
-        G, _ = core._integer_gram(blocks(), p, state.phi)
+        G, _ = core._integer_gram(blocks(), p, state.q / state.lam)
         Q = np.zeros((p, (-(-p // b) + 2) * b))
         Q[:, b:b + p] = np.eye(p)
         core._reduce_to_band(core._upper_panels(G, p), Q[:, b:b + p])

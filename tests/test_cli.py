@@ -534,10 +534,11 @@ def test_pool_never_starts_more_workers_than_cpus(monkeypatch, capsys):
 
 
 def test_rows_identical_for_any_worker_count_at_one_blas_thread():
-    # at N = 1500 the float32 coupling product (kappa = 0.25, alpha >= 0.7)
-    # and the Gram route's band reduction (kappa = 0, p = 375 and 450)
-    # give other bits on 1 and 2 BLAS threads; pool workers run one thread,
-    # an inline --workers 1 run inherits the process's thread count
+    # at N = 1500 the float32 coupling product (kappa = 0.25, alpha >= 0.7),
+    # the per-pattern route's float32 passes (kappa = 0.25, alpha < 0.7) and
+    # the Gram route's band reduction (kappa = 0, p = 375 and 450) give
+    # other bits on 1 and 2 BLAS threads; pool workers run one thread, an
+    # inline --workers 1 run inherits the process's thread count
     common = ["--A", "1", "--agents", "1500", "--t-eq", "30", "--t-meas", "32", "--seeds", "1,2"]
     src = str(Path(sphmg.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items()
@@ -554,6 +555,7 @@ def test_rows_identical_for_any_worker_count_at_one_blas_thread():
         return lines
 
     for argv in (["simulate", "--sweep", "alpha:2:2.5:2", "--kappa", "0.25", "--zeta", "1"],
+                 ["simulate", "--sweep", "alpha:0.25:0.3:2", "--kappa", "0.25", "--zeta", "1"],
                  ["simulate", "--sweep", "alpha:0.25:0.3:2", "--kappa", "0", "--zeta", "0"]):
         assert rows(argv, 1, OPENBLAS_NUM_THREADS="1") == rows(argv, 2, OPENBLAS_NUM_THREADS="1")
         assert rows(argv, 2) == rows(argv, 3)

@@ -414,11 +414,15 @@ def test_integer_couplings_hold_only_x_and_the_packed_planes():
     # with its stage and product inside X's own buffer, and xi W beside it
     # from the same stage.  No int8 table, no float64 copy of xi, no N x N
     # product and no column block beside X; the slack of a product of TILE
-    # rows is kept
+    # rows is kept.  The bound holds for any feed: fed the whole sample as
+    # one block, packing still makes no N x p temporary
     sample = generate_disorder(GameParams(n_agents=800, alpha=6.0, seed=1))
     n, p = sample.xi.shape
-    _, peak = traced_peak(lambda: _compiled(sample.xi, sample.Omega))
-    assert peak <= 4 * n * n + 4 * n * core.TILE + n * p // 4 + 2**19
+    one_block = [(slice(0, n), sample.xi)]
+    for compiled in (lambda: _compiled(sample.xi, sample.Omega),
+                     lambda: core.integer_couplings(one_block, n, sample.Omega)):
+        _, peak = traced_peak(compiled)
+        assert peak <= 4 * n * n + 4 * n * core.TILE + n * p // 4 + 2**19
 
 
 def test_resource_budget(monkeypatch):

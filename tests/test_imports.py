@@ -1,10 +1,15 @@
 """No imported name in src/ or tests/ goes unused, every definition, module
-constant and dataclass field in src/ has a reader outside the tests, and no
+constant and dataclass field in src/ has a reader outside the tests, no
 module in src/ reads another's underscore-named module constant, function or
-class (stdlib ast, no linter)."""
+class (stdlib ast, no linter), and every exception class of the package is
+defined in core and exported."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import sphmg
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -281,3 +286,16 @@ def test_dataclass_fields_and_field_reads():
     assert reads == {("A", "x"), (None, "y"), ("C", "w"), ("C", "y"), (None, "x")}
     # C's self.w is no read of B.w
     assert unread_fields(source, reads) == [(10, "B", "w")]
+
+
+def test_every_exception_class_is_defined_in_core_and_exported():
+    # one class per failure: both dynamic engines fail a lambda^2 that is
+    # not positive and finite with core.DegenerateStateError
+    modules = [sphmg] + [importlib.import_module(f"sphmg.{info.name}")
+                         for info in pkgutil.iter_modules(sphmg.__path__)]
+    found = [f"{module.__name__}.{name}"
+             for module in modules for name, obj in vars(module).items()
+             if isinstance(obj, type) and issubclass(obj, BaseException)
+             and obj.__module__ == module.__name__
+             and (module.__name__ != "sphmg.core" or name not in sphmg.__all__)]
+    assert not found, "exception classes outside core or sphmg.__all__:\n" + "\n".join(found)

@@ -5,8 +5,8 @@ import pytest
 
 from sphmg import (
     ContractError,
+    DegenerateStateError,
     ExternalBid,
-    KernelInstabilityError,
     KernelParams,
     alpha_c2,
     extract_stationary,
@@ -103,7 +103,7 @@ def test_kernel_footprint():
 @pytest.mark.parametrize("alpha, init_scale", [(3.0, 1e300), (3.0, 1e200), (1e300, 1.0)])
 def test_overflow_fails_at_its_own_step(alpha, init_scale):
     # K(1, 1) overflows; no numpy warning (pytest.ini makes one an error)
-    with pytest.raises(KernelInstabilityError, match=r"^<q\^2> overflowed at t=1$"):
+    with pytest.raises(DegenerateStateError, match=r"^<q\^2> overflowed at t=1$"):
         iterate_kernels(_params(alpha, T=40, init_scale=init_scale))
 
 

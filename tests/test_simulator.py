@@ -36,7 +36,7 @@ from tracing import route_build_growth, traced_peak
 def _state_from_q(q):
     q = np.asarray(q, dtype=np.float64)
     lam = float(np.sqrt(np.mean(q**2)))
-    return AgentState(q=q, lam=lam, phi=q / lam)
+    return AgentState(q=q, lam=lam)
 
 
 def _blocks(sample):
@@ -64,7 +64,7 @@ def _gram_basis(sample, state):
     """The Gram route's basis Q of sample, with B = Q^T G Q banded, in the
     padded layout of the route's vectors (column j at b + j of (nb + 2) b,
     b = BAND): the identity carried through the route's reduction of G."""
-    G, _ = _integer_gram(sample, state.phi)
+    G, _ = _integer_gram(sample, state.q / state.lam)
     p, b = sample.xi.shape[1], core.BAND
     Q = np.zeros((p, (-(-p // b) + 2) * b))
     Q[:, b:b + p] = np.eye(p)
@@ -92,7 +92,7 @@ def test_init_state_signs_are_fair_coins_of_the_init_stream():
     plus = core.rng_stream(p.seed, core._STREAM_INIT).random(p.n_agents) < 0.5
     assert st.lam == 0.25
     assert np.array_equal(st.q, np.where(plus, 0.25, -0.25))
-    assert np.array_equal(st.phi, np.where(plus, 1.0, -1.0))
+    assert np.array_equal(st.q / st.lam, np.where(plus, 1.0, -1.0))
     assert 0 < plus.sum() < p.n_agents
 
 
@@ -101,8 +101,9 @@ def test_init_state_unbiased_scale():
     st = init_state(p)
     assert st.lam == 1e-4
     assert np.all(np.abs(st.q) == 1e-4)
-    assert np.mean(st.phi**2) == pytest.approx(1.0, abs=1e-12)
-    assert set(np.unique(st.phi)) <= {-1.0, 1.0}
+    phi = st.q / st.lam
+    assert np.mean(phi**2) == pytest.approx(1.0, abs=1e-12)
+    assert set(np.unique(phi)) <= {-1.0, 1.0}
 
 
 def test_init_state_deterministic():
@@ -117,7 +118,7 @@ def test_init_state_deterministic():
 
 def test_market_bids_zero_positions():
     sample = generate_disorder(GameParams(n_agents=6, alpha=0.5, seed=1))
-    st = AgentState(q=np.zeros(6), lam=1.0, phi=np.zeros(6))
+    st = AgentState(q=np.zeros(6), lam=1.0)
     bids = market_bids(st, sample, a_e=1.5)
     assert np.allclose(bids, 1.5 + sample.Omega)
 
@@ -135,7 +136,7 @@ def test_market_bids_matches_brute_force():
     sample = generate_disorder(GameParams(n_agents=7, alpha=0.5, seed=8))
     st = _state_from_q(rng.normal(size=7))
     bids = market_bids(st, sample, a_e=0.7)
-    assert np.allclose(bids, brute_force_bids(st.phi, sample, 0.7), atol=1e-12)
+    assert np.allclose(bids, brute_force_bids(st.q / st.lam, sample, 0.7), atol=1e-12)
 
 
 def test_market_bids_dimension_mismatch():
@@ -205,7 +206,7 @@ def test_degenerate_state_raises_on_every_route(kind):
     sample = sample_from_tables([[1]], [[-1]])
     p = GameParams(n_agents=1, alpha=1.0, kappa=0.0, seed=0)
     for q0, error in ((2.0, "all valuations vanished"), (1e200, "valuations overflowed")):
-        state = AgentState(q=np.array([q0]), lam=q0, phi=np.array([1.0]))
+        state = AgentState(q=np.array([q0]), lam=q0)
         route = _built(kind, sample, state)
         run = route.start(state)
         assert run.lam == q0
@@ -341,7 +342,7 @@ def test_coupling_and_per_pattern_routes_agree(n_agents, alpha):
     a, b = coup.start(init_state(p)), patterns.start(init_state(p))
     a_e = p.external.series(20)
     for _ in range(20):
-        bids = market_bids(AgentState(a.q, a.lam, a.q / a.lam), sample, a_e[a.t])
+        bids = market_bids(AgentState(a.q, a.lam), sample, a_e[a.t])
         _, sum_a, sum_a2 = _recorded_step(coup, a, p)
         _, sum_b, sum_b2 = _recorded_step(patterns, b, p)
         # coupling-route moments are exact: compare with the float64 bids
@@ -437,8 +438,9 @@ def test_gram_matrix_is_the_same_for_any_row_blocks():
     sample = generate_disorder(params)
     xi, (n, p) = sample.xi.astype(np.int64), sample.xi.shape
     exact = packed_upper((xi.T @ xi).astype(np.float64), core.BAND)
+    state = init_state(params)
     for rows in (n, 5):  # one block; 41 blocks of 5 rows, the last short
-        G, _ = core._integer_gram(_sliced(sample.xi, rows), p, init_state(params).phi)
+        G, _ = core._integer_gram(_sliced(sample.xi, rows), p, state.q / state.lam)
         assert G.dtype == np.float64 and np.array_equal(G, exact), rows
     assert len(list(_sliced(sample.xi, 5))) == 41
 
@@ -465,7 +467,8 @@ def test_gram_matrix_is_exact_on_both_sides_of_each_fallback(n_agents, p, own_pr
 
     monkeypatch.setattr(core, "_upper_products", recorded)
     params = GameParams(n_agents=n_agents, alpha=p / n_agents, seed=9)
-    sample, phi = generate_disorder(params), init_state(params).phi
+    sample, state = generate_disorder(params), init_state(params)
+    phi = state.q / state.lam
     assert params.n_patterns == p
     draw = list(core.disorder_blocks(params)[0])
     xi = sample.xi.astype(np.float64)
@@ -595,7 +598,7 @@ def test_gram_route_matches_the_pattern_space_step_at_large_p(zeta):
     state, sample = init_state(p), generate_disorder(p)
     assert p.n_patterns == 900
     xi = sample.xi.astype(np.float64)  # exact integer products below 2^53
-    ref = pattern_space_run(xi.T @ xi, state.lam * (state.phi @ xi), sample.Omega, state.q,
+    ref = pattern_space_run(xi.T @ xi, state.lam * ((state.q / state.lam) @ xi), sample.Omega, state.q,
                             state.lam, p.external.series(400), simulator.C0_SNAPSHOTS)
     route = _built(simulator._Gram, sample, state)
     run = route.start(state)
@@ -622,7 +625,7 @@ def test_gram_route_footprint(monkeypatch):
     entries, state = core.BLOCK_ENTRIES, init_state(p)
     g_bytes = 4 * p.n_patterns * (p.n_patterns + core.BAND)
     _, sums_peak = traced_peak(
-        lambda: core._integer_gram(core.disorder_blocks(p)[0], p.n_patterns, state.phi))
+        lambda: core._integer_gram(core.disorder_blocks(p)[0], p.n_patterns, state.q / state.lam))
     assert sums_peak <= g_bytes + 3 * entries + 2**19, sums_peak - g_bytes
     peaks, routes, step_window = [], [], simulator._window
 
