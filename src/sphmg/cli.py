@@ -18,6 +18,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import json
 import math
@@ -77,7 +78,7 @@ _OPTIONS = (
     ("tail", float, 0.25, None, "kernel tail fraction for estimates"),
     ("out", str, None, None, "output path ('-' for stdout)"),
     ("format", str, "csv", ("csv", "json"), "output format"),
-    ("workers", int, 1, None, "pool size for simulations and kernels, at most the CPU count"),
+    ("workers", int, 1, None, "threads for simulations and kernels, at most the CPU count"),
     ("sweep", str, None, None, "axis spec name:min:max:count[:log]"),
     ("sweep2", str, None, None, "second axis spec"),
     ("engines", str, ",".join(ENGINES), None, "comma list from theory,simulate,kernels"),
@@ -153,38 +154,35 @@ def _cells(engine: str, results: list) -> dict:
             if c in RESULT_COLUMNS}
 
 
-# Pool workers are at most one process per core; a multithreaded BLAS in each
-# of them would oversubscribe the cores.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _pool_map(fn, items: list, workers: int) -> list:
-    """fn over items in a spawn-context pool whose workers run single-threaded BLAS.
+    """fn over items on a thread pool in this process, with BLAS at one thread.
 
-    The pool holds at most one worker per CPU this process may use, whatever
-    workers asks for: the executor starts a process per submitted task up to
-    its size, and each one imports numpy.  BLAS reads its thread count when a
-    worker first imports numpy, so the variables are set in this process's
-    environment while the workers start (they inherit it) and restored
-    afterwards.  The pool modules are imported here, so a run that never fans
-    out does not load them.
+    The pool holds at most one thread per CPU this process may use, whatever
+    workers asks for, and a multithreaded BLAS under each would oversubscribe
+    the cores.  So numpy's OpenBLAS runs one thread, process-wide, while the
+    pool runs, and the caller's thread count comes back only after every
+    started task has returned.  A task that raises, or an interrupt in the
+    caller, cancels the tasks still queued when the caller sees it; the
+    running ones finish first.  Where numpy's BLAS has no thread-count call
+    (numpy built on another BLAS) the tasks run inline, as at one worker.
+    The pool module is imported here, so a run that never fans out does not
+    load it.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
+    blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    if not hasattr(blas, "scipy_openblas_set_num_threads64_"):
+        return list(map(fn, items))
+    get, pin = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype, pin.argtypes, pin.restype = [], ctypes.c_int, [ctypes.c_int], None
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    threads = get()
+    pin(1)
     try:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(workers, cpus or 1), mp_context=spawn) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, cpus or 1)) as pool:
             return list(pool.map(fn, items))
     finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+        pin(threads)
 
 
 def run_sweep(opts: dict, engines: tuple[str, ...]) -> tuple[list[dict], int]:
@@ -194,8 +192,8 @@ def run_sweep(opts: dict, engines: tuple[str, ...]) -> tuple[list[dict], int]:
     built before any task starts, so a bad point, seed, setting or worker
     count fails the sweep before it runs.  A point's tasks form one group per
     engine, in ENGINES order: theory's one solve, one simulation per seed and
-    one kernel iteration.  All of them run through _run_task, theory in this
-    process and the rest as one list that fans out over a process pool when
+    one kernel iteration.  All of them run through _run_task, theory inline
+    and the rest as one list that fans out over _pool_map's thread pool when
     workers > 1, and all finish before any row is assembled.  One pass over
     the groups in grid order then reports each failed task, counts a group
     with a failure once and fills the cells, so the rows and failure lines do

@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import dataclasses
 import json
 import os
@@ -6,6 +7,8 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -489,16 +492,75 @@ def test_workers_do_not_change_results(capsys):
     assert err1 == err2 and "kernels vs theory" in err1
 
 
-def test_pool_workers_run_single_threaded_blas(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert _pool_map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2, 2) == ["1", "1"]
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+@pytest.fixture
+def openblas():
+    """The reader of numpy's OpenBLAS thread count, which is 2 for the test
+    and restored after it, so a pooled task's 1 differs from the caller's
+    count on any host."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count call")
+    get, pin = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype, pin.argtypes, pin.restype = [], ctypes.c_int, [ctypes.c_int], None
+    saved = get()
+    pin(2)
+    yield get
+    pin(saved)
+
+
+def test_pool_workers_run_single_threaded_blas(openblas):
+    assert _pool_map(lambda _: openblas(), [0, 1, 2], 2) == [1, 1, 1]
+    assert openblas() == 2
+
+    def fail(item):
+        if item:
+            raise ValueError("task failed")
+        return openblas()
+
+    with pytest.raises(ValueError, match="task failed"):
+        _pool_map(fail, [0, 1], 2)
+    assert openblas() == 2
+
+
+def test_an_interrupt_cancels_the_queue_and_restores_blas_after_running_tasks(
+        openblas, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started, second, counts = [], threading.Event(), []
+
+    def task(item):
+        started.append(item)
+        if item == 0:  # interrupts once the other thread runs a task
+            second.wait(10)
+            raise KeyboardInterrupt
+        second.set()
+        time.sleep(0.2)
+        counts.append(openblas())  # as the task returns
+        return item
+
+    with pytest.raises(KeyboardInterrupt):
+        _pool_map(task, list(range(20)), 2)
+    # the thread whose task raised may take one queued task before the caller
+    # cancels the rest; no later one starts
+    assert {0, 1} <= set(started) <= {0, 1, 2}
+    assert counts == [1] * (len(started) - 1)
+    assert openblas() == 2
+
+
+def test_workers_run_inline_where_numpy_blas_has_no_thread_call(monkeypatch, capsys):
+    argv = ["simulate", "--sweep", "alpha:1:4:2", "--agents", "64", "--t-eq", "30",
+            "--t-meas", "32", "--seeds", "1,2"]
+    _, serial, _ = run_cli(capsys, *argv, "--workers", "1")
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # no pool can start
+    code, out, _ = run_cli(capsys, *argv, "--workers", "2")
+    strip = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
+    assert code == 0 and strip(out) == strip(serial) and len(strip(out)) == 3
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the pool size and maps inline."""
+    """Stands in for ThreadPoolExecutor: records the pool size and maps inline."""
 
-    def __init__(self, sizes, max_workers, mp_context):
+    def __init__(self, sizes, max_workers):
         sizes.append(max_workers)
 
     def __enter__(self):
@@ -512,9 +574,9 @@ class _InlinePool:
 
 
 def test_pool_never_starts_more_workers_than_cpus(monkeypatch, capsys):
-    # no process starts: the executor is replaced by a recorder that maps inline
+    # no thread starts: the executor is replaced by a recorder that maps inline
     sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         lambda **kwargs: _InlinePool(sizes, **kwargs))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert _pool_map(str, [1, 2], 64) == ["1", "2"]
@@ -575,18 +637,26 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_cli_import_loads_no_pool_modules():
-    # the pool is imported when a run fans out, so --workers 1 never pays for it
+def test_cli_import_loads_no_pool_modules(tmp_path):
+    # the pool is imported when a run fans out, so --workers 1 never pays for
+    # it; a run that fans out starts threads, not processes, and leaves the
+    # environment as it found it
     env = {**os.environ, "PYTHONPATH": str(Path(sphmg.__file__).resolve().parents[1])}
+    argv = ["simulate", "--alpha", "2", "--agents", "64", "--t-eq", "30", "--t-meas", "32",
+            "--seeds", "1,2", "--workers", "2", "--out", str(tmp_path / "rows.csv")]
     code = (
-        "import sphmg.cli, sys; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        "import os, sys, sphmg.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules)); "
+        "before = dict(os.environ); "
+        f"print(sphmg.cli.main({argv!r})); "
+        "print('concurrent.futures.thread' in sys.modules, 'multiprocessing' in sys.modules, "
+        "dict(os.environ) == before)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "0", "True False True"]
 
 
 def test_config_file_precedence(tmp_path, capsys):
